@@ -113,50 +113,48 @@ def canonical_cycle(vertices) -> Cycle:
 # Hamiltonian cycle
 
 
-def _hamiltonian_dp_python(g: Graph):
-    """Subset DP over masks of vertices 1..n-1; dp[mask] holds the set of
-    endpoints of paths from vertex 0 spanning exactly mask."""
-    n = g.n
-    shifted = [g.adj[v] >> 1 for v in range(n)]
-    full = (1 << (n - 1)) - 1
-    dp = [0] * (full + 1)
-    start = shifted[0]
-    m = start
-    while m:
-        low = m & -m
-        dp[low] = low
-        m ^= low
-    for mask in range(1, full + 1):
-        if mask & (mask - 1) == 0:
-            continue
+def _path_ends(g: Graph, s: int, dp: list[int]) -> None:
+    """Fill dp[mask], the endpoint set of the paths from s that span
+    exactly mask, for every mask whose lowest vertex is s.
+
+    This is the Bellman / Held-Karp subset DP; both exact cycle solvers
+    read their answers from this one table.
+    """
+    adj = g.adj
+    sb = 1 << s
+    dp[sb] = sb
+    for mask in range(3 << s, 1 << g.n, 2 << s):
         acc = 0
-        rest = mask
+        rest = mask ^ sb
         while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length()  # actual vertex index (bit b is vertex b+1)
-            if dp[mask ^ low] & shifted[v]:
-                acc |= low
+            vb = rest & -rest
+            rest ^= vb
+            if dp[mask ^ vb] & adj[vb.bit_length() - 1]:
+                acc |= vb
         dp[mask] = acc
-    closers = dp[full] & start
-    if not closers:
+
+
+def _hamiltonian_dp_python(g: Graph):
+    """Path table from vertex 0, walked back from the lowest closing end."""
+    n = g.n
+    dp = [0] * (1 << n)
+    _path_ends(g, 0, dp)
+    mask = (1 << n) - 1
+    ends = dp[mask] & g.adj[0]
+    if not ends:
         return None
     seq = []
-    mask = full
-    cur = (closers & -closers).bit_length() - 1
-    while True:
-        seq.append(cur + 1)
-        low = 1 << cur
-        if mask == low:
-            break
-        prev = dp[mask ^ low] & shifted[cur + 1]
-        mask ^= low
-        cur = (prev & -prev).bit_length() - 1
+    while mask != 1:
+        vb = ends & -ends
+        seq.append(vb.bit_length() - 1)
+        mask ^= vb
+        ends = dp[mask] & g.adj[seq[-1]]
     return [0] + seq[::-1]
 
 
 def _hamiltonian_dp_numpy(g: Graph):
-    """Same DP, layered by popcount and vectorized per endpoint pair."""
+    """The path table from vertex 0 over masks of vertices 1..n-1 (bit b
+    is vertex b+1), layered by popcount and vectorized per endpoint pair."""
     import numpy as np
 
     n = g.n
@@ -306,9 +304,18 @@ def find_hamiltonian_cycle(g: Graph):
         seq = _hamiltonian_backtrack(g)
     if seq is None:
         return None
-    cycle = canonical_cycle(seq)
-    assert is_valid_cycle(g, cycle)
-    return cycle
+    return canonical_cycle(_checked(g, seq, g.n))
+
+
+def _checked(g: Graph, seq, length: int):
+    """seq itself, once it is a valid cycle of g with length vertices.
+
+    A solver's output is checked here rather than by assert, so the
+    check also runs under python -O.
+    """
+    if len(seq) != length or not is_valid_cycle(g, seq):
+        raise RuntimeError(f"solver returned {list(seq)}, not a {length}-cycle of the graph")
+    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -325,69 +332,38 @@ def longest_cycle(g: Graph) -> Cycle:
         raise ValueError(
             f"exact longest-cycle search is limited to {MAX_LONGEST_CYCLE_ORDER} vertices"
         )
-    best = 0
-    if n >= 3:
-        # dp[mask] = endpoint set of simple paths that start at the lowest
-        # bit of mask and span exactly mask; extensions stay above that bit
-        dp = [0] * (1 << n)
-        for v in range(n):
-            dp[1 << v] = 1 << v
-        for mask in range(3, 1 << n):
-            if mask & (mask - 1) == 0:
-                continue
-            low = mask & -mask
-            s = low.bit_length() - 1
-            acc = 0
-            rest = mask ^ low
-            while rest:
-                vb = rest & -rest
-                rest ^= vb
-                v = vb.bit_length() - 1
-                if dp[mask ^ vb] & g.adj[v]:
-                    acc |= vb
-            dp[mask] = acc
-            if acc & g.adj[s] and mask.bit_count() >= 3:
-                best = max(best, mask.bit_count())
-    if best < 3:
+    # keep the closing masks (vertex sets of cycles) of the largest size
+    # seen so far; masks are scanned by lowest vertex, so the first kept
+    # mask has the least start s
+    dp = [0] * (1 << n)
+    best, closing = 3, []
+    for s in range(n - 2):
+        _path_ends(g, s, dp)
+        for mask in range(3 << s, 1 << n, 2 << s):
+            if dp[mask] & g.adj[s] and (size := mask.bit_count()) >= best:
+                if size > best:
+                    best, closing = size, []
+                closing.append(mask)
+    if not closing:
         raise ValueError("graph has no cycle")
-    target = best
 
-    # lexicographically least representative: DFS in sequence order from
-    # each candidate minimum vertex; the first hit is the normal form
-    for s in range(n):
-        higher = ~((1 << (s + 1)) - 1)
-        path = [s]
-        used = 1 << s
-
-        def search(cur: int) -> list[int] | None:
-            nonlocal used
-            if len(path) == target:
-                return list(path) if g.has_edge(cur, s) else None
-            allowed = g.adj[cur] & higher & ~used
-            for v in iter_bits(allowed):
-                reach = 1 << v
-                frontier = reach
-                while frontier:
-                    nxt = 0
-                    for w in iter_bits(frontier):
-                        nxt |= g.adj[w] & higher & ~used
-                    frontier = nxt & ~reach
-                    reach |= frontier
-                if reach.bit_count() < target - len(path) or not (reach & g.adj[s]):
-                    continue
-                path.append(v)
-                used |= 1 << v
-                found = search(v)
-                if found is not None:
-                    return found
-                path.pop()
-                used &= ~(1 << v)
-            return None
-
-        hit = search(s)
-        if hit is not None:
-            return Cycle(tuple(hit))
-    raise AssertionError("length was certified but no cycle reconstructed")
+    # lexicographically least cycle: from the least start s, step to the
+    # least neighbour v that some kept vertex set F can still complete,
+    # i.e. v ends a path from s spanning what F has left.  The walk so
+    # far plus that path is a cycle on used | F, which cannot beat best,
+    # so every hit is a real completion and the walk never backtracks.
+    sb = closing[0] & -closing[0]
+    frames = [f for f in closing if f & -f == sb]
+    path, used = [sb.bit_length() - 1], sb
+    while len(path) < best:
+        ends = 0
+        for f in frames:
+            ends |= dp[(f & ~used) | sb]
+        ends &= g.adj[path[-1]]
+        vb = ends & -ends
+        path.append(vb.bit_length() - 1)
+        used |= vb
+    return Cycle(tuple(_checked(g, path, best)))
 
 
 # ---------------------------------------------------------------------------

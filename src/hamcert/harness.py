@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 from hamcert.graph6 import Graph6Error, parse_graph6, to_graph6
-from hamcert.graphs import Graph, from_edge_mask, triangle_pairs
+from hamcert.graphs import MAX_ENUMERATION_ORDER, Graph, from_edge_mask, triangle_pairs
 from hamcert.invariants import (
     chromatic_number,
     independence_number,
@@ -33,7 +33,6 @@ from hamcert.invariants import (
 from hamcert.cycles import find_hamiltonian_cycle
 from hamcert.theorem import certify, check_hypothesis, format_certificate
 
-MAX_INTERNAL_ORDER = 7
 MAX_STREAM_ORDER = 62
 
 
@@ -222,7 +221,22 @@ def _clamped_connectivity(np, rows, n, full, k_cap):
     return kappa
 
 
-def _verify_internal_shard(n, k_range, lo, hi, chi_memo, on_extremal) -> VerificationReport:
+def _replay(report, g, graph_hits, on_extremal) -> None:
+    """Tally the exact certificate of g for every k it hits; the exact
+    certifier recomputes kappa and chi independently of any vector pass."""
+    for k in graph_hits:
+        cert = certify(g, k)
+        if cert.kind == "hamiltonian":
+            report.hamiltonian += 1
+        elif cert.kind == "extremal":
+            report.extremal += 1
+            if on_extremal is not None:
+                on_extremal(to_graph6(g), k)
+        else:
+            report.counterexamples.append((to_graph6(g), k))
+
+
+def _verify_internal_shard(n, k_range, lo, hi, on_extremal) -> VerificationReport:
     np = _np()
     report = VerificationReport(total_graphs=hi - lo)
     masks = np.arange(lo, hi, dtype=np.uint32)
@@ -281,12 +295,7 @@ def _verify_internal_shard(n, k_range, lo, hi, chi_memo, on_extremal) -> Verific
     chi = cub.astype(np.uint8).copy()
     unsettled = np.nonzero(comega != cub)[0]
     for i in unsettled.tolist():
-        em = int(cmasks[i])
-        value = chi_memo.get(em)
-        if value is None:
-            value = chromatic_number(from_edge_mask(n, em))[0]
-            chi_memo[em] = value
-        chi[i] = value
+        chi[i] = chromatic_number(from_edge_mask(n, int(cmasks[i])))[0]
 
     kappa = _clamped_connectivity(np, crows_sub, n, full, k_cap)
 
@@ -314,19 +323,8 @@ def _verify_internal_shard(n, k_range, lo, hi, chi_memo, on_extremal) -> Verific
         if ham[pos]:
             report.hamiltonian += len(graph_hits)
             continue
-        # rare path: replay through the exact certifier, which recomputes
-        # kappa and chi independently of the vector pass
-        g = from_edge_mask(n, int(hmasks[pos]))
-        for k in graph_hits:
-            cert = certify(g, k)
-            if cert.kind == "hamiltonian":
-                report.hamiltonian += 1
-            elif cert.kind == "extremal":
-                report.extremal += 1
-                if on_extremal is not None:
-                    on_extremal(to_graph6(g), k)
-            else:
-                report.counterexamples.append((to_graph6(g), k))
+        # rare path: replay through the exact certifier
+        _replay(report, from_edge_mask(n, int(hmasks[pos])), graph_hits, on_extremal)
     return report
 
 
@@ -367,16 +365,7 @@ def _verify_stream(n, k_range, lines, on_extremal) -> VerificationReport:
         if find_hamiltonian_cycle(g) is not None:
             report.hamiltonian += len(graph_hits)
             continue
-        for k in graph_hits:
-            cert = certify(g, k)
-            if cert.kind == "hamiltonian":
-                report.hamiltonian += 1
-            elif cert.kind == "extremal":
-                report.extremal += 1
-                if on_extremal is not None:
-                    on_extremal(to_graph6(g), k)
-            else:
-                report.counterexamples.append((to_graph6(g), k))
+        _replay(report, g, graph_hits, on_extremal)
     return report
 
 
@@ -405,9 +394,9 @@ def verify_order(
     k_min, k_max = k_range
     started = time.monotonic()
     if source == "internal":
-        if not (1 <= n <= MAX_INTERNAL_ORDER):
+        if not (1 <= n <= MAX_ENUMERATION_ORDER):
             raise ValueError(
-                f"internal enumeration is limited to orders 1..{MAX_INTERNAL_ORDER}"
+                f"internal enumeration is limited to orders 1..{MAX_ENUMERATION_ORDER}"
             )
         if shards < 1:
             raise ValueError("shards must be positive")
@@ -415,13 +404,10 @@ def verify_order(
         total = 1 << (n * (n - 1) // 2)
         bounds = [total * i // shards for i in range(shards + 1)]
         report = VerificationReport(hypothesis_hits={k: 0 for k in ks})
-        chi_memo: dict[int, int] = {}
         for lo, hi in zip(bounds, bounds[1:]):
             if lo == hi:
                 continue
-            report = report.merge(
-                _verify_internal_shard(n, ks, lo, hi, chi_memo, on_extremal)
-            )
+            report = report.merge(_verify_internal_shard(n, ks, lo, hi, on_extremal))
         report.elapsed = time.monotonic() - started
         return report
     if source == "graph6":

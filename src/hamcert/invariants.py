@@ -321,12 +321,6 @@ class PathSystem:
             if path[0] != self.hub or path[-1] != att:
                 raise ValueError("fan path must run hub -> attachment")
 
-    def take(self, k: int) -> "PathSystem":
-        """First k paths in attachment order."""
-        if not (0 < k <= len(self.paths)):
-            raise ValueError(f"cannot take {k} of {len(self.paths)} paths")
-        return PathSystem(self.hub, self.paths[:k], self.attachments[:k])
-
 
 def validate_path_system(g: Graph, c, fan: PathSystem) -> list[str]:
     """All fan invariant violations against a host graph and cycle;

@@ -303,16 +303,22 @@ def parse_certificate(text: str) -> tuple[Graph, Certificate]:
         raise ValueError("certificate needs kind and graph lines")
     g = parse_graph6(fields["graph"])
     kind = fields["kind"]
+
+    def need(key: str) -> str:
+        if key not in fields:
+            raise ValueError(f"{kind} certificate needs a {key} line")
+        return fields[key]
+
     if kind == "hamiltonian":
-        cycle = Cycle(tuple(int(v) for v in fields["cycle"].split(",")))
+        cycle = Cycle(tuple(int(v) for v in need("cycle").split(",")))
         return g, Certificate(kind=kind, cycle=cycle)
     if kind == "extremal":
         part = ExtremalPartition(
-            a=_parse_set(fields["part_a"]),
-            b=_parse_set(fields["part_b"]),
-            c_part=_parse_set(fields["part_c"]),
+            a=_parse_set(need("part_a")),
+            b=_parse_set(need("part_b")),
+            c_part=_parse_set(need("part_c")),
         )
-        return g, Certificate(kind=kind, k=int(fields["k"]), partition=part)
+        return g, Certificate(kind=kind, k=int(need("k")), partition=part)
     if kind == "counterexample":
         return g, Certificate(kind=kind, report=fields.get("report", ""))
     raise ValueError(f"unknown certificate kind {kind!r}")

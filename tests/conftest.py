@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from hamcert.graphs import Graph, from_edge_mask
+from hamcert.graphs import Graph, from_edge_mask, with_edges
 
 
 @st.composite
@@ -27,6 +27,13 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
         if rng.random() < p:
             mask |= 1 << t
     return from_edge_mask(n, mask)
+
+
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    """Copy of g under a random vertex permutation."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return with_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 # ---------------------------------------------------------------------------

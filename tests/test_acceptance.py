@@ -146,9 +146,17 @@ def test_criterion_3_extremal_grid():
                 failures.append((k, n, "recognize"))
             elif validate_extremal_partition(g, k, recognized[1]):
                 failures.append((k, n, "partition"))
+    # the proof trace at the top of the exact longest-cycle range
+    started = time.perf_counter()
+    for k in range(2, 6):
+        trace = trace_proof(build_extremal(k, 16), k)
+        if not (trace.all_passed and trace.conclusion.startswith("extremal (")):
+            failures.append((k, 16, "trace"))
+    trace_s = time.perf_counter() - started
     ok = not failures
     record_verdict(
         f"[3] extremal grid k=2..5 n=2k+1..2k+8: {cells} cells, "
+        f"traces at n=16 in {trace_s:.2f}s, "
         f"{len(failures)} failures -> {'PASS' if ok else 'FAIL'}"
     )
     assert failures == []

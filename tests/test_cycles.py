@@ -25,6 +25,7 @@ from hamcert.graphs import (
     with_edges,
 )
 from hamcert.invariants import PathSystem, menger_fan
+from hamcert import cycles
 from hamcert.cycles import (
     Cycle,
     canonical_cycle,
@@ -37,7 +38,8 @@ from hamcert.cycles import (
     segments,
     successors_set,
 )
-from tests.conftest import graphs_st, random_graph
+from hamcert.theorem import build_extremal
+from tests.conftest import graphs_st, random_graph, relabeled
 from tests.oracles import oracle_hamiltonian_cycle, oracle_longest_cycle_length
 
 
@@ -163,6 +165,37 @@ def test_petersen_not_hamiltonian():
     assert find_hamiltonian_cycle(petersen_graph()) is None
 
 
+def test_hamiltonian_tiers_agree():
+    # differential: the array DP and the pure path-table DP answer the
+    # same question on the orders where both are workable
+    rng = random.Random(13)
+    found = 0
+    for n in range(8, 14):
+        for p in (0.25, 0.35, 0.45, 0.7) * 2:
+            g = random_graph(n, p, rng)
+            pure = cycles._hamiltonian_dp_python(g)
+            vec = cycles._hamiltonian_dp_numpy(g)
+            assert (pure is None) == (vec is None), g.adj
+            for seq in (pure, vec):
+                if seq is not None:
+                    assert len(seq) == n and is_valid_cycle(g, seq)
+            found += pure is not None
+    assert 0 < found < 48  # both answers occur
+
+
+@pytest.mark.parametrize(
+    "tier, n",
+    [("_hamiltonian_dp_python", 5), ("_hamiltonian_dp_numpy", 14), ("_hamiltonian_backtrack", 25)],
+)
+def test_hamiltonian_output_checked_without_assert(monkeypatch, tier, n):
+    # a tier that returns a non-cycle is caught by an explicit check,
+    # which python -O does not strip
+    wrong = [0, 2, 1] + list(range(3, n))
+    monkeypatch.setattr(cycles, tier, lambda g: wrong)
+    with pytest.raises(RuntimeError, match="not a"):
+        find_hamiltonian_cycle(cycle_graph(n))
+
+
 # ---------------------------------------------------------------------------
 # longest cycles
 
@@ -181,38 +214,51 @@ def test_longest_cycle_matches_oracle_exhaustive():
             assert canonical_cycle(got).vertices == got.vertices
 
 
+def _lex_least_maximum_cycle(g, target):
+    """Brute force: enumerate every cycle of length target and take the
+    least canonical form."""
+    best = None
+    verts = list(range(g.n))
+
+    def walk(path, used):
+        nonlocal best
+        if len(path) == target:
+            if g.has_edge(path[-1], path[0]):
+                cand = canonical_cycle(tuple(path)).vertices
+                if best is None or cand < best:
+                    best = cand
+            return
+        for v in verts:
+            if v > path[0] and not (used >> v & 1) and g.has_edge(path[-1], v):
+                walk(path + [v], used | 1 << v)
+
+    for s in verts:
+        walk([s], 1 << s)
+    return best
+
+
 def test_longest_cycle_is_lex_least_among_maximum():
-    # independent exhaustive check: enumerate every maximum cycle and take
-    # the least canonical form
+    # independent exhaustive check on random graphs and on the extremal
+    # layouts, canonical and relabeled, whose many maximum cycles tie
     rng = random.Random(5)
-    for _ in range(40):
-        g = random_graph(6, 0.5, rng)
+    graphs = [random_graph(6, 0.5, rng) for _ in range(40)]
+    graphs += [random_graph(7, p, rng) for p in (0.3, 0.5, 0.7) for _ in range(10)]
+    for k in range(2, 5):
+        for n in range(2 * k + 1, 10):
+            g = build_extremal(k, n)
+            graphs += [g, relabeled(g, rng), relabeled(g, rng)]
+    checked = 0
+    for g in graphs:
         if oracle_longest_cycle_length(g) == 0:
             continue
         got = longest_cycle(g)
-        best = None
-        target = len(got)
-        verts = list(range(g.n))
-
-        def walk(path, used):
-            nonlocal best
-            if len(path) == target:
-                if g.has_edge(path[-1], path[0]):
-                    cand = canonical_cycle(tuple(path)).vertices
-                    if best is None or cand < best:
-                        best = cand
-                return
-            for v in verts:
-                if v > path[0] and not (used >> v & 1) and g.has_edge(path[-1], v):
-                    walk(path + [v], used | 1 << v)
-
-        for s in verts:
-            walk([s], 1 << s)
-        assert got.vertices == best
+        assert got.vertices == _lex_least_maximum_cycle(g, len(got))
+        checked += 1
+    assert checked > 80
 
 
 def test_longest_cycle_refuses_acyclic_and_large():
-    for g in [path_graph(5), edgeless_graph(4), edgeless_graph(1)]:
+    for g in [path_graph(5), edgeless_graph(4), edgeless_graph(1), edgeless_graph(0)]:
         with pytest.raises(ValueError, match="no cycle"):
             longest_cycle(g)
     with pytest.raises(ValueError, match="limited"):

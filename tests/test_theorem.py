@@ -201,6 +201,25 @@ def test_parse_certificate_rejects_garbage():
         parse_certificate("kind wobble\ngraph C~\n")
 
 
+_CERTIFICATES = {
+    "hamiltonian": "kind hamiltonian\ngraph C~\ncycle 0,1,2,3\n",
+    "extremal": "kind extremal\ngraph D}o\nk 2\npart_a 0,1\npart_b 2,3\npart_c 4\n",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [("hamiltonian", "cycle"), ("extremal", "k"), ("extremal", "part_a"),
+     ("extremal", "part_b"), ("extremal", "part_c")],
+)
+def test_parse_certificate_missing_field_is_value_error(kind, key):
+    text = _CERTIFICATES[kind]
+    assert parse_certificate(text)[1].kind == kind
+    dropped = "".join(line + "\n" for line in text.splitlines() if line.split()[0] != key)
+    with pytest.raises(ValueError, match=f"needs a {key} line"):
+        parse_certificate(dropped)
+
+
 # ---------------------------------------------------------------------------
 # proof traces
 
