@@ -4,12 +4,16 @@ The internal source enumerates every labeled graph on n <= 7 vertices by
 edge bitmask and pushes the bulk filtering through numpy: adjacency rows,
 degrees, connectivity, greedy coloring bounds, exact clique and
 independence numbers, exact clamped connectivity, and exact
-Hamiltonicity all run as whole-population array passes.  Only the rare
-graphs the cheap passes cannot settle (chromatic suspects, borderline
-cases of the coloring inequality, non-Hamiltonian hypothesis hits) fall
-back to the exact single-graph solvers, and every counterexample-adjacent
-decision is replayed through certify so the vector path never has the
-final word.
+Hamiltonicity all run as whole-population array passes.  Candidates
+whose clique and greedy bounds disagree get their exact chromatic number
+from a batched inclusion-exclusion count, also in numpy.  Only borderline
+cases of the coloring inequality and the non-Hamiltonian hypothesis hits
+reach the single-graph solvers: every such hit is replayed through
+certify, so the vector path never has the final word.
+
+The streamed source runs the cheap checks first: the exact Nordhaus-
+Gaddum pair for every graph, then minimum degree and the chromatic
+condition, and exact connectivity only for the graphs that pass both.
 
 Work may be split into shards by edge-mask range; partial reports merge
 associatively, so totals are identical for every shard count.
@@ -23,9 +27,14 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 from hamcert.graph6 import Graph6Error, parse_graph6, to_graph6
-from hamcert.graphs import MAX_ENUMERATION_ORDER, Graph, from_edge_mask, triangle_pairs
+from hamcert.graphs import (
+    MAX_ENUMERATION_ORDER,
+    Graph,
+    from_edge_mask,
+    min_degree,
+    triangle_pairs,
+)
 from hamcert.invariants import (
-    chromatic_number,
     independence_number,
     nordhaus_gaddum,
     vertex_connectivity,
@@ -179,21 +188,97 @@ def _greedy_bound(np, rows, n, orders):
 
 
 def _clique_alpha(np, masks, n):
-    """Exact clique and independence numbers for every mask via the
-    subset sweep (ascending popcount so later writes dominate)."""
+    """Exact clique and independence numbers for every mask.
+
+    Every subset of a clique is a clique, so omega is 1 plus the number
+    of sizes >= 2 at which some vertex subset is a clique; alpha counts
+    the sizes with an independent set the same way."""
     omega = np.ones(masks.shape, np.uint8)
     alpha = np.ones(masks.shape, np.uint8)
     ems = _subset_edge_masks(n)
-    subsets = sorted(range(1, 1 << n), key=lambda s: s.bit_count())
-    for s in subsets:
-        size = s.bit_count()
-        if size < 2:
-            continue
-        em = np.uint32(ems[s])
-        inside = masks & em
-        omega = np.where(inside == em, np.uint8(size), omega)
-        alpha = np.where(inside == np.uint32(0), np.uint8(size), alpha)
+    for size in range(2, n + 1):
+        clique = np.zeros(masks.shape, bool)
+        indep = np.zeros(masks.shape, bool)
+        for s in range(1 << n):
+            if s.bit_count() != size:
+                continue
+            em = np.uint32(ems[s])
+            inside = masks & em
+            clique |= inside == em
+            indep |= inside == np.uint32(0)
+        omega += clique
+        alpha += indep
     return omega, alpha
+
+
+# Graphs per block of the batched exact chromatic number: at n = 7 its
+# two (2^n, block) int64 tables take 4 MB each.
+_CHI_BLOCK = 4096
+
+
+def _chromatic_numbers(np, rows, n, omega, ub):
+    """Exact chromatic numbers of a batch of graphs, given as adjacency
+    rows, whose chi is known to lie in [omega, ub].
+
+    Inclusion-exclusion (Bjorklund, Husfeldt and Koivisto, "Set
+    partitioning via inclusion-exclusion", SIAM J. Comput. 39(2), 2009):
+    with i(X) the number of independent sets inside X, the empty set
+    included, a graph is t-colorable iff the sum over all vertex subsets
+    X of (-1)^(n-|X|) i(X)^t is positive.  i(X) = i(X - v) + i(X - N[v])
+    with v the lowest vertex of X, one row gather per subset for a whole
+    block of graphs.  chi is the least t below ub that passes, or ub when
+    none does; no t below omega can pass, so t starts at the least omega
+    of the block.
+
+    Exact in int64 up to MAX_ENUMERATION_ORDER = 7: i(X) <= 2^7 and
+    t <= ub - 1 <= 6, so each of the 2^7 terms is at most 2^42 and every
+    partial sum stays below 2^49.  Larger orders are refused.
+    """
+    if n > MAX_ENUMERATION_ORDER:
+        raise ValueError(
+            f"batched chromatic number is exact only up to order {MAX_ENUMERATION_ORDER}"
+        )
+    size = 1 << n
+    full = size - 1
+    sign = np.array([(-1) ** (n - x.bit_count()) for x in range(size)], np.int64)
+    chi = ub.astype(np.uint8)
+    for start in range(0, chi.size, _CHI_BLOCK):
+        block = slice(start, start + _CHI_BLOCK)
+        cols = np.arange(chi[block].size)
+        # per graph: the vertices outside the closed neighbourhood N[v]
+        outside = [
+            ((~rows[v][block]) & np.uint8(full ^ (1 << v))).astype(np.intp)
+            for v in range(n)
+        ]
+        count = np.empty((size, cols.size), np.int64)
+        count[0] = 1
+        for x in range(1, size):
+            v = (x & -x).bit_length() - 1
+            count[x] = count[x ^ (1 << v)] + count[outside[v] & x, cols]
+        lo, hi = int(omega[block].min()), int(ub[block].max())
+        power = count**lo
+        for t in range(lo, hi):
+            if t > lo:
+                power *= count
+            settled = (sign @ power > 0) & (t < chi[block])
+            chi[block][settled] = t
+    return chi
+
+
+def _chi_bounds(np, rows, masks, n):
+    """Exact clique number omega, and upper bounds on chi and on the chi
+    of the complement, for every graph; omega <= chi <= ub."""
+    full = (1 << n) - 1
+    omega, alpha = _clique_alpha(np, masks, n)
+    orders = [list(range(n)), list(range(n - 1, -1, -1))]
+    ub = _greedy_bound(np, rows, n, orders)
+    ub = np.minimum(ub, (n - alpha + 1).astype(np.uint8))
+    ub = np.maximum(ub, omega)  # greedy can never beat the clique bound
+    crows = [(~rows[v]) & np.uint8(full ^ (1 << v)) for v in range(n)]
+    ub_c = _greedy_bound(np, crows, n, orders)
+    ub_c = np.minimum(ub_c, (n - omega + 1).astype(np.uint8))
+    ub_c = np.maximum(ub_c, alpha)
+    return omega, ub, ub_c
 
 
 def _clamped_connectivity(np, rows, n, full, k_cap):
@@ -250,16 +335,7 @@ def _verify_internal_shard(n, k_range, lo, hi, on_extremal) -> VerificationRepor
         mindeg = np.minimum(mindeg, d)
     conn = _connected_mask(np, rows, n, full)
 
-    omega, alpha = _clique_alpha(np, masks, n)
-
-    orders = [list(range(n)), list(range(n - 1, -1, -1))]
-    ub = _greedy_bound(np, rows, n, orders)
-    ub = np.minimum(ub, (n - alpha + 1).astype(np.uint8))
-    ub = np.maximum(ub, omega)  # greedy can never beat the clique bound
-    crows = [(~rows[v]) & np.uint8(full ^ (1 << v)) for v in range(n)]
-    ub_c = _greedy_bound(np, crows, n, orders)
-    ub_c = np.minimum(ub_c, (n - omega + 1).astype(np.uint8))
-    ub_c = np.maximum(ub_c, alpha)
+    omega, ub, ub_c = _chi_bounds(np, rows, masks, n)
 
     # the greedy bounds already witness chi + chi_c <= n+1 for almost
     # every graph; the rest get the exact treatment
@@ -288,25 +364,25 @@ def _verify_internal_shard(n, k_range, lo, hi, on_extremal) -> VerificationRepor
     cmasks = masks[cand_idx]
     crows_sub = [rows[v][cand_idx] for v in range(n)]
     comega = omega[cand_idx]
-    cub = ub[cand_idx]
 
     # exact chromatic numbers: free when the clique bound meets the
-    # greedy bound, single-graph solver otherwise
-    chi = cub.astype(np.uint8).copy()
-    unsettled = np.nonzero(comega != cub)[0]
-    for i in unsettled.tolist():
-        chi[i] = chromatic_number(from_edge_mask(n, int(cmasks[i])))[0]
+    # greedy bound, batched inclusion-exclusion otherwise
+    chi = ub[cand_idx]
+    unsettled = np.nonzero(comega != chi)[0]
+    chi[unsettled] = _chromatic_numbers(
+        np, [r[unsettled] for r in crows_sub], n, comega[unsettled], chi[unsettled]
+    )
 
     kappa = _clamped_connectivity(np, crows_sub, n, full, k_cap)
 
-    hit_any = np.zeros(cand_idx.shape, bool)
+    nhits = np.zeros(cand_idx.shape, np.uint8)
     chi16 = chi.astype(np.int16)
     for k in ks:
         hits_k = (kappa >= k) & (chi16 >= n - k)
         report.hypothesis_hits[k] = int(np.count_nonzero(hits_k))
-        hit_any |= hits_k
+        nhits += hits_k
 
-    hit_idx = np.nonzero(hit_any)[0]
+    hit_idx = np.nonzero(nhits)[0]
     if hit_idx.size == 0:
         return report
 
@@ -315,15 +391,13 @@ def _verify_internal_shard(n, k_range, lo, hi, on_extremal) -> VerificationRepor
     for em in _hamiltonian_edge_masks(n):
         em32 = np.uint32(em)
         ham |= (hmasks & em32) == em32
+    report.hamiltonian += int(nhits[hit_idx][ham].sum())
 
+    # rare path: replay the non-Hamiltonian hits through the exact certifier
     hkappa = kappa[hit_idx]
     hchi = chi16[hit_idx]
-    for pos in range(hit_idx.size):
+    for pos in np.nonzero(~ham)[0].tolist():
         graph_hits = [k for k in ks if hkappa[pos] >= k and hchi[pos] >= n - k]
-        if ham[pos]:
-            report.hamiltonian += len(graph_hits)
-            continue
-        # rare path: replay through the exact certifier
         _replay(report, from_edge_mask(n, int(hmasks[pos])), graph_hits, on_extremal)
     return report
 
@@ -353,6 +427,11 @@ def _verify_stream(n, k_range, lines, on_extremal) -> VerificationReport:
         if slack < 0:
             report.lemma1_violations += 1
         if not ks:
+            continue
+        # kappa <= min degree, so a hit needs delta >= 2 and
+        # chi >= n - min(delta, k_max); both are cheaper than kappa
+        delta = min_degree(g)
+        if delta < 2 or chi < n - min(delta, ks[-1]):
             continue
         kappa = vertex_connectivity(g)
         if kappa < 2:

@@ -271,10 +271,14 @@ def _fmt_set(mask: int) -> str:
     return ",".join(str(v) for v in iter_bits(mask)) or "-"
 
 
-def _parse_set(text: str) -> int:
+def _parse_set(text: str, n: int) -> int:
     if text == "-":
         return 0
-    return mask_of(int(part) for part in text.split(","))
+    vertices = [int(part) for part in text.split(",")]
+    for v in vertices:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} outside 0..{n - 1}")
+    return mask_of(vertices)
 
 
 def format_certificate(g: Graph, cert: Certificate) -> str:
@@ -314,9 +318,9 @@ def parse_certificate(text: str) -> tuple[Graph, Certificate]:
         return g, Certificate(kind=kind, cycle=cycle)
     if kind == "extremal":
         part = ExtremalPartition(
-            a=_parse_set(need("part_a")),
-            b=_parse_set(need("part_b")),
-            c_part=_parse_set(need("part_c")),
+            a=_parse_set(need("part_a"), g.n),
+            b=_parse_set(need("part_b"), g.n),
+            c_part=_parse_set(need("part_c"), g.n),
         )
         return g, Certificate(kind=kind, k=int(need("k")), partition=part)
     if kind == "counterexample":

@@ -1,10 +1,13 @@
 """Verification harness: population tallies, sharding, streamed input."""
 
+import numpy as np
 import pytest
 
+from hamcert import harness
 from hamcert.graph6 import to_graph6
 from hamcert.graphs import cycle_graph, enumerate_labeled, from_edge_mask, path_graph
 from hamcert.harness import VerificationReport, classify, verify_order
+from hamcert.invariants import chromatic_number, independence_number, max_clique
 from hamcert.theorem import build_extremal
 
 from tests.oracles import (
@@ -136,16 +139,23 @@ class TestSharding:
 
 
 class TestStreamedSource:
-    def test_stream_matches_internal_on_order_five(self):
-        lines = [to_graph6(g) for g in enumerate_labeled(5)]
-        streamed = verify_order(5, source="graph6", stream=iter(lines))
-        internal = verify_order(5)
+    @staticmethod
+    def assert_stream_matches_internal(n):
+        lines = [to_graph6(g) for g in enumerate_labeled(n)]
+        streamed = verify_order(n, source="graph6", stream=iter(lines))
+        internal = verify_order(n)
         assert streamed.total_graphs == internal.total_graphs
         assert streamed.hypothesis_hits == internal.hypothesis_hits
         assert streamed.hamiltonian == internal.hamiltonian
         assert streamed.extremal == internal.extremal
         assert streamed.lemma1_violations == internal.lemma1_violations
         assert streamed.counterexamples == internal.counterexamples
+
+    def test_stream_matches_internal_on_order_five(self):
+        self.assert_stream_matches_internal(5)
+
+    def test_stream_matches_internal_on_order_six(self):
+        self.assert_stream_matches_internal(6)
 
     def test_malformed_lines_reported_and_skipped(self):
         lines = ["Dhc", "", "not graph6 \x01", "Dhc", "C~", "Dhc"]
@@ -169,6 +179,77 @@ class TestStreamedSource:
         assert rep.hypothesis_hits == {2: 1, 3: 0, 4: 0}
         assert rep.extremal == 1
         assert rep.hamiltonian == 0
+
+
+def population(n, masks):
+    """Adjacency rows and chi bounds of the labeled graphs with the given
+    edge masks, as the internal sweep computes them."""
+    masks = np.asarray(masks, np.uint32)
+    rows = harness._build_rows(np, masks, n)
+    omega, ub, _ = harness._chi_bounds(np, rows, masks, n)
+    return masks, rows, omega, ub
+
+
+def seeded_masks(n, count, seed=7):
+    bits = n * (n - 1) // 2
+    return np.random.default_rng(seed).integers(0, 1 << bits, size=count, dtype=np.uint32)
+
+
+class TestBatchedKernels:
+    """The whole-population kernels of the internal sweep against the
+    single-graph solvers."""
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_chromatic_numbers_on_every_unsettled_graph(self, n):
+        masks, rows, omega, ub = population(n, np.arange(1 << (n * (n - 1) // 2)))
+        unsettled = np.nonzero(omega != ub)[0]
+        assert unsettled.size > 0
+        chi = harness._chromatic_numbers(
+            np, [r[unsettled] for r in rows], n, omega[unsettled], ub[unsettled]
+        )
+        expected = [chromatic_number(from_edge_mask(n, int(m)))[0] for m in masks[unsettled]]
+        assert chi.tolist() == expected
+
+    def test_chromatic_numbers_on_seeded_order_seven(self, monkeypatch):
+        # a small block size runs the blocked loop, with a partial last block
+        monkeypatch.setattr(harness, "_CHI_BLOCK", 300)
+        masks, rows, omega, ub = population(7, seeded_masks(7, 22_000))
+        unsettled = np.nonzero(omega != ub)[0]
+        assert unsettled.size > 1800
+        chi = harness._chromatic_numbers(
+            np, [r[unsettled] for r in rows], 7, omega[unsettled], ub[unsettled]
+        )
+        expected = [chromatic_number(from_edge_mask(7, int(m)))[0] for m in masks[unsettled]]
+        assert chi.tolist() == expected
+
+    def test_chromatic_numbers_with_trivial_bounds(self):
+        # every t in [1, n - 1] is tested, not only those between the
+        # harness bounds
+        for n in range(1, 6):
+            masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
+            rows = harness._build_rows(np, masks, n)
+            ones = np.ones(masks.shape, np.uint8)
+            chi = harness._chromatic_numbers(np, rows, n, ones, ones * np.uint8(n))
+            expected = [chromatic_number(from_edge_mask(n, int(m)))[0] for m in masks]
+            assert chi.tolist() == expected
+
+    def test_chromatic_numbers_refuse_order_eight(self):
+        masks = np.zeros(1, np.uint32)
+        rows = harness._build_rows(np, masks, 8)
+        ones = np.ones(1, np.uint8)
+        with pytest.raises(ValueError, match="order 7"):
+            harness._chromatic_numbers(np, rows, 8, ones, ones)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
+    def test_clique_alpha_matches_solvers(self, n):
+        if n == 7:
+            masks = seeded_masks(7, 3000)
+        else:
+            masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
+        omega, alpha = harness._clique_alpha(np, masks, n)
+        graphs = [from_edge_mask(n, int(m)) for m in masks]
+        assert omega.tolist() == [max_clique(g).bit_count() for g in graphs]
+        assert alpha.tolist() == [independence_number(g)[0] for g in graphs]
 
 
 class TestClassify:

@@ -1,7 +1,10 @@
 """Extremal family, certification, and proof trace tests."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hamcert.graph6 import parse_graph6
 from hamcert.graphs import (
     complete_graph,
     cycle_graph,
@@ -218,6 +221,35 @@ def test_parse_certificate_missing_field_is_value_error(kind, key):
     dropped = "".join(line + "\n" for line in text.splitlines() if line.split()[0] != key)
     with pytest.raises(ValueError, match=f"needs a {key} line"):
         parse_certificate(dropped)
+
+
+_CERT_KEYS = ["kind", "graph", "cycle", "k", "part_a", "part_b", "part_c", "report"]
+_CERT_VALUES = st.one_of(
+    st.sampled_from(["hamiltonian", "extremal", "counterexample", "C~", "D}o", "-"]),
+    st.lists(st.integers(), max_size=6).map(lambda xs: ",".join(map(str, xs))),
+    st.text(max_size=12),
+)
+# certificate-shaped text reaches the field parsers, not only the key check
+_CERT_TEXT = st.lists(st.tuples(st.sampled_from(_CERT_KEYS), _CERT_VALUES), max_size=8).map(
+    lambda pairs: "".join(f"{key} {value}\n" for key, value in pairs)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), _CERT_TEXT))
+@example("kind extremal\ngraph @\nk 1\npart_a 99999999999999999999\npart_b -\npart_c -\n")
+def test_parsers_raise_only_value_error(text):
+    for parse in (parse_graph6, parse_certificate):
+        try:
+            parse(text)
+        except ValueError:
+            pass
+
+
+def test_parse_certificate_rejects_vertex_out_of_range():
+    text = _CERTIFICATES["extremal"].replace("part_c 4", "part_c 5")
+    with pytest.raises(ValueError, match="vertex 5 outside 0..4"):
+        parse_certificate(text)
 
 
 # ---------------------------------------------------------------------------
