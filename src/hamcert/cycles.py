@@ -19,9 +19,14 @@ from hamcert.invariants import PathSystem
 # doubles per vertex and answers stop being desk-scale.
 MAX_LONGEST_CYCLE_ORDER = 16
 
-# Subset-DP Hamiltonian search bound; beyond it backtracking takes over.
+# Hamiltonian search reads the path table up to this order (a 2^(n-1)
+# uint32 table, 32 MiB at n = 24); beyond it backtracking takes over.
 MAX_HAMILTONIAN_DP_ORDER = 24
 
+# Orders up to this fill the path table in pure Python, larger ones in
+# numpy.  One fill from s = 0 costs 0.11 ms pure against 0.9 ms numpy at
+# n = 8 and 7.7 ms against 5.0 ms at n = 13 (2-core x86 host); at 13
+# the smaller tables of longest_cycle's later starts stay pure.
 _PURE_PYTHON_DP_ORDER = 13
 
 
@@ -113,93 +118,59 @@ def canonical_cycle(vertices) -> Cycle:
 # Hamiltonian cycle
 
 
-def _path_ends(g: Graph, s: int, dp: list[int]) -> None:
-    """Fill dp[mask], the endpoint set of the paths from s that span
-    exactly mask, for every mask whose lowest vertex is s.
+def _path_ends(g: Graph, s: int):
+    """The path table T from s: T[r] is the endpoint set of the paths
+    from s that span exactly (1 << s) | (r << (s + 1)).
 
     This is the Bellman / Held-Karp subset DP; both exact cycle solvers
-    read their answers from this one table.
+    read their answers from this one table.  Its two fills give the same
+    table and the order alone picks one; either way T is a sequence of
+    ints.
     """
-    adj = g.adj
-    sb = 1 << s
-    dp[sb] = sb
-    for mask in range(3 << s, 1 << g.n, 2 << s):
+    if g.n <= _PURE_PYTHON_DP_ORDER:
+        return _path_ends_python(g, s)
+    return _path_ends_numpy(g, s)
+
+
+def _path_ends_python(g: Graph, s: int) -> list[int]:
+    adj = g.adj[s + 1:]  # adj[b] is the row of the vertex of bit b
+    table = [0] * (1 << len(adj))
+    table[0] = 1 << s
+    for r in range(1, len(table)):
         acc = 0
-        rest = mask ^ sb
+        rest = r
         while rest:
             vb = rest & -rest
             rest ^= vb
-            if dp[mask ^ vb] & adj[vb.bit_length() - 1]:
+            if table[r ^ vb] & adj[vb.bit_length() - 1]:
                 acc |= vb
-        dp[mask] = acc
+        table[r] = acc << (s + 1)
+    return table
 
 
-def _hamiltonian_dp_python(g: Graph):
-    """Path table from vertex 0, walked back from the lowest closing end."""
-    n = g.n
-    dp = [0] * (1 << n)
-    _path_ends(g, 0, dp)
-    mask = (1 << n) - 1
-    ends = dp[mask] & g.adj[0]
-    if not ends:
-        return None
-    seq = []
-    while mask != 1:
-        vb = ends & -ends
-        seq.append(vb.bit_length() - 1)
-        mask ^= vb
-        ends = dp[mask] & g.adj[seq[-1]]
-    return [0] + seq[::-1]
-
-
-def _hamiltonian_dp_numpy(g: Graph):
-    """The path table from vertex 0 over masks of vertices 1..n-1 (bit b
-    is vertex b+1), layered by popcount and vectorized per endpoint pair."""
+def _path_ends_numpy(g: Graph, s: int) -> memoryview:
+    """The same table, filled layer by layer in popcount order: every
+    live row of a layer pushes each vertex it can reach to the row one
+    larger, one whole-layer array step per vertex."""
     import numpy as np
 
-    n = g.n
-    full = (1 << (n - 1)) - 1
-    dp = np.zeros(full + 1, dtype=np.uint32)
-    for v in range(1, n):
-        if g.has_edge(0, v):
-            dp[1 << (v - 1)] = 1 << (v - 1)
-    all_masks = np.arange(full + 1, dtype=np.uint32)
-    pop = np.bitwise_count(all_masks)
-    by_layer = [all_masks[pop == p] for p in range(n)]
-    for layer in range(1, n - 1):
-        masks = by_layer[layer]
-        live = masks[dp[masks] != 0]
-        if live.size == 0:
-            continue
-        for v in range(1, n):
-            vb = np.uint32(1 << (v - 1))
-            has_v = live[(dp[live] & vb) != 0]
-            if has_v.size == 0:
-                continue
-            for u in iter_bits(g.adj[v] >> 1):
-                # u here is a bit index: actual vertex u+1
-                ub = np.uint32(1 << u)
-                targets = has_v[(has_v & ub) == 0]
-                if targets.size:
-                    # targets are distinct and all lack bit u, so the
-                    # fancy-indexed |= hits each slot once
-                    dp[targets | ub] |= ub
-    closers = int(dp[full]) & (g.adj[0] >> 1)
-    if not closers:
-        return None
-    shifted = [g.adj[v] >> 1 for v in range(n)]
-    seq = []
-    mask = full
-    cur = (closers & -closers).bit_length() - 1
-    while True:
-        seq.append(cur + 1)
-        low = 1 << cur
-        if mask == low:
-            break
-        prev = int(dp[mask ^ low]) & shifted[cur + 1]
-        mask ^= low
-        cur = (prev & -prev).bit_length() - 1
-    return [0] + seq[::-1]
+    m = g.n - s - 1
+    rows = np.arange(1 << m, dtype=np.uint32)
+    pop = np.bitwise_count(rows)
+    table = np.zeros(1 << m, dtype=np.uint32)
+    table[0] = 1 << s
+    for layer in range(m):
+        live = rows[pop == layer]
+        live = live[table[live] != 0]
+        for b in range(m):
+            w = s + 1 + b
+            src = live[(live >> b) & 1 == 0]
+            dst = src[(table[src] & g.adj[w]) != 0] | (1 << b)
+            # dst holds distinct rows, so the fancy-indexed |= hits
+            # each slot once
+            table[dst] |= 1 << w
+    # a memoryview over the array indexes to plain ints, as the list does
+    return memoryview(table)
 
 
 def _articulation_free(g: Graph) -> bool:
@@ -296,14 +267,23 @@ def find_hamiltonian_cycle(g: Graph):
         raise ValueError("Hamiltonian cycles need at least 3 vertices")
     if any(row == 0 for row in g.adj):
         return None
-    if g.n <= _PURE_PYTHON_DP_ORDER:
-        seq = _hamiltonian_dp_python(g)
-    elif g.n <= MAX_HAMILTONIAN_DP_ORDER:
-        seq = _hamiltonian_dp_numpy(g)
-    else:
+    if g.n > MAX_HAMILTONIAN_DP_ORDER:
         seq = _hamiltonian_backtrack(g)
-    if seq is None:
-        return None
+        if seq is None:
+            return None
+    else:
+        # walk the path table from 0 back from the lowest closing end,
+        # always to the lowest endpoint that reaches the current vertex
+        table = _path_ends(g, 0)
+        r, seq = len(table) - 1, [0]
+        if not table[r] & g.adj[0]:
+            return None
+        for _ in range(g.n - 1):
+            vb = table[r] & g.adj[seq[-1]]
+            vb &= -vb
+            seq.append(vb.bit_length() - 1)
+            r ^= vb >> 1
+        seq = [0] + seq[:0:-1]
     return canonical_cycle(_checked(g, seq, g.n))
 
 
@@ -332,19 +312,20 @@ def longest_cycle(g: Graph) -> Cycle:
         raise ValueError(
             f"exact longest-cycle search is limited to {MAX_LONGEST_CYCLE_ORDER} vertices"
         )
-    # keep the closing masks (vertex sets of cycles) of the largest size
-    # seen so far; masks are scanned by lowest vertex, so the first kept
-    # mask has the least start s
-    dp = [0] * (1 << n)
-    best, closing = 3, []
+    # for each start s, the largest vertex sets with lowest vertex s that
+    # close into a cycle, as rows r of the path table from s; only a
+    # strictly larger size moves the lead to a later start, and no start
+    # s can beat best once n - s <= best
+    best, lead = 2, None
     for s in range(n - 2):
-        _path_ends(g, s, dp)
-        for mask in range(3 << s, 1 << n, 2 << s):
-            if dp[mask] & g.adj[s] and (size := mask.bit_count()) >= best:
-                if size > best:
-                    best, closing = size, []
-                closing.append(mask)
-    if not closing:
+        if n - s <= best:
+            break
+        table = _path_ends(g, s)
+        rows = [r for r, ends in enumerate(table) if ends & g.adj[s]]
+        size = max(map(int.bit_count, rows), default=0) + 1
+        if size > best:
+            best, lead = size, (s, table, [r for r in rows if r.bit_count() + 1 == size])
+    if lead is None:
         raise ValueError("graph has no cycle")
 
     # lexicographically least cycle: from the least start s, step to the
@@ -352,17 +333,16 @@ def longest_cycle(g: Graph) -> Cycle:
     # i.e. v ends a path from s spanning what F has left.  The walk so
     # far plus that path is a cycle on used | F, which cannot beat best,
     # so every hit is a real completion and the walk never backtracks.
-    sb = closing[0] & -closing[0]
-    frames = [f for f in closing if f & -f == sb]
-    path, used = [sb.bit_length() - 1], sb
+    s, table, frames = lead
+    path, used = [s], 0
     while len(path) < best:
         ends = 0
         for f in frames:
-            ends |= dp[(f & ~used) | sb]
-        ends &= g.adj[path[-1]]
-        vb = ends & -ends
+            ends |= table[f & ~used]
+        vb = ends & g.adj[path[-1]]
+        vb &= -vb
         path.append(vb.bit_length() - 1)
-        used |= vb
+        used |= vb >> (s + 1)
     return Cycle(tuple(_checked(g, path, best)))
 
 

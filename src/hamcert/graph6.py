@@ -17,6 +17,10 @@ _HEADER = ">>graph6<<"
 _LO = 63
 _HI = 126
 
+# The one-byte order form ends here: the first byte 63 + n stays below
+# 126, which marks the multi-byte form, left out of scope.
+MAX_GRAPH6_ORDER = _HI - _LO - 1
+
 
 class Graph6Error(ValueError):
     """Raised for malformed graph6 input."""
@@ -37,9 +41,8 @@ def parse_graph6(text: str) -> Graph:
         if b < _LO or b > _HI:
             raise Graph6Error(f"byte {b} outside graph6 range {_LO}..{_HI}")
     n = data[0] - _LO
-    if n == _HI - _LO:
-        # 126 marks the multi-byte order form for n > 62; out of scope here.
-        raise Graph6Error("graph6 orders above 62 are not supported")
+    if n > MAX_GRAPH6_ORDER:
+        raise Graph6Error(f"graph6 orders above {MAX_GRAPH6_ORDER} are not supported")
     body = data[1:]
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
@@ -64,8 +67,8 @@ def parse_graph6(text: str) -> Graph:
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 line (no header, no newline)."""
-    if g.n > 62:
-        raise Graph6Error("graph6 orders above 62 are not supported")
+    if g.n > MAX_GRAPH6_ORDER:
+        raise Graph6Error(f"graph6 orders above {MAX_GRAPH6_ORDER} are not supported")
     out = [g.n + _LO]
     chunk = 0
     filled = 0

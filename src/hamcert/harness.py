@@ -21,28 +21,20 @@ associatively, so totals are identical for every shard count.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
-from hamcert.graph6 import Graph6Error, parse_graph6, to_graph6
+from hamcert.graph6 import MAX_GRAPH6_ORDER, Graph6Error, parse_graph6, to_graph6
 from hamcert.graphs import (
     MAX_ENUMERATION_ORDER,
-    Graph,
     from_edge_mask,
     min_degree,
     triangle_pairs,
 )
-from hamcert.invariants import (
-    independence_number,
-    nordhaus_gaddum,
-    vertex_connectivity,
-)
+from hamcert.invariants import nordhaus_gaddum, vertex_connectivity
 from hamcert.cycles import find_hamiltonian_cycle
-from hamcert.theorem import certify, check_hypothesis, format_certificate
-
-MAX_STREAM_ORDER = 62
+from hamcert.theorem import certify
 
 
 @dataclass
@@ -490,30 +482,11 @@ def verify_order(
         report.elapsed = time.monotonic() - started
         return report
     if source == "graph6":
-        if not (1 <= n <= MAX_STREAM_ORDER):
-            raise ValueError(f"stream verification is limited to orders 1..{MAX_STREAM_ORDER}")
+        if not (1 <= n <= MAX_GRAPH6_ORDER):
+            raise ValueError(f"stream verification is limited to orders 1..{MAX_GRAPH6_ORDER}")
         if stream is None:
             raise ValueError("graph6 source needs a stream of lines")
         report = _verify_stream(n, _clamped_k_range(n, k_min, k_max), stream, on_extremal)
         report.elapsed = time.monotonic() - started
         return report
     raise ValueError(f"unknown source {source!r}")
-
-
-def classify(g: Graph, k: int) -> str:
-    """One tab-separated record: graph6, n, k, kappa, chi, alpha, the
-    hypothesis flags, certificate kind, payload digest."""
-    rep = check_hypothesis(g, k)
-    alpha = independence_number(g)[0]
-    flags = (
-        f"kconn={int(rep.k_connected_ok)},chi={int(rep.chi_ok)},kge2={int(rep.k_ge_2)}"
-    )
-    if rep.all_ok:
-        cert = certify(g, k)
-        kind = cert.kind
-        digest = hashlib.sha256(format_certificate(g, cert).encode()).hexdigest()[:12]
-    else:
-        kind = "none"
-        digest = "-"
-    fields = [to_graph6(g), g.n, k, rep.kappa, rep.chi, alpha, flags, kind, digest]
-    return "\t".join(str(f) for f in fields)

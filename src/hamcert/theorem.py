@@ -377,7 +377,7 @@ def trace_proof(g: Graph, k: int) -> ProofTrace:
     the hypothesis that never happens, and the conclusion names the
     extremal shape.
     """
-    _require_hypothesis(g, k)
+    hyp = _require_hypothesis(g, k)
     if g.n > MAX_LONGEST_CYCLE_ORDER:
         raise ValueError(
             "trace needs the exact longest cycle; order above "
@@ -449,7 +449,7 @@ def trace_proof(g: Graph, k: int) -> ProofTrace:
         return done("inconsistent")
 
     # (5) the counting chain pins every invariant exactly
-    chi = chromatic_number(g)[0]
+    chi = hyp.chi
     alpha = independence_number(g)[0]
     gc = complement(g)
     omega_c = max_clique(gc).bit_count()
@@ -488,11 +488,13 @@ def trace_proof(g: Graph, k: int) -> ProofTrace:
     )
 
     off_rest = [v for v in off0 if v != x0]
-
+    if len(big) < 2 and off_rest:
+        _trace_absorb(g, c, fan, x0, off_rest, add, f"case{len(big)}")
+        return done("inconsistent")
     if len(big) == 0:
-        return _trace_case0(g, k, c, fan, x0, off_rest, add, done)
+        return _trace_case0(g, k, c, fan, add, done)
     if len(big) == 1:
-        return _trace_case1(g, k, c, fan, decomp, big[0], x0, off_rest, add, done)
+        return _trace_case1(g, k, c, fan, decomp, big[0], x0, add, done)
     # two or more long segments: the chord between their terminal
     # predecessors is forced by completeness, so a longer cycle exists,
     # contradicting the longest cycle; reaching here means inconsistency
@@ -513,37 +515,50 @@ def trace_proof(g: Graph, k: int) -> ProofTrace:
     return done("inconsistent")
 
 
-def _trace_case0(g, k, c, fan, x0, off_rest, add, done):
-    n = g.n
-    if off_rest:
-        # with two or more off-cycle vertices the off-cycle part is
-        # complete, so x0 reaches the cycle through a neighbor z and the
-        # absorb rule must fire: a longer cycle, which cannot exist
-        off_mask = (1 << x0) | mask_of(off_rest)
+def _trace_absorb(g, c, fan, x0, off_rest, add, case):
+    """With two or more off-cycle vertices the off-cycle part is
+    complete, so x0 reaches the cycle through a neighbor z and the
+    absorb rule must fire: a longer cycle, which cannot exist."""
+    off_mask = (1 << x0) | mask_of(off_rest)
+    add(
+        f"{case}-offcycle-complete",
+        "vertices off the cycle induce a complete graph",
+        is_clique(g, off_mask),
+        f"set={_fmt_set(off_mask)}",
+    )
+    z = off_rest[0]
+    out = extend_offcycle(g, c, fan, z)
+    if out is not None:
         add(
-            "case0-offcycle-complete",
-            "vertices off the cycle induce a complete graph",
-            is_clique(g, off_mask),
-            f"set={_fmt_set(off_mask)}",
+            f"{case}-absorb",
+            "absorbing z produced a longer cycle, contradicting maximality",
+            False,
+            f"z={z} longer={_cycle_str(out)}",
         )
-        z = off_rest[0]
-        out = extend_offcycle(g, c, fan, z)
-        if out is not None:
-            add(
-                "case0-absorb",
-                "absorbing z produced a longer cycle, contradicting maximality",
-                False,
-                f"z={z} longer={_cycle_str(out)}",
-            )
-        else:
-            add(
-                "case0-absorb",
-                "the guaranteed absorb extension did not materialize",
-                False,
-                f"z={z}",
-            )
-        return done("inconsistent")
+    else:
+        add(
+            f"{case}-absorb",
+            "the guaranteed absorb extension did not materialize",
+            False,
+            f"z={z}",
+        )
 
+
+def _trace_structure(g, k, add, case, description) -> bool:
+    """The closing step of both cases: g is recognized as extremal."""
+    found = recognize_extremal(g)
+    okay = found is not None and found[0] == k
+    add(
+        f"{case}-structure",
+        description,
+        okay,
+        "" if not okay else f"a={_fmt_set(found[1].a)} b={_fmt_set(found[1].b)} c={_fmt_set(found[1].c_part)}",
+    )
+    return okay
+
+
+def _trace_case0(g, k, c, fan, add, done):
+    n = g.n
     if not add(
         "case0-order",
         f"cycle covers 2k vertices and only x0 is off, so n = 2k+1 = {2 * k + 1}",
@@ -573,45 +588,12 @@ def _trace_case0(g, k, c, fan, x0, off_rest, add, done):
     ):
         return done("inconsistent")
 
-    found = recognize_extremal(g)
-    okay = found is not None and found[0] == k
-    add(
-        "case0-structure",
-        "graph is the k-join of an independent (k+1)-set",
-        okay,
-        "" if not okay else f"a={_fmt_set(found[1].a)} b={_fmt_set(found[1].b)} c={_fmt_set(found[1].c_part)}",
-    )
+    okay = _trace_structure(g, k, add, "case0", "graph is the k-join of an independent (k+1)-set")
     return done("extremal (n = 2k+1)" if okay else "inconsistent")
 
 
-def _trace_case1(g, k, c, fan, decomp, big_index, x0, off_rest, add, done):
+def _trace_case1(g, k, c, fan, decomp, big_index, x0, add, done):
     n = g.n
-    if off_rest:
-        off_mask = (1 << x0) | mask_of(off_rest)
-        add(
-            "case1-offcycle-complete",
-            "vertices off the cycle induce a complete graph",
-            is_clique(g, off_mask),
-            f"set={_fmt_set(off_mask)}",
-        )
-        z = off_rest[0]
-        out = extend_offcycle(g, c, fan, z)
-        if out is not None:
-            add(
-                "case1-absorb",
-                "absorbing z produced a longer cycle, contradicting maximality",
-                False,
-                f"z={z} longer={_cycle_str(out)}",
-            )
-        else:
-            add(
-                "case1-absorb",
-                "the guaranteed absorb extension did not materialize",
-                False,
-                f"z={z}",
-            )
-        return done("inconsistent")
-
     seg = decomp.segments[big_index - 1]
     ys = seg[:-1]
     r = len(ys)
@@ -696,13 +678,8 @@ def _trace_case1(g, k, c, fan, decomp, big_index, x0, off_rest, add, done):
     ):
         return done("inconsistent")
 
-    found = recognize_extremal(g)
-    okay = found is not None and found[0] == k
-    add(
-        "case1-structure",
-        "graph is the extremal join shape with a nontrivial clique part",
-        okay,
-        "" if not okay else f"a={_fmt_set(found[1].a)} b={_fmt_set(found[1].b)} c={_fmt_set(found[1].c_part)}",
+    okay = _trace_structure(
+        g, k, add, "case1", "graph is the extremal join shape with a nontrivial clique part"
     )
     return done("extremal (n >= 2k+2)" if okay else "inconsistent")
 

@@ -5,7 +5,10 @@ expected longer cycle can be read off by hand; the frozen outputs were
 double-checked against a brute-force validity pass.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -165,35 +168,93 @@ def test_petersen_not_hamiltonian():
     assert find_hamiltonian_cycle(petersen_graph()) is None
 
 
-def test_hamiltonian_tiers_agree():
-    # differential: the array DP and the pure path-table DP answer the
-    # same question on the orders where both are workable
+def test_path_table_fills_agree():
+    # differential: the numpy fill gives the pure fill's table, entry for
+    # entry, for every start either solver reads
     rng = random.Random(13)
-    found = 0
-    for n in range(8, 14):
-        for p in (0.25, 0.35, 0.45, 0.7) * 2:
-            g = random_graph(n, p, rng)
-            pure = cycles._hamiltonian_dp_python(g)
-            vec = cycles._hamiltonian_dp_numpy(g)
-            assert (pure is None) == (vec is None), g.adj
-            for seq in (pure, vec):
-                if seq is not None:
-                    assert len(seq) == n and is_valid_cycle(g, seq)
-            found += pure is not None
-    assert 0 < found < 48  # both answers occur
+    graphs = [random_graph(n, p, rng) for n in range(8, 17) for p in (0.25, 0.45, 0.7)]
+    graphs.append(with_edges(12, [(u, v) for u, v in complete_graph(12).edges() if 5 not in (u, v)]))
+    for g in graphs:
+        for s in range(g.n - 2):
+            pure = cycles._path_ends_python(g, s)
+            assert list(cycles._path_ends_numpy(g, s)) == pure, (g.adj, s)
+            assert len(pure) == 1 << (g.n - s - 1) and pure[0] == 1 << s
+
+
+def test_path_table_fill_chosen_by_order():
+    cut = cycles._PURE_PYTHON_DP_ORDER
+    assert isinstance(cycles._path_ends(cycle_graph(cut), 0), list)
+    assert isinstance(cycles._path_ends(cycle_graph(cut + 1), 0), memoryview)
+
+
+def _cycle_text(c):
+    return None if c is None else ",".join(map(str, c.vertices))
+
+
+# frozen before the two fills shared one table: (n, p) -> cycle
+HAMILTONIAN_GOLDEN = [
+    (14, 0.25, "0,1,7,5,2,9,8,13,3,12,6,4,10,11"),
+    (14, 0.4, "0,2,1,3,12,10,5,4,8,6,11,13,9,7"),
+    (15, 0.25, None),
+    (15, 0.4, "0,2,9,4,5,1,3,8,13,11,6,7,12,10,14"),
+    (16, 0.25, None),
+    (16, 0.4, "0,5,1,3,2,6,4,9,7,11,12,13,15,8,14,10"),
+    (17, 0.25, "0,1,2,5,7,4,10,13,14,6,16,9,15,11,12,3,8"),
+    (17, 0.4, "0,1,4,3,2,6,11,9,14,13,16,15,10,12,8,5,7"),
+    (18, 0.25, None),
+    (18, 0.4, "0,4,1,2,6,3,7,8,5,16,10,12,17,14,15,9,11,13"),
+    (19, 0.25, "0,1,3,6,2,4,5,11,14,18,15,8,7,12,10,9,16,17,13"),
+    (19, 0.4, "0,2,1,6,4,7,3,9,5,12,8,16,13,17,11,15,18,14,10"),
+    (20, 0.25, None),
+    (20, 0.4, "0,2,4,3,9,5,1,6,7,10,8,11,12,13,14,16,15,18,17,19"),
+]
+
+
+def test_hamiltonian_golden_outputs():
+    rng = random.Random(14)
+    for n, p, want in HAMILTONIAN_GOLDEN:
+        assert _cycle_text(find_hamiltonian_cycle(random_graph(n, p, rng))) == want, (n, p)
 
 
 @pytest.mark.parametrize(
-    "tier, n",
-    [("_hamiltonian_dp_python", 5), ("_hamiltonian_dp_numpy", 14), ("_hamiltonian_backtrack", 25)],
+    "tier, n, wrong",
+    [
+        # a table that calls every vertex an endpoint walks back into 0
+        ("_path_ends_python", 5, lambda g, s: [(1 << g.n) - 1] * (1 << (g.n - 1))),
+        ("_path_ends_numpy", 14, lambda g, s: [(1 << g.n) - 1] * (1 << (g.n - 1))),
+        ("_hamiltonian_backtrack", 25, lambda g: [0, 2, 1] + list(range(3, g.n))),
+    ],
+    ids=["_path_ends_python-5", "_path_ends_numpy-14", "_hamiltonian_backtrack-25"],
 )
-def test_hamiltonian_output_checked_without_assert(monkeypatch, tier, n):
+def test_hamiltonian_output_checked_without_assert(monkeypatch, tier, n, wrong):
     # a tier that returns a non-cycle is caught by an explicit check,
     # which python -O does not strip
-    wrong = [0, 2, 1] + list(range(3, n))
-    monkeypatch.setattr(cycles, tier, lambda g: wrong)
+    monkeypatch.setattr(cycles, tier, wrong)
     with pytest.raises(RuntimeError, match="not a"):
         find_hamiltonian_cycle(cycle_graph(n))
+
+
+def test_solver_output_checked_under_python_O():
+    script = """
+from hamcert import cycles
+from hamcert.graphs import cycle_graph
+assert not __debug__
+cycles._path_ends_numpy = lambda g, s: [(1 << g.n) - 1] * (1 << (g.n - 1 - s))
+for solver in (cycles.find_hamiltonian_cycle, cycles.longest_cycle):
+    try:
+        solver(cycle_graph(14))
+    except RuntimeError as err:
+        print(err)
+    else:
+        raise SystemExit(f"{solver.__name__} returned unchecked output")
+"""
+    src = os.path.dirname(os.path.dirname(cycles.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("not a") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +324,42 @@ def test_longest_cycle_refuses_acyclic_and_large():
             longest_cycle(g)
     with pytest.raises(ValueError, match="limited"):
         longest_cycle(cycle_graph(17))
+
+
+# frozen before longest_cycle read the numpy fill and stopped early:
+# seeded G(n, p), then build_extremal(k, n) canonical and relabeled
+LONGEST_GOLDEN_RANDOM = [
+    (14, 0.2, "0,2,3,13,12,11,8,10,1,9"),
+    (14, 0.35, "0,1,3,5,8,11,2,9,13,10,4,6,12,7"),
+    (15, 0.2, "4,6,13,11"),
+    (15, 0.35, "0,4,2,14,5,12,1,10,9,11,7,8"),
+    (16, 0.2, "0,2,5,7,11,8,1,14,12,15,4,9,10,13"),
+    (16, 0.35, "0,4,2,3,1,12,5,6,9,7,13,8,11,14,15,10"),
+]
+LONGEST_GOLDEN_EXTREMAL = [
+    (2, 14, "0,2,1,4,5,6,7,8,9,10,11,12,13", "0,1,5,2,3,4,7,8,9,10,11,12,13"),
+    (2, 15, "0,2,1,4,5,6,7,8,9,10,11,12,13,14", "0,1,2,3,12,7,4,5,6,8,9,10,11,13"),
+    (2, 16, "0,2,1,4,5,6,7,8,9,10,11,12,13,14,15", "0,1,2,3,4,7,8,9,5,10,11,12,13,14,15"),
+    (3, 14, "0,3,1,4,2,6,7,8,9,10,11,12,13", "0,2,3,6,7,8,9,10,12,1,5,4,11"),
+    (3, 15, "0,3,1,4,2,6,7,8,9,10,11,12,13,14", "0,5,1,2,4,6,7,8,9,10,12,11,3,14"),
+    (3, 16, "0,3,1,4,2,6,7,8,9,10,11,12,13,14,15", "0,1,2,3,4,5,6,9,10,11,14,15,7,8,13"),
+    (4, 14, "0,4,1,5,2,6,3,8,9,10,11,12,13", "0,1,6,2,9,5,10,12,3,4,7,8,11"),
+    (4, 15, "0,4,1,5,2,6,3,8,9,10,11,12,13,14", "0,2,3,5,1,6,4,9,8,14,7,11,12,13"),
+    (4, 16, "0,4,1,5,2,6,3,8,9,10,11,12,13,14,15", "0,2,1,4,7,8,10,11,3,5,6,9,12,13,14"),
+    (5, 14, "0,5,1,6,2,7,3,8,4,10,11,12,13", "0,2,3,6,12,1,4,5,8,7,10,9,11"),
+    (5, 15, "0,5,1,6,2,7,3,8,4,10,11,12,13,14", "0,1,2,3,5,4,7,8,12,9,14,6,11,13"),
+    (5, 16, "0,5,1,6,2,7,3,8,4,10,11,12,13,14,15", "0,2,1,4,3,6,5,8,11,13,14,15,9,7,10"),
+]
+
+
+def test_longest_cycle_golden_outputs():
+    rng = random.Random(15)
+    for n, p, want in LONGEST_GOLDEN_RANDOM:
+        assert _cycle_text(longest_cycle(random_graph(n, p, rng))) == want, (n, p)
+    for k, n, canonical, moved in LONGEST_GOLDEN_EXTREMAL:
+        g = build_extremal(k, n)
+        assert _cycle_text(longest_cycle(g)) == canonical, (k, n)
+        assert _cycle_text(longest_cycle(relabeled(g, rng))) == moved, (k, n)
 
 
 def test_longest_cycle_frozen_values():

@@ -5,8 +5,8 @@ import pytest
 
 from hamcert import harness
 from hamcert.graph6 import to_graph6
-from hamcert.graphs import cycle_graph, enumerate_labeled, from_edge_mask, path_graph
-from hamcert.harness import VerificationReport, classify, verify_order
+from hamcert.graphs import enumerate_labeled, from_edge_mask
+from hamcert.harness import VerificationReport, verify_order
 from hamcert.invariants import chromatic_number, independence_number, max_clique
 from hamcert.theorem import build_extremal
 
@@ -250,30 +250,3 @@ class TestBatchedKernels:
         graphs = [from_edge_mask(n, int(m)) for m in masks]
         assert omega.tolist() == [max_clique(g).bit_count() for g in graphs]
         assert alpha.tolist() == [independence_number(g)[0] for g in graphs]
-
-
-class TestClassify:
-    def test_extremal_record(self):
-        g = build_extremal(2, 5)
-        record = classify(g, 2)
-        fields = record.split("\t")
-        assert fields[0] == to_graph6(g)
-        assert fields[1:6] == ["5", "2", "2", "3", "3"]
-        assert fields[6] == "kconn=1,chi=1,kge2=1"
-        assert fields[7] == "extremal"
-        assert len(fields[8]) == 12
-
-    def test_hamiltonian_record(self):
-        fields = classify(cycle_graph(5), 2).split("\t")
-        assert fields[7] == "hamiltonian"
-
-    def test_hypothesis_failure_record(self):
-        # path: kappa = 1, so no certificate applies at k = 2
-        fields = classify(path_graph(4), 2).split("\t")
-        assert fields[6] == "kconn=0,chi=1,kge2=1"
-        assert fields[7] == "none"
-        assert fields[8] == "-"
-
-    def test_record_is_deterministic(self):
-        g = build_extremal(3, 7)
-        assert classify(g, 3) == classify(g, 3)

@@ -1,5 +1,8 @@
 """Extremal family, certification, and proof trace tests."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +20,8 @@ from hamcert.invariants import (
     independence_number,
     vertex_connectivity,
 )
-from hamcert.cycles import find_hamiltonian_cycle
+from hamcert import theorem
+from hamcert.cycles import find_hamiltonian_cycle, longest_cycle
 from hamcert.theorem import (
     Certificate,
     ExtremalPartition,
@@ -33,6 +37,7 @@ from hamcert.theorem import (
     validate_certificate,
     validate_extremal_partition,
 )
+from tests.conftest import relabeled
 from tests.oracles import (
     oracle_chromatic,
     oracle_independence_number,
@@ -309,6 +314,46 @@ def test_trace_requires_hypothesis():
 def test_trace_refuses_large_orders():
     with pytest.raises(ValueError, match="refused"):
         trace_proof(build_extremal(2, 17), 2)
+
+
+@pytest.mark.parametrize(
+    "n, tail",
+    [
+        (6, [
+            "step 8 case0-offcycle-complete PASS vertices off the cycle induce a complete graph | set=4,5",
+            "step 9 case0-absorb FAIL absorbing z produced a longer cycle, contradicting maximality"
+            " | z=5 longer=4,5,0,2,1",
+        ]),
+        (7, [
+            "step 8 case1-offcycle-complete FAIL vertices off the cycle induce a complete graph | set=3,6",
+            "step 9 case1-absorb FAIL the guaranteed absorb extension did not materialize | z=6",
+        ]),
+    ],
+)
+def test_trace_absorb_steps_on_a_short_cycle(monkeypatch, n, tail):
+    # handed a cycle one vertex short of the longest, the trace finds two
+    # vertices off it and ends in the absorb step of its case
+    def one_short(g):
+        return longest_cycle(with_edges(g.n - 1, [(u, v) for u, v in g.edges() if v < g.n - 1]))
+
+    monkeypatch.setattr(theorem, "longest_cycle", one_short)
+    lines = format_trace(trace_proof(build_extremal(2, n), 2)).splitlines()
+    assert lines[-3:] == tail + ["conclusion inconsistent"]
+
+
+def test_certify_and_trace_payloads_golden():
+    # frozen before both cycle solvers read one path table: certificate
+    # and trace text over the extremal grid up to n = 16, canonical and
+    # relabeled
+    rng = random.Random(16)
+    digest = hashlib.sha256()
+    for k in range(2, 6):
+        for n in range(2 * k + 1, 17):
+            g = build_extremal(k, n)
+            for h in (g, relabeled(g, rng)):
+                digest.update(format_certificate(h, certify(h, k)).encode())
+                digest.update(format_trace(trace_proof(h, k)).encode())
+    assert digest.hexdigest() == "9b71ab26280b89aa8be146e5bdf3a53c578d8b5123a10c55ae89ddec1ade398a"
 
 
 def test_format_trace_is_line_oriented():
