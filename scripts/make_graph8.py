@@ -9,7 +9,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT))
+# hamcert lives under src/; the class generator under tests/
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from hamcert.graph6 import to_graph6  # noqa: E402
 from tests._canon import ISO_CLASS_COUNTS, iso_classes  # noqa: E402

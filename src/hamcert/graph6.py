@@ -26,8 +26,15 @@ class Graph6Error(ValueError):
     """Raised for malformed graph6 input."""
 
 
-def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line (surrounding whitespace and header tolerated)."""
+# Bit t of an edge mask sits at position 5 - t % 6 of byte t // 6, so
+# each payload byte, less 63, contributes its 6 bits reversed.
+_REVERSED6 = [int(f"{c:06b}"[::-1], 2) for c in range(64)]
+
+
+def decode_graph6(text: str) -> tuple[int, int]:
+    """Decode one graph6 line (surrounding whitespace and header
+    tolerated) to its order n and its edge mask in ``triangle_pairs``
+    order; every malformed line raises Graph6Error."""
     s = text.strip()
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]
@@ -37,9 +44,9 @@ def parse_graph6(text: str) -> Graph:
         data = s.encode("ascii")
     except UnicodeEncodeError as exc:
         raise Graph6Error(f"non-ASCII character in graph6 string: {exc}") from None
-    for b in data:
-        if b < _LO or b > _HI:
-            raise Graph6Error(f"byte {b} outside graph6 range {_LO}..{_HI}")
+    if min(data) < _LO or max(data) > _HI:
+        bad = next(b for b in data if b < _LO or b > _HI)
+        raise Graph6Error(f"byte {bad} outside graph6 range {_LO}..{_HI}")
     n = data[0] - _LO
     if n > MAX_GRAPH6_ORDER:
         raise Graph6Error(f"graph6 orders above {MAX_GRAPH6_ORDER} are not supported")
@@ -51,18 +58,17 @@ def parse_graph6(text: str) -> Graph:
     if len(body) > need:
         raise Graph6Error(f"trailing bytes after graph6 payload: {len(body) - need} extra")
     mask = 0
-    for t in range(nbits):
-        chunk = body[t // 6] - _LO
-        bit = chunk >> (5 - t % 6) & 1
-        if bit:
-            mask |= 1 << t
+    for b in reversed(body):
+        mask = mask << 6 | _REVERSED6[b - _LO]
     # Zero padding in the final group is required; anything else is noise.
-    if need:
-        tail = body[-1] - _LO
-        pad = need * 6 - nbits
-        if tail & ((1 << pad) - 1):
-            raise Graph6Error("nonzero padding bits in final graph6 byte")
-    return from_edge_mask(n, mask)
+    if mask >> nbits:
+        raise Graph6Error("nonzero padding bits in final graph6 byte")
+    return n, mask
+
+
+def parse_graph6(text: str) -> Graph:
+    """Decode one graph6 line (surrounding whitespace and header tolerated)."""
+    return from_edge_mask(*decode_graph6(text))
 
 
 def to_graph6(g: Graph) -> str:

@@ -11,9 +11,13 @@ cases of the coloring inequality and the non-Hamiltonian hypothesis hits
 reach the single-graph solvers: every such hit is replayed through
 certify, so the vector path never has the final word.
 
-The streamed source runs the cheap checks first: the exact Nordhaus-
-Gaddum pair for every graph, then minimum degree and the chromatic
-condition, and exact connectivity only for the graphs that pass both.
+The streamed source takes one graph at a time and needs no numpy, whose
+import alone costs a stream process about 12 MB resident.  It runs the
+same stages in the same order: first-fit greedy bounds on the graph and
+its complement, the exact Nordhaus-Gaddum pair only where they leave the
+coloring inequality open, minimum degree and the chromatic condition on
+the bound, then exact chi, exact connectivity and a Hamiltonian cycle
+only for the graphs that pass, and the certify replay.
 
 Work may be split into shards by edge-mask range; partial reports merge
 associatively, so totals are identical for every shard count.
@@ -32,7 +36,7 @@ from hamcert.graphs import (
     min_degree,
     triangle_pairs,
 )
-from hamcert.invariants import nordhaus_gaddum, vertex_connectivity
+from hamcert.invariants import chromatic_number, nordhaus_gaddum, vertex_connectivity
 from hamcert.cycles import find_hamiltonian_cycle
 from hamcert.theorem import certify
 
@@ -203,8 +207,12 @@ def _clique_alpha(np, masks, n):
     return omega, alpha
 
 
-# Graphs per block of the batched exact chromatic number: at n = 7 its
-# two (2^n, block) int64 tables take 4 MB each.
+# The largest order the mask pipeline holds: adjacency rows in uint8,
+# edge masks in uint32, exact chromatic numbers in uint64.
+MAX_MASK_ORDER = 8
+
+# Graphs per block of the batched exact chromatic number: at n = 8 its
+# two (2^n, block) uint64 tables take 8 MB each.
 _CHI_BLOCK = 4096
 
 
@@ -215,24 +223,25 @@ def _chromatic_numbers(np, rows, n, omega, ub):
     Inclusion-exclusion (Bjorklund, Husfeldt and Koivisto, "Set
     partitioning via inclusion-exclusion", SIAM J. Comput. 39(2), 2009):
     with i(X) the number of independent sets inside X, the empty set
-    included, a graph is t-colorable iff the sum over all vertex subsets
-    X of (-1)^(n-|X|) i(X)^t is positive.  i(X) = i(X - v) + i(X - N[v])
+    included, a graph is t-colorable iff the sum S over all vertex
+    subsets X of (-1)^(n-|X|) i(X)^t is positive.  i(X) = i(X - v) + i(X - N[v])
     with v the lowest vertex of X, one row gather per subset for a whole
     block of graphs.  chi is the least t below ub that passes, or ub when
     none does; no t below omega can pass, so t starts at the least omega
     of the block.
 
-    Exact in int64 up to MAX_ENUMERATION_ORDER = 7: i(X) <= 2^7 and
-    t <= ub - 1 <= 6, so each of the 2^7 terms is at most 2^42 and every
-    partial sum stays below 2^49.  Larger orders are refused.
+    The sum runs in wrapping uint64 arithmetic, which is exact up to
+    MAX_MASK_ORDER = 8: S counts the ordered t-tuples of independent sets
+    whose union is V, so 0 <= S <= i(V)^t <= (2^n)^(n-1) <= 2^56 < 2^64
+    (t <= ub - 1 <= n - 1), and S mod 2^64 is S itself; S != 0 is the
+    test.  Larger orders are refused.
     """
-    if n > MAX_ENUMERATION_ORDER:
-        raise ValueError(
-            f"batched chromatic number is exact only up to order {MAX_ENUMERATION_ORDER}"
-        )
+    if n > MAX_MASK_ORDER:
+        raise ValueError(f"batched chromatic number is exact only up to order {MAX_MASK_ORDER}")
     size = 1 << n
     full = size - 1
-    sign = np.array([(-1) ** (n - x.bit_count()) for x in range(size)], np.int64)
+    # -1 wraps to 2^64 - 1, which is -1 modulo 2^64
+    sign = np.array([(-1) ** (n - x.bit_count()) for x in range(size)], np.int64).astype(np.uint64)
     chi = ub.astype(np.uint8)
     for start in range(0, chi.size, _CHI_BLOCK):
         block = slice(start, start + _CHI_BLOCK)
@@ -242,7 +251,7 @@ def _chromatic_numbers(np, rows, n, omega, ub):
             ((~rows[v][block]) & np.uint8(full ^ (1 << v))).astype(np.intp)
             for v in range(n)
         ]
-        count = np.empty((size, cols.size), np.int64)
+        count = np.empty((size, cols.size), np.uint64)
         count[0] = 1
         for x in range(1, size):
             v = (x & -x).bit_length() - 1
@@ -252,7 +261,7 @@ def _chromatic_numbers(np, rows, n, omega, ub):
         for t in range(lo, hi):
             if t > lo:
                 power *= count
-            settled = (sign @ power > 0) & (t < chi[block])
+            settled = (sign @ power != 0) & (t < chi[block])
             chi[block][settled] = t
     return chi
 
@@ -313,10 +322,11 @@ def _replay(report, g, graph_hits, on_extremal) -> None:
             report.counterexamples.append((to_graph6(g), k))
 
 
-def _verify_internal_shard(n, k_range, lo, hi, on_extremal) -> VerificationReport:
+def _verify_masks(n, ks, masks, on_extremal) -> VerificationReport:
+    """Tally the labeled graphs of order n <= MAX_MASK_ORDER given by a
+    uint32 array of their edge masks, in whole-array passes."""
     np = _np()
-    report = VerificationReport(total_graphs=hi - lo)
-    masks = np.arange(lo, hi, dtype=np.uint32)
+    report = VerificationReport(total_graphs=masks.size)
     rows = _build_rows(np, masks, n)
     full = (1 << n) - 1
 
@@ -333,14 +343,12 @@ def _verify_internal_shard(n, k_range, lo, hi, on_extremal) -> VerificationRepor
     # every graph; the rest get the exact treatment
     suspects = np.nonzero(ub.astype(np.int16) + ub_c.astype(np.int16) > n + 1)[0]
     for i in suspects.tolist():
-        g = from_edge_mask(n, lo + i)
+        g = from_edge_mask(n, int(masks[i]))
         if nordhaus_gaddum(g)[2] < 0:
             report.lemma1_violations += 1
 
-    ks = list(k_range)
     report.hypothesis_hits = {k: 0 for k in ks}
     if not ks:
-        report.elapsed = 0.0
         return report
     k_cap = ks[-1]
 
@@ -398,10 +406,29 @@ def _verify_internal_shard(n, k_range, lo, hi, on_extremal) -> VerificationRepor
 # streamed source
 
 
-def _verify_stream(n, k_range, lines, on_extremal) -> VerificationReport:
-    report = VerificationReport()
-    ks = list(k_range)
-    report.hypothesis_hits = {k: 0 for k in ks}
+def _first_fit_colors(rows, order) -> int:
+    """Colors used by first-fit greedy coloring in the given vertex order:
+    the bound _greedy_bound computes, for one graph."""
+    classes: list[int] = []
+    for v in order:
+        row = rows[v]
+        for i, cls in enumerate(classes):
+            if not row & cls:
+                classes[i] = cls | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes)
+
+
+def _verify_stream(n, ks, lines, on_extremal) -> VerificationReport:
+    """One graph at a time, cheap checks first: first-fit bounds settle the
+    coloring inequality and the chromatic condition for almost every
+    graph, and exact chi, kappa and a Hamiltonian cycle are computed only
+    for the graphs that still need them."""
+    report = VerificationReport(hypothesis_hits={k: 0 for k in ks})
+    full = (1 << n) - 1
+    forward, backward = range(n), range(n - 1, -1, -1)
     for line_no, raw in enumerate(lines, 1):
         text = raw.strip()
         if not text:
@@ -415,19 +442,35 @@ def _verify_stream(n, k_range, lines, on_extremal) -> VerificationReport:
             report.errors.append((line_no, f"expected order {n}, got {g.n}"))
             continue
         report.total_graphs += 1
-        chi, _, slack = nordhaus_gaddum(g)
-        if slack < 0:
-            report.lemma1_violations += 1
+        rows = g.adj
+        crows = [full ^ (1 << v) ^ row for v, row in enumerate(rows)]
+        ub = _first_fit_colors(rows, forward)
+        ub_c = _first_fit_colors(crows, forward)
+        # as in the mask pipeline, greedy bounds witness chi + chi_c <= n+1
+        # for almost every graph; then a second order, then the exact pair
+        chi = None
+        if ub + ub_c > n + 1:
+            ub = min(ub, _first_fit_colors(rows, backward))
+            ub_c = min(ub_c, _first_fit_colors(crows, backward))
+            if ub + ub_c > n + 1:
+                chi, _, slack = nordhaus_gaddum(g)
+                if slack < 0:
+                    report.lemma1_violations += 1
         if not ks:
             continue
-        # kappa <= min degree, so a hit needs delta >= 2 and
-        # chi >= n - min(delta, k_max); both are cheaper than kappa
+        # kappa <= min degree and chi <= ub, so a hit needs delta >= 2 and
+        # ub >= n - min(delta, k_max), for the bound of either order
         delta = min_degree(g)
-        if delta < 2 or chi < n - min(delta, ks[-1]):
+        need = n - min(delta, ks[-1])
+        if delta < 2 or ub < need or _first_fit_colors(rows, backward) < need:
             continue
-        kappa = vertex_connectivity(g)
-        if kappa < 2:
+        if chi is None:
+            chi = chromatic_number(g)[0]
+        if chi < need:
             continue
+        # no k below max(k_min, n - chi) can be hit, so kappa is needed
+        # exactly only from there on
+        kappa = vertex_connectivity(g, stop_below=max(ks[0], n - chi))
         graph_hits = [k for k in ks if kappa >= k and chi >= n - k]
         if not graph_hits:
             continue
@@ -475,10 +518,12 @@ def verify_order(
         total = 1 << (n * (n - 1) // 2)
         bounds = [total * i // shards for i in range(shards + 1)]
         report = VerificationReport(hypothesis_hits={k: 0 for k in ks})
+        np = _np()
         for lo, hi in zip(bounds, bounds[1:]):
             if lo == hi:
                 continue
-            report = report.merge(_verify_internal_shard(n, ks, lo, hi, on_extremal))
+            masks = np.arange(lo, hi, dtype=np.uint32)
+            report = report.merge(_verify_masks(n, ks, masks, on_extremal))
         report.elapsed = time.monotonic() - started
         return report
     if source == "graph6":

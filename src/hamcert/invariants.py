@@ -221,12 +221,16 @@ def nordhaus_gaddum(g: Graph) -> tuple[int, int, int]:
 def _augment(residual: list[int], source: int, sink: int) -> bool:
     parent = [-1] * len(residual)
     parent[source] = source
+    seen = 1 << source
     queue = deque((source,))
     while queue:
         u = queue.popleft()
-        for v in iter_bits(residual[u]):
-            if parent[v] >= 0:
-                continue
+        fresh = residual[u] & ~seen
+        seen |= fresh
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            v = low.bit_length() - 1
             parent[v] = u
             if v == sink:
                 while v != source:
@@ -239,14 +243,22 @@ def _augment(residual: list[int], source: int, sink: int) -> bool:
     return False
 
 
-def _local_connectivity(g: Graph, s: int, t: int, cap: int) -> int:
-    """Number of internally disjoint s-t paths, counted only up to cap."""
+def _split_arcs(g: Graph) -> list[int]:
+    """Residual arcs of the split graph before any flow: every transit arc
+    and every edge in both directions."""
     residual = [0] * (2 * g.n)
     for v in range(g.n):
         residual[2 * v] = 1 << (2 * v + 1)
     for u, v in g.edges():
         residual[2 * u + 1] |= 1 << (2 * v)
         residual[2 * v + 1] |= 1 << (2 * u)
+    return residual
+
+
+def _local_connectivity(arcs: list[int], s: int, t: int, cap: int) -> int:
+    """Number of internally disjoint s-t paths, counted only up to cap,
+    in the split graph with the given arcs."""
+    residual = list(arcs)
     flow = 0
     while flow < cap and _augment(residual, 2 * s + 1, 2 * t):
         flow += 1
@@ -286,12 +298,13 @@ def vertex_connectivity(g: Graph, *, stop_below: int | None = None) -> int:
         for b in neighbors[i + 1:]:
             if not g.has_edge(a, b):
                 pairs.append((a, b))
+    arcs = _split_arcs(g)
     for s, t in pairs:
         if stop_below is not None and best < stop_below:
             return best
         if best == 0:
             return 0
-        best = min(best, _local_connectivity(g, s, t, cap=best))
+        best = min(best, _local_connectivity(arcs, s, t, cap=best))
     return best
 
 

@@ -107,8 +107,16 @@ def test_criterion_2_streamed_order_eight():
     path = DATA_DIR / "graph8.g6"
     with path.open(encoding="ascii") as handle:
         report = verify_order(8, (2, 7), source="graph6", stream=handle)
+    totals = (
+        report.hypothesis_hits,
+        report.hamiltonian,
+        report.extremal,
+        report.lemma1_violations,
+    )
+    expected = ({2: 65, 3: 381, 4: 352, 5: 39, 6: 5, 7: 1}, 841, 2, 0)
     ok = (
         report.total_graphs == 12346
+        and totals == expected
         and report.errors == []
         and len(report.counterexamples) == 0
         and report.consistent()
@@ -116,10 +124,13 @@ def test_criterion_2_streamed_order_eight():
     )
     record_verdict(
         f"[2] streamed sweep n=8: {report.total_graphs} classes, "
+        f"{report.hits_total} hits ({report.hamiltonian} hamiltonian, "
+        f"{report.extremal} extremal), "
         f"{len(report.counterexamples)} counterexamples, "
         f"{report.elapsed:.1f}s -> {'PASS' if ok else 'FAIL'}"
     )
     assert report.total_graphs == 12346
+    assert totals == expected
     assert report.errors == []
     assert report.counterexamples == []
     assert report.consistent()

@@ -1,18 +1,23 @@
 """graph6 codec: byte-exact vectors, strict error handling, round trips."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 
-from hamcert.graph6 import Graph6Error, parse_graph6, to_graph6
+from hamcert.graph6 import Graph6Error, decode_graph6, parse_graph6, to_graph6
 from hamcert.graphs import (
     complete_graph,
     cycle_graph,
     edgeless_graph,
     enumerate_labeled,
+    from_edge_mask,
     path_graph,
     petersen_graph,
 )
 from tests.conftest import graphs_st
+
+GRAPH8 = Path(__file__).parent / "data" / "graph8.g6"
 
 
 def test_known_vectors():
@@ -72,3 +77,39 @@ def test_exhaustive_round_trip_small():
 @given(graphs_st(max_n=12))
 def test_round_trip_property(g):
     assert parse_graph6(to_graph6(g)) == g
+
+
+def bitwise_decode(text):
+    """Order and edge mask of a graph6 line, read one bit at a time."""
+    data = text.encode("ascii")
+    n = data[0] - 63
+    mask = 0
+    for t in range(n * (n - 1) // 2):
+        if (data[1 + t // 6] - 63) >> (5 - t % 6) & 1:
+            mask |= 1 << t
+    return n, mask
+
+
+def test_decoder_matches_bitwise_reference():
+    lines = GRAPH8.read_text(encoding="ascii").split()
+    assert len(lines) == 12346
+    for text in lines:
+        assert decode_graph6(text) == bitwise_decode(text)
+    for n in range(6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            text = to_graph6(from_edge_mask(n, mask))
+            assert decode_graph6(text) == bitwise_decode(text) == (n, mask)
+
+
+def test_every_nonzero_padding_bit_rejected():
+    for n in range(2, 10):
+        nbits = n * (n - 1) // 2
+        need = (nbits + 5) // 6
+        pad = need * 6 - nbits
+        for last in range(64):
+            text = chr(63 + n) + "?" * (need - 1) + chr(63 + last)
+            if last & ((1 << pad) - 1):
+                with pytest.raises(Graph6Error, match="padding"):
+                    decode_graph6(text)
+            else:
+                assert decode_graph6(text) == bitwise_decode(text)

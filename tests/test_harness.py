@@ -1,20 +1,32 @@
 """Verification harness: population tallies, sharding, streamed input."""
 
+import random
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hamcert import harness
-from hamcert.graph6 import to_graph6
-from hamcert.graphs import enumerate_labeled, from_edge_mask
+from hamcert.graph6 import Graph6Error, decode_graph6, parse_graph6, to_graph6
+from hamcert.graphs import complete_graph, enumerate_labeled, from_edge_mask
 from hamcert.harness import VerificationReport, verify_order
 from hamcert.invariants import chromatic_number, independence_number, max_clique
 from hamcert.theorem import build_extremal
 
+from tests.conftest import relabeled
 from tests.oracles import (
     oracle_chromatic,
     oracle_hamiltonian_cycle,
     oracle_vertex_connectivity,
 )
+
+
+GRAPH8 = Path(__file__).parent / "data" / "graph8.g6"
+
+
+def graph8_lines():
+    return GRAPH8.read_text(encoding="ascii").split()
 
 
 def report_fingerprint(rep):
@@ -180,6 +192,132 @@ class TestStreamedSource:
         assert rep.extremal == 1
         assert rep.hamiltonian == 0
 
+    def test_order_nine_stream(self):
+        lines = [to_graph6(build_extremal(2, 9)), to_graph6(complete_graph(9)), "Dhc"]
+        rep = verify_order(9, (2, 2), source="graph6", stream=iter(lines))
+        assert rep.total_graphs == 2
+        assert rep.hypothesis_hits == {2: 2}
+        assert (rep.hamiltonian, rep.extremal) == (1, 1)
+        assert [line_no for line_no, _ in rep.errors] == [3]
+
+    def test_order_eight_calls_exact_solvers_only_where_needed(self, monkeypatch):
+        # cheap first: the first-fit bounds settle the coloring inequality
+        # for every class, and exact chi runs only on the 708 graphs that
+        # pass the chromatic condition on their bounds
+        calls = {"nordhaus_gaddum": 0, "chromatic_number": 0, "vertex_connectivity": 0}
+        for name in calls:
+            exact = getattr(harness, name)
+
+            def counted(*args, _exact=exact, _name=name, **kwargs):
+                calls[_name] += 1
+                return _exact(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+        rep = verify_order(8, (2, 7), source="graph6", stream=iter(graph8_lines()))
+        assert rep.hits_total == 843
+        assert calls == {"nordhaus_gaddum": 0, "chromatic_number": 708, "vertex_connectivity": 666}
+
+
+def mask_pipeline(n, k_range, lines, on_extremal=None):
+    """The order-n lines of a stream through the internal sweep's mask
+    pipeline."""
+    masks = []
+    for text in lines:
+        try:
+            order, mask = decode_graph6(text)
+        except Graph6Error:
+            continue
+        if order == n:
+            masks.append(mask)
+    ks = harness._clamped_k_range(n, *k_range)
+    return harness._verify_masks(n, ks, np.array(masks, np.uint32), on_extremal)
+
+
+def run_both_paths(n, k_range, lines):
+    """The stream, one graph at a time, and the mask pipeline on the same
+    graphs, each with its on_extremal calls."""
+    calls = ([], [])
+    streamed = verify_order(
+        n, k_range, source="graph6", stream=iter(lines),
+        on_extremal=lambda g6, k: calls[0].append((g6, k)),
+    )
+    vector = mask_pipeline(n, k_range, lines, lambda g6, k: calls[1].append((g6, k)))
+    return streamed, vector, calls
+
+
+def split_certify(monkeypatch):
+    """Report the extremal certificates of graphs with vertices 0 and 1
+    adjacent as counterexamples, so that both tallies and their order
+    are tested."""
+    exact = harness.certify
+
+    def certify(g, k):
+        cert = exact(g, k)
+        if cert.kind == "extremal" and g.has_edge(0, 1):
+            return SimpleNamespace(kind="counterexample")
+        return cert
+
+    monkeypatch.setattr(harness, "certify", certify)
+
+
+class TestStreamAgainstMaskPipeline:
+    """The per-graph stream against the internal sweep's array passes on
+    the same graphs, field by field."""
+
+    @pytest.mark.parametrize("n, k_range", [(5, (2, 4)), (5, (3, 3)), (5, (4, 2)), (6, (2, 5))])
+    def test_all_labeled_graphs(self, monkeypatch, n, k_range):
+        split_certify(monkeypatch)
+        lines = [to_graph6(g) for g in enumerate_labeled(n)]
+        streamed, vector, calls = run_both_paths(n, k_range, lines)
+        assert report_fingerprint(streamed) == report_fingerprint(vector)
+        assert calls[0] == calls[1]
+        if n == 6:
+            assert streamed.extremal > 0 and streamed.counterexamples
+
+    def test_relabeled_order_eight_with_bad_lines(self, monkeypatch):
+        split_certify(monkeypatch)
+        rng = random.Random(5)
+        lines = [to_graph6(relabeled(parse_graph6(t), rng)) for t in graph8_lines()]
+        rng.shuffle(lines)
+        lines[0] = ">>graph6<<" + lines[0]
+        bad = ["not graph6 \x01", "C~", "G?", "Dhc", "G" + "~" * 6]
+        for text in (bad + ["", "   ", "\n"]) * 4:
+            lines.insert(rng.randrange(len(lines) + 1), text)
+        streamed, vector, calls = run_both_paths(8, (2, 7), lines)
+        assert report_fingerprint(streamed) == report_fingerprint(vector)
+        assert calls[0] == calls[1]
+        assert streamed.total_graphs == 12346
+        assert streamed.extremal + len(streamed.counterexamples) == 2
+        assert [line_no for line_no, _ in streamed.errors] == [
+            i + 1 for i, text in enumerate(lines) if text in bad
+        ]
+
+    def test_loose_bounds_send_every_graph_to_the_exact_pair(self, monkeypatch):
+        # with chi bounds of n every graph is a Nordhaus-Gaddum suspect and
+        # needs its exact chi; a stand-in exact pair flags some graphs,
+        # which both paths must count
+        bounds = harness._chi_bounds
+
+        def loose(np_, rows, masks, n):
+            omega, ub, _ = bounds(np_, rows, masks, n)
+            top = np.full(ub.shape, n, np.uint8)
+            return omega, top, top
+
+        exact = harness.nordhaus_gaddum
+
+        def flagged(g):
+            chi, chi_c, slack = exact(g)
+            return chi, chi_c, -1 if g.edge_count() % 5 == 0 else slack
+
+        monkeypatch.setattr(harness, "_chi_bounds", loose)
+        monkeypatch.setattr(harness, "_first_fit_colors", lambda rows, order: len(rows))
+        monkeypatch.setattr(harness, "nordhaus_gaddum", flagged)
+        for n, lines in ((5, [to_graph6(g) for g in enumerate_labeled(5)]),
+                         (8, graph8_lines()[::12])):
+            streamed, vector, _ = run_both_paths(n, (2, n - 1), lines)
+            assert report_fingerprint(streamed) == report_fingerprint(vector)
+            assert streamed.lemma1_violations > 0
+
 
 def population(n, masks):
     """Adjacency rows and chi bounds of the labeled graphs with the given
@@ -233,12 +371,27 @@ class TestBatchedKernels:
             expected = [chromatic_number(from_edge_mask(n, int(m)))[0] for m in masks]
             assert chi.tolist() == expected
 
-    def test_chromatic_numbers_refuse_order_eight(self):
-        masks = np.zeros(1, np.uint32)
-        rows = harness._build_rows(np, masks, 8)
+    @pytest.mark.parametrize("complement", [False, True], ids=["graphs", "complements"])
+    def test_chromatic_numbers_on_order_eight(self, complement):
+        # the uint64 sums wrap; every graph8.g6 class, or its complement,
+        # whose clique and greedy bounds disagree
+        masks = np.array([decode_graph6(t)[1] for t in graph8_lines()], np.uint32)
+        if complement:
+            masks ^= np.uint32((1 << 28) - 1)
+        masks, rows, omega, ub = population(8, masks)
+        unsettled = np.nonzero(omega != ub)[0]
+        assert unsettled.size == (943 if complement else 1108)
+        chi = harness._chromatic_numbers(
+            np, [r[unsettled] for r in rows], 8, omega[unsettled], ub[unsettled]
+        )
+        expected = [chromatic_number(from_edge_mask(8, int(m)))[0] for m in masks[unsettled]]
+        assert chi.tolist() == expected
+
+    def test_chromatic_numbers_refuse_order_nine(self):
+        rows = [np.zeros(1, np.uint8)] * 9
         ones = np.ones(1, np.uint8)
-        with pytest.raises(ValueError, match="order 7"):
-            harness._chromatic_numbers(np, rows, 8, ones, ones)
+        with pytest.raises(ValueError, match="order 8"):
+            harness._chromatic_numbers(np, rows, 9, ones, ones)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
     def test_clique_alpha_matches_solvers(self, n):
