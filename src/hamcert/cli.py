@@ -12,7 +12,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from hamcert.graph6 import Graph6Error, parse_graph6, to_graph6
+from hamcert.graph6 import parse_graph6, to_graph6
 from hamcert.graphs import Graph, min_degree, with_edges
 from hamcert.invariants import (
     chromatic_number,
@@ -80,17 +80,18 @@ def _input_lines(arg: str | None) -> list[str]:
 
 
 def _each_graph(arg, handler) -> CommandOutcome:
-    """Run handler(g6, graph) per input line; worst severity wins."""
+    """Run handler(g6, graph) per input line; worst severity wins.  A line
+    whose graph6 or hypothesis is rejected, or that a solver refuses,
+    is an input error and the next line still runs."""
     out: list[str] = []
     code = 0
     for text in _input_lines(arg):
         try:
-            g = parse_graph6(text)
-        except Graph6Error as err:
-            out.append(f"error: {text}: {err}")
-            code = 2
-            continue
-        line_code, payload = handler(text, g)
+            line_code, payload = handler(text, parse_graph6(text))
+        except HypothesisError as err:
+            line_code, payload = 2, f"error: {text}: hypothesis fails ({err.flag}): {err}"
+        except ValueError as err:
+            line_code, payload = 2, f"error: {text}: {err}"
         out.append(payload)
         code = max(code, line_code)
     if not out:
@@ -120,10 +121,7 @@ def _cmd_invariants(args) -> CommandOutcome:
 
 def _cmd_certify(args) -> CommandOutcome:
     def handler(g6: str, g: Graph):
-        try:
-            cert = certify(g, args.k)
-        except HypothesisError as err:
-            return 2, f"error: {g6}: hypothesis fails ({err.flag}): {err}"
+        cert = certify(g, args.k)
         code = 1 if cert.kind == "counterexample" else 0
         return code, format_certificate(g, cert)
 
@@ -132,23 +130,14 @@ def _cmd_certify(args) -> CommandOutcome:
 
 def _cmd_trace(args) -> CommandOutcome:
     def handler(g6: str, g: Graph):
-        try:
-            trace = trace_proof(g, args.k)
-        except HypothesisError as err:
-            return 2, f"error: {g6}: hypothesis fails ({err.flag}): {err}"
-        except ValueError as err:
-            return 2, f"error: {g6}: {err}"
+        trace = trace_proof(g, args.k)
         return (0 if trace.all_passed else 1), format_trace(trace)
 
     return _each_graph(args.graph, handler)
 
 
 def _cmd_extremal(args) -> CommandOutcome:
-    try:
-        g = build_extremal(args.k, args.n)
-    except ValueError as err:
-        return CommandOutcome(2, f"error: {err}")
-    return CommandOutcome(0, to_graph6(g))
+    return CommandOutcome(0, to_graph6(build_extremal(args.k, args.n)))
 
 
 def _cmd_verify(args) -> CommandOutcome:
@@ -162,7 +151,7 @@ def _cmd_verify(args) -> CommandOutcome:
         else:
             with open(args.stream, encoding="ascii") as handle:
                 report = verify_order(args.n, (k_min, k_max), source="graph6", stream=handle)
-    except (ValueError, OSError) as err:
+    except OSError as err:
         return CommandOutcome(2, f"error: {err}")
     bad = report.counterexamples or report.lemma1_violations
     return CommandOutcome(1 if bad else 0, report.summary())
@@ -185,7 +174,7 @@ def _cmd_g6(args) -> CommandOutcome:
                     u, _, v = token.partition("-")
                     edges.append((int(u), int(v)))
                 out.append(to_graph6(with_edges(n, edges)))
-        except (Graph6Error, ValueError, IndexError) as err:
+        except (ValueError, IndexError) as err:
             out.append(f"error: {text}: {err}")
             code = 2
     if not out:
@@ -210,7 +199,10 @@ def run(argv) -> CommandOutcome:
     except SystemExit as exc:
         # argparse already wrote usage/help text to its own streams
         return CommandOutcome(0 if exc.code in (0, None) else 2, "")
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except ValueError as err:  # malformed input or a refused size, Graph6Error included
+        return CommandOutcome(2, f"error: {err}")
 
 
 def main(argv=None) -> int:

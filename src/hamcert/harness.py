@@ -1,23 +1,28 @@
 """Population-scale verification over all labeled graphs of an order.
 
+Both sources run one cheap-first stage order, each stage only on the
+graphs that the cheaper ones before it leave open:
+
+1. first-fit greedy bounds on the graph and its complement; the reverse
+   vertex order and then the exact Nordhaus-Gaddum pair only where they
+   leave the coloring inequality chi + chi_c <= n + 1 open;
+2. the candidate rule (_may_hit) on minimum degree and the forward bound,
+   then on the reverse-order bound;
+3. exact chi, exact connectivity and Hamiltonicity of the candidates, and
+   the certify replay of every non-Hamiltonian hypothesis hit, so the
+   fast paths never have the final word.
+
 The internal source enumerates every labeled graph on n <= 7 vertices by
-edge bitmask and pushes the bulk filtering through numpy: adjacency rows,
-degrees, connectivity, greedy coloring bounds, exact clique and
-independence numbers, exact clamped connectivity, and exact
-Hamiltonicity all run as whole-population array passes.  Candidates
-whose clique and greedy bounds disagree get their exact chromatic number
-from a batched inclusion-exclusion count, also in numpy.  Only borderline
-cases of the coloring inequality and the non-Hamiltonian hypothesis hits
-reach the single-graph solvers: every such hit is replayed through
-certify, so the vector path never has the final word.
+edge bitmask and runs each stage as a whole-population numpy pass.  The
+exact clique and independence numbers of its candidates tighten the
+bound, and exact chi comes from a batched inclusion-exclusion count
+where the clique number misses it.
+Hamiltonicity is a batched fill of the path table the cycle solvers use.
 
 The streamed source takes one graph at a time and needs no numpy, whose
-import alone costs a stream process about 12 MB resident.  It runs the
-same stages in the same order: first-fit greedy bounds on the graph and
-its complement, the exact Nordhaus-Gaddum pair only where they leave the
-coloring inequality open, minimum degree and the chromatic condition on
-the bound, then exact chi, exact connectivity and a Hamiltonian cycle
-only for the graphs that pass, and the certify replay.
+import alone costs a stream process about 12 MB resident.  It takes
+exact chi from the single-graph solver and applies the candidate rule to
+it once more before exact connectivity and a Hamiltonian cycle.
 
 Work may be split into shards by edge-mask range; partial reports merge
 associatively, so totals are identical for every shard count.
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 
 from hamcert.graph6 import MAX_GRAPH6_ORDER, Graph6Error, parse_graph6, to_graph6
 from hamcert.graphs import (
@@ -106,37 +111,15 @@ def _clamped_k_range(n: int, k_min: int, k_max: int) -> range:
 # internal vectorized engine
 
 
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    return {pair: i for i, pair in enumerate(triangle_pairs(n))}
-
-
 def _subset_edge_masks(n: int):
     """For every vertex subset: the edge mask of all pairs inside it."""
-    idx = _pair_index(n)
+    idx = {pair: i for i, pair in enumerate(triangle_pairs(n))}
     out = []
     for s in range(1 << n):
         verts = [v for v in range(n) if s >> v & 1]
         em = 0
         for a, b in combinations(verts, 2):
             em |= 1 << idx[(a, b)]
-        out.append(em)
-    return out
-
-
-def _hamiltonian_edge_masks(n: int) -> list[int]:
-    """Edge masks of all cyclic vertex orders, one per undirected cycle."""
-    if n < 3:
-        return []
-    idx = _pair_index(n)
-    out = []
-    for perm in permutations(range(1, n)):
-        if perm[0] > perm[-1]:
-            continue  # reflection-reduced
-        order = (0,) + perm
-        em = 0
-        for i in range(n):
-            a, b = order[i], order[(i + 1) % n]
-            em |= 1 << idx[(min(a, b), max(a, b))]
         out.append(em)
     return out
 
@@ -148,39 +131,55 @@ def _np():
 
 
 def _build_rows(np, masks, n):
-    rows = [np.zeros(masks.shape, np.uint8) for _ in range(n)]
-    for i, (u, v) in enumerate(triangle_pairs(n)):
-        bit = ((masks >> np.uint32(i)) & np.uint32(1)).astype(np.uint8)
-        rows[u] |= bit << np.uint8(v)
-        rows[v] |= bit << np.uint8(u)
+    # in the column order of triangle_pairs, the pairs (i, j), i < j, are
+    # the j bits from j(j-1)/2 on: they give row j below bit j in one cut,
+    # and the bits above it of rows i < j
+    rows = [
+        ((masks >> np.uint32(j * (j - 1) // 2)) & np.uint32((1 << j) - 1)).astype(np.uint8)
+        for j in range(n)
+    ]
+    for j in range(n):
+        for i in range(j):
+            rows[i] |= ((rows[j] >> np.uint8(i)) & np.uint8(1)) << np.uint8(j)
     return rows
 
 
-def _connected_mask(np, rows, n, full):
-    seen = np.full(rows[0].shape, 1, np.uint8)
-    for _ in range(n - 1):
-        for v in range(n):
-            seen |= ((seen >> np.uint8(v)) & np.uint8(1)) * rows[v]
-    return seen == np.uint8(full)
+def _greedy_bound(np, rows, order):
+    """Colors used by first-fit greedy coloring in the given vertex order,
+    for every graph: _first_fit_colors in whole-array passes.
+
+    uint8 is exact up to MAX_MASK_ORDER = 8: a vertex sees at most n - 1
+    colored neighbours, so forb < 2^(n-1) and forb + 1 <= 128."""
+    color = [None] * len(rows)
+    ncol = np.zeros(rows[0].shape, np.uint8)
+    for pos, v in enumerate(order):
+        forb = np.zeros(rows[0].shape, np.uint8)
+        for u in order[:pos]:
+            forb |= ((rows[v] >> np.uint8(u)) & np.uint8(1)) << color[u]
+        # the lowest color not forbidden
+        c = np.bitwise_count((~forb & (forb + np.uint8(1))) - np.uint8(1))
+        color[v] = c
+        ncol = np.maximum(ncol, c + np.uint8(1))
+    return ncol
 
 
-def _greedy_bound(np, rows, n, orders):
-    """Smallest fixed-order greedy color count over the given orders."""
-    best = None
-    for order in orders:
-        color = [None] * n
-        ncol = np.zeros(rows[0].shape, np.uint8)
-        for pos, v in enumerate(order):
-            forb = np.zeros(rows[0].shape, np.uint16)
-            for u in order[:pos]:
-                has = ((rows[v] >> np.uint8(u)) & np.uint8(1)).astype(np.uint16)
-                forb |= has << color[u]
-            lcb = (~forb) & (forb + np.uint16(1))
-            c = np.bitwise_count((lcb - np.uint16(1))).astype(np.uint16)
-            color[v] = c
-            ncol = np.maximum(ncol, (c + 1).astype(np.uint8))
-        best = ncol if best is None else np.minimum(best, ncol)
-    return best
+def _complement_rows(np, rows, n):
+    full = (1 << n) - 1
+    return [(~rows[v]) & np.uint8(full ^ (1 << v)) for v in range(n)]
+
+
+def _may_hit(n, k_max, delta, ub):
+    """The candidate rule, on Python ints for one graph or on numpy arrays
+    for many: a hit for some k <= k_max needs kappa >= k >= 2 and
+    chi >= n - k, and kappa <= delta and chi <= ub, so it needs
+    delta >= 2 and ub >= n - min(delta, k_max).  delta <= n - 1, so
+    n - delta cannot wrap in uint8.
+
+    A first-fit bound also rejects every disconnected graph: each
+    component has at least delta + 1 vertices and first fit colors it
+    apart from the others, with at most its own size in colors, so
+    ub <= n - delta - 1."""
+    return (delta >= 2) & (ub >= n - delta) & (ub >= n - k_max)
 
 
 def _clique_alpha(np, masks, n):
@@ -266,22 +265,6 @@ def _chromatic_numbers(np, rows, n, omega, ub):
     return chi
 
 
-def _chi_bounds(np, rows, masks, n):
-    """Exact clique number omega, and upper bounds on chi and on the chi
-    of the complement, for every graph; omega <= chi <= ub."""
-    full = (1 << n) - 1
-    omega, alpha = _clique_alpha(np, masks, n)
-    orders = [list(range(n)), list(range(n - 1, -1, -1))]
-    ub = _greedy_bound(np, rows, n, orders)
-    ub = np.minimum(ub, (n - alpha + 1).astype(np.uint8))
-    ub = np.maximum(ub, omega)  # greedy can never beat the clique bound
-    crows = [(~rows[v]) & np.uint8(full ^ (1 << v)) for v in range(n)]
-    ub_c = _greedy_bound(np, crows, n, orders)
-    ub_c = np.minimum(ub_c, (n - omega + 1).astype(np.uint8))
-    ub_c = np.maximum(ub_c, alpha)
-    return omega, ub, ub_c
-
-
 def _clamped_connectivity(np, rows, n, full, k_cap):
     """Exact min(kappa, k_cap) for every graph in rows (assumed
     connected); smallest separating-set size wins, no cut up to
@@ -307,6 +290,24 @@ def _clamped_connectivity(np, rows, n, full, k_cap):
     return kappa
 
 
+def _hamiltonian(np, rows, n):
+    """Hamiltonicity of every graph given by adjacency rows, n >= 3: the
+    path table of cycles._path_ends from vertex 0, filled for all graphs
+    at once.  T[r] holds per graph the end vertices of the paths from 0
+    that span exactly 1 | (r << 1); a cycle closes a spanning path."""
+    table = [np.ones(rows[0].shape, np.uint8)]
+    for r in range(1, 1 << (n - 1)):
+        ends = np.zeros(rows[0].shape, np.uint8)
+        rest = r
+        while rest:
+            vb = rest & -rest
+            rest ^= vb
+            v = vb.bit_length()  # bit b of r is vertex b + 1
+            ends |= ((table[r ^ vb] & rows[v]) != 0).view(np.uint8) << np.uint8(v)
+        table.append(ends)
+    return (table[-1] & rows[0]) != 0
+
+
 def _replay(report, g, graph_hits, on_extremal) -> None:
     """Tally the exact certificate of g for every k it hits; the exact
     certifier recomputes kappa and chi independently of any vector pass."""
@@ -324,61 +325,63 @@ def _replay(report, g, graph_hits, on_extremal) -> None:
 
 def _verify_masks(n, ks, masks, on_extremal) -> VerificationReport:
     """Tally the labeled graphs of order n <= MAX_MASK_ORDER given by a
-    uint32 array of their edge masks, in whole-array passes."""
+    uint32 array of their edge masks, in whole-array passes.  The stages
+    run in _verify_stream's order, each only on the graphs that the
+    cheaper ones before it leave open."""
     np = _np()
-    report = VerificationReport(total_graphs=masks.size)
-    rows = _build_rows(np, masks, n)
+    report = VerificationReport(total_graphs=masks.size, hypothesis_hits={k: 0 for k in ks})
     full = (1 << n) - 1
+    forward, backward = range(n), range(n - 1, -1, -1)
+    rows = _build_rows(np, masks, n)
+    ub = _greedy_bound(np, rows, forward)
 
-    deg = np.bitwise_count(rows[0])
-    mindeg = deg.copy()
-    for v in range(1, n):
-        d = np.bitwise_count(rows[v])
-        mindeg = np.minimum(mindeg, d)
-    conn = _connected_mask(np, rows, n, full)
+    # first-fit bounds witness chi + chi_c <= n+1 for almost every graph;
+    # then a second order, then the exact pair
+    ub_c = _greedy_bound(np, _complement_rows(np, rows, n), forward)
+    open_idx = np.nonzero(ub + ub_c > n + 1)[0]
+    if open_idx.size:
+        orows = [r[open_idx] for r in rows]
+        ocrows = _complement_rows(np, orows, n)
+        ub_o = np.minimum(ub[open_idx], _greedy_bound(np, orows, backward))
+        ub_c = np.minimum(ub_c[open_idx], _greedy_bound(np, ocrows, backward))
+        for i in open_idx[ub_o + ub_c > n + 1].tolist():
+            if nordhaus_gaddum(from_edge_mask(n, int(masks[i])))[2] < 0:
+                report.lemma1_violations += 1
 
-    omega, ub, ub_c = _chi_bounds(np, rows, masks, n)
-
-    # the greedy bounds already witness chi + chi_c <= n+1 for almost
-    # every graph; the rest get the exact treatment
-    suspects = np.nonzero(ub.astype(np.int16) + ub_c.astype(np.int16) > n + 1)[0]
-    for i in suspects.tolist():
-        g = from_edge_mask(n, int(masks[i]))
-        if nordhaus_gaddum(g)[2] < 0:
-            report.lemma1_violations += 1
-
-    report.hypothesis_hits = {k: 0 for k in ks}
     if not ks:
         return report
     k_cap = ks[-1]
 
-    # candidate filter: the hypothesis needs kappa >= 2 (so connected,
-    # min degree >= 2) and chi >= n - min(mindeg, k_cap); chi <= ub makes
-    # the ub version a sound superset
-    reach = np.minimum(mindeg, np.uint8(k_cap)).astype(np.int16)
-    cand = conn & (mindeg >= 2) & (ub.astype(np.int16) >= n - reach)
-    cand_idx = np.nonzero(cand)[0]
+    # the candidate rule on the forward bound, then on the backward bound
+    # of the graphs left
+    mindeg = np.bitwise_count(rows[0])
+    for r in rows[1:]:
+        np.minimum(mindeg, np.bitwise_count(r), out=mindeg)
+    cand_idx = np.nonzero(_may_hit(n, k_cap, mindeg, ub))[0]
+    rows = [r[cand_idx] for r in rows]
+    ub = np.minimum(ub[cand_idx], _greedy_bound(np, rows, backward))
+    keep = _may_hit(n, k_cap, mindeg[cand_idx], ub)
+    cand_idx, ub = cand_idx[keep], ub[keep]
     if cand_idx.size == 0:
         return report
-
+    rows = [r[keep] for r in rows]
     cmasks = masks[cand_idx]
-    crows_sub = [rows[v][cand_idx] for v in range(n)]
-    comega = omega[cand_idx]
 
-    # exact chromatic numbers: free when the clique bound meets the
-    # greedy bound, batched inclusion-exclusion otherwise
-    chi = ub[cand_idx]
-    unsettled = np.nonzero(comega != chi)[0]
+    # exact clique and independence numbers of the candidates: n + 1 -
+    # alpha bounds chi from above, and chi is free where omega meets the
+    # bound, batched inclusion-exclusion otherwise
+    omega, alpha = _clique_alpha(np, cmasks, n)
+    chi = np.minimum(ub, n + 1 - alpha)
+    unsettled = np.nonzero(omega != chi)[0]
     chi[unsettled] = _chromatic_numbers(
-        np, [r[unsettled] for r in crows_sub], n, comega[unsettled], chi[unsettled]
+        np, [r[unsettled] for r in rows], n, omega[unsettled], chi[unsettled]
     )
 
-    kappa = _clamped_connectivity(np, crows_sub, n, full, k_cap)
+    kappa = _clamped_connectivity(np, rows, n, full, k_cap)
 
     nhits = np.zeros(cand_idx.shape, np.uint8)
-    chi16 = chi.astype(np.int16)
     for k in ks:
-        hits_k = (kappa >= k) & (chi16 >= n - k)
+        hits_k = (kappa >= k) & (chi >= n - k)
         report.hypothesis_hits[k] = int(np.count_nonzero(hits_k))
         nhits += hits_k
 
@@ -386,16 +389,13 @@ def _verify_masks(n, ks, masks, on_extremal) -> VerificationReport:
     if hit_idx.size == 0:
         return report
 
-    hmasks = cmasks[hit_idx]
-    ham = np.zeros(hit_idx.shape, bool)
-    for em in _hamiltonian_edge_masks(n):
-        em32 = np.uint32(em)
-        ham |= (hmasks & em32) == em32
+    ham = _hamiltonian(np, [r[hit_idx] for r in rows], n)
     report.hamiltonian += int(nhits[hit_idx][ham].sum())
 
     # rare path: replay the non-Hamiltonian hits through the exact certifier
+    hmasks = cmasks[hit_idx]
     hkappa = kappa[hit_idx]
-    hchi = chi16[hit_idx]
+    hchi = chi[hit_idx]
     for pos in np.nonzero(~ham)[0].tolist():
         graph_hits = [k for k in ks if hkappa[pos] >= k and hchi[pos] >= n - k]
         _replay(report, from_edge_mask(n, int(hmasks[pos])), graph_hits, on_extremal)
@@ -458,15 +458,16 @@ def _verify_stream(n, ks, lines, on_extremal) -> VerificationReport:
                     report.lemma1_violations += 1
         if not ks:
             continue
-        # kappa <= min degree and chi <= ub, so a hit needs delta >= 2 and
-        # ub >= n - min(delta, k_max), for the bound of either order
+        # the candidate rule on the bound of either order, then on chi
         delta = min_degree(g)
-        need = n - min(delta, ks[-1])
-        if delta < 2 or ub < need or _first_fit_colors(rows, backward) < need:
+        if not (
+            _may_hit(n, ks[-1], delta, ub)
+            and _may_hit(n, ks[-1], delta, _first_fit_colors(rows, backward))
+        ):
             continue
         if chi is None:
             chi = chromatic_number(g)[0]
-        if chi < need:
+        if not _may_hit(n, ks[-1], delta, chi):
             continue
         # no k below max(k_min, n - chi) can be hit, so kappa is needed
         # exactly only from there on

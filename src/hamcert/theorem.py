@@ -171,11 +171,15 @@ class HypothesisReport:
         return self.k_connected_ok and self.chi_ok and self.k_ge_2
 
 
-def check_hypothesis(g: Graph, k: int) -> HypothesisReport:
+def _check_hypothesis_input(g: Graph, k: int) -> None:
     if g.n == 0:
         raise ValueError("hypothesis is undefined on the empty graph")
     if k < 0:
         raise ValueError("k must be non-negative")
+
+
+def check_hypothesis(g: Graph, k: int) -> HypothesisReport:
+    _check_hypothesis_input(g, k)
     kappa = vertex_connectivity(g)
     chi, _ = chromatic_number(g)
     return HypothesisReport(
@@ -190,19 +194,24 @@ def check_hypothesis(g: Graph, k: int) -> HypothesisReport:
 
 
 def _require_hypothesis(g: Graph, k: int) -> HypothesisReport:
-    report = check_hypothesis(g, k)
-    if not report.k_ge_2:
+    """The report of check_hypothesis, or HypothesisError for the first
+    flag that fails; exact chi, the dearest, is computed only once the
+    other two hold."""
+    _check_hypothesis_input(g, k)
+    if k < 2:
         raise HypothesisError("k_ge_2", f"k = {k} is below 2")
-    if not report.k_connected_ok:
-        raise HypothesisError(
-            "k_connected_ok", f"connectivity {report.kappa} is below k = {k}"
-        )
-    if not report.chi_ok:
+    kappa = vertex_connectivity(g)
+    if kappa < k:
+        raise HypothesisError("k_connected_ok", f"connectivity {kappa} is below k = {k}")
+    chi, _ = chromatic_number(g)
+    if chi < g.n - k:
         raise HypothesisError(
             "chi_ok",
-            f"chromatic number {report.chi} is below n - k = {g.n - k}",
+            f"chromatic number {chi} is below n - k = {g.n - k}",
         )
-    return report
+    return HypothesisReport(
+        n=g.n, k=k, kappa=kappa, chi=chi, k_connected_ok=True, chi_ok=True, k_ge_2=True
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from hamcert.harness import (
     _build_rows,
     _clamped_connectivity,
     _clique_alpha,
-    _connected_mask,
     verify_order,
 )
 from hamcert.theorem import (
@@ -244,6 +243,14 @@ def _cycle_edge_masks_by_subset(n):
     return table
 
 
+def _connected_mask(rows, n, full):
+    seen = np.full(rows[0].shape, 1, np.uint8)
+    for _ in range(n - 1):
+        for v in range(n):
+            seen |= ((seen >> np.uint8(v)) & np.uint8(1)) * rows[v]
+    return seen == np.uint8(full)
+
+
 def _alpha_kappa_survivors(n):
     """Masks of every 2-connected order-n graph with alpha = kappa + 1,
     with their alpha values."""
@@ -253,7 +260,7 @@ def _alpha_kappa_survivors(n):
     mindeg = np.bitwise_count(rows[0])
     for v in range(1, n):
         mindeg = np.minimum(mindeg, np.bitwise_count(rows[v]))
-    conn = _connected_mask(np, rows, n, full)
+    conn = _connected_mask(rows, n, full)
     _, alpha = _clique_alpha(np, masks, n)
     pre = conn & (mindeg >= 2) & (alpha >= 3)  # alpha = kappa+1 >= 3 when kappa >= 2
     idx = np.nonzero(pre)[0]

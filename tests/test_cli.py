@@ -4,6 +4,8 @@ import io
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamcert.cli import CommandOutcome, main, run
 from hamcert.graph6 import parse_graph6, to_graph6
@@ -13,6 +15,7 @@ from hamcert.theorem import (
     parse_certificate,
     validate_certificate,
 )
+from tests.conftest import graphs_st
 
 
 def test_extremal_emits_graph6():
@@ -199,3 +202,45 @@ def test_outcome_is_frozen():
     outcome = CommandOutcome(0, "x")
     with pytest.raises(AttributeError):
         outcome.exit_code = 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "?"],  # the order-0 graph
+        ["certify", "?", "--k", "2"],
+        ["certify", "Bw", "--k", "-3"],
+        ["extremal", "--k", "40", "--n", "81"],  # order 121, beyond graph6
+    ],
+)
+def test_value_errors_are_input_errors(argv):
+    out = run(argv)
+    assert out.exit_code == 2
+    assert out.payload.startswith("error: ")
+
+
+def argv_for(command, text, a, b):
+    return {
+        "invariants": ["invariants", text],
+        "certify": ["certify", text, "--k", str(a)],
+        "trace": ["trace", text, "--k", str(a)],
+        "extremal": ["extremal", "--k", str(a), "--n", str(b)],
+        "verify": ["verify", "--n", str(b), "--k-min", str(a)],
+        "g6": ["g6", "decode" if a % 2 else "encode", text],
+    }[command]
+
+
+# graph6 text of at most 6 characters holds at most 30 edge bits, so at
+# most 8 vertices; verify orders stay at most 5
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["invariants", "certify", "trace", "extremal", "verify", "g6"]),
+    st.one_of(
+        graphs_st(max_n=6).map(to_graph6),
+        st.text(alphabet=[chr(c) for c in range(32, 127)], max_size=6),
+    ),
+    st.integers(-3, 8),
+    st.integers(-2, 5),
+)
+def test_run_never_raises(command, text, a, b):
+    assert run(argv_for(command, text, a, b)).exit_code in (0, 1, 2)

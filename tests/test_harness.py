@@ -9,9 +9,16 @@ import pytest
 
 from hamcert import harness
 from hamcert.graph6 import Graph6Error, decode_graph6, parse_graph6, to_graph6
-from hamcert.graphs import complete_graph, enumerate_labeled, from_edge_mask
+from hamcert.graphs import (
+    complete_graph,
+    enumerate_labeled,
+    from_edge_mask,
+    is_connected,
+    min_degree,
+)
 from hamcert.harness import VerificationReport, verify_order
 from hamcert.invariants import chromatic_number, independence_number, max_clique
+from hamcert.cycles import find_hamiltonian_cycle
 from hamcert.theorem import build_extremal
 
 from tests.conftest import relabeled
@@ -78,6 +85,29 @@ class TestInternalSweep:
         assert rep.counterexamples == []
         assert rep.lemma1_violations == 0
         assert rep.consistent()
+
+    def test_exact_stages_see_only_what_the_cheap_ones_leave(self, monkeypatch):
+        # first-fit bounds settle the coloring inequality for every graph at
+        # n = 6; exact omega and alpha run on the 4,348 candidates of the
+        # 32,768 graphs, batched chi on the 502 whose clique number misses
+        # the bound
+        sizes = {
+            "_clique_alpha": lambda np_, masks, n: masks.size,
+            "_chromatic_numbers": lambda np_, rows, *rest: rows[0].size,
+            "nordhaus_gaddum": lambda g: 1,
+        }
+        seen = dict.fromkeys(sizes, 0)
+        for name, size in sizes.items():
+            exact = getattr(harness, name)
+
+            def counted(*args, _exact=exact, _name=name, _size=size):
+                seen[_name] += _size(*args)
+                return _exact(*args)
+
+            monkeypatch.setattr(harness, name, counted)
+        rep = verify_order(6)
+        assert rep.hypothesis_hits == {2: 3168, 3: 1758, 4: 76, 5: 1}
+        assert seen == {"_clique_alpha": 4348, "_chromatic_numbers": 502, "nordhaus_gaddum": 0}
 
     def test_order_four_against_oracles(self):
         # independent recount of every tally the sweep produces
@@ -293,23 +323,19 @@ class TestStreamAgainstMaskPipeline:
         ]
 
     def test_loose_bounds_send_every_graph_to_the_exact_pair(self, monkeypatch):
-        # with chi bounds of n every graph is a Nordhaus-Gaddum suspect and
-        # needs its exact chi; a stand-in exact pair flags some graphs,
+        # with first-fit bounds of n every graph is a Nordhaus-Gaddum suspect
+        # and needs its exact chi; a stand-in exact pair flags some graphs,
         # which both paths must count
-        bounds = harness._chi_bounds
-
-        def loose(np_, rows, masks, n):
-            omega, ub, _ = bounds(np_, rows, masks, n)
-            top = np.full(ub.shape, n, np.uint8)
-            return omega, top, top
-
         exact = harness.nordhaus_gaddum
 
         def flagged(g):
             chi, chi_c, slack = exact(g)
             return chi, chi_c, -1 if g.edge_count() % 5 == 0 else slack
 
-        monkeypatch.setattr(harness, "_chi_bounds", loose)
+        def loose(np_, rows, order):
+            return np.full(rows[0].shape, len(rows), np.uint8)
+
+        monkeypatch.setattr(harness, "_greedy_bound", loose)
         monkeypatch.setattr(harness, "_first_fit_colors", lambda rows, order: len(rows))
         monkeypatch.setattr(harness, "nordhaus_gaddum", flagged)
         for n, lines in ((5, [to_graph6(g) for g in enumerate_labeled(5)]),
@@ -320,11 +346,17 @@ class TestStreamAgainstMaskPipeline:
 
 
 def population(n, masks):
-    """Adjacency rows and chi bounds of the labeled graphs with the given
-    edge masks, as the internal sweep computes them."""
+    """Adjacency rows, clique numbers and chi bounds of the labeled graphs
+    with the given edge masks, as the internal sweep computes them for its
+    candidates."""
     masks = np.asarray(masks, np.uint32)
     rows = harness._build_rows(np, masks, n)
-    omega, ub, _ = harness._chi_bounds(np, rows, masks, n)
+    omega, alpha = harness._clique_alpha(np, masks, n)
+    ub = np.minimum(
+        np.minimum(harness._greedy_bound(np, rows, range(n)),
+                   harness._greedy_bound(np, rows, range(n - 1, -1, -1))),
+        n + 1 - alpha,
+    )
     return masks, rows, omega, ub
 
 
@@ -375,10 +407,7 @@ class TestBatchedKernels:
     def test_chromatic_numbers_on_order_eight(self, complement):
         # the uint64 sums wrap; every graph8.g6 class, or its complement,
         # whose clique and greedy bounds disagree
-        masks = np.array([decode_graph6(t)[1] for t in graph8_lines()], np.uint32)
-        if complement:
-            masks ^= np.uint32((1 << 28) - 1)
-        masks, rows, omega, ub = population(8, masks)
+        masks, rows, omega, ub = population(8, self.graph8_masks(complement))
         unsettled = np.nonzero(omega != ub)[0]
         assert unsettled.size == (943 if complement else 1108)
         chi = harness._chromatic_numbers(
@@ -392,6 +421,52 @@ class TestBatchedKernels:
         ones = np.ones(1, np.uint8)
         with pytest.raises(ValueError, match="order 8"):
             harness._chromatic_numbers(np, rows, 9, ones, ones)
+
+    @staticmethod
+    def graph8_masks(complement):
+        masks = np.array([decode_graph6(t)[1] for t in graph8_lines()], np.uint32)
+        return masks ^ np.uint32((1 << 28) - 1) if complement else masks
+
+    @staticmethod
+    def labeled_or_graph8(source):
+        """Every labeled graph of order source, or the graph8.g6 classes."""
+        if source.startswith("graph8"):
+            return 8, TestBatchedKernels.graph8_masks(source.endswith("complements"))
+        n = int(source)
+        return n, np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
+
+    @pytest.mark.parametrize("source", ["1", "2", "3", "4", "5", "graph8", "graph8-complements"])
+    def test_greedy_bound_matches_first_fit(self, source):
+        # the complements of the graph8.g6 classes hold K8, whose eight
+        # colors need bit 7 of the uint8 forbidden set
+        n, masks = self.labeled_or_graph8(source)
+        rows = harness._build_rows(np, masks, n)
+        adj = [from_edge_mask(n, int(m)).adj for m in masks]
+        for order in (range(n), range(n - 1, -1, -1)):
+            bound = harness._greedy_bound(np, rows, order)
+            assert bound.dtype == np.uint8
+            assert bound.tolist() == [harness._first_fit_colors(a, order) for a in adj]
+
+    @pytest.mark.parametrize("source", ["6", "graph8"])
+    def test_candidate_rule_rejects_disconnected_graphs(self, source):
+        # so the internal sweep needs no connectivity stage of its own
+        n, masks = self.labeled_or_graph8(source)
+        rows = harness._build_rows(np, masks, n)
+        mindeg = np.min([np.bitwise_count(r) for r in rows], axis=0)
+        graphs = [from_edge_mask(n, int(m)) for m in masks]
+        split = [i for i, g in enumerate(graphs) if not is_connected(g) and min_degree(g) >= 2]
+        assert split
+        for order in (range(n), range(n - 1, -1, -1)):
+            ub = harness._greedy_bound(np, rows, order)
+            assert not harness._may_hit(n, n - 1, mindeg, ub)[split].any()
+
+    @pytest.mark.parametrize("source", ["3", "4", "5", "graph8"])
+    def test_hamiltonian_matches_solver(self, source):
+        n, masks = self.labeled_or_graph8(source)
+        masks = masks[::3] if n == 8 else masks
+        ham = harness._hamiltonian(np, harness._build_rows(np, masks, n), n)
+        expected = [find_hamiltonian_cycle(from_edge_mask(n, int(m))) is not None for m in masks]
+        assert ham.tolist() == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
     def test_clique_alpha_matches_solvers(self, n):

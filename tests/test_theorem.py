@@ -171,6 +171,29 @@ def test_certify_reports_failing_flag():
     assert exc.value.flag == "k_ge_2"
 
 
+def test_refusal_texts_and_exact_chi_last(monkeypatch):
+    # the texts name the first failing flag; a refusal on k or on
+    # connectivity computes no exact chromatic number
+    cases = [
+        (complete_graph(5), 1, "k = 1 is below 2"),
+        (path_graph(4), 2, "connectivity 1 is below k = 2"),
+        (cycle_graph(6), 2, "chromatic number 2 is below n - k = 4"),
+    ]
+    exact = theorem.chromatic_number
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return exact(g)
+
+    monkeypatch.setattr(theorem, "chromatic_number", counted)
+    for g, k, text in cases:
+        with pytest.raises(HypothesisError) as exc:
+            certify(g, k)
+        assert str(exc.value) == text
+    assert calls == [cycle_graph(6)]
+
+
 def test_certificate_serialization_round_trip():
     for g, k in [(complete_graph(5), 2), (build_extremal(2, 5), 2), (build_extremal(3, 9), 3)]:
         cert = certify(g, k)
