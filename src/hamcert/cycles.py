@@ -19,15 +19,18 @@ from hamcert.invariants import PathSystem
 # doubles per vertex and answers stop being desk-scale.
 MAX_LONGEST_CYCLE_ORDER = 16
 
-# Hamiltonian search reads the path table up to this order (a 2^(n-1)
-# uint32 table, 32 MiB at n = 24); beyond it backtracking takes over.
+# Hamiltonian search reads the path table up to this order; beyond it
+# backtracking takes over.  At n = 24 the fill holds the 2^23-row uint32
+# table (32 MiB), 23 MiB of bit slices and 16 MiB of unpacking scratch,
+# and takes about 0.5 s (2-core x86 host).
 MAX_HAMILTONIAN_DP_ORDER = 24
 
-# Orders up to this fill the path table in pure Python, larger ones in
-# numpy.  One fill from s = 0 costs 0.11 ms pure against 0.9 ms numpy at
-# n = 8 and 7.7 ms against 5.0 ms at n = 13 (2-core x86 host); at 13
-# the smaller tables of longest_cycle's later starts stay pure.
-_PURE_PYTHON_DP_ORDER = 13
+# A path table of 2^m rows, m = n - s - 1, is filled in pure Python below
+# this m and by bit slices in numpy from it on.  The median fill of
+# G(m + 1, p) from s = 0, p in {0.25, 0.45, 0.7}, costs 0.53 ms pure
+# against 0.68 ms bit-sliced at m = 9 and 1.25 ms against 0.92 ms at
+# m = 10 (2-core x86 host).
+_BIT_FILL_ROW_BITS = 10
 
 
 @dataclass(frozen=True)
@@ -124,12 +127,12 @@ def _path_ends(g: Graph, s: int):
 
     This is the Bellman / Held-Karp subset DP; both exact cycle solvers
     read their answers from this one table.  Its two fills give the same
-    table and the order alone picks one; either way T is a sequence of
-    ints.
+    table and its row count 2^(n - s - 1) alone picks one; either way T
+    is a sequence of ints.
     """
-    if g.n <= _PURE_PYTHON_DP_ORDER:
+    if g.n - s - 1 < _BIT_FILL_ROW_BITS:
         return _path_ends_python(g, s)
-    return _path_ends_numpy(g, s)
+    return _path_ends_bits(g, s)
 
 
 def _path_ends_python(g: Graph, s: int) -> list[int]:
@@ -148,29 +151,90 @@ def _path_ends_python(g: Graph, s: int) -> list[int]:
     return table
 
 
-def _path_ends_numpy(g: Graph, s: int) -> memoryview:
-    """The same table, filled layer by layer in popcount order: every
-    live row of a layer pushes each vertex it can reach to the row one
-    larger, one whole-layer array step per vertex."""
+# _LACKS[b] has the bits of a 64-bit word whose position lacks bit b
+_LACKS = [sum(1 << i for i in range(64) if not i >> b & 1) for b in range(6)]
+
+# the three steps of an 8 x 8 bit transpose in a 64-bit word, as
+# (mask, shift) (Warren, Hacker's Delight, section 7-3)
+_TRANSPOSE_STEPS = ((0x00AA00AA00AA00AA, 7), (0x0000CCCC0000CCCC, 14), (0x00000000F0F0F0F0, 28))
+
+
+def _path_ends_bits(g: Graph, s: int) -> memoryview:
+    """The same table, bit-sliced: ends[b] packs one bit per row r into
+    uint64 words, set when vertex s + 1 + b ends a path from s that spans
+    row r.
+
+    A vertex's slice takes its neighbours' slices from the rows that lack
+    its bit to the rows that have it: for bit b >= 6 that is a word
+    offset, the two halves of a (-1, 2, 2^(b - 6)) view, below 6 a shift
+    inside each word.  The updates run in place, and repeat until none
+    of them changes anything; each adds only true endpoints, and that
+    fixpoint is the table.  A vertex is read again only once one of its
+    neighbours has grown.
+    """
     import numpy as np
 
     m = g.n - s - 1
-    rows = np.arange(1 << m, dtype=np.uint32)
-    pop = np.bitwise_count(rows)
-    table = np.zeros(1 << m, dtype=np.uint32)
+    words = max(1, (1 << m) >> 6)
+    adj = [row >> (s + 1) for row in g.adj]
+    nbrs = [[c for c in range(m) if adj[s + 1 + b] >> c & 1] for b in range(m)]
+    # little-endian words, so that byte k of a slice holds rows 8k..8k+7
+    ends = np.zeros((m, words), "<u8")
+    for b in range(m):
+        if adj[s] >> b & 1:  # the path s, s + 1 + b
+            ends[b, (1 << b) >> 6] = 1 << ((1 << b) & 63)
+    acc = np.empty(words, "<u8")
+    # a vertex is stale when a neighbour has grown since it last read them
+    stale = [bool(cs) for cs in nbrs]
+    while any(stale):
+        for b, cs in enumerate(nbrs):
+            if not stale[b]:
+                continue
+            stale[b] = False
+            if b >= 6:
+                halves = ends.reshape(m, -1, 2, 1 << (b - 6))
+                dst = halves[b, :, 1]
+                new = acc[: words // 2].reshape(dst.shape)
+                np.copyto(new, halves[cs[0], :, 0])
+                for c in cs[1:]:
+                    new |= halves[c, :, 0]
+            else:
+                dst, new = ends[b], acc
+                np.copyto(new, ends[cs[0]])
+                for c in cs[1:]:
+                    new |= ends[c]
+                new &= np.uint64(_LACKS[b])
+                new <<= np.uint64(1 << b)
+            new |= dst
+            new ^= dst  # the endpoints dst lacks
+            if np.count_nonzero(new):
+                dst |= new
+                for c in cs:
+                    stale[c] = True
+
+    # unpack eight vertices at a time: byte i of word k holds the rows
+    # 8k..8k+7 of vertex i; transposed, byte i holds row 8k + i
+    rows = 1 << m
+    table = np.zeros(rows, "<u4")
+    columns = table.view(np.uint8).reshape(rows, 4)  # byte j: vertices 8j..8j+7
+    octets = np.empty((max(1, rows >> 3), 8), np.uint8)
+    word, tmp = octets.view("<u8").reshape(-1), np.empty(len(octets), "<u8")
+    for j in range((s + 1) >> 3, (g.n + 7) >> 3):
+        octets[...] = 0
+        for w in range(max(8 * j, s + 1), min(8 * j + 8, g.n)):
+            octets[:, w - 8 * j] = ends[w - s - 1].view(np.uint8)[: len(octets)]
+        for mask, shift in _TRANSPOSE_STEPS:
+            np.right_shift(word, np.uint64(shift), out=tmp)
+            tmp ^= word
+            tmp &= np.uint64(mask)
+            word ^= tmp
+            tmp <<= np.uint64(shift)
+            word ^= tmp
+        columns[:, j] = octets.reshape(-1)[:rows]
     table[0] = 1 << s
-    for layer in range(m):
-        live = rows[pop == layer]
-        live = live[table[live] != 0]
-        for b in range(m):
-            w = s + 1 + b
-            src = live[(live >> b) & 1 == 0]
-            dst = src[(table[src] & g.adj[w]) != 0] | (1 << b)
-            # dst holds distinct rows, so the fancy-indexed |= hits
-            # each slot once
-            table[dst] |= 1 << w
-    # a memoryview over the array indexes to plain ints, as the list does
-    return memoryview(table)
+    # a memoryview over the array indexes to plain ints, as the list does;
+    # it needs the native byte order (a copy only on big-endian hosts)
+    return memoryview(table.astype(np.uint32, copy=False))
 
 
 def _articulation_free(g: Graph) -> bool:
@@ -321,10 +385,9 @@ def longest_cycle(g: Graph) -> Cycle:
         if n - s <= best:
             break
         table = _path_ends(g, s)
-        rows = [r for r, ends in enumerate(table) if ends & g.adj[s]]
-        size = max(map(int.bit_count, rows), default=0) + 1
-        if size > best:
-            best, lead = size, (s, table, [r for r in rows if r.bit_count() + 1 == size])
+        size, frames = _largest_closing_rows(table, g.adj[s])
+        if size + 1 > best:
+            best, lead = size + 1, (s, table, frames)
     if lead is None:
         raise ValueError("graph has no cycle")
 
@@ -344,6 +407,22 @@ def longest_cycle(g: Graph) -> Cycle:
         path.append(vb.bit_length() - 1)
         used |= vb >> (s + 1)
     return Cycle(tuple(_checked(g, path, best)))
+
+
+def _largest_closing_rows(table, closers: int):
+    """The largest row size c among the rows r with table[r] & closers,
+    and those rows of size c (0 and none when no row closes).  An array
+    table is scanned in numpy, a list table in pure Python."""
+    if isinstance(table, list):
+        rows = [r for r, ends in enumerate(table) if ends & closers]
+        size = max(map(int.bit_count, rows), default=0)
+        return size, [r for r in rows if r.bit_count() == size]
+    import numpy as np
+
+    rows = np.flatnonzero(np.asarray(table) & closers)
+    sizes = np.bitwise_count(rows)
+    size = int(sizes.max(initial=0))
+    return size, rows[sizes == size].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Command-line interface: dispatch, exit codes, stdin plumbing."""
 
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +164,26 @@ class TestVerify:
         out = run(["verify", "--n", "8"])
         assert out.exit_code == 2
         assert "1..7" in out.payload
+
+    def test_stream_never_imports_numpy(self):
+        # the streamed sweep is pure Python: its path tables stay below the
+        # bit fill's row count, and its resident size depends on that
+        script = """
+import sys
+from hamcert.cli import run
+out = run(sys.argv[1:])
+assert out.exit_code == 0, out.payload
+assert "graphs 12346" in out.payload, out.payload
+assert "numpy" not in sys.modules, "verify --stream imported numpy"
+"""
+        root = Path(__file__).parent.parent
+        graph8 = root / "tests" / "data" / "graph8.g6"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, "verify", "--n", "8", "--stream", str(graph8)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestGraph6Utility:

@@ -147,7 +147,7 @@ def test_hamiltonian_matches_oracle_random_n7():
 
 
 def test_hamiltonian_vector_tier():
-    # orders above the pure-python cutoff route through the array DP
+    # tables of 2^10 rows and more route through the bit-sliced fill
     assert find_hamiltonian_cycle(cycle_graph(14)).vertices == tuple(range(14))
     assert find_hamiltonian_cycle(complete_bipartite(7, 9)) is None
     halves = disjoint_union(complete_graph(7), complete_graph(7))
@@ -168,23 +168,57 @@ def test_petersen_not_hamiltonian():
     assert find_hamiltonian_cycle(petersen_graph()) is None
 
 
+def _assert_fills_agree(g, s):
+    pure = cycles._path_ends_python(g, s)
+    assert list(cycles._path_ends_bits(g, s)) == pure, (g.adj, s)
+    assert len(pure) == 1 << (g.n - s - 1) and pure[0] == 1 << s
+    return pure
+
+
 def test_path_table_fills_agree():
-    # differential: the numpy fill gives the pure fill's table, entry for
-    # entry, for every start either solver reads
+    # differential: the bit-sliced fill gives the pure fill's table, entry
+    # for entry, for every start either solver reads
     rng = random.Random(13)
     graphs = [random_graph(n, p, rng) for n in range(8, 17) for p in (0.25, 0.45, 0.7)]
     graphs.append(with_edges(12, [(u, v) for u, v in complete_graph(12).edges() if 5 not in (u, v)]))
     for g in graphs:
         for s in range(g.n - 2):
-            pure = cycles._path_ends_python(g, s)
-            assert list(cycles._path_ends_numpy(g, s)) == pure, (g.adj, s)
-            assert len(pure) == 1 << (g.n - s - 1) and pure[0] == 1 << s
+            _assert_fills_agree(g, s)
+    for n in (17, 18):
+        _assert_fills_agree(random_graph(n, 0.3, rng), 0)
 
 
-def test_path_table_fill_chosen_by_order():
-    cut = cycles._PURE_PYTHON_DP_ORDER
+def test_path_table_fill_chosen_by_row_count():
+    # the row count 2^(n - s - 1) picks the fill, so one order can use both
+    cut = cycles._BIT_FILL_ROW_BITS
+    g = cycle_graph(cut + 2)
+    assert isinstance(cycles._path_ends(g, 0), memoryview)
+    assert isinstance(cycles._path_ends(g, 1), memoryview)
+    assert isinstance(cycles._path_ends(g, 2), list)
     assert isinstance(cycles._path_ends(cycle_graph(cut), 0), list)
-    assert isinstance(cycles._path_ends(cycle_graph(cut + 1), 0), memoryview)
+
+
+@pytest.mark.parametrize("n", [11, 14, 17])
+def test_bit_fill_reaches_descending_paths(n):
+    # the only Hamiltonian path from 0 runs 0, n-1, n-2, ..., 1: each
+    # ascending round of updates extends it by one vertex, so the fill
+    # must keep going until a round adds nothing, on both the in-word
+    # (b < 6) and the half-view (b >= 6) updates
+    path = with_edges(n, [(0, n - 1)] + [(v, v - 1) for v in range(n - 1, 1, -1)])
+    table = _assert_fills_agree(path, 0)
+    assert table[-1] == 1 << 1
+    assert find_hamiltonian_cycle(path) is None
+    closed = with_edges(n, list(path.edges()) + [(0, 1)])
+    _assert_fills_agree(closed, 0)
+    assert find_hamiltonian_cycle(closed).vertices == tuple(range(n))
+
+
+def test_bit_fill_start_without_neighbour():
+    # a start with no neighbour above it: every row but the first is empty
+    isolated = disjoint_union(edgeless_graph(1), complete_graph(11))
+    assert _assert_fills_agree(isolated, 0)[1:] == [0] * ((1 << 11) - 1)
+    pendant = with_edges(13, [(0, 1)] + [(u, v) for u, v in complete_graph(13).edges() if u > 1])
+    assert _assert_fills_agree(pendant, 1)[1:] == [0] * ((1 << 11) - 1)
 
 
 def _cycle_text(c):
@@ -210,10 +244,46 @@ HAMILTONIAN_GOLDEN = [
 ]
 
 
+# frozen at the layered numpy fill, above the orders the bench reaches:
+# a G(n, 0.2) with a planted Hamiltonian cycle, a relabeled
+# build_extremal(3, n), and at the order cap a G(24, 0.35) whose 13
+# vertices of an independent set no 24-cycle can hold
+HAMILTONIAN_GOLDEN_LARGE = [
+    (21, "planted", "0,1,3,4,5,2,6,12,7,8,14,19,9,15,13,16,11,17,18,10,20"),
+    (21, "extremal", None),
+    (22, "planted", "0,5,1,2,7,3,4,14,9,6,10,19,15,16,18,20,17,21,13,8,12,11"),
+    (22, "extremal", None),
+    (24, "independent 13", None),
+]
+
+
+def _planted(n, p, rng):
+    order = list(range(n))
+    rng.shuffle(order)
+    g = random_graph(n, p, rng)
+    return with_edges(n, list(g.edges()) + [(order[i - 1], order[i]) for i in range(n)])
+
+
+def _independent_13(n, rng):
+    loose = set(rng.sample(range(n), 13))
+    g = random_graph(n, 0.35, rng)
+    return with_edges(n, [(u, v) for u, v in g.edges() if not (u in loose and v in loose)])
+
+
 def test_hamiltonian_golden_outputs():
     rng = random.Random(14)
     for n, p, want in HAMILTONIAN_GOLDEN:
         assert _cycle_text(find_hamiltonian_cycle(random_graph(n, p, rng))) == want, (n, p)
+    assert cycles.MAX_HAMILTONIAN_DP_ORDER == 24
+    rng = random.Random(21)
+    for n, kind, want in HAMILTONIAN_GOLDEN_LARGE:
+        if kind == "planted":
+            g = _planted(n, 0.2, rng)
+        elif kind == "extremal":
+            g = relabeled(build_extremal(3, n), rng)
+        else:
+            g = _independent_13(n, rng)
+        assert _cycle_text(find_hamiltonian_cycle(g)) == want, (n, kind)
 
 
 @pytest.mark.parametrize(
@@ -221,10 +291,10 @@ def test_hamiltonian_golden_outputs():
     [
         # a table that calls every vertex an endpoint walks back into 0
         ("_path_ends_python", 5, lambda g, s: [(1 << g.n) - 1] * (1 << (g.n - 1))),
-        ("_path_ends_numpy", 14, lambda g, s: [(1 << g.n) - 1] * (1 << (g.n - 1))),
+        ("_path_ends_bits", 14, lambda g, s: [(1 << g.n) - 1] * (1 << (g.n - 1))),
         ("_hamiltonian_backtrack", 25, lambda g: [0, 2, 1] + list(range(3, g.n))),
     ],
-    ids=["_path_ends_python-5", "_path_ends_numpy-14", "_hamiltonian_backtrack-25"],
+    ids=["_path_ends_python-5", "_path_ends_bits-14", "_hamiltonian_backtrack-25"],
 )
 def test_hamiltonian_output_checked_without_assert(monkeypatch, tier, n, wrong):
     # a tier that returns a non-cycle is caught by an explicit check,
@@ -239,7 +309,7 @@ def test_solver_output_checked_under_python_O():
 from hamcert import cycles
 from hamcert.graphs import cycle_graph
 assert not __debug__
-cycles._path_ends_numpy = lambda g, s: [(1 << g.n) - 1] * (1 << (g.n - 1 - s))
+cycles._path_ends_bits = lambda g, s: [(1 << g.n) - 1] * (1 << (g.n - 1 - s))
 for solver in (cycles.find_hamiltonian_cycle, cycles.longest_cycle):
     try:
         solver(cycle_graph(14))
