@@ -8,21 +8,31 @@ graphs that the cheaper ones before it leave open:
    leave the coloring inequality chi + chi_c <= n + 1 open;
 2. the candidate rule (_may_hit) on minimum degree and the forward bound,
    then on the reverse-order bound;
-3. exact chi, exact connectivity and Hamiltonicity of the candidates, and
-   the certify replay of every non-Hamiltonian hypothesis hit, so the
-   fast paths never have the final word.
+3. exact chi of the candidates, then exact connectivity and Hamiltonicity
+   and the certify replay of every non-Hamiltonian hypothesis hit.
+
+Both sources settle stage 3 in the same two lane kernels and one tally
+(_kappa_lanes, _hamiltonian_lanes, _tally): a batch of candidates is a
+set of lanes, one bit per graph in a Python int, so that each int
+operation steps the whole batch.  A hit the Hamiltonicity kernel accepts
+is counted without a witness cycle; the tests hold both kernels to the
+single-graph solvers, whose cycles are checked, and the exact certifier
+settles every other hit.
 
 The internal source enumerates every labeled graph on n <= 7 vertices by
-edge bitmask and runs each stage as a whole-population numpy pass.  The
-exact clique and independence numbers of its candidates tighten the
-bound, and exact chi comes from a batched inclusion-exclusion count
-where the clique number misses it.
-Hamiltonicity is a batched fill of the path table the cycle solvers use.
+edge bitmask and runs the stages up to exact chi as whole-population
+numpy passes.  The exact clique and independence numbers of its
+candidates tighten the bound, and exact chi comes from a batched
+inclusion-exclusion count where the clique number misses it.  Its
+candidates enter the lane kernels in mask order.
 
 The streamed source takes one graph at a time and needs no numpy, whose
 import alone costs a stream process about 12 MB resident.  It takes
 exact chi from the single-graph solver and applies the candidate rule to
-it once more before exact connectivity and a Hamiltonian cycle.
+it once more; the candidates left are settled a block at a time, in line
+order.  The kernels' path table and cut enumeration double with each
+order, so above _LANE_KERNEL_MAX_ORDER the single-graph connectivity and
+Hamiltonian-cycle solvers fill the same lane sets for the tally.
 
 Work may be split into shards by edge-mask range; partial reports merge
 associatively, so totals are identical for every shard count.
@@ -265,64 +275,6 @@ def _chromatic_numbers(np, rows, n, omega, ub):
     return chi
 
 
-def _clamped_connectivity(np, rows, n, full, k_cap):
-    """Exact min(kappa, k_cap) for every graph in rows (assumed
-    connected); smallest separating-set size wins, no cut up to
-    k_cap - 1 means the clamp value."""
-    size = rows[0].shape
-    kappa = np.full(size, k_cap, np.uint8)
-    for cut_size in range(1, min(k_cap, n - 1)):
-        hit_this_size = np.zeros(size, bool)
-        for cut in combinations(range(n), cut_size):
-            cut_mask = 0
-            for v in cut:
-                cut_mask |= 1 << v
-            allowed = full ^ cut_mask
-            start = allowed & -allowed
-            seen = np.full(size, start, np.uint8)
-            keep = np.uint8(allowed)
-            live = [v for v in range(n) if allowed >> v & 1]
-            for _ in range(len(live) - 1):
-                for v in live:
-                    seen |= ((seen >> np.uint8(v)) & np.uint8(1)) * (rows[v] & keep)
-            hit_this_size |= (seen & keep) != keep
-        kappa = np.where(hit_this_size & (kappa == k_cap), np.uint8(cut_size), kappa)
-    return kappa
-
-
-def _hamiltonian(np, rows, n):
-    """Hamiltonicity of every graph given by adjacency rows, n >= 3: the
-    path table of cycles._path_ends from vertex 0, filled for all graphs
-    at once.  T[r] holds per graph the end vertices of the paths from 0
-    that span exactly 1 | (r << 1); a cycle closes a spanning path."""
-    table = [np.ones(rows[0].shape, np.uint8)]
-    for r in range(1, 1 << (n - 1)):
-        ends = np.zeros(rows[0].shape, np.uint8)
-        rest = r
-        while rest:
-            vb = rest & -rest
-            rest ^= vb
-            v = vb.bit_length()  # bit b of r is vertex b + 1
-            ends |= ((table[r ^ vb] & rows[v]) != 0).view(np.uint8) << np.uint8(v)
-        table.append(ends)
-    return (table[-1] & rows[0]) != 0
-
-
-def _replay(report, g, graph_hits, on_extremal) -> None:
-    """Tally the exact certificate of g for every k it hits; the exact
-    certifier recomputes kappa and chi independently of any vector pass."""
-    for k in graph_hits:
-        cert = certify(g, k)
-        if cert.kind == "hamiltonian":
-            report.hamiltonian += 1
-        elif cert.kind == "extremal":
-            report.extremal += 1
-            if on_extremal is not None:
-                on_extremal(to_graph6(g), k)
-        else:
-            report.counterexamples.append((to_graph6(g), k))
-
-
 def _verify_masks(n, ks, masks, on_extremal) -> VerificationReport:
     """Tally the labeled graphs of order n <= MAX_MASK_ORDER given by a
     uint32 array of their edge masks, in whole-array passes.  The stages
@@ -330,7 +282,6 @@ def _verify_masks(n, ks, masks, on_extremal) -> VerificationReport:
     cheaper ones before it leave open."""
     np = _np()
     report = VerificationReport(total_graphs=masks.size, hypothesis_hits={k: 0 for k in ks})
-    full = (1 << n) - 1
     forward, backward = range(n), range(n - 1, -1, -1)
     rows = _build_rows(np, masks, n)
     ub = _greedy_bound(np, rows, forward)
@@ -377,29 +328,173 @@ def _verify_masks(n, ks, masks, on_extremal) -> VerificationReport:
         np, [r[unsettled] for r in rows], n, omega[unsettled], chi[unsettled]
     )
 
-    kappa = _clamped_connectivity(np, rows, n, full, k_cap)
-
-    nhits = np.zeros(cand_idx.shape, np.uint8)
-    for k in ks:
-        hits_k = (kappa >= k) & (chi >= n - k)
-        report.hypothesis_hits[k] = int(np.count_nonzero(hits_k))
-        nhits += hits_k
-
-    hit_idx = np.nonzero(nhits)[0]
-    if hit_idx.size == 0:
-        return report
-
-    ham = _hamiltonian(np, [r[hit_idx] for r in rows], n)
-    report.hamiltonian += int(nhits[hit_idx][ham].sum())
-
-    # rare path: replay the non-Hamiltonian hits through the exact certifier
-    hmasks = cmasks[hit_idx]
-    hkappa = kappa[hit_idx]
-    hchi = chi[hit_idx]
-    for pos in np.nonzero(~ham)[0].tolist():
-        graph_hits = [k for k in ks if hkappa[pos] >= k and hchi[pos] >= n - k]
-        _replay(report, from_edge_mask(n, int(hmasks[pos])), graph_hits, on_extremal)
+    # exact kappa and Hamiltonicity in the lane kernels, one lane per
+    # candidate in mask order
+    adj = _packed_adjacency(np, rows, n)
+    _tally(
+        report, n, ks,
+        _kappa_lanes(adj, n, k_cap, (1 << cand_idx.size) - 1),
+        {n - k: _packed_lanes(np, chi >= n - k) for k in ks},
+        lambda lanes: _hamiltonian_lanes(adj, n, lanes),
+        lambda i: from_edge_mask(n, int(cmasks[i])),
+        on_extremal,
+    )
     return report
+
+
+def _packed_lanes(np, bits) -> int:
+    """The lane set of a bool or 0/1 array: bit i from element i."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _packed_adjacency(np, rows, n):
+    """The lane adjacency of the graphs given by uint8 adjacency rows."""
+    return _lane_adjacency(
+        n, lambda u, v: _packed_lanes(np, (rows[u] >> np.uint8(v)) & np.uint8(1))
+    )
+
+
+# ---------------------------------------------------------------------------
+# exact stages of both sources: lane kernels, one bit per graph
+#
+# A batch of graphs is a set of lanes, and a lane set is a Python int whose
+# bit i stands for graph i: bit-slicing (Biham, "A fast new DES
+# implementation in software", FSE 1997) with words as wide as the batch.
+# adj[u][v] is the lane set of the graphs with the edge uv, so one int
+# operation steps every graph of the batch at once.  The kernels need no
+# numpy and serve both sources.
+
+
+def _lanes(bits) -> int:
+    """The lane set whose bit i is the truth of the i-th item."""
+    return int("0" + "".join(["1" if b else "0" for b in bits])[::-1], 2)
+
+
+def _kappa_lanes(adj, n, k_cap, every):
+    """at_least[k], for k = 0 .. min(k_cap, n - 1): the lanes of every with
+    min(kappa, k_cap) >= k, which is no vertex set of size below k
+    separating the graph.
+
+    For each cut size c and each c-set S, reach[u] gathers the lanes in
+    which u is reachable in G - S from the lowest vertex outside S:
+    reach[u] |= reach[v] & adj[v][u], in place, with a vertex read again
+    only once it has grown, until a sweep changes nothing.  A lane with
+    some vertex outside S unreached is separated by S.  The empty cut
+    makes this exact on disconnected graphs too."""
+    at_least = [every]
+    for c in range(min(k_cap, n - 1)):
+        separated = 0
+        for cut in combinations(range(n), c):
+            live = [v for v in range(n) if v not in cut]
+            reach = [0] * n
+            reach[live[0]] = every
+            grown = [False] * n
+            grown[live[0]] = True
+            while any(grown):
+                for v in live:
+                    if not grown[v]:
+                        continue
+                    grown[v] = False
+                    at_v, row = reach[v], adj[v]
+                    for u in live:
+                        at_u = reach[u]
+                        if u == v or at_u == every:
+                            continue
+                        more = at_u | (at_v & row[u])
+                        if more != at_u:
+                            reach[u] = more
+                            grown[u] = True
+            for u in live:
+                separated |= every ^ reach[u]
+        at_least.append(at_least[-1] & ~separated)
+    return at_least
+
+
+def _hamiltonian_lanes(adj, n, lanes):
+    """The Hamiltonian graphs among the given lanes, n >= 3: the path table
+    of cycles._path_ends from vertex 0, one lane set per (row, end).  Row r
+    maps each end v to the lanes in which some path from 0 spans exactly
+    1 | (r << 1) and ends at v; a cycle closes a spanning path."""
+    table = [{0: lanes}]
+    for r in range(1, 1 << (n - 1)):
+        ends = {}
+        rest = r
+        while rest:
+            vb = rest & -rest
+            rest ^= vb
+            v = vb.bit_length()  # bit b of r is vertex b + 1
+            at_v = 0
+            for u, at_u in table[r ^ vb].items():
+                at_v |= at_u & adj[u][v]
+            if at_v:
+                ends[v] = at_v
+        table.append(ends)
+    closed = 0
+    for v, at_v in table[-1].items():
+        closed |= at_v & adj[v][0]
+    return closed
+
+
+def _lane_indices(lanes):
+    """The lanes of a lane set, ascending, in one pass over its bits;
+    graphs.iter_bits costs a pass per lane, 3.3 against 0.4 ms for 245
+    lanes among 191,595 (the n = 7 replays)."""
+    bits = format(lanes, "b")[::-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
+
+
+def _lane_adjacency(n, pair_lanes):
+    """adj[u][v] = adj[v][u] = pair_lanes(u, v) for u < v; 0 on the diagonal."""
+    adj = [[0] * n for _ in range(n)]
+    for u, v in combinations(range(n), 2):
+        adj[u][v] = adj[v][u] = pair_lanes(u, v)
+    return adj
+
+
+def _graph_adjacency(n, graphs):
+    """The lane adjacency of a list of order-n graphs."""
+    return _lane_adjacency(n, lambda u, v: _lanes(g.adj[u] >> v & 1 for g in graphs))
+
+
+def _tally(report, n, ks, kappa_at_least, chi_at_least, hamiltonian, graph, on_extremal):
+    """Count and settle the hypothesis hits of a batch of lanes, for both
+    sources.  kappa_at_least[k] and chi_at_least[n - k] are lane sets, the
+    hits for k are the lanes in both; hamiltonian(lanes) returns the
+    Hamiltonian lanes among the given ones, and graph(i) builds the graph
+    of lane i for the certify replay of each non-Hamiltonian hit, in lane
+    order."""
+    hits = {k: kappa_at_least[k] & chi_at_least[n - k] for k in ks}
+    every_hit = 0
+    for k, lanes in hits.items():
+        report.hypothesis_hits[k] += lanes.bit_count()
+        every_hit |= lanes
+    if not every_hit:
+        return
+    ham = hamiltonian(every_hit)
+    for lanes in hits.values():
+        report.hamiltonian += (lanes & ham).bit_count()
+    # rare path: replay the non-Hamiltonian hits through the exact certifier
+    missed = {k: set(_lane_indices(lanes & ~ham)) for k, lanes in hits.items()}
+    for i in _lane_indices(every_hit & ~ham):
+        _replay(report, graph(i), [k for k in ks if i in missed[k]], on_extremal)
+
+
+def _replay(report, g, graph_hits, on_extremal) -> None:
+    """Tally the exact certificate of g for every k it hits; the exact
+    certifier recomputes kappa and chi independently of any vector pass."""
+    for k in graph_hits:
+        cert = certify(g, k)
+        if cert.kind == "hamiltonian":
+            report.hamiltonian += 1
+        elif cert.kind == "extremal":
+            report.extremal += 1
+            if on_extremal is not None:
+                on_extremal(to_graph6(g), k)
+        else:
+            report.counterexamples.append((to_graph6(g), k))
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +516,37 @@ def _first_fit_colors(rows, order) -> int:
     return len(classes)
 
 
+# The largest order whose stream candidates the lane kernels settle; above
+# it the single-graph solvers fill the lanes.  A block costs the kernels a
+# fixed 2^(n-1) path-table rows and about 2^n cuts, and the solvers a
+# fixed time per candidate.  Measured on the candidates of seeded
+# G(n, 0.8) streams, k window (2, n - 1), 2-core Xeon, kernels against
+# solvers: 4,096 candidates 18 vs 811 ms at n = 8, 51 vs 3,099 ms at
+# n = 10, 162 vs 5,428 ms at n = 12, 350 vs 7,625 ms at n = 13; one
+# candidate 1.2 vs 0.3 ms at n = 8 and 40 vs 2 ms at n = 12.  The kernels
+# win from about 8 candidates at n = 8 and 50 at n = 12, and lose at most
+# their fixed cost on a short block.  Their table doubles with the order:
+# a full block adds 5 MB peak at n = 12, 13 MB at 13 and 31 MB at 14.
+_LANE_KERNEL_MAX_ORDER = 12
+
+# Candidates per block of the streamed source: the lane kernels settle a
+# block at a time, which bounds the memory of a long stream.  On a seeded
+# G(12, 0.8) stream with 9,094 candidates (2-core Xeon), blocks of 512,
+# 4,096 and all of them took 3.6, 2.6 and 2.4 s and added 2.7, 8.7 and
+# 19 MB peak; at n = 8 (5,328 candidates) every size added about 1 MB.
+_STREAM_BLOCK = 4096
+
+
 def _verify_stream(n, ks, lines, on_extremal) -> VerificationReport:
     """One graph at a time, cheap checks first: first-fit bounds settle the
     coloring inequality and the chromatic condition for almost every
-    graph, and exact chi, kappa and a Hamiltonian cycle are computed only
-    for the graphs that still need them."""
+    graph, and exact chi is computed only for the graphs that still need
+    it.  The candidates left, with their chi, are settled a block at a
+    time in line order."""
     report = VerificationReport(hypothesis_hits={k: 0 for k in ks})
     full = (1 << n) - 1
     forward, backward = range(n), range(n - 1, -1, -1)
+    block = []
     for line_no, raw in enumerate(lines, 1):
         text = raw.strip()
         if not text:
@@ -469,19 +587,44 @@ def _verify_stream(n, ks, lines, on_extremal) -> VerificationReport:
             chi = chromatic_number(g)[0]
         if not _may_hit(n, ks[-1], delta, chi):
             continue
-        # no k below max(k_min, n - chi) can be hit, so kappa is needed
-        # exactly only from there on
-        kappa = vertex_connectivity(g, stop_below=max(ks[0], n - chi))
-        graph_hits = [k for k in ks if kappa >= k and chi >= n - k]
-        if not graph_hits:
-            continue
-        for k in graph_hits:
-            report.hypothesis_hits[k] += 1
-        if find_hamiltonian_cycle(g) is not None:
-            report.hamiltonian += len(graph_hits)
-            continue
-        _replay(report, g, graph_hits, on_extremal)
+        block.append((g, chi))
+        if len(block) == _STREAM_BLOCK:
+            _settle_block(report, n, ks, block, on_extremal)
+            block = []
+    if block:
+        _settle_block(report, n, ks, block, on_extremal)
     return report
+
+
+def _settle_block(report, n, ks, block, on_extremal) -> None:
+    """Exact kappa and Hamiltonicity of a block of stream candidates,
+    (graph, chi) pairs in line order, one lane each, into the tally."""
+    chi_at_least = {n - k: _lanes(chi >= n - k for _, chi in block) for k in ks}
+    if n <= _LANE_KERNEL_MAX_ORDER:
+        adj = _graph_adjacency(n, [g for g, _ in block])
+        kappa_at_least = _kappa_lanes(adj, n, ks[-1], (1 << len(block)) - 1)
+
+        def hamiltonian(lanes):
+            return _hamiltonian_lanes(adj, n, lanes)
+
+    else:
+        # the kernels' table and cuts double with each order, so the
+        # single-graph solvers fill the same lane sets; no k below
+        # max(k_min, n - chi) can be hit, so kappa is exact only from
+        # there on, which is all the tally reads
+        kappa = [vertex_connectivity(g, stop_below=max(ks[0], n - chi)) for g, chi in block]
+        kappa_at_least = [_lanes(x >= k for x in kappa) for k in range(ks[-1] + 1)]
+
+        def hamiltonian(lanes):
+            return _lanes(
+                lanes >> i & 1 and find_hamiltonian_cycle(g) is not None
+                for i, (g, _) in enumerate(block)
+            )
+
+    _tally(
+        report, n, ks, kappa_at_least, chi_at_least, hamiltonian,
+        lambda i: block[i][0], on_extremal,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -402,9 +402,12 @@ def trace_proof(g: Graph, k: int) -> ProofTrace:
     def done(conclusion: str) -> ProofTrace:
         return ProofTrace(tuple(steps), conclusion)
 
-    ham = find_hamiltonian_cycle(g)
-    if ham is not None:
-        add("hamiltonian", "graph is Hamiltonian; nothing to prove", True, _cycle_str(ham))
+    # the exact longest cycle answers Hamiltonicity too, from one path
+    # table: on a Hamiltonian graph it is the lexicographically least
+    # Hamiltonian cycle, which find_hamiltonian_cycle also returns
+    c0 = longest_cycle(g)
+    if len(c0) == n:
+        add("hamiltonian", "graph is Hamiltonian; nothing to prove", True, _cycle_str(c0))
         return done("hamiltonian")
 
     # (1) a non-Hamiltonian graph here cannot be this small: minimum
@@ -412,8 +415,7 @@ def trace_proof(g: Graph, k: int) -> ProofTrace:
     if not add("order-bound", f"n = {n} >= 2k+1 = {2 * k + 1}", n >= 2 * k + 1):
         return done("inconsistent")
 
-    # (2) exact longest cycle and the lowest off-cycle vertex
-    c0 = longest_cycle(g)
+    # (2) the longest cycle and the lowest off-cycle vertex
     off0 = [v for v in range(n) if v not in c0]
     if not add(
         "longest-cycle",

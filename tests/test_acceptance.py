@@ -40,8 +40,9 @@ from hamcert.cycles import (
 )
 from hamcert.harness import (
     _build_rows,
-    _clamped_connectivity,
     _clique_alpha,
+    _kappa_lanes,
+    _packed_adjacency,
     verify_order,
 )
 from hamcert.theorem import (
@@ -267,7 +268,14 @@ def _alpha_kappa_survivors(n):
     if idx.size == 0:
         return np.zeros(0, np.uint32)
     sub_rows = [rows[v][idx] for v in range(n)]
-    kappa = _clamped_connectivity(np, sub_rows, n, full, n - 1)
+    at_least = _kappa_lanes(_packed_adjacency(np, sub_rows, n), n, n - 1, (1 << idx.size) - 1)
+    # kappa <= n - 1, so it is the number of k in 1..n-1 it reaches
+    kappa = np.zeros(idx.size, np.uint8)
+    for lanes in at_least[1:]:
+        kappa += np.unpackbits(
+            np.frombuffer(lanes.to_bytes((idx.size + 7) // 8, "little"), np.uint8),
+            count=idx.size, bitorder="little",
+        )
     match = (kappa >= 2) & (kappa.astype(np.int16) + 1 == alpha[idx].astype(np.int16))
     return masks[idx[np.nonzero(match)[0]]]
 

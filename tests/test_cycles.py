@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from hamcert.graphs import (
     petersen_graph,
     with_edges,
 )
+from hamcert.graph6 import parse_graph6
 from hamcert.invariants import PathSystem, menger_fan
 from hamcert import cycles
 from hamcert.cycles import (
@@ -430,6 +432,25 @@ def test_longest_cycle_golden_outputs():
         g = build_extremal(k, n)
         assert _cycle_text(longest_cycle(g)) == canonical, (k, n)
         assert _cycle_text(longest_cycle(relabeled(g, rng))) == moved, (k, n)
+
+
+def test_longest_cycle_is_the_hamiltonian_cycle_when_there_is_one():
+    # trace_proof reads Hamiltonicity and its witness from longest_cycle
+    # alone: on a Hamiltonian graph both solvers return the
+    # lexicographically least Hamiltonian cycle from 0
+    graph8 = Path(__file__).parent / "data" / "graph8.g6"
+    graphs = [parse_graph6(t) for t in graph8.read_text(encoding="ascii").split()]
+    rng = random.Random(16)
+    graphs += [
+        random_graph(n, p, rng) for n in range(3, 17) for p in (0.3, 0.5, 0.7) for _ in range(8)
+    ]
+    checked = 0
+    for g in graphs:
+        ham = find_hamiltonian_cycle(g)
+        if ham is not None:
+            assert longest_cycle(g).vertices == ham.vertices, g.adj
+            checked += 1
+    assert checked > 5000
 
 
 def test_longest_cycle_frozen_values():

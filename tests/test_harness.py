@@ -11,17 +11,25 @@ from hamcert import harness
 from hamcert.graph6 import Graph6Error, decode_graph6, parse_graph6, to_graph6
 from hamcert.graphs import (
     complete_graph,
+    complement,
+    cycle_graph,
     enumerate_labeled,
     from_edge_mask,
     is_connected,
     min_degree,
+    with_edges,
 )
 from hamcert.harness import VerificationReport, verify_order
-from hamcert.invariants import chromatic_number, independence_number, max_clique
+from hamcert.invariants import (
+    chromatic_number,
+    independence_number,
+    max_clique,
+    vertex_connectivity,
+)
 from hamcert.cycles import find_hamiltonian_cycle
-from hamcert.theorem import build_extremal
+from hamcert.theorem import build_extremal, certify
 
-from tests.conftest import relabeled
+from tests.conftest import random_graph, relabeled
 from tests.oracles import (
     oracle_chromatic,
     oracle_hamiltonian_cycle,
@@ -233,8 +241,15 @@ class TestStreamedSource:
     def test_order_eight_calls_exact_solvers_only_where_needed(self, monkeypatch):
         # cheap first: the first-fit bounds settle the coloring inequality
         # for every class, and exact chi runs only on the 708 graphs that
-        # pass the chromatic condition on their bounds
-        calls = {"nordhaus_gaddum": 0, "chromatic_number": 0, "vertex_connectivity": 0}
+        # pass the chromatic condition on their bounds; kappa and
+        # Hamiltonicity come from the lane kernels, so the single-graph
+        # solvers run only inside the two certify replays, through theorem
+        calls = {
+            "nordhaus_gaddum": 0,
+            "chromatic_number": 0,
+            "vertex_connectivity": 0,
+            "find_hamiltonian_cycle": 0,
+        }
         for name in calls:
             exact = getattr(harness, name)
 
@@ -245,7 +260,12 @@ class TestStreamedSource:
             monkeypatch.setattr(harness, name, counted)
         rep = verify_order(8, (2, 7), source="graph6", stream=iter(graph8_lines()))
         assert rep.hits_total == 843
-        assert calls == {"nordhaus_gaddum": 0, "chromatic_number": 708, "vertex_connectivity": 666}
+        assert calls == {
+            "nordhaus_gaddum": 0,
+            "chromatic_number": 708,
+            "vertex_connectivity": 0,
+            "find_hamiltonian_cycle": 0,
+        }
 
 
 def mask_pipeline(n, k_range, lines, on_extremal=None):
@@ -291,8 +311,11 @@ def split_certify(monkeypatch):
 
 
 class TestStreamAgainstMaskPipeline:
-    """The per-graph stream against the internal sweep's array passes on
-    the same graphs, field by field."""
+    """The stream's per-graph filter against the internal sweep's array
+    passes on the same graphs, field by field.  Both settle their
+    candidates in the same lane kernels, so this holds the filters and
+    the lane building to each other; the kernels are held to the
+    single-graph solvers in TestBatchedKernels and TestLaneKernels."""
 
     @pytest.mark.parametrize("n, k_range", [(5, (2, 4)), (5, (3, 3)), (5, (4, 2)), (6, (2, 5))])
     def test_all_labeled_graphs(self, monkeypatch, n, k_range):
@@ -460,13 +483,18 @@ class TestBatchedKernels:
             ub = harness._greedy_bound(np, rows, order)
             assert not harness._may_hit(n, n - 1, mindeg, ub)[split].any()
 
-    @pytest.mark.parametrize("source", ["3", "4", "5", "graph8"])
+    @pytest.mark.parametrize("source", ["3", "4", "5", "graph8", "graph8-complements"])
     def test_hamiltonian_matches_solver(self, source):
+        # the lane kernel alone decides Hamiltonicity of the hits of both
+        # sources, so it is held to the checked solver on every input
         n, masks = self.labeled_or_graph8(source)
-        masks = masks[::3] if n == 8 else masks
-        ham = harness._hamiltonian(np, harness._build_rows(np, masks, n), n)
+        adj = mask_lanes(n, masks)
+        ham = harness._hamiltonian_lanes(adj, n, (1 << masks.size) - 1)
         expected = [find_hamiltonian_cycle(from_edge_mask(n, int(m))) is not None for m in masks]
-        assert ham.tolist() == expected
+        assert lane_list(ham, masks.size) == expected
+        # only the given lanes are decided
+        some = int("10" * masks.size, 2) & ((1 << masks.size) - 1)
+        assert harness._hamiltonian_lanes(adj, n, some) == ham & some
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
     def test_clique_alpha_matches_solvers(self, n):
@@ -478,3 +506,158 @@ class TestBatchedKernels:
         graphs = [from_edge_mask(n, int(m)) for m in masks]
         assert omega.tolist() == [max_clique(g).bit_count() for g in graphs]
         assert alpha.tolist() == [independence_number(g)[0] for g in graphs]
+
+
+def lane_list(lanes, count):
+    """The truth of each of the first count lanes of a lane set."""
+    return [bit == "1" for bit in format(lanes, f"0{count}b")[::-1]][:count]
+
+
+def mask_lanes(n, masks):
+    """The lane adjacency of labeled graphs given by edge masks, built as
+    the internal sweep builds it."""
+    return harness._packed_adjacency(np, harness._build_rows(np, masks, n), n)
+
+
+class TestLaneKernels:
+    """The lane kernels that both sources share, one bit per graph, against
+    the single-graph solvers."""
+
+    @pytest.mark.parametrize("source", ["3", "4", "5", "graph8", "graph8-complements"])
+    def test_kappa_matches_solver_at_every_cap(self, source):
+        n, masks = TestBatchedKernels.labeled_or_graph8(source)
+        adj = mask_lanes(n, masks)
+        kappa = [vertex_connectivity(from_edge_mask(n, int(m))) for m in masks]
+        # disconnected, cut-vertex and complete graphs among the inputs
+        assert {0, 1, n - 1} <= set(kappa)
+        for cap in range(2, n):
+            at_least = harness._kappa_lanes(adj, n, cap, (1 << masks.size) - 1)
+            assert len(at_least) == cap + 1
+            for k, lanes in enumerate(at_least):
+                assert lane_list(lanes, masks.size) == [min(x, cap) >= k for x in kappa], (cap, k)
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_kappa_sweeps_reach_descending_paths(self, n):
+        # the path 0, n-1, ..., 1, and a fan of 0 over the path 1, n-1,
+        # ..., 2, which leaves that path in G - 0: an ascending sweep
+        # reaches one more vertex of it each time, so any cap on the
+        # sweeps below the fixpoint separates these graphs
+        path = [0] + list(range(n - 1, 0, -1))
+        down = with_edges(n, list(zip(path, path[1:])))
+        fan = with_edges(n, [(0, v) for v in path[1:]] + list(zip([1] + path[1:-1], path[1:-1])))
+        graphs = [down, fan, relabeled(fan, random.Random(n)), complete_graph(n)]
+        assert [vertex_connectivity(g) for g in graphs] == [1, 2, 2, n - 1]
+        adj = harness._graph_adjacency(n, graphs)
+        for cap in range(2, n):
+            at_least = harness._kappa_lanes(adj, n, cap, 0b1111)
+            assert [lane_list(lanes, 4) for lanes in at_least] == [
+                [min(vertex_connectivity(g), cap) >= k for g in graphs] for k in range(cap + 1)
+            ]
+
+    def test_both_sources_build_the_same_lanes(self):
+        n, masks = TestBatchedKernels.labeled_or_graph8("graph8")
+        graphs = [from_edge_mask(n, int(m)) for m in masks]
+        assert harness._graph_adjacency(n, graphs) == mask_lanes(n, masks)
+        assert harness._lanes([]) == 0
+        assert harness._lanes([True, False, True, False]) == 0b101
+        assert harness._lanes(g.edge_count() > 20 for g in graphs) == harness._packed_lanes(
+            np, np.array([g.edge_count() > 20 for g in graphs])
+        )
+
+    def test_lane_indices(self):
+        assert list(harness._lane_indices(0)) == []
+        assert list(harness._lane_indices(0b1011001)) == [0, 3, 4, 6]
+        assert list(harness._lane_indices(1 << 5000 | 2)) == [1, 5000]
+
+
+class TestStreamBlocks:
+    """The stream settles its candidates a block at a time; the block
+    boundaries change nothing."""
+
+    @staticmethod
+    def stream(n, lines, block, monkeypatch):
+        monkeypatch.setattr(harness, "_STREAM_BLOCK", block)
+        calls = []
+        rep = verify_order(
+            n, (2, n - 1), source="graph6", stream=iter(lines),
+            on_extremal=lambda g6, k: calls.append((g6, k)),
+        )
+        return rep, calls
+
+    @pytest.mark.parametrize("block", [1, 5])
+    @pytest.mark.parametrize("source", ["6", "graph8"])
+    def test_blocks_match_one_block_and_mask_pipeline(self, monkeypatch, block, source):
+        split_certify(monkeypatch)
+        if source == "6":
+            n, lines = 6, [to_graph6(g) for g in enumerate_labeled(6)]
+        else:
+            rng = random.Random(8)
+            n = 8
+            lines = [to_graph6(relabeled(parse_graph6(t), rng)) for t in graph8_lines()]
+            rng.shuffle(lines)
+        blocked, blocked_calls = self.stream(n, lines, block, monkeypatch)
+        whole, whole_calls = self.stream(n, lines, len(lines), monkeypatch)
+        vector_calls = []
+        vector = mask_pipeline(n, (2, n - 1), lines, lambda g6, k: vector_calls.append((g6, k)))
+        assert report_fingerprint(blocked) == report_fingerprint(whole) == report_fingerprint(vector)
+        assert blocked_calls == whole_calls == vector_calls
+        # replays run in line order
+        line_of = {text: i for i, text in enumerate(lines)}
+        for seen in (blocked_calls, blocked.counterexamples):
+            order = [line_of[g6] for g6, _ in seen]
+            assert order == sorted(order)
+        if n == 6:
+            assert len(blocked_calls) > 5 and len(blocked.counterexamples) > 5
+
+    @pytest.mark.parametrize("branch", ["lanes", "per-graph"])
+    def test_orders_above_the_mask_pipeline_with_a_k_window(self, monkeypatch, branch):
+        # the lane kernels settle the stream up to _LANE_KERNEL_MAX_ORDER
+        # and the single-graph solvers fill the lanes above it; the other
+        # branch must not run
+        def refused(*args, **kwargs):
+            raise AssertionError(f"the other branch ran on the {branch} branch")
+
+        if branch == "lanes":
+            n = harness.MAX_MASK_ORDER + 1
+            refuse = ("vertex_connectivity", "find_hamiltonian_cycle")
+        else:
+            n = harness._LANE_KERNEL_MAX_ORDER + 1
+            refuse = ("_kappa_lanes", "_hamiltonian_lanes")
+        for name in refuse:
+            monkeypatch.setattr(harness, name, refused)
+        rng = random.Random(n)
+        graphs = [build_extremal(k, n) for k in (2, 3, 4)]
+        graphs += [relabeled(g, rng) for g in graphs]
+        graphs += [complete_graph(n), cycle_graph(n), complement(cycle_graph(n))]
+        # near-complete graphs reach chi >= n - 4
+        graphs += [complement(random_graph(n, p, rng)) for p in (0.05, 0.1, 0.2) for _ in range(6)]
+        graphs += [random_graph(n, p, rng) for p in (0.5, 0.7) for _ in range(3)]
+        rng.shuffle(graphs)
+        lines = [to_graph6(g) for g in graphs]
+        window = (3, 4)
+
+        hits, kinds, extremal_calls = {3: 0, 4: 0}, [], []
+        for g in graphs:
+            kappa, chi = vertex_connectivity(g), chromatic_number(g)[0]
+            for k in (3, 4):
+                if kappa >= k and chi >= n - k:
+                    hits[k] += 1
+                    kinds.append(certify(g, k).kind)
+                    if kinds[-1] == "extremal":
+                        extremal_calls.append((to_graph6(g), k))
+        assert hits[3] > 4 and hits[4] > 4 and kinds.count("extremal") >= 4
+
+        for block in (2, 4096):
+            monkeypatch.setattr(harness, "_STREAM_BLOCK", block)
+            calls = []
+            rep = verify_order(
+                n, window, source="graph6", stream=iter(lines),
+                on_extremal=lambda g6, k: calls.append((g6, k)),
+            )
+            assert rep.total_graphs == len(graphs)
+            assert rep.hypothesis_hits == hits
+            assert (rep.hamiltonian, rep.extremal) == (
+                kinds.count("hamiltonian"), kinds.count("extremal"),
+            )
+            assert rep.counterexamples == []
+            assert calls == extremal_calls

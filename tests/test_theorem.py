@@ -20,7 +20,7 @@ from hamcert.invariants import (
     independence_number,
     vertex_connectivity,
 )
-from hamcert import theorem
+from hamcert import cycles, theorem
 from hamcert.cycles import find_hamiltonian_cycle, longest_cycle
 from hamcert.theorem import (
     Certificate,
@@ -362,6 +362,30 @@ def test_trace_absorb_steps_on_a_short_cycle(monkeypatch, n, tail):
     monkeypatch.setattr(theorem, "longest_cycle", one_short)
     lines = format_trace(trace_proof(build_extremal(2, n), 2)).splitlines()
     assert lines[-3:] == tail + ["conclusion inconsistent"]
+
+
+@pytest.mark.parametrize(
+    "g, k",
+    [
+        (complete_graph(6), 3),
+        (build_extremal(2, 7), 2),
+        (relabeled(build_extremal(3, 9), random.Random(9)), 3),
+    ],
+    ids=["hamiltonian", "extremal-2-7", "relabeled-extremal-3-9"],
+)
+def test_trace_fills_the_path_table_from_zero_once(monkeypatch, g, k):
+    # Hamiltonicity comes from the longest cycle's own table
+    starts = []
+    fill = cycles._path_ends
+
+    def counted(h, s):
+        starts.append(s)
+        return fill(h, s)
+
+    monkeypatch.setattr(cycles, "_path_ends", counted)
+    trace = trace_proof(g, k)
+    assert trace.all_passed
+    assert starts.count(0) == 1
 
 
 def test_certify_and_trace_payloads_golden():
