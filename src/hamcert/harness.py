@@ -6,33 +6,37 @@ graphs that the cheaper ones before it leave open:
 1. first-fit greedy bounds on the graph and its complement; the reverse
    vertex order and then the exact Nordhaus-Gaddum pair only where they
    leave the coloring inequality chi + chi_c <= n + 1 open;
-2. the candidate rule (_may_hit) on minimum degree and the forward bound,
-   then on the reverse-order bound;
+2. the candidate rule (_may_hit) on minimum degree and the bound of both
+   orders;
 3. exact chi of the candidates, then exact connectivity and Hamiltonicity
    and the certify replay of every non-Hamiltonian hypothesis hit.
 
-Both sources settle stage 3 in the same two lane kernels and one tally
-(_kappa_lanes, _hamiltonian_lanes, _tally): a batch of candidates is a
-set of lanes, one bit per graph in a Python int, so that each int
-operation steps the whole batch.  A hit the Hamiltonicity kernel accepts
-is counted without a witness cycle; the tests hold both kernels to the
-single-graph solvers, whose cycles are checked, and the exact certifier
-settles every other hit.
+Both sources run every stage but exact chi in the same lane kernels: a
+batch of graphs is a set of lanes, one bit per graph in a Python int, so
+that each int operation steps the whole batch.  Stages 1 and 2 run on
+every graph of a batch (_cheap_stages: _first_fit_lanes, _degree_lanes,
+_may_hit), stage 3 on its candidates (_kappa_lanes, _hamiltonian_lanes,
+_tally).  A hit the Hamiltonicity kernel accepts is counted without a
+witness cycle; the tests hold the kernels to the single-graph solvers,
+whose cycles are checked, and to first-fit and degree references, and
+the exact certifier settles every other hit.
 
 The internal source enumerates every labeled graph on n <= 7 vertices by
-edge bitmask and runs the stages up to exact chi as whole-population
-numpy passes.  The exact clique and independence numbers of its
+edge bitmask and builds the lanes of all of them from the mask array
+with numpy.  The exact clique and independence numbers of its
 candidates tighten the bound, and exact chi comes from a batched
 inclusion-exclusion count where the clique number misses it.  Its
-candidates enter the lane kernels in mask order.
+candidates enter the exact kernels in mask order.
 
-The streamed source takes one graph at a time and needs no numpy, whose
-import alone costs a stream process about 12 MB resident.  It takes
-exact chi from the single-graph solver and applies the candidate rule to
-it once more; the candidates left are settled a block at a time, in line
-order.  The kernels' path table and cut enumeration double with each
-order, so above _LANE_KERNEL_MAX_ORDER the single-graph connectivity and
-Hamiltonian-cycle solvers fill the same lane sets for the tally.
+The streamed source works a block of lines at a time and needs no numpy,
+whose import alone costs a stream process about 12 MB resident.  It
+decodes each line to an edge mask, builds the lanes of a block of masks
+in pure Python, and builds a Graph only for the candidates, with exact
+chi from the single-graph solver; the candidates are settled a block at
+a time, in line order.  The exact kernels' path table and cut
+enumeration double with each order, so above _LANE_KERNEL_MAX_ORDER the
+single-graph connectivity and Hamiltonian-cycle solvers fill the same
+lane sets for the tally.
 
 Work may be split into shards by edge-mask range; partial reports merge
 associatively, so totals are identical for every shard count.
@@ -44,13 +48,8 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from hamcert.graph6 import MAX_GRAPH6_ORDER, Graph6Error, parse_graph6, to_graph6
-from hamcert.graphs import (
-    MAX_ENUMERATION_ORDER,
-    from_edge_mask,
-    min_degree,
-    triangle_pairs,
-)
+from hamcert.graph6 import MAX_GRAPH6_ORDER, Graph6Error, decode_graph6, to_graph6
+from hamcert.graphs import MAX_ENUMERATION_ORDER, from_edge_mask, triangle_pairs
 from hamcert.invariants import chromatic_number, nordhaus_gaddum, vertex_connectivity
 from hamcert.cycles import find_hamiltonian_cycle
 from hamcert.theorem import certify
@@ -154,44 +153,6 @@ def _build_rows(np, masks, n):
     return rows
 
 
-def _greedy_bound(np, rows, order):
-    """Colors used by first-fit greedy coloring in the given vertex order,
-    for every graph: _first_fit_colors in whole-array passes.
-
-    uint8 is exact up to MAX_MASK_ORDER = 8: a vertex sees at most n - 1
-    colored neighbours, so forb < 2^(n-1) and forb + 1 <= 128."""
-    color = [None] * len(rows)
-    ncol = np.zeros(rows[0].shape, np.uint8)
-    for pos, v in enumerate(order):
-        forb = np.zeros(rows[0].shape, np.uint8)
-        for u in order[:pos]:
-            forb |= ((rows[v] >> np.uint8(u)) & np.uint8(1)) << color[u]
-        # the lowest color not forbidden
-        c = np.bitwise_count((~forb & (forb + np.uint8(1))) - np.uint8(1))
-        color[v] = c
-        ncol = np.maximum(ncol, c + np.uint8(1))
-    return ncol
-
-
-def _complement_rows(np, rows, n):
-    full = (1 << n) - 1
-    return [(~rows[v]) & np.uint8(full ^ (1 << v)) for v in range(n)]
-
-
-def _may_hit(n, k_max, delta, ub):
-    """The candidate rule, on Python ints for one graph or on numpy arrays
-    for many: a hit for some k <= k_max needs kappa >= k >= 2 and
-    chi >= n - k, and kappa <= delta and chi <= ub, so it needs
-    delta >= 2 and ub >= n - min(delta, k_max).  delta <= n - 1, so
-    n - delta cannot wrap in uint8.
-
-    A first-fit bound also rejects every disconnected graph: each
-    component has at least delta + 1 vertices and first fit colors it
-    apart from the others, with at most its own size in colors, so
-    ub <= n - delta - 1."""
-    return (delta >= 2) & (ub >= n - delta) & (ub >= n - k_max)
-
-
 def _clique_alpha(np, masks, n):
     """Exact clique and independence numbers for every mask.
 
@@ -277,46 +238,25 @@ def _chromatic_numbers(np, rows, n, omega, ub):
 
 def _verify_masks(n, ks, masks, on_extremal) -> VerificationReport:
     """Tally the labeled graphs of order n <= MAX_MASK_ORDER given by a
-    uint32 array of their edge masks, in whole-array passes.  The stages
-    run in _verify_stream's order, each only on the graphs that the
-    cheaper ones before it leave open."""
+    uint32 array of their edge masks.  The cheap stages run in the lane
+    kernels over every mask at once; the candidates' rows, clique and
+    independence numbers and exact chi are whole-array passes."""
     np = _np()
     report = VerificationReport(total_graphs=masks.size, hypothesis_hits={k: 0 for k in ks})
-    forward, backward = range(n), range(n - 1, -1, -1)
-    rows = _build_rows(np, masks, n)
-    ub = _greedy_bound(np, rows, forward)
-
-    # first-fit bounds witness chi + chi_c <= n+1 for almost every graph;
-    # then a second order, then the exact pair
-    ub_c = _greedy_bound(np, _complement_rows(np, rows, n), forward)
-    open_idx = np.nonzero(ub + ub_c > n + 1)[0]
-    if open_idx.size:
-        orows = [r[open_idx] for r in rows]
-        ocrows = _complement_rows(np, orows, n)
-        ub_o = np.minimum(ub[open_idx], _greedy_bound(np, orows, backward))
-        ub_c = np.minimum(ub_c[open_idx], _greedy_bound(np, ocrows, backward))
-        for i in open_idx[ub_o + ub_c > n + 1].tolist():
-            if nordhaus_gaddum(from_edge_mask(n, int(masks[i])))[2] < 0:
-                report.lemma1_violations += 1
-
-    if not ks:
+    cand, more = _cheap_stages(
+        report, n, ks, _packed_edge_lanes(np, masks, n), (1 << masks.size) - 1,
+        lambda i: from_edge_mask(n, int(masks[i])),
+    )
+    if not cand:
         return report
     k_cap = ks[-1]
-
-    # the candidate rule on the forward bound, then on the backward bound
-    # of the graphs left
-    mindeg = np.bitwise_count(rows[0])
-    for r in rows[1:]:
-        np.minimum(mindeg, np.bitwise_count(r), out=mindeg)
-    cand_idx = np.nonzero(_may_hit(n, k_cap, mindeg, ub))[0]
-    rows = [r[cand_idx] for r in rows]
-    ub = np.minimum(ub[cand_idx], _greedy_bound(np, rows, backward))
-    keep = _may_hit(n, k_cap, mindeg[cand_idx], ub)
-    cand_idx, ub = cand_idx[keep], ub[keep]
-    if cand_idx.size == 0:
-        return report
-    rows = [r[keep] for r in rows]
+    cand_idx = np.nonzero(_unpacked_lanes(np, cand, masks.size))[0]
     cmasks = masks[cand_idx]
+    # the two-order first-fit bound of each candidate: first fit uses
+    # more than c colors for each c below it
+    ub = np.ones(cand_idx.size, np.uint8)
+    for lanes in more[1:n]:
+        ub += _unpacked_lanes(np, lanes, masks.size)[cand_idx]
 
     # exact clique and independence numbers of the candidates: n + 1 -
     # alpha bounds chi from above, and chi is free where omega meets the
@@ -324,13 +264,12 @@ def _verify_masks(n, ks, masks, on_extremal) -> VerificationReport:
     omega, alpha = _clique_alpha(np, cmasks, n)
     chi = np.minimum(ub, n + 1 - alpha)
     unsettled = np.nonzero(omega != chi)[0]
-    chi[unsettled] = _chromatic_numbers(
-        np, [r[unsettled] for r in rows], n, omega[unsettled], chi[unsettled]
-    )
+    rows = _build_rows(np, cmasks[unsettled], n)
+    chi[unsettled] = _chromatic_numbers(np, rows, n, omega[unsettled], chi[unsettled])
 
     # exact kappa and Hamiltonicity in the lane kernels, one lane per
     # candidate in mask order
-    adj = _packed_adjacency(np, rows, n)
+    adj = _packed_edge_lanes(np, cmasks, n)
     _tally(
         report, n, ks,
         _kappa_lanes(adj, n, k_cap, (1 << cand_idx.size) - 1),
@@ -347,27 +286,177 @@ def _packed_lanes(np, bits) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def _packed_adjacency(np, rows, n):
-    """The lane adjacency of the graphs given by uint8 adjacency rows."""
+def _unpacked_lanes(np, lanes, count):
+    """The first count lanes of a lane set as a 0/1 uint8 array."""
+    data = np.frombuffer(lanes.to_bytes((count + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(data, count=count, bitorder="little")
+
+
+def _packed_edge_lanes(np, masks, n):
+    """The lane adjacency of the graphs given by a uint32 array of edge
+    masks.  Byte b of eight masks fills a little-endian uint64 word, an
+    8 x 8 bit matrix with a row per mask, and three swaps of its
+    off-diagonal blocks transpose it (Warren, Hacker's Delight, 7-3): byte
+    q of word j then holds bit q of masks 8j .. 8j + 7, which is byte j of
+    the lane set of pair 8b + q.  At n = 7 that takes 21 ms for every mask;
+    a packbits of the bit array of each pair takes 45 ms, and one along
+    the masks over their unpacked bytes 150 ms."""
+    nbytes = (n * (n - 1) // 2 + 7) // 8
+    words = -(-masks.size // 8)
+    data = np.zeros((nbytes, words * 8), np.uint8)
+    mask_bytes = np.ascontiguousarray(masks, "<u4").view(np.uint8).reshape(-1, 4)
+    data[:, :masks.size] = mask_bytes[:, :nbytes].T
+    x = data.view("<u8")
+    for shift, swap in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0xF0F0F0F0)):
+        shift = np.uint64(shift)
+        t = ((x >> shift) ^ x) & np.uint64(swap)
+        x ^= t ^ (t << shift)
+    lanes = np.ascontiguousarray(data.reshape(nbytes, words, 8).transpose(0, 2, 1))
     return _lane_adjacency(
-        n, lambda u, v: _packed_lanes(np, (rows[u] >> np.uint8(v)) & np.uint8(1))
+        n, [int.from_bytes(row.tobytes(), "little") for row in lanes.reshape(8 * nbytes, words)]
     )
 
 
 # ---------------------------------------------------------------------------
-# exact stages of both sources: lane kernels, one bit per graph
+# stages of both sources: lane kernels, one bit per graph
 #
 # A batch of graphs is a set of lanes, and a lane set is a Python int whose
 # bit i stands for graph i: bit-slicing (Biham, "A fast new DES
 # implementation in software", FSE 1997) with words as wide as the batch.
 # adj[u][v] is the lane set of the graphs with the edge uv, so one int
 # operation steps every graph of the batch at once.  The kernels need no
-# numpy and serve both sources.
+# numpy and serve both sources.  A complement is taken as every ^ x, and
+# y minus x as y ^ (y & x): ~x builds a negative int, and on lane sets of
+# 2^21 bits ~x takes 50-70 us against 12 us for every ^ x, and y & ~x
+# 290 us against 135 us.
 
 
 def _lanes(bits) -> int:
     """The lane set whose bit i is the truth of the i-th item."""
     return int("0" + "".join(["1" if b else "0" for b in bits])[::-1], 2)
+
+
+def _lane_adjacency(n, pair_lanes):
+    """adj[u][v] = adj[v][u] = the lane set of the t-th pair (u, v) of
+    triangle_pairs(n); 0 on the diagonal."""
+    adj = [[0] * n for _ in range(n)]
+    for (u, v), lanes in zip(triangle_pairs(n), pair_lanes):
+        adj[u][v] = adj[v][u] = lanes
+    return adj
+
+
+def _edge_lanes(n, masks):
+    """The lane adjacency of the graphs given by a list of edge masks, in
+    pure Python: one binary string of every mask, last mask first, whose
+    every p-th character from p - 1 - t on is the lane set of pair t,
+    read most significant lane first."""
+    p = n * (n - 1) // 2
+    text = "".join([format(mask, f"0{p}b") for mask in reversed(masks)])
+    return _lane_adjacency(n, [int(text[p - 1 - t::p], 2) for t in range(p)])
+
+
+def _complement_lanes(adj, every):
+    """The lane adjacency of the complements."""
+    return [[0 if u == v else every ^ x for v, x in enumerate(row)] for u, row in enumerate(adj)]
+
+
+def _first_fit_lanes(adj, order, every):
+    """more[c], c = 0 .. n: the lanes of every in which first-fit greedy
+    coloring in the given vertex order uses more than c colors.  First fit
+    uses colors 0, 1, ... without gaps, so the bound ub >= t is more[t - 1]
+    and ub == a is more[a - 1] ^ more[a]; more[n] is empty.
+
+    classes[c] holds (u, lanes) for the lanes in which u took color c.  A
+    vertex takes color c in the lanes where every color below c is taken
+    by an earlier neighbour and c is not."""
+    n = len(adj)
+    classes: list[list[tuple[int, int]]] = []
+    more = [0] * (n + 1)
+    for v in order:
+        row = adj[v]
+        blocked = every
+        for c, members in enumerate(classes):
+            taken = 0
+            for u, at_u in members:
+                taken |= at_u & row[u]
+            free = blocked ^ (blocked & taken)
+            if free:
+                members.append((v, free))
+                more[c] |= free
+            blocked &= taken
+            if not blocked:
+                break
+        else:
+            if blocked:
+                more[len(classes)] = blocked
+                classes.append([(v, blocked)])
+    return more
+
+
+def _degree_lanes(adj, cap, every):
+    """at_least[d], d = 0 .. cap: the lanes of every whose minimum degree is
+    at least d, from one saturating bit-sliced counter per vertex."""
+    at_least = [every] * (cap + 1)
+    for v, row in enumerate(adj):
+        count = [every] + [0] * cap
+        for seen, lanes in enumerate(x for u, x in enumerate(row) if u != v):
+            for d in range(min(seen + 1, cap), 0, -1):
+                count[d] |= count[d - 1] & lanes
+        for d in range(1, cap + 1):
+            at_least[d] &= count[d]
+    return at_least
+
+
+def _coloring_open(n, more, more_c):
+    """The lanes whose first-fit bounds on the graph and its complement
+    leave chi + chi_c <= n + 1 open: ub + ub_c >= n + 2, which is ub >= a
+    and ub_c >= n + 2 - a for a = ub."""
+    suspects = 0
+    for a in range(2, n + 1):
+        suspects |= more[a - 1] & more_c[n + 1 - a]
+    return suspects
+
+
+def _may_hit(n, k_max, degree, more):
+    """The candidate rule: a hit for some k <= k_max needs kappa >= k >= 2
+    and chi >= n - k, and kappa <= delta and chi <= ub, so it needs delta
+    >= d and ub >= n - d for some d in 2 .. k_max (take d = min(delta,
+    k_max)).  degree is _degree_lanes up to k_max, more the bound as in
+    _first_fit_lanes.
+
+    A first-fit bound also rejects every disconnected graph: each
+    component has at least delta + 1 vertices and first fit colors it
+    apart from the others, with at most its own size in colors, so
+    ub <= n - delta - 1."""
+    hit = 0
+    for d in range(2, k_max + 1):
+        hit |= degree[d] & more[n - d - 1]
+    return hit
+
+
+def _cheap_stages(report, n, ks, adj, every, graph):
+    """Stages 1 and 2 on a batch of lanes, for both sources: first fit in
+    the forward order on the graph and its complement; the reverse order
+    and then the exact Nordhaus-Gaddum pair of graph(i) for each lane i
+    still open, whose lemma 1 violations go to report; the candidate rule
+    on the bound of both orders.  Returns the candidate lanes and that
+    bound, as in _first_fit_lanes."""
+    forward, backward = range(n), range(n - 1, -1, -1)
+    comp = _complement_lanes(adj, every)
+    more = _first_fit_lanes(adj, forward, every)
+    more_c = _first_fit_lanes(comp, forward, every)
+    suspects = _coloring_open(n, more, more_c)
+    if suspects or ks:
+        # the bound of both orders: the lanes in which both exceed c
+        more = [a & b for a, b in zip(more, _first_fit_lanes(adj, backward, every))]
+    if suspects:
+        more_c = [a & b for a, b in zip(more_c, _first_fit_lanes(comp, backward, every))]
+        for i in _lane_indices(_coloring_open(n, more, more_c)):
+            if nordhaus_gaddum(graph(i))[2] < 0:
+                report.lemma1_violations += 1
+    if not ks:
+        return 0, more
+    return _may_hit(n, ks[-1], _degree_lanes(adj, ks[-1], every), more), more
 
 
 def _kappa_lanes(adj, n, k_cap, every):
@@ -406,7 +495,7 @@ def _kappa_lanes(adj, n, k_cap, every):
                             grown[u] = True
             for u in live:
                 separated |= every ^ reach[u]
-        at_least.append(at_least[-1] & ~separated)
+        at_least.append(at_least[-1] & (every ^ separated))
     return at_least
 
 
@@ -444,19 +533,6 @@ def _lane_indices(lanes):
     while i >= 0:
         yield i
         i = bits.find("1", i + 1)
-
-
-def _lane_adjacency(n, pair_lanes):
-    """adj[u][v] = adj[v][u] = pair_lanes(u, v) for u < v; 0 on the diagonal."""
-    adj = [[0] * n for _ in range(n)]
-    for u, v in combinations(range(n), 2):
-        adj[u][v] = adj[v][u] = pair_lanes(u, v)
-    return adj
-
-
-def _graph_adjacency(n, graphs):
-    """The lane adjacency of a list of order-n graphs."""
-    return _lane_adjacency(n, lambda u, v: _lanes(g.adj[u] >> v & 1 for g in graphs))
 
 
 def _tally(report, n, ks, kappa_at_least, chi_at_least, hamiltonian, graph, on_extremal):
@@ -501,21 +577,6 @@ def _replay(report, g, graph_hits, on_extremal) -> None:
 # streamed source
 
 
-def _first_fit_colors(rows, order) -> int:
-    """Colors used by first-fit greedy coloring in the given vertex order:
-    the bound _greedy_bound computes, for one graph."""
-    classes: list[int] = []
-    for v in order:
-        row = rows[v]
-        for i, cls in enumerate(classes):
-            if not row & cls:
-                classes[i] = cls | 1 << v
-                break
-        else:
-            classes.append(1 << v)
-    return len(classes)
-
-
 # The largest order whose stream candidates the lane kernels settle; above
 # it the single-graph solvers fill the lanes.  A block costs the kernels a
 # fixed 2^(n-1) path-table rows and about 2^n cuts, and the solvers a
@@ -529,79 +590,72 @@ def _first_fit_colors(rows, order) -> int:
 # a full block adds 5 MB peak at n = 12, 13 MB at 13 and 31 MB at 14.
 _LANE_KERNEL_MAX_ORDER = 12
 
-# Candidates per block of the streamed source: the lane kernels settle a
-# block at a time, which bounds the memory of a long stream.  On a seeded
-# G(12, 0.8) stream with 9,094 candidates (2-core Xeon), blocks of 512,
-# 4,096 and all of them took 3.6, 2.6 and 2.4 s and added 2.7, 8.7 and
-# 19 MB peak; at n = 8 (5,328 candidates) every size added about 1 MB.
+# Valid lines per block of the streamed source, and candidates per block
+# of its exact stages: the cheap lane kernels run on a block of lines and
+# the candidates they leave are settled once a block of them has gathered,
+# which bounds the memory of a long stream.  Measured on a 2-core Xeon,
+# blocks of 512, 1,024, 4,096 and 16,384: a seeded G(12, 0.8) stream of
+# 12,000 lines took 1.51, 1.27, 1.13 and 1.12 s with a traced heap peak of
+# 2.8, 4.8, 16.8 and 24.5 MB; graph8.g6 took 0.051-0.055 s and peaked at
+# 0.2-1.8 MB at every size.
 _STREAM_BLOCK = 4096
 
 
 def _verify_stream(n, ks, lines, on_extremal) -> VerificationReport:
-    """One graph at a time, cheap checks first: first-fit bounds settle the
-    coloring inequality and the chromatic condition for almost every
-    graph, and exact chi is computed only for the graphs that still need
-    it.  The candidates left, with their chi, are settled a block at a
-    time in line order."""
+    """A block of lines at a time: the cheap stages run in the lane
+    kernels on the edge masks of a block of valid lines, a Graph is built
+    only for the candidates they leave, with its exact chi, and the
+    candidates are settled a block at a time in line order."""
     report = VerificationReport(hypothesis_hits={k: 0 for k in ks})
-    full = (1 << n) - 1
-    forward, backward = range(n), range(n - 1, -1, -1)
-    block = []
+    masks, block = [], []
     for line_no, raw in enumerate(lines, 1):
         text = raw.strip()
         if not text:
             continue
         try:
-            g = parse_graph6(text)
+            order, mask = decode_graph6(text)
         except Graph6Error as err:
             report.errors.append((line_no, str(err)))
             continue
-        if g.n != n:
-            report.errors.append((line_no, f"expected order {n}, got {g.n}"))
+        if order != n:
+            report.errors.append((line_no, f"expected order {n}, got {order}"))
             continue
-        report.total_graphs += 1
-        rows = g.adj
-        crows = [full ^ (1 << v) ^ row for v, row in enumerate(rows)]
-        ub = _first_fit_colors(rows, forward)
-        ub_c = _first_fit_colors(crows, forward)
-        # as in the mask pipeline, greedy bounds witness chi + chi_c <= n+1
-        # for almost every graph; then a second order, then the exact pair
-        chi = None
-        if ub + ub_c > n + 1:
-            ub = min(ub, _first_fit_colors(rows, backward))
-            ub_c = min(ub_c, _first_fit_colors(crows, backward))
-            if ub + ub_c > n + 1:
-                chi, _, slack = nordhaus_gaddum(g)
-                if slack < 0:
-                    report.lemma1_violations += 1
-        if not ks:
-            continue
-        # the candidate rule on the bound of either order, then on chi
-        delta = min_degree(g)
-        if not (
-            _may_hit(n, ks[-1], delta, ub)
-            and _may_hit(n, ks[-1], delta, _first_fit_colors(rows, backward))
-        ):
-            continue
-        if chi is None:
-            chi = chromatic_number(g)[0]
-        if not _may_hit(n, ks[-1], delta, chi):
-            continue
-        block.append((g, chi))
-        if len(block) == _STREAM_BLOCK:
-            _settle_block(report, n, ks, block, on_extremal)
-            block = []
+        masks.append(mask)
+        if len(masks) == _STREAM_BLOCK:
+            block += _stream_candidates(report, n, ks, masks)
+            masks = []
+            if len(block) >= _STREAM_BLOCK:
+                _settle_block(report, n, ks, block, on_extremal)
+                block = []
+    if masks:
+        block += _stream_candidates(report, n, ks, masks)
     if block:
         _settle_block(report, n, ks, block, on_extremal)
     return report
 
 
+def _stream_candidates(report, n, ks, masks):
+    """The cheap stages on the edge masks of a block of lines, whose
+    graphs and lemma 1 violations go to report: the candidates as (mask,
+    graph, chi) in line order."""
+    report.total_graphs += len(masks)
+    cand, _ = _cheap_stages(
+        report, n, ks, _edge_lanes(n, masks), (1 << len(masks)) - 1,
+        lambda i: from_edge_mask(n, masks[i]),
+    )
+    block = []
+    for i in _lane_indices(cand):
+        g = from_edge_mask(n, masks[i])
+        block.append((masks[i], g, chromatic_number(g)[0]))
+    return block
+
+
 def _settle_block(report, n, ks, block, on_extremal) -> None:
     """Exact kappa and Hamiltonicity of a block of stream candidates,
-    (graph, chi) pairs in line order, one lane each, into the tally."""
-    chi_at_least = {n - k: _lanes(chi >= n - k for _, chi in block) for k in ks}
+    (mask, graph, chi) in line order, one lane each, into the tally."""
+    chi_at_least = {n - k: _lanes(chi >= n - k for _, _, chi in block) for k in ks}
     if n <= _LANE_KERNEL_MAX_ORDER:
-        adj = _graph_adjacency(n, [g for g, _ in block])
+        adj = _edge_lanes(n, [mask for mask, _, _ in block])
         kappa_at_least = _kappa_lanes(adj, n, ks[-1], (1 << len(block)) - 1)
 
         def hamiltonian(lanes):
@@ -610,20 +664,24 @@ def _settle_block(report, n, ks, block, on_extremal) -> None:
     else:
         # the kernels' table and cuts double with each order, so the
         # single-graph solvers fill the same lane sets; no k below
-        # max(k_min, n - chi) can be hit, so kappa is exact only from
-        # there on, which is all the tally reads
-        kappa = [vertex_connectivity(g, stop_below=max(ks[0], n - chi)) for g, chi in block]
+        # max(k_min, n - chi) can be hit, and none at all where chi < n -
+        # k_max, so kappa is exact only from there on, which is all the
+        # tally reads
+        kappa = [
+            vertex_connectivity(g, stop_below=max(ks[0], n - chi)) if chi >= n - ks[-1] else 0
+            for _, g, chi in block
+        ]
         kappa_at_least = [_lanes(x >= k for x in kappa) for k in range(ks[-1] + 1)]
 
         def hamiltonian(lanes):
             return _lanes(
                 lanes >> i & 1 and find_hamiltonian_cycle(g) is not None
-                for i, (g, _) in enumerate(block)
+                for i, (_, g, _) in enumerate(block)
             )
 
     _tally(
         report, n, ks, kappa_at_least, chi_at_least, hamiltonian,
-        lambda i: block[i][0], on_extremal,
+        lambda i: block[i][1], on_extremal,
     )
 
 

@@ -2,9 +2,10 @@
 
 Everything here is written for obviousness, not speed, and deliberately
 shares no algorithmic ideas with the package under test: colorings are
-found by plain backtracking over vertices in label order, cliques and
-independent sets by full subset sweeps, connectivity by deleting every
-candidate cut set, cycles by permutation search.  Keep it that way.
+found by plain backtracking over vertices in label order, first-fit
+bounds by their definition, cliques and independent sets by full subset
+sweeps, connectivity by deleting every candidate cut set, cycles by
+permutation search.  Keep it that way.
 """
 
 from __future__ import annotations
@@ -46,6 +47,16 @@ def oracle_chromatic(g: Graph) -> int:
     while not oracle_is_colorable(g, t):
         t += 1
     return t
+
+
+def oracle_first_fit_colors(g: Graph, order) -> int:
+    """Colors used by first-fit greedy coloring in the given vertex order:
+    each vertex takes the least color no earlier neighbour holds."""
+    colors: dict[int, int] = {}
+    for v in order:
+        held = {colors[u] for u in colors if g.adj[v] >> u & 1}
+        colors[v] = min(c for c in range(g.n + 1) if c not in held)
+    return len(set(colors.values()))
 
 
 def oracle_clique_number(g: Graph) -> int:

@@ -42,7 +42,7 @@ from hamcert.harness import (
     _build_rows,
     _clique_alpha,
     _kappa_lanes,
-    _packed_adjacency,
+    _packed_edge_lanes,
     verify_order,
 )
 from hamcert.theorem import (
@@ -267,8 +267,7 @@ def _alpha_kappa_survivors(n):
     idx = np.nonzero(pre)[0]
     if idx.size == 0:
         return np.zeros(0, np.uint32)
-    sub_rows = [rows[v][idx] for v in range(n)]
-    at_least = _kappa_lanes(_packed_adjacency(np, sub_rows, n), n, n - 1, (1 << idx.size) - 1)
+    at_least = _kappa_lanes(_packed_edge_lanes(np, masks[idx], n), n, n - 1, (1 << idx.size) - 1)
     # kappa <= n - 1, so it is the number of k in 1..n-1 it reaches
     kappa = np.zeros(idx.size, np.uint8)
     for lanes in at_least[1:]:

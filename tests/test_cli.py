@@ -1,7 +1,9 @@
 """Command-line interface: dispatch, exit codes, stdin plumbing."""
 
 import io
+import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -19,7 +21,7 @@ from hamcert.theorem import (
     parse_certificate,
     validate_certificate,
 )
-from tests.conftest import graphs_st
+from tests.conftest import graphs_st, random_graph
 
 
 def test_extremal_emits_graph6():
@@ -165,22 +167,37 @@ class TestVerify:
         assert out.exit_code == 2
         assert "1..7" in out.payload
 
-    def test_stream_never_imports_numpy(self):
-        # the streamed sweep is pure Python: its path tables stay below the
-        # bit fill's row count, and its resident size depends on that
+    def test_stream_never_imports_numpy(self, tmp_path):
+        # the streamed sweep is pure Python: its lane builder, lane kernels
+        # and path tables need no numpy, and its resident size depends on
+        # that.  The seeded order-20 stream runs the lane builder and the
+        # cheap kernels above the mask pipeline's order; its graphs are too
+        # sparse to be candidates, since a hit there would reach the
+        # single-graph Hamiltonian solver, whose bit fill uses numpy from
+        # order 11 on
         script = """
-import sys
+import json, sys
 from hamcert.cli import run
-out = run(sys.argv[1:])
-assert out.exit_code == 0, out.payload
-assert "graphs 12346" in out.payload, out.payload
+for argv, graphs in json.loads(sys.argv[1]):
+    out = run(argv)
+    assert out.exit_code == 0, out.payload
+    assert f"graphs {graphs}" in out.payload, out.payload
+    assert "counterexamples 0" in out.payload, out.payload
 assert "numpy" not in sys.modules, "verify --stream imported numpy"
 """
         root = Path(__file__).parent.parent
         graph8 = root / "tests" / "data" / "graph8.g6"
+        rng = random.Random(20)
+        lines = [to_graph6(random_graph(20, p, rng)) for p in (0.1, 0.2, 0.3) for _ in range(20)]
+        order20 = tmp_path / "order20.g6"
+        order20.write_text("\n".join(lines) + "\n", encoding="ascii")
+        runs = [
+            (["verify", "--n", "8", "--stream", str(graph8)], 12346),
+            (["verify", "--n", "20", "--stream", str(order20)], len(lines)),
+        ]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
         done = subprocess.run(
-            [sys.executable, "-c", script, "verify", "--n", "8", "--stream", str(graph8)],
+            [sys.executable, "-c", script, json.dumps(runs)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hamcert import harness
+from hamcert import graph6, harness
 from hamcert.graph6 import Graph6Error, decode_graph6, parse_graph6, to_graph6
 from hamcert.graphs import (
     complete_graph,
@@ -32,6 +32,7 @@ from hamcert.theorem import build_extremal, certify
 from tests.conftest import random_graph, relabeled
 from tests.oracles import (
     oracle_chromatic,
+    oracle_first_fit_colors,
     oracle_hamiltonian_cycle,
     oracle_vertex_connectivity,
 )
@@ -239,25 +240,30 @@ class TestStreamedSource:
         assert [line_no for line_no, _ in rep.errors] == [3]
 
     def test_order_eight_calls_exact_solvers_only_where_needed(self, monkeypatch):
-        # cheap first: the first-fit bounds settle the coloring inequality
-        # for every class, and exact chi runs only on the 708 graphs that
-        # pass the chromatic condition on their bounds; kappa and
-        # Hamiltonicity come from the lane kernels, so the single-graph
-        # solvers run only inside the two certify replays, through theorem
+        # cheap first: the lane kernels settle the coloring inequality for
+        # every class on edge masks, and a graph is built, with its exact
+        # chi, only for the 708 that pass the candidate rule on their
+        # bounds; no line is parsed to a graph, and the harness no longer
+        # imports parse_graph6, so its count is taken on the name the
+        # harness would bind.  kappa and Hamiltonicity come from the lane
+        # kernels, so the single-graph solvers run only inside the two
+        # certify replays, through theorem
         calls = {
             "nordhaus_gaddum": 0,
             "chromatic_number": 0,
             "vertex_connectivity": 0,
             "find_hamiltonian_cycle": 0,
+            "from_edge_mask": 0,
+            "parse_graph6": 0,
         }
         for name in calls:
-            exact = getattr(harness, name)
+            exact = getattr(harness, name, None) or getattr(graph6, name)
 
             def counted(*args, _exact=exact, _name=name, **kwargs):
                 calls[_name] += 1
                 return _exact(*args, **kwargs)
 
-            monkeypatch.setattr(harness, name, counted)
+            monkeypatch.setattr(harness, name, counted, raising=False)
         rep = verify_order(8, (2, 7), source="graph6", stream=iter(graph8_lines()))
         assert rep.hits_total == 843
         assert calls == {
@@ -265,6 +271,8 @@ class TestStreamedSource:
             "chromatic_number": 708,
             "vertex_connectivity": 0,
             "find_hamiltonian_cycle": 0,
+            "from_edge_mask": 708,
+            "parse_graph6": 0,
         }
 
 
@@ -311,11 +319,12 @@ def split_certify(monkeypatch):
 
 
 class TestStreamAgainstMaskPipeline:
-    """The stream's per-graph filter against the internal sweep's array
-    passes on the same graphs, field by field.  Both settle their
-    candidates in the same lane kernels, so this holds the filters and
-    the lane building to each other; the kernels are held to the
-    single-graph solvers in TestBatchedKernels and TestLaneKernels."""
+    """The stream against the internal sweep's mask pipeline on the same
+    graphs, field by field.  Both run the same lane kernels, so this holds
+    to each other what differs: the pure and the numpy lane builders, the
+    blocks of the stream, and exact chi from the single-graph solver
+    against the batched count; the kernels are held to the single-graph
+    solvers and oracles in TestBatchedKernels and TestLaneKernels."""
 
     @pytest.mark.parametrize("n, k_range", [(5, (2, 4)), (5, (3, 3)), (5, (4, 2)), (6, (2, 5))])
     def test_all_labeled_graphs(self, monkeypatch, n, k_range):
@@ -346,26 +355,36 @@ class TestStreamAgainstMaskPipeline:
         ]
 
     def test_loose_bounds_send_every_graph_to_the_exact_pair(self, monkeypatch):
-        # with first-fit bounds of n every graph is a Nordhaus-Gaddum suspect
-        # and needs its exact chi; a stand-in exact pair flags some graphs,
-        # which both paths must count
+        # with first-fit bounds of n, from the one lane kernel both sources
+        # call, every graph is a Nordhaus-Gaddum suspect and needs its
+        # exact pair; a stand-in exact pair flags some graphs, which both
+        # paths must count
         exact = harness.nordhaus_gaddum
+        pairs = []
 
         def flagged(g):
+            pairs.append(g)
             chi, chi_c, slack = exact(g)
             return chi, chi_c, -1 if g.edge_count() % 5 == 0 else slack
 
-        def loose(np_, rows, order):
-            return np.full(rows[0].shape, len(rows), np.uint8)
+        def loose(adj, order, every):
+            return [every] * len(adj) + [0]
 
-        monkeypatch.setattr(harness, "_greedy_bound", loose)
-        monkeypatch.setattr(harness, "_first_fit_colors", lambda rows, order: len(rows))
+        monkeypatch.setattr(harness, "_first_fit_lanes", loose)
         monkeypatch.setattr(harness, "nordhaus_gaddum", flagged)
         for n, lines in ((5, [to_graph6(g) for g in enumerate_labeled(5)]),
                          (8, graph8_lines()[::12])):
+            pairs.clear()
             streamed, vector, _ = run_both_paths(n, (2, n - 1), lines)
             assert report_fingerprint(streamed) == report_fingerprint(vector)
+            assert len(pairs) == 2 * len(lines)
             assert streamed.lemma1_violations > 0
+
+
+def first_fit_counts(adj, n, order, count):
+    """The first-fit bound of each of count lanes, as a uint8 array."""
+    more = harness._first_fit_lanes(adj, order, (1 << count) - 1)
+    return sum(harness._unpacked_lanes(np, lanes, count) for lanes in more)
 
 
 def population(n, masks):
@@ -375,9 +394,10 @@ def population(n, masks):
     masks = np.asarray(masks, np.uint32)
     rows = harness._build_rows(np, masks, n)
     omega, alpha = harness._clique_alpha(np, masks, n)
+    adj = harness._packed_edge_lanes(np, masks, n)
     ub = np.minimum(
-        np.minimum(harness._greedy_bound(np, rows, range(n)),
-                   harness._greedy_bound(np, rows, range(n - 1, -1, -1))),
+        np.minimum(first_fit_counts(adj, n, range(n), masks.size),
+                   first_fit_counts(adj, n, range(n - 1, -1, -1), masks.size)),
         n + 1 - alpha,
     )
     return masks, rows, omega, ub
@@ -460,28 +480,38 @@ class TestBatchedKernels:
 
     @pytest.mark.parametrize("source", ["1", "2", "3", "4", "5", "graph8", "graph8-complements"])
     def test_greedy_bound_matches_first_fit(self, source):
-        # the complements of the graph8.g6 classes hold K8, whose eight
-        # colors need bit 7 of the uint8 forbidden set
+        # the lane first-fit kernel against the per-graph reference, in
+        # both orders: ub >= t is more[t - 1] and ub == a is more[a - 1] ^
+        # more[a]; the complements of the graph8.g6 classes hold K8, which
+        # needs all eight colors
         n, masks = self.labeled_or_graph8(source)
-        rows = harness._build_rows(np, masks, n)
-        adj = [from_edge_mask(n, int(m)).adj for m in masks]
+        adj = mask_lanes(n, masks)
+        graphs = [from_edge_mask(n, int(m)) for m in masks]
+        every = (1 << masks.size) - 1
         for order in (range(n), range(n - 1, -1, -1)):
-            bound = harness._greedy_bound(np, rows, order)
-            assert bound.dtype == np.uint8
-            assert bound.tolist() == [harness._first_fit_colors(a, order) for a in adj]
+            more = harness._first_fit_lanes(adj, order, every)
+            ub = [oracle_first_fit_colors(g, order) for g in graphs]
+            assert len(more) == n + 1 and more[0] == every and more[n] == 0
+            for a in range(1, n + 1):
+                assert lane_list(more[a - 1], masks.size) == [x >= a for x in ub]
+                assert lane_list(more[a - 1] ^ more[a], masks.size) == [x == a for x in ub]
+        if source == "graph8-complements":
+            assert n in ub
 
     @pytest.mark.parametrize("source", ["6", "graph8"])
     def test_candidate_rule_rejects_disconnected_graphs(self, source):
-        # so the internal sweep needs no connectivity stage of its own
+        # so neither source needs a connectivity stage of its own; the
+        # lanes from either mask builder
         n, masks = self.labeled_or_graph8(source)
-        rows = harness._build_rows(np, masks, n)
-        mindeg = np.min([np.bitwise_count(r) for r in rows], axis=0)
         graphs = [from_edge_mask(n, int(m)) for m in masks]
         split = [i for i, g in enumerate(graphs) if not is_connected(g) and min_degree(g) >= 2]
         assert split
-        for order in (range(n), range(n - 1, -1, -1)):
-            ub = harness._greedy_bound(np, rows, order)
-            assert not harness._may_hit(n, n - 1, mindeg, ub)[split].any()
+        every = (1 << masks.size) - 1
+        for adj in (mask_lanes(n, masks), harness._edge_lanes(n, masks.tolist())):
+            degree = harness._degree_lanes(adj, n - 1, every)
+            for order in (range(n), range(n - 1, -1, -1)):
+                hit = harness._may_hit(n, n - 1, degree, harness._first_fit_lanes(adj, order, every))
+                assert not any(hit >> i & 1 for i in split)
 
     @pytest.mark.parametrize("source", ["3", "4", "5", "graph8", "graph8-complements"])
     def test_hamiltonian_matches_solver(self, source):
@@ -514,9 +544,9 @@ def lane_list(lanes, count):
 
 
 def mask_lanes(n, masks):
-    """The lane adjacency of labeled graphs given by edge masks, built as
-    the internal sweep builds it."""
-    return harness._packed_adjacency(np, harness._build_rows(np, masks, n), n)
+    """The lane adjacency of labeled graphs given by a uint32 array of edge
+    masks, built as the internal sweep builds it."""
+    return harness._packed_edge_lanes(np, masks, n)
 
 
 class TestLaneKernels:
@@ -547,7 +577,7 @@ class TestLaneKernels:
         fan = with_edges(n, [(0, v) for v in path[1:]] + list(zip([1] + path[1:-1], path[1:-1])))
         graphs = [down, fan, relabeled(fan, random.Random(n)), complete_graph(n)]
         assert [vertex_connectivity(g) for g in graphs] == [1, 2, 2, n - 1]
-        adj = harness._graph_adjacency(n, graphs)
+        adj = harness._edge_lanes(n, [g.edge_mask() for g in graphs])
         for cap in range(2, n):
             at_least = harness._kappa_lanes(adj, n, cap, 0b1111)
             assert [lane_list(lanes, 4) for lanes in at_least] == [
@@ -555,14 +585,59 @@ class TestLaneKernels:
             ]
 
     def test_both_sources_build_the_same_lanes(self):
-        n, masks = TestBatchedKernels.labeled_or_graph8("graph8")
-        graphs = [from_edge_mask(n, int(m)) for m in masks]
-        assert harness._graph_adjacency(n, graphs) == mask_lanes(n, masks)
+        # the pure builder of the stream and the numpy builder of the mask
+        # pipeline against the edges of each graph; graph8.g6 has 12,346
+        # classes, not a whole number of uint64 words of lanes, and orders
+        # 1 and 2 have no pair or one
+        for source in ("1", "2", "3", "5", "graph8"):
+            n, masks = TestBatchedKernels.labeled_or_graph8(source)
+            graphs = [from_edge_mask(n, int(m)) for m in masks]
+            adj = harness._edge_lanes(n, masks.tolist())
+            assert adj == mask_lanes(n, masks)
+            assert len(adj) == n and all(len(row) == n for row in adj)
+            for u in range(n):
+                for v in range(n):
+                    assert lane_list(adj[u][v], masks.size) == [g.has_edge(u, v) for g in graphs]
+            assert harness._edge_lanes(n, masks[-1:].tolist()) == mask_lanes(n, masks[-1:])
         assert harness._lanes([]) == 0
         assert harness._lanes([True, False, True, False]) == 0b101
-        assert harness._lanes(g.edge_count() > 20 for g in graphs) == harness._packed_lanes(
-            np, np.array([g.edge_count() > 20 for g in graphs])
+        dense = np.array([g.edge_count() > 20 for g in graphs])
+        assert harness._lanes(dense) == harness._packed_lanes(np, dense)
+        assert harness._unpacked_lanes(np, harness._lanes(dense), dense.size).tolist() == dense.tolist()
+
+    @pytest.mark.parametrize("source", ["1", "2", "3", "4", "5", "graph8", "graph8-complements"])
+    def test_degree_and_open_coloring_lanes_match_scalars(self, source):
+        # min degree >= d at every cap, and the lanes whose forward bounds
+        # on G and its complement leave chi + chi_c <= n + 1 open, against
+        # min_degree and first-fit counts of each graph
+        n, masks = TestBatchedKernels.labeled_or_graph8(source)
+        graphs = [from_edge_mask(n, int(m)) for m in masks]
+        every = (1 << masks.size) - 1
+        adj = mask_lanes(n, masks)
+        comp = harness._complement_lanes(adj, every)
+        assert comp == mask_lanes(n, masks ^ np.uint32((1 << (n * (n - 1) // 2)) - 1))
+        delta = [min_degree(g) for g in graphs]
+        for cap in range(n):
+            at_least = harness._degree_lanes(adj, cap, every)
+            assert len(at_least) == cap + 1
+            for d, lanes in enumerate(at_least):
+                assert lane_list(lanes, masks.size) == [x >= d for x in delta], (cap, d)
+        forward = range(n)
+        ub = [oracle_first_fit_colors(g, forward) for g in graphs]
+        ub_c = [oracle_first_fit_colors(complement(g), forward) for g in graphs]
+        suspects = harness._coloring_open(
+            n, harness._first_fit_lanes(adj, forward, every),
+            harness._first_fit_lanes(comp, forward, every),
         )
+        assert lane_list(suspects, masks.size) == [a + b > n + 1 for a, b in zip(ub, ub_c)]
+        # first fit leaves the inequality open on none of these graphs, so
+        # the rule is also run on every pair of bounds, one lane each
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+        more, more_c = ([harness._lanes(p[side] > c for p in pairs) for c in range(n + 1)]
+                        for side in (0, 1))
+        assert lane_list(harness._coloring_open(n, more, more_c), len(pairs)) == [
+            a + b > n + 1 for a, b in pairs
+        ]
 
     def test_lane_indices(self):
         assert list(harness._lane_indices(0)) == []
@@ -609,11 +684,11 @@ class TestStreamBlocks:
         if n == 6:
             assert len(blocked_calls) > 5 and len(blocked.counterexamples) > 5
 
-    @pytest.mark.parametrize("branch", ["lanes", "per-graph"])
+    @pytest.mark.parametrize("branch", ["lanes", "per-graph", "per-graph-order-20"])
     def test_orders_above_the_mask_pipeline_with_a_k_window(self, monkeypatch, branch):
         # the lane kernels settle the stream up to _LANE_KERNEL_MAX_ORDER
         # and the single-graph solvers fill the lanes above it; the other
-        # branch must not run
+        # branch must not run.  The cheap lane kernels serve every order
         def refused(*args, **kwargs):
             raise AssertionError(f"the other branch ran on the {branch} branch")
 
@@ -621,7 +696,7 @@ class TestStreamBlocks:
             n = harness.MAX_MASK_ORDER + 1
             refuse = ("vertex_connectivity", "find_hamiltonian_cycle")
         else:
-            n = harness._LANE_KERNEL_MAX_ORDER + 1
+            n = 20 if branch.endswith("20") else harness._LANE_KERNEL_MAX_ORDER + 1
             refuse = ("_kappa_lanes", "_hamiltonian_lanes")
         for name in refuse:
             monkeypatch.setattr(harness, name, refused)
@@ -632,6 +707,8 @@ class TestStreamBlocks:
         # near-complete graphs reach chi >= n - 4
         graphs += [complement(random_graph(n, p, rng)) for p in (0.05, 0.1, 0.2) for _ in range(6)]
         graphs += [random_graph(n, p, rng) for p in (0.5, 0.7) for _ in range(3)]
+        if n == 20:  # about as many missing edges as p = 0.1 leaves at n = 9
+            graphs += [complement(random_graph(n, 0.02, rng)) for _ in range(6)]
         rng.shuffle(graphs)
         lines = [to_graph6(g) for g in graphs]
         window = (3, 4)
@@ -661,3 +738,47 @@ class TestStreamBlocks:
             )
             assert rep.counterexamples == []
             assert calls == extremal_calls
+
+    @pytest.mark.parametrize("block", [1, 5, 4096])
+    def test_orders_one_to_three_match_mask_pipeline(self, monkeypatch, block):
+        # order 1 has no vertex pair, order 2 one, and neither a k to hit;
+        # no pair must not read as the one lane of format(0, "00b")
+        monkeypatch.setattr(harness, "_STREAM_BLOCK", block)
+        for n in (1, 2, 3):
+            lines = [to_graph6(g) for g in enumerate_labeled(n)]
+            lines = ["C~", ""] + lines + lines[::-1] + ["@@"]
+            streamed, vector, calls = run_both_paths(n, (2, n - 1), lines)
+            assert report_fingerprint(streamed) == report_fingerprint(vector)
+            assert streamed.total_graphs == 2 << (n * (n - 1) // 2)
+            if n == 3:  # the triangle, twice
+                assert streamed.hypothesis_hits == {2: 2} and streamed.hamiltonian == 2
+            assert [line_no for line_no, _ in streamed.errors] == [1, len(lines)]
+            # no line of the order at all
+            streamed, vector, _ = run_both_paths(n, (2, n - 1), ["C~", ""])
+            assert report_fingerprint(streamed) == report_fingerprint(vector)
+            assert streamed.total_graphs == 0
+        assert vector.hypothesis_hits == {2: 0}
+
+    @pytest.mark.parametrize("block", [1, 5])
+    def test_bad_lines_at_block_boundaries_keep_their_line_numbers(self, monkeypatch, block):
+        # bad and blank lines around every block boundary of the valid
+        # lines: the errors keep their line numbers, and the tallies match
+        # one block
+        good = [to_graph6(g) for g in enumerate_labeled(5)][::3]
+        lines, bad_at = [], []
+        for i, text in enumerate(good):
+            if i % 5 in (0, 4):
+                lines.append("Dh" if i % 2 else "C~")
+                bad_at.append(len(lines))
+            if i % 7 == 0:
+                lines.append("")
+            lines.append(text)
+        lines.append("E~~w")
+        bad_at.append(len(lines))
+        blocked, blocked_calls = self.stream(5, lines, block, monkeypatch)
+        whole, whole_calls = self.stream(5, lines, len(lines), monkeypatch)
+        assert [line_no for line_no, _ in blocked.errors] == bad_at
+        assert blocked.errors == whole.errors
+        assert report_fingerprint(blocked) == report_fingerprint(whole)
+        assert blocked_calls == whole_calls
+        assert blocked.total_graphs == len(good) and blocked.hits_total > 0
