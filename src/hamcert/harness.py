@@ -11,32 +11,29 @@ graphs that the cheaper ones before it leave open:
 3. exact chi of the candidates, then exact connectivity and Hamiltonicity
    and the certify replay of every non-Hamiltonian hypothesis hit.
 
-Both sources run every stage but exact chi in the same lane kernels: a
-batch of graphs is a set of lanes, one bit per graph in a Python int, so
-that each int operation steps the whole batch.  Stages 1 and 2 run on
-every graph of a batch (_cheap_stages: _first_fit_lanes, _degree_lanes,
-_may_hit), stage 3 on its candidates (_kappa_lanes, _hamiltonian_lanes,
-_tally).  A hit the Hamiltonicity kernel accepts is counted without a
-witness cycle; the tests hold the kernels to the single-graph solvers,
-whose cycles are checked, and to first-fit and degree references, and
-the exact certifier settles every other hit.
+Both sources run every stage in the same lane kernels: a batch of graphs
+is a set of lanes, one bit per graph in a Python int, so that each int
+operation steps the whole batch.  Stages 1 and 2 run on every graph of a
+batch (_cheap_stages: _first_fit_lanes, _degree_lanes, _may_hit), stage
+3 on its candidates (_exact_stages: _chromatic_lanes, _kappa_lanes,
+_hamiltonian_lanes, _tally).  A hit the Hamiltonicity kernel accepts is
+counted without a witness cycle; the tests hold the kernels to the
+single-graph solvers, whose cycles are checked, and to first-fit and
+degree references, and the exact certifier settles every other hit.
 
 The internal source enumerates every labeled graph on n <= 7 vertices by
-edge bitmask and builds the lanes of all of them from the mask array
-with numpy.  The exact clique and independence numbers of its
-candidates tighten the bound, and exact chi comes from a batched
-inclusion-exclusion count where the clique number misses it.  Its
-candidates enter the exact kernels in mask order.
+edge bitmask and builds the lanes of all of them, and then of its
+candidates, from the mask array with numpy.  Its candidates enter the
+exact stages in mask order.
 
 The streamed source works a block of lines at a time and needs no numpy,
 whose import alone costs a stream process about 12 MB resident.  It
 decodes each line to an edge mask, builds the lanes of a block of masks
-in pure Python, and builds a Graph only for the candidates, with exact
-chi from the single-graph solver; the candidates are settled a block at
-a time, in line order.  The exact kernels' path table and cut
-enumeration double with each order, so above _LANE_KERNEL_MAX_ORDER the
-single-graph connectivity and Hamiltonian-cycle solvers fill the same
-lane sets for the tally.
+in pure Python, and settles the candidates' masks a block at a time, in
+line order; a Graph is built only for a certify replay.  The exact
+kernels' tables and cut enumeration double with each order, so above
+_LANE_KERNEL_MAX_ORDER the single-graph coloring, connectivity and
+Hamiltonian-cycle solvers fill the same lane sets for the tally.
 
 Work may be split into shards by edge-mask range; partial reports merge
 associatively, so totals are identical for every shard count.
@@ -120,170 +117,29 @@ def _clamped_k_range(n: int, k_min: int, k_max: int) -> range:
 # internal vectorized engine
 
 
-def _subset_edge_masks(n: int):
-    """For every vertex subset: the edge mask of all pairs inside it."""
-    idx = {pair: i for i, pair in enumerate(triangle_pairs(n))}
-    out = []
-    for s in range(1 << n):
-        verts = [v for v in range(n) if s >> v & 1]
-        em = 0
-        for a, b in combinations(verts, 2):
-            em |= 1 << idx[(a, b)]
-        out.append(em)
-    return out
-
-
 def _np():
     import numpy
 
     return numpy
 
 
-def _build_rows(np, masks, n):
-    # in the column order of triangle_pairs, the pairs (i, j), i < j, are
-    # the j bits from j(j-1)/2 on: they give row j below bit j in one cut,
-    # and the bits above it of rows i < j
-    rows = [
-        ((masks >> np.uint32(j * (j - 1) // 2)) & np.uint32((1 << j) - 1)).astype(np.uint8)
-        for j in range(n)
-    ]
-    for j in range(n):
-        for i in range(j):
-            rows[i] |= ((rows[j] >> np.uint8(i)) & np.uint8(1)) << np.uint8(j)
-    return rows
-
-
-def _clique_alpha(np, masks, n):
-    """Exact clique and independence numbers for every mask.
-
-    Every subset of a clique is a clique, so omega is 1 plus the number
-    of sizes >= 2 at which some vertex subset is a clique; alpha counts
-    the sizes with an independent set the same way."""
-    omega = np.ones(masks.shape, np.uint8)
-    alpha = np.ones(masks.shape, np.uint8)
-    ems = _subset_edge_masks(n)
-    for size in range(2, n + 1):
-        clique = np.zeros(masks.shape, bool)
-        indep = np.zeros(masks.shape, bool)
-        for s in range(1 << n):
-            if s.bit_count() != size:
-                continue
-            em = np.uint32(ems[s])
-            inside = masks & em
-            clique |= inside == em
-            indep |= inside == np.uint32(0)
-        omega += clique
-        alpha += indep
-    return omega, alpha
-
-
-# The largest order the mask pipeline holds: adjacency rows in uint8,
-# edge masks in uint32, exact chromatic numbers in uint64.
-MAX_MASK_ORDER = 8
-
-# Graphs per block of the batched exact chromatic number: at n = 8 its
-# two (2^n, block) uint64 tables take 8 MB each.
-_CHI_BLOCK = 4096
-
-
-def _chromatic_numbers(np, rows, n, omega, ub):
-    """Exact chromatic numbers of a batch of graphs, given as adjacency
-    rows, whose chi is known to lie in [omega, ub].
-
-    Inclusion-exclusion (Bjorklund, Husfeldt and Koivisto, "Set
-    partitioning via inclusion-exclusion", SIAM J. Comput. 39(2), 2009):
-    with i(X) the number of independent sets inside X, the empty set
-    included, a graph is t-colorable iff the sum S over all vertex
-    subsets X of (-1)^(n-|X|) i(X)^t is positive.  i(X) = i(X - v) + i(X - N[v])
-    with v the lowest vertex of X, one row gather per subset for a whole
-    block of graphs.  chi is the least t below ub that passes, or ub when
-    none does; no t below omega can pass, so t starts at the least omega
-    of the block.
-
-    The sum runs in wrapping uint64 arithmetic, which is exact up to
-    MAX_MASK_ORDER = 8: S counts the ordered t-tuples of independent sets
-    whose union is V, so 0 <= S <= i(V)^t <= (2^n)^(n-1) <= 2^56 < 2^64
-    (t <= ub - 1 <= n - 1), and S mod 2^64 is S itself; S != 0 is the
-    test.  Larger orders are refused.
-    """
-    if n > MAX_MASK_ORDER:
-        raise ValueError(f"batched chromatic number is exact only up to order {MAX_MASK_ORDER}")
-    size = 1 << n
-    full = size - 1
-    # -1 wraps to 2^64 - 1, which is -1 modulo 2^64
-    sign = np.array([(-1) ** (n - x.bit_count()) for x in range(size)], np.int64).astype(np.uint64)
-    chi = ub.astype(np.uint8)
-    for start in range(0, chi.size, _CHI_BLOCK):
-        block = slice(start, start + _CHI_BLOCK)
-        cols = np.arange(chi[block].size)
-        # per graph: the vertices outside the closed neighbourhood N[v]
-        outside = [
-            ((~rows[v][block]) & np.uint8(full ^ (1 << v))).astype(np.intp)
-            for v in range(n)
-        ]
-        count = np.empty((size, cols.size), np.uint64)
-        count[0] = 1
-        for x in range(1, size):
-            v = (x & -x).bit_length() - 1
-            count[x] = count[x ^ (1 << v)] + count[outside[v] & x, cols]
-        lo, hi = int(omega[block].min()), int(ub[block].max())
-        power = count**lo
-        for t in range(lo, hi):
-            if t > lo:
-                power *= count
-            settled = (sign @ power != 0) & (t < chi[block])
-            chi[block][settled] = t
-    return chi
-
-
 def _verify_masks(n, ks, masks, on_extremal) -> VerificationReport:
-    """Tally the labeled graphs of order n <= MAX_MASK_ORDER given by a
-    uint32 array of their edge masks.  The cheap stages run in the lane
-    kernels over every mask at once; the candidates' rows, clique and
-    independence numbers and exact chi are whole-array passes."""
+    """Tally the labeled graphs of order n <= 8 given by a uint32 array of
+    their edge masks.  The cheap stages run in the lane kernels over every
+    mask at once, the exact ones over the candidates, in mask order."""
     np = _np()
     report = VerificationReport(total_graphs=masks.size, hypothesis_hits={k: 0 for k in ks})
-    cand, more = _cheap_stages(
+    cand = _cheap_stages(
         report, n, ks, _packed_edge_lanes(np, masks, n), (1 << masks.size) - 1,
         lambda i: from_edge_mask(n, int(masks[i])),
     )
-    if not cand:
-        return report
-    k_cap = ks[-1]
-    cand_idx = np.nonzero(_unpacked_lanes(np, cand, masks.size))[0]
-    cmasks = masks[cand_idx]
-    # the two-order first-fit bound of each candidate: first fit uses
-    # more than c colors for each c below it
-    ub = np.ones(cand_idx.size, np.uint8)
-    for lanes in more[1:n]:
-        ub += _unpacked_lanes(np, lanes, masks.size)[cand_idx]
-
-    # exact clique and independence numbers of the candidates: n + 1 -
-    # alpha bounds chi from above, and chi is free where omega meets the
-    # bound, batched inclusion-exclusion otherwise
-    omega, alpha = _clique_alpha(np, cmasks, n)
-    chi = np.minimum(ub, n + 1 - alpha)
-    unsettled = np.nonzero(omega != chi)[0]
-    rows = _build_rows(np, cmasks[unsettled], n)
-    chi[unsettled] = _chromatic_numbers(np, rows, n, omega[unsettled], chi[unsettled])
-
-    # exact kappa and Hamiltonicity in the lane kernels, one lane per
-    # candidate in mask order
-    adj = _packed_edge_lanes(np, cmasks, n)
-    _tally(
-        report, n, ks,
-        _kappa_lanes(adj, n, k_cap, (1 << cand_idx.size) - 1),
-        {n - k: _packed_lanes(np, chi >= n - k) for k in ks},
-        lambda lanes: _hamiltonian_lanes(adj, n, lanes),
-        lambda i: from_edge_mask(n, int(cmasks[i])),
-        on_extremal,
-    )
+    if cand:
+        cmasks = masks[np.nonzero(_unpacked_lanes(np, cand, masks.size))[0]]
+        _exact_stages(
+            report, n, ks, _packed_edge_lanes(np, cmasks, n), (1 << cmasks.size) - 1,
+            lambda i: from_edge_mask(n, int(cmasks[i])), on_extremal,
+        )
     return report
-
-
-def _packed_lanes(np, bits) -> int:
-    """The lane set of a bool or 0/1 array: bit i from element i."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def _unpacked_lanes(np, lanes, count):
@@ -439,8 +295,7 @@ def _cheap_stages(report, n, ks, adj, every, graph):
     the forward order on the graph and its complement; the reverse order
     and then the exact Nordhaus-Gaddum pair of graph(i) for each lane i
     still open, whose lemma 1 violations go to report; the candidate rule
-    on the bound of both orders.  Returns the candidate lanes and that
-    bound, as in _first_fit_lanes."""
+    on the bound of both orders.  Returns the candidate lanes."""
     forward, backward = range(n), range(n - 1, -1, -1)
     comp = _complement_lanes(adj, every)
     more = _first_fit_lanes(adj, forward, every)
@@ -455,8 +310,66 @@ def _cheap_stages(report, n, ks, adj, every, graph):
             if nordhaus_gaddum(graph(i))[2] < 0:
                 report.lemma1_violations += 1
     if not ks:
-        return 0, more
-    return _may_hit(n, ks[-1], _degree_lanes(adj, ks[-1], every), more), more
+        return 0
+    return _may_hit(n, ks[-1], _degree_lanes(adj, ks[-1], every), more)
+
+
+def _chromatic_lanes(adj, n, s_max, every):
+    """at_least[s], s = 0 .. s_max <= n: the lanes of every with chi >= s,
+    n >= 1.
+
+    Lawler's cover recursion (Lawler, "A note on the complexity of the
+    chromatic number problem", IPL 5(3), 1976) in lanes.  indep[S] is the
+    lanes in which the vertex set S is independent: with a and b the two
+    lowest vertices of S, those in which S - a and S - b are and ab is no
+    edge.  cover[X] at level t is the lanes in which t independent sets
+    cover X: level 1 is indep, and level t is the OR, over the sets I
+    inside X that hold X's lowest vertex, of indep[I] & cover[X - I] a
+    level below, where the empty set is covered at every level.  chi >= s
+    in the lanes where level s - 1 does not cover V.
+
+    Only the I with indep[I] != 0 are enumerated, each with the supersets
+    X = I | Y for every Y above I's lowest vertex and outside I.  V reads
+    the level below only on sets without vertex 0, and so do those sets,
+    so a level is kept for them alone and V is computed apart; the last
+    level needs V alone."""
+    full = (1 << n) - 1
+    apart = _complement_lanes(adj, every)
+    indep = [every] * (full + 1)
+    for x in range(3, full + 1):
+        low = x & -x
+        rest = x ^ low
+        if rest:
+            b = rest & -rest
+            indep[x] = indep[rest] & indep[x ^ b] & apart[low.bit_length() - 1][b.bit_length() - 1]
+    with_0, without_0 = [], []
+    for i in range(1, full + 1):
+        if not indep[i]:
+            continue
+        if i & 1:
+            with_0.append((i, indep[i]))
+        else:
+            # the vertices above i's lowest one and outside i
+            without_0.append((i, indep[i], full ^ (i | ((i & -i) - 1))))
+    at_least = [every, every, every ^ indep[full]]
+    cover = indep
+    for t in range(2, s_max):
+        covered = 0
+        for i, at_i in with_0:
+            covered |= at_i & cover[full ^ i]
+        at_least.append(every ^ covered)
+        if t == s_max - 1:
+            break
+        level = [every] + [0] * full
+        for i, at_i, free in without_0:
+            y = free
+            while True:
+                level[i | y] |= at_i & cover[y]
+                if not y:
+                    break
+                y = (y - 1) & free
+        cover = level
+    return at_least[:s_max + 1]
 
 
 def _kappa_lanes(adj, n, k_cap, every):
@@ -535,6 +448,62 @@ def _lane_indices(lanes):
         i = bits.find("1", i + 1)
 
 
+# The largest order whose stream candidates the lane kernels settle; above
+# it the single-graph solvers fill the lanes.  A block costs the kernels a
+# fixed 2^(n-1) path-table rows, 2^n chi-table entries and about 2^n
+# cuts, and the solvers a fixed time per candidate.  Measured on the
+# candidates of seeded G(n, 0.8) streams, k window (2, n - 1), 2-core
+# Xeon, kernels against solvers: kappa and Hamiltonicity for 4,096
+# candidates 18 vs 811 ms at n = 8, 51 vs 3,099 ms at n = 10, 162 vs
+# 5,428 ms at n = 12, 350 vs 7,625 ms at n = 13, and one candidate 1.2 vs
+# 0.3 ms at n = 8 and 40 vs 2 ms at n = 12; chi for 4,096 candidates 1 vs
+# 162 ms at n = 8, 6 vs 214 ms at n = 10, 52 vs 322 ms at n = 12, 162 vs
+# 381 ms at n = 13, and one candidate 0.1 vs 0.04 ms at n = 8 and 3.5 vs
+# 0.07 ms at n = 12.  The kernels win from about 8 candidates at n = 8 and
+# 50 at n = 12, and lose at most their fixed cost on a short block.  The
+# path table doubles with the order: a full block adds 5 MB peak at
+# n = 12, 13 MB at 13 and 31 MB at 14; the chi tables peak at 2.7 MB at
+# n = 12 and 5.3 MB at 13.
+_LANE_KERNEL_MAX_ORDER = 12
+
+
+def _exact_stages(report, n, ks, adj, every, graph, on_extremal) -> None:
+    """Stage 3 on a batch of candidate lanes, for both sources: exact chi,
+    kappa and Hamiltonicity, then the tally.  adj is the lane adjacency of
+    the batch and graph(i) builds the graph of lane i.  The kernels'
+    tables and cuts double with each order, so above
+    _LANE_KERNEL_MAX_ORDER the single-graph solvers fill the same lane
+    sets."""
+    if n <= _LANE_KERNEL_MAX_ORDER:
+        chi_at_least = _chromatic_lanes(adj, n, n - ks[0], every)
+        kappa_at_least = _kappa_lanes(adj, n, ks[-1], every)
+
+        def hamiltonian(lanes):
+            return _hamiltonian_lanes(adj, n, lanes)
+
+    else:
+        graphs = [graph(i) for i in range(every.bit_length())]
+        chi = [chromatic_number(g)[0] for g in graphs]
+        chi_at_least = {n - k: _lanes(x >= n - k for x in chi) for k in ks}
+        # no k below max(k_min, n - chi) can be hit, and none at all where
+        # chi < n - k_max, so kappa is exact only from there on, which is
+        # all the tally reads
+        kappa = [
+            vertex_connectivity(g, stop_below=max(ks[0], n - x)) if x >= n - ks[-1] else 0
+            for g, x in zip(graphs, chi)
+        ]
+        kappa_at_least = [_lanes(x >= k for x in kappa) for k in range(ks[-1] + 1)]
+
+        def hamiltonian(lanes):
+            return _lanes(
+                lanes >> i & 1 and find_hamiltonian_cycle(g) is not None
+                for i, g in enumerate(graphs)
+            )
+
+        graph = graphs.__getitem__
+    _tally(report, n, ks, kappa_at_least, chi_at_least, hamiltonian, graph, on_extremal)
+
+
 def _tally(report, n, ks, kappa_at_least, chi_at_least, hamiltonian, graph, on_extremal):
     """Count and settle the hypothesis hits of a batch of lanes, for both
     sources.  kappa_at_least[k] and chi_at_least[n - k] are lane sets, the
@@ -553,8 +522,8 @@ def _tally(report, n, ks, kappa_at_least, chi_at_least, hamiltonian, graph, on_e
     for lanes in hits.values():
         report.hamiltonian += (lanes & ham).bit_count()
     # rare path: replay the non-Hamiltonian hits through the exact certifier
-    missed = {k: set(_lane_indices(lanes & ~ham)) for k, lanes in hits.items()}
-    for i in _lane_indices(every_hit & ~ham):
+    missed = {k: set(_lane_indices(lanes ^ (lanes & ham))) for k, lanes in hits.items()}
+    for i in _lane_indices(every_hit ^ (every_hit & ham)):
         _replay(report, graph(i), [k for k in ks if i in missed[k]], on_extremal)
 
 
@@ -577,19 +546,6 @@ def _replay(report, g, graph_hits, on_extremal) -> None:
 # streamed source
 
 
-# The largest order whose stream candidates the lane kernels settle; above
-# it the single-graph solvers fill the lanes.  A block costs the kernels a
-# fixed 2^(n-1) path-table rows and about 2^n cuts, and the solvers a
-# fixed time per candidate.  Measured on the candidates of seeded
-# G(n, 0.8) streams, k window (2, n - 1), 2-core Xeon, kernels against
-# solvers: 4,096 candidates 18 vs 811 ms at n = 8, 51 vs 3,099 ms at
-# n = 10, 162 vs 5,428 ms at n = 12, 350 vs 7,625 ms at n = 13; one
-# candidate 1.2 vs 0.3 ms at n = 8 and 40 vs 2 ms at n = 12.  The kernels
-# win from about 8 candidates at n = 8 and 50 at n = 12, and lose at most
-# their fixed cost on a short block.  Their table doubles with the order:
-# a full block adds 5 MB peak at n = 12, 13 MB at 13 and 31 MB at 14.
-_LANE_KERNEL_MAX_ORDER = 12
-
 # Valid lines per block of the streamed source, and candidates per block
 # of its exact stages: the cheap lane kernels run on a block of lines and
 # the candidates they leave are settled once a block of them has gathered,
@@ -603,9 +559,9 @@ _STREAM_BLOCK = 4096
 
 def _verify_stream(n, ks, lines, on_extremal) -> VerificationReport:
     """A block of lines at a time: the cheap stages run in the lane
-    kernels on the edge masks of a block of valid lines, a Graph is built
-    only for the candidates they leave, with its exact chi, and the
-    candidates are settled a block at a time in line order."""
+    kernels on the edge masks of a block of valid lines, and the masks of
+    the candidates they leave are settled a block at a time in line
+    order."""
     report = VerificationReport(hypothesis_hits={k: 0 for k in ks})
     masks, block = [], []
     for line_no, raw in enumerate(lines, 1):
@@ -636,52 +592,22 @@ def _verify_stream(n, ks, lines, on_extremal) -> VerificationReport:
 
 def _stream_candidates(report, n, ks, masks):
     """The cheap stages on the edge masks of a block of lines, whose
-    graphs and lemma 1 violations go to report: the candidates as (mask,
-    graph, chi) in line order."""
+    graphs and lemma 1 violations go to report: the candidates' masks in
+    line order."""
     report.total_graphs += len(masks)
-    cand, _ = _cheap_stages(
+    cand = _cheap_stages(
         report, n, ks, _edge_lanes(n, masks), (1 << len(masks)) - 1,
         lambda i: from_edge_mask(n, masks[i]),
     )
-    block = []
-    for i in _lane_indices(cand):
-        g = from_edge_mask(n, masks[i])
-        block.append((masks[i], g, chromatic_number(g)[0]))
-    return block
+    return [masks[i] for i in _lane_indices(cand)]
 
 
 def _settle_block(report, n, ks, block, on_extremal) -> None:
-    """Exact kappa and Hamiltonicity of a block of stream candidates,
-    (mask, graph, chi) in line order, one lane each, into the tally."""
-    chi_at_least = {n - k: _lanes(chi >= n - k for _, _, chi in block) for k in ks}
-    if n <= _LANE_KERNEL_MAX_ORDER:
-        adj = _edge_lanes(n, [mask for mask, _, _ in block])
-        kappa_at_least = _kappa_lanes(adj, n, ks[-1], (1 << len(block)) - 1)
-
-        def hamiltonian(lanes):
-            return _hamiltonian_lanes(adj, n, lanes)
-
-    else:
-        # the kernels' table and cuts double with each order, so the
-        # single-graph solvers fill the same lane sets; no k below
-        # max(k_min, n - chi) can be hit, and none at all where chi < n -
-        # k_max, so kappa is exact only from there on, which is all the
-        # tally reads
-        kappa = [
-            vertex_connectivity(g, stop_below=max(ks[0], n - chi)) if chi >= n - ks[-1] else 0
-            for _, g, chi in block
-        ]
-        kappa_at_least = [_lanes(x >= k for x in kappa) for k in range(ks[-1] + 1)]
-
-        def hamiltonian(lanes):
-            return _lanes(
-                lanes >> i & 1 and find_hamiltonian_cycle(g) is not None
-                for i, (_, g, _) in enumerate(block)
-            )
-
-    _tally(
-        report, n, ks, kappa_at_least, chi_at_least, hamiltonian,
-        lambda i: block[i][1], on_extremal,
+    """The exact stages on a block of stream candidates, given by their
+    edge masks in line order, one lane each."""
+    _exact_stages(
+        report, n, ks, _edge_lanes(n, block), (1 << len(block)) - 1,
+        lambda i: from_edge_mask(n, block[i]), on_extremal,
     )
 
 

@@ -5,14 +5,17 @@ shares no algorithmic ideas with the package under test: colorings are
 found by plain backtracking over vertices in label order, first-fit
 bounds by their definition, cliques and independent sets by full subset
 sweeps, connectivity by deleting every candidate cut set, cycles by
-permutation search.  Keep it that way.
+permutation search.  Keep it that way.  The oracle_mask_* functions take
+a whole population at once, as a uint32 numpy array of edge masks.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from hamcert.graphs import Graph
+import numpy as np
+
+from hamcert.graphs import Graph, triangle_pairs
 
 
 def oracle_is_colorable(g: Graph, t: int) -> bool:
@@ -85,6 +88,34 @@ def oracle_independence_number(g: Graph) -> int:
         if best == size:
             break
     return best
+
+
+def oracle_mask_rows(masks, n):
+    """Adjacency rows of the order-n graphs with the given edge masks, one
+    uint8 array per vertex: bit v of rows[u] is the bit of the pair (u, v)
+    in the order of triangle_pairs."""
+    rows = [np.zeros(masks.shape, np.uint8) for _ in range(n)]
+    for t, (u, v) in enumerate(triangle_pairs(n)):
+        bit = ((masks >> np.uint32(t)) & np.uint32(1)).astype(np.uint8)
+        rows[u] |= bit << np.uint8(v)
+        rows[v] |= bit << np.uint8(u)
+    return rows
+
+
+def oracle_mask_clique_alpha(masks, n):
+    """Clique and independence numbers of the order-n graphs, n >= 1, with
+    the given edge masks, by a sweep of every vertex subset in ascending
+    size: the last size at which a subset has all its pairs, or none."""
+    omega = np.ones(masks.shape, np.uint8)
+    alpha = np.ones(masks.shape, np.uint8)
+    pairs = triangle_pairs(n)
+    for size in range(2, n + 1):
+        for subset in combinations(range(n), size):
+            em = np.uint32(sum(1 << t for t, (a, b) in enumerate(pairs) if a in subset and b in subset))
+            inside = masks & em
+            omega[inside == em] = size
+            alpha[inside == 0] = size
+    return omega, alpha
 
 
 def _connected_after_removal(g: Graph, removed: frozenset[int]) -> bool:

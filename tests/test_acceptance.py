@@ -38,13 +38,7 @@ from hamcert.cycles import (
     longest_cycle,
     segments,
 )
-from hamcert.harness import (
-    _build_rows,
-    _clique_alpha,
-    _kappa_lanes,
-    _packed_edge_lanes,
-    verify_order,
-)
+from hamcert.harness import _kappa_lanes, _packed_edge_lanes, verify_order
 from hamcert.theorem import (
     build_extremal,
     recognize_extremal,
@@ -57,6 +51,8 @@ from tests.oracles import (
     oracle_chromatic,
     oracle_hamiltonian_cycle,
     oracle_independence_number,
+    oracle_mask_clique_alpha,
+    oracle_mask_rows,
     oracle_vertex_connectivity,
 )
 
@@ -256,13 +252,13 @@ def _alpha_kappa_survivors(n):
     """Masks of every 2-connected order-n graph with alpha = kappa + 1,
     with their alpha values."""
     masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
-    rows = _build_rows(np, masks, n)
+    rows = oracle_mask_rows(masks, n)
     full = (1 << n) - 1
     mindeg = np.bitwise_count(rows[0])
     for v in range(1, n):
         mindeg = np.minimum(mindeg, np.bitwise_count(rows[v]))
     conn = _connected_mask(rows, n, full)
-    _, alpha = _clique_alpha(np, masks, n)
+    _, alpha = oracle_mask_clique_alpha(masks, n)
     pre = conn & (mindeg >= 2) & (alpha >= 3)  # alpha = kappa+1 >= 3 when kappa >= 2
     idx = np.nonzero(pre)[0]
     if idx.size == 0:

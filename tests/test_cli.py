@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from hamcert.cli import CommandOutcome, main, run
 from hamcert.graph6 import parse_graph6, to_graph6
-from hamcert.graphs import complete_graph
+from hamcert.graphs import complement, complete_graph
+from hamcert.harness import verify_order
 from hamcert.theorem import (
     build_extremal,
     parse_certificate,
@@ -170,18 +171,20 @@ class TestVerify:
     def test_stream_never_imports_numpy(self, tmp_path):
         # the streamed sweep is pure Python: its lane builder, lane kernels
         # and path tables need no numpy, and its resident size depends on
-        # that.  The seeded order-20 stream runs the lane builder and the
-        # cheap kernels above the mask pipeline's order; its graphs are too
-        # sparse to be candidates, since a hit there would reach the
-        # single-graph Hamiltonian solver, whose bit fill uses numpy from
-        # order 11 on
+        # that.  The order-9 stream has candidates and hits, extremal and
+        # Hamiltonian, for the exact chi, kappa and Hamiltonicity kernels
+        # above the mask pipeline's order.  The seeded order-20 stream runs
+        # the lane builder and the cheap kernels; its graphs are too sparse
+        # to be candidates, since a hit there would reach the single-graph
+        # Hamiltonian solver, whose bit fill uses numpy from order 11 on
         script = """
 import json, sys
 from hamcert.cli import run
-for argv, graphs in json.loads(sys.argv[1]):
+for argv, graphs, hits in json.loads(sys.argv[1]):
     out = run(argv)
     assert out.exit_code == 0, out.payload
     assert f"graphs {graphs}" in out.payload, out.payload
+    assert f"hypothesis hits {hits} " in out.payload, out.payload
     assert "counterexamples 0" in out.payload, out.payload
 assert "numpy" not in sys.modules, "verify --stream imported numpy"
 """
@@ -191,9 +194,17 @@ assert "numpy" not in sys.modules, "verify --stream imported numpy"
         lines = [to_graph6(random_graph(20, p, rng)) for p in (0.1, 0.2, 0.3) for _ in range(20)]
         order20 = tmp_path / "order20.g6"
         order20.write_text("\n".join(lines) + "\n", encoding="ascii")
+        rng = random.Random(9)
+        lines9 = [to_graph6(build_extremal(k, 9)) for k in (2, 3, 4)]
+        lines9 += [to_graph6(complement(random_graph(9, p, rng))) for p in (0.05, 0.1, 0.2) for _ in range(6)]
+        order9 = tmp_path / "order9.g6"
+        order9.write_text("\n".join(lines9) + "\n", encoding="ascii")
+        rep = verify_order(9, source="graph6", stream=iter(lines9))
+        assert rep.hits_total > 10 and rep.extremal >= 3 and rep.hamiltonian > 0
         runs = [
-            (["verify", "--n", "8", "--stream", str(graph8)], 12346),
-            (["verify", "--n", "20", "--stream", str(order20)], len(lines)),
+            (["verify", "--n", "8", "--stream", str(graph8)], 12346, 843),
+            (["verify", "--n", "9", "--stream", str(order9)], len(lines9), rep.hits_total),
+            (["verify", "--n", "20", "--stream", str(order20)], len(lines), 0),
         ]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
         done = subprocess.run(

@@ -34,6 +34,7 @@ from tests.oracles import (
     oracle_chromatic,
     oracle_first_fit_colors,
     oracle_hamiltonian_cycle,
+    oracle_mask_clique_alpha,
     oracle_vertex_connectivity,
 )
 
@@ -97,12 +98,9 @@ class TestInternalSweep:
 
     def test_exact_stages_see_only_what_the_cheap_ones_leave(self, monkeypatch):
         # first-fit bounds settle the coloring inequality for every graph at
-        # n = 6; exact omega and alpha run on the 4,348 candidates of the
-        # 32,768 graphs, batched chi on the 502 whose clique number misses
-        # the bound
+        # n = 6; exact chi runs on the 4,348 candidates of the 32,768 graphs
         sizes = {
-            "_clique_alpha": lambda np_, masks, n: masks.size,
-            "_chromatic_numbers": lambda np_, rows, *rest: rows[0].size,
+            "_chromatic_lanes": lambda adj, n, s_max, every: every.bit_count(),
             "nordhaus_gaddum": lambda g: 1,
         }
         seen = dict.fromkeys(sizes, 0)
@@ -116,7 +114,7 @@ class TestInternalSweep:
             monkeypatch.setattr(harness, name, counted)
         rep = verify_order(6)
         assert rep.hypothesis_hits == {2: 3168, 3: 1758, 4: 76, 5: 1}
-        assert seen == {"_clique_alpha": 4348, "_chromatic_numbers": 502, "nordhaus_gaddum": 0}
+        assert seen == {"_chromatic_lanes": 4348, "nordhaus_gaddum": 0}
 
     def test_order_four_against_oracles(self):
         # independent recount of every tally the sweep produces
@@ -241,13 +239,13 @@ class TestStreamedSource:
 
     def test_order_eight_calls_exact_solvers_only_where_needed(self, monkeypatch):
         # cheap first: the lane kernels settle the coloring inequality for
-        # every class on edge masks, and a graph is built, with its exact
-        # chi, only for the 708 that pass the candidate rule on their
-        # bounds; no line is parsed to a graph, and the harness no longer
-        # imports parse_graph6, so its count is taken on the name the
-        # harness would bind.  kappa and Hamiltonicity come from the lane
-        # kernels, so the single-graph solvers run only inside the two
-        # certify replays, through theorem
+        # every class on edge masks, and the 708 that pass the candidate
+        # rule on their bounds get exact chi, kappa and Hamiltonicity in
+        # the lane kernels too.  A graph is built only for the two certify
+        # replays, whose single-graph solvers run through theorem; no line
+        # is parsed to a graph, and the harness no longer imports
+        # parse_graph6, so its count is taken on the name the harness would
+        # bind
         calls = {
             "nordhaus_gaddum": 0,
             "chromatic_number": 0,
@@ -268,10 +266,10 @@ class TestStreamedSource:
         assert rep.hits_total == 843
         assert calls == {
             "nordhaus_gaddum": 0,
-            "chromatic_number": 708,
+            "chromatic_number": 0,
             "vertex_connectivity": 0,
             "find_hamiltonian_cycle": 0,
-            "from_edge_mask": 708,
+            "from_edge_mask": 2,
             "parse_graph6": 0,
         }
 
@@ -320,11 +318,11 @@ def split_certify(monkeypatch):
 
 class TestStreamAgainstMaskPipeline:
     """The stream against the internal sweep's mask pipeline on the same
-    graphs, field by field.  Both run the same lane kernels, so this holds
-    to each other what differs: the pure and the numpy lane builders, the
-    blocks of the stream, and exact chi from the single-graph solver
-    against the batched count; the kernels are held to the single-graph
-    solvers and oracles in TestBatchedKernels and TestLaneKernels."""
+    graphs, field by field.  Both run the same lane kernels and exact
+    stages, so this holds to each other what differs: the pure and the
+    numpy lane builders and the blocks of the stream; the kernels are held
+    to the single-graph solvers and oracles in TestBatchedKernels and
+    TestLaneKernels."""
 
     @pytest.mark.parametrize("n, k_range", [(5, (2, 4)), (5, (3, 3)), (5, (4, 2)), (6, (2, 5))])
     def test_all_labeled_graphs(self, monkeypatch, n, k_range):
@@ -381,89 +379,75 @@ class TestStreamAgainstMaskPipeline:
             assert streamed.lemma1_violations > 0
 
 
-def first_fit_counts(adj, n, order, count):
-    """The first-fit bound of each of count lanes, as a uint8 array."""
-    more = harness._first_fit_lanes(adj, order, (1 << count) - 1)
-    return sum(harness._unpacked_lanes(np, lanes, count) for lanes in more)
-
-
-def population(n, masks):
-    """Adjacency rows, clique numbers and chi bounds of the labeled graphs
-    with the given edge masks, as the internal sweep computes them for its
-    candidates."""
-    masks = np.asarray(masks, np.uint32)
-    rows = harness._build_rows(np, masks, n)
-    omega, alpha = harness._clique_alpha(np, masks, n)
-    adj = harness._packed_edge_lanes(np, masks, n)
-    ub = np.minimum(
-        np.minimum(first_fit_counts(adj, n, range(n), masks.size),
-                   first_fit_counts(adj, n, range(n - 1, -1, -1), masks.size)),
-        n + 1 - alpha,
-    )
-    return masks, rows, omega, ub
-
-
 def seeded_masks(n, count, seed=7):
     bits = n * (n - 1) // 2
     return np.random.default_rng(seed).integers(0, 1 << bits, size=count, dtype=np.uint32)
 
 
+def assert_chromatic_lanes(n, masks, s_maxes, adj=None):
+    """_chromatic_lanes on the order-n graphs with the given edge masks,
+    one lane each, against chromatic_number at every s of each s_max;
+    returns the lane sets of the largest s_max."""
+    chi = [chromatic_number(from_edge_mask(n, int(m)))[0] for m in masks]
+    if adj is None:
+        adj = harness._edge_lanes(n, [int(m) for m in masks])
+    for s_max in s_maxes:
+        at_least = harness._chromatic_lanes(adj, n, s_max, (1 << len(masks)) - 1)
+        assert len(at_least) == s_max + 1
+        for s, lanes in enumerate(at_least):
+            assert lane_list(lanes, len(masks)) == [x >= s for x in chi], (s_max, s)
+    return at_least
+
+
 class TestBatchedKernels:
-    """The whole-population kernels of the internal sweep against the
-    single-graph solvers."""
+    """The lane kernels of both sources' exact chi and cheap stages
+    against the single-graph solvers and references.  The chi kernel is
+    run at every s_max its callers pass, n - k_min, and from 0 to n, so a
+    k window such as (3, 4) has s_max < n."""
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_chromatic_numbers_on_every_unsettled_graph(self, n):
-        masks, rows, omega, ub = population(n, np.arange(1 << (n * (n - 1) // 2)))
-        unsettled = np.nonzero(omega != ub)[0]
-        assert unsettled.size > 0
-        chi = harness._chromatic_numbers(
-            np, [r[unsettled] for r in rows], n, omega[unsettled], ub[unsettled]
-        )
-        expected = [chromatic_number(from_edge_mask(n, int(m)))[0] for m in masks[unsettled]]
-        assert chi.tolist() == expected
+        # every labeled graph, where the kernel has no bound to start from
+        masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
+        assert_chromatic_lanes(n, masks, range(n + 1), mask_lanes(n, masks))
 
-    def test_chromatic_numbers_on_seeded_order_seven(self, monkeypatch):
-        # a small block size runs the blocked loop, with a partial last block
-        monkeypatch.setattr(harness, "_CHI_BLOCK", 300)
-        masks, rows, omega, ub = population(7, seeded_masks(7, 22_000))
-        unsettled = np.nonzero(omega != ub)[0]
-        assert unsettled.size > 1800
-        chi = harness._chromatic_numbers(
-            np, [r[unsettled] for r in rows], 7, omega[unsettled], ub[unsettled]
-        )
-        expected = [chromatic_number(from_edge_mask(7, int(m)))[0] for m in masks[unsettled]]
-        assert chi.tolist() == expected
+    def test_chromatic_numbers_on_seeded_order_seven(self):
+        # any batch width: blocks of 300, with a partial last block, give
+        # the lanes of the whole batch
+        masks = seeded_masks(7, 22_000)
+        whole = assert_chromatic_lanes(7, masks, (4, 5, 7), mask_lanes(7, masks))
+        parts = [0] * 8
+        for start in range(0, masks.size, 300):
+            block = masks[start:start + 300]
+            at_least = harness._chromatic_lanes(mask_lanes(7, block), 7, 7, (1 << block.size) - 1)
+            parts = [p | lanes << start for p, lanes in zip(parts, at_least)]
+        assert parts == whole
 
     def test_chromatic_numbers_with_trivial_bounds(self):
-        # every t in [1, n - 1] is tested, not only those between the
-        # harness bounds
-        for n in range(1, 6):
+        # every s from 0 to n, at every s_max, on every labeled graph of
+        # orders 1 to 4
+        for n in range(1, 5):
             masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
-            rows = harness._build_rows(np, masks, n)
-            ones = np.ones(masks.shape, np.uint8)
-            chi = harness._chromatic_numbers(np, rows, n, ones, ones * np.uint8(n))
-            expected = [chromatic_number(from_edge_mask(n, int(m)))[0] for m in masks]
-            assert chi.tolist() == expected
+            assert_chromatic_lanes(n, masks, range(n + 1))
 
     @pytest.mark.parametrize("complement", [False, True], ids=["graphs", "complements"])
     def test_chromatic_numbers_on_order_eight(self, complement):
-        # the uint64 sums wrap; every graph8.g6 class, or its complement,
-        # whose clique and greedy bounds disagree
-        masks, rows, omega, ub = population(8, self.graph8_masks(complement))
-        unsettled = np.nonzero(omega != ub)[0]
-        assert unsettled.size == (943 if complement else 1108)
-        chi = harness._chromatic_numbers(
-            np, [r[unsettled] for r in rows], 8, omega[unsettled], ub[unsettled]
-        )
-        expected = [chromatic_number(from_edge_mask(8, int(m)))[0] for m in masks[unsettled]]
-        assert chi.tolist() == expected
+        # every graph8.g6 class, or its complement, in both lane builders
+        masks = self.graph8_masks(complement)
+        whole = assert_chromatic_lanes(8, masks, (5, 6, 8), mask_lanes(8, masks))
+        assert whole == assert_chromatic_lanes(8, masks, (8,))
 
-    def test_chromatic_numbers_refuse_order_nine(self):
-        rows = [np.zeros(1, np.uint8)] * 9
-        ones = np.ones(1, np.uint8)
-        with pytest.raises(ValueError, match="order 8"):
-            harness._chromatic_numbers(np, rows, 9, ones, ones)
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_chromatic_numbers_exact_above_order_eight(self, n):
+        # seeded dense G(n, p) up to _LANE_KERNEL_MAX_ORDER, in a block of
+        # 1,024 and, for every 16th graph, in a block of its own
+        rng = random.Random(n)
+        masks = [random_graph(n, rng.uniform(0.6, 0.95), rng).edge_mask() for _ in range(1024)]
+        whole = assert_chromatic_lanes(n, masks, (n - 3, n - 2, n))
+        for i in range(0, len(masks), 16):
+            alone = harness._chromatic_lanes(harness._edge_lanes(n, [masks[i]]), n, n, 1)
+            assert alone == [lanes >> i & 1 for lanes in whole]
+        assert harness._LANE_KERNEL_MAX_ORDER == 12
 
     @staticmethod
     def graph8_masks(complement):
@@ -528,11 +512,12 @@ class TestBatchedKernels:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
     def test_clique_alpha_matches_solvers(self, n):
+        # the population sweep that acceptance criterion 5 takes alpha from
         if n == 7:
             masks = seeded_masks(7, 3000)
         else:
             masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
-        omega, alpha = harness._clique_alpha(np, masks, n)
+        omega, alpha = oracle_mask_clique_alpha(masks, n)
         graphs = [from_edge_mask(n, int(m)) for m in masks]
         assert omega.tolist() == [max_clique(g).bit_count() for g in graphs]
         assert alpha.tolist() == [independence_number(g)[0] for g in graphs]
@@ -602,7 +587,6 @@ class TestLaneKernels:
         assert harness._lanes([]) == 0
         assert harness._lanes([True, False, True, False]) == 0b101
         dense = np.array([g.edge_count() > 20 for g in graphs])
-        assert harness._lanes(dense) == harness._packed_lanes(np, dense)
         assert harness._unpacked_lanes(np, harness._lanes(dense), dense.size).tolist() == dense.tolist()
 
     @pytest.mark.parametrize("source", ["1", "2", "3", "4", "5", "graph8", "graph8-complements"])
@@ -693,11 +677,11 @@ class TestStreamBlocks:
             raise AssertionError(f"the other branch ran on the {branch} branch")
 
         if branch == "lanes":
-            n = harness.MAX_MASK_ORDER + 1
-            refuse = ("vertex_connectivity", "find_hamiltonian_cycle")
+            n = 9
+            refuse = ("chromatic_number", "vertex_connectivity", "find_hamiltonian_cycle")
         else:
             n = 20 if branch.endswith("20") else harness._LANE_KERNEL_MAX_ORDER + 1
-            refuse = ("_kappa_lanes", "_hamiltonian_lanes")
+            refuse = ("_chromatic_lanes", "_kappa_lanes", "_hamiltonian_lanes")
         for name in refuse:
             monkeypatch.setattr(harness, name, refused)
         rng = random.Random(n)
