@@ -5,6 +5,10 @@ upper triangle of the adjacency matrix is read in column order (0,1),
 (0,2), (1,2), (0,3), ..., packed big-endian into 6-bit groups, each
 group emitted as one byte offset by 63.  The final group is zero-padded.
 An optional ``>>graph6<<`` header prefix is accepted on input.
+
+A block of lines of one order decodes at once: valid_block checks the
+whole block and pair_lanes reads each pair's bit of every line as one
+int, bit i for line i.
 """
 
 from __future__ import annotations
@@ -64,6 +68,54 @@ def decode_graph6(text: str) -> tuple[int, int]:
     if mask >> nbits:
         raise Graph6Error("nonzero padding bits in final graph6 byte")
     return n, mask
+
+
+# _DIGITS[r] maps a graph6 byte to the ASCII digit of its payload bit
+# 5 - r, the bit of pair t = 6j + r in payload byte j.
+_DIGITS = [bytes(48 + ((b - _LO) >> (5 - r) & 1) for b in range(256)) for r in range(6)]
+_GRAPH6_BYTES = bytes(range(_LO, _HI + 1))
+
+
+def graph6_width(n: int) -> int:
+    """The length of an order-n graph6 line without header: the order
+    byte and one byte per six pairs."""
+    return 1 + (n * (n - 1) // 2 + 5) // 6
+
+
+def valid_block(n: int, texts) -> bytes | None:
+    """The joined bytes of a block of stripped lines if every one is a
+    valid order-n graph6 line without header, else None: each line is w
+    wide, the block is ASCII in 63..126, its order column is 63 + n, and
+    its last column has no padding bit set.  Each check takes the whole
+    block in one call."""
+    w = graph6_width(n)
+    if set(map(len, texts)) != {w}:
+        return None
+    try:
+        data = "".join(texts).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if data.translate(None, _GRAPH6_BYTES) or data[::w] != bytes([_LO + n]) * len(texts):
+        return None
+    pad = 6 * (w - 1) - n * (n - 1) // 2
+    unpadded = bytes(b for b in _GRAPH6_BYTES if (b - _LO) & ((1 << pad) - 1) == 0)
+    if data[w - 1::w].translate(None, unpadded):
+        return None
+    return data
+
+
+def pair_lanes(n: int, data: bytes) -> list[int]:
+    """Bit-sliced decode of a block of valid order-n lines, given by their
+    joined bytes: the lane set of each pair in ``triangle_pairs`` order,
+    whose bit i is the pair's bit in line i.  Column c of the block is
+    data[c::w], one byte per line, and pair t is bit 5 - t % 6 of column
+    1 + t // 6: one translate to digits, reversed to read line 0 last,
+    gives its lane set."""
+    w = graph6_width(n)
+    return [
+        int(b"0" + data[1 + t // 6::w].translate(_DIGITS[t % 6])[::-1], 2)
+        for t in range(n * (n - 1) // 2)
+    ]
 
 
 def parse_graph6(text: str) -> Graph:

@@ -19,6 +19,35 @@ def graphs_st(draw, min_n: int = 0, max_n: int = 8):
     return from_edge_mask(n, mask)
 
 
+# Edits of a list of lines: (line, position, kind, character), the kind 0
+# to replace the character at the position, 1 to insert before it and 2 to
+# delete it; the characters are the 256 byte values and a non-ASCII one.
+byte_edits_st = st.lists(
+    st.tuples(
+        st.integers(0, 15), st.integers(0, 9), st.integers(0, 2),
+        st.one_of(st.integers(0, 255).map(chr), st.just("\u00e9")),
+    ),
+    max_size=4,
+)
+
+
+def edited(lines: list[str], edits) -> list[str]:
+    """lines after each edit of byte_edits_st, the line taken modulo their
+    count and the position cut to the line's length."""
+    lines = list(lines)
+    for at, pos, kind, char in edits:
+        text = lines[at % len(lines)]
+        pos = min(pos, len(text))
+        if kind == 0:
+            text = text[:pos] + char + text[pos + 1:]
+        elif kind == 1:
+            text = text[:pos] + char + text[pos:]
+        else:
+            text = text[:pos] + text[pos + 1:]
+        lines[at % len(lines)] = text
+    return lines
+
+
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     """Erdos-Renyi style draw over the fixed pair order."""
     bits = n * (n - 1) // 2

@@ -5,8 +5,9 @@ shares no algorithmic ideas with the package under test: colorings are
 found by plain backtracking over vertices in label order, first-fit
 bounds by their definition, cliques and independent sets by full subset
 sweeps, connectivity by deleting every candidate cut set, cycles by
-permutation search.  Keep it that way.  The oracle_mask_* functions take
-a whole population at once, as a uint32 numpy array of edge masks.
+permutation search, lane sets by slicing one string of every mask.  Keep
+it that way.  The oracle_mask_* functions take a whole population at
+once, as a uint32 numpy array of edge masks.
 """
 
 from __future__ import annotations
@@ -100,6 +101,20 @@ def oracle_mask_rows(masks, n):
         rows[u] |= bit << np.uint8(v)
         rows[v] |= bit << np.uint8(u)
     return rows
+
+
+def oracle_edge_lanes(n, masks):
+    """The reference lane adjacency of the order-n graphs with the given
+    edge masks, a list of ints: bit i of adj[u][v] is the pair (u, v) of
+    masks[i], and the diagonal is 0.  One binary string of every mask,
+    last mask first, whose every p-th character from p - 1 - t on is the
+    lane set of pair t, read most significant lane first."""
+    p = n * (n - 1) // 2
+    text = "".join([format(mask, f"0{p}b") for mask in reversed(masks)])
+    adj = [[0] * n for _ in range(n)]
+    for t, (u, v) in enumerate(triangle_pairs(n)):
+        adj[u][v] = adj[v][u] = int(text[p - 1 - t::p], 2)
+    return adj
 
 
 def oracle_mask_clique_alpha(masks, n):

@@ -3,9 +3,17 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hamcert.graph6 import Graph6Error, decode_graph6, parse_graph6, to_graph6
+from hamcert.graph6 import (
+    Graph6Error,
+    decode_graph6,
+    pair_lanes,
+    parse_graph6,
+    to_graph6,
+    valid_block,
+)
 from hamcert.graphs import (
     complete_graph,
     cycle_graph,
@@ -15,7 +23,7 @@ from hamcert.graphs import (
     path_graph,
     petersen_graph,
 )
-from tests.conftest import graphs_st
+from tests.conftest import byte_edits_st, edited, graphs_st
 
 GRAPH8 = Path(__file__).parent / "data" / "graph8.g6"
 
@@ -113,3 +121,46 @@ def test_every_nonzero_padding_bit_rejected():
                     decode_graph6(text)
             else:
                 assert decode_graph6(text) == bitwise_decode(text)
+
+
+def test_valid_block_rejects_each_kind_of_bad_line():
+    # orders 3 and 4 share the width 2, and order 5 has two padding bits
+    good = [to_graph6(from_edge_mask(4, mask)) for mask in range(64)]
+    data = valid_block(4, good)
+    assert data == "".join(good).encode("ascii")
+    assert pair_lanes(4, data) == [
+        sum(1 << mask for mask in range(64) if mask >> t & 1) for t in range(6)
+    ]
+    for bad in ("B~", "C", "C~~", "C\u00e9", "C!", ">>graph6<<C~"):
+        assert valid_block(4, good + [bad]) is None, bad
+    assert valid_block(5, ["Dhc"]) == b"Dhc"
+    assert valid_block(5, ["Dhc", "Dhd"]) is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    masks=st.lists(st.integers(min_value=0, max_value=(1 << 45) - 1), min_size=1, max_size=6),
+    edits=byte_edits_st,
+)
+def test_block_decode_matches_line_decode(n, masks, edits):
+    # a block passes valid_block exactly when each line alone decodes to
+    # order n without header, and pair_lanes then holds each line's mask
+    pairs = n * (n - 1) // 2
+    texts = [to_graph6(from_edge_mask(n, m & ((1 << pairs) - 1))) for m in masks]
+    texts = [text.strip() for text in edited(texts, edits)]
+    decoded = []
+    for text in texts:
+        try:
+            decoded.append(decode_graph6(text))
+        except Graph6Error:
+            decoded.append(None)
+    valid = all(
+        d is not None and d[0] == n and not text.startswith(">>") for d, text in zip(decoded, texts)
+    )
+    data = valid_block(n, texts)
+    assert (data is not None) == valid
+    if valid:
+        assert pair_lanes(n, data) == [
+            sum((mask >> t & 1) << i for i, (_, mask) in enumerate(decoded)) for t in range(pairs)
+        ]

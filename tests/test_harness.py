@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamcert import graph6, harness
 from hamcert.graph6 import Graph6Error, decode_graph6, parse_graph6, to_graph6
@@ -29,9 +31,10 @@ from hamcert.invariants import (
 from hamcert.cycles import find_hamiltonian_cycle
 from hamcert.theorem import build_extremal, certify
 
-from tests.conftest import random_graph, relabeled
+from tests.conftest import byte_edits_st, edited, random_graph, relabeled
 from tests.oracles import (
     oracle_chromatic,
+    oracle_edge_lanes,
     oracle_first_fit_colors,
     oracle_hamiltonian_cycle,
     oracle_mask_clique_alpha,
@@ -161,9 +164,10 @@ class TestInternalSweep:
 
 class TestSharding:
     def test_totals_independent_of_shard_count(self):
-        base = report_fingerprint(verify_order(5))
-        for shards in (2, 3, 5, 11):
-            assert report_fingerprint(verify_order(5, shards=shards)) == base
+        for n in (5, 6):
+            base = report_fingerprint(verify_order(n))
+            for shards in (2, 3, 5, 11):
+                assert report_fingerprint(verify_order(n, shards=shards)) == base
 
     def test_merge_is_associative(self):
         a = VerificationReport(
@@ -286,7 +290,8 @@ def mask_pipeline(n, k_range, lines, on_extremal=None):
         if order == n:
             masks.append(mask)
     ks = harness._clamped_k_range(n, *k_range)
-    return harness._verify_masks(n, ks, np.array(masks, np.uint32), on_extremal)
+    masks = np.array(masks, np.uint32)
+    return harness._verify_masks(n, ks, masks, mask_lanes(n, masks), on_extremal)
 
 
 def run_both_paths(n, k_range, lines):
@@ -390,7 +395,7 @@ def assert_chromatic_lanes(n, masks, s_maxes, adj=None):
     returns the lane sets of the largest s_max."""
     chi = [chromatic_number(from_edge_mask(n, int(m)))[0] for m in masks]
     if adj is None:
-        adj = harness._edge_lanes(n, [int(m) for m in masks])
+        adj = oracle_edge_lanes(n, [int(m) for m in masks])
     for s_max in s_maxes:
         at_least = harness._chromatic_lanes(adj, n, s_max, (1 << len(masks)) - 1)
         assert len(at_least) == s_max + 1
@@ -445,7 +450,7 @@ class TestBatchedKernels:
         masks = [random_graph(n, rng.uniform(0.6, 0.95), rng).edge_mask() for _ in range(1024)]
         whole = assert_chromatic_lanes(n, masks, (n - 3, n - 2, n))
         for i in range(0, len(masks), 16):
-            alone = harness._chromatic_lanes(harness._edge_lanes(n, [masks[i]]), n, n, 1)
+            alone = harness._chromatic_lanes(oracle_edge_lanes(n, [masks[i]]), n, n, 1)
             assert alone == [lanes >> i & 1 for lanes in whole]
         assert harness._LANE_KERNEL_MAX_ORDER == 12
 
@@ -491,7 +496,7 @@ class TestBatchedKernels:
         split = [i for i, g in enumerate(graphs) if not is_connected(g) and min_degree(g) >= 2]
         assert split
         every = (1 << masks.size) - 1
-        for adj in (mask_lanes(n, masks), harness._edge_lanes(n, masks.tolist())):
+        for adj in (mask_lanes(n, masks), oracle_edge_lanes(n, masks.tolist())):
             degree = harness._degree_lanes(adj, n - 1, every)
             for order in (range(n), range(n - 1, -1, -1)):
                 hit = harness._may_hit(n, n - 1, degree, harness._first_fit_lanes(adj, order, every))
@@ -562,7 +567,7 @@ class TestLaneKernels:
         fan = with_edges(n, [(0, v) for v in path[1:]] + list(zip([1] + path[1:-1], path[1:-1])))
         graphs = [down, fan, relabeled(fan, random.Random(n)), complete_graph(n)]
         assert [vertex_connectivity(g) for g in graphs] == [1, 2, 2, n - 1]
-        adj = harness._edge_lanes(n, [g.edge_mask() for g in graphs])
+        adj = oracle_edge_lanes(n, [g.edge_mask() for g in graphs])
         for cap in range(2, n):
             at_least = harness._kappa_lanes(adj, n, cap, 0b1111)
             assert [lane_list(lanes, 4) for lanes in at_least] == [
@@ -570,20 +575,20 @@ class TestLaneKernels:
             ]
 
     def test_both_sources_build_the_same_lanes(self):
-        # the pure builder of the stream and the numpy builder of the mask
-        # pipeline against the edges of each graph; graph8.g6 has 12,346
-        # classes, not a whole number of uint64 words of lanes, and orders
-        # 1 and 2 have no pair or one
+        # the reference builder, the graph6 builder of the stream and the
+        # numpy builder of the mask pipeline against the edges of each
+        # graph; graph8.g6 has 12,346 classes, not a whole number of uint64
+        # words of lanes, and orders 1 and 2 have no pair or one
         for source in ("1", "2", "3", "5", "graph8"):
             n, masks = TestBatchedKernels.labeled_or_graph8(source)
             graphs = [from_edge_mask(n, int(m)) for m in masks]
-            adj = harness._edge_lanes(n, masks.tolist())
-            assert adj == mask_lanes(n, masks)
+            adj = oracle_edge_lanes(n, masks.tolist())
+            assert adj == mask_lanes(n, masks) == graph6_lanes(graphs)
             assert len(adj) == n and all(len(row) == n for row in adj)
             for u in range(n):
                 for v in range(n):
                     assert lane_list(adj[u][v], masks.size) == [g.has_edge(u, v) for g in graphs]
-            assert harness._edge_lanes(n, masks[-1:].tolist()) == mask_lanes(n, masks[-1:])
+            assert oracle_edge_lanes(n, masks[-1:].tolist()) == mask_lanes(n, masks[-1:])
         assert harness._lanes([]) == 0
         assert harness._lanes([True, False, True, False]) == 0b101
         dense = np.array([g.edge_count() > 20 for g in graphs])
@@ -627,6 +632,65 @@ class TestLaneKernels:
         assert list(harness._lane_indices(0)) == []
         assert list(harness._lane_indices(0b1011001)) == [0, 3, 4, 6]
         assert list(harness._lane_indices(1 << 5000 | 2)) == [1, 5000]
+
+
+def graph6_lanes(graphs):
+    """The lanes of graphs of one order, built from their graph6 lines as
+    the stream builds them."""
+    n = graphs[0].n
+    data = "".join(map(to_graph6, graphs)).encode("ascii")
+    return harness._lane_adjacency(n, graph6.pair_lanes(n, data))
+
+
+class TestLaneBuilders:
+    """The lane builders of both sources against references: the stream's
+    graph6 builder against the string-slicing oracle, and the sweep's
+    index patterns against the numpy builder over the masks of a range."""
+
+    @pytest.mark.parametrize(
+        "source", ["1", "2", "3", "4", "5", "6", "graph8", "graph8-complements"]
+    )
+    def test_graph6_lanes_match_reference(self, source):
+        n, masks = TestBatchedKernels.labeled_or_graph8(source)
+        graphs = [from_edge_mask(n, int(m)) for m in masks]
+        assert graph6_lanes(graphs) == oracle_edge_lanes(n, masks.tolist())
+        assert graph6_lanes(graphs[-1:]) == oracle_edge_lanes(n, masks[-1:].tolist())
+
+    @staticmethod
+    def assert_range_lanes(n, ranges):
+        # the lanes of lo .. hi - 1 are those of the whole population from
+        # lane lo on
+        total = 1 << (n * (n - 1) // 2)
+        whole = mask_lanes(n, np.arange(total, dtype=np.uint32))
+        for lo, hi in ranges:
+            keep = (1 << (hi - lo)) - 1
+            expected = [[lanes >> lo & keep for lanes in row] for row in whole]
+            assert harness._range_lanes(n, lo, hi) == expected, (lo, hi)
+
+    def test_range_lanes_on_every_small_range(self):
+        # every range at orders 1 to 4; at order 5, whose ranges number
+        # 524,800, every lo with widths 1 to 3, 2^j - 1, 2^j and 2^j + 1,
+        # and every suffix
+        for n in range(1, 5):
+            total = 1 << (n * (n - 1) // 2)
+            self.assert_range_lanes(
+                n, [(lo, hi) for lo in range(total) for hi in range(lo + 1, total + 1)]
+            )
+        widths = {1, 2, 3} | {(1 << j) + d for j in range(2, 11) for d in (-1, 0, 1)}
+        self.assert_range_lanes(
+            5, [(lo, min(lo + w, 1024)) for lo in range(1024) for w in sorted(widths)]
+        )
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_range_lanes_on_shard_bounds(self, n):
+        # 3, 7 and 11 shards: some start at an odd mask, off every period
+        total = 1 << (n * (n - 1) // 2)
+        for shards in (3, 7, 11):
+            bounds = [total * i // shards for i in range(shards + 1)]
+            assert any(lo % 2 for lo in bounds)
+            for lo, hi in zip(bounds, bounds[1:]):
+                masks = np.arange(lo, hi, dtype=np.uint32)
+                assert harness._range_lanes(n, lo, hi) == mask_lanes(n, masks), (shards, lo)
 
 
 class TestStreamBlocks:
@@ -766,3 +830,141 @@ class TestStreamBlocks:
         assert report_fingerprint(blocked) == report_fingerprint(whole)
         assert blocked_calls == whole_calls
         assert blocked.total_graphs == len(good) and blocked.hits_total > 0
+
+
+def oracle_errors(n, lines):
+    """The errors of a stream of order-n lines, each line decoded alone."""
+    errors = []
+    for line_no, raw in enumerate(lines, 1):
+        text = raw.strip()
+        if not text:
+            continue
+        try:
+            order, _ = decode_graph6(text)
+        except Graph6Error as err:
+            errors.append((line_no, str(err)))
+            continue
+        if order != n:
+            errors.append((line_no, f"expected order {n}, got {order}"))
+    return errors
+
+
+def fast_path_lines():
+    """Order-8 lines with hits, both extremal graph8.g6 classes among
+    them, and a blank line."""
+    lines = graph8_lines()
+    good = lines[-16:]
+    good[4:4] = [lines[3484], lines[6110]]
+    good.insert(3, "  ")
+    return good
+
+
+def padded(text):
+    """text with its last payload bit set; an order-8 line has two bits
+    of padding."""
+    return text[:-1] + chr(63 + ((ord(text[-1]) - 63) | 1))
+
+
+# Each case: lines that replace the line at position 7 of fast_path_lines.
+# The two of widths w - 1 and w + 1 join to two w-wide slots whose order
+# column and padding are valid, so only the width of each line tells them
+# apart.
+BAD_LINES = {
+    "header": lambda t: [">>graph6<<" + t],
+    "other-order": lambda t: ["Dhc"],
+    "order-byte": lambda t: ["H" + t[1:]],
+    "padding": lambda t: [padded(t)],
+    "byte-out-of-range": lambda t: [t[:2] + "!" + t[3:]],
+    "non-ascii": lambda t: [t[:2] + "\u00e9" + t[3:]],
+    "truncated": lambda t: [t[:-1]],
+    "trailing-byte": lambda t: [t + "?"],
+    "widths-off-by-one": lambda t: [t[:-1], "G" + t],
+}
+
+
+class TestStreamFastPath:
+    """A block of valid lines is validated and read as a whole; one that
+    fails a check is decoded line by line.  Both paths must give the
+    errors, texts and line numbers of a per-line decode, and the totals of
+    the mask pipeline."""
+
+    @staticmethod
+    def run(monkeypatch, lines, block, fallback_only=False):
+        monkeypatch.setattr(harness, "_STREAM_BLOCK", block)
+        decoded = []
+        per_line = harness._decoded_lines
+
+        def counted(report, n, numbered):
+            decoded.append(numbered)
+            return per_line(report, n, numbered)
+
+        monkeypatch.setattr(harness, "_decoded_lines", counted)
+        if fallback_only:
+            monkeypatch.setattr(harness, "valid_block", lambda n, texts: None)
+        calls = []
+        rep = verify_order(
+            8, (2, 7), source="graph6", stream=iter(lines),
+            on_extremal=lambda g6, k: calls.append((g6, k)),
+        )
+        monkeypatch.undo()
+        return rep, calls, decoded
+
+    @staticmethod
+    def assert_matches_per_line(lines, rep, calls):
+        vector_calls = []
+        vector = mask_pipeline(8, (2, 7), lines, lambda g6, k: vector_calls.append((g6, k)))
+        assert rep.errors == oracle_errors(8, lines)
+        assert report_fingerprint(rep) == report_fingerprint(vector)
+        assert calls == vector_calls
+
+    @pytest.mark.parametrize("block", [1, 5, 4096])
+    @pytest.mark.parametrize("case", sorted(BAD_LINES))
+    def test_bad_line_falls_back_to_per_line_decode(self, monkeypatch, case, block):
+        lines = fast_path_lines()
+        lines[7:8] = BAD_LINES[case](lines[7])
+        rep, calls, decoded = self.run(monkeypatch, lines, block)
+        self.assert_matches_per_line(lines, rep, calls)
+        assert rep.extremal == 2 and rep.hits_total > 10
+        if case == "header":
+            assert rep.errors == [] and rep.total_graphs == 18
+        else:
+            assert [line_no for line_no, _ in rep.errors] == list(range(8, 8 + len(lines) - 18))
+        # only the blocks that hold a bad line are decoded line by line
+        assert len(decoded) == len({i // block for i in range(7, 7 + len(lines) - 18)})
+        forced, forced_calls, _ = self.run(monkeypatch, lines, block, fallback_only=True)
+        assert (forced.errors, report_fingerprint(forced), forced_calls) == (
+            rep.errors, report_fingerprint(rep), calls,
+        )
+
+    @pytest.mark.parametrize("block", [1, 5, 4096])
+    def test_clean_stream_takes_the_fast_path(self, monkeypatch, block):
+        lines = fast_path_lines()
+        rep, calls, decoded = self.run(monkeypatch, lines, block)
+        assert decoded == [] and rep.errors == []
+        self.assert_matches_per_line(lines, rep, calls)
+        forced, forced_calls, decoded = self.run(monkeypatch, lines, block, fallback_only=True)
+        # a block counts lines, blank ones included; one of blank lines
+        # alone is not decoded
+        assert len(decoded) == len({i // block for i, text in enumerate(lines) if text.strip()})
+        assert report_fingerprint(forced) == report_fingerprint(rep) and forced_calls == calls
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        picks=st.lists(st.integers(0, 12345), min_size=1, max_size=12),
+        edits=byte_edits_st,
+        block=st.sampled_from([1, 3, 4096]),
+    )
+    def test_random_byte_edits_match_per_line_decode(self, picks, edits, block):
+        lines = graph8_lines()
+        lines = edited([lines[i] for i in picks], edits)
+        old_block = harness._STREAM_BLOCK
+        harness._STREAM_BLOCK = block
+        try:
+            calls = []
+            rep = verify_order(
+                8, (2, 7), source="graph6", stream=iter(lines),
+                on_extremal=lambda g6, k: calls.append((g6, k)),
+            )
+        finally:
+            harness._STREAM_BLOCK = old_block
+        self.assert_matches_per_line(lines, rep, calls)
