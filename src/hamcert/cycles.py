@@ -20,17 +20,10 @@ from hamcert.invariants import PathSystem
 MAX_LONGEST_CYCLE_ORDER = 16
 
 # Hamiltonian search reads the path table up to this order; beyond it
-# backtracking takes over.  At n = 24 the fill holds the 2^23-row uint32
-# table (32 MiB), 23 MiB of bit slices and 16 MiB of unpacking scratch,
-# and takes about 0.5 s (2-core x86 host).
+# backtracking takes over.  At n = 24 the fill holds 23 bit slices and 23
+# lack masks of 2^23 bits each (46 MiB), adds about 60 MB of peak RSS and
+# takes 0.41-0.50 s (2-core x86 host).
 MAX_HAMILTONIAN_DP_ORDER = 24
-
-# A path table of 2^m rows, m = n - s - 1, is filled in pure Python below
-# this m and by bit slices in numpy from it on.  The median fill of
-# G(m + 1, p) from s = 0, p in {0.25, 0.45, 0.7}, costs 0.53 ms pure
-# against 0.68 ms bit-sliced at m = 9 and 1.25 ms against 0.92 ms at
-# m = 10 (2-core x86 host).
-_BIT_FILL_ROW_BITS = 10
 
 
 @dataclass(frozen=True)
@@ -121,69 +114,31 @@ def canonical_cycle(vertices) -> Cycle:
 # Hamiltonian cycle
 
 
-def _path_ends(g: Graph, s: int):
-    """The path table T from s: T[r] is the endpoint set of the paths
-    from s that span exactly (1 << s) | (r << (s + 1)).
+def _path_ends(g: Graph, s: int) -> list[int]:
+    """The path table from s, bit-sliced: bit r of ends[b] is set when
+    vertex s + 1 + b ends a path from s that spans exactly
+    (1 << s) | (r << (s + 1)), for the m = n - s - 1 vertices above s.
 
     This is the Bellman / Held-Karp subset DP; both exact cycle solvers
-    read their answers from this one table.  Its two fills give the same
-    table and its row count 2^(n - s - 1) alone picks one; either way T
-    is a sequence of ints.
+    read their answers from it.  A vertex's slice takes its neighbours'
+    slices from the rows that lack its bit to the rows that have it, a
+    shift by 1 << b under the mask lacks[b].  The updates run in place,
+    and repeat until none of them changes anything; each adds only true
+    endpoints, and that fixpoint is the table.  A vertex is read again
+    only once one of its neighbours has grown.
     """
-    if g.n - s - 1 < _BIT_FILL_ROW_BITS:
-        return _path_ends_python(g, s)
-    return _path_ends_bits(g, s)
-
-
-def _path_ends_python(g: Graph, s: int) -> list[int]:
-    adj = g.adj[s + 1:]  # adj[b] is the row of the vertex of bit b
-    table = [0] * (1 << len(adj))
-    table[0] = 1 << s
-    for r in range(1, len(table)):
-        acc = 0
-        rest = r
-        while rest:
-            vb = rest & -rest
-            rest ^= vb
-            if table[r ^ vb] & adj[vb.bit_length() - 1]:
-                acc |= vb
-        table[r] = acc << (s + 1)
-    return table
-
-
-# _LACKS[b] has the bits of a 64-bit word whose position lacks bit b
-_LACKS = [sum(1 << i for i in range(64) if not i >> b & 1) for b in range(6)]
-
-# the three steps of an 8 x 8 bit transpose in a 64-bit word, as
-# (mask, shift) (Warren, Hacker's Delight, section 7-3)
-_TRANSPOSE_STEPS = ((0x00AA00AA00AA00AA, 7), (0x0000CCCC0000CCCC, 14), (0x00000000F0F0F0F0, 28))
-
-
-def _path_ends_bits(g: Graph, s: int) -> memoryview:
-    """The same table, bit-sliced: ends[b] packs one bit per row r into
-    uint64 words, set when vertex s + 1 + b ends a path from s that spans
-    row r.
-
-    A vertex's slice takes its neighbours' slices from the rows that lack
-    its bit to the rows that have it: for bit b >= 6 that is a word
-    offset, the two halves of a (-1, 2, 2^(b - 6)) view, below 6 a shift
-    inside each word.  The updates run in place, and repeat until none
-    of them changes anything; each adds only true endpoints, and that
-    fixpoint is the table.  A vertex is read again only once one of its
-    neighbours has grown.
-    """
-    import numpy as np
-
     m = g.n - s - 1
-    words = max(1, (1 << m) >> 6)
     adj = [row >> (s + 1) for row in g.adj]
     nbrs = [[c for c in range(m) if adj[s + 1 + b] >> c & 1] for b in range(m)]
-    # little-endian words, so that byte k of a slice holds rows 8k..8k+7
-    ends = np.zeros((m, words), "<u8")
+    ends = [(adj[s] >> b & 1) << (1 << b) for b in range(m)]  # the paths s, s + 1 + b
+    # lacks[b] has bit r set for the rows r < 2^m without bit b
+    lacks = []
     for b in range(m):
-        if adj[s] >> b & 1:  # the path s, s + 1 + b
-            ends[b, (1 << b) >> 6] = 1 << ((1 << b) & 63)
-    acc = np.empty(words, "<u8")
+        mask, width = (1 << (1 << b)) - 1, 2 << b
+        while width < 1 << m:
+            mask |= mask << width
+            width <<= 1
+        lacks.append(mask)
     # a vertex is stale when a neighbour has grown since it last read them
     stale = [bool(cs) for cs in nbrs]
     while any(stale):
@@ -191,50 +146,15 @@ def _path_ends_bits(g: Graph, s: int) -> memoryview:
             if not stale[b]:
                 continue
             stale[b] = False
-            if b >= 6:
-                halves = ends.reshape(m, -1, 2, 1 << (b - 6))
-                dst = halves[b, :, 1]
-                new = acc[: words // 2].reshape(dst.shape)
-                np.copyto(new, halves[cs[0], :, 0])
-                for c in cs[1:]:
-                    new |= halves[c, :, 0]
-            else:
-                dst, new = ends[b], acc
-                np.copyto(new, ends[cs[0]])
-                for c in cs[1:]:
-                    new |= ends[c]
-                new &= np.uint64(_LACKS[b])
-                new <<= np.uint64(1 << b)
-            new |= dst
-            new ^= dst  # the endpoints dst lacks
-            if np.count_nonzero(new):
-                dst |= new
+            new = 0
+            for c in cs:
+                new |= ends[c]
+            new = ends[b] | (new & lacks[b]) << (1 << b)
+            if new != ends[b]:
+                ends[b] = new
                 for c in cs:
                     stale[c] = True
-
-    # unpack eight vertices at a time: byte i of word k holds the rows
-    # 8k..8k+7 of vertex i; transposed, byte i holds row 8k + i
-    rows = 1 << m
-    table = np.zeros(rows, "<u4")
-    columns = table.view(np.uint8).reshape(rows, 4)  # byte j: vertices 8j..8j+7
-    octets = np.empty((max(1, rows >> 3), 8), np.uint8)
-    word, tmp = octets.view("<u8").reshape(-1), np.empty(len(octets), "<u8")
-    for j in range((s + 1) >> 3, (g.n + 7) >> 3):
-        octets[...] = 0
-        for w in range(max(8 * j, s + 1), min(8 * j + 8, g.n)):
-            octets[:, w - 8 * j] = ends[w - s - 1].view(np.uint8)[: len(octets)]
-        for mask, shift in _TRANSPOSE_STEPS:
-            np.right_shift(word, np.uint64(shift), out=tmp)
-            tmp ^= word
-            tmp &= np.uint64(mask)
-            word ^= tmp
-            tmp <<= np.uint64(shift)
-            word ^= tmp
-        columns[:, j] = octets.reshape(-1)[:rows]
-    table[0] = 1 << s
-    # a memoryview over the array indexes to plain ints, as the list does;
-    # it needs the native byte order (a copy only on big-endian hosts)
-    return memoryview(table.astype(np.uint32, copy=False))
+    return ends
 
 
 def _articulation_free(g: Graph) -> bool:
@@ -336,17 +256,18 @@ def find_hamiltonian_cycle(g: Graph):
         if seq is None:
             return None
     else:
-        # walk the path table from 0 back from the lowest closing end,
-        # always to the lowest endpoint that reaches the current vertex
-        table = _path_ends(g, 0)
-        r, seq = len(table) - 1, [0]
-        if not table[r] & g.adj[0]:
-            return None
+        # walk the path table from 0 back from the full row, always to the
+        # lowest neighbour that ends a path spanning what is left
+        ends = _path_ends(g, 0)
+        r, seq = (1 << (g.n - 1)) - 1, [0]
         for _ in range(g.n - 1):
-            vb = table[r] & g.adj[seq[-1]]
-            vb &= -vb
-            seq.append(vb.bit_length() - 1)
-            r ^= vb >> 1
+            b = next((b for b in iter_bits(g.adj[seq[-1]] >> 1) if ends[b] >> r & 1), None)
+            if b is None:
+                break
+            seq.append(b + 1)
+            r ^= 1 << b
+        if len(seq) == 1:  # no neighbour of 0 ends a spanning path
+            return None
         seq = [0] + seq[:0:-1]
     return canonical_cycle(_checked(g, seq, g.n))
 
@@ -376,6 +297,11 @@ def longest_cycle(g: Graph) -> Cycle:
         raise ValueError(
             f"exact longest-cycle search is limited to {MAX_LONGEST_CYCLE_ORDER} vertices"
         )
+    # layers[c] has bit r set for the rows r < 2^(n - 1) of c bits, built
+    # by doubling the row count
+    layers = [1]
+    for j in range(n - 1):
+        layers = [a | b << (1 << j) for a, b in zip(layers + [0], [0] + layers)]
     # for each start s, the largest vertex sets with lowest vertex s that
     # close into a cycle, as rows r of the path table from s; only a
     # strictly larger size moves the lead to a later start, and no start
@@ -384,10 +310,14 @@ def longest_cycle(g: Graph) -> Cycle:
     for s in range(n - 2):
         if n - s <= best:
             break
-        table = _path_ends(g, s)
-        size, frames = _largest_closing_rows(table, g.adj[s])
-        if size + 1 > best:
-            best, lead = size + 1, (s, table, frames)
+        ends = _path_ends(g, s)
+        closing = 0
+        for b in iter_bits(g.adj[s] >> (s + 1)):
+            closing |= ends[b]
+        for size in range(n - s - 1, best - 1, -1):
+            if rows := closing & layers[size]:
+                best, lead = size + 1, (s, ends, rows)
+                break
     if lead is None:
         raise ValueError("graph has no cycle")
 
@@ -396,33 +326,19 @@ def longest_cycle(g: Graph) -> Cycle:
     # i.e. v ends a path from s spanning what F has left.  The walk so
     # far plus that path is a cycle on used | F, which cannot beat best,
     # so every hit is a real completion and the walk never backtracks.
-    s, table, frames = lead
+    s, ends, rows = lead
+    frames = list(iter_bits(rows))
     path, used = [s], 0
     while len(path) < best:
-        ends = 0
+        left = 0  # the rows the kept sets have left
         for f in frames:
-            ends |= table[f & ~used]
-        vb = ends & g.adj[path[-1]]
-        vb &= -vb
-        path.append(vb.bit_length() - 1)
-        used |= vb >> (s + 1)
+            left |= 1 << (f & ~used)
+        b = next((b for b in iter_bits(g.adj[path[-1]] >> (s + 1)) if ends[b] & left), None)
+        if b is None:
+            break
+        path.append(s + 1 + b)
+        used |= 1 << b
     return Cycle(tuple(_checked(g, path, best)))
-
-
-def _largest_closing_rows(table, closers: int):
-    """The largest row size c among the rows r with table[r] & closers,
-    and those rows of size c (0 and none when no row closes).  An array
-    table is scanned in numpy, a list table in pure Python."""
-    if isinstance(table, list):
-        rows = [r for r, ends in enumerate(table) if ends & closers]
-        size = max(map(int.bit_count, rows), default=0)
-        return size, [r for r in rows if r.bit_count() == size]
-    import numpy as np
-
-    rows = np.flatnonzero(np.asarray(table) & closers)
-    sizes = np.bitwise_count(rows)
-    size = int(sizes.max(initial=0))
-    return size, rows[sizes == size].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from hamcert.graphs import Graph, from_edge_mask, triangle_pairs
 
-_HEADER = ">>graph6<<"
+GRAPH6_HEADER = ">>graph6<<"
 
 # Printable graph6 byte range.
 _LO = 63
@@ -39,9 +39,7 @@ def decode_graph6(text: str) -> tuple[int, int]:
     """Decode one graph6 line (surrounding whitespace and header
     tolerated) to its order n and its edge mask in ``triangle_pairs``
     order; every malformed line raises Graph6Error."""
-    s = text.strip()
-    if s.startswith(_HEADER):
-        s = s[len(_HEADER):]
+    s = text.strip().removeprefix(GRAPH6_HEADER)
     if not s:
         raise Graph6Error("empty graph6 string")
     try:

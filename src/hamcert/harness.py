@@ -34,9 +34,9 @@ whose import alone costs a stream process about 12 MB resident.  It
 builds the lanes of a block straight from the bytes of its lines
 (graph6.pair_lanes): pair t of every line is one column of the joined
 block, read to a lane set by one bytes.translate.  A few whole-block
-checks (graph6.valid_block) validate the block; one that fails them is
-decoded line by line, so that each bad line is reported with its line
-number.  The
+checks (graph6.valid_block) validate the block, and again with a leading
+header cut off each line; one that still fails them is decoded line by
+line, so that each bad line is reported with its line number.  The
 candidates stay lines, settled a block at a time in line order, and a
 Graph is built only for a certify replay.  The exact kernels' tables and
 cut enumeration double with each order, so above _LANE_KERNEL_MAX_ORDER
@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, islice
 
 from hamcert.graph6 import (
+    GRAPH6_HEADER,
     MAX_GRAPH6_ORDER,
     Graph6Error,
     decode_graph6,
@@ -440,10 +441,11 @@ def _kappa_lanes(adj, n, k_cap, every):
 
 
 def _hamiltonian_lanes(adj, n, lanes):
-    """The Hamiltonian graphs among the given lanes, n >= 3: the path table
-    of cycles._path_ends from vertex 0, one lane set per (row, end).  Row r
-    maps each end v to the lanes in which some path from 0 spans exactly
-    1 | (r << 1) and ends at v; a cycle closes a spanning path."""
+    """The Hamiltonian graphs among the given lanes, n >= 3: the subset DP
+    of cycles._path_ends from vertex 0, filled a row at a time with one
+    lane set per (row, end).  Row r maps each end v to the lanes in which
+    some path from 0 spans exactly 1 | (r << 1) and ends at v; a cycle
+    closes a spanning path."""
     table = [{0: lanes}]
     for r in range(1, 1 << (n - 1)):
         ends = {}
@@ -612,8 +614,10 @@ def _verify_stream(n, ks, lines, on_extremal) -> VerificationReport:
     """A block of lines at a time: the cheap stages run in the lane kernels
     on the valid lines of a block, built from their bytes, and the
     candidate lines they leave are settled a block at a time in line
-    order.  A block that fails a whole-block check is decoded line by
-    line, for its errors and their line numbers."""
+    order.  A block that fails a whole-block check is checked again with a
+    leading header cut off each line, as decode_graph6 drops it; one that
+    still fails is decoded line by line, for its errors and their line
+    numbers."""
     report = VerificationReport(hypothesis_hits={k: 0 for k in ks})
     lines = iter(lines)
     line_no = 0
@@ -621,6 +625,11 @@ def _verify_stream(n, ks, lines, on_extremal) -> VerificationReport:
     while chunk := list(islice(lines, _STREAM_BLOCK)):
         texts = [text for raw in chunk if (text := raw.strip())]
         data = valid_block(n, texts) if texts else b""
+        if data is None:
+            # a header fails the checks; cutting it off the lines of every
+            # block would cost the graph8.g6 stream about 2 %
+            texts = [text.removeprefix(GRAPH6_HEADER) for text in texts]
+            data = valid_block(n, texts)
         if data is None:
             texts = _decoded_lines(report, n, enumerate(chunk, line_no + 1))
             data = "".join(texts).encode("ascii")

@@ -6,8 +6,10 @@ found by plain backtracking over vertices in label order, first-fit
 bounds by their definition, cliques and independent sets by full subset
 sweeps, connectivity by deleting every candidate cut set, cycles by
 permutation search, lane sets by slicing one string of every mask.  Keep
-it that way.  The oracle_mask_* functions take a whole population at
-once, as a uint32 numpy array of edge masks.
+it that way.  The one exception is oracle_path_ends, the reference for
+the bit-sliced path table: the same subset DP, filled one row at a time.
+The oracle_mask_* functions take a whole population at once, as a uint32
+numpy array of edge masks.
 """
 
 from __future__ import annotations
@@ -188,6 +190,24 @@ def oracle_hamiltonian_cycle(g: Graph) -> tuple[int, ...] | None:
         return None
 
     return extend()
+
+
+def oracle_path_ends(g: Graph, s: int) -> list[int]:
+    """The path table from s, row by row: entry r is the vertex mask of the
+    ends of the paths from s that span exactly (1 << s) | (r << (s + 1))."""
+    adj = g.adj[s + 1:]  # adj[b] is the row of the vertex of bit b
+    table = [0] * (1 << len(adj))
+    table[0] = 1 << s
+    for r in range(1, len(table)):
+        acc = 0
+        rest = r
+        while rest:
+            vb = rest & -rest
+            rest ^= vb
+            if table[r ^ vb] & adj[vb.bit_length() - 1]:
+                acc |= vb
+        table[r] = acc << (s + 1)
+    return table
 
 
 def oracle_longest_cycle_length(g: Graph) -> int:

@@ -185,10 +185,11 @@ class TestVerify:
         # and path tables need no numpy, and its resident size depends on
         # that.  The order-9 stream has candidates and hits, extremal and
         # Hamiltonian, for the exact chi, kappa and Hamiltonicity kernels
-        # above the mask pipeline's order.  The seeded order-20 stream runs
-        # the lane builder and the cheap kernels; its graphs are too sparse
-        # to be candidates, since a hit there would reach the single-graph
-        # Hamiltonian solver, whose bit fill uses numpy from order 11 on
+        # above the mask pipeline's order.  The order-13 stream has hits of
+        # both kinds above _LANE_KERNEL_MAX_ORDER, settled by the
+        # single-graph solvers and, for the extremal ones, the certify
+        # replay.  The seeded order-20 stream runs the lane builder and the
+        # cheap kernels
         script = """
 import json, sys
 from hamcert.cli import run
@@ -213,9 +214,17 @@ assert "numpy" not in sys.modules, "verify --stream imported numpy"
         order9.write_text("\n".join(lines9) + "\n", encoding="ascii")
         rep = verify_order(9, source="graph6", stream=iter(lines9))
         assert rep.hits_total > 10 and rep.extremal >= 3 and rep.hamiltonian > 0
+        rng = random.Random(13)
+        lines13 = [to_graph6(build_extremal(k, 13)) for k in (2, 3)]
+        lines13 += [to_graph6(complement(random_graph(13, 0.1, rng))) for _ in range(3)]
+        order13 = tmp_path / "order13.g6"
+        order13.write_text("\n".join(lines13) + "\n", encoding="ascii")
+        rep13 = verify_order(13, source="graph6", stream=iter(lines13))
+        assert rep13.extremal >= 2 and rep13.hamiltonian > 0
         runs = [
             (["verify", "--n", "8", "--stream", str(graph8)], 12346, 843),
             (["verify", "--n", "9", "--stream", str(order9)], len(lines9), rep.hits_total),
+            (["verify", "--n", "13", "--stream", str(order13)], len(lines13), rep13.hits_total),
             (["verify", "--n", "20", "--stream", str(order20)], len(lines), 0),
         ]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))

@@ -45,7 +45,7 @@ from hamcert.cycles import (
 )
 from hamcert.theorem import build_extremal
 from tests.conftest import graphs_st, random_graph, relabeled
-from tests.oracles import oracle_hamiltonian_cycle, oracle_longest_cycle_length
+from tests.oracles import oracle_hamiltonian_cycle, oracle_longest_cycle_length, oracle_path_ends
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def test_hamiltonian_matches_oracle_random_n7():
 
 
 def test_hamiltonian_vector_tier():
-    # tables of 2^10 rows and more route through the bit-sliced fill
+    # path tables of 2^13 and 2^15 rows, with and without a cycle
     assert find_hamiltonian_cycle(cycle_graph(14)).vertices == tuple(range(14))
     assert find_hamiltonian_cycle(complete_bipartite(7, 9)) is None
     halves = disjoint_union(complete_graph(7), complete_graph(7))
@@ -170,57 +170,54 @@ def test_petersen_not_hamiltonian():
     assert find_hamiltonian_cycle(petersen_graph()) is None
 
 
-def _assert_fills_agree(g, s):
-    pure = cycles._path_ends_python(g, s)
-    assert list(cycles._path_ends_bits(g, s)) == pure, (g.adj, s)
-    assert len(pure) == 1 << (g.n - s - 1) and pure[0] == 1 << s
-    return pure
+def _assert_fill_matches_oracle(g, s):
+    """The slices of the path table from s, each bit held to the row-by-row
+    reference: bit r of slice b is bit s + 1 + b of its row r."""
+    table = oracle_path_ends(g, s)
+    ends = cycles._path_ends(g, s)
+    assert len(ends) == g.n - s - 1, (g.adj, s)
+    for b, slice_ in enumerate(ends):
+        bits = format(slice_, "b")[::-1].ljust(len(table), "0")
+        want = "".join("1" if row >> (s + 1 + b) & 1 else "0" for row in table)
+        assert bits == want, (g.adj, s, b)
+    return ends
 
 
 def test_path_table_fills_agree():
-    # differential: the bit-sliced fill gives the pure fill's table, entry
-    # for entry, for every start either solver reads
+    # differential: the bit-sliced fill gives the row-by-row table, bit for
+    # bit, at every start
     rng = random.Random(13)
-    graphs = [random_graph(n, p, rng) for n in range(8, 17) for p in (0.25, 0.45, 0.7)]
+    graphs = [random_graph(n, p, rng) for n in range(3, 17) for p in (0.25, 0.45, 0.7)]
     graphs.append(with_edges(12, [(u, v) for u, v in complete_graph(12).edges() if 5 not in (u, v)]))
     for g in graphs:
-        for s in range(g.n - 2):
-            _assert_fills_agree(g, s)
+        for s in range(g.n):
+            _assert_fill_matches_oracle(g, s)
     for n in (17, 18):
-        _assert_fills_agree(random_graph(n, 0.3, rng), 0)
-
-
-def test_path_table_fill_chosen_by_row_count():
-    # the row count 2^(n - s - 1) picks the fill, so one order can use both
-    cut = cycles._BIT_FILL_ROW_BITS
-    g = cycle_graph(cut + 2)
-    assert isinstance(cycles._path_ends(g, 0), memoryview)
-    assert isinstance(cycles._path_ends(g, 1), memoryview)
-    assert isinstance(cycles._path_ends(g, 2), list)
-    assert isinstance(cycles._path_ends(cycle_graph(cut), 0), list)
+        _assert_fill_matches_oracle(random_graph(n, 0.3, rng), 0)
 
 
 @pytest.mark.parametrize("n", [11, 14, 17])
 def test_bit_fill_reaches_descending_paths(n):
     # the only Hamiltonian path from 0 runs 0, n-1, n-2, ..., 1: each
     # ascending round of updates extends it by one vertex, so the fill
-    # must keep going until a round adds nothing, on both the in-word
-    # (b < 6) and the half-view (b >= 6) updates
+    # must keep going until a round adds nothing
     path = with_edges(n, [(0, n - 1)] + [(v, v - 1) for v in range(n - 1, 1, -1)])
-    table = _assert_fills_agree(path, 0)
-    assert table[-1] == 1 << 1
+    ends = _assert_fill_matches_oracle(path, 0)
+    full = (1 << (n - 1)) - 1
+    assert [slice_ >> full & 1 for slice_ in ends] == [1] + [0] * (n - 2)
     assert find_hamiltonian_cycle(path) is None
     closed = with_edges(n, list(path.edges()) + [(0, 1)])
-    _assert_fills_agree(closed, 0)
+    _assert_fill_matches_oracle(closed, 0)
     assert find_hamiltonian_cycle(closed).vertices == tuple(range(n))
 
 
 def test_bit_fill_start_without_neighbour():
-    # a start with no neighbour above it: every row but the first is empty
+    # a start with no neighbour above it: no path leaves it, so every
+    # slice is empty
     isolated = disjoint_union(edgeless_graph(1), complete_graph(11))
-    assert _assert_fills_agree(isolated, 0)[1:] == [0] * ((1 << 11) - 1)
+    assert _assert_fill_matches_oracle(isolated, 0) == [0] * 11
     pendant = with_edges(13, [(0, 1)] + [(u, v) for u, v in complete_graph(13).edges() if u > 1])
-    assert _assert_fills_agree(pendant, 1)[1:] == [0] * ((1 << 11) - 1)
+    assert _assert_fill_matches_oracle(pendant, 1) == [0] * 11
 
 
 def _cycle_text(c):
@@ -288,15 +285,21 @@ def test_hamiltonian_golden_outputs():
         assert _cycle_text(find_hamiltonian_cycle(g)) == want, (n, kind)
 
 
+def _spanning_rows_only(g, s):
+    """A wrong path table from s, whose only paths span every vertex: a
+    walk back from the full row runs into a dead end."""
+    m = g.n - 1 - s
+    return [1 << (1 << m) - 1] * m
+
+
 @pytest.mark.parametrize(
     "tier, n, wrong",
     [
-        # a table that calls every vertex an endpoint walks back into 0
-        ("_path_ends_python", 5, lambda g, s: [(1 << g.n) - 1] * (1 << (g.n - 1))),
-        ("_path_ends_bits", 14, lambda g, s: [(1 << g.n) - 1] * (1 << (g.n - 1))),
+        ("_path_ends", 5, _spanning_rows_only),
+        ("_path_ends", 14, _spanning_rows_only),
         ("_hamiltonian_backtrack", 25, lambda g: [0, 2, 1] + list(range(3, g.n))),
     ],
-    ids=["_path_ends_python-5", "_path_ends_bits-14", "_hamiltonian_backtrack-25"],
+    ids=["_path_ends-5", "_path_ends-14", "_hamiltonian_backtrack-25"],
 )
 def test_hamiltonian_output_checked_without_assert(monkeypatch, tier, n, wrong):
     # a tier that returns a non-cycle is caught by an explicit check,
@@ -311,7 +314,7 @@ def test_solver_output_checked_under_python_O():
 from hamcert import cycles
 from hamcert.graphs import cycle_graph
 assert not __debug__
-cycles._path_ends_bits = lambda g, s: [(1 << g.n) - 1] * (1 << (g.n - 1 - s))
+cycles._path_ends = lambda g, s: [1 << (1 << (g.n - 1 - s)) - 1] * (g.n - 1 - s)
 for solver in (cycles.find_hamiltonian_cycle, cycles.longest_cycle):
     try:
         solver(cycle_graph(14))

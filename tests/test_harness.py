@@ -1,6 +1,7 @@
 """Verification harness: population tallies, sharding, streamed input."""
 
 import random
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -868,9 +869,11 @@ def padded(text):
 # Each case: lines that replace the line at position 7 of fast_path_lines.
 # The two of widths w - 1 and w + 1 join to two w-wide slots whose order
 # column and padding are valid, so only the width of each line tells them
-# apart.
+# apart.  A block that fails the checks is checked again with its headers
+# cut off, so only a line that holds nothing but a header is bad.
 BAD_LINES = {
     "header": lambda t: [">>graph6<<" + t],
+    "header-only": lambda t: [">>graph6<<"],
     "other-order": lambda t: ["Dhc"],
     "order-byte": lambda t: ["H" + t[1:]],
     "padding": lambda t: [padded(t)],
@@ -926,11 +929,11 @@ class TestStreamFastPath:
         self.assert_matches_per_line(lines, rep, calls)
         assert rep.extremal == 2 and rep.hits_total > 10
         if case == "header":
-            assert rep.errors == [] and rep.total_graphs == 18
+            assert rep.errors == [] and rep.total_graphs == 18 and decoded == []
         else:
             assert [line_no for line_no, _ in rep.errors] == list(range(8, 8 + len(lines) - 18))
-        # only the blocks that hold a bad line are decoded line by line
-        assert len(decoded) == len({i // block for i in range(7, 7 + len(lines) - 18)})
+            # only the blocks that hold a bad line are decoded line by line
+            assert len(decoded) == len({i // block for i in range(7, 7 + len(lines) - 18)})
         forced, forced_calls, _ = self.run(monkeypatch, lines, block, fallback_only=True)
         assert (forced.errors, report_fingerprint(forced), forced_calls) == (
             rep.errors, report_fingerprint(rep), calls,
@@ -947,6 +950,16 @@ class TestStreamFastPath:
         # alone is not decoded
         assert len(decoded) == len({i // block for i, text in enumerate(lines) if text.strip()})
         assert report_fingerprint(forced) == report_fingerprint(rep) and forced_calls == calls
+
+    def test_header_on_line_one_keeps_the_fast_path(self, monkeypatch):
+        # the usual place for a header: graph8.g6 reads the same with it,
+        # field for field, and no block is decoded line by line
+        lines = graph8_lines()
+        plain, plain_calls, _ = self.run(monkeypatch, lines, 4096)
+        rep, calls, decoded = self.run(monkeypatch, [">>graph6<<" + lines[0]] + lines[1:], 4096)
+        assert decoded == []
+        assert replace(rep, elapsed=0.0) == replace(plain, elapsed=0.0)
+        assert rep.total_graphs == 12346 and calls == plain_calls
 
     @settings(max_examples=120, deadline=None)
     @given(
