@@ -1,0 +1,138 @@
+"""Time each exact lane kernel of the harness against its single-graph
+solver: the table that the _LANE_KERNEL_MAX_ORDER comment in
+src/hamcert/harness.py cites.
+
+The inputs are the candidates of seeded G(n, 0.8) streams, the graphs
+that the cheap stages leave for the exact ones with the k window
+(2, n - 1), in a block of 4,096 and alone (the block's first).  Each
+kernel runs as _exact_stages runs it, against the solver that fills the
+same lanes above the threshold:
+
+    chi    _chromatic_lanes to n - 2   vs  chromatic_number
+    kappa  _kappa_lanes capped at n - 1  vs  vertex_connectivity, stopped
+           below max(2, n - chi)
+    ham    _hamiltonian_lanes          vs  find_hamiltonian_cycle
+
+Hamiltonicity is timed on every candidate, not on the hits alone.  The
+times are the best of 3 runs in milliseconds (a solver block runs once).
+
+With --caps it prints instead, on the same blocks, _kappa_lanes against
+the cut-set reference kernel tests.oracles.oracle_kappa_lanes at every
+cap from 2 to n - 1: the vertex sets K that _kappa_lanes counts over are
+the same at every cap, while the cut sets below a small cap are few.
+
+Run from the repository root:
+    python3 scripts/kernel_timings.py [--caps] [n ...]
+(default orders 8 10 12 13).
+"""
+
+import random
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# hamcert lives under src/; the reference lane builders under tests/
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from hamcert import harness  # noqa: E402
+from hamcert.cycles import find_hamiltonian_cycle  # noqa: E402
+from hamcert.graphs import from_edge_mask  # noqa: E402
+from hamcert.invariants import chromatic_number, vertex_connectivity  # noqa: E402
+from tests.oracles import oracle_edge_lanes, oracle_kappa_lanes  # noqa: E402
+
+BLOCK = 4096
+DENSITY = 0.8
+
+
+def candidates(n, count):
+    """The first count candidates of a G(n, 0.8) stream seeded by n."""
+    rng = random.Random(n)
+    pairs = n * (n - 1) // 2
+    ks = range(2, n)
+    found = []
+    while len(found) < count:
+        masks = [
+            sum(1 << t for t in range(pairs) if rng.random() < DENSITY) for _ in range(BLOCK)
+        ]
+        report = harness.VerificationReport(hypothesis_hits={k: 0 for k in ks})
+        every = (1 << BLOCK) - 1
+        cand = harness._cheap_stages(
+            report, n, ks, oracle_edge_lanes(n, masks), every,
+            lambda i: from_edge_mask(n, masks[i]),
+        )
+        found += [masks[i] for i in harness._lane_indices(cand)]
+    return found[:count]
+
+
+def best_ms(run, repeats=3):
+    times = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - started)
+    return 1000 * min(times)
+
+
+def timings(n, masks, solver_repeats):
+    """{kernel: (kernel ms, solver ms)} on the lanes of masks."""
+    adj = oracle_edge_lanes(n, masks)
+    every = (1 << len(masks)) - 1
+    graphs = [from_edge_mask(n, m) for m in masks]
+    chi = [chromatic_number(g)[0] for g in graphs]
+    return {
+        "chi": (
+            best_ms(lambda: harness._chromatic_lanes(adj, n, n - 2, every)),
+            best_ms(lambda: [chromatic_number(g) for g in graphs], solver_repeats),
+        ),
+        "kappa": (
+            best_ms(lambda: harness._kappa_lanes(adj, n, n - 1, every)),
+            best_ms(
+                lambda: [
+                    vertex_connectivity(g, stop_below=max(2, n - x)) for g, x in zip(graphs, chi)
+                ],
+                solver_repeats,
+            ),
+        ),
+        "ham": (
+            best_ms(lambda: harness._hamiltonian_lanes(adj, n, every)),
+            best_ms(lambda: [find_hamiltonian_cycle(g) for g in graphs], solver_repeats),
+        ),
+    }
+
+
+def kappa_by_cap(n, masks):
+    """{cap: (_kappa_lanes ms, oracle_kappa_lanes ms)}, caps 2 .. n - 1."""
+    adj = oracle_edge_lanes(n, masks)
+    every = (1 << len(masks)) - 1
+    return {
+        cap: (
+            best_ms(lambda: harness._kappa_lanes(adj, n, cap, every)),
+            best_ms(lambda: oracle_kappa_lanes(adj, n, cap, every)),
+        )
+        for cap in range(2, n)
+    }
+
+
+def main(orders, caps=False) -> None:
+    if caps:
+        print(f"{'n':>3} {'cap':>4} {'kernel':>9} {'cut sets':>9}   (ms, block)")
+        for n in orders:
+            for cap, (kernel, cuts) in kappa_by_cap(n, candidates(n, BLOCK)).items():
+                print(f"{n:>3} {cap:>4} {kernel:>9.2f} {cuts:>9.2f}", flush=True)
+        return
+    print(f"{'n':>3} {'kernel':<6} {'block kernel':>13} {'block solver':>13} "
+          f"{'one kernel':>11} {'one solver':>11}   (ms)")
+    for n in orders:
+        masks = candidates(n, BLOCK)
+        block = timings(n, masks, 1)
+        one = timings(n, masks[:1], 3)
+        for name, (kernel, solver) in block.items():
+            print(f"{n:>3} {name:<6} {kernel:>13.1f} {solver:>13.1f} "
+                  f"{one[name][0]:>11.2f} {one[name][1]:>11.2f}", flush=True)
+
+
+if __name__ == "__main__":
+    args = sys.argv[1:]
+    caps = "--caps" in args
+    main([int(a) for a in args if a != "--caps"] or [8, 10, 12, 13], caps)

@@ -69,8 +69,9 @@ def decode_graph6(text: str) -> tuple[int, int]:
 
 
 # _DIGITS[r] maps a graph6 byte to the ASCII digit of its payload bit
-# 5 - r, the bit of pair t = 6j + r in payload byte j.
-_DIGITS = [bytes(48 + ((b - _LO) >> (5 - r) & 1) for b in range(256)) for r in range(6)]
+# 5 - r, the bit of pair t = 6j + r in payload byte j, and the digit 0,
+# below the graph6 range, to itself.
+_DIGITS = [bytes(48 + (max(b - _LO, 0) >> (5 - r) & 1) for b in range(256)) for r in range(6)]
 _GRAPH6_BYTES = bytes(range(_LO, _HI + 1))
 
 
@@ -105,15 +106,18 @@ def valid_block(n: int, texts) -> bytes | None:
 def pair_lanes(n: int, data: bytes) -> list[int]:
     """Bit-sliced decode of a block of valid order-n lines, given by their
     joined bytes: the lane set of each pair in ``triangle_pairs`` order,
-    whose bit i is the pair's bit in line i.  Column c of the block is
-    data[c::w], one byte per line, and pair t is bit 5 - t % 6 of column
-    1 + t // 6: one translate to digits, reversed to read line 0 last,
-    gives its lane set."""
+    whose bit i is the pair's bit in line i.  Column 1 + j of the block is
+    data[1 + j::w], one byte per line, and holds pairs 6j .. 6j + 5, pair
+    t as bit 5 - t % 6.  Each column is sliced and reversed once, to read
+    line 0 last, and each of its pairs is one translate of that copy to
+    digits."""
     w = graph6_width(n)
-    return [
-        int(b"0" + data[1 + t // 6::w].translate(_DIGITS[t % 6])[::-1], 2)
-        for t in range(n * (n - 1) // 2)
-    ]
+    pairs = n * (n - 1) // 2
+    lanes = []
+    for j in range(w - 1):
+        column = b"0" + data[1 + j::w][::-1]
+        lanes += [int(column.translate(_DIGITS[r]), 2) for r in range(min(6, pairs - 6 * j))]
+    return lanes
 
 
 def parse_graph6(text: str) -> Graph:

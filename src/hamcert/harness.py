@@ -16,10 +16,15 @@ is a set of lanes, one bit per graph in a Python int, so that each int
 operation steps the whole batch.  Stages 1 and 2 run on every graph of a
 batch (_cheap_stages: _first_fit_lanes, _degree_lanes, _may_hit), stage
 3 on its candidates (_exact_stages: _chromatic_lanes, _kappa_lanes,
-_hamiltonian_lanes, _tally).  A hit the Hamiltonicity kernel accepts is
-counted without a witness cycle; the tests hold the kernels to the
-single-graph solvers, whose cycles are checked, and to first-fit and
-degree references, and the exact certifier settles every other hit.
+_hamiltonian_lanes, _tally).  Minimum degree and connectivity share one
+saturating bit-sliced counter (_count_lanes): of a vertex's neighbours
+for the degree, and of the outside neighbours of each vertex set K of at
+most (n - 1) / 2 vertices for kappa above 1, since a minimum separator
+is the neighbourhood of the smallest component it leaves.  A hit the
+Hamiltonicity kernel accepts is counted without a witness cycle; the
+tests hold the kernels to the single-graph solvers, whose cycles are
+checked, and to first-fit, degree and cut-set references, and the exact
+certifier settles every other hit.
 
 The internal source enumerates every labeled graph on n <= 7 vertices by
 edge bitmask.  Over a range of masks, the lane set of pair t is bit t of
@@ -32,16 +37,17 @@ stages in mask order.
 The streamed source works a block of lines at a time and needs no numpy,
 whose import alone costs a stream process about 12 MB resident.  It
 builds the lanes of a block straight from the bytes of its lines
-(graph6.pair_lanes): pair t of every line is one column of the joined
-block, read to a lane set by one bytes.translate.  A few whole-block
-checks (graph6.valid_block) validate the block, and again with a leading
-header cut off each line; one that still fails them is decoded line by
-line, so that each bad line is reported with its line number.  The
-candidates stay lines, settled a block at a time in line order, and a
-Graph is built only for a certify replay.  The exact kernels' tables and
-cut enumeration double with each order, so above _LANE_KERNEL_MAX_ORDER
-the single-graph coloring, connectivity and Hamiltonian-cycle solvers
-fill the same lane sets for the tally.
+(graph6.pair_lanes): payload column j of every line is one slice of the
+joined block, reversed once, and each of its six pairs is read from it
+to a lane set by one bytes.translate.  A few whole-block checks
+(graph6.valid_block) validate the block, and again with a leading header
+cut off each line; one that still fails them is decoded line by line, so
+that each bad line is reported with its line number.  The candidates
+stay lines, settled a block at a time in line order, and a Graph is
+built only for a certify replay.  The exact kernels' tables and
+vertex-set enumeration double with each order, so above
+_LANE_KERNEL_MAX_ORDER the single-graph coloring, connectivity and
+Hamiltonian-cycle solvers fill the same lane sets for the tally.
 
 Work may be split into shards by edge-mask range; partial reports merge
 associatively, so totals are identical for every shard count.
@@ -51,7 +57,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import islice
 
 from hamcert.graph6 import (
     GRAPH6_HEADER,
@@ -192,22 +198,30 @@ def _packed_edge_lanes(np, masks, n):
 def _range_lanes(n, lo, hi):
     """The lane adjacency of the order-n graphs with the edge masks lo ..
     hi - 1, lane i being mask lo + i.  Pair t's lane set is bit t of the
-    index: 2^t zeros and 2^t ones, doubled until it reaches past the
-    lanes, then read from lo on; a pattern exactly as long as the lanes
-    is read whole.  At n = 7 all 2^21 masks take 6-12 ms, against 21-43
-    ms for _packed_edge_lanes."""
+    index: runs of 2^t ones, one in each period of 2^(t + 1) masks.  The
+    first min(period, hi - lo) lanes meet at most two runs, the one of
+    lo's period and the next, and are built from them alone; that window
+    is then doubled, x |= x << width, until it covers the lanes, and cut
+    to them if it reaches past them.  At n = 7 all 2^21 masks take about
+    6 ms, against 21-43 ms for _packed_edge_lanes, and a range of 3 masks
+    about 0.03 ms."""
     count = hi - lo
     keep = (1 << count) - 1
     lanes = []
     for t in range(n * (n - 1) // 2):
         half = 1 << t
         length = half << 1
-        start = lo & (length - 1)
-        pattern = ((1 << half) - 1) << half
-        while length < start + count:
-            pattern |= pattern << length
-            length <<= 1
-        lanes.append(pattern >> start & keep if length > count else pattern)
+        width = min(length, count)
+        first = lo - (lo & (length - 1)) + half  # the run of lo's period
+        x = 0
+        for run in (first, first + length):
+            a, b = max(run, lo), min(run + half, lo + width)
+            if a < b:
+                x |= ((1 << (b - a)) - 1) << (a - lo)
+        while width < count:
+            x |= x << width
+            width <<= 1
+        lanes.append(x & keep if width > count else x)
     return _lane_adjacency(n, lanes)
 
 
@@ -277,17 +291,28 @@ def _first_fit_lanes(adj, order, every):
     return more
 
 
+def _count_lanes(sets, cap, every):
+    """count[d], d = 0 .. cap: the lanes of every in which at least d of
+    the given lane sets hold, by a bit-sliced counter that saturates at
+    cap.  An empty set cannot raise a count and is skipped."""
+    count = [every] + [0] * cap
+    high = 0  # the highest count reached so far
+    for lanes in sets:
+        if lanes:
+            if high < cap:
+                high += 1
+            for d in range(high, 0, -1):
+                count[d] |= count[d - 1] & lanes
+    return count
+
+
 def _degree_lanes(adj, cap, every):
     """at_least[d], d = 0 .. cap: the lanes of every whose minimum degree is
-    at least d, from one saturating bit-sliced counter per vertex."""
+    at least d, from the counter of each vertex's row."""
     at_least = [every] * (cap + 1)
-    for v, row in enumerate(adj):
-        count = [every] + [0] * cap
-        for seen, lanes in enumerate(x for u, x in enumerate(row) if u != v):
-            for d in range(min(seen + 1, cap), 0, -1):
-                count[d] |= count[d - 1] & lanes
-        for d in range(1, cap + 1):
-            at_least[d] &= count[d]
+    for row in adj:
+        for d, lanes in enumerate(_count_lanes(row, cap, every)):
+            at_least[d] &= lanes
     return at_least
 
 
@@ -405,39 +430,74 @@ def _kappa_lanes(adj, n, k_cap, every):
     min(kappa, k_cap) >= k, which is no vertex set of size below k
     separating the graph.
 
-    For each cut size c and each c-set S, reach[u] gathers the lanes in
-    which u is reachable in G - S from the lowest vertex outside S:
-    reach[u] |= reach[v] & adj[v][u], in place, with a vertex read again
-    only once it has grown, until a sweep changes nothing.  A lane with
-    some vertex outside S unreached is separated by S.  The empty cut
-    makes this exact on disconnected graphs too."""
-    at_least = [every]
-    for c in range(min(k_cap, n - 1)):
-        separated = 0
-        for cut in combinations(range(n), c):
-            live = [v for v in range(n) if v not in cut]
-            reach = [0] * n
-            reach[live[0]] = every
-            grown = [False] * n
-            grown[live[0]] = True
-            while any(grown):
-                for v in live:
-                    if not grown[v]:
-                        continue
-                    grown[v] = False
-                    at_v, row = reach[v], adj[v]
-                    for u in live:
-                        at_u = reach[u]
-                        if u == v or at_u == every:
-                            continue
-                        more = at_u | (at_v & row[u])
-                        if more != at_u:
-                            reach[u] = more
-                            grown[u] = True
-            for u in live:
-                separated |= every ^ reach[u]
-        at_least.append(at_least[-1] & (every ^ separated))
+    Level 1 is connectivity: reach[u] gathers the lanes in which u is
+    reachable from vertex 0, reach[u] |= reach[v] & adj[v][u], in place,
+    with a vertex read again only once it has grown, until a sweep
+    changes nothing.
+
+    Above it, a connected graph has a separator of fewer than k vertices
+    exactly when some vertex set K of s <= (n - 1) / 2 vertices has at
+    most min(k - 1, n - 2s) outside neighbours.  One way, K is the
+    smallest component that such a separator S leaves: its neighbours
+    lie in S, and s <= (n - |S|) / 2 with |S| >= 1.  The other way, N(K)
+    leaves the n - s - |N(K)| >= s vertices outside K and N(K) apart
+    from K.  So level k keeps the lanes of level 1 in which every such K
+    has at least min(k, n - 2s + 1) outside neighbours, counted by
+    _count_lanes over the u outside K from rows[u], the lanes in which u
+    has a neighbour in K (_neighbour_rows)."""
+    top_k = min(k_cap, n - 1)
+    if top_k < 1:
+        return [every]
+    reach = [every] + [0] * (n - 1)
+    grown = [True] + [False] * (n - 1)
+    while any(grown):
+        for v in range(n):
+            if not grown[v]:
+                continue
+            grown[v] = False
+            at_v, row = reach[v], adj[v]
+            for u in range(n):
+                at_u = reach[u]
+                if u == v or at_u == every:
+                    continue
+                more = at_u | (at_v & row[u])
+                if more != at_u:
+                    reach[u] = more
+                    grown[u] = True
+    connected = every
+    for at_u in reach:
+        connected &= at_u
+    at_least = [every] + [connected] * top_k
+    if top_k < 2:
+        return at_least
+    # capped[t] gathers the counts that saturate at t, which decide every
+    # level from t on
+    capped = [every] * (top_k + 1)
+    for members, rows in _neighbour_rows(adj, (n - 1) // 2):
+        top = min(top_k, n + 1 - 2 * members.bit_count())
+        count = _count_lanes(
+            [x for u, x in enumerate(rows) if not members >> u & 1], top, every
+        )
+        for k in range(2, top):
+            at_least[k] &= count[k]
+        capped[top] &= count[top]
+    held = every
+    for k in range(2, top_k + 1):
+        held &= capped[k]
+        at_least[k] &= held
     return at_least
+
+
+def _neighbour_rows(adj, size, low=0, members=0, rows=None):
+    """Every vertex set K of 1 .. size vertices that extends members by
+    vertices from low on, in ascending order, as (K, rows): rows[u] is
+    the lanes in which u has a neighbour in K, the OR of K's rows, grown
+    one vertex at a time."""
+    for w in range(low, len(adj)):
+        grown = adj[w] if rows is None else [a | b for a, b in zip(rows, adj[w])]
+        yield members | 1 << w, grown
+        if size > 1:
+            yield from _neighbour_rows(adj, size - 1, w + 1, members | 1 << w, grown)
 
 
 def _hamiltonian_lanes(adj, n, lanes):
@@ -479,20 +539,23 @@ def _lane_indices(lanes):
 
 # The largest order whose stream candidates the lane kernels settle; above
 # it the single-graph solvers fill the lanes.  A block costs the kernels a
-# fixed 2^(n-1) path-table rows, 2^n chi-table entries and about 2^n
-# cuts, and the solvers a fixed time per candidate.  Measured on the
-# candidates of seeded G(n, 0.8) streams, k window (2, n - 1), 2-core
-# Xeon, kernels against solvers: kappa and Hamiltonicity for 4,096
-# candidates 18 vs 811 ms at n = 8, 51 vs 3,099 ms at n = 10, 162 vs
-# 5,428 ms at n = 12, 350 vs 7,625 ms at n = 13, and one candidate 1.2 vs
-# 0.3 ms at n = 8 and 40 vs 2 ms at n = 12; chi for 4,096 candidates 1 vs
-# 162 ms at n = 8, 6 vs 214 ms at n = 10, 52 vs 322 ms at n = 12, 162 vs
-# 381 ms at n = 13, and one candidate 0.1 vs 0.04 ms at n = 8 and 3.5 vs
-# 0.07 ms at n = 12.  The kernels win from about 8 candidates at n = 8 and
-# 50 at n = 12, and lose at most their fixed cost on a short block.  The
-# path table doubles with the order: a full block adds 5 MB peak at
-# n = 12, 13 MB at 13 and 31 MB at 14; the chi tables peak at 2.7 MB at
-# n = 12 and 5.3 MB at 13.
+# fixed 2^(n-1) path-table rows, 2^n chi-table entries and about 2^(n-1)
+# vertex sets K for kappa, and the solvers a fixed time per candidate.
+# `python3 scripts/kernel_timings.py` times each kernel against its solver
+# on the candidates of seeded G(n, 0.8) streams, k window (2, n - 1); in
+# ms on a 2-core x86 host, kernel / solver, for a block of 4,096
+# candidates and, the three kernels together, for one:
+#
+#    n   block: chi     kappa         Hamiltonicity   one candidate
+#    8       0.6 / 169    0.7 / 305     0.5 / 199      0.70 / 0.15
+#   10       9.3 / 352    3.6 / 596     2.6 / 396       4.0 / 0.35
+#   12        56 / 398     20 / 1,405    16 / 500        24 / 0.59
+#   13       179 / 457     52 / 1,466    36 / 846        57 / 0.67
+#
+# The kernels win from about 5 candidates at n = 8 and 45 at n = 12, and
+# lose at most their fixed cost on a short block.  The path table doubles
+# with the order: a full block adds 5 MB peak at n = 12, 13 MB at 13 and
+# 31 MB at 14; the chi tables peak at 2.7 MB at n = 12 and 5.3 MB at 13.
 _LANE_KERNEL_MAX_ORDER = 12
 
 
@@ -500,7 +563,7 @@ def _exact_stages(report, n, ks, adj, every, graph, on_extremal) -> None:
     """Stage 3 on a batch of candidate lanes, for both sources: exact chi,
     kappa and Hamiltonicity, then the tally.  adj is the lane adjacency of
     the batch and graph(i) builds the graph of lane i.  The kernels'
-    tables and cuts double with each order, so above
+    tables and vertex sets double with each order, so above
     _LANE_KERNEL_MAX_ORDER the single-graph solvers fill the same lane
     sets."""
     if n <= _LANE_KERNEL_MAX_ORDER:

@@ -4,10 +4,11 @@ Everything here is written for obviousness, not speed, and deliberately
 shares no algorithmic ideas with the package under test: colorings are
 found by plain backtracking over vertices in label order, first-fit
 bounds by their definition, cliques and independent sets by full subset
-sweeps, connectivity by deleting every candidate cut set, cycles by
-permutation search, lane sets by slicing one string of every mask.  Keep
-it that way.  The one exception is oracle_path_ends, the reference for
-the bit-sliced path table: the same subset DP, filled one row at a time.
+sweeps, connectivity by deleting every candidate cut set (also in lanes,
+oracle_kappa_lanes), cycles by permutation search, lane sets by slicing
+one string of every mask.  Keep it that way.  The one exception is
+oracle_path_ends, the reference for the bit-sliced path table: the same
+subset DP, filled one row at a time.
 The oracle_mask_* functions take a whole population at once, as a uint32
 numpy array of edge masks.
 """
@@ -163,6 +164,42 @@ def oracle_vertex_connectivity(g: Graph) -> int:
             if not _connected_after_removal(g, frozenset(cut)):
                 return size
     return g.n - 1
+
+
+def oracle_kappa_lanes(adj, n, k_cap, every):
+    """The reference connectivity lane kernel: at_least[k], k = 0 ..
+    min(k_cap, n - 1), the lanes of every with min(kappa, k_cap) >= k.
+    For every vertex set S of each size c below the cap, reach[u] gathers
+    the lanes in which u is reachable in G - S from the lowest vertex
+    outside S, re-reading a vertex only once it has grown, until nothing
+    grows; a lane with a vertex outside S unreached is separated by S."""
+    at_least = [every]
+    for c in range(min(k_cap, n - 1)):
+        separated = 0
+        for cut in combinations(range(n), c):
+            live = [v for v in range(n) if v not in cut]
+            reach = [0] * n
+            reach[live[0]] = every
+            grown = [False] * n
+            grown[live[0]] = True
+            while any(grown):
+                for v in live:
+                    if not grown[v]:
+                        continue
+                    grown[v] = False
+                    at_v, row = reach[v], adj[v]
+                    for u in live:
+                        at_u = reach[u]
+                        if u == v or at_u == every:
+                            continue
+                        more = at_u | (at_v & row[u])
+                        if more != at_u:
+                            reach[u] = more
+                            grown[u] = True
+            for u in live:
+                separated |= every ^ reach[u]
+        at_least.append(at_least[-1] & (every ^ separated))
+    return at_least
 
 
 def oracle_hamiltonian_cycle(g: Graph) -> tuple[int, ...] | None:

@@ -16,10 +16,13 @@ from hamcert.graphs import (
     complete_graph,
     complement,
     cycle_graph,
+    disjoint_union,
     enumerate_labeled,
     from_edge_mask,
     is_connected,
     min_degree,
+    path_graph,
+    star_graph,
     with_edges,
 )
 from hamcert.harness import VerificationReport, verify_order
@@ -38,6 +41,7 @@ from tests.oracles import (
     oracle_edge_lanes,
     oracle_first_fit_colors,
     oracle_hamiltonian_cycle,
+    oracle_kappa_lanes,
     oracle_mask_clique_alpha,
     oracle_vertex_connectivity,
 )
@@ -529,6 +533,20 @@ class TestBatchedKernels:
         assert alpha.tolist() == [independence_number(g)[0] for g in graphs]
 
 
+def assert_kappa_lanes(n, adj, kappa):
+    """_kappa_lanes on the lane adjacency of graphs of the given
+    connectivities, one lane each, at every cap from 0 to n, against
+    oracle_kappa_lanes and the connectivities; the kernel clamps the cap
+    at n - 1."""
+    every = (1 << len(kappa)) - 1
+    for cap in range(n + 1):
+        at_least = harness._kappa_lanes(adj, n, cap, every)
+        assert at_least == oracle_kappa_lanes(adj, n, cap, every), cap
+        assert len(at_least) == min(cap, n - 1) + 1
+        for k, lanes in enumerate(at_least):
+            assert lane_list(lanes, len(kappa)) == [min(x, cap) >= k for x in kappa], (cap, k)
+
+
 def lane_list(lanes, count):
     """The truth of each of the first count lanes of a lane set."""
     return [bit == "1" for bit in format(lanes, f"0{count}b")[::-1]][:count]
@@ -547,15 +565,41 @@ class TestLaneKernels:
     @pytest.mark.parametrize("source", ["3", "4", "5", "graph8", "graph8-complements"])
     def test_kappa_matches_solver_at_every_cap(self, source):
         n, masks = TestBatchedKernels.labeled_or_graph8(source)
-        adj = mask_lanes(n, masks)
         kappa = [vertex_connectivity(from_edge_mask(n, int(m))) for m in masks]
         # disconnected, cut-vertex and complete graphs among the inputs
         assert {0, 1, n - 1} <= set(kappa)
-        for cap in range(2, n):
-            at_least = harness._kappa_lanes(adj, n, cap, (1 << masks.size) - 1)
-            assert len(at_least) == cap + 1
-            for k, lanes in enumerate(at_least):
-                assert lane_list(lanes, masks.size) == [min(x, cap) >= k for x in kappa], (cap, k)
+        assert_kappa_lanes(n, mask_lanes(n, masks), kappa)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_kappa_matches_cut_set_oracle_on_every_labeled_graph(self, n):
+        # all 2^21 labeled graphs at n = 7, in the sweep's own lanes
+        total = 1 << (n * (n - 1) // 2)
+        adj = harness._range_lanes(n, 0, total)
+        for cap in range(n + 1):
+            at_least = harness._kappa_lanes(adj, n, cap, (1 << total) - 1)
+            assert at_least == oracle_kappa_lanes(adj, n, cap, (1 << total) - 1), cap
+
+    @pytest.mark.parametrize("n", [6, 8, 9, 10, 11, 12])
+    def test_kappa_on_separator_shapes_and_seeded_blocks(self, n):
+        # two components of n // 2 and n - n // 2 vertices, at even n the
+        # one shape that no set K of at most (n - 1) / 2 vertices shows and
+        # only level 1 sees; K_1 + K_{n-1}, a path, a star and K_n, each
+        # also relabeled; and a seeded G(n, p) block, sparse to dense
+        shapes = [
+            disjoint_union(complete_graph(n // 2), complete_graph(n - n // 2)),
+            disjoint_union(complete_graph(1), complete_graph(n - 1)),
+            path_graph(n),
+            star_graph(n - 1),
+            complete_graph(n),
+        ]
+        rng = random.Random(n)
+        graphs = shapes + [relabeled(g, rng) for g in shapes]
+        graphs += [
+            random_graph(n, p, rng) for p in (0.3, 0.5, 0.7, 0.8, 0.9, 0.95) for _ in range(20)
+        ]
+        kappa = [vertex_connectivity(g) for g in graphs]
+        assert kappa[:5] == [0, 0, 1, 1, n - 1]
+        assert_kappa_lanes(n, oracle_edge_lanes(n, [g.edge_mask() for g in graphs]), kappa)
 
     @pytest.mark.parametrize("n", [5, 8])
     def test_kappa_sweeps_reach_descending_paths(self, n):
@@ -681,6 +725,16 @@ class TestLaneBuilders:
         self.assert_range_lanes(
             5, [(lo, min(lo + w, 1024)) for lo in range(1024) for w in sorted(widths)]
         )
+
+    def test_range_lanes_on_short_ranges_at_order_seven(self):
+        # ranges of 1 to 3 masks, far shorter than the top pairs' periods
+        # of 2^20 and 2^21 masks, each built from at most two runs of ones
+        total = 1 << 21
+        for base in (0, 1 << 15, 1 << 20, total - 3):
+            for lo in range(max(base - 3, 0), min(base + 4, total)):
+                for hi in range(lo + 1, min(lo + 3, total) + 1):
+                    masks = np.arange(lo, hi, dtype=np.uint32)
+                    assert harness._range_lanes(7, lo, hi) == mask_lanes(7, masks), (lo, hi)
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_range_lanes_on_shard_bounds(self, n):

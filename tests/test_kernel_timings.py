@@ -1,0 +1,24 @@
+"""Smoke test of scripts/kernel_timings.py, the timing table that the
+_LANE_KERNEL_MAX_ORDER comment in harness.py cites.  The script calls
+private harness kernels and the reference lane builders, so it runs here
+on a few order-8 candidates to keep it runnable as they change."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "kernel_timings.py"
+
+
+def test_kernel_timings_prints_both_tables_on_a_small_block(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("kernel_timings", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "BLOCK", 16)
+    assert len(script.candidates(8, 16)) == 16
+    script.main([8])
+    script.main([8], caps=True)
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    # a header and one row per kernel, then a header and one row per cap
+    assert [row[:2] for row in rows[1:4]] == [["8", "chi"], ["8", "kappa"], ["8", "ham"]]
+    assert [row[:2] for row in rows[5:]] == [["8", str(cap)] for cap in range(2, 8)]
+    assert all(len(row) == 6 for row in rows[1:4]) and all(len(row) == 4 for row in rows[5:])
