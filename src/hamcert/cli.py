@@ -147,10 +147,12 @@ def _cmd_verify(args) -> CommandOutcome:
         if args.stream is None:
             report = verify_order(args.n, (k_min, k_max))
         elif args.stream == "-":
-            report = verify_order(args.n, (k_min, k_max), source="graph6", stream=sys.stdin)
+            report = verify_order(args.n, (k_min, k_max), stream=sys.stdin)
         else:
-            with open(args.stream, encoding="ascii") as handle:
-                report = verify_order(args.n, (k_min, k_max), source="graph6", stream=handle)
+            # a byte the codec cannot read reaches the decoder as a lone
+            # surrogate, which is then reported with its line number
+            with open(args.stream, encoding="ascii", errors="surrogateescape") as handle:
+                report = verify_order(args.n, (k_min, k_max), stream=handle)
     except OSError as err:
         return CommandOutcome(2, f"error: {err}")
     bad = report.counterexamples or report.lemma1_violations
@@ -210,3 +212,7 @@ def main(argv=None) -> int:
     if outcome.payload:
         print(outcome.payload)
     return outcome.exit_code
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -3,11 +3,11 @@
 Both sources run one cheap-first stage order, each stage only on the
 graphs that the cheaper ones before it leave open:
 
-1. first-fit greedy bounds on the graph and its complement; the reverse
-   vertex order and then the exact Nordhaus-Gaddum pair only where they
-   leave the coloring inequality chi + chi_c <= n + 1 open;
-2. the candidate rule (_may_hit) on minimum degree and the bound of both
-   orders;
+1. first-fit greedy bounds, in vertex order, on the graph and its
+   complement; the exact Nordhaus-Gaddum pair only where they leave the
+   coloring inequality chi + chi_c <= n + 1 open;
+2. the candidate rule (_may_hit) on minimum degree and the graph's
+   first-fit bound;
 3. exact chi of the candidates, then exact connectivity and Hamiltonicity
    and the certify replay of every non-Hamiltonian hypothesis hit.
 
@@ -30,9 +30,10 @@ The internal source enumerates every labeled graph on n <= 7 vertices by
 edge bitmask.  Over a range of masks, the lane set of pair t is bit t of
 the mask index, a periodic pattern built by doubling (_range_lanes).
 Numpy stays for one step: compacting the candidates' masks and building
-their lanes (_packed_edge_lanes), 10 ms for the 191,595 candidates at
-n = 7, against 93 ms in pure Python.  Its candidates enter the exact
-stages in mask order.
+their lanes (_packed_edge_lanes), 8 ms for the 225,800 candidates at
+n = 7, against 174 ms for the pure-Python reference builder of the
+tests (2-core host).  Its candidates enter the exact stages in mask
+order.
 
 The streamed source works a block of lines at a time and needs no numpy,
 whose import alone costs a stream process about 12 MB resident.  It
@@ -145,7 +146,7 @@ def _np():
     return numpy
 
 
-def _verify_masks(n, ks, masks, adj, on_extremal) -> VerificationReport:
+def _verify_masks(n, ks, masks, adj) -> VerificationReport:
     """Tally the labeled graphs of order n <= 8 given by a uint32 array of
     their edge masks and adj, their lane adjacency.  The cheap stages run
     in the lane kernels over every mask at once, the exact ones over the
@@ -159,7 +160,7 @@ def _verify_masks(n, ks, masks, adj, on_extremal) -> VerificationReport:
         cmasks = masks[np.nonzero(_unpacked_lanes(np, cand, masks.size))[0]]
         _exact_stages(
             report, n, ks, _packed_edge_lanes(np, cmasks, n), (1 << cmasks.size) - 1,
-            lambda i: from_edge_mask(n, int(cmasks[i])), on_extremal,
+            lambda i: from_edge_mask(n, int(cmasks[i])),
         )
     return report
 
@@ -258,11 +259,11 @@ def _complement_lanes(adj, every):
     return [[0 if u == v else every ^ x for v, x in enumerate(row)] for u, row in enumerate(adj)]
 
 
-def _first_fit_lanes(adj, order, every):
+def _first_fit_lanes(adj, every):
     """more[c], c = 0 .. n: the lanes of every in which first-fit greedy
-    coloring in the given vertex order uses more than c colors.  First fit
-    uses colors 0, 1, ... without gaps, so the bound ub >= t is more[t - 1]
-    and ub == a is more[a - 1] ^ more[a]; more[n] is empty.
+    coloring in vertex order uses more than c colors.  First fit uses
+    colors 0, 1, ... without gaps, so the bound ub >= t is more[t - 1] and
+    ub == a is more[a - 1] ^ more[a]; more[n] is empty.
 
     classes[c] holds (u, lanes) for the lanes in which u took color c.  A
     vertex takes color c in the lanes where every color below c is taken
@@ -270,8 +271,7 @@ def _first_fit_lanes(adj, order, every):
     n = len(adj)
     classes: list[list[tuple[int, int]]] = []
     more = [0] * (n + 1)
-    for v in order:
-        row = adj[v]
+    for v, row in enumerate(adj):
         blocked = every
         for c, members in enumerate(classes):
             taken = 0
@@ -330,8 +330,8 @@ def _may_hit(n, k_max, degree, more):
     """The candidate rule: a hit for some k <= k_max needs kappa >= k >= 2
     and chi >= n - k, and kappa <= delta and chi <= ub, so it needs delta
     >= d and ub >= n - d for some d in 2 .. k_max (take d = min(delta,
-    k_max)).  degree is _degree_lanes up to k_max, more the bound as in
-    _first_fit_lanes.
+    k_max)).  degree is _degree_lanes up to k_max, more the graph's
+    first-fit bound from _first_fit_lanes.
 
     A first-fit bound also rejects every disconnected graph: each
     component has at least delta + 1 vertices and first fit colors it
@@ -344,24 +344,16 @@ def _may_hit(n, k_max, degree, more):
 
 
 def _cheap_stages(report, n, ks, adj, every, graph):
-    """Stages 1 and 2 on a batch of lanes, for both sources: first fit in
-    the forward order on the graph and its complement; the reverse order
-    and then the exact Nordhaus-Gaddum pair of graph(i) for each lane i
-    still open, whose lemma 1 violations go to report; the candidate rule
-    on the bound of both orders.  Returns the candidate lanes."""
-    forward, backward = range(n), range(n - 1, -1, -1)
-    comp = _complement_lanes(adj, every)
-    more = _first_fit_lanes(adj, forward, every)
-    more_c = _first_fit_lanes(comp, forward, every)
-    suspects = _coloring_open(n, more, more_c)
-    if suspects or ks:
-        # the bound of both orders: the lanes in which both exceed c
-        more = [a & b for a, b in zip(more, _first_fit_lanes(adj, backward, every))]
-    if suspects:
-        more_c = [a & b for a, b in zip(more_c, _first_fit_lanes(comp, backward, every))]
-        for i in _lane_indices(_coloring_open(n, more, more_c)):
-            if nordhaus_gaddum(graph(i))[2] < 0:
-                report.lemma1_violations += 1
+    """Stages 1 and 2 on a batch of lanes, for both sources: first fit on
+    the graph and its complement; the exact Nordhaus-Gaddum pair of
+    graph(i) for each lane i they leave open, whose lemma 1 violations go
+    to report; the candidate rule on the graph's bound.  Returns the
+    candidate lanes."""
+    more = _first_fit_lanes(adj, every)
+    more_c = _first_fit_lanes(_complement_lanes(adj, every), every)
+    for i in _lane_indices(_coloring_open(n, more, more_c)):
+        if nordhaus_gaddum(graph(i))[2] < 0:
+            report.lemma1_violations += 1
     if not ks:
         return 0
     return _may_hit(n, ks[-1], _degree_lanes(adj, ks[-1], every), more)
@@ -528,8 +520,8 @@ def _hamiltonian_lanes(adj, n, lanes):
 
 def _lane_indices(lanes):
     """The lanes of a lane set, ascending, in one pass over its bits;
-    graphs.iter_bits costs a pass per lane, 3.3 against 0.4 ms for 245
-    lanes among 191,595 (the n = 7 replays)."""
+    graphs.iter_bits costs a pass per lane, 3.8 against 0.3 ms for 245
+    lanes among 225,800 (the n = 7 replays)."""
     bits = format(lanes, "b")[::-1]
     i = bits.find("1")
     while i >= 0:
@@ -559,7 +551,7 @@ def _lane_indices(lanes):
 _LANE_KERNEL_MAX_ORDER = 12
 
 
-def _exact_stages(report, n, ks, adj, every, graph, on_extremal) -> None:
+def _exact_stages(report, n, ks, adj, every, graph) -> None:
     """Stage 3 on a batch of candidate lanes, for both sources: exact chi,
     kappa and Hamiltonicity, then the tally.  adj is the lane adjacency of
     the batch and graph(i) builds the graph of lane i.  The kernels'
@@ -593,10 +585,10 @@ def _exact_stages(report, n, ks, adj, every, graph, on_extremal) -> None:
             )
 
         graph = graphs.__getitem__
-    _tally(report, n, ks, kappa_at_least, chi_at_least, hamiltonian, graph, on_extremal)
+    _tally(report, n, ks, kappa_at_least, chi_at_least, hamiltonian, graph)
 
 
-def _tally(report, n, ks, kappa_at_least, chi_at_least, hamiltonian, graph, on_extremal):
+def _tally(report, n, ks, kappa_at_least, chi_at_least, hamiltonian, graph):
     """Count and settle the hypothesis hits of a batch of lanes, for both
     sources.  kappa_at_least[k] and chi_at_least[n - k] are lane sets, the
     hits for k are the lanes in both; hamiltonian(lanes) returns the
@@ -616,10 +608,10 @@ def _tally(report, n, ks, kappa_at_least, chi_at_least, hamiltonian, graph, on_e
     # rare path: replay the non-Hamiltonian hits through the exact certifier
     missed = {k: set(_lane_indices(lanes ^ (lanes & ham))) for k, lanes in hits.items()}
     for i in _lane_indices(every_hit ^ (every_hit & ham)):
-        _replay(report, graph(i), [k for k in ks if i in missed[k]], on_extremal)
+        _replay(report, graph(i), [k for k in ks if i in missed[k]])
 
 
-def _replay(report, g, graph_hits, on_extremal) -> None:
+def _replay(report, g, graph_hits) -> None:
     """Tally the exact certificate of g for every k it hits; the exact
     certifier recomputes kappa and chi independently of any vector pass."""
     for k in graph_hits:
@@ -628,8 +620,6 @@ def _replay(report, g, graph_hits, on_extremal) -> None:
             report.hamiltonian += 1
         elif cert.kind == "extremal":
             report.extremal += 1
-            if on_extremal is not None:
-                on_extremal(to_graph6(g), k)
         else:
             report.counterexamples.append((to_graph6(g), k))
 
@@ -673,7 +663,7 @@ def _decoded_lines(report, n, numbered):
     return texts
 
 
-def _verify_stream(n, ks, lines, on_extremal) -> VerificationReport:
+def _verify_stream(n, ks, lines) -> VerificationReport:
     """A block of lines at a time: the cheap stages run in the lane kernels
     on the valid lines of a block, built from their bytes, and the
     candidate lines they leave are settled a block at a time in line
@@ -700,10 +690,10 @@ def _verify_stream(n, ks, lines, on_extremal) -> VerificationReport:
         if texts:
             block += _stream_candidates(report, n, ks, texts, data)
         if len(block) >= _STREAM_BLOCK:
-            _settle_block(report, n, ks, block, on_extremal)
+            _settle_block(report, n, ks, block)
             block = []
     if block:
-        _settle_block(report, n, ks, block, on_extremal)
+        _settle_block(report, n, ks, block)
     return report
 
 
@@ -719,13 +709,13 @@ def _stream_candidates(report, n, ks, texts, data):
     return [texts[i] for i in _lane_indices(cand)]
 
 
-def _settle_block(report, n, ks, block, on_extremal) -> None:
+def _settle_block(report, n, ks, block) -> None:
     """The exact stages on a block of stream candidates, given by their
     lines in line order, one lane each."""
     adj = _lane_adjacency(n, pair_lanes(n, "".join(block).encode("ascii")))
     _exact_stages(
         report, n, ks, adj, (1 << len(block)) - 1,
-        lambda i: from_edge_mask(*decode_graph6(block[i])), on_extremal,
+        lambda i: from_edge_mask(*decode_graph6(block[i])),
     )
 
 
@@ -736,48 +726,38 @@ def _settle_block(report, n, ks, block, on_extremal) -> None:
 def verify_order(
     n: int,
     k_range: tuple[int, int] | None = None,
-    source: str = "internal",
     stream=None,
     shards: int = 1,
-    on_extremal=None,
 ) -> VerificationReport:
     """Check the theorem and the coloring inequality over a population.
 
-    source "internal": every labeled graph of order n (n <= 7 enforced),
-    vectorized, optionally sharded by edge-mask range.  source "graph6":
-    iterate the given lines; malformed lines are recorded with their
-    line numbers and processing continues.  on_extremal, when given, is
-    called with (graph6, k) for every extremal certificate issued.
+    Without a stream: every labeled graph of order n (n <= 7 enforced),
+    optionally sharded by edge-mask range.  With a stream: its graph6
+    lines; malformed lines are recorded with their line numbers and
+    processing continues.
     """
     if k_range is None:
         k_range = (2, n - 1)
-    k_min, k_max = k_range
+    ks = _clamped_k_range(n, *k_range)
     started = time.monotonic()
-    if source == "internal":
-        if not (1 <= n <= MAX_ENUMERATION_ORDER):
-            raise ValueError(
-                f"internal enumeration is limited to orders 1..{MAX_ENUMERATION_ORDER}"
-            )
-        if shards < 1:
-            raise ValueError("shards must be positive")
-        ks = _clamped_k_range(n, k_min, k_max)
-        total = 1 << (n * (n - 1) // 2)
-        bounds = [total * i // shards for i in range(shards + 1)]
-        report = VerificationReport(hypothesis_hits={k: 0 for k in ks})
-        np = _np()
-        for lo, hi in zip(bounds, bounds[1:]):
-            if lo == hi:
-                continue
-            masks = np.arange(lo, hi, dtype=np.uint32)
-            report = report.merge(_verify_masks(n, ks, masks, _range_lanes(n, lo, hi), on_extremal))
-        report.elapsed = time.monotonic() - started
-        return report
-    if source == "graph6":
+    if stream is not None:
         if not (1 <= n <= MAX_GRAPH6_ORDER):
             raise ValueError(f"stream verification is limited to orders 1..{MAX_GRAPH6_ORDER}")
-        if stream is None:
-            raise ValueError("graph6 source needs a stream of lines")
-        report = _verify_stream(n, _clamped_k_range(n, k_min, k_max), stream, on_extremal)
+        report = _verify_stream(n, ks, stream)
         report.elapsed = time.monotonic() - started
         return report
-    raise ValueError(f"unknown source {source!r}")
+    if not (1 <= n <= MAX_ENUMERATION_ORDER):
+        raise ValueError(f"internal enumeration is limited to orders 1..{MAX_ENUMERATION_ORDER}")
+    if shards < 1:
+        raise ValueError("shards must be positive")
+    total = 1 << (n * (n - 1) // 2)
+    bounds = [total * i // shards for i in range(shards + 1)]
+    report = VerificationReport(hypothesis_hits={k: 0 for k in ks})
+    np = _np()
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo == hi:
+            continue
+        masks = np.arange(lo, hi, dtype=np.uint32)
+        report = report.merge(_verify_masks(n, ks, masks, _range_lanes(n, lo, hi)))
+    report.elapsed = time.monotonic() - started
+    return report

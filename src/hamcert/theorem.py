@@ -29,7 +29,6 @@ from hamcert.graphs import (
 )
 from hamcert.invariants import (
     chromatic_number,
-    independence_number,
     is_proper_coloring,
     max_clique,
     menger_fan,
@@ -461,9 +460,8 @@ def trace_proof(g: Graph, k: int) -> ProofTrace:
 
     # (5) the counting chain pins every invariant exactly
     chi = hyp.chi
-    alpha = independence_number(g)[0]
     gc = complement(g)
-    omega_c = max_clique(gc).bit_count()
+    alpha = omega_c = max_clique(gc).bit_count()  # alpha(g) is omega(complement)
     chi_c = chromatic_number(gc)[0]
     if not add(
         "equality-chain",

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import strategies as st
 
+from hamcert import harness
+from hamcert.graph6 import to_graph6
 from hamcert.graphs import Graph, from_edge_mask, with_edges
 
 
@@ -56,6 +59,24 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
         if rng.random() < p:
             mask |= 1 << t
     return from_edge_mask(n, mask)
+
+
+@contextmanager
+def extremal_certificates():
+    """Record (graph6, k) of every extremal certificate that the harness
+    issues inside the block, in order, by wrapping harness.certify."""
+    calls: list[tuple[str, int]] = []
+    exact = harness.certify
+
+    def certify(g, k):
+        cert = exact(g, k)
+        if cert.kind == "extremal":
+            calls.append((to_graph6(g), k))
+        return cert
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "certify", certify)
+        yield calls
 
 
 def relabeled(g: Graph, rng: random.Random) -> Graph:

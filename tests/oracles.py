@@ -56,11 +56,11 @@ def oracle_chromatic(g: Graph) -> int:
     return t
 
 
-def oracle_first_fit_colors(g: Graph, order) -> int:
-    """Colors used by first-fit greedy coloring in the given vertex order:
-    each vertex takes the least color no earlier neighbour holds."""
+def oracle_first_fit_colors(g: Graph) -> int:
+    """Colors used by first-fit greedy coloring in vertex order: each
+    vertex takes the least color no earlier neighbour holds."""
     colors: dict[int, int] = {}
-    for v in order:
+    for v in range(g.n):
         held = {colors[u] for u in colors if g.adj[v] >> u & 1}
         colors[v] = min(c for c in range(g.n + 1) if c not in held)
     return len(set(colors.values()))

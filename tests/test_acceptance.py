@@ -46,7 +46,7 @@ from hamcert.theorem import (
     validate_extremal_partition,
 )
 
-from tests.conftest import random_graph, record_verdict
+from tests.conftest import extremal_certificates, random_graph, record_verdict
 from tests.oracles import (
     oracle_chromatic,
     oracle_hamiltonian_cycle,
@@ -63,12 +63,8 @@ DATA_DIR = Path(__file__).parent / "data"
 def theorem_sweep():
     """Shared full sweep for criteria 1 and 6: reports per order plus
     every (graph6, k) pair that received an extremal certificate."""
-    extremal_hits: list[tuple[str, int]] = []
-    reports = {}
-    for n in range(4, 8):
-        reports[n] = verify_order(
-            n, (2, n - 1), on_extremal=lambda g6, k: extremal_hits.append((g6, k))
-        )
+    with extremal_certificates() as extremal_hits:
+        reports = {n: verify_order(n, (2, n - 1)) for n in range(4, 8)}
     return reports, extremal_hits
 
 
@@ -102,7 +98,7 @@ def test_criterion_1_exhaustive_sweep(theorem_sweep):
 def test_criterion_2_streamed_order_eight():
     path = DATA_DIR / "graph8.g6"
     with path.open(encoding="ascii") as handle:
-        report = verify_order(8, (2, 7), source="graph6", stream=handle)
+        report = verify_order(8, (2, 7), stream=handle)
     totals = (
         report.hypothesis_hits,
         report.hamiltonian,

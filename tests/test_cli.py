@@ -165,6 +165,23 @@ class TestVerify:
         assert "graphs 2" in out.payload
         assert "input errors 1" in out.payload
 
+    @pytest.mark.parametrize("bad_line, bad", [
+        (4, lambda lines: lines[:3] + [lines[3][:2] + b"\xe9" + lines[3][2:]] + lines[3:]),
+        (1, lambda lines: [b"\xef\xbb\xbf" + lines[0]] + lines[1:]),
+    ], ids=["stray-byte", "byte-order-mark"])
+    def test_stream_file_with_a_non_ascii_byte(self, tmp_path, bad_line, bad):
+        # a stray byte or a UTF-8 byte order mark is one bad line, reported
+        # with its line number, as on standard input
+        graph8 = Path(__file__).parent / "data" / "graph8.g6"
+        lines = graph8.read_bytes().split()[-6:]
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"\n".join(bad(lines)) + b"\n")
+        out = run(["verify", "--n", "8", "--stream", str(path)])
+        assert out.exit_code == 0, out.payload
+        assert f"graphs {6 if bad_line == 4 else 5}" in out.payload
+        assert "input errors 1" in out.payload
+        assert f"  line {bad_line}: non-ASCII character" in out.payload
+
     def test_stream_stdin(self, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("Dhc\n"))
         out = run(["verify", "--n", "5", "--stream", "-"])
@@ -212,14 +229,14 @@ assert "numpy" not in sys.modules, "verify --stream imported numpy"
         lines9 += [to_graph6(complement(random_graph(9, p, rng))) for p in (0.05, 0.1, 0.2) for _ in range(6)]
         order9 = tmp_path / "order9.g6"
         order9.write_text("\n".join(lines9) + "\n", encoding="ascii")
-        rep = verify_order(9, source="graph6", stream=iter(lines9))
+        rep = verify_order(9, stream=iter(lines9))
         assert rep.hits_total > 10 and rep.extremal >= 3 and rep.hamiltonian > 0
         rng = random.Random(13)
         lines13 = [to_graph6(build_extremal(k, 13)) for k in (2, 3)]
         lines13 += [to_graph6(complement(random_graph(13, 0.1, rng))) for _ in range(3)]
         order13 = tmp_path / "order13.g6"
         order13.write_text("\n".join(lines13) + "\n", encoding="ascii")
-        rep13 = verify_order(13, source="graph6", stream=iter(lines13))
+        rep13 = verify_order(13, stream=iter(lines13))
         assert rep13.extremal >= 2 and rep13.hamiltonian > 0
         runs = [
             (["verify", "--n", "8", "--stream", str(graph8)], 12346, 843),
@@ -236,6 +253,15 @@ assert "numpy" not in sys.modules, "verify --stream imported numpy"
 
 
 class TestGraph6Utility:
+    def test_module_runs_as_a_script(self):
+        root = Path(__file__).parent.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "hamcert.cli", "g6", "decode", "C~"],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (0, "4 0-1 0-2 0-3 1-2 1-3 2-3\n"), done.stderr
+
     def test_decode(self):
         out = run(["g6", "decode", "C~"])
         assert out.exit_code == 0

@@ -35,7 +35,7 @@ from hamcert.invariants import (
 from hamcert.cycles import find_hamiltonian_cycle
 from hamcert.theorem import build_extremal, certify
 
-from tests.conftest import byte_edits_st, edited, random_graph, relabeled
+from tests.conftest import byte_edits_st, edited, extremal_certificates, random_graph, relabeled
 from tests.oracles import (
     oracle_chromatic,
     oracle_edge_lanes,
@@ -106,7 +106,7 @@ class TestInternalSweep:
 
     def test_exact_stages_see_only_what_the_cheap_ones_leave(self, monkeypatch):
         # first-fit bounds settle the coloring inequality for every graph at
-        # n = 6; exact chi runs on the 4,348 candidates of the 32,768 graphs
+        # n = 6; exact chi runs on the 5,498 candidates of the 32,768 graphs
         sizes = {
             "_chromatic_lanes": lambda adj, n, s_max, every: every.bit_count(),
             "nordhaus_gaddum": lambda g: 1,
@@ -122,7 +122,7 @@ class TestInternalSweep:
             monkeypatch.setattr(harness, name, counted)
         rep = verify_order(6)
         assert rep.hypothesis_hits == {2: 3168, 3: 1758, 4: 76, 5: 1}
-        assert seen == {"_chromatic_lanes": 4348, "nordhaus_gaddum": 0}
+        assert seen == {"_chromatic_lanes": 5498, "nordhaus_gaddum": 0}
 
     def test_order_four_against_oracles(self):
         # independent recount of every tally the sweep produces
@@ -157,10 +157,6 @@ class TestInternalSweep:
     def test_rejects_large_internal_order(self):
         with pytest.raises(ValueError, match="1..7"):
             verify_order(8)
-
-    def test_rejects_bad_source(self):
-        with pytest.raises(ValueError, match="source"):
-            verify_order(4, source="telepathy")
 
     def test_rejects_bad_shards(self):
         with pytest.raises(ValueError):
@@ -200,7 +196,7 @@ class TestStreamedSource:
     @staticmethod
     def assert_stream_matches_internal(n):
         lines = [to_graph6(g) for g in enumerate_labeled(n)]
-        streamed = verify_order(n, source="graph6", stream=iter(lines))
+        streamed = verify_order(n, stream=iter(lines))
         internal = verify_order(n)
         assert streamed.total_graphs == internal.total_graphs
         assert streamed.hypothesis_hits == internal.hypothesis_hits
@@ -217,30 +213,26 @@ class TestStreamedSource:
 
     def test_malformed_lines_reported_and_skipped(self):
         lines = ["Dhc", "", "not graph6 \x01", "Dhc", "C~", "Dhc"]
-        rep = verify_order(5, source="graph6", stream=iter(lines))
+        rep = verify_order(5, stream=iter(lines))
         assert rep.total_graphs == 3
         assert [line_no for line_no, _ in rep.errors] == [3, 5]
         assert "order" in rep.errors[1][1]
 
     def test_blank_lines_are_not_errors(self):
-        rep = verify_order(5, source="graph6", stream=iter(["", "   ", "\n"]))
+        rep = verify_order(5, stream=iter(["", "   ", "\n"]))
         assert rep.total_graphs == 0
         assert rep.errors == []
 
-    def test_stream_requires_lines(self):
-        with pytest.raises(ValueError, match="stream"):
-            verify_order(5, source="graph6")
-
     def test_stream_counts_extremal(self):
         g6 = to_graph6(build_extremal(2, 5))
-        rep = verify_order(5, source="graph6", stream=iter([g6]))
+        rep = verify_order(5, stream=iter([g6]))
         assert rep.hypothesis_hits == {2: 1, 3: 0, 4: 0}
         assert rep.extremal == 1
         assert rep.hamiltonian == 0
 
     def test_order_nine_stream(self):
         lines = [to_graph6(build_extremal(2, 9)), to_graph6(complete_graph(9)), "Dhc"]
-        rep = verify_order(9, (2, 2), source="graph6", stream=iter(lines))
+        rep = verify_order(9, (2, 2), stream=iter(lines))
         assert rep.total_graphs == 2
         assert rep.hypothesis_hits == {2: 2}
         assert (rep.hamiltonian, rep.extremal) == (1, 1)
@@ -248,7 +240,7 @@ class TestStreamedSource:
 
     def test_order_eight_calls_exact_solvers_only_where_needed(self, monkeypatch):
         # cheap first: the lane kernels settle the coloring inequality for
-        # every class on edge masks, and the 708 that pass the candidate
+        # every class on edge masks, and the 1,043 that pass the candidate
         # rule on their bounds get exact chi, kappa and Hamiltonicity in
         # the lane kernels too.  A graph is built only for the two certify
         # replays, whose single-graph solvers run through theorem; no line
@@ -271,7 +263,7 @@ class TestStreamedSource:
                 return _exact(*args, **kwargs)
 
             monkeypatch.setattr(harness, name, counted, raising=False)
-        rep = verify_order(8, (2, 7), source="graph6", stream=iter(graph8_lines()))
+        rep = verify_order(8, (2, 7), stream=iter(graph8_lines()))
         assert rep.hits_total == 843
         assert calls == {
             "nordhaus_gaddum": 0,
@@ -283,7 +275,7 @@ class TestStreamedSource:
         }
 
 
-def mask_pipeline(n, k_range, lines, on_extremal=None):
+def mask_pipeline(n, k_range, lines):
     """The order-n lines of a stream through the internal sweep's mask
     pipeline."""
     masks = []
@@ -296,19 +288,17 @@ def mask_pipeline(n, k_range, lines, on_extremal=None):
             masks.append(mask)
     ks = harness._clamped_k_range(n, *k_range)
     masks = np.array(masks, np.uint32)
-    return harness._verify_masks(n, ks, masks, mask_lanes(n, masks), on_extremal)
+    return harness._verify_masks(n, ks, masks, mask_lanes(n, masks))
 
 
 def run_both_paths(n, k_range, lines):
     """The stream, one graph at a time, and the mask pipeline on the same
-    graphs, each with its on_extremal calls."""
-    calls = ([], [])
-    streamed = verify_order(
-        n, k_range, source="graph6", stream=iter(lines),
-        on_extremal=lambda g6, k: calls[0].append((g6, k)),
-    )
-    vector = mask_pipeline(n, k_range, lines, lambda g6, k: calls[1].append((g6, k)))
-    return streamed, vector, calls
+    graphs, each with its extremal certificates."""
+    with extremal_certificates() as streamed_calls:
+        streamed = verify_order(n, k_range, stream=iter(lines))
+    with extremal_certificates() as vector_calls:
+        vector = mask_pipeline(n, k_range, lines)
+    return streamed, vector, (streamed_calls, vector_calls)
 
 
 def split_certify(monkeypatch):
@@ -375,7 +365,7 @@ class TestStreamAgainstMaskPipeline:
             chi, chi_c, slack = exact(g)
             return chi, chi_c, -1 if g.edge_count() % 5 == 0 else slack
 
-        def loose(adj, order, every):
+        def loose(adj, every):
             return [every] * len(adj) + [0]
 
         monkeypatch.setattr(harness, "_first_fit_lanes", loose)
@@ -474,21 +464,20 @@ class TestBatchedKernels:
 
     @pytest.mark.parametrize("source", ["1", "2", "3", "4", "5", "graph8", "graph8-complements"])
     def test_greedy_bound_matches_first_fit(self, source):
-        # the lane first-fit kernel against the per-graph reference, in
-        # both orders: ub >= t is more[t - 1] and ub == a is more[a - 1] ^
-        # more[a]; the complements of the graph8.g6 classes hold K8, which
-        # needs all eight colors
+        # the lane first-fit kernel against the per-graph reference: ub >=
+        # t is more[t - 1] and ub == a is more[a - 1] ^ more[a]; the
+        # complements of the graph8.g6 classes hold K8, which needs all
+        # eight colors
         n, masks = self.labeled_or_graph8(source)
         adj = mask_lanes(n, masks)
         graphs = [from_edge_mask(n, int(m)) for m in masks]
         every = (1 << masks.size) - 1
-        for order in (range(n), range(n - 1, -1, -1)):
-            more = harness._first_fit_lanes(adj, order, every)
-            ub = [oracle_first_fit_colors(g, order) for g in graphs]
-            assert len(more) == n + 1 and more[0] == every and more[n] == 0
-            for a in range(1, n + 1):
-                assert lane_list(more[a - 1], masks.size) == [x >= a for x in ub]
-                assert lane_list(more[a - 1] ^ more[a], masks.size) == [x == a for x in ub]
+        more = harness._first_fit_lanes(adj, every)
+        ub = [oracle_first_fit_colors(g) for g in graphs]
+        assert len(more) == n + 1 and more[0] == every and more[n] == 0
+        for a in range(1, n + 1):
+            assert lane_list(more[a - 1], masks.size) == [x >= a for x in ub]
+            assert lane_list(more[a - 1] ^ more[a], masks.size) == [x == a for x in ub]
         if source == "graph8-complements":
             assert n in ub
 
@@ -503,9 +492,8 @@ class TestBatchedKernels:
         every = (1 << masks.size) - 1
         for adj in (mask_lanes(n, masks), oracle_edge_lanes(n, masks.tolist())):
             degree = harness._degree_lanes(adj, n - 1, every)
-            for order in (range(n), range(n - 1, -1, -1)):
-                hit = harness._may_hit(n, n - 1, degree, harness._first_fit_lanes(adj, order, every))
-                assert not any(hit >> i & 1 for i in split)
+            hit = harness._may_hit(n, n - 1, degree, harness._first_fit_lanes(adj, every))
+            assert not any(hit >> i & 1 for i in split)
 
     @pytest.mark.parametrize("source", ["3", "4", "5", "graph8", "graph8-complements"])
     def test_hamiltonian_matches_solver(self, source):
@@ -641,7 +629,7 @@ class TestLaneKernels:
 
     @pytest.mark.parametrize("source", ["1", "2", "3", "4", "5", "graph8", "graph8-complements"])
     def test_degree_and_open_coloring_lanes_match_scalars(self, source):
-        # min degree >= d at every cap, and the lanes whose forward bounds
+        # min degree >= d at every cap, and the lanes whose first-fit bounds
         # on G and its complement leave chi + chi_c <= n + 1 open, against
         # min_degree and first-fit counts of each graph
         n, masks = TestBatchedKernels.labeled_or_graph8(source)
@@ -656,12 +644,10 @@ class TestLaneKernels:
             assert len(at_least) == cap + 1
             for d, lanes in enumerate(at_least):
                 assert lane_list(lanes, masks.size) == [x >= d for x in delta], (cap, d)
-        forward = range(n)
-        ub = [oracle_first_fit_colors(g, forward) for g in graphs]
-        ub_c = [oracle_first_fit_colors(complement(g), forward) for g in graphs]
+        ub = [oracle_first_fit_colors(g) for g in graphs]
+        ub_c = [oracle_first_fit_colors(complement(g)) for g in graphs]
         suspects = harness._coloring_open(
-            n, harness._first_fit_lanes(adj, forward, every),
-            harness._first_fit_lanes(comp, forward, every),
+            n, harness._first_fit_lanes(adj, every), harness._first_fit_lanes(comp, every),
         )
         assert lane_list(suspects, masks.size) == [a + b > n + 1 for a, b in zip(ub, ub_c)]
         # first fit leaves the inequality open on none of these graphs, so
@@ -755,11 +741,8 @@ class TestStreamBlocks:
     @staticmethod
     def stream(n, lines, block, monkeypatch):
         monkeypatch.setattr(harness, "_STREAM_BLOCK", block)
-        calls = []
-        rep = verify_order(
-            n, (2, n - 1), source="graph6", stream=iter(lines),
-            on_extremal=lambda g6, k: calls.append((g6, k)),
-        )
+        with extremal_certificates() as calls:
+            rep = verify_order(n, (2, n - 1), stream=iter(lines))
         return rep, calls
 
     @pytest.mark.parametrize("block", [1, 5])
@@ -775,8 +758,8 @@ class TestStreamBlocks:
             rng.shuffle(lines)
         blocked, blocked_calls = self.stream(n, lines, block, monkeypatch)
         whole, whole_calls = self.stream(n, lines, len(lines), monkeypatch)
-        vector_calls = []
-        vector = mask_pipeline(n, (2, n - 1), lines, lambda g6, k: vector_calls.append((g6, k)))
+        with extremal_certificates() as vector_calls:
+            vector = mask_pipeline(n, (2, n - 1), lines)
         assert report_fingerprint(blocked) == report_fingerprint(whole) == report_fingerprint(vector)
         assert blocked_calls == whole_calls == vector_calls
         # replays run in line order
@@ -829,11 +812,8 @@ class TestStreamBlocks:
 
         for block in (2, 4096):
             monkeypatch.setattr(harness, "_STREAM_BLOCK", block)
-            calls = []
-            rep = verify_order(
-                n, window, source="graph6", stream=iter(lines),
-                on_extremal=lambda g6, k: calls.append((g6, k)),
-            )
+            with extremal_certificates() as calls:
+                rep = verify_order(n, window, stream=iter(lines))
             assert rep.total_graphs == len(graphs)
             assert rep.hypothesis_hits == hits
             assert (rep.hamiltonian, rep.extremal) == (
@@ -958,18 +938,15 @@ class TestStreamFastPath:
         monkeypatch.setattr(harness, "_decoded_lines", counted)
         if fallback_only:
             monkeypatch.setattr(harness, "valid_block", lambda n, texts: None)
-        calls = []
-        rep = verify_order(
-            8, (2, 7), source="graph6", stream=iter(lines),
-            on_extremal=lambda g6, k: calls.append((g6, k)),
-        )
+        with extremal_certificates() as calls:
+            rep = verify_order(8, (2, 7), stream=iter(lines))
         monkeypatch.undo()
         return rep, calls, decoded
 
     @staticmethod
     def assert_matches_per_line(lines, rep, calls):
-        vector_calls = []
-        vector = mask_pipeline(8, (2, 7), lines, lambda g6, k: vector_calls.append((g6, k)))
+        with extremal_certificates() as vector_calls:
+            vector = mask_pipeline(8, (2, 7), lines)
         assert rep.errors == oracle_errors(8, lines)
         assert report_fingerprint(rep) == report_fingerprint(vector)
         assert calls == vector_calls
@@ -1027,11 +1004,8 @@ class TestStreamFastPath:
         old_block = harness._STREAM_BLOCK
         harness._STREAM_BLOCK = block
         try:
-            calls = []
-            rep = verify_order(
-                8, (2, 7), source="graph6", stream=iter(lines),
-                on_extremal=lambda g6, k: calls.append((g6, k)),
-            )
+            with extremal_certificates() as calls:
+                rep = verify_order(8, (2, 7), stream=iter(lines))
         finally:
             harness._STREAM_BLOCK = old_block
         self.assert_matches_per_line(lines, rep, calls)
