@@ -9,6 +9,7 @@ property violation was found, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from dataclasses import dataclass
 
@@ -73,10 +74,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdin_lines():
+    """The lines of standard input, read as verify --stream reads a file:
+    as ASCII, with each other byte passed on as a lone surrogate, so that
+    it makes one bad line whatever the locale's error handler.  A text
+    stream with no byte buffer beneath, such as a StringIO, is read as
+    it is."""
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:
+        yield from sys.stdin
+        return
+    text = io.TextIOWrapper(buffer, encoding="ascii", errors="surrogateescape")
+    try:
+        yield from text
+    finally:
+        text.detach()  # leave standard input open
+
+
+def _shown(text: str) -> str:
+    """An input line as echoed in an error: each character outside ASCII
+    as a backslash escape, since a lone surrogate cannot be written to a
+    strict stream."""
+    return text.encode("ascii", "backslashreplace").decode("ascii")
+
+
 def _input_lines(arg: str | None) -> list[str]:
     if arg is not None:
         return [arg]
-    return [line for line in (raw.strip() for raw in sys.stdin) if line]
+    return [line for line in (raw.strip() for raw in _stdin_lines()) if line]
 
 
 def _each_graph(arg, handler) -> CommandOutcome:
@@ -91,7 +116,7 @@ def _each_graph(arg, handler) -> CommandOutcome:
         except HypothesisError as err:
             line_code, payload = 2, f"error: {text}: hypothesis fails ({err.flag}): {err}"
         except ValueError as err:
-            line_code, payload = 2, f"error: {text}: {err}"
+            line_code, payload = 2, f"error: {_shown(text)}: {err}"
         out.append(payload)
         code = max(code, line_code)
     if not out:
@@ -147,7 +172,7 @@ def _cmd_verify(args) -> CommandOutcome:
         if args.stream is None:
             report = verify_order(args.n, (k_min, k_max))
         elif args.stream == "-":
-            report = verify_order(args.n, (k_min, k_max), stream=sys.stdin)
+            report = verify_order(args.n, (k_min, k_max), stream=_stdin_lines())
         else:
             # a byte the codec cannot read reaches the decoder as a lone
             # surrogate, which is then reported with its line number
@@ -177,7 +202,7 @@ def _cmd_g6(args) -> CommandOutcome:
                     edges.append((int(u), int(v)))
                 out.append(to_graph6(with_edges(n, edges)))
         except (ValueError, IndexError) as err:
-            out.append(f"error: {text}: {err}")
+            out.append(f"error: {_shown(text)}: {err}")
             code = 2
     if not out:
         return CommandOutcome(2, "error: no input")

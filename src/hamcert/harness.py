@@ -11,6 +11,11 @@ graphs that the cheaper ones before it leave open:
 3. exact chi of the candidates, then exact connectivity and Hamiltonicity
    and the certify replay of every non-Hamiltonian hypothesis hit.
 
+A replayed hit of the extremal shape is certified by its partition,
+validated against the graph, and the lemma that the partition fixes
+kappa = k and chi = n - k and rules out a Hamiltonian cycle; any other
+replayed hit goes through the exact solvers again (theorem.certify).
+
 Both sources run every stage in the same lane kernels: a batch of graphs
 is a set of lanes, one bit per graph in a Python int, so that each int
 operation steps the whole batch.  Stages 1 and 2 run on every graph of a
@@ -23,7 +28,7 @@ most (n - 1) / 2 vertices for kappa above 1, since a minimum separator
 is the neighbourhood of the smallest component it leaves.  A hit the
 Hamiltonicity kernel accepts is counted without a witness cycle; the
 tests hold the kernels to the single-graph solvers, whose cycles are
-checked, and to first-fit, degree and cut-set references, and the exact
+checked, and to first-fit, degree and cut-set references, and the
 certifier settles every other hit.
 
 The internal source enumerates every labeled graph on n <= 7 vertices by
@@ -605,15 +610,17 @@ def _tally(report, n, ks, kappa_at_least, chi_at_least, hamiltonian, graph):
     ham = hamiltonian(every_hit)
     for lanes in hits.values():
         report.hamiltonian += (lanes & ham).bit_count()
-    # rare path: replay the non-Hamiltonian hits through the exact certifier
+    # rare path: replay the non-Hamiltonian hits through the certifier
     missed = {k: set(_lane_indices(lanes ^ (lanes & ham))) for k, lanes in hits.items()}
     for i in _lane_indices(every_hit ^ (every_hit & ham)):
         _replay(report, graph(i), [k for k in ks if i in missed[k]])
 
 
 def _replay(report, g, graph_hits) -> None:
-    """Tally the exact certificate of g for every k it hits; the exact
-    certifier recomputes kappa and chi independently of any vector pass."""
+    """Tally the certificate of g for every k it hits, independent of any
+    lane kernel: a graph of the extremal shape for k by its validated
+    partition, any other by the exact kappa, chi and Hamiltonian-cycle
+    solvers."""
     for k in graph_hits:
         cert = certify(g, k)
         if cert.kind == "hamiltonian":

@@ -235,16 +235,26 @@ class Certificate:
 
 
 def certify(g: Graph, k: int) -> Certificate:
-    """Hamiltonian certificate if one exists, else extremal recognition,
-    else an explicit counterexample record.  Hypothesis is enforced."""
+    """The extremal certificate when g has the exceptional shape for this
+    k, else a Hamiltonian cycle, else an explicit counterexample record.
+
+    An extremal graph is certified by its partition alone, which
+    recognize_extremal has validated against g: every separator holds the
+    k universal vertices A, and A itself separates, so kappa = k; A with
+    the clique part is an (n - k)-clique, and the independent part reuses
+    one of its colors, so chi = n - k; and g - A has k + 1 components,
+    so g is not Hamiltonian.  The same facts make the shape of any other
+    k fail the hypothesis for this one.  Every other graph must pass the
+    hypothesis on the exact solvers, exact chi last, before its
+    Hamiltonian cycle is searched.
+    """
+    found = recognize_extremal(g)
+    if found is not None and found[0] == k:
+        return Certificate(kind="extremal", k=k, partition=found[1])
     rep = _require_hypothesis(g, k)
     cycle = find_hamiltonian_cycle(g) if g.n >= 3 else None
     if cycle is not None:
         return Certificate(kind="hamiltonian", cycle=cycle)
-    found = recognize_extremal(g)
-    if found is not None:
-        rk, part = found
-        return Certificate(kind="extremal", k=rk, partition=part)
     return Certificate(
         kind="counterexample",
         k=k,

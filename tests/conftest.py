@@ -79,6 +79,21 @@ def extremal_certificates():
         yield calls
 
 
+def count_calls(monkeypatch, module, names) -> dict[str, int]:
+    """Wrap each named function of module to count its calls; the counts
+    are read from the returned dict as the calls happen."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        exact = getattr(module, name)
+
+        def counted(*args, _exact=exact, _name=name, **kwargs):
+            calls[_name] += 1
+            return _exact(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def relabeled(g: Graph, rng: random.Random) -> Graph:
     """Copy of g under a random vertex permutation."""
     perm = list(range(g.n))

@@ -8,7 +8,9 @@ sweeps, connectivity by deleting every candidate cut set (also in lanes,
 oracle_kappa_lanes), cycles by permutation search, lane sets by slicing
 one string of every mask.  Keep it that way.  The one exception is
 oracle_path_ends, the reference for the bit-sliced path table: the same
-subset DP, filled one row at a time.
+subset DP, filled one row at a time.  oracle_certify is the certifier's
+former full path, built from the package's own exact solvers, the
+reference for its shape-first path.
 The oracle_mask_* functions take a whole population at once, as a uint32
 numpy array of edge masks.
 """
@@ -19,6 +21,9 @@ from itertools import combinations
 
 import numpy as np
 
+from hamcert import theorem
+from hamcert.cycles import find_hamiltonian_cycle
+from hamcert.graph6 import to_graph6
 from hamcert.graphs import Graph, triangle_pairs
 
 
@@ -270,3 +275,24 @@ def oracle_longest_cycle_length(g: Graph) -> int:
 
         walk()
     return best
+
+
+def oracle_certify(g: Graph, k: int) -> theorem.Certificate:
+    """certify on its full path: the hypothesis on the exact solvers, then
+    a Hamiltonian cycle, then extremal recognition under any k, then a
+    counterexample record."""
+    rep = theorem._require_hypothesis(g, k)
+    cycle = find_hamiltonian_cycle(g) if g.n >= 3 else None
+    if cycle is not None:
+        return theorem.Certificate(kind="hamiltonian", cycle=cycle)
+    found = theorem.recognize_extremal(g)
+    if found is not None:
+        return theorem.Certificate(kind="extremal", k=found[0], partition=found[1])
+    return theorem.Certificate(
+        kind="counterexample",
+        k=k,
+        report=(
+            f"graph {to_graph6(g)} with n={g.n} k={k} kappa={rep.kappa} "
+            f"chi={rep.chi} is neither Hamiltonian nor extremal"
+        ),
+    )

@@ -252,6 +252,27 @@ assert "numpy" not in sys.modules, "verify --stream imported numpy"
         assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["verify", "--n", "8", "--stream", "-"],
+     ["graphs 1", "input errors 1", "  line 2: non-ASCII character in graph6 string:"]),
+    (["invariants"],
+     ["G~~~~{ n=8 kappa=7 chi=8 ", "error: \\udce9G~~~~{: non-ASCII character in graph6 string:"]),
+], ids=["verify-stream", "invariants"])
+def test_stdin_with_a_non_ascii_byte_under_a_strict_locale(argv, expected):
+    # a stray byte on standard input is one bad line, whatever the
+    # interpreter's own error handler for it
+    root = Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONIOENCODING="utf-8:strict")
+    done = subprocess.run(
+        [sys.executable, "-m", "hamcert.cli", *argv],
+        input=b"G~~~~{\n\xe9G~~~~{\n", env=env, capture_output=True, timeout=60,
+    )
+    out = done.stdout.decode("ascii")
+    assert done.returncode == (0 if argv[0] == "verify" else 2), done.stderr
+    for text in expected:
+        assert text in out, out
+
+
 class TestGraph6Utility:
     def test_module_runs_as_a_script(self):
         root = Path(__file__).parent.parent

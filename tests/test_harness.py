@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamcert import graph6, harness
+from hamcert import graph6, harness, theorem
 from hamcert.graph6 import Graph6Error, decode_graph6, parse_graph6, to_graph6
 from hamcert.graphs import (
     complete_graph,
@@ -35,7 +35,9 @@ from hamcert.invariants import (
 from hamcert.cycles import find_hamiltonian_cycle
 from hamcert.theorem import build_extremal, certify
 
-from tests.conftest import byte_edits_st, edited, extremal_certificates, random_graph, relabeled
+from tests.conftest import (
+    byte_edits_st, count_calls, edited, extremal_certificates, random_graph, relabeled,
+)
 from tests.oracles import (
     oracle_chromatic,
     oracle_edge_lanes,
@@ -273,6 +275,22 @@ class TestStreamedSource:
             "from_edge_mask": 2,
             "parse_graph6": 0,
         }
+
+
+@pytest.mark.parametrize("population, replays", [
+    (lambda: verify_order(6), 90),
+    (lambda: verify_order(8, (2, 7), stream=iter(graph8_lines())), 2),
+], ids=["order-6", "graph8"])
+def test_certify_replays_call_no_exponential_solver(monkeypatch, population, replays):
+    # every non-Hamiltonian hit of these populations is extremal for its
+    # k, so each certify replay is settled by recognition alone
+    calls = count_calls(monkeypatch, theorem, [
+        "chromatic_number", "vertex_connectivity", "find_hamiltonian_cycle", "recognize_extremal",
+    ])
+    rep = population()
+    assert rep.extremal == replays and not rep.counterexamples
+    assert calls == {"chromatic_number": 0, "vertex_connectivity": 0,
+                     "find_hamiltonian_cycle": 0, "recognize_extremal": replays}
 
 
 def mask_pipeline(n, k_range, lines):

@@ -11,6 +11,7 @@ from hamcert.graph6 import parse_graph6
 from hamcert.graphs import (
     complete_graph,
     cycle_graph,
+    enumerate_labeled,
     path_graph,
     petersen_graph,
     with_edges,
@@ -37,8 +38,9 @@ from hamcert.theorem import (
     validate_certificate,
     validate_extremal_partition,
 )
-from tests.conftest import relabeled
+from tests.conftest import count_calls, relabeled
 from tests.oracles import (
+    oracle_certify,
     oracle_chromatic,
     oracle_independence_number,
     oracle_vertex_connectivity,
@@ -178,6 +180,9 @@ def test_refusal_texts_and_exact_chi_last(monkeypatch):
         (complete_graph(5), 1, "k = 1 is below 2"),
         (path_graph(4), 2, "connectivity 1 is below k = 2"),
         (cycle_graph(6), 2, "chromatic number 2 is below n - k = 4"),
+        # the extremal shape under another k takes the exact path
+        (build_extremal(2, 7), 3, "connectivity 2 is below k = 3"),
+        (build_extremal(3, 7), 2, "chromatic number 4 is below n - k = 5"),
     ]
     exact = theorem.chromatic_number
     calls = []
@@ -191,7 +196,70 @@ def test_refusal_texts_and_exact_chi_last(monkeypatch):
         with pytest.raises(HypothesisError) as exc:
             certify(g, k)
         assert str(exc.value) == text
-    assert calls == [cycle_graph(6)]
+    assert calls == [cycle_graph(6), build_extremal(3, 7)]
+
+
+def _certify_outcome(certifier, g, k):
+    """The certificate, or the refusal as (flag, text), or the plain
+    ValueError's text."""
+    try:
+        return certifier(g, k)
+    except HypothesisError as err:
+        return ("refused", err.flag, str(err))
+    except ValueError as err:
+        return ("invalid", str(err))
+
+
+def _extremal_grid():
+    """(k, graph) over build_extremal(k, n) for k = 2..5 and
+    n = 2k+1..12, canonical and under one seeded relabeling."""
+    rng = random.Random(15)
+    for k in range(2, 6):
+        for n in range(2 * k + 1, 13):
+            g = build_extremal(k, n)
+            yield k, g
+            yield k, relabeled(g, rng)
+
+
+def test_certify_matches_its_full_path_on_every_small_graph():
+    # the shape-first path against the former one, every k in 0..n, on
+    # every labeled graph of order at most 5
+    for n in range(6):
+        for g in enumerate_labeled(n):
+            for k in range(n + 1):
+                assert _certify_outcome(certify, g, k) == _certify_outcome(oracle_certify, g, k), (
+                    g, k,
+                )
+
+
+def test_certify_matches_its_full_path_on_the_extremal_grid():
+    for k, g in _extremal_grid():
+        for k2 in range(g.n):
+            assert _certify_outcome(certify, g, k2) == _certify_outcome(oracle_certify, g, k2), (
+                g, k, k2,
+            )
+
+
+def test_extremal_partition_fixes_kappa_chi_and_non_hamiltonicity():
+    # the lemma certify relies on, confirmed by the exact solvers
+    for k, g in _extremal_grid():
+        assert vertex_connectivity(g) == k
+        assert chromatic_number(g)[0] == g.n - k
+        assert find_hamiltonian_cycle(g) is None
+
+
+def test_certify_counts_solver_calls(monkeypatch):
+    # the extremal shape for its own k is certified without an exponential
+    # solver; every other graph still runs all three
+    calls = count_calls(monkeypatch, theorem, [
+        "chromatic_number", "vertex_connectivity", "find_hamiltonian_cycle", "recognize_extremal",
+    ])
+    assert certify(build_extremal(3, 9), 3).kind == "extremal"
+    assert calls == {"chromatic_number": 0, "vertex_connectivity": 0,
+                     "find_hamiltonian_cycle": 0, "recognize_extremal": 1}
+    assert certify(complete_graph(6), 3).kind == "hamiltonian"
+    assert calls == {"chromatic_number": 1, "vertex_connectivity": 1,
+                     "find_hamiltonian_cycle": 1, "recognize_extremal": 2}
 
 
 def test_certificate_serialization_round_trip():
