@@ -21,12 +21,23 @@ the cut-set reference kernel tests.oracles.oracle_kappa_lanes at every
 cap from 2 to n - 1: the vertex sets K that _kappa_lanes counts over are
 the same at every cap, while the cut sets below a small cap are few.
 
+With --sweep it prints instead the time and the minor page faults
+(ru_minflt) of one verify_order(n) call, n = 7 by default, with the
+internal sweep's cheap stages in blocks of 2^16 .. 2^21 masks: the table
+that the _SWEEP_BLOCK comment cites.  Each block size runs in a fresh
+interpreter, a warm-up call and then 25 timed ones, whose medians make
+its row.
+
 Run from the repository root:
     python3 scripts/kernel_timings.py [--caps] [n ...]
-(default orders 8 10 12 13).
+(default orders 8 10 12 13), or
+    python3 scripts/kernel_timings.py --sweep [n]
 """
 
 import random
+import resource
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -43,6 +54,8 @@ from tests.oracles import oracle_edge_lanes, oracle_kappa_lanes  # noqa: E402
 
 BLOCK = 4096
 DENSITY = 0.8
+SWEEP_BLOCKS = tuple(1 << b for b in range(16, 22))
+SWEEP_CALLS = 25
 
 
 def candidates(n, count):
@@ -114,6 +127,35 @@ def kappa_by_cap(n, masks):
     }
 
 
+def sweep_row(n, block) -> str:
+    """The table row of verify_order(n) with the cheap stages in blocks of
+    block masks, in this process: the median ms and minor faults of
+    SWEEP_CALLS calls after a warm-up one."""
+    harness._SWEEP_BLOCK = block
+    ms, faults = [], []
+    for turn in range(SWEEP_CALLS + 1):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        started = time.perf_counter()
+        harness.verify_order(n)
+        elapsed = time.perf_counter() - started
+        if turn:
+            ms.append(1000 * elapsed)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return f"{n:>3} {block:>8} {statistics.median(ms):>8.1f} {statistics.median(faults):>8.0f}"
+
+
+def sweep(n=7, blocks=SWEEP_BLOCKS) -> None:
+    """Print sweep_row for each block size, each in a fresh interpreter:
+    the heap that one size leaves behind changes the faults of the next."""
+    print(f"{'n':>3} {'block':>8} {'ms':>8} {'faults':>8}   (one call, median of {SWEEP_CALLS})")
+    for block in blocks:
+        row = subprocess.run(
+            [sys.executable, __file__, "--block", str(block), str(n)],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        print(row, end="", flush=True)
+
+
 def main(orders, caps=False) -> None:
     if caps:
         print(f"{'n':>3} {'cap':>4} {'kernel':>9} {'cut sets':>9}   (ms, block)")
@@ -134,5 +176,10 @@ def main(orders, caps=False) -> None:
 
 if __name__ == "__main__":
     args = sys.argv[1:]
-    caps = "--caps" in args
-    main([int(a) for a in args if a != "--caps"] or [8, 10, 12, 13], caps)
+    orders = [int(a) for a in args if a.isdigit()]
+    if "--block" in args:  # one row of --sweep, in a fresh interpreter
+        print(sweep_row(orders[1], orders[0]))
+    elif "--sweep" in args:
+        sweep(*orders[:1])
+    else:
+        main(orders or [8, 10, 12, 13], "--caps" in args)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from dataclasses import dataclass
 
@@ -235,7 +236,17 @@ def run(argv) -> CommandOutcome:
 def main(argv=None) -> int:
     outcome = run(sys.argv[1:] if argv is None else argv)
     if outcome.payload:
-        print(outcome.payload)
+        try:
+            print(outcome.payload)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone, as in `hamcert verify --n 7 | head -1`:
+            # the exit code still reports the command, and standard output
+            # points at devnull so that the interpreter's last flush of the
+            # unwritten rest does not raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return outcome.exit_code
 
 

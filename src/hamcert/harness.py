@@ -32,13 +32,17 @@ checked, and to first-fit, degree and cut-set references, and the
 certifier settles every other hit.
 
 The internal source enumerates every labeled graph on n <= 7 vertices by
-edge bitmask.  Over a range of masks, the lane set of pair t is bit t of
-the mask index, a periodic pattern built by doubling (_range_lanes).
-Numpy stays for one step: compacting the candidates' masks and building
-their lanes (_packed_edge_lanes), 8 ms for the 225,800 candidates at
-n = 7, against 174 ms for the pure-Python reference builder of the
-tests (2-core host).  Its candidates enter the exact stages in mask
-order.
+edge bitmask.  Its cheap stages run on a block of at most _SWEEP_BLOCK =
+2^19 masks at a time, so that a lane set is a 64 KiB int and each block
+reuses the heap pages of the one before; with all 2^21 masks of order 7
+in one block, each call faulted thousands of fresh pages in (measured at
+_SWEEP_BLOCK).  Over a block, the lane set of pair t is bit t of the
+mask index, a periodic pattern built by doubling (_range_lanes).  The
+candidates of every block are gathered in mask order and enter the
+exact stages once, together.  Numpy stays for one step: compacting the
+candidates' masks and building their lanes (_packed_edge_lanes), 8 ms
+for the 225,800 candidates at n = 7, against 174 ms for the pure-Python
+reference builder of the tests (2-core host).
 
 The streamed source works a block of lines at a time and needs no numpy,
 whose import alone costs a stream process about 12 MB resident.  It
@@ -151,18 +155,45 @@ def _np():
     return numpy
 
 
-def _verify_masks(n, ks, masks, adj) -> VerificationReport:
-    """Tally the labeled graphs of order n <= 8 given by a uint32 array of
-    their edge masks and adj, their lane adjacency.  The cheap stages run
-    in the lane kernels over every mask at once, the exact ones over the
-    candidates, in mask order."""
+# Masks per block of the internal sweep's cheap stages.  With all 2^21
+# masks of order 7 in one block, a lane set is a 256 KiB int, above glibc
+# malloc's initial 128 KiB mmap threshold, and the cheap stages hold about
+# 23 MB of them at their peak, more than malloc keeps at the top of its
+# heap: each verify_order(7) call gave its pages back and faulted them in
+# again.  Blocks of 2^19 masks hold 64 KiB lane sets and reuse the pages
+# of the block before.  verify_order(7), warm, in ms and minor page faults
+# a call, by block (`python3 scripts/kernel_timings.py --sweep`: each block
+# in a fresh interpreter, medians of 25 calls; ranges over several runs on
+# a 2-core x86 host):
+#
+#    block       2^16    2^17    2^18    2^19    2^20    2^21
+#    ms         61-63   43-57   48-63   41-54   50-65   62-73
+#    faults  2.7-3.2k       0  0-2.6k       0    3.3k  4.5-9.7k
+#
+# The faults do not fall steadily with the block: they depend on whether
+# the heap that a call frees outgrows malloc's trim threshold.
+_SWEEP_BLOCK = 1 << 19
+
+
+def _verify_masks(n, ks, blocks) -> VerificationReport:
+    """Tally the labeled graphs of order n <= 8 given by blocks, pairs of
+    a uint32 array of edge masks and their lane adjacency.  The cheap
+    stages run in the lane kernels on one block at a time; the candidates
+    of every block are gathered in block order and the exact stages run
+    once, on all of them."""
     np = _np()
-    report = VerificationReport(total_graphs=masks.size, hypothesis_hits={k: 0 for k in ks})
-    cand = _cheap_stages(
-        report, n, ks, adj, (1 << masks.size) - 1, lambda i: from_edge_mask(n, int(masks[i])),
-    )
-    if cand:
-        cmasks = masks[np.nonzero(_unpacked_lanes(np, cand, masks.size))[0]]
+    report = VerificationReport(hypothesis_hits={k: 0 for k in ks})
+    found = []
+    for masks, adj in blocks:
+        report.total_graphs += masks.size
+        cand = _cheap_stages(
+            report, n, ks, adj, (1 << masks.size) - 1,
+            lambda i: from_edge_mask(n, int(masks[i])),
+        )
+        if cand:
+            found.append(masks[np.flatnonzero(_unpacked_lanes(np, cand, masks.size).view(bool))])
+    if found:
+        cmasks = np.concatenate(found)
         _exact_stages(
             report, n, ks, _packed_edge_lanes(np, cmasks, n), (1 << cmasks.size) - 1,
             lambda i: from_edge_mask(n, int(cmasks[i])),
@@ -171,7 +202,9 @@ def _verify_masks(n, ks, masks, adj) -> VerificationReport:
 
 
 def _unpacked_lanes(np, lanes, count):
-    """The first count lanes of a lane set as a 0/1 uint8 array."""
+    """The first count lanes of a lane set as a 0/1 uint8 array.  Seen as
+    bool, np.flatnonzero reads it in a quarter of the time np.nonzero
+    takes on the uint8 (0.5 against 2.0 ms for 2^19 lanes)."""
     data = np.frombuffer(lanes.to_bytes((count + 7) // 8, "little"), np.uint8)
     return np.unpackbits(data, count=count, bitorder="little")
 
@@ -765,6 +798,10 @@ def verify_order(
         if lo == hi:
             continue
         masks = np.arange(lo, hi, dtype=np.uint32)
-        report = report.merge(_verify_masks(n, ks, masks, _range_lanes(n, lo, hi)))
+        blocks = (
+            (masks[i:i + _SWEEP_BLOCK], _range_lanes(n, lo + i, min(lo + i + _SWEEP_BLOCK, hi)))
+            for i in range(0, hi - lo, _SWEEP_BLOCK)
+        )
+        report = report.merge(_verify_masks(n, ks, blocks))
     report.elapsed = time.monotonic() - started
     return report

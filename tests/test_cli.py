@@ -318,6 +318,28 @@ def test_main_prints_payload_and_returns_code(capsys):
     assert capsys.readouterr().out.strip() == "D}o"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--n", "5"], 0),
+    (["certify", "--k", "3", "Dhc"], 2),
+], ids=["verify", "input-error"])
+def test_closed_standard_output_keeps_the_exit_code(argv, code):
+    # the reader is gone before the command writes, as in `hamcert verify
+    # --n 5 | true`: no traceback, and the command's own exit code, not the
+    # 1 that reports a counterexample
+    root = Path(__file__).parent.parent
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "hamcert.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (code, b"")
+
+
 def test_outcome_is_frozen():
     outcome = CommandOutcome(0, "x")
     with pytest.raises(AttributeError):

@@ -194,6 +194,55 @@ class TestSharding:
         assert report_fingerprint(merged) == report_fingerprint(rep)
 
 
+class TestSweepBlocks:
+    """The internal sweep runs its cheap stages a block of at most
+    _SWEEP_BLOCK masks at a time and its exact stages once per shard, on
+    the candidates of every block in mask order; the block edges change
+    nothing."""
+
+    @staticmethod
+    def sweep(n, shards):
+        with extremal_certificates() as calls:
+            rep = verify_order(n, shards=shards)
+        return rep, calls
+
+    @pytest.mark.parametrize("block", [1, 5, 97])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_blocks_match_the_default(self, monkeypatch, n, block):
+        # blocks of 5 and 97 masks end off every period of the pair
+        # patterns, and 3 shards start blocks off the shard edges too;
+        # split_certify makes the replay order show in the counterexamples
+        split_certify(monkeypatch)
+        whole, whole_calls = self.sweep(n, 1)
+        monkeypatch.setattr(harness, "_SWEEP_BLOCK", block)
+        for shards in (1, 3):
+            rep, calls = self.sweep(n, shards)
+            assert report_fingerprint(rep) == report_fingerprint(whole), shards
+            assert calls == whole_calls, shards
+        assert whole.extremal > 0 and whole.counterexamples
+
+    def test_order_seven_runs_the_exact_stages_once(self, monkeypatch):
+        # the 2^21 masks of order 7 make four blocks, whose candidates
+        # meet in one pass of the exact stages
+        every_cheap, every_exact = [], []
+        for name, sizes, size in (
+            ("_cheap_stages", every_cheap, int.bit_length),
+            ("_exact_stages", every_exact, int.bit_count),
+        ):
+            exact = getattr(harness, name)
+
+            def counted(report, n, ks, adj, every, graph, _exact=exact, _sizes=sizes, _size=size):
+                _sizes.append(_size(every))
+                return _exact(report, n, ks, adj, every, graph)
+
+            monkeypatch.setattr(harness, name, counted)
+        rep = verify_order(7)
+        assert rep.hypothesis_hits == {2: 26804, 3: 153801, 4: 14956, 5: 232, 6: 1}
+        assert len(every_cheap) == 4 and sum(every_cheap) == 1 << 21
+        assert all(size <= harness._SWEEP_BLOCK for size in every_cheap)
+        assert every_exact == [225800]
+
+
 class TestStreamedSource:
     @staticmethod
     def assert_stream_matches_internal(n):
@@ -293,9 +342,10 @@ def test_certify_replays_call_no_exponential_solver(monkeypatch, population, rep
                      "find_hamiltonian_cycle": 0, "recognize_extremal": replays}
 
 
-def mask_pipeline(n, k_range, lines):
+def mask_pipeline(n, k_range, lines, cuts=()):
     """The order-n lines of a stream through the internal sweep's mask
-    pipeline."""
+    pipeline: one block of masks, or a block from each cut (an index into
+    the valid masks) to the next."""
     masks = []
     for text in lines:
         try:
@@ -305,17 +355,17 @@ def mask_pipeline(n, k_range, lines):
         if order == n:
             masks.append(mask)
     ks = harness._clamped_k_range(n, *k_range)
-    masks = np.array(masks, np.uint32)
-    return harness._verify_masks(n, ks, masks, mask_lanes(n, masks))
+    blocks = np.split(np.array(masks, np.uint32), cuts)
+    return harness._verify_masks(n, ks, [(part, mask_lanes(n, part)) for part in blocks])
 
 
-def run_both_paths(n, k_range, lines):
+def run_both_paths(n, k_range, lines, cuts=()):
     """The stream, one graph at a time, and the mask pipeline on the same
     graphs, each with its extremal certificates."""
     with extremal_certificates() as streamed_calls:
         streamed = verify_order(n, k_range, stream=iter(lines))
     with extremal_certificates() as vector_calls:
-        vector = mask_pipeline(n, k_range, lines)
+        vector = mask_pipeline(n, k_range, lines, cuts)
     return streamed, vector, (streamed_calls, vector_calls)
 
 
@@ -370,11 +420,32 @@ class TestStreamAgainstMaskPipeline:
             i + 1 for i, text in enumerate(lines) if text in bad
         ]
 
+    @pytest.mark.parametrize("source", ["6", "graph8"])
+    def test_mask_pipeline_in_uneven_blocks(self, monkeypatch, source):
+        # the internal sweep gathers the candidates of its blocks in mask
+        # order for one pass of the exact stages; three uneven blocks
+        # must give the stream's tallies, replays and replay order
+        split_certify(monkeypatch)
+        if source == "6":
+            lines = [to_graph6(g) for g in enumerate_labeled(6)]
+        else:
+            rng = random.Random(9)
+            lines = [to_graph6(relabeled(parse_graph6(t), rng)) for t in graph8_lines()]
+            rng.shuffle(lines)
+        n = 6 if source == "6" else 8
+        cuts = (7, 2 * len(lines) // 3)
+        streamed, vector, calls = run_both_paths(n, (2, n - 1), lines, cuts)
+        assert report_fingerprint(streamed) == report_fingerprint(vector)
+        assert calls[0] == calls[1]
+        assert streamed.extremal + len(streamed.counterexamples) == (90 if n == 6 else 2)
+
     def test_loose_bounds_send_every_graph_to_the_exact_pair(self, monkeypatch):
         # with first-fit bounds of n, from the one lane kernel both sources
         # call, every graph is a Nordhaus-Gaddum suspect and needs its
         # exact pair; a stand-in exact pair flags some graphs, which both
-        # paths must count
+        # paths must count.  In one block of masks and in blocks of 7,
+        # lane i of each block must stand for that block's i-th graph, in
+        # the mask pipeline and in the internal sweep
         exact = harness.nordhaus_gaddum
         pairs = []
 
@@ -388,13 +459,21 @@ class TestStreamAgainstMaskPipeline:
 
         monkeypatch.setattr(harness, "_first_fit_lanes", loose)
         monkeypatch.setattr(harness, "nordhaus_gaddum", flagged)
-        for n, lines in ((5, [to_graph6(g) for g in enumerate_labeled(5)]),
-                         (8, graph8_lines()[::12])):
+        order_5 = [to_graph6(g) for g in enumerate_labeled(5)]
+        flags = sum(g.edge_count() % 5 == 0 for g in enumerate_labeled(5))
+        for block in (None, 7):
+            for n, lines in ((5, order_5), (8, graph8_lines()[::12])):
+                pairs.clear()
+                cuts = range(block, len(lines), block) if block else ()
+                streamed, vector, _ = run_both_paths(n, (2, n - 1), lines, cuts)
+                assert report_fingerprint(streamed) == report_fingerprint(vector)
+                assert [to_graph6(g) for g in pairs] == lines * 2
+                assert streamed.lemma1_violations > 0
+            if block:
+                monkeypatch.setattr(harness, "_SWEEP_BLOCK", block)
             pairs.clear()
-            streamed, vector, _ = run_both_paths(n, (2, n - 1), lines)
-            assert report_fingerprint(streamed) == report_fingerprint(vector)
-            assert len(pairs) == 2 * len(lines)
-            assert streamed.lemma1_violations > 0
+            assert verify_order(5).lemma1_violations == flags
+            assert [to_graph6(g) for g in pairs] == order_5
 
 
 def seeded_masks(n, count, seed=7):

@@ -22,3 +22,16 @@ def test_kernel_timings_prints_both_tables_on_a_small_block(monkeypatch, capsys)
     assert [row[:2] for row in rows[1:4]] == [["8", "chi"], ["8", "kappa"], ["8", "ham"]]
     assert [row[:2] for row in rows[5:]] == [["8", str(cap)] for cap in range(2, 8)]
     assert all(len(row) == 6 for row in rows[1:4]) and all(len(row) == 4 for row in rows[5:])
+
+
+def test_kernel_timings_sweep_prints_a_row_per_block(monkeypatch, capsys):
+    # each block size runs in a fresh interpreter; at n = 5 the 1,024
+    # masks make 64 blocks of 16 or one of 1,024
+    spec = importlib.util.spec_from_file_location("kernel_timings", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.sweep(5, (16, 1024))
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[0][:4] == ["n", "block", "ms", "faults"]
+    assert [row[:2] for row in rows[1:]] == [["5", "16"], ["5", "1024"]]
+    assert all(len(row) == 4 and float(row[2]) > 0 and int(row[3]) >= 0 for row in rows[1:])
