@@ -22,11 +22,17 @@ cap from 2 to n - 1: the vertex sets K that _kappa_lanes counts over are
 the same at every cap, while the cut sets below a small cap are few.
 
 With --sweep it prints instead the time and the minor page faults
-(ru_minflt) of one verify_order(n) call, n = 7 by default, with the
-internal sweep's cheap stages in blocks of 2^16 .. 2^21 masks: the table
-that the _SWEEP_BLOCK comment cites.  Each block size runs in a fresh
-interpreter, a warm-up call and then 25 timed ones, whose medians make
-its row.
+(ru_minflt) of a warm verify_order(n) call, n = 7 by default, split into
+the parts of the internal sweep, each timed by wrapping its functions:
+
+    parent  _parent_kernels: the cheap kernels on the order-(n - 1) parents
+    steps   _neighbourhood_stages: the step of each neighbourhood of
+            vertex n - 1
+    gather  _candidate_masks and _packed_edge_lanes: the candidates'
+            masks and lanes
+    exact   _exact_stages on the candidates
+
+and the whole call.  Each is the median of 25 calls after a warm-up one.
 
 Run from the repository root:
     python3 scripts/kernel_timings.py [--caps] [n ...]
@@ -37,7 +43,6 @@ Run from the repository root:
 import random
 import resource
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -54,7 +59,12 @@ from tests.oracles import oracle_edge_lanes, oracle_kappa_lanes  # noqa: E402
 
 BLOCK = 4096
 DENSITY = 0.8
-SWEEP_BLOCKS = tuple(1 << b for b in range(16, 22))
+SWEEP_PARTS = {
+    "parent": ("_parent_kernels",),
+    "steps": ("_neighbourhood_stages",),
+    "gather": ("_candidate_masks", "_packed_edge_lanes"),
+    "exact": ("_exact_stages",),
+}
 SWEEP_CALLS = 25
 
 
@@ -127,33 +137,42 @@ def kappa_by_cap(n, masks):
     }
 
 
-def sweep_row(n, block) -> str:
-    """The table row of verify_order(n) with the cheap stages in blocks of
-    block masks, in this process: the median ms and minor faults of
-    SWEEP_CALLS calls after a warm-up one."""
-    harness._SWEEP_BLOCK = block
-    ms, faults = [], []
-    for turn in range(SWEEP_CALLS + 1):
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        started = time.perf_counter()
-        harness.verify_order(n)
-        elapsed = time.perf_counter() - started
-        if turn:
-            ms.append(1000 * elapsed)
-            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    return f"{n:>3} {block:>8} {statistics.median(ms):>8.1f} {statistics.median(faults):>8.0f}"
+def sweep(n=7) -> None:
+    """Print the ms and minor faults of each part of a warm verify_order(n)
+    call and of the whole call, medians of SWEEP_CALLS calls."""
+    spent = {}
 
+    def timed(run, part):
+        def wrapped(*args):
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            started = time.perf_counter()
+            try:
+                return run(*args)
+            finally:
+                spent[part][0] += time.perf_counter() - started
+                spent[part][1] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        return wrapped
 
-def sweep(n=7, blocks=SWEEP_BLOCKS) -> None:
-    """Print sweep_row for each block size, each in a fresh interpreter:
-    the heap that one size leaves behind changes the faults of the next."""
-    print(f"{'n':>3} {'block':>8} {'ms':>8} {'faults':>8}   (one call, median of {SWEEP_CALLS})")
-    for block in blocks:
-        row = subprocess.run(
-            [sys.executable, __file__, "--block", str(block), str(n)],
-            capture_output=True, text=True, check=True,
-        ).stdout
-        print(row, end="", flush=True)
+    originals = {name: getattr(harness, name) for names in SWEEP_PARTS.values() for name in names}
+    for part, names in SWEEP_PARTS.items():
+        for name in names:
+            setattr(harness, name, timed(originals[name], part))
+    rows = {part: [] for part in [*SWEEP_PARTS, "call"]}
+    try:
+        call = timed(harness.verify_order, "call")
+        for turn in range(SWEEP_CALLS + 1):
+            spent.update((part, [0.0, 0]) for part in rows)
+            call(n)
+            if turn:
+                for part, row in rows.items():
+                    row.append(spent[part])
+    finally:
+        for name, run in originals.items():
+            setattr(harness, name, run)
+    print(f"{'n':>3} {'part':<7} {'ms':>8} {'faults':>8}   (one call, median of {SWEEP_CALLS})")
+    for part, row in rows.items():
+        ms = 1000 * statistics.median(x for x, _ in row)
+        print(f"{n:>3} {part:<7} {ms:>8.2f} {statistics.median(f for _, f in row):>8.0f}")
 
 
 def main(orders, caps=False) -> None:
@@ -177,9 +196,7 @@ def main(orders, caps=False) -> None:
 if __name__ == "__main__":
     args = sys.argv[1:]
     orders = [int(a) for a in args if a.isdigit()]
-    if "--block" in args:  # one row of --sweep, in a fresh interpreter
-        print(sweep_row(orders[1], orders[0]))
-    elif "--sweep" in args:
+    if "--sweep" in args:
         sweep(*orders[:1])
     else:
         main(orders or [8, 10, 12, 13], "--caps" in args)

@@ -19,30 +19,41 @@ replayed hit goes through the exact solvers again (theorem.certify).
 Both sources run every stage in the same lane kernels: a batch of graphs
 is a set of lanes, one bit per graph in a Python int, so that each int
 operation steps the whole batch.  Stages 1 and 2 run on every graph of a
-batch (_cheap_stages: _first_fit_lanes, _degree_lanes, _may_hit), stage
-3 on its candidates (_exact_stages: _chromatic_lanes, _kappa_lanes,
-_hamiltonian_lanes, _tally).  Minimum degree and connectivity share one
-saturating bit-sliced counter (_count_lanes): of a vertex's neighbours
-for the degree, and of the outside neighbours of each vertex set K of at
-most (n - 1) / 2 vertices for kappa above 1, since a minimum separator
-is the neighbourhood of the smallest component it leaves.  A hit the
+batch (_cheap_stages for a stream block, _parent_kernels and
+_neighbourhood_stages for the internal sweep: one first-fit step per
+vertex, _first_fit_step, the degree counters and then _bound_stages),
+stage 3 on its candidates (_exact_stages: _chromatic_lanes,
+_kappa_lanes, _hamiltonian_lanes, _tally).  Minimum degree and
+connectivity share one saturating bit-sliced counter (_count_lanes): of
+a vertex's neighbours for the degree, and of the outside neighbours of
+each vertex set K of at most (n - 1) / 2 vertices for kappa above 1,
+since a minimum separator is the neighbourhood of the smallest component
+it leaves.  A hit the
 Hamiltonicity kernel accepts is counted without a witness cycle; the
 tests hold the kernels to the single-graph solvers, whose cycles are
 checked, and to first-fit, degree and cut-set references, and the
 certifier settles every other hit.
 
 The internal source enumerates every labeled graph on n <= 7 vertices by
-edge bitmask.  Its cheap stages run on a block of at most _SWEEP_BLOCK =
-2^19 masks at a time, so that a lane set is a 64 KiB int and each block
-reuses the heap pages of the one before; with all 2^21 masks of order 7
-in one block, each call faulted thousands of fresh pages in (measured at
-_SWEEP_BLOCK).  Over a block, the lane set of pair t is bit t of the
-mask index, a periodic pattern built by doubling (_range_lanes).  The
-candidates of every block are gathered in mask order and enter the
-exact stages once, together.  Numpy stays for one step: compacting the
-candidates' masks and building their lanes (_packed_edge_lanes), 8 ms
-for the 225,800 candidates at n = 7, against 174 ms for the pure-Python
-reference builder of the tests (2-core host).
+edge bitmask.  The low P = (n - 1)(n - 2) / 2 bits of a mask are its
+parent, the graph on vertices 0 .. n - 2, and the top n - 1 bits the
+neighbourhood nb of vertex n - 1, so mask nb << P | p is parent p plus
+one vertex.  The cheap kernels run once a sweep on the 2^P parent lanes
+(_parent_kernels: first fit on the parents and their complements, with
+each color class's members, and the degree counter of each parent row),
+whose lane set of pair t is bit t of the lane index, a periodic pattern
+built by doubling (_range_lanes).  Then each nb, in ascending order,
+takes one more first-fit step, for vertex n - 1 on its constant row,
+and one more count per edge (u, n - 1); the coloring inequality test
+and the candidate rule run on the stepped lane sets, lane p of nb
+standing for mask nb << P | p (_neighbourhood_stages).  At n = 7 that is
+64 neighbourhoods of 2^15 lanes, a 4 KiB int each, where the whole
+population is 2^21 lanes.  The candidates of a shard are gathered in
+mask order and enter the exact stages once, together.  Numpy stays for
+two steps: gathering the candidates' masks (_candidate_masks) and
+building their lanes (_packed_edge_lanes), about 2 ms for the 225,800
+candidates at n = 7 against 174 ms for the pure-Python reference
+builder of the tests (2-core host).
 
 The streamed source works a block of lines at a time and needs no numpy,
 whose import alone costs a stream process about 12 MB resident.  It
@@ -155,58 +166,81 @@ def _np():
     return numpy
 
 
-# Masks per block of the internal sweep's cheap stages.  With all 2^21
-# masks of order 7 in one block, a lane set is a 256 KiB int, above glibc
-# malloc's initial 128 KiB mmap threshold, and the cheap stages hold about
-# 23 MB of them at their peak, more than malloc keeps at the top of its
-# heap: each verify_order(7) call gave its pages back and faulted them in
-# again.  Blocks of 2^19 masks hold 64 KiB lane sets and reuse the pages
-# of the block before.  verify_order(7), warm, in ms and minor page faults
-# a call, by block (`python3 scripts/kernel_timings.py --sweep`: each block
-# in a fresh interpreter, medians of 25 calls; ranges over several runs on
-# a 2-core x86 host):
-#
-#    block       2^16    2^17    2^18    2^19    2^20    2^21
-#    ms         61-63   43-57   48-63   41-54   50-65   62-73
-#    faults  2.7-3.2k       0  0-2.6k       0    3.3k  4.5-9.7k
-#
-# The faults do not fall steadily with the block: they depend on whether
-# the heap that a call frees outgrows malloc's trim threshold.
-_SWEEP_BLOCK = 1 << 19
+def _parent_kernels(n, ks):
+    """The cheap kernels of the internal sweep's order-(n - 1) parents, run
+    once a sweep on their 2^P lanes, P = (n - 1)(n - 2) / 2, lane p being
+    edge mask p on vertices 0 .. n - 2: (fit, fit_c, counts), with fit
+    and fit_c the (classes, more) of _first_fit_lanes on the parents
+    and their complements, and counts the _count_lanes of each parent row
+    up to ks[-1]."""
+    total = 1 << ((n - 1) * (n - 2) // 2)
+    every = (1 << total) - 1
+    adj = _range_lanes(n - 1, 0, total)
+    fit = _first_fit_lanes(adj, every)
+    fit_c = _first_fit_lanes(_complement_lanes(adj, every), every)
+    counts = [_count_lanes(row, ks[-1], every) for row in adj] if ks else []
+    return fit, fit_c, counts
 
 
-def _verify_masks(n, ks, blocks) -> VerificationReport:
-    """Tally the labeled graphs of order n <= 8 given by blocks, pairs of
-    a uint32 array of edge masks and their lane adjacency.  The cheap
-    stages run in the lane kernels on one block at a time; the candidates
-    of every block are gathered in block order and the exact stages run
-    once, on all of them."""
-    np = _np()
-    report = VerificationReport(hypothesis_hits={k: 0 for k in ks})
+def _neighbourhood_stages(report, n, ks, parents, lo, hi):
+    """Stages 1 and 2 on the order-n masks lo .. hi - 1, one neighbourhood
+    nb of vertex n - 1 at a time, ascending: mask nb << P | p is parent p
+    of _parent_kernels with the edges (u, n - 1) of the u in nb, and lane
+    p of nb's lane sets stands for it.  The lanes of nb are every parent
+    lane, cut to lo .. hi - 1 at the two end runs.  Returns the candidate
+    lane set of each nb from lo >> P on."""
+    fit, fit_c, counts = parents
+    p_bits = (n - 1) * (n - 2) // 2
     found = []
-    for masks, adj in blocks:
-        report.total_graphs += masks.size
-        cand = _cheap_stages(
-            report, n, ks, adj, (1 << masks.size) - 1,
-            lambda i: from_edge_mask(n, int(masks[i])),
-        )
-        if cand:
-            found.append(masks[np.flatnonzero(_unpacked_lanes(np, cand, masks.size).view(bool))])
-    if found:
-        cmasks = np.concatenate(found)
-        _exact_stages(
-            report, n, ks, _packed_edge_lanes(np, cmasks, n), (1 << cmasks.size) - 1,
-            lambda i: from_edge_mask(n, int(cmasks[i])),
-        )
-    return report
+    for nb in range(lo >> p_bits, ((hi - 1) >> p_bits) + 1):
+        base = nb << p_bits
+        start, stop = max(lo - base, 0), min(hi - base, 1 << p_bits)
+        every = ((1 << stop) - 1) ^ ((1 << start) - 1)
+        row = [every if nb >> u & 1 else 0 for u in range(n - 1)]
+        more = _fit_last_vertex(n, fit, row, every)
+        more_c = _fit_last_vertex(n, fit_c, [every ^ x for x in row], every)
+        degree = _degree_last_vertex(counts, ks[-1], nb, every) if ks else []
+        found.append(_bound_stages(
+            report, n, ks, more, more_c, degree, lambda i: from_edge_mask(n, base | i),
+        ))
+    return found
 
 
-def _unpacked_lanes(np, lanes, count):
-    """The first count lanes of a lane set as a 0/1 uint8 array.  Seen as
-    bool, np.flatnonzero reads it in a quarter of the time np.nonzero
-    takes on the uint8 (0.5 against 2.0 ms for 2^19 lanes)."""
-    data = np.frombuffer(lanes.to_bytes((count + 7) // 8, "little"), np.uint8)
-    return np.unpackbits(data, count=count, bitorder="little")
+def _fit_last_vertex(n, fit, row, every):
+    """more of first fit on the order-n graphs of the lanes of every, from
+    the (classes, more) of their parents: one first-fit step of vertex
+    n - 1, whose edge to u holds in the lanes row[u].  The parents' classes
+    are copied, since every nb steps them."""
+    classes, more = fit
+    more = [x & every for x in more] + [0]
+    _first_fit_step([list(members) for members in classes], more, n - 1, row, every)
+    return more
+
+
+def _degree_last_vertex(counts, cap, nb, every):
+    """_degree_lanes of the order-n graphs of the lanes of every, from the
+    counters of their parents' rows: vertex n - 1 has degree |nb|, and
+    its edge to a u in nb is one more count of u in every lane, which
+    moves u's count[d - 1] up to count[d]."""
+    at_least = [every if d <= nb.bit_count() else 0 for d in range(cap + 1)]
+    for u, count in enumerate(counts):
+        up = nb >> u & 1
+        for d in range(up, cap + 1):
+            at_least[d] &= count[d - up]
+    return at_least
+
+
+def _candidate_masks(np, found, lo, p_bits):
+    """The masks of the candidate lanes of each neighbourhood from
+    lo >> p_bits on, ascending, as a uint32 array: one unpack of their
+    lane sets, whose rows of 2^p_bits lanes follow each other as the masks
+    do.  Seen as bool, np.flatnonzero reads the rows in a quarter of the
+    time np.nonzero takes on the uint8 (0.5 against 2.0 ms for 2^19
+    lanes)."""
+    width = 1 << p_bits
+    data = np.frombuffer(b"".join(x.to_bytes((width + 7) // 8, "little") for x in found), np.uint8)
+    rows = np.unpackbits(data.reshape(len(found), -1), axis=1, count=width, bitorder="little")
+    return (np.flatnonzero(rows.view(bool)) + (lo >> p_bits << p_bits)).astype(np.uint32)
 
 
 def _packed_edge_lanes(np, masks, n):
@@ -298,35 +332,39 @@ def _complement_lanes(adj, every):
 
 
 def _first_fit_lanes(adj, every):
-    """more[c], c = 0 .. n: the lanes of every in which first-fit greedy
-    coloring in vertex order uses more than c colors.  First fit uses
-    colors 0, 1, ... without gaps, so the bound ub >= t is more[t - 1] and
-    ub == a is more[a - 1] ^ more[a]; more[n] is empty.
-
-    classes[c] holds (u, lanes) for the lanes in which u took color c.  A
-    vertex takes color c in the lanes where every color below c is taken
-    by an earlier neighbour and c is not."""
-    n = len(adj)
+    """(classes, more) of first-fit greedy coloring in vertex order on the
+    lanes of every, one _first_fit_step per vertex.  more[c], c = 0 .. n,
+    is the lanes in which first fit uses more than c colors.  First fit
+    uses colors 0, 1, ... without gaps, so the bound ub >= t is more[t - 1]
+    and ub == a is more[a - 1] ^ more[a]; more[n] is empty.  classes[c]
+    holds (u, lanes) for the lanes in which u took color c."""
     classes: list[list[tuple[int, int]]] = []
-    more = [0] * (n + 1)
+    more = [0] * (len(adj) + 1)
     for v, row in enumerate(adj):
-        blocked = every
-        for c, members in enumerate(classes):
-            taken = 0
-            for u, at_u in members:
-                taken |= at_u & row[u]
-            free = blocked ^ (blocked & taken)
-            if free:
-                members.append((v, free))
-                more[c] |= free
-            blocked &= taken
-            if not blocked:
-                break
-        else:
-            if blocked:
-                more[len(classes)] = blocked
-                classes.append([(v, blocked)])
-    return more
+        _first_fit_step(classes, more, v, row, every)
+    return classes, more
+
+
+def _first_fit_step(classes, more, v, row, every):
+    """Color vertex v by first fit after the vertices of classes, in place:
+    row[u] is the lanes with the edge uv.  v takes color c in the lanes
+    where every color below c is taken by an earlier neighbour and c is
+    not."""
+    blocked = every
+    for c, members in enumerate(classes):
+        taken = 0
+        for u, at_u in members:
+            taken |= at_u & row[u]
+        free = blocked ^ (blocked & taken)
+        if free:
+            members.append((v, free))
+            more[c] |= free
+        blocked &= taken
+        if not blocked:
+            return
+    if blocked:
+        more[len(classes)] = blocked
+        classes.append([(v, blocked)])
 
 
 def _count_lanes(sets, cap, every):
@@ -382,19 +420,26 @@ def _may_hit(n, k_max, degree, more):
 
 
 def _cheap_stages(report, n, ks, adj, every, graph):
-    """Stages 1 and 2 on a batch of lanes, for both sources: first fit on
-    the graph and its complement; the exact Nordhaus-Gaddum pair of
-    graph(i) for each lane i they leave open, whose lemma 1 violations go
-    to report; the candidate rule on the graph's bound.  Returns the
-    candidate lanes."""
-    more = _first_fit_lanes(adj, every)
-    more_c = _first_fit_lanes(_complement_lanes(adj, every), every)
+    """Stages 1 and 2 on a batch of lanes given by their adjacency, as the
+    stream runs them: first fit on the graph and its complement, the
+    degree counters and then _bound_stages.  Returns the candidate
+    lanes."""
+    _, more = _first_fit_lanes(adj, every)
+    _, more_c = _first_fit_lanes(_complement_lanes(adj, every), every)
+    degree = _degree_lanes(adj, ks[-1], every) if ks else []
+    return _bound_stages(report, n, ks, more, more_c, degree, graph)
+
+
+def _bound_stages(report, n, ks, more, more_c, degree, graph):
+    """Stages 1 and 2 from the first-fit bounds more and more_c of the
+    graph and its complement and the degree lanes, for both sources: the
+    exact Nordhaus-Gaddum pair of graph(i) for each lane i the bounds
+    leave open, in lane order, whose lemma 1 violations go to report; the
+    candidate rule on the graph's bound.  Returns the candidate lanes."""
     for i in _lane_indices(_coloring_open(n, more, more_c)):
         if nordhaus_gaddum(graph(i))[2] < 0:
             report.lemma1_violations += 1
-    if not ks:
-        return 0
-    return _may_hit(n, ks[-1], _degree_lanes(adj, ks[-1], every), more)
+    return _may_hit(n, ks[-1], degree, more) if ks else 0
 
 
 def _chromatic_lanes(adj, n, s_max, every):
@@ -557,14 +602,15 @@ def _hamiltonian_lanes(adj, n, lanes):
 
 
 def _lane_indices(lanes):
-    """The lanes of a lane set, ascending, in one pass over its bits;
-    graphs.iter_bits costs a pass per lane, 3.8 against 0.3 ms for 245
-    lanes among 225,800 (the n = 7 replays)."""
-    bits = format(lanes, "b")[::-1]
-    i = bits.find("1")
+    """The lanes of a lane set, ascending, in one pass over its binary
+    digits from the end; graphs.iter_bits costs a pass per lane, 3.8
+    against 0.3 ms for 245 lanes among 225,800 (the n = 7 replays)."""
+    bits = format(lanes, "b")
+    top = len(bits) - 1
+    i = bits.rfind("1")
     while i >= 0:
-        yield i
-        i = bits.find("1", i + 1)
+        yield top - i
+        i = bits.rfind("1", 0, i)
 
 
 # The largest order whose stream candidates the lane kernels settle; above
@@ -793,15 +839,20 @@ def verify_order(
     total = 1 << (n * (n - 1) // 2)
     bounds = [total * i // shards for i in range(shards + 1)]
     report = VerificationReport(hypothesis_hits={k: 0 for k in ks})
+    parents = _parent_kernels(n, ks)
+    p_bits = (n - 1) * (n - 2) // 2
     np = _np()
     for lo, hi in zip(bounds, bounds[1:]):
         if lo == hi:
             continue
-        masks = np.arange(lo, hi, dtype=np.uint32)
-        blocks = (
-            (masks[i:i + _SWEEP_BLOCK], _range_lanes(n, lo + i, min(lo + i + _SWEEP_BLOCK, hi)))
-            for i in range(0, hi - lo, _SWEEP_BLOCK)
-        )
-        report = report.merge(_verify_masks(n, ks, blocks))
+        shard = VerificationReport(total_graphs=hi - lo, hypothesis_hits={k: 0 for k in ks})
+        found = _neighbourhood_stages(shard, n, ks, parents, lo, hi)
+        cmasks = _candidate_masks(np, found, lo, p_bits)
+        if cmasks.size:
+            _exact_stages(
+                shard, n, ks, _packed_edge_lanes(np, cmasks, n), (1 << cmasks.size) - 1,
+                lambda i: from_edge_mask(n, int(cmasks[i])),
+            )
+        report = report.merge(shard)
     report.elapsed = time.monotonic() - started
     return report

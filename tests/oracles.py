@@ -61,14 +61,19 @@ def oracle_chromatic(g: Graph) -> int:
     return t
 
 
-def oracle_first_fit_colors(g: Graph) -> int:
-    """Colors used by first-fit greedy coloring in vertex order: each
-    vertex takes the least color no earlier neighbour holds."""
-    colors: dict[int, int] = {}
+def oracle_first_fit_coloring(g: Graph) -> list[int]:
+    """The color of each vertex under first-fit greedy coloring in vertex
+    order: each vertex takes the least color no earlier neighbour holds."""
+    colors: list[int] = []
     for v in range(g.n):
-        held = {colors[u] for u in colors if g.adj[v] >> u & 1}
-        colors[v] = min(c for c in range(g.n + 1) if c not in held)
-    return len(set(colors.values()))
+        held = {c for u, c in enumerate(colors) if g.adj[v] >> u & 1}
+        colors.append(min(c for c in range(g.n + 1) if c not in held))
+    return colors
+
+
+def oracle_first_fit_colors(g: Graph) -> int:
+    """Colors used by first-fit greedy coloring in vertex order."""
+    return len(set(oracle_first_fit_coloring(g)))
 
 
 def oracle_clique_number(g: Graph) -> int:

@@ -41,6 +41,7 @@ from tests.conftest import (
 from tests.oracles import (
     oracle_chromatic,
     oracle_edge_lanes,
+    oracle_first_fit_coloring,
     oracle_first_fit_colors,
     oracle_hamiltonian_cycle,
     oracle_kappa_lanes,
@@ -195,10 +196,11 @@ class TestSharding:
 
 
 class TestSweepBlocks:
-    """The internal sweep runs its cheap stages a block of at most
-    _SWEEP_BLOCK masks at a time and its exact stages once per shard, on
-    the candidates of every block in mask order; the block edges change
-    nothing."""
+    """The internal sweep runs the cheap kernels once on the order-(n - 1)
+    parents and steps them by vertex n - 1 for each neighbourhood nb of it,
+    a run of 2^P masks cut to the shard at its two ends; the exact stages
+    run once per shard, on its candidates in mask order.  Neither the runs
+    nor the shard edges change anything."""
 
     @staticmethod
     def sweep(n, shards):
@@ -206,40 +208,128 @@ class TestSweepBlocks:
             rep = verify_order(n, shards=shards)
         return rep, calls
 
-    @pytest.mark.parametrize("block", [1, 5, 97])
+    @pytest.mark.parametrize("shards", [1, 3, 5, 7, 97])
     @pytest.mark.parametrize("n", [5, 6])
-    def test_blocks_match_the_default(self, monkeypatch, n, block):
-        # blocks of 5 and 97 masks end off every period of the pair
-        # patterns, and 3 shards start blocks off the shard edges too;
-        # split_certify makes the replay order show in the counterexamples
+    def test_blocks_match_the_default(self, monkeypatch, n, shards):
+        # one shard against the mask pipeline, which runs _cheap_stages on
+        # the lanes of every mask at once, and more shards against one:
+        # their edges cut the runs of 2^P masks, and 97 shards at n = 5 are
+        # shorter than a run; split_certify makes the replay order show in
+        # the counterexamples
         split_certify(monkeypatch)
+        run = 1 << ((n - 1) * (n - 2) // 2)
+        total = 1 << (n * (n - 1) // 2)
+        bounds = [total * i // shards for i in range(shards + 1)]
+        assert shards == 1 or any(lo % run for lo in bounds)
         whole, whole_calls = self.sweep(n, 1)
-        monkeypatch.setattr(harness, "_SWEEP_BLOCK", block)
-        for shards in (1, 3):
+        if shards == 1:
+            with extremal_certificates() as calls:
+                rep = mask_pipeline(n, (2, n - 1), [to_graph6(g) for g in enumerate_labeled(n)])
+        else:
             rep, calls = self.sweep(n, shards)
-            assert report_fingerprint(rep) == report_fingerprint(whole), shards
-            assert calls == whole_calls, shards
+        assert report_fingerprint(rep) == report_fingerprint(whole)
+        assert calls == whole_calls
         assert whole.extremal > 0 and whole.counterexamples
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_neighbourhood_stages_match_the_cheap_stages(self, monkeypatch, n):
+        # the per-nb stages against _cheap_stages on the lanes of every mask
+        # of a range at once: the first-fit bounds, the degree lanes, the
+        # candidates and the Nordhaus-Gaddum pairs, in mask order.  First
+        # fit leaves no lane open, so the open set is widened to the lanes
+        # with ub and ub_c >= 2, less those with both >= 3, to make the
+        # exact pair run
+        ks = harness._clamped_k_range(n, 2, n - 1)
+        p_bits = (n - 1) * (n - 2) // 2
+        total = 1 << (n * (n - 1) // 2)
+        pairs, bounds = [], []
+        exact_open, bound_stages = harness._coloring_open, harness._bound_stages
+
+        def wide_open(n, more, more_c):
+            if n < 2:
+                return exact_open(n, more, more_c)
+            return exact_open(n, more, more_c) | (more[1] & more_c[1] ^ more[2] & more_c[2])
+
+        def recorded(report, n, ks, more, more_c, degree, graph):
+            bounds.append((more, more_c, degree))
+            return bound_stages(report, n, ks, more, more_c, degree, graph)
+
+        def pair(g):
+            pairs.append(g.edge_mask())
+            return 0, 0, 0
+
+        monkeypatch.setattr(harness, "_coloring_open", wide_open)
+        monkeypatch.setattr(harness, "_bound_stages", recorded)
+        monkeypatch.setattr(harness, "nordhaus_gaddum", pair)
+        parents = harness._parent_kernels(n, ks)
+        ranges = [(0, total)] + ([(total // 3, 2 * total // 3 + 1)] if n > 2 else [])
+        for lo, hi in ranges:
+            report = VerificationReport()
+            cand = harness._cheap_stages(
+                report, n, ks, harness._range_lanes(n, lo, hi), (1 << (hi - lo)) - 1,
+                lambda i: from_edge_mask(n, lo + i),
+            )
+            expected = (cand, pairs[:], bounds[:])
+            pairs.clear()
+            bounds.clear()
+            found = harness._neighbourhood_stages(report, n, ks, parents, lo, hi)
+            first = lo >> p_bits
+
+            def joined(lane_sets):
+                return sum(x << ((first + j) << p_bits) for j, x in enumerate(lane_sets)) >> lo
+
+            assert joined(found) == cand, (lo, hi)
+            assert harness._candidate_masks(np, found, lo, p_bits).tolist() == [
+                lo + i for i in harness._lane_indices(cand)
+            ]
+            assert pairs == expected[1] and pairs == sorted(pairs) and len(set(pairs)) == len(pairs)
+            assert len(bounds) == len(found) == ((hi - 1) >> p_bits) - first + 1
+            for side, lanes in enumerate(expected[2][0]):
+                assert [joined(x) for x in zip(*(b[side] for b in bounds))] == lanes, side
+            pairs.clear()
+            bounds.clear()
+            if n >= 3:  # the triangle is the one hit at n = 3, mask 7
+                assert expected[1] and (cand or lo)
+        assert report.lemma1_violations == 0
+
     def test_order_seven_runs_the_exact_stages_once(self, monkeypatch):
-        # the 2^21 masks of order 7 make four blocks, whose candidates
-        # meet in one pass of the exact stages
-        every_cheap, every_exact = [], []
-        for name, sizes, size in (
-            ("_cheap_stages", every_cheap, int.bit_length),
-            ("_exact_stages", every_exact, int.bit_count),
-        ):
+        # the cheap stages see nothing wider than the 2^15 parent lanes: one
+        # first-fit step per parent vertex on the graph and its complement,
+        # one per neighbourhood of vertex 6 on each, six parent counters and
+        # the bound stages of each neighbourhood; the candidates of the 64
+        # neighbourhoods meet in one pass of the exact stages
+        widths = {"_first_fit_step": [], "_count_lanes": [], "_bound_stages": []}
+        every_exact, cheap = [], {}
+
+        def widest(args):
+            # the ints among the arguments and in their lists
+            ints = [a for a in args if isinstance(a, int)]
+            return max(ints + [x for a in args if isinstance(a, list) for x in a if isinstance(x, int)])
+
+        for name, seen in widths.items():
             exact = getattr(harness, name)
 
-            def counted(report, n, ks, adj, every, graph, _exact=exact, _sizes=sizes, _size=size):
-                _sizes.append(_size(every))
-                return _exact(report, n, ks, adj, every, graph)
+            def counted(*args, _exact=exact, _seen=seen):
+                _seen.append(widest(args).bit_length())
+                return _exact(*args)
 
             monkeypatch.setattr(harness, name, counted)
+        exact_stages = harness._exact_stages
+
+        def exact(report, n, ks, adj, every, graph):
+            # the kappa kernel counts with _count_lanes too
+            cheap.update((name, seen[:]) for name, seen in widths.items())
+            every_exact.append(every.bit_count())
+            return exact_stages(report, n, ks, adj, every, graph)
+
+        monkeypatch.setattr(harness, "_exact_stages", exact)
+        monkeypatch.setattr(harness, "_cheap_stages", None)
         rep = verify_order(7)
         assert rep.hypothesis_hits == {2: 26804, 3: 153801, 4: 14956, 5: 232, 6: 1}
-        assert len(every_cheap) == 4 and sum(every_cheap) == 1 << 21
-        assert all(size <= harness._SWEEP_BLOCK for size in every_cheap)
+        assert {name: len(seen) for name, seen in cheap.items()} == {
+            "_first_fit_step": 2 * 6 + 2 * 64, "_count_lanes": 6, "_bound_stages": 64,
+        }
+        assert max(max(seen) for seen in cheap.values()) == 1 << 15
         assert every_exact == [225800]
 
 
@@ -343,9 +433,10 @@ def test_certify_replays_call_no_exponential_solver(monkeypatch, population, rep
 
 
 def mask_pipeline(n, k_range, lines, cuts=()):
-    """The order-n lines of a stream through the internal sweep's mask
-    pipeline: one block of masks, or a block from each cut (an index into
-    the valid masks) to the next."""
+    """The order-n lines of a stream as edge masks in one block, or in a
+    block from each cut (an index into the valid masks) to the next: the
+    cheap stages on each block's lanes from the numpy builder, and the
+    exact stages once, on the candidates of every block in block order."""
     masks = []
     for text in lines:
         try:
@@ -355,8 +446,21 @@ def mask_pipeline(n, k_range, lines, cuts=()):
         if order == n:
             masks.append(mask)
     ks = harness._clamped_k_range(n, *k_range)
-    blocks = np.split(np.array(masks, np.uint32), cuts)
-    return harness._verify_masks(n, ks, [(part, mask_lanes(n, part)) for part in blocks])
+    report = VerificationReport(hypothesis_hits={k: 0 for k in ks})
+    found = []
+    for part in np.split(np.array(masks, np.uint32), cuts):
+        report.total_graphs += part.size
+        cand = harness._cheap_stages(
+            report, n, ks, mask_lanes(n, part), (1 << part.size) - 1,
+            lambda i: from_edge_mask(n, int(part[i])),
+        )
+        found += [int(part[i]) for i in harness._lane_indices(cand)]
+    if found:
+        harness._exact_stages(
+            report, n, ks, mask_lanes(n, np.array(found, np.uint32)), (1 << len(found)) - 1,
+            lambda i: from_edge_mask(n, found[i]),
+        )
+    return report
 
 
 def run_both_paths(n, k_range, lines, cuts=()):
@@ -440,12 +544,15 @@ class TestStreamAgainstMaskPipeline:
         assert streamed.extremal + len(streamed.counterexamples) == (90 if n == 6 else 2)
 
     def test_loose_bounds_send_every_graph_to_the_exact_pair(self, monkeypatch):
-        # with first-fit bounds of n, from the one lane kernel both sources
-        # call, every graph is a Nordhaus-Gaddum suspect and needs its
-        # exact pair; a stand-in exact pair flags some graphs, which both
-        # paths must count.  In one block of masks and in blocks of 7,
-        # lane i of each block must stand for that block's i-th graph, in
-        # the mask pipeline and in the internal sweep
+        # with a first-fit step that gives each vertex a color of its own,
+        # the one step both sources take, every bound is n, so every graph
+        # is a Nordhaus-Gaddum suspect and needs its exact pair; a stand-in
+        # exact pair flags some graphs, which both paths must count.  In
+        # one block of masks and in blocks of 7, lane i of each block must
+        # stand for that block's i-th graph in the mask pipeline; in one
+        # shard and in 7, which cut the runs of 64 masks of each
+        # neighbourhood of vertex 4, lane p of each run must stand for its
+        # mask in the internal sweep
         exact = harness.nordhaus_gaddum
         pairs = []
 
@@ -454,14 +561,15 @@ class TestStreamAgainstMaskPipeline:
             chi, chi_c, slack = exact(g)
             return chi, chi_c, -1 if g.edge_count() % 5 == 0 else slack
 
-        def loose(adj, every):
-            return [every] * len(adj) + [0]
+        def loose(classes, more, v, row, every):
+            more[len(classes)] = every
+            classes.append([(v, every)])
 
-        monkeypatch.setattr(harness, "_first_fit_lanes", loose)
+        monkeypatch.setattr(harness, "_first_fit_step", loose)
         monkeypatch.setattr(harness, "nordhaus_gaddum", flagged)
         order_5 = [to_graph6(g) for g in enumerate_labeled(5)]
         flags = sum(g.edge_count() % 5 == 0 for g in enumerate_labeled(5))
-        for block in (None, 7):
+        for block, shards in ((None, 1), (7, 7)):
             for n, lines in ((5, order_5), (8, graph8_lines()[::12])):
                 pairs.clear()
                 cuts = range(block, len(lines), block) if block else ()
@@ -469,10 +577,8 @@ class TestStreamAgainstMaskPipeline:
                 assert report_fingerprint(streamed) == report_fingerprint(vector)
                 assert [to_graph6(g) for g in pairs] == lines * 2
                 assert streamed.lemma1_violations > 0
-            if block:
-                monkeypatch.setattr(harness, "_SWEEP_BLOCK", block)
             pairs.clear()
-            assert verify_order(5).lemma1_violations == flags
+            assert verify_order(5, shards=shards).lemma1_violations == flags
             assert [to_graph6(g) for g in pairs] == order_5
 
 
@@ -562,19 +668,27 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("source", ["1", "2", "3", "4", "5", "graph8", "graph8-complements"])
     def test_greedy_bound_matches_first_fit(self, source):
         # the lane first-fit kernel against the per-graph reference: ub >=
-        # t is more[t - 1] and ub == a is more[a - 1] ^ more[a]; the
-        # complements of the graph8.g6 classes hold K8, which needs all
-        # eight colors
+        # t is more[t - 1] and ub == a is more[a - 1] ^ more[a], and the
+        # members of class c are the lanes in which each vertex took c, as
+        # the internal sweep's last-vertex step reads them; the complements
+        # of the graph8.g6 classes hold K8, which needs all eight colors
         n, masks = self.labeled_or_graph8(source)
         adj = mask_lanes(n, masks)
         graphs = [from_edge_mask(n, int(m)) for m in masks]
         every = (1 << masks.size) - 1
-        more = harness._first_fit_lanes(adj, every)
+        classes, more = harness._first_fit_lanes(adj, every)
         ub = [oracle_first_fit_colors(g) for g in graphs]
         assert len(more) == n + 1 and more[0] == every and more[n] == 0
         for a in range(1, n + 1):
             assert lane_list(more[a - 1], masks.size) == [x >= a for x in ub]
             assert lane_list(more[a - 1] ^ more[a], masks.size) == [x == a for x in ub]
+        coloring = [oracle_first_fit_coloring(g) for g in graphs]
+        assert len(classes) == max(ub)
+        for c, members in enumerate(classes):
+            assert [u for u, _ in members] == sorted({u for u, _ in members})
+            took = dict(members)
+            for u in range(n):
+                assert lane_list(took.get(u, 0), masks.size) == [col[u] == c for col in coloring]
         if source == "graph8-complements":
             assert n in ub
 
@@ -589,7 +703,7 @@ class TestBatchedKernels:
         every = (1 << masks.size) - 1
         for adj in (mask_lanes(n, masks), oracle_edge_lanes(n, masks.tolist())):
             degree = harness._degree_lanes(adj, n - 1, every)
-            hit = harness._may_hit(n, n - 1, degree, harness._first_fit_lanes(adj, every))
+            hit = harness._may_hit(n, n - 1, degree, harness._first_fit_lanes(adj, every)[1])
             assert not any(hit >> i & 1 for i in split)
 
     @pytest.mark.parametrize("source", ["3", "4", "5", "graph8", "graph8-complements"])
@@ -721,8 +835,6 @@ class TestLaneKernels:
             assert oracle_edge_lanes(n, masks[-1:].tolist()) == mask_lanes(n, masks[-1:])
         assert harness._lanes([]) == 0
         assert harness._lanes([True, False, True, False]) == 0b101
-        dense = np.array([g.edge_count() > 20 for g in graphs])
-        assert harness._unpacked_lanes(np, harness._lanes(dense), dense.size).tolist() == dense.tolist()
 
     @pytest.mark.parametrize("source", ["1", "2", "3", "4", "5", "graph8", "graph8-complements"])
     def test_degree_and_open_coloring_lanes_match_scalars(self, source):
@@ -744,7 +856,7 @@ class TestLaneKernels:
         ub = [oracle_first_fit_colors(g) for g in graphs]
         ub_c = [oracle_first_fit_colors(complement(g)) for g in graphs]
         suspects = harness._coloring_open(
-            n, harness._first_fit_lanes(adj, every), harness._first_fit_lanes(comp, every),
+            n, harness._first_fit_lanes(adj, every)[1], harness._first_fit_lanes(comp, every)[1],
         )
         assert lane_list(suspects, masks.size) == [a + b > n + 1 for a, b in zip(ub, ub_c)]
         # first fit leaves the inequality open on none of these graphs, so
@@ -758,8 +870,12 @@ class TestLaneKernels:
 
     def test_lane_indices(self):
         assert list(harness._lane_indices(0)) == []
+        assert list(harness._lane_indices(1)) == [0]
         assert list(harness._lane_indices(0b1011001)) == [0, 3, 4, 6]
         assert list(harness._lane_indices(1 << 5000 | 2)) == [1, 5000]
+        assert list(harness._lane_indices(1 << 225_799)) == [225_799]
+        dense = harness._lanes(i % 7 != 3 for i in range(225_800))
+        assert list(harness._lane_indices(dense)) == [i for i in range(225_800) if i % 7 != 3]
 
 
 def graph6_lanes(graphs):

@@ -6,6 +6,8 @@ on a few order-8 candidates to keep it runnable as they change."""
 import importlib.util
 from pathlib import Path
 
+from hamcert import harness
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "kernel_timings.py"
 
 
@@ -24,14 +26,20 @@ def test_kernel_timings_prints_both_tables_on_a_small_block(monkeypatch, capsys)
     assert all(len(row) == 6 for row in rows[1:4]) and all(len(row) == 4 for row in rows[5:])
 
 
-def test_kernel_timings_sweep_prints_a_row_per_block(monkeypatch, capsys):
-    # each block size runs in a fresh interpreter; at n = 5 the 1,024
-    # masks make 64 blocks of 16 or one of 1,024
+def test_kernel_timings_sweep_prints_its_parts(capsys):
+    # the parts of a warm verify_order(5) call, each timed by wrapping
+    # harness functions, which are restored afterwards
     spec = importlib.util.spec_from_file_location("kernel_timings", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    script.sweep(5, (16, 1024))
+    names = [name for names in script.SWEEP_PARTS.values() for name in names]
+    before = [getattr(harness, name) for name in names]
+    script.sweep(5)
+    assert [getattr(harness, name) for name in names] == before
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert rows[0][:4] == ["n", "block", "ms", "faults"]
-    assert [row[:2] for row in rows[1:]] == [["5", "16"], ["5", "1024"]]
+    assert rows[0][:4] == ["n", "part", "ms", "faults"]
+    assert [row[:2] for row in rows[1:]] == [
+        ["5", part] for part in ("parent", "steps", "gather", "exact", "call")
+    ]
     assert all(len(row) == 4 and float(row[2]) > 0 and int(row[3]) >= 0 for row in rows[1:])
+    assert float(rows[-1][2]) >= max(float(row[2]) for row in rows[1:-1])
