@@ -44,6 +44,17 @@ def triangle_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(n) for i in range(j)]
 
 
+def without_bit(t: int, m: int) -> int:
+    """The int whose bit i is set for each i < 2^m without bit t, t < m:
+    runs of 2^t ones, one in each period of 2^(t + 1), built by doubling.
+    Shifted left by 2^t it holds the i with bit t instead."""
+    pattern, width = (1 << (1 << t)) - 1, 2 << t
+    while width < 1 << m:
+        pattern |= pattern << width
+        width <<= 1
+    return pattern
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with frozen bitmask adjacency rows."""

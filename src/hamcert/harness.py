@@ -26,13 +26,13 @@ stage 3 on its candidates (_exact_stages: _chromatic_lanes,
 _kappa_lanes, _hamiltonian_lanes, _tally).  Minimum degree and
 connectivity share one saturating bit-sliced counter (_count_lanes): of
 a vertex's neighbours for the degree, and of the outside neighbours of
-each vertex set K of at most (n - 1) / 2 vertices for kappa above 1,
-since a minimum separator is the neighbourhood of the smallest component
-it leaves.  A hit the
-Hamiltonicity kernel accepts is counted without a witness cycle; the
-tests hold the kernels to the single-graph solvers, whose cycles are
-checked, and to first-fit, degree and cut-set references, and the
-certifier settles every other hit.
+each vertex set K of at most (n - 1) / 2 vertices for kappa >= k at
+each k >= 2, since a minimum separator is the neighbourhood of the
+smallest component it leaves, and a disconnected graph has a K with at
+most one outside neighbour.  A hit the Hamiltonicity kernel accepts is
+counted without a witness cycle; the tests hold the kernels to the
+single-graph solvers, whose cycles are checked, and to first-fit, degree
+and cut-set references, and the certifier settles every other hit.
 
 The internal source enumerates every labeled graph on n <= 7 vertices by
 edge bitmask.  The low P = (n - 1)(n - 2) / 2 bits of a mask are its
@@ -42,11 +42,12 @@ one vertex.  The cheap kernels run once a sweep on the 2^P parent lanes
 (_parent_kernels: first fit on the parents and their complements, with
 each color class's members, and the degree counter of each parent row),
 whose lane set of pair t is bit t of the lane index, a periodic pattern
-built by doubling (_range_lanes).  Then each nb, in ascending order,
-takes one more first-fit step, for vertex n - 1 on its constant row,
-and one more count per edge (u, n - 1); the coloring inequality test
-and the candidate rule run on the stepped lane sets, lane p of nb
-standing for mask nb << P | p (_neighbourhood_stages).  At n = 7 that is
+built by doubling (_range_lanes, from graphs.without_bit).  Then each
+nb, in ascending order, takes one more first-fit step, for vertex n - 1
+on its constant row, and one more count per edge (u, n - 1); the
+coloring inequality test and the candidate rule run on the stepped lane
+sets, lane p of nb standing for mask nb << P | p
+(_neighbourhood_stages).  At n = 7 that is
 64 neighbourhoods of 2^15 lanes, a 4 KiB int each, where the whole
 population is 2^21 lanes.  The candidates of a shard are gathered in
 mask order and enter the exact stages once, together.  Numpy stays for
@@ -90,7 +91,7 @@ from hamcert.graph6 import (
     to_graph6,
     valid_block,
 )
-from hamcert.graphs import MAX_ENUMERATION_ORDER, from_edge_mask, triangle_pairs
+from hamcert.graphs import MAX_ENUMERATION_ORDER, from_edge_mask, triangle_pairs, without_bit
 from hamcert.invariants import chromatic_number, nordhaus_gaddum, vertex_connectivity
 from hamcert.cycles import find_hamiltonian_cycle
 from hamcert.theorem import certify
@@ -173,9 +174,8 @@ def _parent_kernels(n, ks):
     and fit_c the (classes, more) of _first_fit_lanes on the parents
     and their complements, and counts the _count_lanes of each parent row
     up to ks[-1]."""
-    total = 1 << ((n - 1) * (n - 2) // 2)
-    every = (1 << total) - 1
-    adj = _range_lanes(n - 1, 0, total)
+    every = (1 << (1 << ((n - 1) * (n - 2) // 2))) - 1
+    adj = _range_lanes(n - 1)
     fit = _first_fit_lanes(adj, every)
     fit_c = _first_fit_lanes(_complement_lanes(adj, every), every)
     counts = [_count_lanes(row, ks[-1], every) for row in adj] if ks else []
@@ -268,34 +268,12 @@ def _packed_edge_lanes(np, masks, n):
     )
 
 
-def _range_lanes(n, lo, hi):
-    """The lane adjacency of the order-n graphs with the edge masks lo ..
-    hi - 1, lane i being mask lo + i.  Pair t's lane set is bit t of the
-    index: runs of 2^t ones, one in each period of 2^(t + 1) masks.  The
-    first min(period, hi - lo) lanes meet at most two runs, the one of
-    lo's period and the next, and are built from them alone; that window
-    is then doubled, x |= x << width, until it covers the lanes, and cut
-    to them if it reaches past them.  At n = 7 all 2^21 masks take about
-    6 ms, against 21-43 ms for _packed_edge_lanes, and a range of 3 masks
-    about 0.03 ms."""
-    count = hi - lo
-    keep = (1 << count) - 1
-    lanes = []
-    for t in range(n * (n - 1) // 2):
-        half = 1 << t
-        length = half << 1
-        width = min(length, count)
-        first = lo - (lo & (length - 1)) + half  # the run of lo's period
-        x = 0
-        for run in (first, first + length):
-            a, b = max(run, lo), min(run + half, lo + width)
-            if a < b:
-                x |= ((1 << (b - a)) - 1) << (a - lo)
-        while width < count:
-            x |= x << width
-            width <<= 1
-        lanes.append(x & keep if width > count else x)
-    return _lane_adjacency(n, lanes)
+def _range_lanes(n):
+    """The lane adjacency of every order-n graph, lane i being edge mask i:
+    pair t's lane set is the masks with bit t, graphs.without_bit(t, m)
+    shifted by 2^t, m = n(n - 1) / 2."""
+    m = n * (n - 1) // 2
+    return _lane_adjacency(n, [without_bit(t, m) << (1 << t) for t in range(m)])
 
 
 # ---------------------------------------------------------------------------
@@ -501,49 +479,25 @@ def _chromatic_lanes(adj, n, s_max, every):
 
 
 def _kappa_lanes(adj, n, k_cap, every):
-    """at_least[k], for k = 0 .. min(k_cap, n - 1): the lanes of every with
+    """{k: lanes} for k = 2 .. min(k_cap, n - 1): the lanes of every with
     min(kappa, k_cap) >= k, which is no vertex set of size below k
     separating the graph.
 
-    Level 1 is connectivity: reach[u] gathers the lanes in which u is
-    reachable from vertex 0, reach[u] |= reach[v] & adj[v][u], in place,
-    with a vertex read again only once it has grown, until a sweep
-    changes nothing.
-
-    Above it, a connected graph has a separator of fewer than k vertices
-    exactly when some vertex set K of s <= (n - 1) / 2 vertices has at
-    most min(k - 1, n - 2s) outside neighbours.  One way, K is the
-    smallest component that such a separator S leaves: its neighbours
-    lie in S, and s <= (n - |S|) / 2 with |S| >= 1.  The other way, N(K)
-    leaves the n - s - |N(K)| >= s vertices outside K and N(K) apart
-    from K.  So level k keeps the lanes of level 1 in which every such K
-    has at least min(k, n - 2s + 1) outside neighbours, counted by
-    _count_lanes over the u outside K from rows[u], the lanes in which u
-    has a neighbour in K (_neighbour_rows)."""
+    A graph has a separator of fewer than k >= 2 vertices exactly when
+    some vertex set K of s <= (n - 1) / 2 vertices has at most min(k - 1,
+    n - 2s) outside neighbours.  One way, for a connected graph, K is the
+    smallest component that such a separator S leaves: its neighbours lie
+    in S, and s <= (n - |S|) / 2 with |S| >= 1.  For a disconnected one,
+    with C its smallest component, K = C has no outside neighbour when
+    |C| <= (n - 1) / 2, and K = C minus one vertex has at most one, below
+    min(k, 3), when |C| = n / 2.  The other way, N(K) leaves the n - s -
+    |N(K)| >= s vertices outside K and N(K) apart from K.  So level k
+    keeps the lanes in which every such K has at least min(k, n - 2s + 1)
+    outside neighbours, counted by _count_lanes over the u outside K from
+    rows[u], the lanes in which u has a neighbour in K (_neighbour_rows)."""
     top_k = min(k_cap, n - 1)
-    if top_k < 1:
-        return [every]
-    reach = [every] + [0] * (n - 1)
-    grown = [True] + [False] * (n - 1)
-    while any(grown):
-        for v in range(n):
-            if not grown[v]:
-                continue
-            grown[v] = False
-            at_v, row = reach[v], adj[v]
-            for u in range(n):
-                at_u = reach[u]
-                if u == v or at_u == every:
-                    continue
-                more = at_u | (at_v & row[u])
-                if more != at_u:
-                    reach[u] = more
-                    grown[u] = True
-    connected = every
-    for at_u in reach:
-        connected &= at_u
-    at_least = [every] + [connected] * top_k
-    if top_k < 2:
+    at_least = {k: every for k in range(2, top_k + 1)}
+    if not at_least:
         return at_least
     # capped[t] gathers the counts that saturate at t, which decide every
     # level from t on
@@ -557,7 +511,7 @@ def _kappa_lanes(adj, n, k_cap, every):
             at_least[k] &= count[k]
         capped[top] &= count[top]
     held = every
-    for k in range(2, top_k + 1):
+    for k in at_least:
         held &= capped[k]
         at_least[k] &= held
     return at_least
@@ -660,7 +614,7 @@ def _exact_stages(report, n, ks, adj, every, graph) -> None:
             vertex_connectivity(g, stop_below=max(ks[0], n - x)) if x >= n - ks[-1] else 0
             for g, x in zip(graphs, chi)
         ]
-        kappa_at_least = [_lanes(x >= k for x in kappa) for k in range(ks[-1] + 1)]
+        kappa_at_least = {k: _lanes(x >= k for x in kappa) for k in ks}
 
         def hamiltonian(lanes):
             return _lanes(

@@ -376,8 +376,10 @@ def menger_fan(g: Graph, x0: int, c, k: int) -> PathSystem:
     Paths avoid the cycle except at their distinct attachments.  Raises
     when x0 sits on the cycle or when fewer than k paths exist (which
     signals the k-connectivity precondition was violated).  Built by
-    augmenting paths toward a virtual sink behind the cycle vertices;
-    cycle vertices get no transit arc, so flow terminates at first touch.
+    augmenting paths in the split graph (_split_arcs) toward a virtual
+    sink behind the cycle vertices: a cycle vertex's in-node points at the
+    sink instead of its transit arc, so flow terminates at first touch,
+    and x0 has no transit arc.
     """
     if k < 2:
         raise ValueError("fan parameter k must be at least 2")
@@ -388,15 +390,10 @@ def menger_fan(g: Graph, x0: int, c, k: int) -> PathSystem:
     if (1 << x0) & on_cycle:
         raise ValueError(f"hub {x0} lies on the cycle")
     sink = 2 * g.n
-    residual = [0] * (2 * g.n + 1)
-    for v in range(g.n):
-        if (1 << v) & on_cycle:
-            residual[2 * v] = 1 << sink
-        elif v != x0:
-            residual[2 * v] = 1 << (2 * v + 1)
-    for u, v in g.edges():
-        residual[2 * u + 1] |= 1 << (2 * v)
-        residual[2 * v + 1] |= 1 << (2 * u)
+    residual = _split_arcs(g) + [0]
+    for v in iter_bits(on_cycle & g.vertex_mask):
+        residual[2 * v] = 1 << sink
+    residual[2 * x0] = 0
     initial = list(residual)
     source = 2 * x0 + 1
     flow = 0

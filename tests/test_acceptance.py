@@ -260,9 +260,10 @@ def _alpha_kappa_survivors(n):
     if idx.size == 0:
         return np.zeros(0, np.uint32)
     at_least = _kappa_lanes(_packed_edge_lanes(np, masks[idx], n), n, n - 1, (1 << idx.size) - 1)
-    # kappa <= n - 1, so it is the number of k in 1..n-1 it reaches
-    kappa = np.zeros(idx.size, np.uint8)
-    for lanes in at_least[1:]:
+    # the graphs are connected and kappa <= n - 1, so it is 1 plus the
+    # number of k in 2..n-1 it reaches
+    kappa = np.ones(idx.size, np.uint8)
+    for lanes in at_least.values():
         kappa += np.unpackbits(
             np.frombuffer(lanes.to_bytes((idx.size + 7) // 8, "little"), np.uint8),
             count=idx.size, bitorder="little",

@@ -25,6 +25,7 @@ from hamcert.graphs import (
     star_graph,
     triangle_pairs,
     with_edges,
+    without_bit,
 )
 from tests.conftest import graphs_st
 
@@ -55,6 +56,13 @@ def test_duplicate_edges_collapse():
 
 def test_triangle_pair_order():
     assert triangle_pairs(4) == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+
+
+def test_without_bit_is_the_indices_that_lack_the_bit():
+    # the index pattern of the sweep's lanes and the path table's rows
+    for m in range(1, 11):
+        for t in range(m):
+            assert without_bit(t, m) == sum(1 << i for i in range(1 << m) if not i >> t & 1)
 
 
 def test_edge_mask_round_trip():

@@ -262,12 +262,16 @@ class TestSweepBlocks:
         monkeypatch.setattr(harness, "_bound_stages", recorded)
         monkeypatch.setattr(harness, "nordhaus_gaddum", pair)
         parents = harness._parent_kernels(n, ks)
-        ranges = [(0, total)] + ([(total // 3, 2 * total // 3 + 1)] if n > 2 else [])
-        for lo, hi in ranges:
+        # the whole range in the sweep's own lanes, and the middle third
+        # in those of the reference builder
+        ranges = [(0, total, harness._range_lanes(n))]
+        if n > 2:
+            lo, hi = total // 3, 2 * total // 3 + 1
+            ranges.append((lo, hi, oracle_edge_lanes(n, list(range(lo, hi)))))
+        for lo, hi, adj in ranges:
             report = VerificationReport()
             cand = harness._cheap_stages(
-                report, n, ks, harness._range_lanes(n, lo, hi), (1 << (hi - lo)) - 1,
-                lambda i: from_edge_mask(n, lo + i),
+                report, n, ks, adj, (1 << (hi - lo)) - 1, lambda i: from_edge_mask(n, lo + i),
             )
             expected = (cand, pairs[:], bounds[:])
             pairs.clear()
@@ -735,15 +739,21 @@ class TestBatchedKernels:
 def assert_kappa_lanes(n, adj, kappa):
     """_kappa_lanes on the lane adjacency of graphs of the given
     connectivities, one lane each, at every cap from 0 to n, against
-    oracle_kappa_lanes and the connectivities; the kernel clamps the cap
-    at n - 1."""
+    oracle_kappa_lanes and the connectivities at the levels k >= 2 it
+    returns; the kernel clamps the cap at n - 1."""
     every = (1 << len(kappa)) - 1
     for cap in range(n + 1):
         at_least = harness._kappa_lanes(adj, n, cap, every)
-        assert at_least == oracle_kappa_lanes(adj, n, cap, every), cap
-        assert len(at_least) == min(cap, n - 1) + 1
-        for k, lanes in enumerate(at_least):
+        assert at_least == oracle_levels(adj, n, cap, every), cap
+        assert list(at_least) == list(range(2, min(cap, n - 1) + 1))
+        for k, lanes in at_least.items():
             assert lane_list(lanes, len(kappa)) == [min(x, cap) >= k for x in kappa], (cap, k)
+
+
+def oracle_levels(adj, n, cap, every):
+    """The levels k >= 2 of oracle_kappa_lanes, as _kappa_lanes returns
+    them."""
+    return {k: lanes for k, lanes in enumerate(oracle_kappa_lanes(adj, n, cap, every)) if k >= 2}
 
 
 def lane_list(lanes, count):
@@ -772,18 +782,20 @@ class TestLaneKernels:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_kappa_matches_cut_set_oracle_on_every_labeled_graph(self, n):
         # all 2^21 labeled graphs at n = 7, in the sweep's own lanes
-        total = 1 << (n * (n - 1) // 2)
-        adj = harness._range_lanes(n, 0, total)
+        every = (1 << (1 << (n * (n - 1) // 2))) - 1
+        adj = harness._range_lanes(n)
         for cap in range(n + 1):
-            at_least = harness._kappa_lanes(adj, n, cap, (1 << total) - 1)
-            assert at_least == oracle_kappa_lanes(adj, n, cap, (1 << total) - 1), cap
+            at_least = harness._kappa_lanes(adj, n, cap, every)
+            assert at_least == oracle_levels(adj, n, cap, every), cap
 
     @pytest.mark.parametrize("n", [6, 8, 9, 10, 11, 12])
     def test_kappa_on_separator_shapes_and_seeded_blocks(self, n):
         # two components of n // 2 and n - n // 2 vertices, at even n the
-        # one shape that no set K of at most (n - 1) / 2 vertices shows and
-        # only level 1 sees; K_1 + K_{n-1}, a path, a star and K_n, each
-        # also relabeled; and a seeded G(n, p) block, sparse to dense
+        # one shape whose components are too large for a set K of at most
+        # (n - 1) / 2 vertices, so that K is a component less one vertex,
+        # with that vertex its one outside neighbour; K_1 + K_{n-1}, a
+        # path, a star and K_n, each also relabeled; and a seeded G(n, p)
+        # block, sparse to dense
         shapes = [
             disjoint_union(complete_graph(n // 2), complete_graph(n - n // 2)),
             disjoint_union(complete_graph(1), complete_graph(n - 1)),
@@ -803,9 +815,8 @@ class TestLaneKernels:
     @pytest.mark.parametrize("n", [5, 8])
     def test_kappa_sweeps_reach_descending_paths(self, n):
         # the path 0, n-1, ..., 1, and a fan of 0 over the path 1, n-1,
-        # ..., 2, which leaves that path in G - 0: an ascending sweep
-        # reaches one more vertex of it each time, so any cap on the
-        # sweeps below the fixpoint separates these graphs
+        # ..., 2, which leaves that path in G - 0: graphs whose separators
+        # are not in vertex order, at kappa 1 and 2
         path = [0] + list(range(n - 1, 0, -1))
         down = with_edges(n, list(zip(path, path[1:])))
         fan = with_edges(n, [(0, v) for v in path[1:]] + list(zip([1] + path[1:-1], path[1:-1])))
@@ -814,9 +825,10 @@ class TestLaneKernels:
         adj = oracle_edge_lanes(n, [g.edge_mask() for g in graphs])
         for cap in range(2, n):
             at_least = harness._kappa_lanes(adj, n, cap, 0b1111)
-            assert [lane_list(lanes, 4) for lanes in at_least] == [
-                [min(vertex_connectivity(g), cap) >= k for g in graphs] for k in range(cap + 1)
-            ]
+            assert {k: lane_list(lanes, 4) for k, lanes in at_least.items()} == {
+                k: [min(vertex_connectivity(g), cap) >= k for g in graphs]
+                for k in range(2, cap + 1)
+            }
 
     def test_both_sources_build_the_same_lanes(self):
         # the reference builder, the graph6 builder of the stream and the
@@ -889,7 +901,7 @@ def graph6_lanes(graphs):
 class TestLaneBuilders:
     """The lane builders of both sources against references: the stream's
     graph6 builder against the string-slicing oracle, and the sweep's
-    index patterns against the numpy builder over the masks of a range."""
+    index patterns against the numpy builder over every mask."""
 
     @pytest.mark.parametrize(
         "source", ["1", "2", "3", "4", "5", "6", "graph8", "graph8-complements"]
@@ -900,51 +912,11 @@ class TestLaneBuilders:
         assert graph6_lanes(graphs) == oracle_edge_lanes(n, masks.tolist())
         assert graph6_lanes(graphs[-1:]) == oracle_edge_lanes(n, masks[-1:].tolist())
 
-    @staticmethod
-    def assert_range_lanes(n, ranges):
-        # the lanes of lo .. hi - 1 are those of the whole population from
-        # lane lo on
-        total = 1 << (n * (n - 1) // 2)
-        whole = mask_lanes(n, np.arange(total, dtype=np.uint32))
-        for lo, hi in ranges:
-            keep = (1 << (hi - lo)) - 1
-            expected = [[lanes >> lo & keep for lanes in row] for row in whole]
-            assert harness._range_lanes(n, lo, hi) == expected, (lo, hi)
-
-    def test_range_lanes_on_every_small_range(self):
-        # every range at orders 1 to 4; at order 5, whose ranges number
-        # 524,800, every lo with widths 1 to 3, 2^j - 1, 2^j and 2^j + 1,
-        # and every suffix
-        for n in range(1, 5):
-            total = 1 << (n * (n - 1) // 2)
-            self.assert_range_lanes(
-                n, [(lo, hi) for lo in range(total) for hi in range(lo + 1, total + 1)]
-            )
-        widths = {1, 2, 3} | {(1 << j) + d for j in range(2, 11) for d in (-1, 0, 1)}
-        self.assert_range_lanes(
-            5, [(lo, min(lo + w, 1024)) for lo in range(1024) for w in sorted(widths)]
-        )
-
-    def test_range_lanes_on_short_ranges_at_order_seven(self):
-        # ranges of 1 to 3 masks, far shorter than the top pairs' periods
-        # of 2^20 and 2^21 masks, each built from at most two runs of ones
-        total = 1 << 21
-        for base in (0, 1 << 15, 1 << 20, total - 3):
-            for lo in range(max(base - 3, 0), min(base + 4, total)):
-                for hi in range(lo + 1, min(lo + 3, total) + 1):
-                    masks = np.arange(lo, hi, dtype=np.uint32)
-                    assert harness._range_lanes(7, lo, hi) == mask_lanes(7, masks), (lo, hi)
-
-    @pytest.mark.parametrize("n", [6, 7])
-    def test_range_lanes_on_shard_bounds(self, n):
-        # 3, 7 and 11 shards: some start at an odd mask, off every period
-        total = 1 << (n * (n - 1) // 2)
-        for shards in (3, 7, 11):
-            bounds = [total * i // shards for i in range(shards + 1)]
-            assert any(lo % 2 for lo in bounds)
-            for lo, hi in zip(bounds, bounds[1:]):
-                masks = np.arange(lo, hi, dtype=np.uint32)
-                assert harness._range_lanes(n, lo, hi) == mask_lanes(n, masks), (shards, lo)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_range_lanes_match_the_mask_builder(self, n):
+        # every mask of the order, lane i being mask i
+        masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
+        assert harness._range_lanes(n) == mask_lanes(n, masks)
 
 
 class TestStreamBlocks:

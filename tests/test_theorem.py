@@ -101,6 +101,23 @@ def test_recognize_rejects_non_extremal():
     assert recognize_extremal(petersen_graph()) is None
     assert recognize_extremal(path_graph(5)) is None
     assert recognize_extremal(complete_graph(4)) is None  # below minimum order
+    # at n = 2k + 1 the k + 1 non-universal vertices must be independent
+    for k in (2, 3, 4):
+        g = build_extremal(k, 2 * k + 1)
+        extra = with_edges(g.n, list(g.edges()) + [(k, 2 * k)])
+        assert recognize_extremal(g) is not None and recognize_extremal(extra) is None
+
+
+def test_recognize_counts_on_every_labeled_graph():
+    # the labeled extremal graphs per k: at n = 5, k = 2, the C(5, 2)
+    # choices of the join part; at n = 6, those of the join part and then
+    # the independent part, 15 * 6; no order below 7 fits k = 3
+    for n, expected in ((5, {2: 10}), (6, {2: 90})):
+        found = {}
+        for g in enumerate_labeled(n):
+            if (got := recognize_extremal(g)) is not None:
+                found[got[0]] = found.get(got[0], 0) + 1
+        assert found == expected, n
 
 
 def test_recognize_is_label_free():
@@ -402,9 +419,12 @@ def test_trace_requires_hypothesis():
         trace_proof(path_graph(4), 2)
 
 
-def test_trace_refuses_large_orders():
+def test_trace_refuses_large_orders(monkeypatch):
+    # before any exact solver runs
+    calls = count_calls(monkeypatch, theorem, ["vertex_connectivity", "chromatic_number"])
     with pytest.raises(ValueError, match="refused"):
         trace_proof(build_extremal(2, 17), 2)
+    assert calls == {"vertex_connectivity": 0, "chromatic_number": 0}
 
 
 @pytest.mark.parametrize(
