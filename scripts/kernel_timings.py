@@ -34,17 +34,31 @@ the parts of the internal sweep, each timed by wrapping its functions:
 
 and the whole call.  Each is the median of 25 calls after a warm-up one.
 
+With --stream it prints the same for a warm verify_order(n, stream=...)
+call on a graph6 file, tests/data/graph8.g6 and n = 8 by default, the
+file opened as `verify --stream FILE` opens it:
+
+    read    _stream_blocks: the chunk reads, the grid checks and any
+            line-by-line path
+    lanes   pair_lanes, for the cheap stages and for _settle_block
+    cheap   _cheap_stages on every block of lines
+    settle  _settle_block: the exact stages on the candidates, their
+            lanes included
+
 Run from the repository root:
     python3 scripts/kernel_timings.py [--caps] [n ...]
 (default orders 8 10 12 13), or
     python3 scripts/kernel_timings.py --sweep [n]
+    python3 scripts/kernel_timings.py --stream [FILE] [n]
 """
 
+import inspect
 import random
 import resource
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,7 +79,14 @@ SWEEP_PARTS = {
     "gather": ("_candidate_masks", "_packed_edge_lanes"),
     "exact": ("_exact_stages",),
 }
-SWEEP_CALLS = 25
+STREAM_PARTS = {
+    "read": ("_stream_blocks",),
+    "lanes": ("pair_lanes",),
+    "cheap": ("_cheap_stages",),
+    "settle": ("_settle_block",),
+}
+PART_CALLS = 25
+GRAPH8 = ROOT / "tests" / "data" / "graph8.g6"
 
 
 def candidates(n, count):
@@ -137,42 +158,78 @@ def kappa_by_cap(n, masks):
     }
 
 
-def sweep(n=7) -> None:
-    """Print the ms and minor faults of each part of a warm verify_order(n)
-    call and of the whole call, medians of SWEEP_CALLS calls."""
+def part_times(call, table):
+    """{part: [(s, minor faults), ...]} of each part of table, its harness
+    functions timed by wrapping them, and of the whole call, over
+    PART_CALLS warm calls; a generator's time is that of its steps."""
     spent = {}
+
+    @contextmanager
+    def clocked(part):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            spent[part][0] += time.perf_counter() - started
+            spent[part][1] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
     def timed(run, part):
         def wrapped(*args):
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            started = time.perf_counter()
-            try:
+            with clocked(part):
                 return run(*args)
-            finally:
-                spent[part][0] += time.perf_counter() - started
-                spent[part][1] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-        return wrapped
 
-    originals = {name: getattr(harness, name) for names in SWEEP_PARTS.values() for name in names}
-    for part, names in SWEEP_PARTS.items():
+        def stepped(*args):
+            items = run(*args)
+            while True:
+                with clocked(part):
+                    item = next(items, stepped)
+                if item is stepped:
+                    return
+                yield item
+        return stepped if inspect.isgeneratorfunction(run) else wrapped
+
+    originals = {name: getattr(harness, name) for names in table.values() for name in names}
+    for part, names in table.items():
         for name in names:
             setattr(harness, name, timed(originals[name], part))
-    rows = {part: [] for part in [*SWEEP_PARTS, "call"]}
+    rows = {part: [] for part in [*table, "call"]}
     try:
-        call = timed(harness.verify_order, "call")
-        for turn in range(SWEEP_CALLS + 1):
+        whole = timed(call, "call")
+        for turn in range(PART_CALLS + 1):
             spent.update((part, [0.0, 0]) for part in rows)
-            call(n)
+            whole()
             if turn:
                 for part, row in rows.items():
                     row.append(spent[part])
     finally:
         for name, run in originals.items():
             setattr(harness, name, run)
-    print(f"{'n':>3} {'part':<7} {'ms':>8} {'faults':>8}   (one call, median of {SWEEP_CALLS})")
+    return rows
+
+
+def print_parts(n, rows) -> None:
+    print(f"{'n':>3} {'part':<7} {'ms':>8} {'faults':>8}   (one call, median of {PART_CALLS})")
     for part, row in rows.items():
         ms = 1000 * statistics.median(x for x, _ in row)
         print(f"{n:>3} {part:<7} {ms:>8.2f} {statistics.median(f for _, f in row):>8.0f}")
+
+
+def sweep(n=7) -> None:
+    """Print the ms and minor faults of each part of a warm verify_order(n)
+    call and of the whole call, medians of PART_CALLS calls."""
+    print_parts(n, part_times(lambda: harness.verify_order(n), SWEEP_PARTS))
+
+
+def stream(path=GRAPH8, n=8) -> None:
+    """Print the ms and minor faults of each part of a warm verify_order(n)
+    call on the graph6 file at path and of the whole call, medians of
+    PART_CALLS calls."""
+    def call():
+        with open(path, encoding="ascii", errors="surrogateescape") as handle:
+            harness.verify_order(n, stream=handle)
+
+    print_parts(n, part_times(call, STREAM_PARTS))
 
 
 def main(orders, caps=False) -> None:
@@ -198,5 +255,8 @@ if __name__ == "__main__":
     orders = [int(a) for a in args if a.isdigit()]
     if "--sweep" in args:
         sweep(*orders[:1])
+    elif "--stream" in args:
+        files = [a for a in args if not a.isdigit() and not a.startswith("--")]
+        stream(*files[:1] or [GRAPH8], *orders[:1])
     else:
         main(orders or [8, 10, 12, 13], "--caps" in args)

@@ -12,6 +12,7 @@ import argparse
 import io
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from hamcert.graph6 import parse_graph6, to_graph6
@@ -75,19 +76,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _stdin_lines():
-    """The lines of standard input, read as verify --stream reads a file:
-    as ASCII, with each other byte passed on as a lone surrogate, so that
-    it makes one bad line whatever the locale's error handler.  A text
-    stream with no byte buffer beneath, such as a StringIO, is read as
-    it is."""
+@contextmanager
+def _stdin_text():
+    """Standard input, for every subcommand, as verify --stream reads a
+    file: as ASCII, with each other byte passed on as a lone surrogate, so
+    that it makes one bad line whatever the locale's error handler.  A
+    text stream with no byte buffer beneath, such as a StringIO, is read
+    as it is."""
     buffer = getattr(sys.stdin, "buffer", None)
     if buffer is None:
-        yield from sys.stdin
+        yield sys.stdin
         return
     text = io.TextIOWrapper(buffer, encoding="ascii", errors="surrogateescape")
     try:
-        yield from text
+        yield text
     finally:
         text.detach()  # leave standard input open
 
@@ -102,7 +104,8 @@ def _shown(text: str) -> str:
 def _input_lines(arg: str | None) -> list[str]:
     if arg is not None:
         return [arg]
-    return [line for line in (raw.strip() for raw in _stdin_lines()) if line]
+    with _stdin_text() as text:
+        return [line for line in (raw.strip() for raw in text) if line]
 
 
 def _each_graph(arg, handler) -> CommandOutcome:
@@ -173,7 +176,8 @@ def _cmd_verify(args) -> CommandOutcome:
         if args.stream is None:
             report = verify_order(args.n, (k_min, k_max))
         elif args.stream == "-":
-            report = verify_order(args.n, (k_min, k_max), stream=_stdin_lines())
+            with _stdin_text() as text:
+                report = verify_order(args.n, (k_min, k_max), stream=text)
         else:
             # a byte the codec cannot read reaches the decoder as a lone
             # surrogate, which is then reported with its line number

@@ -6,9 +6,11 @@ upper triangle of the adjacency matrix is read in column order (0,1),
 group emitted as one byte offset by 63.  The final group is zero-padded.
 An optional ``>>graph6<<`` header prefix is accepted on input.
 
-A block of lines of one order decodes at once: valid_block checks the
-whole block and pair_lanes reads each pair's bit of every line as one
-int, bit i for line i.
+A block of lines of one order decodes at once, as rows of a fixed stride
+in one bytes object: w bytes for lines joined without their line ends,
+w + 1 for lines each followed by a newline, as a text stream holds
+them.  valid_block checks the whole block and pair_lanes reads each
+pair's bit of every line as one int, bit i for line i.
 """
 
 from __future__ import annotations
@@ -81,41 +83,45 @@ def graph6_width(n: int) -> int:
     return 1 + (n * (n - 1) // 2 + 5) // 6
 
 
-def valid_block(n: int, texts) -> bytes | None:
-    """The joined bytes of a block of stripped lines if every one is a
-    valid order-n graph6 line without header, else None: each line is w
-    wide, the block is ASCII in 63..126, its order column is 63 + n, and
-    its last column has no padding bit set.  Each check takes the whole
-    block in one call."""
-    w = graph6_width(n)
-    if set(map(len, texts)) != {w}:
-        return None
-    try:
-        data = "".join(texts).encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    if data.translate(None, _GRAPH6_BYTES) or data[::w] != bytes([_LO + n]) * len(texts):
-        return None
-    pad = 6 * (w - 1) - n * (n - 1) // 2
-    unpadded = bytes(b for b in _GRAPH6_BYTES if (b - _LO) & ((1 << pad) - 1) == 0)
-    if data[w - 1::w].translate(None, unpadded):
-        return None
-    return data
+# _UNPADDED[pad] holds the graph6 bytes whose low pad bits are clear: the
+# last payload byte of an order-n line may hold no other, pad being
+# 6 (w - 1) - n (n - 1) / 2, from 0 to 5.
+_UNPADDED = [
+    bytes(b for b in _GRAPH6_BYTES if (b - _LO) & ((1 << pad) - 1) == 0) for pad in range(6)
+]
 
 
-def pair_lanes(n: int, data: bytes) -> list[int]:
-    """Bit-sliced decode of a block of valid order-n lines, given by their
-    joined bytes: the lane set of each pair in ``triangle_pairs`` order,
-    whose bit i is the pair's bit in line i.  Column 1 + j of the block is
-    data[1 + j::w], one byte per line, and holds pairs 6j .. 6j + 5, pair
-    t as bit 5 - t % 6.  Each column is sliced and reversed once, to read
-    line 0 last, and each of its pairs is one translate of that copy to
-    digits."""
+def valid_block(n: int, data: bytes, stride: int) -> bool:
+    """Whether data is rows of stride bytes, each a valid order-n graph6
+    line without header: stride is w for lines joined without their line
+    ends and w + 1 for lines each followed by a newline.  The rows fill
+    data, each row's w bytes are in 63..126 and its line end a newline,
+    the order column is 63 + n, and the last payload column has no
+    padding bit set.  Each check takes the whole block in one call."""
     w = graph6_width(n)
+    rows, rest = divmod(len(data), stride)
+    ends = b"\n" * (rows * (stride - w))
+    return (
+        not rest
+        and data.translate(None, _GRAPH6_BYTES) == ends
+        and (stride == w or data[w::stride] == ends)
+        and data[::stride] == bytes([_LO + n]) * rows
+        and not data[w - 1::stride].translate(None, _UNPADDED[6 * (w - 1) - n * (n - 1) // 2])
+    )
+
+
+def pair_lanes(n: int, data: bytes, stride: int) -> list[int]:
+    """Bit-sliced decode of a block of valid order-n lines, rows of stride
+    bytes as valid_block takes them: the lane set of each pair in
+    ``triangle_pairs`` order, whose bit i is the pair's bit in line i.
+    Column 1 + j of the block is data[1 + j::stride], one byte per line,
+    and holds pairs 6j .. 6j + 5, pair t as bit 5 - t % 6.  Each column is
+    sliced and reversed once, to read line 0 last, and each of its pairs
+    is one translate of that copy to digits."""
     pairs = n * (n - 1) // 2
     lanes = []
-    for j in range(w - 1):
-        column = b"0" + data[1 + j::w][::-1]
+    for j in range(graph6_width(n) - 1):
+        column = b"0" + data[1 + j::stride][::-1]
         lanes += [int(column.translate(_DIGITS[r]), 2) for r in range(min(6, pairs - 6 * j))]
     return lanes
 

@@ -57,16 +57,22 @@ candidates at n = 7 against 174 ms for the pure-Python reference
 builder of the tests (2-core host).
 
 The streamed source works a block of lines at a time and needs no numpy,
-whose import alone costs a stream process about 12 MB resident.  It
-builds the lanes of a block straight from the bytes of its lines
-(graph6.pair_lanes): payload column j of every line is one slice of the
-joined block, reversed once, and each of its six pairs is read from it
-to a lane set by one bytes.translate.  A few whole-block checks
-(graph6.valid_block) validate the block, and again with a leading header
-cut off each line; one that still fails them is decoded line by line, so
-that each bad line is reported with its line number.  The candidates
-stay lines, settled a block at a time in line order, and a Graph is
-built only for a certify replay.  The exact kernels' tables and
+whose import alone costs a stream process about 12 MB resident.  A text
+stream is read a chunk of text at a time, cut after its last newline
+(_text_chunks).  A chunk whose every line is w bytes and a newline, a
+grid, is checked and decoded from its own bytes at stride w + 1
+(_grid_block), with no str made per line; any other chunk, split on
+newlines alone, and any iterable of lines take the line path
+(_line_block): strip, join and check at stride w.  A few whole-block
+checks (graph6.valid_block) validate a block, and on the line path again
+with a leading header cut off each line; one that still fails them is
+decoded line by line, so that each bad line is reported with its line
+number.  Lanes come straight from the block's bytes (graph6.pair_lanes):
+payload column j of every line is one strided slice, reversed once, and
+each of its six pairs is read from it to a lane set by one
+bytes.translate.  The candidates stay graph6 bytes, cut from their
+block, settled a block at a time in line order, and a Graph is built
+only for a certify replay.  The exact kernels' tables and
 vertex-set enumeration double with each order, so above
 _LANE_KERNEL_MAX_ORDER the single-graph coloring, connectivity and
 Hamiltonian-cycle solvers fill the same lane sets for the tally.
@@ -668,16 +674,17 @@ def _replay(report, g, graph_hits) -> None:
 # streamed source
 
 
-# Lines per block of the streamed source, blank ones included, and
-# candidates per block of its exact stages: the cheap lane kernels run on
-# the valid lines of a block and the candidates they leave are settled
-# once a block of them has gathered, which bounds the memory of a long
-# stream.  Measured on a 2-core Xeon, blocks of 512, 1,024, 4,096 and
-# 16,384: a seeded G(12, 0.8) stream of 12,000 lines took 1.51, 1.27, 1.13
-# and 1.12 s with a traced heap peak of 2.8, 4.8, 16.8 and 24.5 MB;
-# graph8.g6 took 0.051-0.055 s and peaked at 0.2-1.8 MB at every size.
-# A block is taken and stripped in one comprehension: on graph8.g6 that
-# costs 0.7 ms, against 1.9-2.7 ms for numbering each non-blank line.
+# Lines per block of the streamed source and candidates per block of its
+# exact stages: the cheap lane kernels run on the valid lines of a block
+# and the candidates they leave are settled once a block of them has
+# gathered, which bounds the memory of a long stream.  A text stream is
+# read _STREAM_BLOCK * (w + 1) characters at a time, a block of w-wide
+# lines and their newlines, and an iterable of lines _STREAM_BLOCK lines
+# at a time, blank ones included.  Measured on a 2-core Xeon, blocks of
+# 512, 1,024, 4,096 and 16,384: a seeded G(12, 0.8) stream of 12,000 lines
+# took 1.51, 1.27, 1.13 and 1.12 s with a traced heap peak of 2.8, 4.8,
+# 16.8 and 24.5 MB; graph8.g6 took 0.051-0.055 s and peaked at 0.2-1.8 MB
+# at every size.
 _STREAM_BLOCK = 4096
 
 
@@ -703,59 +710,135 @@ def _decoded_lines(report, n, numbered):
     return texts
 
 
-def _verify_stream(n, ks, lines) -> VerificationReport:
-    """A block of lines at a time: the cheap stages run in the lane kernels
-    on the valid lines of a block, built from their bytes, and the
-    candidate lines they leave are settled a block at a time in line
-    order.  A block that fails a whole-block check is checked again with a
-    leading header cut off each line, as decode_graph6 drops it; one that
-    still fails is decoded line by line, for its errors and their line
-    numbers."""
-    report = VerificationReport(hypothesis_hits={k: 0 for k in ks})
-    lines = iter(lines)
+def _text_chunks(stream, size):
+    """The text of a stream in chunks of whole lines: each read of size
+    characters is cut after its last newline and the rest carried into
+    the next chunk; only the last chunk may lack a final newline."""
+    parts = []
+    while text := stream.read(size):
+        cut = text.rfind("\n") + 1
+        if not cut:
+            parts.append(text)
+            continue
+        parts.append(text[:cut])
+        yield "".join(parts)
+        parts = [text[cut:]]
+    if tail := "".join(parts):
+        yield tail
+
+
+def _grid_block(n, text):
+    """The bytes of a chunk of text if it is a grid, every line a valid
+    order-n graph6 line of w bytes and a newline, else None."""
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    return data if valid_block(n, data, graph6_width(n) + 1) else None
+
+
+def _joined_block(n, texts):
+    """The joined bytes of stripped lines if every one is a valid order-n
+    graph6 line without header, else None."""
+    w = graph6_width(n)
+    joined = "".join(texts)
+    if set(map(len, texts)) <= {w} and joined.isascii():
+        data = joined.encode("ascii")
+        if valid_block(n, data, w):
+            return data
+    return None
+
+
+def _line_block(report, n, line_no, chunk):
+    """The valid lines of a chunk of lines numbered from line_no + 1,
+    stripped and joined: the block is checked as a whole, again with a
+    leading header cut off each line, as decode_graph6 drops it, and one
+    that still fails is decoded line by line, for its errors and their
+    line numbers."""
+    texts = [text for raw in chunk if (text := raw.strip())]
+    data = _joined_block(n, texts) if texts else b""
+    if data is None:
+        # a header fails the checks; cutting it off the lines of every
+        # block would cost the graph8.g6 stream about 2 %
+        data = _joined_block(n, [text.removeprefix(GRAPH6_HEADER) for text in texts])
+    if data is None:
+        data = "".join(_decoded_lines(report, n, enumerate(chunk, line_no + 1))).encode("ascii")
+    return data
+
+
+def _stream_blocks(report, n, lines):
+    """The valid lines of a stream a block at a time, as (bytes, stride)
+    for pair_lanes; the errors of the other lines go to report with their
+    line numbers.  A text stream is read in chunks: a grid chunk is read
+    from its own bytes at stride w + 1, and any other, split on newlines
+    alone as iterating the stream splits it, takes the path of an iterable
+    of lines, _line_block at stride w."""
+    w = graph6_width(n)
     line_no = 0
-    block = []
+    if hasattr(lines, "read"):
+        for text in _text_chunks(lines, _STREAM_BLOCK * (w + 1)):
+            data = _grid_block(n, text)
+            if data is not None:
+                line_no += len(data) // (w + 1)
+                yield data, w + 1
+                continue
+            chunk = text.removesuffix("\n").split("\n")
+            yield _line_block(report, n, line_no, chunk), w
+            line_no += len(chunk)
+        return
+    lines = iter(lines)
     while chunk := list(islice(lines, _STREAM_BLOCK)):
-        texts = [text for raw in chunk if (text := raw.strip())]
-        data = valid_block(n, texts) if texts else b""
-        if data is None:
-            # a header fails the checks; cutting it off the lines of every
-            # block would cost the graph8.g6 stream about 2 %
-            texts = [text.removeprefix(GRAPH6_HEADER) for text in texts]
-            data = valid_block(n, texts)
-        if data is None:
-            texts = _decoded_lines(report, n, enumerate(chunk, line_no + 1))
-            data = "".join(texts).encode("ascii")
+        yield _line_block(report, n, line_no, chunk), w
         line_no += len(chunk)
-        if texts:
-            block += _stream_candidates(report, n, ks, texts, data)
-        if len(block) >= _STREAM_BLOCK:
+
+
+def _verify_stream(n, ks, lines) -> VerificationReport:
+    """A block of lines at a time (_stream_blocks): the cheap stages run
+    in the lane kernels on the valid lines of a block, built from their
+    bytes, and the candidate lines they leave are settled a block at a
+    time in line order."""
+    report = VerificationReport(hypothesis_hits={k: 0 for k in ks})
+    w = graph6_width(n)
+    block = bytearray()
+    for data, stride in _stream_blocks(report, n, lines):
+        if data:
+            block += _stream_candidates(report, n, ks, data, stride)
+        if len(block) >= _STREAM_BLOCK * w:
             _settle_block(report, n, ks, block)
-            block = []
+            block = bytearray()
     if block:
         _settle_block(report, n, ks, block)
     return report
 
 
-def _stream_candidates(report, n, ks, texts, data):
-    """The cheap stages on a block of valid lines, given with their joined
-    bytes, whose graphs and lemma 1 violations go to report: the candidate
-    lines in line order."""
-    report.total_graphs += len(texts)
+def _line_graph(n, data, stride, i):
+    """The graph of row i of a block of order-n lines, rows of stride
+    bytes."""
+    start = i * stride
+    return from_edge_mask(*decode_graph6(data[start:start + graph6_width(n)].decode("ascii")))
+
+
+def _stream_candidates(report, n, ks, data, stride):
+    """The cheap stages on a block of valid lines, rows of stride bytes,
+    whose graphs and lemma 1 violations go to report: the candidate lines
+    in line order, joined without their line ends."""
+    w = graph6_width(n)
+    rows = len(data) // stride
+    report.total_graphs += rows
     cand = _cheap_stages(
-        report, n, ks, _lane_adjacency(n, pair_lanes(n, data)), (1 << len(texts)) - 1,
-        lambda i: from_edge_mask(*decode_graph6(texts[i])),
+        report, n, ks, _lane_adjacency(n, pair_lanes(n, data, stride)), (1 << rows) - 1,
+        lambda i: _line_graph(n, data, stride, i),
     )
-    return [texts[i] for i in _lane_indices(cand)]
+    return b"".join([data[i * stride:i * stride + w] for i in _lane_indices(cand)])
 
 
 def _settle_block(report, n, ks, block) -> None:
     """The exact stages on a block of stream candidates, given by their
-    lines in line order, one lane each."""
-    adj = _lane_adjacency(n, pair_lanes(n, "".join(block).encode("ascii")))
+    lines joined in line order, one lane each."""
+    w = graph6_width(n)
+    adj = _lane_adjacency(n, pair_lanes(n, block, w))
     _exact_stages(
-        report, n, ks, adj, (1 << len(block)) - 1,
-        lambda i: from_edge_mask(*decode_graph6(block[i])),
+        report, n, ks, adj, (1 << len(block) // w) - 1,
+        lambda i: _line_graph(n, block, w, i),
     )
 
 

@@ -24,7 +24,7 @@ from hamcert.theorem import (
     parse_certificate,
     validate_certificate,
 )
-from tests.conftest import graphs_st, random_graph
+from tests.conftest import count_calls, graphs_st, random_graph
 
 
 def test_extremal_emits_graph6():
@@ -187,6 +187,53 @@ class TestVerify:
         out = run(["verify", "--n", "5", "--stream", "-"])
         assert out.exit_code == 0
         assert "hamiltonian 1" in out.payload
+
+    def test_stream_stdin_pipe_reads_as_the_file(self, monkeypatch):
+        # a pipe takes the chunked reader of a file: graph8.g6 on a byte
+        # standard input prints what the file run prints, no chunk takes
+        # the line path, and standard input stays open
+        graph8 = Path(__file__).parent / "data" / "graph8.g6"
+        stdin = io.TextIOWrapper(io.BytesIO(graph8.read_bytes()), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        blocks = count_calls(monkeypatch, harness, ["_grid_block", "_line_block"])
+        piped = run(["verify", "--n", "8", "--stream", "-"])
+        assert blocks == {"_grid_block": 4, "_line_block": 0}
+        assert not stdin.buffer.closed
+        filed = run(["verify", "--n", "8", "--stream", str(graph8)])
+        assert piped.payload.encode() == filed.payload.encode()
+        assert piped.exit_code == filed.exit_code == 0
+        assert "hypothesis hits 843 " in piped.payload
+
+    @pytest.mark.parametrize("variant", ["crlf", "header-every-line", "bad-lines"])
+    def test_stream_file_variants(self, tmp_path, variant):
+        # CRLF line ends and a header on every line read as the plain
+        # file; bad lines are reported with their line numbers, and the
+        # other lines read as the plain file without them
+        graph8 = Path(__file__).parent / "data" / "graph8.g6"
+        lines = graph8.read_bytes().split()
+        path = tmp_path / "variant.g6"
+        if variant == "crlf":
+            path.write_bytes(b"".join(line + b"\r\n" for line in lines))
+        elif variant == "header-every-line":
+            path.write_bytes(b"".join(b">>graph6<<" + line + b"\n" for line in lines))
+        else:
+            edited = list(lines)
+            edited[4096:4096] = [b"G?\x0c???", b"Dhc"]
+            edited[11:11] = [b"", lines[0][:-1]]
+            path.write_bytes(b"\n".join(edited))
+        out = run(["verify", "--n", "8", "--stream", str(path)])
+        plain = run(["verify", "--n", "8", "--stream", str(graph8)])
+        if variant == "bad-lines":
+            report, _, errors = out.payload.partition("\ninput errors 3\n")
+            assert errors.splitlines() == [
+                "  line 13: truncated graph6 payload: need 5 bytes, got 4",
+                "  line 4099: byte 12 outside graph6 range 63..126",
+                "  line 4100: expected order 8, got 5",
+            ]
+            assert report == plain.payload
+        else:
+            assert out.payload == plain.payload
+        assert out.exit_code == plain.exit_code == 0
 
     def test_missing_stream_file(self):
         out = run(["verify", "--n", "5", "--stream", "/no/such/file.g6"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hamcert.graph6 import (
     Graph6Error,
     decode_graph6,
+    graph6_width,
     pair_lanes,
     parse_graph6,
     to_graph6,
@@ -124,17 +125,40 @@ def test_every_nonzero_padding_bit_rejected():
 
 
 def test_valid_block_rejects_each_kind_of_bad_line():
-    # orders 3 and 4 share the width 2, and order 5 has two padding bits
+    # orders 3 and 4 share the width 2, and order 5 has two padding bits;
+    # a block is checked joined at stride w and, as a text stream holds
+    # it, at stride w + 1 with a newline after each line
     good = [to_graph6(from_edge_mask(4, mask)) for mask in range(64)]
-    data = valid_block(4, good)
-    assert data == "".join(good).encode("ascii")
-    assert pair_lanes(4, data) == [
-        sum(1 << mask for mask in range(64) if mask >> t & 1) for t in range(6)
-    ]
-    for bad in ("B~", "C", "C~~", "C\u00e9", "C!", ">>graph6<<C~"):
-        assert valid_block(4, good + [bad]) is None, bad
-    assert valid_block(5, ["Dhc"]) == b"Dhc"
-    assert valid_block(5, ["Dhc", "Dhd"]) is None
+    for stride, end in ((2, ""), (3, "\n")):
+        def block(texts):
+            return "".join(text + end for text in texts).encode("utf-8")
+
+        data = block(good)
+        assert valid_block(4, data, stride)
+        assert pair_lanes(4, data, stride) == [
+            sum(1 << mask for mask in range(64) if mask >> t & 1) for t in range(6)
+        ]
+        for bad in ("B~", "C", "C~~", "C\u00e9", "C!", ">>graph6<<C~"):
+            assert not valid_block(4, block(good + [bad]), stride), bad
+        assert valid_block(5, block(["Dhc"]), stride + 1)
+        assert not valid_block(5, block(["Dhc", "Dhd"]), stride + 1)
+        assert valid_block(4, b"", stride)
+    # at stride w + 1 every line must end in a newline, even where the
+    # newline count, the order column and the padding column pass: the
+    # lines "D" and "??Dhc" fill two rows "D\n??" and "Dhc\n"
+    for bad in (b"C~\rC~\n", b"C~ C~\n", b"C~\nC~ ", b"C~\n\nC"):
+        assert not valid_block(4, bad, 3), bad
+    assert not valid_block(5, b"D\n??Dhc\n", 4)
+
+
+def plain_line(n, text):
+    """Whether text alone, as it stands, is a valid order-n graph6 line
+    without header."""
+    try:
+        order, _ = decode_graph6(text)
+    except Graph6Error:
+        return False
+    return order == n and text == text.strip() and not text.startswith(">>")
 
 
 @settings(max_examples=400, deadline=None)
@@ -144,23 +168,24 @@ def test_valid_block_rejects_each_kind_of_bad_line():
     edits=byte_edits_st,
 )
 def test_block_decode_matches_line_decode(n, masks, edits):
-    # a block passes valid_block exactly when each line alone decodes to
-    # order n without header, and pair_lanes then holds each line's mask
+    # a block passes valid_block exactly when each of its lines alone
+    # decodes to order n without header, and pair_lanes then holds each
+    # line's mask: at stride w + 1 the lines are those of its text, split
+    # at each newline as a text stream splits them; at stride w their
+    # widths are checked apart, as the stream's line path checks them
     pairs = n * (n - 1) // 2
+    w = graph6_width(n)
     texts = [to_graph6(from_edge_mask(n, m & ((1 << pairs) - 1))) for m in masks]
-    texts = [text.strip() for text in edited(texts, edits)]
-    decoded = []
-    for text in texts:
-        try:
-            decoded.append(decode_graph6(text))
-        except Graph6Error:
-            decoded.append(None)
-    valid = all(
-        d is not None and d[0] == n and not text.startswith(">>") for d, text in zip(decoded, texts)
-    )
-    data = valid_block(n, texts)
-    assert (data is not None) == valid
+    grid = "".join(text.strip() + "\n" for text in edited(texts, edits))
+    lines = grid.split("\n")[:-1]
+    valid = all(plain_line(n, line) for line in lines)
+    data = grid.encode("utf-8")
+    joined = "".join(lines).encode("utf-8")
+    assert valid_block(n, data, w + 1) == valid
+    assert (all(len(line) == w for line in lines) and valid_block(n, joined, w)) == valid
     if valid:
-        assert pair_lanes(n, data) == [
-            sum((mask >> t & 1) << i for i, (_, mask) in enumerate(decoded)) for t in range(pairs)
+        expected = [
+            sum((decode_graph6(line)[1] >> t & 1) << i for i, line in enumerate(lines))
+            for t in range(pairs)
         ]
+        assert pair_lanes(n, data, w + 1) == pair_lanes(n, joined, w) == expected

@@ -1,5 +1,6 @@
 """Verification harness: population tallies, sharding, streamed input."""
 
+import io
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -892,10 +893,16 @@ class TestLaneKernels:
 
 def graph6_lanes(graphs):
     """The lanes of graphs of one order, built from their graph6 lines as
-    the stream builds them."""
+    the stream builds them, joined at stride w and, as a text stream's
+    grid chunk holds them, at stride w + 1 with their newlines; the two
+    must agree."""
     n = graphs[0].n
-    data = "".join(map(to_graph6, graphs)).encode("ascii")
-    return harness._lane_adjacency(n, graph6.pair_lanes(n, data))
+    w = graph6.graph6_width(n)
+    lines = [to_graph6(g) for g in graphs]
+    joined = graph6.pair_lanes(n, "".join(lines).encode("ascii"), w)
+    grid = graph6.pair_lanes(n, "".join(line + "\n" for line in lines).encode("ascii"), w + 1)
+    assert grid == joined
+    return harness._lane_adjacency(n, joined)
 
 
 class TestLaneBuilders:
@@ -1089,7 +1096,9 @@ def padded(text):
 # The two of widths w - 1 and w + 1 join to two w-wide slots whose order
 # column and padding are valid, so only the width of each line tells them
 # apart.  A block that fails the checks is checked again with its headers
-# cut off, so only a line that holds nothing but a header is bad.
+# cut off, so only a line that holds nothing but a header is bad.  A form
+# feed and a file separator end a line for str.splitlines but not for a
+# text stream, so each makes one bad line.
 BAD_LINES = {
     "header": lambda t: [">>graph6<<" + t],
     "header-only": lambda t: [">>graph6<<"],
@@ -1101,7 +1110,17 @@ BAD_LINES = {
     "truncated": lambda t: [t[:-1]],
     "trailing-byte": lambda t: [t + "?"],
     "widths-off-by-one": lambda t: [t[:-1], "G" + t],
+    "form-feed": lambda t: [t[:3] + "\x0c" + t[4:]],
+    "file-separator": lambda t: [t[:3] + "\x1c" + t[4:]],
 }
+
+
+def text_stream(lines, ending):
+    """lines as a text file: each ended by ending, or, for None, every
+    one but the last by a newline."""
+    if ending is None:
+        return io.StringIO("\n".join(lines))
+    return io.StringIO("".join(line + ending for line in lines))
 
 
 class TestStreamFastPath:
@@ -1111,8 +1130,24 @@ class TestStreamFastPath:
     the mask pipeline."""
 
     @staticmethod
-    def run(monkeypatch, lines, block, fallback_only=False):
+    def run(
+        monkeypatch, lines, block, fallback_only=False, line_path_only=False, line_blocks=None,
+    ):
+        """verify_order(8) on a list of lines, as an iterable, or on a text
+        stream: the report, the extremal certify calls and the numbered
+        lines of each per-line decode.  fallback_only fails every block
+        check, line_path_only the grid check of a text stream's chunks;
+        line_blocks, if given, gathers the line number before each block
+        that takes the line path."""
         monkeypatch.setattr(harness, "_STREAM_BLOCK", block)
+        if line_blocks is not None:
+            line_block = harness._line_block
+
+            def listed(report, n, line_no, chunk):
+                line_blocks.append(line_no)
+                return line_block(report, n, line_no, chunk)
+
+            monkeypatch.setattr(harness, "_line_block", listed)
         decoded = []
         per_line = harness._decoded_lines
 
@@ -1122,9 +1157,12 @@ class TestStreamFastPath:
 
         monkeypatch.setattr(harness, "_decoded_lines", counted)
         if fallback_only:
-            monkeypatch.setattr(harness, "valid_block", lambda n, texts: None)
+            monkeypatch.setattr(harness, "valid_block", lambda n, data, stride: False)
+        if line_path_only:
+            monkeypatch.setattr(harness, "_grid_block", lambda n, text: None)
+        stream = iter(lines) if isinstance(lines, list) else lines
         with extremal_certificates() as calls:
-            rep = verify_order(8, (2, 7), stream=iter(lines))
+            rep = verify_order(8, (2, 7), stream=stream)
         monkeypatch.undo()
         return rep, calls, decoded
 
@@ -1186,11 +1224,83 @@ class TestStreamFastPath:
     def test_random_byte_edits_match_per_line_decode(self, picks, edits, block):
         lines = graph8_lines()
         lines = edited([lines[i] for i in picks], edits)
+        # the same lines as a text stream read in chunks, against the lines
+        # that iterating it yields: an edit that puts a newline inside a
+        # line splits it there, and no other character does
+        text = "\n".join(lines) + "\n"
         old_block = harness._STREAM_BLOCK
         harness._STREAM_BLOCK = block
         try:
             with extremal_certificates() as calls:
                 rep = verify_order(8, (2, 7), stream=iter(lines))
+            with extremal_certificates() as chunked_calls:
+                chunked = verify_order(8, (2, 7), stream=io.StringIO(text))
+            with extremal_certificates() as iterated_calls:
+                iterated = verify_order(8, (2, 7), stream=iter(list(io.StringIO(text))))
         finally:
             harness._STREAM_BLOCK = old_block
         self.assert_matches_per_line(lines, rep, calls)
+        assert chunked.errors == iterated.errors
+        assert report_fingerprint(chunked) == report_fingerprint(iterated)
+        assert chunked_calls == iterated_calls
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", None], ids=["lf", "crlf", "no-final-newline"])
+    @pytest.mark.parametrize("block", [1, 5, 4096])
+    @pytest.mark.parametrize("case", sorted(BAD_LINES))
+    def test_text_stream_matches_the_lines(self, monkeypatch, case, block, ending):
+        # the lines as a text stream, read in chunks, against the same lines
+        # as an iterable: the same errors and line numbers, totals and
+        # certify calls, with the grid path and with every chunk forced
+        # onto the line path
+        lines = fast_path_lines()
+        lines[7:8] = BAD_LINES[case](lines[7])
+        rep, calls, _ = self.run(monkeypatch, lines, block)
+        for line_path_only in (False, True):
+            streamed, streamed_calls, _ = self.run(
+                monkeypatch, text_stream(lines, ending), block, line_path_only=line_path_only,
+            )
+            assert streamed.errors == rep.errors
+            assert report_fingerprint(streamed) == report_fingerprint(rep)
+            assert streamed_calls == calls
+
+    @pytest.mark.parametrize("block", [1, 5, 4096])
+    @pytest.mark.parametrize("edit", ["bad-line-first", "header-inside"])
+    def test_grid_chunk_then_a_line_chunk(self, monkeypatch, edit, block):
+        # the first chunk, block lines, is a grid; the second holds a
+        # truncated line as its first line, or a header on a line inside,
+        # and alone takes the line path; the third is a grid again.  The
+        # truncated line is the one error, with its own line number
+        lines = graph8_lines()[:3 * block]
+        if edit == "bad-line-first":
+            lines[block] = lines[block][:-1]
+        else:
+            lines[block + block // 2] = ">>graph6<<" + lines[block + block // 2]
+        rep, calls, _ = self.run(monkeypatch, lines, block)
+        line_blocks = []
+        streamed, streamed_calls, decoded = self.run(
+            monkeypatch, text_stream(lines, "\n"), block, line_blocks=line_blocks,
+        )
+        assert line_blocks == [block]
+        assert streamed.errors == rep.errors
+        if edit == "bad-line-first":
+            assert [line_no for line_no, _ in rep.errors] == [block + 1] and len(decoded) == 1
+        else:
+            assert rep.errors == [] and decoded == []
+        assert report_fingerprint(streamed) == report_fingerprint(rep)
+        assert streamed_calls == calls
+
+    @pytest.mark.parametrize("block", [5, 4096])
+    def test_clean_file_takes_the_grid_path(self, monkeypatch, block):
+        # graph8.g6 read as a file never reaches the strip or the per-line
+        # decode, and reads as its lines do, field for field; forcing the
+        # line path on every chunk changes nothing
+        plain, plain_calls, _ = self.run(monkeypatch, graph8_lines(), 4096)
+        line_blocks = []
+        with GRAPH8.open(encoding="ascii") as handle:
+            rep, calls, decoded = self.run(monkeypatch, handle, block, line_blocks=line_blocks)
+        assert line_blocks == [] and decoded == []
+        assert replace(rep, elapsed=0.0) == replace(plain, elapsed=0.0) and calls == plain_calls
+        with GRAPH8.open(encoding="ascii") as handle:
+            forced, forced_calls, _ = self.run(monkeypatch, handle, block, line_path_only=True)
+        assert replace(forced, elapsed=0.0) == replace(plain, elapsed=0.0)
+        assert forced_calls == plain_calls and rep.total_graphs == 12346

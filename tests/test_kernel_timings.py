@@ -43,3 +43,23 @@ def test_kernel_timings_sweep_prints_its_parts(capsys):
     ]
     assert all(len(row) == 4 and float(row[2]) > 0 and int(row[3]) >= 0 for row in rows[1:])
     assert float(rows[-1][2]) >= max(float(row[2]) for row in rows[1:-1])
+
+
+def test_kernel_timings_stream_prints_its_parts(capsys):
+    # the parts of a warm verify_order(8) call on graph8.g6, each timed by
+    # wrapping harness functions, the reader a generator among them,
+    # which are restored afterwards
+    spec = importlib.util.spec_from_file_location("kernel_timings", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    names = [name for names in script.STREAM_PARTS.values() for name in names]
+    before = [getattr(harness, name) for name in names]
+    script.stream()
+    assert [getattr(harness, name) for name in names] == before
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[0][:4] == ["n", "part", "ms", "faults"]
+    assert [row[:2] for row in rows[1:]] == [
+        ["8", part] for part in ("read", "lanes", "cheap", "settle", "call")
+    ]
+    assert all(len(row) == 4 and float(row[2]) > 0 and int(row[3]) >= 0 for row in rows[1:])
+    assert float(rows[-1][2]) >= max(float(row[2]) for row in rows[1:-1])
