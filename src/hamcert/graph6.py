@@ -10,10 +10,13 @@ A block of lines of one order decodes at once, as rows of a fixed stride
 in one bytes object: w bytes for lines joined without their line ends,
 w + 1 for lines each followed by a newline, as a text stream holds
 them.  valid_block checks the whole block and pair_lanes reads each
-pair's bit of every line as one int, bit i for line i.
+pair's bit of every line as one int, bit i for line i, by an 8 x 8 bit
+transpose of each payload column with no str or digit string made.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from hamcert.graphs import Graph, from_edge_mask, triangle_pairs
 
@@ -70,10 +73,10 @@ def decode_graph6(text: str) -> tuple[int, int]:
     return n, mask
 
 
-# _DIGITS[r] maps a graph6 byte to the ASCII digit of its payload bit
-# 5 - r, the bit of pair t = 6j + r in payload byte j, and the digit 0,
-# below the graph6 range, to itself.
-_DIGITS = [bytes(48 + (max(b - _LO, 0) >> (5 - r) & 1) for b in range(256)) for r in range(6)]
+# The delta swaps of an 8 x 8 bit transpose of a little-endian 64-bit word,
+# row i in byte i: (shift, mask of the bits that trade places with the bits
+# shift above them).
+TRANSPOSE_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 _GRAPH6_BYTES = bytes(range(_LO, _HI + 1))
 
 
@@ -110,19 +113,43 @@ def valid_block(n: int, data: bytes, stride: int) -> bool:
     )
 
 
+@lru_cache(maxsize=4)
+def _transpose_constants(rows: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """For a column of rows bytes: the int of rows bytes 63, and each
+    delta swap of TRANSPOSE_SWAPS with its mask repeated once per 8-byte
+    word.  A stream asks for the same block size again and again."""
+    words = -(-rows // 8)
+    swaps = tuple(
+        (shift, int.from_bytes(swap.to_bytes(8, "little") * words, "little"))
+        for shift, swap in TRANSPOSE_SWAPS
+    )
+    return int.from_bytes(bytes([_LO]) * rows, "little"), swaps
+
+
 def pair_lanes(n: int, data: bytes, stride: int) -> list[int]:
     """Bit-sliced decode of a block of valid order-n lines, rows of stride
     bytes as valid_block takes them: the lane set of each pair in
     ``triangle_pairs`` order, whose bit i is the pair's bit in line i.
     Column 1 + j of the block is data[1 + j::stride], one byte per line,
-    and holds pairs 6j .. 6j + 5, pair t as bit 5 - t % 6.  Each column is
-    sliced and reversed once, to read line 0 last, and each of its pairs
-    is one translate of that copy to digits."""
+    and holds pairs 6j .. 6j + 5, pair t as bit 5 - t % 6.  Each column
+    is one int, byte i for line i, less 63 in every byte at once (no byte
+    is below 63, so nothing borrows); its 8-byte words are 8 x 8 bit
+    matrices with a row per line, and three swaps of their off-diagonal
+    blocks transpose every word at once (Warren, Hacker's Delight, 7-3).
+    Byte b of each word then holds bit b of its eight lines, so the lane
+    set of pair 6j + r is bytes 5 - r, 13 - r, ... of the column."""
     pairs = n * (n - 1) // 2
+    rows = len(data) // stride
+    low, swaps = _transpose_constants(rows)
+    size = -(-rows // 8) * 8
     lanes = []
     for j in range(graph6_width(n) - 1):
-        column = b"0" + data[1 + j::stride][::-1]
-        lanes += [int(column.translate(_DIGITS[r]), 2) for r in range(min(6, pairs - 6 * j))]
+        x = int.from_bytes(data[1 + j::stride], "little") - low
+        for shift, swap in swaps:
+            t = ((x >> shift) ^ x) & swap
+            x ^= t ^ (t << shift)
+        column = x.to_bytes(size, "little")
+        lanes += [int.from_bytes(column[5 - r::8], "little") for r in range(min(6, pairs - 6 * j))]
     return lanes
 
 

@@ -21,7 +21,8 @@ is a set of lanes, one bit per graph in a Python int, so that each int
 operation steps the whole batch.  Stages 1 and 2 run on every graph of a
 batch (_cheap_stages for a stream block, _parent_kernels and
 _neighbourhood_stages for the internal sweep: one first-fit step per
-vertex, _first_fit_step, the degree counters and then _bound_stages),
+vertex, _first_fit_step and for the sweep's last vertex _fit_last_vertex,
+the degree counters and then _bound_stages),
 stage 3 on its candidates (_exact_stages: _chromatic_lanes,
 _kappa_lanes, _hamiltonian_lanes, _tally).  Minimum degree and
 connectivity share one saturating bit-sliced counter (_count_lanes): of
@@ -68,14 +69,15 @@ checks (graph6.valid_block) validate a block, and on the line path again
 with a leading header cut off each line; one that still fails them is
 decoded line by line, so that each bad line is reported with its line
 number.  Lanes come straight from the block's bytes (graph6.pair_lanes):
-payload column j of every line is one strided slice, reversed once, and
-each of its six pairs is read from it to a lane set by one
-bytes.translate.  The candidates stay graph6 bytes, cut from their
-block, settled a block at a time in line order, and a Graph is built
-only for a certify replay.  The exact kernels' tables and
-vertex-set enumeration double with each order, so above
-_LANE_KERNEL_MAX_ORDER the single-graph coloring, connectivity and
-Hamiltonian-cycle solvers fill the same lane sets for the tally.
+payload column j of every line is one strided slice and one int, byte i
+for line i, whose 8-byte words an 8 x 8 bit transpose turns into bytes
+of six lane sets, the sweep's transpose (_packed_edge_lanes) on Python
+ints.  The candidates stay graph6 bytes, cut from their block, settled
+a block at a time in line order, and a Graph is built only for a
+certify replay.  The exact kernels' tables and vertex-set enumeration
+double with each order, so above _LANE_KERNEL_MAX_ORDER the single-graph
+coloring, connectivity and Hamiltonian-cycle solvers fill the same lane
+sets for the tally.
 
 Work may be split into shards by edge-mask range; partial reports merge
 associatively, so totals are identical for every shard count.
@@ -90,6 +92,7 @@ from itertools import islice
 from hamcert.graph6 import (
     GRAPH6_HEADER,
     MAX_GRAPH6_ORDER,
+    TRANSPOSE_SWAPS,
     Graph6Error,
     decode_graph6,
     graph6_width,
@@ -202,9 +205,8 @@ def _neighbourhood_stages(report, n, ks, parents, lo, hi):
         base = nb << p_bits
         start, stop = max(lo - base, 0), min(hi - base, 1 << p_bits)
         every = ((1 << stop) - 1) ^ ((1 << start) - 1)
-        row = [every if nb >> u & 1 else 0 for u in range(n - 1)]
-        more = _fit_last_vertex(n, fit, row, every)
-        more_c = _fit_last_vertex(n, fit_c, [every ^ x for x in row], every)
+        more = _fit_last_vertex(fit, nb, every)
+        more_c = _fit_last_vertex(fit_c, nb ^ ((1 << (n - 1)) - 1), every)
         degree = _degree_last_vertex(counts, ks[-1], nb, every) if ks else []
         found.append(_bound_stages(
             report, n, ks, more, more_c, degree, lambda i: from_edge_mask(n, base | i),
@@ -212,14 +214,26 @@ def _neighbourhood_stages(report, n, ks, parents, lo, hi):
     return found
 
 
-def _fit_last_vertex(n, fit, row, every):
+def _fit_last_vertex(fit, nb, every):
     """more of first fit on the order-n graphs of the lanes of every, from
     the (classes, more) of their parents: one first-fit step of vertex
-    n - 1, whose edge to u holds in the lanes row[u].  The parents' classes
-    are copied, since every nb steps them."""
+    n - 1, which is adjacent to the u in nb in every lane.  Its row is
+    constant, so color c is taken in the lanes of c's members u in nb,
+    and the parents' classes are read, not stepped."""
     classes, more = fit
     more = [x & every for x in more] + [0]
-    _first_fit_step([list(members) for members in classes], more, n - 1, row, every)
+    blocked = every
+    for c, members in enumerate(classes):
+        taken = 0
+        for u, at_u in members:
+            if nb >> u & 1:
+                taken |= at_u
+        more[c] |= blocked ^ (blocked & taken)
+        blocked &= taken
+        if not blocked:
+            break
+    else:
+        more[len(classes)] = blocked
     return more
 
 
@@ -255,16 +269,17 @@ def _packed_edge_lanes(np, masks, n):
     8 x 8 bit matrix with a row per mask, and three swaps of its
     off-diagonal blocks transpose it (Warren, Hacker's Delight, 7-3): byte
     q of word j then holds bit q of masks 8j .. 8j + 7, which is byte j of
-    the lane set of pair 8b + q.  At n = 7 that takes 21 ms for every mask;
-    a packbits of the bit array of each pair takes 45 ms, and one along
-    the masks over their unpacked bytes 150 ms."""
+    the lane set of pair 8b + q: graph6.pair_lanes' transpose, in numpy.
+    The 225,800 candidates of n = 7 take 1.6 ms, against 5.1 ms for the
+    same swaps on one Python int per byte column of the masks (2-core
+    host)."""
     nbytes = (n * (n - 1) // 2 + 7) // 8
     words = -(-masks.size // 8)
     data = np.zeros((nbytes, words * 8), np.uint8)
     mask_bytes = np.ascontiguousarray(masks, "<u4").view(np.uint8).reshape(-1, 4)
     data[:, :masks.size] = mask_bytes[:, :nbytes].T
     x = data.view("<u8")
-    for shift, swap in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0xF0F0F0F0)):
+    for shift, swap in TRANSPOSE_SWAPS:
         shift = np.uint64(shift)
         t = ((x >> shift) ^ x) & np.uint64(swap)
         x ^= t ^ (t << shift)

@@ -84,34 +84,49 @@ def build_extremal(k: int, n: int) -> Graph:
 
 
 def validate_extremal_partition(g: Graph, k: int, part: ExtremalPartition) -> list[str]:
-    """Check the partition invariants directly against g; empty = valid."""
-    problems = []
+    """Check the partition invariants directly against g; empty = valid.
+
+    A valid partition is accepted by its class sizes and rows alone: sizes
+    k, k and n - 2k >= 1 over classes that cover V partition it, and then
+    a join row is V - v, an independent row is the join part and a clique
+    row is the join and clique parts less v.  Only a partition that fails
+    is checked again, invariant by invariant, for its problems."""
     n = g.n
-    if part.a.bit_count() != k:
-        problems.append(f"join part has {part.a.bit_count()} vertices, expected {k}")
-    if part.b.bit_count() != k:
-        problems.append(f"independent part has {part.b.bit_count()} vertices, expected {k}")
-    if part.c_part.bit_count() != n - 2 * k:
+    a, b, c_part = part.a, part.b, part.c_part
+    full = g.vertex_mask
+    if (
+        a.bit_count() == k == b.bit_count()
+        and c_part.bit_count() == n - 2 * k >= 1
+        and a | b | c_part == full
+        and g.adj == tuple(
+            a if b >> v & 1 else (full if a >> v & 1 else a | c_part) ^ 1 << v for v in range(n)
+        )
+    ):
+        return []
+    problems = []
+    if a.bit_count() != k:
+        problems.append(f"join part has {a.bit_count()} vertices, expected {k}")
+    if b.bit_count() != k:
+        problems.append(f"independent part has {b.bit_count()} vertices, expected {k}")
+    if c_part.bit_count() != n - 2 * k:
         problems.append("clique part has the wrong size")
     if n - 2 * k < 1:
         problems.append("order below 2k+1")
-    if (part.a | part.b | part.c_part) != g.vertex_mask or (
-        part.a & part.b or part.a & part.c_part or part.b & part.c_part
-    ):
+    if (a | b | c_part) != full or (a & b or a & c_part or b & c_part):
         problems.append("classes do not partition the vertex set")
         return problems
-    for v in iter_bits(part.a):
+    for v in iter_bits(a):
         if g.degree(v) != n - 1:
             problems.append(f"join vertex {v} is not universal")
-    if not is_independent_set(g, part.b):
+    if not is_independent_set(g, b):
         problems.append("independent part has an internal edge")
-    for v in iter_bits(part.b):
-        if g.adj[v] != part.a:
+    for v in iter_bits(b):
+        if g.adj[v] != a:
             problems.append(f"vertex {v} has neighbors outside the join part")
-    if not is_clique(g, part.c_part):
+    if not is_clique(g, c_part):
         problems.append("clique part is not complete")
-    for v in iter_bits(part.c_part):
-        if g.adj[v] != (part.a | part.c_part) ^ (1 << v):
+    for v in iter_bits(c_part):
+        if g.adj[v] != (a | c_part) ^ (1 << v):
             problems.append(f"clique vertex {v} has neighbors outside clique+join")
     return problems
 
@@ -119,28 +134,33 @@ def validate_extremal_partition(g: Graph, k: int, part: ExtremalPartition) -> li
 def recognize_extremal(g: Graph):
     """(k, partition) when g is exactly the exceptional shape, else None.
 
-    Recognition is by degrees, not isomorphism search: the join part is
-    precisely the universal vertices, the independent part has degree k,
-    the clique part degree n-k-1.  At n = 2k+1 those two coincide and
-    any split of the other vertices into k + 1 works; the highest is
-    taken as the one-vertex clique part for determinism.  The partition
-    check then holds every one of their rows to be exactly the join part.
-    """
+    Recognition is by rows, not isomorphism search: the join part A is
+    precisely the universal vertices, the independent part the vertices
+    whose row is A, the clique part the rest.  At n = 2k+1 the one clique
+    vertex has the row A too, and any split of the other vertices into
+    k + 1 works; the highest is taken as the one-vertex clique part for
+    determinism.  The partition check then holds every row to its class."""
     n = g.n
     if n < 5:
         return None
-    a = mask_of(v for v in range(n) if g.degree(v) == n - 1)
+    full = g.vertex_mask
+    a = 0
+    for v, row in enumerate(g.adj):
+        if row == full ^ 1 << v:
+            a |= 1 << v
     k = a.bit_count()
     if k < 2 or n < 2 * k + 1:
         return None
-    rest = g.vertex_mask ^ a
+    rest = full ^ a
     if n == 2 * k + 1:
         top = 1 << (rest.bit_length() - 1)
         part = ExtremalPartition(a, rest ^ top, top)
     else:
-        b = mask_of(v for v in iter_bits(rest) if g.degree(v) == k)
-        c_part = rest ^ b
-        part = ExtremalPartition(a, b, c_part)
+        b = 0
+        for v, row in enumerate(g.adj):
+            if row == a:
+                b |= 1 << v
+        part = ExtremalPartition(a, b, rest ^ b)
     if validate_extremal_partition(g, k, part):
         return None
     return k, part

@@ -10,7 +10,9 @@ one string of every mask.  Keep it that way.  The one exception is
 oracle_path_ends, the reference for the bit-sliced path table: the same
 subset DP, filled one row at a time.  oracle_certify is the certifier's
 former full path, built from the package's own exact solvers, the
-reference for its shape-first path.
+reference for its shape-first path, and oracle_extremal_problems the
+partition check invariant by invariant, the reference for its rows-first
+acceptance.
 The oracle_mask_* functions take a whole population at once, as a uint32
 numpy array of edge masks.
 """
@@ -301,3 +303,40 @@ def oracle_certify(g: Graph, k: int) -> theorem.Certificate:
             f"chi={rep.chi} is neither Hamiltonian nor extremal"
         ),
     )
+
+
+def oracle_extremal_problems(g: Graph, k: int, part: theorem.ExtremalPartition) -> list[str]:
+    """Every problem of a claimed extremal partition, in the order and the
+    words of theorem.validate_extremal_partition, each invariant checked
+    on its own vertex by vertex or pair by pair."""
+    n = g.n
+    a, b, c = part.a, part.b, part.c_part
+    members = [[v for v in range(n) if part_mask >> v & 1] for part_mask in (a, b, c)]
+    problems = []
+    if len(members[0]) != k:
+        problems.append(f"join part has {len(members[0])} vertices, expected {k}")
+    if len(members[1]) != k:
+        problems.append(f"independent part has {len(members[1])} vertices, expected {k}")
+    if len(members[2]) != n - 2 * k:
+        problems.append("clique part has the wrong size")
+    if n - 2 * k < 1:
+        problems.append("order below 2k+1")
+    owners = [sum(v in group for group in members) for v in range(n)]
+    if owners != [1] * n or (a | b | c) >> n:
+        problems.append("classes do not partition the vertex set")
+        return problems
+    for v in members[0]:
+        if any(not g.has_edge(v, u) for u in range(n) if u != v):
+            problems.append(f"join vertex {v} is not universal")
+    if any(g.has_edge(u, v) for u, v in combinations(members[1], 2)):
+        problems.append("independent part has an internal edge")
+    for v in members[1]:
+        if [u for u in range(n) if g.has_edge(v, u)] != members[0]:
+            problems.append(f"vertex {v} has neighbors outside the join part")
+    if any(not g.has_edge(u, v) for u, v in combinations(members[2], 2)):
+        problems.append("clique part is not complete")
+    for v in members[2]:
+        others = [u for u in sorted(members[0] + members[2]) if u != v]
+        if [u for u in range(n) if g.has_edge(v, u)] != others:
+            problems.append(f"clique vertex {v} has neighbors outside clique+join")
+    return problems

@@ -1,12 +1,15 @@
 """graph6 codec: byte-exact vectors, strict error handling, round trips."""
 
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamcert import graph6
 from hamcert.graph6 import (
+    MAX_GRAPH6_ORDER,
     Graph6Error,
     decode_graph6,
     graph6_width,
@@ -189,3 +192,74 @@ def test_block_decode_matches_line_decode(n, masks, edits):
             for t in range(pairs)
         ]
         assert pair_lanes(n, data, w + 1) == pair_lanes(n, joined, w) == expected
+
+
+def random_grid(rng, n, rows):
+    """rows random valid order-n graph6 lines, each w bytes and a newline:
+    uniform payload bits, the padding bits of the last column clear."""
+    w = graph6_width(n)
+    pad = 6 * (w - 1) - n * (n - 1) // 2
+    payload = bytes(63 + (b & 63) for b in range(256))
+    last = bytes(63 + (b & 63 & -(1 << pad)) for b in range(256))
+    grid = bytearray(b"\n" * (rows * (w + 1)))
+    grid[::w + 1] = bytes([63 + n]) * rows
+    for j in range(1, w):
+        grid[j::w + 1] = rng.randbytes(rows).translate(last if j == w - 1 else payload)
+    return bytes(grid)
+
+
+def line_masks(n, grid, picks):
+    """{i: edge mask of line i} for the picked lines of a grid, by
+    decode_graph6 on each line alone."""
+    w = graph6_width(n)
+    decoded = {i: decode_graph6(grid[i * (w + 1):(i + 1) * (w + 1)].decode("ascii")) for i in picks}
+    assert all(order == n for order, _ in decoded.values())
+    return {i: mask for i, (_, mask) in decoded.items()}
+
+
+def lane_mask(lanes, i):
+    """The edge mask that bit i of each pair's lane set spells."""
+    return sum((x >> i & 1) << t for t, x in enumerate(lanes))
+
+
+@pytest.mark.parametrize("n", range(1, MAX_GRAPH6_ORDER + 1))
+def test_pair_lanes_hold_each_line_at_every_order(n):
+    # one block of 4,097 random lines read at both strides, and every
+    # prefix of 0-17 and 4,095-4,097 lines, which ends in a partial or a
+    # whole 8-line word: the lanes of a prefix are those of the block cut
+    # to its lines, and bit i of the lanes spells line i's decoded mask,
+    # for every line up to order 8 and above it for every line of the
+    # 17-line prefix and a spread of the block's
+    rng = random.Random(n)
+    w = graph6_width(n)
+    pairs = n * (n - 1) // 2
+    grid = random_grid(rng, n, 4097)
+    joined = grid.replace(b"\n", b"")
+    assert valid_block(n, grid, w + 1) and valid_block(n, joined, w)
+    lanes = pair_lanes(n, grid, w + 1)
+    assert len(lanes) == pairs and pair_lanes(n, joined, w) == lanes
+    for rows in [*range(18), 4095, 4096, 4097]:
+        cut = [x & ((1 << rows) - 1) for x in lanes]
+        assert pair_lanes(n, grid[:rows * (w + 1)], w + 1) == cut, rows
+        assert pair_lanes(n, joined[:rows * w], w) == cut, rows
+    assert all(x >> 4097 == 0 for x in lanes)
+    picks = range(4097) if n <= 8 else [*range(17), *range(17, 4080, 61), *range(4080, 4097)]
+    masks = line_masks(n, grid, picks)
+    assert {i: lane_mask(lanes, i) for i in picks} == masks
+
+
+def test_pair_lanes_need_every_swap_of_the_transpose(monkeypatch):
+    # a transpose with one of its three delta swaps left out puts some
+    # bits of an order-8 block in the wrong lanes
+    rng = random.Random(8)
+    grid = random_grid(rng, 8, 64)
+    w = graph6_width(8)
+    expected = pair_lanes(8, grid, w + 1)
+    masks = line_masks(8, grid, range(64))
+    assert [lane_mask(expected, i) for i in range(64)] == [masks[i] for i in range(64)]
+    low, swaps = graph6._transpose_constants(64)
+    assert len(swaps) == len(graph6.TRANSPOSE_SWAPS) == 3
+    for left_out in range(3):
+        kept = swaps[:left_out] + swaps[left_out + 1:]
+        monkeypatch.setattr(graph6, "_transpose_constants", lambda rows, kept=kept: (low, kept))
+        assert pair_lanes(8, grid, w + 1) != expected, left_out

@@ -297,13 +297,37 @@ class TestSweepBlocks:
                 assert expected[1] and (cand or lo)
         assert report.lemma1_violations == 0
 
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_fit_last_vertex_matches_first_fit(self, n):
+        # the step of vertex n - 1 from the parents' classes against first
+        # fit on the order-n lanes of each nb, lane p standing for mask
+        # nb << P | p, on the graphs and on their complements, over every
+        # parent lane and over a run cut at both ends
+        ks = harness._clamped_k_range(n, 2, n - 1)
+        fit, fit_c, _ = harness._parent_kernels(n, ks)
+        parent = harness._range_lanes(n - 1)
+        lanes = 1 << ((n - 1) * (n - 2) // 2)
+        cut = ((1 << (2 * lanes // 3)) - 1) ^ ((1 << (lanes // 3)) - 1)
+        others = (1 << (n - 1)) - 1
+        for every in ((1 << lanes) - 1, cut):
+            for nb in range(1 << (n - 1)):
+                row = [every if nb >> u & 1 else 0 for u in range(n - 1)]
+                adj = [r + [x] for r, x in zip(parent, row)] + [row + [0]]
+                _, more = harness._first_fit_lanes(adj, every)
+                _, more_c = harness._first_fit_lanes(harness._complement_lanes(adj, every), every)
+                assert harness._fit_last_vertex(fit, nb, every) == more, nb
+                assert harness._fit_last_vertex(fit_c, nb ^ others, every) == more_c, nb
+
     def test_order_seven_runs_the_exact_stages_once(self, monkeypatch):
         # the cheap stages see nothing wider than the 2^15 parent lanes: one
         # first-fit step per parent vertex on the graph and its complement,
-        # one per neighbourhood of vertex 6 on each, six parent counters and
-        # the bound stages of each neighbourhood; the candidates of the 64
-        # neighbourhoods meet in one pass of the exact stages
-        widths = {"_first_fit_step": [], "_count_lanes": [], "_bound_stages": []}
+        # one step of vertex 6 per neighbourhood on each, six parent
+        # counters and the bound stages of each neighbourhood; the
+        # candidates of the 64 neighbourhoods meet in one pass of the exact
+        # stages
+        widths = {
+            "_first_fit_step": [], "_fit_last_vertex": [], "_count_lanes": [], "_bound_stages": [],
+        }
         every_exact, cheap = [], {}
 
         def widest(args):
@@ -332,7 +356,8 @@ class TestSweepBlocks:
         rep = verify_order(7)
         assert rep.hypothesis_hits == {2: 26804, 3: 153801, 4: 14956, 5: 232, 6: 1}
         assert {name: len(seen) for name, seen in cheap.items()} == {
-            "_first_fit_step": 2 * 6 + 2 * 64, "_count_lanes": 6, "_bound_stages": 64,
+            "_first_fit_step": 2 * 6, "_fit_last_vertex": 2 * 64, "_count_lanes": 6,
+            "_bound_stages": 64,
         }
         assert max(max(seen) for seen in cheap.values()) == 1 << 15
         assert every_exact == [225800]

@@ -12,6 +12,7 @@ from hamcert.graphs import (
     complete_graph,
     cycle_graph,
     enumerate_labeled,
+    from_edge_mask,
     path_graph,
     petersen_graph,
     with_edges,
@@ -42,6 +43,7 @@ from tests.conftest import count_calls, relabeled
 from tests.oracles import (
     oracle_certify,
     oracle_chromatic,
+    oracle_extremal_problems,
     oracle_independence_number,
     oracle_vertex_connectivity,
 )
@@ -138,6 +140,45 @@ def test_validate_partition_flags_tampering():
     good = recognize_extremal(g)[1]
     swapped = ExtremalPartition(a=good.b, b=good.a, c_part=good.c_part)
     assert validate_extremal_partition(g, 2, swapped)
+
+
+def test_validate_partition_matches_the_invariant_oracle():
+    # the rows-first acceptance and, for a partition that fails, the
+    # problems in their words and order, against the invariant-by-invariant
+    # oracle: relabeled extremal graphs with up to two edges toggled, under
+    # their own partition or one with a vertex moved, added to a second
+    # class or left out, or the join and independent parts swapped, and
+    # under a k one off
+    g = from_edge_mask(5, 223)
+    # every row fits its class, but vertex 2 is in two classes and 4 in none
+    overlap = ExtremalPartition(a=0b00011, b=0b01100, c_part=0b00100)
+    assert oracle_extremal_problems(g, 2, overlap) == ["classes do not partition the vertex set"]
+    assert validate_extremal_partition(g, 2, overlap) == oracle_extremal_problems(g, 2, overlap)
+    rng = random.Random(20)
+    accepted = 0
+    for _ in range(3000):
+        k = rng.randint(2, 4)
+        n = rng.randint(2 * k + 1, 2 * k + 4)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = {tuple(sorted((perm[u], perm[v]))) for u, v in build_extremal(k, n).edges()}
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            edges ^= {tuple(sorted(rng.sample(range(n), 2)))}
+        g = with_edges(n, sorted(edges))
+        a, b, c = (
+            sum(1 << perm[v] for v in vs) for vs in (range(k), range(k, 2 * k), range(2 * k, n))
+        )
+        v = 1 << rng.randrange(n)
+        a, b, c = rng.choice((
+            (a, b, c), (a, b, c), (a ^ v, b | v, c), (a, b, c ^ v), (a | v, b | v, c | v),
+            (a & ~v, b & ~v, c & ~v), (b, a, c), (a, c, b),
+        ))
+        claimed = k + rng.choice((0, 0, 0, -1, 1))
+        part = ExtremalPartition(a=a, b=b, c_part=c)
+        problems = validate_extremal_partition(g, claimed, part)
+        assert problems == oracle_extremal_problems(g, claimed, part), (g.adj, claimed, part)
+        accepted += not problems
+    assert 100 < accepted < 2900
 
 
 # ---------------------------------------------------------------------------
