@@ -6,12 +6,12 @@ upper triangle of the adjacency matrix is read in column order (0,1),
 group emitted as one byte offset by 63.  The final group is zero-padded.
 An optional ``>>graph6<<`` header prefix is accepted on input.
 
-A block of lines of one order decodes at once, as rows of a fixed stride
-in one bytes object: w bytes for lines joined without their line ends,
-w + 1 for lines each followed by a newline, as a text stream holds
-them.  valid_block checks the whole block and pair_lanes reads each
-pair's bit of every line as one int, bit i for line i, by an 8 x 8 bit
-transpose of each payload column with no str or digit string made.
+A block of lines of one order decodes at once, as one bytes object of
+rows of w + 1 bytes: each line's w bytes and a newline, as a text
+stream holds them.  valid_block checks the whole block and pair_lanes
+reads each pair's bit of every line as one int, bit i for line i, by an
+8 x 8 bit transpose of each payload column with no str or digit string
+made.
 """
 
 from __future__ import annotations
@@ -94,22 +94,21 @@ _UNPADDED = [
 ]
 
 
-def valid_block(n: int, data: bytes, stride: int) -> bool:
-    """Whether data is rows of stride bytes, each a valid order-n graph6
-    line without header: stride is w for lines joined without their line
-    ends and w + 1 for lines each followed by a newline.  The rows fill
-    data, each row's w bytes are in 63..126 and its line end a newline,
-    the order column is 63 + n, and the last payload column has no
-    padding bit set.  Each check takes the whole block in one call."""
+def valid_block(n: int, data: bytes) -> bool:
+    """Whether data is rows of w + 1 bytes, each a valid order-n graph6
+    line without header and a newline.  The rows fill data, each row's w
+    bytes are in 63..126 and its last byte a newline, the order column is
+    63 + n, and the last payload column has no padding bit set.  Each
+    check takes the whole block in one call."""
     w = graph6_width(n)
-    rows, rest = divmod(len(data), stride)
-    ends = b"\n" * (rows * (stride - w))
+    rows, rest = divmod(len(data), w + 1)
+    ends = b"\n" * rows
     return (
         not rest
         and data.translate(None, _GRAPH6_BYTES) == ends
-        and (stride == w or data[w::stride] == ends)
-        and data[::stride] == bytes([_LO + n]) * rows
-        and not data[w - 1::stride].translate(None, _UNPADDED[6 * (w - 1) - n * (n - 1) // 2])
+        and data[w::w + 1] == ends
+        and data[::w + 1] == bytes([_LO + n]) * rows
+        and not data[w - 1::w + 1].translate(None, _UNPADDED[6 * (w - 1) - n * (n - 1) // 2])
     )
 
 
@@ -126,11 +125,11 @@ def _transpose_constants(rows: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return int.from_bytes(bytes([_LO]) * rows, "little"), swaps
 
 
-def pair_lanes(n: int, data: bytes, stride: int) -> list[int]:
-    """Bit-sliced decode of a block of valid order-n lines, rows of stride
+def pair_lanes(n: int, data: bytes) -> list[int]:
+    """Bit-sliced decode of a block of valid order-n lines, rows of w + 1
     bytes as valid_block takes them: the lane set of each pair in
     ``triangle_pairs`` order, whose bit i is the pair's bit in line i.
-    Column 1 + j of the block is data[1 + j::stride], one byte per line,
+    Column 1 + j of the block is data[1 + j::w + 1], one byte per line,
     and holds pairs 6j .. 6j + 5, pair t as bit 5 - t % 6.  Each column
     is one int, byte i for line i, less 63 in every byte at once (no byte
     is below 63, so nothing borrows); its 8-byte words are 8 x 8 bit
@@ -139,12 +138,13 @@ def pair_lanes(n: int, data: bytes, stride: int) -> list[int]:
     Byte b of each word then holds bit b of its eight lines, so the lane
     set of pair 6j + r is bytes 5 - r, 13 - r, ... of the column."""
     pairs = n * (n - 1) // 2
-    rows = len(data) // stride
+    w = graph6_width(n)
+    rows = len(data) // (w + 1)
     low, swaps = _transpose_constants(rows)
     size = -(-rows // 8) * 8
     lanes = []
-    for j in range(graph6_width(n) - 1):
-        x = int.from_bytes(data[1 + j::stride], "little") - low
+    for j in range(w - 1):
+        x = int.from_bytes(data[1 + j::w + 1], "little") - low
         for shift, swap in swaps:
             t = ((x >> shift) ^ x) & swap
             x ^= t ^ (t << shift)

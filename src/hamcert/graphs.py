@@ -9,6 +9,7 @@ return new values; nothing mutates a built Graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator
 
 # Hard ceiling on vertex count; everything here is meant for desk-scale
@@ -85,7 +86,7 @@ class Graph:
     def edge_mask(self) -> int:
         """Edge set as a bitmask in ``triangle_pairs`` column order."""
         out = 0
-        for t, (i, j) in enumerate(triangle_pairs(self.n)):
+        for t, (i, j) in enumerate(_pair_table(self.n)):
             if self.adj[i] >> j & 1:
                 out |= 1 << t
         return out
@@ -130,15 +131,10 @@ def from_edge_mask(n: int, mask: int) -> Graph:
     return Graph(n, tuple(rows))
 
 
-_PAIR_TABLES: dict[int, list[tuple[int, int]]] = {}
-
-
-def _pair_table(n: int) -> list[tuple[int, int]]:
-    table = _PAIR_TABLES.get(n)
-    if table is None:
-        table = triangle_pairs(n)
-        _PAIR_TABLES[n] = table
-    return table
+@cache
+def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
+    """triangle_pairs(n), built once per order."""
+    return tuple(triangle_pairs(n))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +272,5 @@ def enumerate_labeled(n: int) -> Iterator[Graph]:
         raise ValueError(
             f"labeled enumeration supported only for 0 <= n <= {MAX_ENUMERATION_ORDER}"
         )
-    pairs = _pair_table(n)
-    m = len(pairs)
-    for mask in range(1 << m):
+    for mask in range(1 << (n * (n - 1) // 2)):
         yield from_edge_mask(n, mask)

@@ -58,26 +58,28 @@ candidates at n = 7 against 174 ms for the pure-Python reference
 builder of the tests (2-core host).
 
 The streamed source works a block of lines at a time and needs no numpy,
-whose import alone costs a stream process about 12 MB resident.  A text
-stream is read a chunk of text at a time, cut after its last newline
-(_text_chunks).  A chunk whose every line is w bytes and a newline, a
-grid, is checked and decoded from its own bytes at stride w + 1
-(_grid_block), with no str made per line; any other chunk, split on
-newlines alone, and any iterable of lines take the line path
-(_line_block): strip, join and check at stride w.  A few whole-block
-checks (graph6.valid_block) validate a block, and on the line path again
-with a leading header cut off each line; one that still fails them is
-decoded line by line, so that each bad line is reported with its line
-number.  Lanes come straight from the block's bytes (graph6.pair_lanes):
-payload column j of every line is one strided slice and one int, byte i
-for line i, whose 8-byte words an 8 x 8 bit transpose turns into bytes
-of six lane sets, the sweep's transpose (_packed_edge_lanes) on Python
-ints.  The candidates stay graph6 bytes, cut from their block, settled
-a block at a time in line order, and a Graph is built only for a
-certify replay.  The exact kernels' tables and vertex-set enumeration
-double with each order, so above _LANE_KERNEL_MAX_ORDER the single-graph
-coloring, connectivity and Hamiltonian-cycle solvers fill the same lane
-sets for the tally.
+whose import alone costs a stream process about 12 MB resident.  A block
+has one form from the read to the replay: rows of w + 1 bytes, each
+line's w graph6 bytes and a newline, as a text stream holds them.  A
+text stream is read a chunk of text at a time, completed to its line
+end (_text_chunks).  A chunk whose every line is w bytes and a newline,
+a grid, is checked and decoded from its own bytes (_grid_block), with no
+str made per line; any other chunk, split on newlines alone, and any
+iterable of lines take the line path (_line_block): strip each line,
+cut a leading header off it and check the lines as one grid.  A few
+whole-block checks (graph6.valid_block) validate a block; one that fails
+them is decoded line by line, so that each bad line is reported with its
+line number, and its valid lines become rows of the same form.  Lanes
+come straight from the block's bytes (graph6.pair_lanes): payload column
+j of every line is one strided slice and one int, byte i for line i,
+whose 8-byte words an 8 x 8 bit transpose turns into bytes of six lane
+sets, the sweep's transpose (_packed_edge_lanes) on Python ints.  The
+candidates stay rows, cut whole from their block, settled a block at a
+time in line order, and a Graph is built only for a certify replay.
+The exact kernels' tables and vertex-set enumeration double with each
+order, so above _LANE_KERNEL_MAX_ORDER the single-graph coloring,
+connectivity and Hamiltonian-cycle solvers fill the same lane sets for
+the tally.
 
 Work may be split into shards by edge-mask range; partial reports merge
 associatively, so totals are identical for every shard count.
@@ -85,7 +87,6 @@ associatively, so totals are identical for every shard count.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -116,7 +117,6 @@ class VerificationReport:
     extremal: int = 0
     counterexamples: list[tuple[str, int]] = field(default_factory=list)
     lemma1_violations: int = 0
-    elapsed: float = 0.0
     errors: list[tuple[int, str]] = field(default_factory=list)
 
     def merge(self, other: "VerificationReport") -> "VerificationReport":
@@ -130,7 +130,6 @@ class VerificationReport:
             extremal=self.extremal + other.extremal,
             counterexamples=self.counterexamples + other.counterexamples,
             lemma1_violations=self.lemma1_violations + other.lemma1_violations,
-            elapsed=self.elapsed + other.elapsed,
             errors=self.errors + other.errors,
         )
 
@@ -168,12 +167,6 @@ def _clamped_k_range(n: int, k_min: int, k_max: int) -> range:
 
 # ---------------------------------------------------------------------------
 # internal vectorized engine
-
-
-def _np():
-    import numpy
-
-    return numpy
 
 
 def _parent_kernels(n, ks):
@@ -704,11 +697,12 @@ _STREAM_BLOCK = 4096
 
 
 def _decoded_lines(report, n, numbered):
-    """The valid order-n lines among (line number, line) pairs, stripped
-    and without header, decoded one at a time; blank lines are skipped,
-    and every other line goes to report's errors."""
+    """The valid order-n lines among (line number, line) pairs, decoded one
+    at a time, as rows for pair_lanes: each line stripped and without
+    header, and a newline.  Blank lines are skipped, and every other line
+    goes to report's errors."""
     w = graph6_width(n)
-    texts = []
+    rows = []
     for line_no, raw in numbered:
         text = raw.strip()
         if not text:
@@ -721,25 +715,16 @@ def _decoded_lines(report, n, numbered):
         if order != n:
             report.errors.append((line_no, f"expected order {n}, got {order}"))
             continue
-        texts.append(text[-w:])  # a valid line ends in its w bytes, after any header
-    return texts
+        rows.append(text[-w:] + "\n")  # a valid line ends in its w bytes, after any header
+    return rows
 
 
 def _text_chunks(stream, size):
     """The text of a stream in chunks of whole lines: each read of size
-    characters is cut after its last newline and the rest carried into
-    the next chunk; only the last chunk may lack a final newline."""
-    parts = []
+    characters, completed to its line end; only the last chunk may lack a
+    final newline."""
     while text := stream.read(size):
-        cut = text.rfind("\n") + 1
-        if not cut:
-            parts.append(text)
-            continue
-        parts.append(text[:cut])
-        yield "".join(parts)
-        parts = [text[cut:]]
-    if tail := "".join(parts):
-        yield tail
+        yield text if text.endswith("\n") else text + stream.readline()
 
 
 def _grid_block(n, text):
@@ -748,76 +733,61 @@ def _grid_block(n, text):
     if not text.isascii():
         return None
     data = text.encode("ascii")
-    return data if valid_block(n, data, graph6_width(n) + 1) else None
-
-
-def _joined_block(n, texts):
-    """The joined bytes of stripped lines if every one is a valid order-n
-    graph6 line without header, else None."""
-    w = graph6_width(n)
-    joined = "".join(texts)
-    if set(map(len, texts)) <= {w} and joined.isascii():
-        data = joined.encode("ascii")
-        if valid_block(n, data, w):
-            return data
-    return None
+    return data if valid_block(n, data) else None
 
 
 def _line_block(report, n, line_no, chunk):
-    """The valid lines of a chunk of lines numbered from line_no + 1,
-    stripped and joined: the block is checked as a whole, again with a
-    leading header cut off each line, as decode_graph6 drops it, and one
-    that still fails is decoded line by line, for its errors and their
-    line numbers."""
-    texts = [text for raw in chunk if (text := raw.strip())]
-    data = _joined_block(n, texts) if texts else b""
-    if data is None:
-        # a header fails the checks; cutting it off the lines of every
-        # block would cost the graph8.g6 stream about 2 %
-        data = _joined_block(n, [text.removeprefix(GRAPH6_HEADER) for text in texts])
-    if data is None:
+    """The valid lines of a chunk of lines numbered from line_no + 1, as
+    rows for pair_lanes: the lines are stripped, a leading header is cut
+    off each, as decode_graph6 drops it, and the non-blank ones are
+    checked as one grid.  A block that fails, or whose lines held a
+    newline, is decoded line by line, for its errors and their line
+    numbers."""
+    texts = [text.removeprefix(GRAPH6_HEADER) for raw in chunk if (text := raw.strip())]
+    data = _grid_block(n, "\n".join(texts) + "\n") if texts else b""
+    if data is None or len(data) != len(texts) * (graph6_width(n) + 1):
         data = "".join(_decoded_lines(report, n, enumerate(chunk, line_no + 1))).encode("ascii")
     return data
 
 
 def _stream_blocks(report, n, lines):
-    """The valid lines of a stream a block at a time, as (bytes, stride)
-    for pair_lanes; the errors of the other lines go to report with their
-    line numbers.  A text stream is read in chunks: a grid chunk is read
-    from its own bytes at stride w + 1, and any other, split on newlines
-    alone as iterating the stream splits it, takes the path of an iterable
-    of lines, _line_block at stride w."""
-    w = graph6_width(n)
+    """The valid lines of a stream a block at a time, as rows for
+    pair_lanes; the errors of the other lines go to report with their
+    line numbers.  A text stream is read in chunks: a grid chunk is its
+    own rows, and any other, split on newlines alone as iterating the
+    stream splits it, takes the path of an iterable of lines,
+    _line_block."""
     line_no = 0
     if hasattr(lines, "read"):
+        w = graph6_width(n)
         for text in _text_chunks(lines, _STREAM_BLOCK * (w + 1)):
             data = _grid_block(n, text)
             if data is not None:
                 line_no += len(data) // (w + 1)
-                yield data, w + 1
+                yield data
                 continue
             chunk = text.removesuffix("\n").split("\n")
-            yield _line_block(report, n, line_no, chunk), w
+            yield _line_block(report, n, line_no, chunk)
             line_no += len(chunk)
         return
     lines = iter(lines)
     while chunk := list(islice(lines, _STREAM_BLOCK)):
-        yield _line_block(report, n, line_no, chunk), w
+        yield _line_block(report, n, line_no, chunk)
         line_no += len(chunk)
 
 
 def _verify_stream(n, ks, lines) -> VerificationReport:
     """A block of lines at a time (_stream_blocks): the cheap stages run
     in the lane kernels on the valid lines of a block, built from their
-    bytes, and the candidate lines they leave are settled a block at a
+    bytes, and the candidate rows they leave are settled a block at a
     time in line order."""
     report = VerificationReport(hypothesis_hits={k: 0 for k in ks})
-    w = graph6_width(n)
+    size = graph6_width(n) + 1
     block = bytearray()
-    for data, stride in _stream_blocks(report, n, lines):
+    for data in _stream_blocks(report, n, lines):
         if data:
-            block += _stream_candidates(report, n, ks, data, stride)
-        if len(block) >= _STREAM_BLOCK * w:
+            block += _stream_candidates(report, n, ks, data)
+        if len(block) >= _STREAM_BLOCK * size:
             _settle_block(report, n, ks, block)
             block = bytearray()
     if block:
@@ -825,35 +795,33 @@ def _verify_stream(n, ks, lines) -> VerificationReport:
     return report
 
 
-def _line_graph(n, data, stride, i):
-    """The graph of row i of a block of order-n lines, rows of stride
-    bytes."""
-    start = i * stride
-    return from_edge_mask(*decode_graph6(data[start:start + graph6_width(n)].decode("ascii")))
+def _line_graph(n, data, i):
+    """The graph of row i of a block of order-n rows."""
+    size = graph6_width(n) + 1
+    return from_edge_mask(*decode_graph6(data[i * size:(i + 1) * size].decode("ascii")))
 
 
-def _stream_candidates(report, n, ks, data, stride):
-    """The cheap stages on a block of valid lines, rows of stride bytes,
-    whose graphs and lemma 1 violations go to report: the candidate lines
-    in line order, joined without their line ends."""
-    w = graph6_width(n)
-    rows = len(data) // stride
+def _stream_candidates(report, n, ks, data):
+    """The cheap stages on a block of rows of valid lines, whose graphs
+    and lemma 1 violations go to report: the candidate rows in line
+    order."""
+    size = graph6_width(n) + 1
+    rows = len(data) // size
     report.total_graphs += rows
     cand = _cheap_stages(
-        report, n, ks, _lane_adjacency(n, pair_lanes(n, data, stride)), (1 << rows) - 1,
-        lambda i: _line_graph(n, data, stride, i),
+        report, n, ks, _lane_adjacency(n, pair_lanes(n, data)), (1 << rows) - 1,
+        lambda i: _line_graph(n, data, i),
     )
-    return b"".join([data[i * stride:i * stride + w] for i in _lane_indices(cand)])
+    return b"".join([data[i * size:(i + 1) * size] for i in _lane_indices(cand)])
 
 
 def _settle_block(report, n, ks, block) -> None:
-    """The exact stages on a block of stream candidates, given by their
-    lines joined in line order, one lane each."""
-    w = graph6_width(n)
-    adj = _lane_adjacency(n, pair_lanes(n, block, w))
+    """The exact stages on a block of stream candidate rows, in line
+    order, one lane each."""
     _exact_stages(
-        report, n, ks, adj, (1 << len(block) // w) - 1,
-        lambda i: _line_graph(n, block, w, i),
+        report, n, ks, _lane_adjacency(n, pair_lanes(n, block)),
+        (1 << len(block) // (graph6_width(n) + 1)) - 1,
+        lambda i: _line_graph(n, block, i),
     )
 
 
@@ -877,23 +845,21 @@ def verify_order(
     if k_range is None:
         k_range = (2, n - 1)
     ks = _clamped_k_range(n, *k_range)
-    started = time.monotonic()
+    if shards < 1:
+        raise ValueError("shards must be positive")
     if stream is not None:
         if not (1 <= n <= MAX_GRAPH6_ORDER):
             raise ValueError(f"stream verification is limited to orders 1..{MAX_GRAPH6_ORDER}")
-        report = _verify_stream(n, ks, stream)
-        report.elapsed = time.monotonic() - started
-        return report
+        return _verify_stream(n, ks, stream)
     if not (1 <= n <= MAX_ENUMERATION_ORDER):
         raise ValueError(f"internal enumeration is limited to orders 1..{MAX_ENUMERATION_ORDER}")
-    if shards < 1:
-        raise ValueError("shards must be positive")
+    import numpy as np
+
     total = 1 << (n * (n - 1) // 2)
     bounds = [total * i // shards for i in range(shards + 1)]
     report = VerificationReport(hypothesis_hits={k: 0 for k in ks})
     parents = _parent_kernels(n, ks)
     p_bits = (n - 1) * (n - 2) // 2
-    np = _np()
     for lo, hi in zip(bounds, bounds[1:]):
         if lo == hi:
             continue
@@ -906,5 +872,4 @@ def verify_order(
                 lambda i: from_edge_mask(n, int(cmasks[i])),
             )
         report = report.merge(shard)
-    report.elapsed = time.monotonic() - started
     return report

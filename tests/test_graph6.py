@@ -129,29 +129,29 @@ def test_every_nonzero_padding_bit_rejected():
 
 def test_valid_block_rejects_each_kind_of_bad_line():
     # orders 3 and 4 share the width 2, and order 5 has two padding bits;
-    # a block is checked joined at stride w and, as a text stream holds
-    # it, at stride w + 1 with a newline after each line
+    # a block holds each line followed by a newline, as a text stream
+    # holds it
     good = [to_graph6(from_edge_mask(4, mask)) for mask in range(64)]
-    for stride, end in ((2, ""), (3, "\n")):
-        def block(texts):
-            return "".join(text + end for text in texts).encode("utf-8")
 
-        data = block(good)
-        assert valid_block(4, data, stride)
-        assert pair_lanes(4, data, stride) == [
-            sum(1 << mask for mask in range(64) if mask >> t & 1) for t in range(6)
-        ]
-        for bad in ("B~", "C", "C~~", "C\u00e9", "C!", ">>graph6<<C~"):
-            assert not valid_block(4, block(good + [bad]), stride), bad
-        assert valid_block(5, block(["Dhc"]), stride + 1)
-        assert not valid_block(5, block(["Dhc", "Dhd"]), stride + 1)
-        assert valid_block(4, b"", stride)
-    # at stride w + 1 every line must end in a newline, even where the
-    # newline count, the order column and the padding column pass: the
-    # lines "D" and "??Dhc" fill two rows "D\n??" and "Dhc\n"
-    for bad in (b"C~\rC~\n", b"C~ C~\n", b"C~\nC~ ", b"C~\n\nC"):
-        assert not valid_block(4, bad, 3), bad
-    assert not valid_block(5, b"D\n??Dhc\n", 4)
+    def block(texts):
+        return "".join(text + "\n" for text in texts).encode("utf-8")
+
+    data = block(good)
+    assert valid_block(4, data)
+    assert pair_lanes(4, data) == [
+        sum(1 << mask for mask in range(64) if mask >> t & 1) for t in range(6)
+    ]
+    for bad in ("B~", "C", "C~~", "C\u00e9", "C!", ">>graph6<<C~"):
+        assert not valid_block(4, block(good + [bad])), bad
+    assert valid_block(5, block(["Dhc"]))
+    assert not valid_block(5, block(["Dhc", "Dhd"]))
+    assert valid_block(4, b"")
+    # every line must end in a newline, even where the newline count, the
+    # order column and the padding column pass: the lines "D" and "??Dhc"
+    # fill two rows "D\n??" and "Dhc\n"
+    for bad in (b"C~\rC~\n", b"C~ C~\n", b"C~\nC~ ", b"C~\n\nC", b"C~C~"):
+        assert not valid_block(4, bad), bad
+    assert not valid_block(5, b"D\n??Dhc\n")
 
 
 def plain_line(n, text):
@@ -173,25 +173,21 @@ def plain_line(n, text):
 def test_block_decode_matches_line_decode(n, masks, edits):
     # a block passes valid_block exactly when each of its lines alone
     # decodes to order n without header, and pair_lanes then holds each
-    # line's mask: at stride w + 1 the lines are those of its text, split
-    # at each newline as a text stream splits them; at stride w their
-    # widths are checked apart, as the stream's line path checks them
+    # line's mask; the lines are those of its text, split at each newline
+    # as a text stream splits them
     pairs = n * (n - 1) // 2
-    w = graph6_width(n)
     texts = [to_graph6(from_edge_mask(n, m & ((1 << pairs) - 1))) for m in masks]
     grid = "".join(text.strip() + "\n" for text in edited(texts, edits))
     lines = grid.split("\n")[:-1]
     valid = all(plain_line(n, line) for line in lines)
     data = grid.encode("utf-8")
-    joined = "".join(lines).encode("utf-8")
-    assert valid_block(n, data, w + 1) == valid
-    assert (all(len(line) == w for line in lines) and valid_block(n, joined, w)) == valid
+    assert valid_block(n, data) == valid
     if valid:
         expected = [
             sum((decode_graph6(line)[1] >> t & 1) << i for i, line in enumerate(lines))
             for t in range(pairs)
         ]
-        assert pair_lanes(n, data, w + 1) == pair_lanes(n, joined, w) == expected
+        assert pair_lanes(n, data) == expected
 
 
 def random_grid(rng, n, rows):
@@ -224,24 +220,22 @@ def lane_mask(lanes, i):
 
 @pytest.mark.parametrize("n", range(1, MAX_GRAPH6_ORDER + 1))
 def test_pair_lanes_hold_each_line_at_every_order(n):
-    # one block of 4,097 random lines read at both strides, and every
-    # prefix of 0-17 and 4,095-4,097 lines, which ends in a partial or a
-    # whole 8-line word: the lanes of a prefix are those of the block cut
-    # to its lines, and bit i of the lanes spells line i's decoded mask,
-    # for every line up to order 8 and above it for every line of the
-    # 17-line prefix and a spread of the block's
+    # one block of 4,097 random lines, and every prefix of 0-17 and
+    # 4,095-4,097 lines, which ends in a partial or a whole 8-line word:
+    # the lanes of a prefix are those of the block cut to its lines, and
+    # bit i of the lanes spells line i's decoded mask, for every line up
+    # to order 8 and above it for every line of the 17-line prefix and a
+    # spread of the block's
     rng = random.Random(n)
     w = graph6_width(n)
     pairs = n * (n - 1) // 2
     grid = random_grid(rng, n, 4097)
-    joined = grid.replace(b"\n", b"")
-    assert valid_block(n, grid, w + 1) and valid_block(n, joined, w)
-    lanes = pair_lanes(n, grid, w + 1)
-    assert len(lanes) == pairs and pair_lanes(n, joined, w) == lanes
+    assert valid_block(n, grid)
+    lanes = pair_lanes(n, grid)
+    assert len(lanes) == pairs
     for rows in [*range(18), 4095, 4096, 4097]:
         cut = [x & ((1 << rows) - 1) for x in lanes]
-        assert pair_lanes(n, grid[:rows * (w + 1)], w + 1) == cut, rows
-        assert pair_lanes(n, joined[:rows * w], w) == cut, rows
+        assert pair_lanes(n, grid[:rows * (w + 1)]) == cut, rows
     assert all(x >> 4097 == 0 for x in lanes)
     picks = range(4097) if n <= 8 else [*range(17), *range(17, 4080, 61), *range(4080, 4097)]
     masks = line_masks(n, grid, picks)
@@ -253,8 +247,7 @@ def test_pair_lanes_need_every_swap_of_the_transpose(monkeypatch):
     # bits of an order-8 block in the wrong lanes
     rng = random.Random(8)
     grid = random_grid(rng, 8, 64)
-    w = graph6_width(8)
-    expected = pair_lanes(8, grid, w + 1)
+    expected = pair_lanes(8, grid)
     masks = line_masks(8, grid, range(64))
     assert [lane_mask(expected, i) for i in range(64)] == [masks[i] for i in range(64)]
     low, swaps = graph6._transpose_constants(64)
@@ -262,4 +255,4 @@ def test_pair_lanes_need_every_swap_of_the_transpose(monkeypatch):
     for left_out in range(3):
         kept = swaps[:left_out] + swaps[left_out + 1:]
         monkeypatch.setattr(graph6, "_transpose_constants", lambda rows, kept=kept: (low, kept))
-        assert pair_lanes(8, grid, w + 1) != expected, left_out
+        assert pair_lanes(8, grid) != expected, left_out
