@@ -25,12 +25,13 @@ With --sweep it prints instead the time and the minor page faults
 (ru_minflt) of a warm verify_order(n) call, n = 7 by default, split into
 the parts of the internal sweep, each timed by wrapping its functions:
 
-    parent  _parent_kernels: the cheap kernels on the order-(n - 1) parents
-    steps   _neighbourhood_stages: the step of each neighbourhood of
-            vertex n - 1
-    gather  _candidate_masks and _packed_edge_lanes: the candidates'
-            masks and lanes
-    exact   _exact_stages on the candidates
+    tables          _sweep_tables: the exact chi, kappa and Hamiltonicity
+                    tables on the order-(n - 1) parents
+    neighbourhoods  _settle_neighbourhood: the lookups, lemma 1 and the
+                    tally of each neighbourhood of vertex n - 1, its
+                    replays included
+    replays         _replay: the certify replays of the non-Hamiltonian
+                    hits
 
 and the whole call.  Each is the median of 25 calls after a warm-up one.
 
@@ -38,12 +39,12 @@ With --stream it prints the same for a warm verify_order(n, stream=...)
 call on a graph6 file, tests/data/graph8.g6 and n = 8 by default, the
 file opened as `verify --stream FILE` opens it:
 
-    read    _stream_blocks: the chunk reads, the grid checks and any
-            line-by-line path
-    lanes   pair_lanes, for the cheap stages and for _settle_block
-    cheap   _cheap_stages on every block of lines
-    settle  _settle_block: the exact stages on the candidates, their
-            lanes included
+    read            _stream_blocks: the chunk reads, the grid checks and
+                    any line-by-line path
+    lanes           pair_lanes, for the cheap stages and for _settle_block
+    cheap           _cheap_stages on every block of lines
+    settle          _settle_block: the exact stages on the candidates,
+                    their lanes included
 
 Run from the repository root:
     python3 scripts/kernel_timings.py [--caps] [n ...]
@@ -74,10 +75,9 @@ from tests.oracles import oracle_edge_lanes, oracle_kappa_lanes  # noqa: E402
 BLOCK = 4096
 DENSITY = 0.8
 SWEEP_PARTS = {
-    "parent": ("_parent_kernels",),
-    "steps": ("_neighbourhood_stages",),
-    "gather": ("_candidate_masks", "_packed_edge_lanes"),
-    "exact": ("_exact_stages",),
+    "tables": ("_sweep_tables",),
+    "neighbourhoods": ("_settle_neighbourhood",),
+    "replays": ("_replay",),
 }
 STREAM_PARTS = {
     "read": ("_stream_blocks",),
@@ -209,10 +209,11 @@ def part_times(call, table):
 
 
 def print_parts(n, rows) -> None:
-    print(f"{'n':>3} {'part':<7} {'ms':>8} {'faults':>8}   (one call, median of {PART_CALLS})")
+    width = max(map(len, rows))
+    print(f"{'n':>3} {'part':<{width}} {'ms':>8} {'faults':>8}   (one call, median of {PART_CALLS})")
     for part, row in rows.items():
         ms = 1000 * statistics.median(x for x, _ in row)
-        print(f"{n:>3} {part:<7} {ms:>8.2f} {statistics.median(f for _, f in row):>8.0f}")
+        print(f"{n:>3} {part:<{width}} {ms:>8.2f} {statistics.median(f for _, f in row):>8.0f}")
 
 
 def sweep(n=7) -> None:

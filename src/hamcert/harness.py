@@ -1,79 +1,90 @@
 """Population-scale verification over all labeled graphs of an order.
 
-Both sources run one cheap-first stage order, each stage only on the
-graphs that the cheaper ones before it leave open:
+Both sources check every graph against the coloring inequality
+chi + chi_c <= n + 1 (lemma 1) and the theorem's hypothesis, kappa >= k
+and chi >= n - k, count the Hamiltonian hits and replay every
+non-Hamiltonian hit through the certifier.  A replayed hit of the
+extremal shape is certified by its partition, validated against the
+graph, and the lemma that the partition fixes kappa = k and chi = n - k
+and rules out a Hamiltonian cycle; any other replayed hit goes through
+the exact solvers again (theorem.certify).
+
+Both sources run in lane kernels: a batch of graphs is a set of lanes,
+one bit per graph in a Python int, so that each int operation steps the
+whole batch.  They share the exact kernels' parts: the independent-set
+table and Lawler's cover levels for chi, the K-set counter for kappa,
+the Held-Karp path fill for Hamiltonicity, the tally and its replays.
+A hit the Hamiltonicity kernel accepts is counted without a witness
+cycle; the tests hold the kernels to the single-graph solvers, whose
+cycles are checked, and to first-fit, degree and cut-set references,
+and the certifier settles every other hit.
+
+The streamed source runs a cheap-first stage order on each block of
+graphs, each stage only on the graphs that the cheaper ones before it
+leave open (_cheap_stages, then _exact_stages):
 
 1. first-fit greedy bounds, in vertex order, on the graph and its
-   complement; the exact Nordhaus-Gaddum pair only where they leave the
-   coloring inequality chi + chi_c <= n + 1 open;
+   complement (_first_fit_lanes); the exact Nordhaus-Gaddum pair only
+   where they leave lemma 1 open;
 2. the candidate rule (_may_hit) on minimum degree and the graph's
    first-fit bound;
 3. exact chi of the candidates, then exact connectivity and Hamiltonicity
-   and the certify replay of every non-Hamiltonian hypothesis hit.
+   (_chromatic_lanes, _kappa_lanes, _hamiltonian_lanes) and _tally.
 
-A replayed hit of the extremal shape is certified by its partition,
-validated against the graph, and the lemma that the partition fixes
-kappa = k and chi = n - k and rules out a Hamiltonian cycle; any other
-replayed hit goes through the exact solvers again (theorem.certify).
-
-Both sources run every stage in the same lane kernels: a batch of graphs
-is a set of lanes, one bit per graph in a Python int, so that each int
-operation steps the whole batch.  Stages 1 and 2 run on every graph of a
-batch (_cheap_stages for a stream block, _parent_kernels and
-_neighbourhood_stages for the internal sweep: one first-fit step per
-vertex, _first_fit_step and for the sweep's last vertex _fit_last_vertex,
-the degree counters and then _bound_stages),
-stage 3 on its candidates (_exact_stages: _chromatic_lanes,
-_kappa_lanes, _hamiltonian_lanes, _tally).  Minimum degree and
-connectivity share one saturating bit-sliced counter (_count_lanes): of
-a vertex's neighbours for the degree, and of the outside neighbours of
-each vertex set K of at most (n - 1) / 2 vertices for kappa >= k at
-each k >= 2, since a minimum separator is the neighbourhood of the
-smallest component it leaves, and a disconnected graph has a K with at
-most one outside neighbour.  A hit the Hamiltonicity kernel accepts is
-counted without a witness cycle; the tests hold the kernels to the
-single-graph solvers, whose cycles are checked, and to first-fit, degree
-and cut-set references, and the certifier settles every other hit.
+Minimum degree and connectivity share one saturating bit-sliced counter
+(_count_lanes): of a vertex's neighbours for the degree, and of the
+outside neighbours of each vertex set K of at most (n - 1) / 2 vertices
+for kappa >= k at each k >= 2, since a minimum separator is the
+neighbourhood of the smallest component it leaves, and a disconnected
+graph has a K with at most one outside neighbour.
 
 The internal source enumerates every labeled graph on n <= 7 vertices by
-edge bitmask.  The low P = (n - 1)(n - 2) / 2 bits of a mask are its
-parent, the graph on vertices 0 .. n - 2, and the top n - 1 bits the
-neighbourhood nb of vertex n - 1, so mask nb << P | p is parent p plus
-one vertex.  The cheap kernels run once a sweep on the 2^P parent lanes
-(_parent_kernels: first fit on the parents and their complements, with
-each color class's members, and the degree counter of each parent row),
+edge bitmask.  The low Q = (n - 1)(n - 2) / 2 bits of a mask are its
+parent P, the graph on vertices 0 .. n - 2, and the top n - 1 bits the
+neighbourhood nb of vertex v = n - 1, so mask nb << Q | p is parent p
+plus v.  Every exact invariant that the sweep reads of G = P + v comes
+from tables built once a sweep on the 2^Q parent lanes (_sweep_tables),
 whose lane set of pair t is bit t of the lane index, a periodic pattern
-built by doubling (_range_lanes, from graphs.without_bit).  Then each
-nb, in ascending order, takes one more first-fit step, for vertex n - 1
-on its constant row, and one more count per edge (u, n - 1); the
-coloring inequality test and the candidate rule run on the stepped lane
-sets, lane p of nb standing for mask nb << P | p
-(_neighbourhood_stages).  At n = 7 that is
-64 neighbourhoods of 2^15 lanes, a 4 KiB int each, where the whole
-population is 2^21 lanes.  The candidates of a shard are gathered in
-mask order and enter the exact stages once, together.  Numpy stays for
-two steps: gathering the candidates' masks (_candidate_masks) and
-building their lanes (_packed_edge_lanes), about 2 ms for the 225,800
-candidates at n = 7 against 174 ms for the pure-Python reference
-builder of the tests (2-core host).
+built by doubling (_range_lanes, from graphs.without_bit).  Each table
+is indexed by a vertex set Y of P and filled by one subset-OR transform
+over its 2^(n - 1) entries (_subset_or):
 
-The streamed source works a block of lines at a time and needs no numpy,
-whose import alone costs a stream process about 12 MB resident.  A block
-has one form from the read to the replay: rows of w + 1 bytes, each
-line's w graph6 bytes and a newline, as a text stream holds them.  A
-text stream is read a chunk of text at a time, completed to its line
-end (_text_chunks).  A chunk whose every line is w bytes and a newline,
-a grid, is checked and decoded from its own bytes (_grid_block), with no
-str made per line; any other chunk, split on newlines alone, and any
-iterable of lines take the line path (_line_block): strip each line,
-cut a leading header off it and check the lines as one grid.  A few
-whole-block checks (graph6.valid_block) validate a block; one that fails
-them is decoded line by line, so that each bad line is reported with its
-line number, and its valid lines become rows of the same form.  Lanes
-come straight from the block's bytes (graph6.pair_lanes): payload column
-j of every line is one strided slice and one int, byte i for line i,
-whose 8-byte words an 8 x 8 bit transpose turns into bytes of six lane
-sets, the sweep's transpose (_packed_edge_lanes) on Python ints.  The
+- chi: G is c-colorable exactly when some c-coloring of P has a class
+  that misses nb (_chromatic_table, on Lawler's cover levels of every
+  vertex set of P).  The same table on the parents' complements gives
+  chi of G's complement, which is P's complement plus v adjacent to the
+  vertices outside nb;
+- kappa >= k: exactly when no set of at most k - 2 vertices separates P
+  and no nonempty K outside nb has at most k - 1 outside neighbours in
+  P (_kappa_table, on the K-set counter of every K);
+- Hamiltonicity: exactly when P has a Hamiltonian path with both ends in
+  nb (_hamiltonian_table, on the path fill from each start).
+
+Then each nb, in ascending order, costs a lookup per lane set, cut to
+the shard at the two end runs (_settle_neighbourhood): the exact
+Nordhaus-Gaddum pair of each lane whose exact chi and chi_c break lemma
+1, in lane order, and _tally, so the replays run in mask order.  At
+n = 7 that is 64 neighbourhoods of 2^15 lanes, a 4 KiB int each, where
+the whole population is 2^21 lanes, and the tables take about 8 ms
+(2-core host).  No candidate is gathered and no lane set is built per
+candidate, so the sweep needs no numpy.
+
+The streamed source works a block of lines at a time.  A block has one
+form from the read to the replay: rows of w + 1 bytes, each line's w
+graph6 bytes and a newline, as a text stream holds them.  A text stream
+is read a chunk of text at a time, completed to its line end
+(_text_chunks).  A chunk whose every line is w bytes and a newline, a
+grid, is checked and decoded from its own bytes (_grid_block), with no
+str made per line, and so is the first chunk once a header on line 1 is
+cut off; any other chunk, split on newlines alone, and any iterable of
+lines take the line path (_line_block): strip each line, cut a leading
+header off it and check the lines as one grid.  A few whole-block checks
+(graph6.valid_block) validate a block; one that fails them is decoded
+line by line, so that each bad line is reported with its line number,
+and its valid lines become rows of the same form.  Lanes come straight
+from the block's bytes (graph6.pair_lanes): payload column j of every
+line is one strided slice and one int, byte i for line i, whose 8-byte
+words an 8 x 8 bit transpose turns into bytes of six lane sets.  The
 candidates stay rows, cut whole from their block, settled a block at a
 time in line order, and a Graph is built only for a certify replay.
 The exact kernels' tables and vertex-set enumeration double with each
@@ -93,7 +104,6 @@ from itertools import islice
 from hamcert.graph6 import (
     GRAPH6_HEADER,
     MAX_GRAPH6_ORDER,
-    TRANSPOSE_SWAPS,
     Graph6Error,
     decode_graph6,
     graph6_width,
@@ -166,120 +176,141 @@ def _clamped_k_range(n: int, k_min: int, k_max: int) -> range:
 
 
 # ---------------------------------------------------------------------------
-# internal vectorized engine
+# internal source: exact tables on the order-(n - 1) parents
 
 
-def _parent_kernels(n, ks):
-    """The cheap kernels of the internal sweep's order-(n - 1) parents, run
-    once a sweep on their 2^P lanes, P = (n - 1)(n - 2) / 2, lane p being
-    edge mask p on vertices 0 .. n - 2: (fit, fit_c, counts), with fit
-    and fit_c the (classes, more) of _first_fit_lanes on the parents
-    and their complements, and counts the _count_lanes of each parent row
-    up to ks[-1]."""
-    every = (1 << (1 << ((n - 1) * (n - 2) // 2))) - 1
-    adj = _range_lanes(n - 1)
-    fit = _first_fit_lanes(adj, every)
-    fit_c = _first_fit_lanes(_complement_lanes(adj, every), every)
-    counts = [_count_lanes(row, ks[-1], every) for row in adj] if ks else []
-    return fit, fit_c, counts
+def _sweep_tables(n, ks):
+    """The exact invariants of every order-n graph G = P + v of the
+    internal sweep, read from tables built once on the 2^Q parent lanes of
+    the order-m parents P, m = n - 1, Q = m(m - 1) / 2: lane p is edge
+    mask p on vertices 0 .. m - 1, and v = m is adjacent to the set nb.
+    Returns (chi, chi_c, kappa, ham), each indexed by nb: chi[nb][s],
+    s = 0 .. n, the lanes with chi(G) >= s; chi_c[V - nb][s] the same of
+    the complement, which is P's complement plus v adjacent to V - nb;
+    kappa[nb][k], k in ks, the lanes with kappa(G) >= k; ham[nb] the
+    Hamiltonian G.  Lemma 1 and the tally read them with one lookup and
+    one cut per lane set (_settle_neighbourhood)."""
+    m = n - 1
+    adj = _range_lanes(m)
+    every = (1 << (1 << (m * (m - 1) // 2))) - 1
+    chi = _chromatic_table(adj, m, every)
+    chi_c = _chromatic_table(_complement_lanes(adj, every), m, every)
+    kappa = _kappa_table(adj, m, ks, every) if ks else []
+    ham = _hamiltonian_table(adj, m, every) if ks else []
+    return chi, chi_c, kappa, ham
 
 
-def _neighbourhood_stages(report, n, ks, parents, lo, hi):
-    """Stages 1 and 2 on the order-n masks lo .. hi - 1, one neighbourhood
-    nb of vertex n - 1 at a time, ascending: mask nb << P | p is parent p
-    of _parent_kernels with the edges (u, n - 1) of the u in nb, and lane
-    p of nb's lane sets stands for it.  The lanes of nb are every parent
-    lane, cut to lo .. hi - 1 at the two end runs.  Returns the candidate
-    lane set of each nb from lo >> P on."""
-    fit, fit_c, counts = parents
-    p_bits = (n - 1) * (n - 2) // 2
-    found = []
-    for nb in range(lo >> p_bits, ((hi - 1) >> p_bits) + 1):
-        base = nb << p_bits
-        start, stop = max(lo - base, 0), min(hi - base, 1 << p_bits)
-        every = ((1 << stop) - 1) ^ ((1 << start) - 1)
-        more = _fit_last_vertex(fit, nb, every)
-        more_c = _fit_last_vertex(fit_c, nb ^ ((1 << (n - 1)) - 1), every)
-        degree = _degree_last_vertex(counts, ks[-1], nb, every) if ks else []
-        found.append(_bound_stages(
-            report, n, ks, more, more_c, degree, lambda i: from_edge_mask(n, base | i),
-        ))
-    return found
+def _chromatic_table(adj, m, every):
+    """at_least[Y][s], s = 0 .. m + 1: the lanes in which P + v, v
+    adjacent to the vertex set Y of P, has chi >= s, for the order-m
+    graphs P of the lanes of every.
 
-
-def _fit_last_vertex(fit, nb, every):
-    """more of first fit on the order-n graphs of the lanes of every, from
-    the (classes, more) of their parents: one first-fit step of vertex
-    n - 1, which is adjacent to the u in nb in every lane.  Its row is
-    constant, so color c is taken in the lanes of c's members u in nb,
-    and the parents' classes are read, not stepped."""
-    classes, more = fit
-    more = [x & every for x in more] + [0]
-    blocked = every
-    for c, members in enumerate(classes):
-        taken = 0
-        for u, at_u in members:
-            if nb >> u & 1:
-                taken |= at_u
-        more[c] |= blocked ^ (blocked & taken)
-        blocked &= taken
-        if not blocked:
-            break
-    else:
-        more[len(classes)] = blocked
-    return more
-
-
-def _degree_last_vertex(counts, cap, nb, every):
-    """_degree_lanes of the order-n graphs of the lanes of every, from the
-    counters of their parents' rows: vertex n - 1 has degree |nb|, and
-    its edge to a u in nb is one more count of u in every lane, which
-    moves u's count[d - 1] up to count[d]."""
-    at_least = [every if d <= nb.bit_count() else 0 for d in range(cap + 1)]
-    for u, count in enumerate(counts):
-        up = nb >> u & 1
-        for d in range(up, cap + 1):
-            at_least[d] &= count[d - up]
+    P + v is c-colorable exactly when some c-coloring of P has a class I
+    that misses Y: v joins I, and conversely v's class less v is such an
+    I.  That is: I is an independent set outside Y, and c - 1 independent
+    sets cover V - I.  So the c-colorable lanes of Y are E_c[V - Y], E_c
+    the subset-OR transform (_subset_or) of indep[I] & cover_{c-1}[V - I]
+    over the 2^m sets I.  cover_t is level t of Lawler's cover recursion
+    (_cover_levels) over every vertex set of P, cover_0 the empty set
+    alone; chi >= s is the complement of E_{s-1}."""
+    full = (1 << m) - 1
+    indep = _independent_lanes(adj, every)
+    levels = _cover_levels(
+        indep, [(i, x, full ^ (i | ((i & -i) - 1))) for i, x in enumerate(indep) if i and x], every,
+    )
+    at_least = [[every, every] for _ in range(full + 1)]
+    cover = [every] + [0] * full
+    for c in range(1, m + 1):
+        colorable = _subset_or([indep[i] & cover[full ^ i] for i in range(full + 1)])
+        for y, row in enumerate(at_least):
+            row.append(every ^ colorable[full ^ y])
+        if c < m:
+            cover = next(levels)
     return at_least
 
 
-def _candidate_masks(np, found, lo, p_bits):
-    """The masks of the candidate lanes of each neighbourhood from
-    lo >> p_bits on, ascending, as a uint32 array: one unpack of their
-    lane sets, whose rows of 2^p_bits lanes follow each other as the masks
-    do.  Seen as bool, np.flatnonzero reads the rows in a quarter of the
-    time np.nonzero takes on the uint8 (0.5 against 2.0 ms for 2^19
-    lanes)."""
-    width = 1 << p_bits
-    data = np.frombuffer(b"".join(x.to_bytes((width + 7) // 8, "little") for x in found), np.uint8)
-    rows = np.unpackbits(data.reshape(len(found), -1), axis=1, count=width, bitorder="little")
-    return (np.flatnonzero(rows.view(bool)) + (lo >> p_bits << p_bits)).astype(np.uint32)
+def _kappa_table(adj, m, ks, every):
+    """at_least[Y][k], k in ks: the lanes in which P + v, v adjacent to
+    the vertex set Y of P, has kappa >= k, for the order-m graphs P of the
+    lanes of every, m + 1 > k >= 2.
+
+    A set T of at most k - 1 vertices separates P + v exactly when
+    (a) v is in T and T - v, at most k - 2 vertices, separates P; or
+    (b) v is not in T, so some component K of P + v - T misses v, and
+    then K is a nonempty set of P outside Y whose outside neighbours
+    N(K) lie in T.  Conversely such a K with |N(K)| <= k - 1 is cut off
+    from v by N(K).  A set S separates P exactly when S holds N(K) for a
+    nonempty K with K | N(K) != V: a component of P - S is such a K, and
+    N(K) separates K from the rest.  So (a) fails in the lanes where some
+    K has fewer than min(k - 1, m - |K|) outside neighbours, one lane set
+    per k, and (b) in B_k[V - Y], B_k the subset-OR transform of the
+    lanes where K has at most k - 1.  Both read the K-set counter
+    (_k_set_counts) of every nonempty K."""
+    full = (1 << m) - 1
+    joined = dict.fromkeys(ks, every)
+    cut_off = {k: [0] * (full + 1) for k in ks}
+    for members, count in _k_set_counts(adj, m, lambda size: ks[-1], every):
+        size = members.bit_count()
+        for k in ks:
+            joined[k] &= count[min(k - 1, m - size)]
+            cut_off[k][members] = every ^ count[k]
+    for k in ks:
+        _subset_or(cut_off[k])
+    return [
+        {k: joined[k] ^ (joined[k] & cut_off[k][full ^ y]) for k in ks} for y in range(full + 1)
+    ]
 
 
-def _packed_edge_lanes(np, masks, n):
-    """The lane adjacency of the graphs given by a uint32 array of edge
-    masks.  Byte b of eight masks fills a little-endian uint64 word, an
-    8 x 8 bit matrix with a row per mask, and three swaps of its
-    off-diagonal blocks transpose it (Warren, Hacker's Delight, 7-3): byte
-    q of word j then holds bit q of masks 8j .. 8j + 7, which is byte j of
-    the lane set of pair 8b + q: graph6.pair_lanes' transpose, in numpy.
-    The 225,800 candidates of n = 7 take 1.6 ms, against 5.1 ms for the
-    same swaps on one Python int per byte column of the masks (2-core
-    host)."""
-    nbytes = (n * (n - 1) // 2 + 7) // 8
-    words = -(-masks.size // 8)
-    data = np.zeros((nbytes, words * 8), np.uint8)
-    mask_bytes = np.ascontiguousarray(masks, "<u4").view(np.uint8).reshape(-1, 4)
-    data[:, :masks.size] = mask_bytes[:, :nbytes].T
-    x = data.view("<u8")
-    for shift, swap in TRANSPOSE_SWAPS:
-        shift = np.uint64(shift)
-        t = ((x >> shift) ^ x) & np.uint64(swap)
-        x ^= t ^ (t << shift)
-    lanes = np.ascontiguousarray(data.reshape(nbytes, words, 8).transpose(0, 2, 1))
-    return _lane_adjacency(
-        n, [int.from_bytes(row.tobytes(), "little") for row in lanes.reshape(8 * nbytes, words)]
-    )
+def _hamiltonian_table(adj, m, every):
+    """ham[Y]: the lanes in which P + v, v adjacent to the vertex set Y of
+    P, is Hamiltonian, for the order-m graphs P of the lanes of every,
+    m >= 2.  A Hamiltonian cycle of P + v is v between the two ends of a
+    Hamiltonian path of P, both in Y, and every such path closes to one.
+    So ham is the subset-OR transform of the lanes with a Hamiltonian path
+    from a to b, at {a, b}: the full row of the path fill (_path_ends)
+    from each start a, read at its ends b > a."""
+    ham = [0] * (1 << m)
+    for a in range(m - 1):
+        for b, lanes in _path_ends(adj, a, every).items():
+            if b > a:
+                ham[1 << a | 1 << b] = lanes
+    return _subset_or(ham)
+
+
+def _subset_or(table):
+    """table[Y] becomes the OR of table[X] over every X inside Y, in
+    place, one pass per vertex (Yates' zeta transform); returns table."""
+    bit = 1
+    while bit < len(table):
+        for y in range(len(table)):
+            if y & bit:
+                table[y] |= table[y ^ bit]
+        bit <<= 1
+    return table
+
+
+def _settle_neighbourhood(report, n, ks, tables, nb, every):
+    """Lemma 1 and the tally of the order-n masks nb << Q | p of the lanes
+    p of every, Q = (n - 1)(n - 2) / 2, from the _sweep_tables: the exact
+    Nordhaus-Gaddum pair of each lane whose exact chi and chi_c break
+    chi + chi_c <= n + 1, in lane order, and then _tally, whose replays
+    run in lane order too, so a sweep of the neighbourhoods in ascending
+    order settles its masks in mask order."""
+    chi, chi_c, kappa, ham = tables
+    full = (1 << (n - 1)) - 1
+    base = nb << ((n - 1) * (n - 2) // 2)
+    at_least = [x & every for x in chi[nb]]
+    at_least_c = [x & every for x in chi_c[full ^ nb]]
+
+    def graph(i):
+        return from_edge_mask(n, base | i)
+
+    _lemma1_replays(report, _coloring_open(n, at_least[1:], at_least_c[1:]), graph)
+    if ks:
+        _tally(
+            report, n, ks, {k: x & every for k, x in kappa[nb].items()}, at_least,
+            lambda lanes: lanes & ham[nb], graph,
+        )
 
 
 def _range_lanes(n):
@@ -297,8 +328,7 @@ def _range_lanes(n):
 # bit i stands for graph i: bit-slicing (Biham, "A fast new DES
 # implementation in software", FSE 1997) with words as wide as the batch.
 # adj[u][v] is the lane set of the graphs with the edge uv, so one int
-# operation steps every graph of the batch at once.  The kernels need no
-# numpy and serve both sources.  A complement is taken as every ^ x, and
+# operation steps every graph of the batch at once.  A complement is taken as every ^ x, and
 # y minus x as y ^ (y & x): ~x builds a negative int, and on lane sets of
 # 2^21 bits ~x takes 50-70 us against 12 us for every ^ x, and y & ~x
 # 290 us against 135 us.
@@ -385,9 +415,12 @@ def _degree_lanes(adj, cap, every):
 
 
 def _coloring_open(n, more, more_c):
-    """The lanes whose first-fit bounds on the graph and its complement
-    leave chi + chi_c <= n + 1 open: ub + ub_c >= n + 2, which is ub >= a
-    and ub_c >= n + 2 - a for a = ub."""
+    """The lanes whose bounds ub and ub_c on chi and chi_c leave
+    chi + chi_c <= n + 1 open, more[c] and more_c[c] the lanes in which
+    each bound exceeds c: first fit's in the stream, the exact ones in
+    the sweep, where an open lane breaks the inequality.  That is
+    ub + ub_c >= n + 2, which is ub >= a and ub_c >= n + 2 - a for
+    a = ub."""
     suspects = 0
     for a in range(2, n + 1):
         suspects |= more[a - 1] & more_c[n + 1 - a]
@@ -414,24 +447,21 @@ def _may_hit(n, k_max, degree, more):
 def _cheap_stages(report, n, ks, adj, every, graph):
     """Stages 1 and 2 on a batch of lanes given by their adjacency, as the
     stream runs them: first fit on the graph and its complement, the
-    degree counters and then _bound_stages.  Returns the candidate
-    lanes."""
+    exact Nordhaus-Gaddum pair of graph(i) for each lane i their bounds
+    leave open (_lemma1_replays), and the candidate rule on the degree
+    lanes and the graph's bound.  Returns the candidate lanes."""
     _, more = _first_fit_lanes(adj, every)
     _, more_c = _first_fit_lanes(_complement_lanes(adj, every), every)
-    degree = _degree_lanes(adj, ks[-1], every) if ks else []
-    return _bound_stages(report, n, ks, more, more_c, degree, graph)
+    _lemma1_replays(report, _coloring_open(n, more, more_c), graph)
+    return _may_hit(n, ks[-1], _degree_lanes(adj, ks[-1], every), more) if ks else 0
 
 
-def _bound_stages(report, n, ks, more, more_c, degree, graph):
-    """Stages 1 and 2 from the first-fit bounds more and more_c of the
-    graph and its complement and the degree lanes, for both sources: the
-    exact Nordhaus-Gaddum pair of graph(i) for each lane i the bounds
-    leave open, in lane order, whose lemma 1 violations go to report; the
-    candidate rule on the graph's bound.  Returns the candidate lanes."""
-    for i in _lane_indices(_coloring_open(n, more, more_c)):
+def _lemma1_replays(report, lanes, graph):
+    """The exact Nordhaus-Gaddum pair of graph(i) for each of the given
+    lanes, in lane order, whose lemma 1 violations go to report."""
+    for i in _lane_indices(lanes):
         if nordhaus_gaddum(graph(i))[2] < 0:
             report.lemma1_violations += 1
-    return _may_hit(n, ks[-1], degree, more) if ks else 0
 
 
 def _chromatic_lanes(adj, n, s_max, every):
@@ -439,29 +469,15 @@ def _chromatic_lanes(adj, n, s_max, every):
     n >= 1.
 
     Lawler's cover recursion (Lawler, "A note on the complexity of the
-    chromatic number problem", IPL 5(3), 1976) in lanes.  indep[S] is the
-    lanes in which the vertex set S is independent: with a and b the two
-    lowest vertices of S, those in which S - a and S - b are and ab is no
-    edge.  cover[X] at level t is the lanes in which t independent sets
-    cover X: level 1 is indep, and level t is the OR, over the sets I
-    inside X that hold X's lowest vertex, of indep[I] & cover[X - I] a
-    level below, where the empty set is covered at every level.  chi >= s
-    in the lanes where level s - 1 does not cover V.
-
-    Only the I with indep[I] != 0 are enumerated, each with the supersets
-    X = I | Y for every Y above I's lowest vertex and outside I.  V reads
-    the level below only on sets without vertex 0, and so do those sets,
-    so a level is kept for them alone and V is computed apart; the last
-    level needs V alone."""
+    chromatic number problem", IPL 5(3), 1976) in lanes, on the
+    independent-set table (_independent_lanes): chi >= s in the lanes
+    where s - 1 independent sets do not cover V.  V is covered at level t
+    by an independent I holding vertex 0 and a cover of V - I a level
+    below, which has no vertex 0, and so do the sets that cover reads, so
+    the levels are kept for sets without vertex 0 alone (_cover_levels)
+    and V is computed apart; the last level needs V alone."""
     full = (1 << n) - 1
-    apart = _complement_lanes(adj, every)
-    indep = [every] * (full + 1)
-    for x in range(3, full + 1):
-        low = x & -x
-        rest = x ^ low
-        if rest:
-            b = rest & -rest
-            indep[x] = indep[rest] & indep[x ^ b] & apart[low.bit_length() - 1][b.bit_length() - 1]
+    indep = _independent_lanes(adj, every)
     with_0, without_0 = [], []
     for i in range(1, full + 1):
         if not indep[i]:
@@ -472,16 +488,46 @@ def _chromatic_lanes(adj, n, s_max, every):
             # the vertices above i's lowest one and outside i
             without_0.append((i, indep[i], full ^ (i | ((i & -i) - 1))))
     at_least = [every, every, every ^ indep[full]]
-    cover = indep
-    for t in range(2, s_max):
+    levels = _cover_levels(indep, without_0, every)
+    for _ in range(2, s_max):
+        cover = next(levels)
         covered = 0
         for i, at_i in with_0:
             covered |= at_i & cover[full ^ i]
         at_least.append(every ^ covered)
-        if t == s_max - 1:
-            break
-        level = [every] + [0] * full
-        for i, at_i, free in without_0:
+    return at_least[:s_max + 1]
+
+
+def _independent_lanes(adj, every):
+    """indep[S] for every vertex set S: the lanes of every in which S is
+    independent.  With a and b the two lowest vertices of S, those in
+    which S - a and S - b are and ab is no edge."""
+    full = (1 << len(adj)) - 1
+    apart = _complement_lanes(adj, every)
+    indep = [every] * (full + 1)
+    for x in range(3, full + 1):
+        low = x & -x
+        rest = x ^ low
+        if rest:
+            b = rest & -rest
+            indep[x] = indep[rest] & indep[x ^ b] & apart[low.bit_length() - 1][b.bit_length() - 1]
+    return indep
+
+
+def _cover_levels(indep, sets, every):
+    """The levels t = 1, 2, ... of Lawler's cover recursion, each a table
+    whose entry X is the lanes in which t independent sets cover X: level
+    1 is indep, and level t the OR, over the independent I inside X that
+    hold X's lowest vertex, of indep[I] & cover[X - I] a level below, the
+    empty set covered at every level.  sets lists (I, indep[I], free),
+    free the vertices above I's lowest one and outside I, for the I whose
+    supersets X = I | Y, Y inside free, are kept; a level is computed
+    when it is asked for."""
+    cover = indep
+    while True:
+        yield cover
+        level = [every] + [0] * (len(indep) - 1)
+        for i, at_i, free in sets:
             y = free
             while True:
                 level[i | y] |= at_i & cover[y]
@@ -489,7 +535,6 @@ def _chromatic_lanes(adj, n, s_max, every):
                     break
                 y = (y - 1) & free
         cover = level
-    return at_least[:s_max + 1]
 
 
 def _kappa_lanes(adj, n, k_cap, every):
@@ -507,8 +552,7 @@ def _kappa_lanes(adj, n, k_cap, every):
     min(k, 3), when |C| = n / 2.  The other way, N(K) leaves the n - s -
     |N(K)| >= s vertices outside K and N(K) apart from K.  So level k
     keeps the lanes in which every such K has at least min(k, n - 2s + 1)
-    outside neighbours, counted by _count_lanes over the u outside K from
-    rows[u], the lanes in which u has a neighbour in K (_neighbour_rows)."""
+    outside neighbours (_k_set_counts)."""
     top_k = min(k_cap, n - 1)
     at_least = {k: every for k in range(2, top_k + 1)}
     if not at_least:
@@ -516,11 +560,8 @@ def _kappa_lanes(adj, n, k_cap, every):
     # capped[t] gathers the counts that saturate at t, which decide every
     # level from t on
     capped = [every] * (top_k + 1)
-    for members, rows in _neighbour_rows(adj, (n - 1) // 2):
-        top = min(top_k, n + 1 - 2 * members.bit_count())
-        count = _count_lanes(
-            [x for u, x in enumerate(rows) if not members >> u & 1], top, every
-        )
+    for _, count in _k_set_counts(adj, (n - 1) // 2, lambda s: min(top_k, n + 1 - 2 * s), every):
+        top = len(count) - 1
         for k in range(2, top):
             at_least[k] &= count[k]
         capped[top] &= count[top]
@@ -529,6 +570,16 @@ def _kappa_lanes(adj, n, k_cap, every):
         held &= capped[k]
         at_least[k] &= held
     return at_least
+
+
+def _k_set_counts(adj, size, cap, every):
+    """(K, count) for every vertex set K of 1 .. size vertices, in the
+    order of _neighbour_rows: count[d] the lanes of every in which at
+    least d vertices outside K have a neighbour in K, by _count_lanes
+    over the u outside K from rows[u], saturating at cap(|K|)."""
+    for members, rows in _neighbour_rows(adj, size):
+        outside = [x for u, x in enumerate(rows) if not members >> u & 1]
+        yield members, _count_lanes(outside, cap(members.bit_count()), every)
 
 
 def _neighbour_rows(adj, size, low=0, members=0, rows=None):
@@ -544,35 +595,45 @@ def _neighbour_rows(adj, size, low=0, members=0, rows=None):
 
 
 def _hamiltonian_lanes(adj, n, lanes):
-    """The Hamiltonian graphs among the given lanes, n >= 3: the subset DP
-    of cycles._path_ends from vertex 0, filled a row at a time with one
-    lane set per (row, end).  Row r maps each end v to the lanes in which
-    some path from 0 spans exactly 1 | (r << 1) and ends at v; a cycle
-    closes a spanning path."""
-    table = [{0: lanes}]
-    for r in range(1, 1 << (n - 1)):
+    """The Hamiltonian graphs among the given lanes, n >= 3: a cycle
+    closes a spanning path from vertex 0 (_path_ends) at one of 0's
+    neighbours."""
+    closed = 0
+    for v, at_v in _path_ends(adj, 0, lanes).items():
+        closed |= at_v & adj[v][0]
+    return closed
+
+
+def _path_ends(adj, start, lanes):
+    """{v: the lanes in which some path from start spans every vertex and
+    ends at v}, among the given lanes: the subset DP of cycles._path_ends,
+    filled a row at a time with one lane set per (row, end).  Row r maps
+    each end v to the lanes in which some path from start spans exactly
+    start and the vertices of r, bit b of r standing for the b-th vertex
+    other than start."""
+    others = [v for v in range(len(adj)) if v != start]
+    table = [{start: lanes}]
+    for r in range(1, 1 << len(others)):
         ends = {}
         rest = r
         while rest:
             vb = rest & -rest
             rest ^= vb
-            v = vb.bit_length()  # bit b of r is vertex b + 1
+            v = others[vb.bit_length() - 1]
+            row = adj[v]
             at_v = 0
             for u, at_u in table[r ^ vb].items():
-                at_v |= at_u & adj[u][v]
+                at_v |= at_u & row[u]
             if at_v:
                 ends[v] = at_v
         table.append(ends)
-    closed = 0
-    for v, at_v in table[-1].items():
-        closed |= at_v & adj[v][0]
-    return closed
+    return table[-1]
 
 
 def _lane_indices(lanes):
     """The lanes of a lane set, ascending, in one pass over its binary
     digits from the end; graphs.iter_bits costs a pass per lane, 3.8
-    against 0.3 ms for 245 lanes among 225,800 (the n = 7 replays)."""
+    against 0.3 ms for 245 lanes among 225,800."""
     bits = format(lanes, "b")
     top = len(bits) - 1
     i = bits.rfind("1")
@@ -646,21 +707,25 @@ def _tally(report, n, ks, kappa_at_least, chi_at_least, hamiltonian, graph):
     hits for k are the lanes in both; hamiltonian(lanes) returns the
     Hamiltonian lanes among the given ones, and graph(i) builds the graph
     of lane i for the certify replay of each non-Hamiltonian hit, in lane
-    order."""
+    order.  The Hamiltonian (lane, k) hits are all hits less the replayed
+    ones."""
     hits = {k: kappa_at_least[k] & chi_at_least[n - k] for k in ks}
     every_hit = 0
+    hamiltonian_hits = 0
     for k, lanes in hits.items():
-        report.hypothesis_hits[k] += lanes.bit_count()
+        count = lanes.bit_count()
+        report.hypothesis_hits[k] += count
+        hamiltonian_hits += count
         every_hit |= lanes
     if not every_hit:
         return
     ham = hamiltonian(every_hit)
-    for lanes in hits.values():
-        report.hamiltonian += (lanes & ham).bit_count()
     # rare path: replay the non-Hamiltonian hits through the certifier
-    missed = {k: set(_lane_indices(lanes ^ (lanes & ham))) for k, lanes in hits.items()}
     for i in _lane_indices(every_hit ^ (every_hit & ham)):
-        _replay(report, graph(i), [k for k in ks if i in missed[k]])
+        graph_hits = [k for k, lanes in hits.items() if lanes >> i & 1]
+        hamiltonian_hits -= len(graph_hits)
+        _replay(report, graph(i), graph_hits)
+    report.hamiltonian += hamiltonian_hits
 
 
 def _replay(report, g, graph_hits) -> None:
@@ -756,12 +821,14 @@ def _stream_blocks(report, n, lines):
     line numbers.  A text stream is read in chunks: a grid chunk is its
     own rows, and any other, split on newlines alone as iterating the
     stream splits it, takes the path of an iterable of lines,
-    _line_block."""
+    _line_block.  A header on line 1 is cut off the first chunk before
+    its grid check, as _line_block would cut it off the line."""
     line_no = 0
     if hasattr(lines, "read"):
         w = graph6_width(n)
         for text in _text_chunks(lines, _STREAM_BLOCK * (w + 1)):
-            data = _grid_block(n, text)
+            header = not line_no and text.startswith(GRAPH6_HEADER)
+            data = _grid_block(n, text[len(GRAPH6_HEADER):] if header else text)
             if data is not None:
                 line_no += len(data) // (w + 1)
                 yield data
@@ -853,23 +920,20 @@ def verify_order(
         return _verify_stream(n, ks, stream)
     if not (1 <= n <= MAX_ENUMERATION_ORDER):
         raise ValueError(f"internal enumeration is limited to orders 1..{MAX_ENUMERATION_ORDER}")
-    import numpy as np
-
     total = 1 << (n * (n - 1) // 2)
     bounds = [total * i // shards for i in range(shards + 1)]
     report = VerificationReport(hypothesis_hits={k: 0 for k in ks})
-    parents = _parent_kernels(n, ks)
+    tables = _sweep_tables(n, ks)
     p_bits = (n - 1) * (n - 2) // 2
     for lo, hi in zip(bounds, bounds[1:]):
         if lo == hi:
             continue
         shard = VerificationReport(total_graphs=hi - lo, hypothesis_hits={k: 0 for k in ks})
-        found = _neighbourhood_stages(shard, n, ks, parents, lo, hi)
-        cmasks = _candidate_masks(np, found, lo, p_bits)
-        if cmasks.size:
-            _exact_stages(
-                shard, n, ks, _packed_edge_lanes(np, cmasks, n), (1 << cmasks.size) - 1,
-                lambda i: from_edge_mask(n, int(cmasks[i])),
-            )
+        # the masks of nb are a run of 2^Q lanes, cut to the shard at its ends
+        for nb in range(lo >> p_bits, ((hi - 1) >> p_bits) + 1):
+            base = nb << p_bits
+            start, stop = max(lo - base, 0), min(hi - base, 1 << p_bits)
+            every = ((1 << stop) - 1) ^ ((1 << start) - 1)
+            _settle_neighbourhood(shard, n, ks, tables, nb, every)
         report = report.merge(shard)
     return report

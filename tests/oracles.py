@@ -123,12 +123,13 @@ def oracle_edge_lanes(n, masks):
     edge masks, a list of ints: bit i of adj[u][v] is the pair (u, v) of
     masks[i], and the diagonal is 0.  One binary string of every mask,
     last mask first, whose every p-th character from p - 1 - t on is the
-    lane set of pair t, read most significant lane first."""
+    lane set of pair t, read most significant lane first; no mask gives
+    no lane."""
     p = n * (n - 1) // 2
     text = "".join([format(mask, f"0{p}b") for mask in reversed(masks)])
     adj = [[0] * n for _ in range(n)]
     for t, (u, v) in enumerate(triangle_pairs(n)):
-        adj[u][v] = adj[v][u] = int(text[p - 1 - t::p], 2)
+        adj[u][v] = adj[v][u] = int("0" + text[p - 1 - t::p], 2)
     return adj
 
 

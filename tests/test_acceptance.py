@@ -38,7 +38,7 @@ from hamcert.cycles import (
     longest_cycle,
     segments,
 )
-from hamcert.harness import _kappa_lanes, _packed_edge_lanes, verify_order
+from hamcert.harness import _kappa_lanes, verify_order
 from hamcert.theorem import (
     build_extremal,
     recognize_extremal,
@@ -49,6 +49,7 @@ from hamcert.theorem import (
 from tests.conftest import extremal_certificates, random_graph, record_verdict
 from tests.oracles import (
     oracle_chromatic,
+    oracle_edge_lanes,
     oracle_hamiltonian_cycle,
     oracle_independence_number,
     oracle_mask_clique_alpha,
@@ -261,7 +262,7 @@ def _alpha_kappa_survivors(n):
     idx = np.nonzero(pre)[0]
     if idx.size == 0:
         return np.zeros(0, np.uint32)
-    at_least = _kappa_lanes(_packed_edge_lanes(np, masks[idx], n), n, n - 1, (1 << idx.size) - 1)
+    at_least = _kappa_lanes(oracle_edge_lanes(n, masks[idx].tolist()), n, n - 1, (1 << idx.size) - 1)
     # the graphs are connected and kappa <= n - 1, so it is 1 plus the
     # number of k in 2..n-1 it reaches
     kappa = np.ones(idx.size, np.uint8)

@@ -292,6 +292,25 @@ assert "numpy" not in sys.modules, "verify --stream imported numpy"
         )
         assert done.returncode == 0, done.stderr
 
+    def test_sweep_never_imports_numpy(self):
+        # the internal sweep reads every graph from tables on the parents'
+        # lanes, with its replays extremal and its tally as the stream's
+        script = """
+import sys
+from hamcert.cli import run
+out = run(["verify", "--n", "6"])
+assert out.exit_code == 0, out.payload
+assert "graphs 32768" in out.payload and "extremal 90" in out.payload, out.payload
+assert "counterexamples 0" in out.payload, out.payload
+assert "numpy" not in sys.modules, "verify --n 6 imported numpy"
+"""
+        root = Path(__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
 
 @pytest.mark.parametrize("argv, expected", [
     (["verify", "--n", "8", "--stream", "-"],

@@ -39,7 +39,7 @@ def test_kernel_timings_sweep_prints_its_parts(capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows[0][:4] == ["n", "part", "ms", "faults"]
     assert [row[:2] for row in rows[1:]] == [
-        ["5", part] for part in ("parent", "steps", "gather", "exact", "call")
+        ["5", part] for part in ("tables", "neighbourhoods", "replays", "call")
     ]
     assert all(len(row) == 4 and float(row[2]) > 0 and int(row[3]) >= 0 for row in rows[1:])
     assert float(rows[-1][2]) >= max(float(row[2]) for row in rows[1:-1])
