@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from hamcert.graphs import Graph, iter_bits, mask_of, without_bit
+from hamcert.graphs import Graph, is_connected, iter_bits, mask_of, without_bit
 from hamcert.invariants import PathSystem
 
 # Exact longest-cycle search is refused above this order; the state space
@@ -150,70 +150,27 @@ def _path_ends(g: Graph, s: int) -> list[int]:
     return ends
 
 
-def _articulation_free(g: Graph) -> bool:
-    """True when g is connected with no cut vertex (n >= 3)."""
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    # iterative Tarjan; (vertex, parent, neighbor iterator) frames
-    stack = [(0, -1, iter_bits(g.adj[0]))]
-    disc[0] = low[0] = 0
-    clock = 1
-    root_children = 0
-    while stack:
-        v, parent, it = stack[-1]
-        advanced = False
-        for u in it:
-            if disc[u] < 0:
-                disc[u] = low[u] = clock
-                clock += 1
-                if v == 0:
-                    root_children += 1
-                stack.append((u, v, iter_bits(g.adj[u])))
-                advanced = True
-                break
-            elif u != parent:
-                low[v] = min(low[v], disc[u])
-        if not advanced:
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if pv != 0 and low[v] >= disc[pv]:
-                    return False
-    if clock != n:
-        return False
-    return root_children <= 1
-
-
 def _hamiltonian_backtrack(g: Graph):
-    """Fallback for large orders: DFS with degree and reachability pruning."""
+    """Fallback for large orders: DFS with degree and reachability pruning.
+
+    A Hamiltonian cycle needs every degree >= 2 and no cut vertex, that
+    is g - v connected for every v.  A path from 0 to cur extends only
+    while the unvisited vertices, cur and 0 induce a connected graph.
+    """
     n = g.n
     if any(row.bit_count() < 2 for row in g.adj):
         return None
-    if not _articulation_free(g):
-        return None
     full = g.vertex_mask
+    if not all(is_connected(g, full ^ 1 << v) for v in range(n)):
+        return None
     path = [0]
     visited = 1
-
-    def reachable_ok(cur: int) -> bool:
-        allowed = (full & ~visited) | (1 << cur) | 1
-        seen = 1 << cur
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= g.adj[v] & allowed
-            frontier = nxt & ~seen
-            seen |= frontier
-        return (seen & (full & ~visited)) == (full & ~visited) and (seen & 1) == 1
 
     def extend(cur: int) -> bool:
         nonlocal visited
         if visited == full:
             return bool(g.adj[cur] & 1)
-        if not reachable_ok(cur):
+        if not is_connected(g, full & ~visited | 1 << cur | 1):
             return False
         for v in iter_bits(g.adj[cur] & ~visited):
             # unvisited vertices must keep 2 usable ends

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from hamcert.graphs import Graph, from_edge_mask, triangle_pairs
+from hamcert.graphs import Graph, from_edge_mask
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -159,19 +159,11 @@ def parse_graph6(text: str) -> Graph:
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode a graph as one graph6 line (no header, no newline)."""
+    """Encode a graph as one graph6 line (no header, no newline): the
+    order byte, then each six bits of the edge mask reversed, as
+    decode_graph6 reads them, since the reversal undoes itself."""
     if g.n > MAX_GRAPH6_ORDER:
         raise Graph6Error(f"graph6 orders above {MAX_GRAPH6_ORDER} are not supported")
-    out = [g.n + _LO]
-    chunk = 0
-    filled = 0
-    for i, j in triangle_pairs(g.n):
-        chunk = chunk << 1 | (g.adj[i] >> j & 1)
-        filled += 1
-        if filled == 6:
-            out.append(chunk + _LO)
-            chunk = 0
-            filled = 0
-    if filled:
-        out.append((chunk << (6 - filled)) + _LO)
-    return bytes(out).decode("ascii")
+    mask = g.edge_mask()
+    body = [_LO + _REVERSED6[mask >> 6 * j & 63] for j in range(graph6_width(g.n) - 1)]
+    return bytes([_LO + g.n, *body]).decode("ascii")

@@ -252,18 +252,19 @@ def min_degree(g: Graph) -> int:
     return min(row.bit_count() for row in g.adj)
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = 1
-    frontier = 1
+def is_connected(g: Graph, vertices: int | None = None) -> bool:
+    """True when the vertex set (all of g by default) induces a connected
+    subgraph: a search inside it from its lowest vertex reaches all of
+    it.  The empty set counts as connected."""
+    vs = g.vertex_mask if vertices is None else vertices
+    seen = frontier = vs & -vs
     while frontier:
         nxt = 0
         for v in iter_bits(frontier):
             nxt |= g.adj[v]
-        frontier = nxt & ~seen
+        frontier = nxt & vs & ~seen
         seen |= frontier
-    return seen == g.vertex_mask
+    return seen == vs
 
 
 def enumerate_labeled(n: int) -> Iterator[Graph]:

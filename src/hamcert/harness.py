@@ -355,38 +355,32 @@ def _complement_lanes(adj, every):
 
 def _first_fit_lanes(adj, every):
     """(classes, more) of first-fit greedy coloring in vertex order on the
-    lanes of every, one _first_fit_step per vertex.  more[c], c = 0 .. n,
-    is the lanes in which first fit uses more than c colors.  First fit
-    uses colors 0, 1, ... without gaps, so the bound ub >= t is more[t - 1]
-    and ub == a is more[a - 1] ^ more[a]; more[n] is empty.  classes[c]
-    holds (u, lanes) for the lanes in which u took color c."""
+    lanes of every.  more[c], c = 0 .. n, is the lanes in which first fit
+    uses more than c colors.  First fit uses colors 0, 1, ... without
+    gaps, so the bound ub >= t is more[t - 1] and ub == a is
+    more[a - 1] ^ more[a]; more[n] is empty.  classes[c] holds (u, lanes)
+    for the lanes in which u took color c: v takes color c in the lanes
+    where every color below c is taken by an earlier neighbour and c is
+    not, adj[v][u] being the lanes with the edge uv."""
     classes: list[list[tuple[int, int]]] = []
     more = [0] * (len(adj) + 1)
     for v, row in enumerate(adj):
-        _first_fit_step(classes, more, v, row, every)
+        blocked = every
+        for c, members in enumerate(classes):
+            taken = 0
+            for u, at_u in members:
+                taken |= at_u & row[u]
+            free = blocked ^ (blocked & taken)
+            if free:
+                members.append((v, free))
+                more[c] |= free
+            blocked &= taken
+            if not blocked:
+                break
+        if blocked:
+            more[len(classes)] = blocked
+            classes.append([(v, blocked)])
     return classes, more
-
-
-def _first_fit_step(classes, more, v, row, every):
-    """Color vertex v by first fit after the vertices of classes, in place:
-    row[u] is the lanes with the edge uv.  v takes color c in the lanes
-    where every color below c is taken by an earlier neighbour and c is
-    not."""
-    blocked = every
-    for c, members in enumerate(classes):
-        taken = 0
-        for u, at_u in members:
-            taken |= at_u & row[u]
-        free = blocked ^ (blocked & taken)
-        if free:
-            members.append((v, free))
-            more[c] |= free
-        blocked &= taken
-        if not blocked:
-            return
-    if blocked:
-        more[len(classes)] = blocked
-        classes.append([(v, blocked)])
 
 
 def _count_lanes(sets, cap, every):
@@ -420,7 +414,15 @@ def _coloring_open(n, more, more_c):
     each bound exceeds c: first fit's in the stream, the exact ones in
     the sweep, where an open lane breaks the inequality.  That is
     ub + ub_c >= n + 2, which is ub >= a and ub_c >= n + 2 - a for
-    a = ub."""
+    a = ub.
+
+    First fit in one vertex order on G and its complement never leaves
+    a lane open, by the greedy proof of the Nordhaus-Gaddum bound.  Let
+    first fit use a and b colors on the first i vertices.  The next
+    vertex raises a + b by at most 1 unless it opens a new color on both
+    sides; then it has an earlier neighbour in each of the a classes in
+    G and each of the b in the complement, so a + b <= i and the sum
+    becomes at most i + 2.  From 1 + 1 on one vertex, ub + ub_c <= n + 1."""
     suspects = 0
     for a in range(2, n + 1):
         suspects |= more[a - 1] & more_c[n + 1 - a]
@@ -449,7 +451,9 @@ def _cheap_stages(report, n, ks, adj, every, graph):
     stream runs them: first fit on the graph and its complement, the
     exact Nordhaus-Gaddum pair of graph(i) for each lane i their bounds
     leave open (_lemma1_replays), and the candidate rule on the degree
-    lanes and the graph's bound.  Returns the candidate lanes."""
+    lanes and the graph's bound.  Returns the candidate lanes.  First
+    fit leaves no graph open (_coloring_open), so only a faulty first-fit
+    kernel sends a lane to the exact pair here."""
     _, more = _first_fit_lanes(adj, every)
     _, more_c = _first_fit_lanes(_complement_lanes(adj, every), every)
     _lemma1_replays(report, _coloring_open(n, more, more_c), graph)

@@ -166,6 +166,21 @@ def test_hamiltonian_backtracking_tier():
     assert find_hamiltonian_cycle(cut) is None  # vertex 0 is a cut vertex
 
 
+def test_backtracker_agrees_with_the_path_table():
+    # the backtracker above n = 24 against the path table on every labeled
+    # graph of order 3..6 and every class of graph8.g6: both None, or the
+    # backtracker's path is a Hamiltonian cycle
+    graph8 = Path(__file__).parent / "data" / "graph8.g6"
+    small = (g for n in range(3, 7) for g in enumerate_labeled(n))
+    classes = map(parse_graph6, graph8.read_text(encoding="ascii").split())
+    for g in (*small, *classes):
+        seq = cycles._hamiltonian_backtrack(g)
+        if find_hamiltonian_cycle(g) is None:
+            assert seq is None, g.adj
+        else:
+            assert seq is not None and len(seq) == g.n and is_valid_cycle(g, seq), g.adj
+
+
 def test_petersen_not_hamiltonian():
     assert find_hamiltonian_cycle(petersen_graph()) is None
 

@@ -108,6 +108,15 @@ def test_complement_of_cycle5_is_cycle():
     assert is_connected(h)
 
 
+def test_is_connected_on_vertex_sets():
+    # every vertex set of every labeled graph of order <= 5, the empty set
+    # included, against the whole-graph search on its induced subgraph
+    for n in range(6):
+        for g in enumerate_labeled(n):
+            for s in range(1 << n):
+                assert is_connected(g, s) == is_connected(induced_subgraph(g, s)[0]), (g.adj, s)
+
+
 def test_join_counts():
     g = join(complete_graph(2), edgeless_graph(3))
     assert g.n == 5

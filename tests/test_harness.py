@@ -564,7 +564,7 @@ class TestStreamAgainstMaskPipeline:
         assert streamed.extremal + len(streamed.counterexamples) == (90 if n == 6 else 2)
 
     def test_loose_bounds_send_every_graph_to_the_exact_pair(self, monkeypatch):
-        # with a first-fit step that gives each vertex a color of its own,
+        # with a first fit that gives each vertex a color of its own,
         # every bound is n, so every graph is a Nordhaus-Gaddum suspect and
         # needs its exact pair; a stand-in exact pair flags some graphs,
         # which both paths must count.  In one block of masks and in blocks
@@ -578,11 +578,11 @@ class TestStreamAgainstMaskPipeline:
             chi, chi_c, slack = exact(g)
             return chi, chi_c, -1 if g.edge_count() % 5 == 0 else slack
 
-        def loose(classes, more, v, row, every):
-            more[len(classes)] = every
-            classes.append([(v, every)])
+        def loose(adj, every):
+            n = len(adj)
+            return [[(v, every)] for v in range(n)], [every] * n + [0]
 
-        monkeypatch.setattr(harness, "_first_fit_step", loose)
+        monkeypatch.setattr(harness, "_first_fit_lanes", loose)
         monkeypatch.setattr(harness, "nordhaus_gaddum", flagged)
         order_5 = [to_graph6(g) for g in enumerate_labeled(5)]
         for block in (None, 7):
@@ -790,6 +790,18 @@ class TestLaneKernels:
         for cap in range(n + 1):
             at_least = harness._kappa_lanes(adj, n, cap, every)
             assert at_least == oracle_levels(adj, n, cap, every), cap
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_first_fit_leaves_lemma1_open_on_no_graph(self, n):
+        # first fit in one vertex order on G and its complement uses at
+        # most n + 1 colors in all, so no labeled graph is left to the exact
+        # Nordhaus-Gaddum pair, while some graph reaches n + 1
+        every = (1 << (1 << (n * (n - 1) // 2))) - 1
+        adj = harness._range_lanes(n)
+        _, more = harness._first_fit_lanes(adj, every)
+        _, more_c = harness._first_fit_lanes(harness._complement_lanes(adj, every), every)
+        assert harness._coloring_open(n, more, more_c) == 0
+        assert any(more[a - 1] & more_c[n - a] for a in range(1, n + 1))
 
     @pytest.mark.parametrize("n", [6, 8, 9, 10, 11, 12])
     def test_kappa_on_separator_shapes_and_seeded_blocks(self, n):
