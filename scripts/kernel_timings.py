@@ -25,8 +25,10 @@ With --sweep it prints instead the time and the minor page faults
 (ru_minflt) of a warm verify_order(n) call, n = 7 by default, split into
 the parts of the internal sweep, each timed by wrapping its functions:
 
-    tables          _sweep_tables: the exact chi, kappa and Hamiltonicity
-                    tables on the order-(n - 1) parents
+    chi table       _chromatic_table: the exact chi table on the
+                    order-(n - 1) parents
+    kappa table     _kappa_table: the kappa >= k table of each k
+    ham table       _hamiltonian_table: the Hamiltonicity table
     neighbourhoods  _settle_neighbourhood: the lookups, lemma 1 and the
                     tally of each neighbourhood of vertex n - 1, its
                     replays included
@@ -75,7 +77,9 @@ from tests.oracles import oracle_edge_lanes, oracle_kappa_lanes  # noqa: E402
 BLOCK = 4096
 DENSITY = 0.8
 SWEEP_PARTS = {
-    "tables": ("_sweep_tables",),
+    "chi table": ("_chromatic_table",),
+    "kappa table": ("_kappa_table",),
+    "ham table": ("_hamiltonian_table",),
     "neighbourhoods": ("_settle_neighbourhood",),
     "replays": ("_replay",),
 }

@@ -84,11 +84,12 @@ class Graph:
                 yield (v, u)
 
     def edge_mask(self) -> int:
-        """Edge set as a bitmask in ``triangle_pairs`` column order."""
+        """Edge set as a bitmask in ``triangle_pairs`` column order: column
+        j, the pairs (0, j) .. (j - 1, j), is the j bits from j(j - 1)/2,
+        the bits of ``adj[j]`` below j."""
         out = 0
-        for t, (i, j) in enumerate(_pair_table(self.n)):
-            if self.adj[i] >> j & 1:
-                out |= 1 << t
+        for j, row in enumerate(self.adj):
+            out |= (row & ((1 << j) - 1)) << j * (j - 1) // 2
         return out
 
 

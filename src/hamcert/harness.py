@@ -51,9 +51,11 @@ over its 2^(n - 1) entries (_subset_or):
 
 - chi: G is c-colorable exactly when some c-coloring of P has a class
   that misses nb (_chromatic_table, on Lawler's cover levels of every
-  vertex set of P).  The same table on the parents' complements gives
-  chi of G's complement, which is P's complement plus v adjacent to the
-  vertices outside nb;
+  vertex set of P).  Its entry nb = V is chi(P) + 1, and reversed over
+  the lanes it gives chi of the parents' complements, as the complement
+  of mask p is mask 2^Q - 1 - p.  G's complement is P's complement plus
+  v adjacent to the vertices outside nb, so that bounds chi of G's
+  complement, tightly enough that lemma 1 is left open on no lane;
 - kappa >= k: exactly when no set of at most k - 2 vertices separates P
   and no nonempty K outside nb has at most k - 1 outside neighbours in
   P (_kappa_table, on the K-set counter of every K);
@@ -61,13 +63,14 @@ over its 2^(n - 1) entries (_subset_or):
   nb (_hamiltonian_table, on the path fill from each start).
 
 Then each nb, in ascending order, costs a lookup per lane set, cut to
-the shard at the two end runs (_settle_neighbourhood): the exact
-Nordhaus-Gaddum pair of each lane whose exact chi and chi_c break lemma
-1, in lane order, and _tally, so the replays run in mask order.  At
-n = 7 that is 64 neighbourhoods of 2^15 lanes, a 4 KiB int each, where
-the whole population is 2^21 lanes, and the tables take about 8 ms
-(2-core host).  No candidate is gathered and no lane set is built per
-candidate, so the sweep needs no numpy.
+the shard at its two end runs alone (_settle_neighbourhood): the exact
+Nordhaus-Gaddum pair of each lane that exact chi and the bound on chi
+of the complement leave open, which only a faulty table leaves, in lane
+order, and _tally, so the replays run in mask order.  At n = 7 that is
+64 neighbourhoods of 2^15 lanes, a 4 KiB int each, where the whole
+population is 2^21 lanes, and the tables take about 4 ms (2-core host,
+scripts/kernel_timings.py --sweep).  No candidate is gathered and no
+lane set is built per candidate, so the sweep needs no numpy.
 
 The streamed source works a block of lines at a time.  A block has one
 form from the read to the replay: rows of w + 1 bytes, each line's w
@@ -184,20 +187,39 @@ def _sweep_tables(n, ks):
     internal sweep, read from tables built once on the 2^Q parent lanes of
     the order-m parents P, m = n - 1, Q = m(m - 1) / 2: lane p is edge
     mask p on vertices 0 .. m - 1, and v = m is adjacent to the set nb.
-    Returns (chi, chi_c, kappa, ham), each indexed by nb: chi[nb][s],
-    s = 0 .. n, the lanes with chi(G) >= s; chi_c[V - nb][s] the same of
-    the complement, which is P's complement plus v adjacent to V - nb;
-    kappa[nb][k], k in ks, the lanes with kappa(G) >= k; ham[nb] the
-    Hamiltonian G.  Lemma 1 and the tally read them with one lookup and
-    one cut per lane set (_settle_neighbourhood)."""
+    Returns (chi, chi_c, kappa, ham): chi[nb][s], s = 0 .. n, the lanes
+    with chi(G) >= s; chi_c[s], s = 0 .. n, the lanes with chi(P^c) >= s,
+    P^c the complement of P; kappa[nb][k], k in ks, the lanes with
+    kappa(G) >= k; ham[nb] the Hamiltonian G.  Lemma 1 and the tally read
+    them with one lookup per lane set (_settle_neighbourhood).
+
+    chi(P) >= s is chi[V][s + 1], since v adjacent to all of P adds
+    exactly one color, and the complement of mask p is mask 2^Q - 1 - p,
+    so chi_c is that lane set reversed (_reversed_lanes)."""
     m = n - 1
+    width = 1 << (m * (m - 1) // 2)
     adj = _range_lanes(m)
-    every = (1 << (1 << (m * (m - 1) // 2))) - 1
+    every = (1 << width) - 1
     chi = _chromatic_table(adj, m, every)
-    chi_c = _chromatic_table(_complement_lanes(adj, every), m, every)
+    chi_c = [_reversed_lanes(x, width) for x in chi[(1 << m) - 1][1:]] + [0]
     kappa = _kappa_table(adj, m, ks, every) if ks else []
     ham = _hamiltonian_table(adj, m, every) if ks else []
     return chi, chi_c, kappa, ham
+
+
+# the byte whose bit 7 - i is bit i of the index
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _reversed_lanes(lanes, width):
+    """The lane set whose lane width - 1 - i is lane i of lanes, i < width:
+    the bytes in the other order, each with its bits reversed, reverse all
+    8 * size bits, and the shift drops the padding above width, which the
+    widths 1 and 2, of the parents of orders 0 .. 2, have."""
+    size = (width + 7) // 8
+    return int.from_bytes(
+        lanes.to_bytes(size, "little").translate(_REVERSED_BYTES), "big",
+    ) >> (8 * size - width)
 
 
 def _chromatic_table(adj, m, every):
@@ -232,7 +254,8 @@ def _chromatic_table(adj, m, every):
 def _kappa_table(adj, m, ks, every):
     """at_least[Y][k], k in ks: the lanes in which P + v, v adjacent to
     the vertex set Y of P, has kappa >= k, for the order-m graphs P of the
-    lanes of every, m + 1 > k >= 2.
+    lanes of every, m + 1 > k >= 2.  kappa(P + v) <= deg v = |Y|, so the
+    entries with k > |Y| are 0 and are not computed.
 
     A set T of at most k - 1 vertices separates P + v exactly when
     (a) v is in T and T - v, at most k - 2 vertices, separates P; or
@@ -257,7 +280,8 @@ def _kappa_table(adj, m, ks, every):
     for k in ks:
         _subset_or(cut_off[k])
     return [
-        {k: joined[k] ^ (joined[k] & cut_off[k][full ^ y]) for k in ks} for y in range(full + 1)
+        {k: joined[k] ^ (joined[k] & cut_off[k][full ^ y]) if k <= y.bit_count() else 0 for k in ks}
+        for y in range(full + 1)
     ]
 
 
@@ -290,27 +314,38 @@ def _subset_or(table):
 
 
 def _settle_neighbourhood(report, n, ks, tables, nb, every):
-    """Lemma 1 and the tally of the order-n masks nb << Q | p of the lanes
-    p of every, Q = (n - 1)(n - 2) / 2, from the _sweep_tables: the exact
-    Nordhaus-Gaddum pair of each lane whose exact chi and chi_c break
-    chi + chi_c <= n + 1, in lane order, and then _tally, whose replays
-    run in lane order too, so a sweep of the neighbourhoods in ascending
-    order settles its masks in mask order."""
+    """Lemma 1 and the tally of the order-n masks nb << Q | p, Q = (n - 1)
+    (n - 2) / 2, from the _sweep_tables: with every None, of every lane p
+    of nb's run, its lane sets read as they are, or at a shard's end run
+    of the lanes p of every alone, cut to them.
+
+    Lemma 1 reads the exact chi(G) against a bound on chi of G's
+    complement, ub_c = chi(P^c) + [m - |nb| >= chi(P^c)], m = n - 1: G's
+    complement is P^c plus v adjacent to the m - |nb| vertices outside nb,
+    and v takes a color free of them when they are fewer than chi(P^c).
+    So ub_c >= t is chi_c[t - 1] where m - |nb| >= t - 1, else chi_c[t].
+    No lane is left open (_coloring_open): likewise chi(G) <= chi(P) +
+    [|nb| >= chi(P)], and chi(P) + chi(P^c) <= m + 1, so chi(G) + ub_c >=
+    n + 2 needs both indicators, |nb| >= chi(P) and m - |nb| >= chi(P^c);
+    then chi(P) + chi(P^c) <= m and the sum is at most n + 1.  Only a
+    faulty table sends a lane to the exact Nordhaus-Gaddum pair, in lane
+    order.  Then _tally, whose replays run in lane order too, so a sweep
+    of the neighbourhoods in ascending order settles its masks in mask
+    order."""
     chi, chi_c, kappa, ham = tables
-    full = (1 << (n - 1)) - 1
     base = nb << ((n - 1) * (n - 2) // 2)
-    at_least = [x & every for x in chi[nb]]
-    at_least_c = [x & every for x in chi_c[full ^ nb]]
+    outside = n - 1 - nb.bit_count()
+    # lemma 1 and the tally read every lane set ANDed with one of chi's,
+    # so an end run needs chi's alone cut
+    at_least = chi[nb] if every is None else [x & every for x in chi[nb]]
+    bound_c = [chi_c[t - (t <= outside + 1)] for t in range(1, n + 1)]
 
     def graph(i):
         return from_edge_mask(n, base | i)
 
-    _lemma1_replays(report, _coloring_open(n, at_least[1:], at_least_c[1:]), graph)
+    _lemma1_replays(report, _coloring_open(n, at_least[1:], bound_c), graph)
     if ks:
-        _tally(
-            report, n, ks, {k: x & every for k, x in kappa[nb].items()}, at_least,
-            lambda lanes: lanes & ham[nb], graph,
-        )
+        _tally(report, n, ks, kappa[nb], at_least, lambda lanes: lanes & ham[nb], graph)
 
 
 def _range_lanes(n):
@@ -411,8 +446,8 @@ def _degree_lanes(adj, cap, every):
 def _coloring_open(n, more, more_c):
     """The lanes whose bounds ub and ub_c on chi and chi_c leave
     chi + chi_c <= n + 1 open, more[c] and more_c[c] the lanes in which
-    each bound exceeds c: first fit's in the stream, the exact ones in
-    the sweep, where an open lane breaks the inequality.  That is
+    each bound exceeds c: first fit's in the stream, the exact chi and
+    a bound on chi_c in the sweep (_settle_neighbourhood).  That is
     ub + ub_c >= n + 2, which is ub >= a and ub_c >= n + 2 - a for
     a = ub.
 
@@ -937,7 +972,7 @@ def verify_order(
         for nb in range(lo >> p_bits, ((hi - 1) >> p_bits) + 1):
             base = nb << p_bits
             start, stop = max(lo - base, 0), min(hi - base, 1 << p_bits)
-            every = ((1 << stop) - 1) ^ ((1 << start) - 1)
+            every = None if stop - start == 1 << p_bits else ((1 << stop) - 1) ^ ((1 << start) - 1)
             _settle_neighbourhood(shard, n, ks, tables, nb, every)
         report = report.merge(shard)
     return report

@@ -1,5 +1,7 @@
 """Core graph type, families, and combinators."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -27,7 +29,7 @@ from hamcert.graphs import (
     with_edges,
     without_bit,
 )
-from tests.conftest import graphs_st
+from tests.conftest import graphs_st, random_graph
 
 
 def test_with_edges_basic():
@@ -70,6 +72,18 @@ def test_edge_mask_round_trip():
     assert from_edge_mask(4, g.edge_mask()) == g
     # mask bit order: (0,1) is bit 0, (1,2) is bit 2, (0,3) is bit 3
     assert g.edge_mask() == 0b01101
+
+
+def test_edge_mask_matches_one_test_per_pair():
+    # the mask built a column of adj[j] at a time against the definition,
+    # one bit per pair in triangle_pairs order, on every labeled graph of
+    # order <= 6 and on seeded G(n, 0.5) up to the graph6 limit
+    rng = random.Random(62)
+    graphs = [g for n in range(7) for g in enumerate_labeled(n)]
+    graphs += [random_graph(n, 0.5, rng) for n in (16, 30, 62) for _ in range(20)]
+    for g in graphs:
+        pairs = enumerate(triangle_pairs(g.n))
+        assert g.edge_mask() == sum(1 << t for t, (i, j) in pairs if g.has_edge(i, j))
 
 
 def test_complete_graph():

@@ -214,39 +214,91 @@ class TestSweepBlocks:
         assert calls == whole_calls
         assert whole.extremal > 0 and whole.counterexamples
 
+    @staticmethod
+    def complement_bound(g):
+        # the sweep's bound on chi of g's complement, from g's parent P on
+        # vertices 0 .. m - 1: chi(P^c) + [m - deg(m) >= chi(P^c)]
+        m = g.n - 1
+        parent = from_edge_mask(m, g.edge_mask() & ((1 << (m * (m - 1) // 2)) - 1))
+        x = chromatic_number(complement(parent))[0] if m else 0
+        return x + (m - g.degree(m) >= x)
+
+    @staticmethod
+    def coloring_bounds(monkeypatch, n):
+        # the (more, more_c) that the sweep hands _coloring_open for each
+        # nb, in ascending order, one shard, with what it returns
+        exact_open = harness._coloring_open
+        seen = []
+
+        def recorded(n, more, more_c):
+            seen.append((more, more_c, exact_open(n, more, more_c)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(harness, "_coloring_open", recorded)
+        verify_order(n)
+        assert len(seen) == 1 << (n - 1)
+        return seen
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_neighbourhood_tables_match_the_lane_kernels(self, n):
         # the tables of every nb against the stream's kernels on the lanes
         # of _range_lanes(n) that nb's masks hold, lane p for mask
-        # nb << Q | p: chi of the graph and of its complement at every s,
-        # kappa at every k and Hamiltonicity
-        chi, chi_c, kappa, ham = harness._sweep_tables(n, range(2, n))
+        # nb << Q | p: chi at every s, kappa at every k and Hamiltonicity
+        chi, _, kappa, ham = harness._sweep_tables(n, range(2, n))
         width = 1 << ((n - 1) * (n - 2) // 2)
         every = (1 << width) - 1
-        others = (1 << (n - 1)) - 1
         whole = harness._range_lanes(n)
         for nb in range(1 << (n - 1)):
             adj = [[x >> (nb * width) & every for x in row] for row in whole]
-            complement_adj = harness._complement_lanes(adj, every)
             assert chi[nb] == harness._chromatic_lanes(adj, n, n, every), nb
-            assert chi_c[others ^ nb] == harness._chromatic_lanes(complement_adj, n, n, every), nb
             if n >= 3:
                 assert kappa[nb] == harness._kappa_lanes(adj, n, n - 1, every), nb
                 assert ham[nb] == harness._hamiltonian_lanes(adj, n, every), nb
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_reversed_parent_lanes_are_chi_of_the_complements(self, m):
+        # chi(P) >= s of the parents, reversed over the 2^Q lanes, against
+        # the chromatic kernel on the complements of the parents' lanes;
+        # widths 1 and 2 at m = 1, 2 need the reversal's shift
+        _, chi_c, _, _ = harness._sweep_tables(m + 1, range(2, m + 1))
+        every = (1 << (1 << (m * (m - 1) // 2))) - 1
+        complements = harness._complement_lanes(harness._range_lanes(m), every)
+        assert chi_c == harness._chromatic_lanes(complements, m, m, every) + [0]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_complement_bound_covers_chi_of_the_complement(self, monkeypatch, n):
+        # every labeled graph of the order, lane p of its nb: the bound's
+        # lane sets give ub_c of its scalar definition, at least chi of
+        # the complement, and the lane sets of chi its exact chi
+        seen = self.coloring_bounds(monkeypatch, n)
+        q = (n - 1) * (n - 2) // 2
+        for g in enumerate_labeled(n):
+            nb, p = g.edge_mask() >> q, g.edge_mask() & ((1 << q) - 1)
+            more, more_c, _ = seen[nb]
+            ub_c = sum(lanes >> p & 1 for lanes in more_c)
+            assert ub_c == self.complement_bound(g) >= chromatic_number(complement(g))[0]
+            assert sum(lanes >> p & 1 for lanes in more) == chromatic_number(g)[0]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_complement_bound_leaves_lemma1_open_on_no_lane(self, monkeypatch, n):
+        # exact chi and ub_c never sum above n + 1, and some lane reaches it
+        seen = self.coloring_bounds(monkeypatch, n)
+        assert all(not suspects for _, _, suspects in seen)
+        assert any(
+            more[a - 1] & more_c[n - a] for more, more_c, _ in seen for a in range(1, n + 1)
+        )
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_neighbourhood_tables_match_the_solvers(self, n):
         # every labeled graph of the order, mask nb << Q | p, read at lane
-        # p of nb's entries, against chromatic_number on it and on its
-        # complement, vertex_connectivity and find_hamiltonian_cycle
-        chi, chi_c, kappa, ham = harness._sweep_tables(n, range(2, n))
+        # p of nb's entries, against chromatic_number, vertex_connectivity
+        # and find_hamiltonian_cycle
+        chi, _, kappa, ham = harness._sweep_tables(n, range(2, n))
         q = (n - 1) * (n - 2) // 2
-        others = (1 << (n - 1)) - 1
         for g in enumerate_labeled(n):
             nb, p = g.edge_mask() >> q, g.edge_mask() & ((1 << q) - 1)
-            for at_least, h in ((chi[nb], g), (chi_c[others ^ nb], complement(g))):
-                x = chromatic_number(h)[0]
-                assert [lanes >> p & 1 for lanes in at_least] == [x >= s for s in range(n + 1)]
+            x = chromatic_number(g)[0]
+            assert [lanes >> p & 1 for lanes in chi[nb]] == [x >= s for s in range(n + 1)]
             if n >= 3:
                 x = vertex_connectivity(g)
                 assert {k: lanes >> p & 1 for k, lanes in kappa[nb].items()} == {
@@ -256,11 +308,11 @@ class TestSweepBlocks:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_lemma1_lanes_replay_in_mask_order(self, monkeypatch, n):
-        # the exact chi and chi_c of the tables leave lemma 1 open on no
-        # lane, so the open set is widened to the lanes with chi and
-        # chi_c >= 2, less those with both >= 3, to make the exact pair
-        # run: on just those masks, in mask order, in one shard and in
-        # three, whose edges cut the runs of nb, with its flags counted
+        # the exact chi and the bound ub_c leave lemma 1 open on no lane,
+        # so the open set is widened to the lanes with chi and ub_c >= 2,
+        # less those with both >= 3, to make the exact pair run: on just
+        # those masks, in mask order, in one shard and in three, whose
+        # edges cut the runs of nb, with its flags counted
         exact_open = harness._coloring_open
 
         def wide_open(n, more, more_c):
@@ -277,11 +329,10 @@ class TestSweepBlocks:
 
         monkeypatch.setattr(harness, "_coloring_open", wide_open)
         monkeypatch.setattr(harness, "nordhaus_gaddum", pair)
-        expected = []
-        for g in enumerate_labeled(n):
-            chi, chi_c = chromatic_number(g)[0], chromatic_number(complement(g))[0]
-            if min(chi, chi_c) == 2:
-                expected.append(g.edge_mask())
+        expected = [
+            g.edge_mask() for g in enumerate_labeled(n)
+            if min(chromatic_number(g)[0], self.complement_bound(g)) == 2
+        ]
         assert bool(expected) == (n >= 3)
         for shards in (1, 3):
             pairs.clear()
@@ -310,22 +361,22 @@ class TestSweepBlocks:
 
             monkeypatch.setattr(harness, name, measured)
         calls = count_calls(monkeypatch, harness, [
-            "_sweep_tables", "_settle_neighbourhood", "_cheap_stages", "_exact_stages",
-            "_chromatic_lanes", "_kappa_lanes", "_hamiltonian_lanes", "nordhaus_gaddum",
+            "_sweep_tables", "_chromatic_table", "_settle_neighbourhood", "_cheap_stages",
+            "_exact_stages", "_chromatic_lanes", "_kappa_lanes", "_hamiltonian_lanes",
+            "nordhaus_gaddum",
         ])
         rep = verify_order(7)
         assert rep.hypothesis_hits == {2: 26804, 3: 153801, 4: 14956, 5: 232, 6: 1}
         assert calls == {
-            "_sweep_tables": 1, "_settle_neighbourhood": 64, "_cheap_stages": 0,
-            "_exact_stages": 0, "_chromatic_lanes": 0, "_kappa_lanes": 0,
+            "_sweep_tables": 1, "_chromatic_table": 1, "_settle_neighbourhood": 64,
+            "_cheap_stages": 0, "_exact_stages": 0, "_chromatic_lanes": 0, "_kappa_lanes": 0,
             "_hamiltonian_lanes": 0, "nordhaus_gaddum": 0,
         }
-        # one counter per nonempty parent vertex set; the chi tables of the
-        # graph and its complement at c = 1 .. 6, the kappa tables at
-        # k = 2 .. 6 and the path pairs, each transformed once; a fill from
-        # each start but the last
+        # one counter per nonempty parent vertex set; the chi table at
+        # c = 1 .. 6, the kappa tables at k = 2 .. 6 and the path pairs,
+        # each transformed once; a fill from each start but the last
         assert {name: len(seen) for name, seen in widths.items()} == {
-            "_count_lanes": 63, "_subset_or": 2 * 6 + 5 + 1, "_path_ends": 5,
+            "_count_lanes": 63, "_subset_or": 6 + 5 + 1, "_path_ends": 5,
         }
         assert max(max(seen) for seen in widths.values()) == 1 << 15
 
