@@ -27,6 +27,9 @@ the parts of the internal sweep, each timed by wrapping its functions:
 
     chi table       _chromatic_table: the exact chi table on the
                     order-(n - 1) parents
+    complement bound
+                    _first_fit_lanes: first fit on the parents'
+                    complements, the bound on chi of the complement
     kappa table     _kappa_table: the kappa >= k table of each k
     ham table       _hamiltonian_table: the Hamiltonicity table
     neighbourhoods  _settle_neighbourhood: the lookups, lemma 1 and the
@@ -78,6 +81,7 @@ BLOCK = 4096
 DENSITY = 0.8
 SWEEP_PARTS = {
     "chi table": ("_chromatic_table",),
+    "complement bound": ("_first_fit_lanes",),
     "kappa table": ("_kappa_table",),
     "ham table": ("_hamiltonian_table",),
     "neighbourhoods": ("_settle_neighbourhood",),

@@ -10,7 +10,6 @@ from hamcert.graphs import (
     edgeless_graph,
     enumerate_labeled,
     from_edge_mask,
-    induced_subgraph,
     is_clique,
     is_connected,
     is_independent_set,
@@ -33,7 +32,6 @@ __all__ = [
     "edgeless_graph",
     "enumerate_labeled",
     "from_edge_mask",
-    "induced_subgraph",
     "is_clique",
     "is_connected",
     "is_independent_set",

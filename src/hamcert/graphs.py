@@ -206,26 +206,6 @@ def join(g: Graph, h: Graph) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def induced_subgraph(g: Graph, vertices: int | Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph induced on a vertex set, plus the map back to original labels.
-
-    ``vertices`` may be a bitmask or an iterable; position i of the
-    returned map is the original label of new vertex i (ascending).
-    """
-    vs = vertices if isinstance(vertices, int) else mask_of(vertices)
-    if vs & ~g.vertex_mask:
-        raise ValueError("vertex set not contained in the graph")
-    keep = list(iter_bits(vs))
-    index = {v: i for i, v in enumerate(keep)}
-    rows = []
-    for v in keep:
-        row = 0
-        for u in iter_bits(g.adj[v] & vs):
-            row |= 1 << index[u]
-        rows.append(row)
-    return Graph(len(keep), tuple(rows)), tuple(keep)
-
-
 # ---------------------------------------------------------------------------
 # predicates and small measures
 

@@ -11,9 +11,10 @@ the exact solvers again (theorem.certify).
 
 Both sources run in lane kernels: a batch of graphs is a set of lanes,
 one bit per graph in a Python int, so that each int operation steps the
-whole batch.  They share the exact kernels' parts: the independent-set
-table and Lawler's cover levels for chi, the K-set counter for kappa,
-the Held-Karp path fill for Hamiltonicity, the tally and its replays.
+whole batch.  They share first fit on the complements, lemma 1's bound
+on chi_c, and the exact kernels' parts: the independent-set table and
+Lawler's cover levels for chi, the K-set counter for kappa, the
+Held-Karp path fill for Hamiltonicity, the tally and its replays.
 A hit the Hamiltonicity kernel accepts is counted without a witness
 cycle; the tests hold the kernels to the single-graph solvers, whose
 cycles are checked, and to first-fit, degree and cut-set references,
@@ -51,11 +52,11 @@ over its 2^(n - 1) entries (_subset_or):
 
 - chi: G is c-colorable exactly when some c-coloring of P has a class
   that misses nb (_chromatic_table, on Lawler's cover levels of every
-  vertex set of P).  Its entry nb = V is chi(P) + 1, and reversed over
-  the lanes it gives chi of the parents' complements, as the complement
-  of mask p is mask 2^Q - 1 - p.  G's complement is P's complement plus
-  v adjacent to the vertices outside nb, so that bounds chi of G's
-  complement, tightly enough that lemma 1 is left open on no lane;
+  vertex set of P).  Chi of G's complement is bounded as the stream
+  bounds it, by first fit on the complements (_first_fit_lanes), here of
+  the parents: G's complement is P's complement plus v adjacent to the
+  vertices outside nb, so v adds a color only when they are at least
+  first fit's colors, and lemma 1 is left open on no lane;
 - kappa >= k: exactly when no set of at most k - 2 vertices separates P
   and no nonempty K outside nb has at most k - 1 outside neighbours in
   P (_kappa_table, on the K-set counter of every K);
@@ -188,38 +189,20 @@ def _sweep_tables(n, ks):
     the order-m parents P, m = n - 1, Q = m(m - 1) / 2: lane p is edge
     mask p on vertices 0 .. m - 1, and v = m is adjacent to the set nb.
     Returns (chi, chi_c, kappa, ham): chi[nb][s], s = 0 .. n, the lanes
-    with chi(G) >= s; chi_c[s], s = 0 .. n, the lanes with chi(P^c) >= s,
-    P^c the complement of P; kappa[nb][k], k in ks, the lanes with
-    kappa(G) >= k; ham[nb] the Hamiltonian G.  Lemma 1 and the tally read
-    them with one lookup per lane set (_settle_neighbourhood).
-
-    chi(P) >= s is chi[V][s + 1], since v adjacent to all of P adds
-    exactly one color, and the complement of mask p is mask 2^Q - 1 - p,
-    so chi_c is that lane set reversed (_reversed_lanes)."""
+    with chi(G) >= s; chi_c[s], s = 0 .. n, the lanes with ff(P^c) >= s,
+    ff(P^c) the colors of first fit in vertex order on P's complement
+    (_first_fit_lanes), as the stream bounds chi of the complement;
+    kappa[nb][k], k in ks, the lanes with kappa(G) >= k; ham[nb] the
+    Hamiltonian G.  Lemma 1 and the tally read them with one lookup per
+    lane set (_settle_neighbourhood)."""
     m = n - 1
-    width = 1 << (m * (m - 1) // 2)
     adj = _range_lanes(m)
-    every = (1 << width) - 1
+    every = (1 << (1 << (m * (m - 1) // 2))) - 1
     chi = _chromatic_table(adj, m, every)
-    chi_c = [_reversed_lanes(x, width) for x in chi[(1 << m) - 1][1:]] + [0]
+    chi_c = [every] + _first_fit_lanes(_complement_lanes(adj, every), every)[1]
     kappa = _kappa_table(adj, m, ks, every) if ks else []
     ham = _hamiltonian_table(adj, m, every) if ks else []
     return chi, chi_c, kappa, ham
-
-
-# the byte whose bit 7 - i is bit i of the index
-_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _reversed_lanes(lanes, width):
-    """The lane set whose lane width - 1 - i is lane i of lanes, i < width:
-    the bytes in the other order, each with its bits reversed, reverse all
-    8 * size bits, and the shift drops the padding above width, which the
-    widths 1 and 2, of the parents of orders 0 .. 2, have."""
-    size = (width + 7) // 8
-    return int.from_bytes(
-        lanes.to_bytes(size, "little").translate(_REVERSED_BYTES), "big",
-    ) >> (8 * size - width)
 
 
 def _chromatic_table(adj, m, every):
@@ -320,18 +303,19 @@ def _settle_neighbourhood(report, n, ks, tables, nb, every):
     of the lanes p of every alone, cut to them.
 
     Lemma 1 reads the exact chi(G) against a bound on chi of G's
-    complement, ub_c = chi(P^c) + [m - |nb| >= chi(P^c)], m = n - 1: G's
+    complement, ub_c = ff(P^c) + [m - |nb| >= ff(P^c)], m = n - 1: G's
     complement is P^c plus v adjacent to the m - |nb| vertices outside nb,
-    and v takes a color free of them when they are fewer than chi(P^c).
-    So ub_c >= t is chi_c[t - 1] where m - |nb| >= t - 1, else chi_c[t].
-    No lane is left open (_coloring_open): likewise chi(G) <= chi(P) +
-    [|nb| >= chi(P)], and chi(P) + chi(P^c) <= m + 1, so chi(G) + ub_c >=
-    n + 2 needs both indicators, |nb| >= chi(P) and m - |nb| >= chi(P^c);
-    then chi(P) + chi(P^c) <= m and the sum is at most n + 1.  Only a
-    faulty table sends a lane to the exact Nordhaus-Gaddum pair, in lane
-    order.  Then _tally, whose replays run in lane order too, so a sweep
-    of the neighbourhoods in ascending order settles its masks in mask
-    order."""
+    and v takes a color of P^c's first-fit coloring free of them when they
+    are fewer than ff(P^c).  So ub_c >= t is chi_c[t - 1] where m - |nb|
+    >= t - 1, else chi_c[t].  No lane is left open (_coloring_open):
+    likewise chi(G) <= chi(P) + [|nb| >= chi(P)], and chi(P) <= ff(P),
+    while ff(P) + ff(P^c) <= m + 1 by the greedy proof in _coloring_open,
+    so chi(G) + ub_c >= n + 2 needs both indicators, |nb| >= chi(P) and
+    m - |nb| >= ff(P^c); then chi(P) + ff(P^c) <= m and the sum is at most
+    n + 1.  Only a faulty table sends a lane to the exact Nordhaus-Gaddum
+    pair, in lane order.  Then _tally, whose replays run in lane order
+    too, so a sweep of the neighbourhoods in ascending order settles its
+    masks in mask order."""
     chi, chi_c, kappa, ham = tables
     base = nb << ((n - 1) * (n - 2) // 2)
     outside = n - 1 - nb.bit_count()
@@ -357,7 +341,8 @@ def _range_lanes(n):
 
 
 # ---------------------------------------------------------------------------
-# stages of both sources: lane kernels, one bit per graph
+# lane kernels, one bit per graph: the streamed source's stages and the
+# parts that the sweep's tables share with them
 #
 # A batch of graphs is a set of lanes, and a lane set is a Python int whose
 # bit i stands for graph i: bit-slicing (Biham, "A fast new DES
@@ -446,8 +431,10 @@ def _degree_lanes(adj, cap, every):
 def _coloring_open(n, more, more_c):
     """The lanes whose bounds ub and ub_c on chi and chi_c leave
     chi + chi_c <= n + 1 open, more[c] and more_c[c] the lanes in which
-    each bound exceeds c: first fit's in the stream, the exact chi and
-    a bound on chi_c in the sweep (_settle_neighbourhood).  That is
+    each bound exceeds c.  ub_c comes from first fit on the complement in
+    both sources: of the graph in the stream, and of its parent, plus a
+    color for v where needed, in the sweep (_settle_neighbourhood); ub is
+    first fit's in the stream and the exact chi in the sweep.  That is
     ub + ub_c >= n + 2, which is ub >= a and ub_c >= n + 2 - a for
     a = ub.
 
@@ -704,9 +691,9 @@ _LANE_KERNEL_MAX_ORDER = 12
 
 
 def _exact_stages(report, n, ks, adj, every, graph) -> None:
-    """Stage 3 on a batch of candidate lanes, for both sources: exact chi,
-    kappa and Hamiltonicity, then the tally.  adj is the lane adjacency of
-    the batch and graph(i) builds the graph of lane i.  The kernels'
+    """Stage 3 of the streamed source on a batch of candidate lanes: exact
+    chi, kappa and Hamiltonicity, then the tally.  adj is the lane
+    adjacency of the batch and graph(i) builds the graph of lane i.  The kernels'
     tables and vertex sets double with each order, so above
     _LANE_KERNEL_MAX_ORDER the single-graph solvers fill the same lane
     sets."""

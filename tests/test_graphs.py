@@ -15,7 +15,6 @@ from hamcert.graphs import (
     edgeless_graph,
     enumerate_labeled,
     from_edge_mask,
-    induced_subgraph,
     is_clique,
     is_connected,
     is_independent_set,
@@ -125,10 +124,16 @@ def test_complement_of_cycle5_is_cycle():
 def test_is_connected_on_vertex_sets():
     # every vertex set of every labeled graph of order <= 5, the empty set
     # included, against the whole-graph search on its induced subgraph
+    def induced(g, s):
+        keep = [v for v in range(g.n) if s >> v & 1]
+        return with_edges(len(keep), [
+            (i, j) for j, w in enumerate(keep) for i, u in enumerate(keep[:j]) if g.has_edge(u, w)
+        ])
+
     for n in range(6):
         for g in enumerate_labeled(n):
             for s in range(1 << n):
-                assert is_connected(g, s) == is_connected(induced_subgraph(g, s)[0]), (g.adj, s)
+                assert is_connected(g, s) == is_connected(induced(g, s)), (g.adj, s)
 
 
 def test_join_counts():
@@ -154,16 +159,6 @@ def test_disjoint_union():
     assert g.edge_count() == 4
     assert not g.has_edge(2, 3)
     assert g.has_edge(3, 4)
-
-
-def test_induced_subgraph():
-    g = cycle_graph(5)
-    sub, back = induced_subgraph(g, mask_of([0, 1, 3]))
-    assert back == (0, 1, 3)
-    assert sub.n == 3
-    assert list(sub.edges()) == [(0, 1)]
-    with pytest.raises(ValueError):
-        induced_subgraph(g, 1 << 5)
 
 
 def test_petersen_shape():

@@ -217,10 +217,11 @@ class TestSweepBlocks:
     @staticmethod
     def complement_bound(g):
         # the sweep's bound on chi of g's complement, from g's parent P on
-        # vertices 0 .. m - 1: chi(P^c) + [m - deg(m) >= chi(P^c)]
+        # vertices 0 .. m - 1: ff(P^c) + [m - deg(m) >= ff(P^c)], ff the
+        # colors of first fit in vertex order
         m = g.n - 1
         parent = from_edge_mask(m, g.edge_mask() & ((1 << (m * (m - 1) // 2)) - 1))
-        x = chromatic_number(complement(parent))[0] if m else 0
+        x = oracle_first_fit_colors(complement(parent))
         return x + (m - g.degree(m) >= x)
 
     @staticmethod
@@ -256,14 +257,18 @@ class TestSweepBlocks:
                 assert ham[nb] == harness._hamiltonian_lanes(adj, n, every), nb
 
     @pytest.mark.parametrize("m", range(1, 7))
-    def test_reversed_parent_lanes_are_chi_of_the_complements(self, m):
-        # chi(P) >= s of the parents, reversed over the 2^Q lanes, against
-        # the chromatic kernel on the complements of the parents' lanes;
-        # widths 1 and 2 at m = 1, 2 need the reversal's shift
+    def test_parent_complement_lanes_bound_chi_of_the_complements(self, m):
+        # chi_c is first fit on the complements of the parents' lanes, and
+        # at each s it holds the lanes with chi >= s of the chromatic
+        # kernel on them, first fit never using fewer colors than chi; m =
+        # 1, 2 give the widths 1 and 2
         _, chi_c, _, _ = harness._sweep_tables(m + 1, range(2, m + 1))
         every = (1 << (1 << (m * (m - 1) // 2))) - 1
         complements = harness._complement_lanes(harness._range_lanes(m), every)
-        assert chi_c == harness._chromatic_lanes(complements, m, m, every) + [0]
+        assert chi_c == [every] + harness._first_fit_lanes(complements, every)[1]
+        assert len(chi_c) == m + 2 and chi_c[-1] == 0
+        chi = harness._chromatic_lanes(complements, m, m, every)
+        assert all(x & lanes == x for x, lanes in zip(chi, chi_c))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_complement_bound_covers_chi_of_the_complement(self, monkeypatch, n):
@@ -342,9 +347,10 @@ class TestSweepBlocks:
 
     def test_order_seven_builds_its_tables_once(self, monkeypatch):
         # one build of the tables, on lane sets no wider than the 2^15
-        # parent lanes, then one settle of each of the 64 neighbourhoods;
-        # none of the stream's per-candidate stages runs, and no exact
-        # Nordhaus-Gaddum pair
+        # parent lanes, first fit once on the parents' complements, then
+        # one settle of each of the 64 neighbourhoods; none of the
+        # stream's per-candidate stages runs, and no exact Nordhaus-Gaddum
+        # pair
         widths = {"_count_lanes": [], "_subset_or": [], "_path_ends": []}
 
         def widest(args):
@@ -361,15 +367,15 @@ class TestSweepBlocks:
 
             monkeypatch.setattr(harness, name, measured)
         calls = count_calls(monkeypatch, harness, [
-            "_sweep_tables", "_chromatic_table", "_settle_neighbourhood", "_cheap_stages",
-            "_exact_stages", "_chromatic_lanes", "_kappa_lanes", "_hamiltonian_lanes",
-            "nordhaus_gaddum",
+            "_sweep_tables", "_chromatic_table", "_first_fit_lanes", "_settle_neighbourhood",
+            "_cheap_stages", "_exact_stages", "_chromatic_lanes", "_kappa_lanes",
+            "_hamiltonian_lanes", "nordhaus_gaddum",
         ])
         rep = verify_order(7)
         assert rep.hypothesis_hits == {2: 26804, 3: 153801, 4: 14956, 5: 232, 6: 1}
         assert calls == {
-            "_sweep_tables": 1, "_chromatic_table": 1, "_settle_neighbourhood": 64,
-            "_cheap_stages": 0, "_exact_stages": 0, "_chromatic_lanes": 0, "_kappa_lanes": 0,
+            "_sweep_tables": 1, "_chromatic_table": 1, "_first_fit_lanes": 1,
+            "_settle_neighbourhood": 64, "_cheap_stages": 0, "_exact_stages": 0, "_chromatic_lanes": 0, "_kappa_lanes": 0,
             "_hamiltonian_lanes": 0, "nordhaus_gaddum": 0,
         }
         # one counter per nonempty parent vertex set; the chi table at

@@ -42,7 +42,10 @@ def test_kernel_timings_sweep_prints_its_parts(capsys):
     rows = [(row[0], " ".join(row[1:-2]), *row[-2:]) for row in map(str.split, lines[1:])]
     assert [row[:2] for row in rows] == [
         ("5", part)
-        for part in ("chi table", "kappa table", "ham table", "neighbourhoods", "replays", "call")
+        for part in (
+            "chi table", "complement bound", "kappa table", "ham table", "neighbourhoods",
+            "replays", "call",
+        )
     ]
     assert all(float(row[2]) > 0 and int(row[3]) >= 0 for row in rows)
     assert float(rows[-1][2]) >= max(float(row[2]) for row in rows[:-1])
