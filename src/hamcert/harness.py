@@ -63,47 +63,48 @@ over its 2^(n - 1) entries (_subset_or):
 - Hamiltonicity: exactly when P has a Hamiltonian path with both ends in
   nb (_hamiltonian_table, on the path fill from each start).
 
-Then each nb, in ascending order, costs a lookup per lane set, cut to
-the shard at its two end runs alone (_settle_neighbourhood): the exact
-Nordhaus-Gaddum pair of each lane that exact chi and the bound on chi
-of the complement leave open, which only a faulty table leaves, in lane
-order, and _tally, so the replays run in mask order.  At n = 7 that is
-64 neighbourhoods of 2^15 lanes, a 4 KiB int each, where the whole
-population is 2^21 lanes, and the tables take about 4 ms (2-core host,
-scripts/kernel_timings.py --sweep).  No candidate is gathered and no
-lane set is built per candidate, so the sweep needs no numpy.
+Then each nb, in ascending order, costs a lookup per lane set, read
+whole (_settle_neighbourhood): the exact Nordhaus-Gaddum pair of each
+lane that exact chi and the bound on chi of the complement leave open,
+which only a faulty table leaves, in lane order, and _tally, so the
+replays run in mask order.  At n = 7 that is 64 neighbourhoods of 2^15
+lanes, a 4 KiB int each, where the whole population is 2^21 lanes, and
+the tables take about 4 ms (2-core host, scripts/kernel_timings.py
+--sweep).  No candidate is gathered and no lane set is built per
+candidate, so the sweep needs no numpy.
 
-The streamed source works a block of lines at a time.  A block has one
-form from the read to the replay: rows of w + 1 bytes, each line's w
-graph6 bytes and a newline, as a text stream holds them.  A text stream
-is read a chunk of text at a time, completed to its line end
+The streamed source reads a text stream, a block of lines at a time.  A
+block has one form from the read to the replay: rows of w + 1 bytes,
+each line's w graph6 bytes and a newline, as the stream holds them.
+The stream is read a chunk of text at a time, completed to its line end
 (_text_chunks).  A chunk whose every line is w bytes and a newline, a
 grid, is checked and decoded from its own bytes (_grid_block), with no
 str made per line, and so is the first chunk once a header on line 1 is
-cut off; any other chunk, split on newlines alone, and any iterable of
-lines take the line path (_line_block): strip each line, cut a leading
-header off it and check the lines as one grid.  A few whole-block checks
-(graph6.valid_block) validate a block; one that fails them is decoded
-line by line, so that each bad line is reported with its line number,
-and its valid lines become rows of the same form.  Lanes come straight
-from the block's bytes (graph6.pair_lanes): payload column j of every
-line is one strided slice and one int, byte i for line i, whose 8-byte
-words an 8 x 8 bit transpose turns into bytes of six lane sets.  The
-candidates stay rows, cut whole from their block, settled a block at a
-time in line order, and a Graph is built only for a certify replay.
+cut off; any other chunk, split on newlines alone, takes the line path
+(_line_block): strip each line, cut a leading header off it and check
+the lines as one grid.  A few whole-block checks (graph6.valid_block)
+validate a block; one that fails them is decoded line by line, so that
+each bad line is reported with its line number, and its valid lines
+become rows of the same form.  Lanes come straight from the block's
+bytes (graph6.pair_lanes): payload column j of every line is one
+strided slice and one int, byte i for line i, whose 8-byte words an
+8 x 8 bit transpose turns into bytes of six lane sets.  The candidates
+stay rows, cut whole from their block, settled a block at a time in
+line order, and a Graph is built only for a certify replay.
 The exact kernels' tables and vertex-set enumeration double with each
 order, so above _LANE_KERNEL_MAX_ORDER the single-graph coloring,
 connectivity and Hamiltonian-cycle solvers fill the same lane sets for
 the tally.
 
-Work may be split into shards by edge-mask range; partial reports merge
-associatively, so totals are identical for every shard count.
+The sweep may be split into shards, each a range of neighbourhoods nb
+and so of whole runs of masks; partial reports merge associatively and
+the shards run in order, so totals and replays are identical for every
+shard count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 from hamcert.graph6 import (
     GRAPH6_HEADER,
@@ -220,9 +221,7 @@ def _chromatic_table(adj, m, every):
     alone; chi >= s is the complement of E_{s-1}."""
     full = (1 << m) - 1
     indep = _independent_lanes(adj, every)
-    levels = _cover_levels(
-        indep, [(i, x, full ^ (i | ((i & -i) - 1))) for i, x in enumerate(indep) if i and x], every,
-    )
+    levels = _cover_levels(indep, [(i, x) for i, x in enumerate(indep) if i and x], every)
     at_least = [[every, every] for _ in range(full + 1)]
     cover = [every] + [0] * full
     for c in range(1, m + 1):
@@ -296,11 +295,10 @@ def _subset_or(table):
     return table
 
 
-def _settle_neighbourhood(report, n, ks, tables, nb, every):
+def _settle_neighbourhood(report, n, ks, tables, nb):
     """Lemma 1 and the tally of the order-n masks nb << Q | p, Q = (n - 1)
-    (n - 2) / 2, from the _sweep_tables: with every None, of every lane p
-    of nb's run, its lane sets read as they are, or at a shard's end run
-    of the lanes p of every alone, cut to them.
+    (n - 2) / 2, from the _sweep_tables: the whole run of nb's 2^Q lanes p,
+    its lane sets read as they are.
 
     Lemma 1 reads the exact chi(G) against a bound on chi of G's
     complement, ub_c = ff(P^c) + [m - |nb| >= ff(P^c)], m = n - 1: G's
@@ -319,17 +317,14 @@ def _settle_neighbourhood(report, n, ks, tables, nb, every):
     chi, chi_c, kappa, ham = tables
     base = nb << ((n - 1) * (n - 2) // 2)
     outside = n - 1 - nb.bit_count()
-    # lemma 1 and the tally read every lane set ANDed with one of chi's,
-    # so an end run needs chi's alone cut
-    at_least = chi[nb] if every is None else [x & every for x in chi[nb]]
     bound_c = [chi_c[t - (t <= outside + 1)] for t in range(1, n + 1)]
 
     def graph(i):
         return from_edge_mask(n, base | i)
 
-    _lemma1_replays(report, _coloring_open(n, at_least[1:], bound_c), graph)
+    _lemma1_replays(report, _coloring_open(n, chi[nb][1:], bound_c), graph)
     if ks:
-        _tally(report, n, ks, kappa[nb], at_least, lambda lanes: lanes & ham[nb], graph)
+        _tally(report, n, ks, kappa[nb], chi[nb], lambda lanes: lanes & ham[nb], graph)
 
 
 def _range_lanes(n):
@@ -511,8 +506,7 @@ def _chromatic_lanes(adj, n, s_max, every):
         if i & 1:
             with_0.append((i, indep[i]))
         else:
-            # the vertices above i's lowest one and outside i
-            without_0.append((i, indep[i], full ^ (i | ((i & -i) - 1))))
+            without_0.append((i, indep[i]))
     at_least = [every, every, every ^ indep[full]]
     levels = _cover_levels(indep, without_0, every)
     for _ in range(2, s_max):
@@ -545,14 +539,16 @@ def _cover_levels(indep, sets, every):
     whose entry X is the lanes in which t independent sets cover X: level
     1 is indep, and level t the OR, over the independent I inside X that
     hold X's lowest vertex, of indep[I] & cover[X - I] a level below, the
-    empty set covered at every level.  sets lists (I, indep[I], free),
-    free the vertices above I's lowest one and outside I, for the I whose
-    supersets X = I | Y, Y inside free, are kept; a level is computed
-    when it is asked for."""
+    empty set covered at every level.  sets lists (I, indep[I]) for the I
+    whose supersets X = I | Y are kept, Y inside free, the vertices above
+    I's lowest one and outside I; a level is computed when it is asked
+    for."""
+    full = len(indep) - 1
+    sets = [(i, at_i, full ^ (i | ((i & -i) - 1))) for i, at_i in sets]
     cover = indep
     while True:
         yield cover
-        level = [every] + [0] * (len(indep) - 1)
+        level = [every] + [0] * full
         for i, at_i, free in sets:
             y = free
             while True:
@@ -776,10 +772,9 @@ def _replay(report, g, graph_hits) -> None:
 # Lines per block of the streamed source and candidates per block of its
 # exact stages: the cheap lane kernels run on the valid lines of a block
 # and the candidates they leave are settled once a block of them has
-# gathered, which bounds the memory of a long stream.  A text stream is
+# gathered, which bounds the memory of a long stream.  The text stream is
 # read _STREAM_BLOCK * (w + 1) characters at a time, a block of w-wide
-# lines and their newlines, and an iterable of lines _STREAM_BLOCK lines
-# at a time, blank ones included.  Measured on a 2-core Xeon, blocks of
+# lines and their newlines.  Measured on a 2-core Xeon, blocks of
 # 512, 1,024, 4,096 and 16,384: a seeded G(12, 0.8) stream of 12,000 lines
 # took 1.51, 1.27, 1.13 and 1.12 s with a traced heap peak of 2.8, 4.8,
 # 16.8 and 24.5 MB; graph8.g6 took 0.051-0.055 s and peaked at 0.2-1.8 MB
@@ -831,45 +826,38 @@ def _line_block(report, n, line_no, chunk):
     """The valid lines of a chunk of lines numbered from line_no + 1, as
     rows for pair_lanes: the lines are stripped, a leading header is cut
     off each, as decode_graph6 drops it, and the non-blank ones are
-    checked as one grid.  A block that fails, or whose lines held a
-    newline, is decoded line by line, for its errors and their line
-    numbers."""
+    checked as one grid.  A block that fails is decoded line by line, for
+    its errors and their line numbers."""
     texts = [text.removeprefix(GRAPH6_HEADER) for raw in chunk if (text := raw.strip())]
     data = _grid_block(n, "\n".join(texts) + "\n") if texts else b""
-    if data is None or len(data) != len(texts) * (graph6_width(n) + 1):
+    if data is None:
         data = "".join(_decoded_lines(report, n, enumerate(chunk, line_no + 1))).encode("ascii")
     return data
 
 
-def _stream_blocks(report, n, lines):
-    """The valid lines of a stream a block at a time, as rows for
+def _stream_blocks(report, n, stream):
+    """The valid lines of a text stream a block at a time, as rows for
     pair_lanes; the errors of the other lines go to report with their
-    line numbers.  A text stream is read in chunks: a grid chunk is its
-    own rows, and any other, split on newlines alone as iterating the
-    stream splits it, takes the path of an iterable of lines,
-    _line_block.  A header on line 1 is cut off the first chunk before
-    its grid check, as _line_block would cut it off the line."""
+    line numbers.  The stream is read in chunks (_text_chunks): a grid
+    chunk is its own rows, and any other, split on newlines as iterating
+    the stream splits it, takes the line path, _line_block.  A header on
+    line 1 is cut off the first chunk before its grid check, as
+    _line_block would cut it off the line."""
+    w = graph6_width(n)
     line_no = 0
-    if hasattr(lines, "read"):
-        w = graph6_width(n)
-        for text in _text_chunks(lines, _STREAM_BLOCK * (w + 1)):
-            header = not line_no and text.startswith(GRAPH6_HEADER)
-            data = _grid_block(n, text[len(GRAPH6_HEADER):] if header else text)
-            if data is not None:
-                line_no += len(data) // (w + 1)
-                yield data
-                continue
-            chunk = text.removesuffix("\n").split("\n")
-            yield _line_block(report, n, line_no, chunk)
-            line_no += len(chunk)
-        return
-    lines = iter(lines)
-    while chunk := list(islice(lines, _STREAM_BLOCK)):
+    for text in _text_chunks(stream, _STREAM_BLOCK * (w + 1)):
+        header = not line_no and text.startswith(GRAPH6_HEADER)
+        data = _grid_block(n, text[len(GRAPH6_HEADER):] if header else text)
+        if data is not None:
+            line_no += len(data) // (w + 1)
+            yield data
+            continue
+        chunk = text.removesuffix("\n").split("\n")
         yield _line_block(report, n, line_no, chunk)
         line_no += len(chunk)
 
 
-def _verify_stream(n, ks, lines) -> VerificationReport:
+def _verify_stream(n, ks, stream) -> VerificationReport:
     """A block of lines at a time (_stream_blocks): the cheap stages run
     in the lane kernels on the valid lines of a block, built from their
     bytes, and the candidate rows they leave are settled a block at a
@@ -877,7 +865,7 @@ def _verify_stream(n, ks, lines) -> VerificationReport:
     report = VerificationReport(hypothesis_hits={k: 0 for k in ks})
     size = graph6_width(n) + 1
     block = bytearray()
-    for data in _stream_blocks(report, n, lines):
+    for data in _stream_blocks(report, n, stream):
         if data:
             block += _stream_candidates(report, n, ks, data)
         if len(block) >= _STREAM_BLOCK * size:
@@ -931,9 +919,10 @@ def verify_order(
     """Check the theorem and the coloring inequality over a population.
 
     Without a stream: every labeled graph of order n (n <= 7 enforced),
-    optionally sharded by edge-mask range.  With a stream: its graph6
-    lines; malformed lines are recorded with their line numbers and
-    processing continues.
+    optionally sharded by ranges of the 2^(n - 1) neighbourhoods of
+    vertex n - 1, each the whole run of its masks.  With a stream: the
+    graph6 lines of a text stream, read a chunk at a time; malformed
+    lines are recorded with their line numbers and processing continues.
     """
     if k_range is None:
         k_range = (2, n - 1)
@@ -946,20 +935,18 @@ def verify_order(
         return _verify_stream(n, ks, stream)
     if not (1 <= n <= MAX_ENUMERATION_ORDER):
         raise ValueError(f"internal enumeration is limited to orders 1..{MAX_ENUMERATION_ORDER}")
-    total = 1 << (n * (n - 1) // 2)
-    bounds = [total * i // shards for i in range(shards + 1)]
+    neighbourhoods = 1 << (n - 1)
+    bounds = [neighbourhoods * i // shards for i in range(shards + 1)]
     report = VerificationReport(hypothesis_hits={k: 0 for k in ks})
     tables = _sweep_tables(n, ks)
     p_bits = (n - 1) * (n - 2) // 2
     for lo, hi in zip(bounds, bounds[1:]):
         if lo == hi:
             continue
-        shard = VerificationReport(total_graphs=hi - lo, hypothesis_hits={k: 0 for k in ks})
-        # the masks of nb are a run of 2^Q lanes, cut to the shard at its ends
-        for nb in range(lo >> p_bits, ((hi - 1) >> p_bits) + 1):
-            base = nb << p_bits
-            start, stop = max(lo - base, 0), min(hi - base, 1 << p_bits)
-            every = None if stop - start == 1 << p_bits else ((1 << stop) - 1) ^ ((1 << start) - 1)
-            _settle_neighbourhood(shard, n, ks, tables, nb, every)
+        shard = VerificationReport(
+            total_graphs=(hi - lo) << p_bits, hypothesis_hits={k: 0 for k in ks},
+        )
+        for nb in range(lo, hi):
+            _settle_neighbourhood(shard, n, ks, tables, nb)
         report = report.merge(shard)
     return report

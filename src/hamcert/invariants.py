@@ -47,27 +47,10 @@ def _coloring_from(assignment: list[int]) -> Coloring:
 
 def greedy_coloring(g: Graph) -> Coloring:
     """DSATUR greedy: color the most saturated vertex first, ties by degree
-    then index.  Upper bound only; exactness comes from is_k_colorable."""
-    n = g.n
-    if n == 0:
-        return Coloring((), 0)
-    assignment = [-1] * n
-    neighbor_colors = [0] * n
-    for _ in range(n):
-        pick = -1
-        pick_key = None
-        for v in range(n):
-            if assignment[v] >= 0:
-                continue
-            key = (neighbor_colors[v].bit_count(), g.adj[v].bit_count(), -v)
-            if pick_key is None or key > pick_key:
-                pick, pick_key = v, key
-        forbidden = neighbor_colors[pick]
-        c = ((~forbidden) & (forbidden + 1)).bit_length() - 1
-        assignment[pick] = c
-        for u in iter_bits(g.adj[pick]):
-            neighbor_colors[u] |= 1 << c
-    return _coloring_from(assignment)
+    then index, with its lowest free color.  Upper bound only; exactness
+    comes from is_k_colorable, whose search this is with a color for every
+    vertex: a color is always free, so it never backtracks."""
+    return is_k_colorable(g, g.n)
 
 
 def is_k_colorable(g: Graph, t: int):

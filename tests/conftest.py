@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import random
 from contextlib import contextmanager
 
@@ -49,6 +50,14 @@ def edited(lines: list[str], edits) -> list[str]:
             text = text[:pos] + text[pos + 1:]
         lines[at % len(lines)] = text
     return lines
+
+
+def text_stream(lines: list[str], ending: str | None = "\n") -> io.StringIO:
+    """lines as a text file: each ended by ending, or, for None, every
+    one but the last by a newline."""
+    if ending is None:
+        return io.StringIO("\n".join(lines))
+    return io.StringIO("".join(line + ending for line in lines))
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

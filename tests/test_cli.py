@@ -23,7 +23,7 @@ from hamcert.theorem import (
     parse_certificate,
     validate_certificate,
 )
-from tests.conftest import count_calls, graphs_st, random_graph
+from tests.conftest import count_calls, graphs_st, random_graph, text_stream
 
 
 def test_extremal_emits_graph6():
@@ -198,11 +198,25 @@ class TestVerify:
         assert piped.exit_code == filed.exit_code == 0
         assert "hypothesis hits 843 " in piped.payload
 
-    @pytest.mark.parametrize("variant", ["crlf", "header-every-line", "bad-lines"])
-    def test_stream_file_variants(self, tmp_path, variant):
+    @pytest.mark.parametrize("variant, paths", [
+        ("crlf", {"_grid_block": 4, "_line_block": 0, "_decoded_lines": 0}),
+        ("header-every-line", {"_grid_block": 16, "_line_block": 8, "_decoded_lines": 0}),
+        ("bad-lines", {"_grid_block": 7, "_line_block": 3, "_decoded_lines": 2}),
+    ], ids=["crlf", "header-every-line", "bad-lines"])
+    def test_stream_file_variants(self, monkeypatch, tmp_path, variant, paths):
         # CRLF line ends and a header on every line read as the plain
         # file; bad lines are reported with their line numbers, and the
-        # other lines read as the plain file without them
+        # other lines read as the plain file without them.  Each takes
+        # its own path through the chunks of 4,096 lines' worth of
+        # characters:
+        # - crlf: open() turns CRLF into a newline, so its 4 chunks are
+        #   grids;
+        # - header-every-line: its longer lines fill 8 chunks, each of
+        #   which fails the grid check and takes the line path, whose
+        #   header cut makes a grid again, with no line decoded alone;
+        # - bad-lines: the first two chunks hold the bad lines and are
+        #   decoded line by line, the last lacks a final newline and is a
+        #   grid once stripped, and one is a grid as read
         graph8 = Path(__file__).parent / "data" / "graph8.g6"
         lines = graph8.read_bytes().split()
         path = tmp_path / "variant.g6"
@@ -215,7 +229,10 @@ class TestVerify:
             edited[4096:4096] = [b"G?\x0c???", b"Dhc"]
             edited[11:11] = [b"", lines[0][:-1]]
             path.write_bytes(b"\n".join(edited))
+        calls = count_calls(monkeypatch, harness, list(paths))
         out = run(["verify", "--n", "8", "--stream", str(path)])
+        assert calls == paths
+        monkeypatch.undo()
         plain = run(["verify", "--n", "8", "--stream", str(graph8)])
         if variant == "bad-lines":
             report, _, errors = out.payload.partition("\ninput errors 3\n")
@@ -270,14 +287,14 @@ assert "numpy" not in sys.modules, "verify --stream imported numpy"
         lines9 += [to_graph6(complement(random_graph(9, p, rng))) for p in (0.05, 0.1, 0.2) for _ in range(6)]
         order9 = tmp_path / "order9.g6"
         order9.write_text("\n".join(lines9) + "\n", encoding="ascii")
-        rep = verify_order(9, stream=iter(lines9))
+        rep = verify_order(9, stream=text_stream(lines9))
         assert rep.hits_total > 10 and rep.extremal >= 3 and rep.hamiltonian > 0
         rng = random.Random(13)
         lines13 = [to_graph6(build_extremal(k, 13)) for k in (2, 3)]
         lines13 += [to_graph6(complement(random_graph(13, 0.1, rng))) for _ in range(3)]
         order13 = tmp_path / "order13.g6"
         order13.write_text("\n".join(lines13) + "\n", encoding="ascii")
-        rep13 = verify_order(13, stream=iter(lines13))
+        rep13 = verify_order(13, stream=text_stream(lines13))
         assert rep13.extremal >= 2 and rep13.hamiltonian > 0
         runs = [
             (["verify", "--n", "8", "--stream", str(graph8)], 12346, 843),

@@ -36,7 +36,7 @@ from hamcert.cycles import find_hamiltonian_cycle
 from hamcert.theorem import build_extremal, certify
 
 from tests.conftest import (
-    byte_edits_st, count_calls, edited, extremal_certificates, random_graph, relabeled,
+    byte_edits_st, count_calls, edited, extremal_certificates, random_graph, relabeled, text_stream,
 )
 from tests.oracles import (
     oracle_chromatic,
@@ -145,14 +145,16 @@ class TestInternalSweep:
         with pytest.raises(ValueError, match="shards"):
             verify_order(4, shards=0)
         with pytest.raises(ValueError, match="shards"):
-            verify_order(4, stream=iter([]), shards=0)
+            verify_order(4, stream=text_stream([]), shards=0)
 
 
 class TestSharding:
     def test_totals_independent_of_shard_count(self):
-        for n in (5, 6):
+        # a shard is a range of the 2^(n - 1) neighbourhoods; 64 shards at
+        # n = 7 hold one each, and 97 leave some empty
+        for n, counts in ((5, (2, 3, 5, 11)), (6, (2, 3, 5, 11)), (7, (64, 97))):
             base = report_fingerprint(verify_order(n))
-            for shards in (2, 3, 5, 11):
+            for shards in counts:
                 assert report_fingerprint(verify_order(n, shards=shards)) == base
 
     def test_merge_is_associative(self):
@@ -180,10 +182,10 @@ class TestSharding:
 class TestSweepBlocks:
     """The internal sweep reads every order-n graph, parent P plus vertex
     n - 1 adjacent to nb, from tables built once on the order-(n - 1)
-    parents, and settles the masks of each nb, a run of 2^Q masks cut to
-    the shard at its two ends, in mask order.  Neither the runs nor the
-    shard edges change anything, and the tables hold to the stream's lane
-    kernels and to the single-graph solvers."""
+    parents, and settles the masks of each nb, a whole run of 2^Q masks,
+    in mask order.  A shard is a range of neighbourhoods, so neither the
+    runs nor the shards change anything, and the tables hold to the
+    stream's lane kernels and to the single-graph solvers."""
 
     @staticmethod
     def sweep(n, shards):
@@ -191,25 +193,33 @@ class TestSweepBlocks:
             rep = verify_order(n, shards=shards)
         return rep, calls
 
-    @pytest.mark.parametrize("shards", [1, 3, 5, 7, 97])
+    @pytest.mark.parametrize("shards", [1, 3, 5, 7, "nb", 97])
     @pytest.mark.parametrize("n", [5, 6])
     def test_blocks_match_the_default(self, monkeypatch, n, shards):
         # one shard against the mask pipeline, which runs _cheap_stages on
         # the lanes of every mask at once, and more shards against one:
-        # their edges cut the runs of 2^P masks, and 97 shards at n = 5 are
-        # shorter than a run; split_certify makes the replay order show in
-        # the counterexamples
+        # each shard a range of whole neighbourhoods, "nb" one per shard,
+        # and 97 shards more than the 2^(n - 1) neighbourhoods, so some
+        # are empty; every nb is settled once, in ascending order, and
+        # split_certify makes the replay order show in the counterexamples
         split_certify(monkeypatch)
-        run = 1 << ((n - 1) * (n - 2) // 2)
-        total = 1 << (n * (n - 1) // 2)
-        bounds = [total * i // shards for i in range(shards + 1)]
-        assert shards == 1 or any(lo % run for lo in bounds)
+        if shards == "nb":
+            shards = 1 << (n - 1)
         whole, whole_calls = self.sweep(n, 1)
         if shards == 1:
             with extremal_certificates() as calls:
                 rep = mask_pipeline(n, (2, n - 1), [to_graph6(g) for g in enumerate_labeled(n)])
         else:
+            settle = harness._settle_neighbourhood
+            settled = []
+
+            def listed(report, n, ks, tables, nb):
+                settled.append(nb)
+                return settle(report, n, ks, tables, nb)
+
+            monkeypatch.setattr(harness, "_settle_neighbourhood", listed)
             rep, calls = self.sweep(n, shards)
+            assert settled == list(range(1 << (n - 1)))
         assert report_fingerprint(rep) == report_fingerprint(whole)
         assert calls == whole_calls
         assert whole.extremal > 0 and whole.counterexamples
@@ -316,8 +326,8 @@ class TestSweepBlocks:
         # the exact chi and the bound ub_c leave lemma 1 open on no lane,
         # so the open set is widened to the lanes with chi and ub_c >= 2,
         # less those with both >= 3, to make the exact pair run: on just
-        # those masks, in mask order, in one shard and in three, whose
-        # edges cut the runs of nb, with its flags counted
+        # those masks, in mask order, in one shard and in three, with its
+        # flags counted
         exact_open = harness._coloring_open
 
         def wide_open(n, more, more_c):
@@ -391,7 +401,7 @@ class TestStreamedSource:
     @staticmethod
     def assert_stream_matches_internal(n):
         lines = [to_graph6(g) for g in enumerate_labeled(n)]
-        streamed = verify_order(n, stream=iter(lines))
+        streamed = verify_order(n, stream=text_stream(lines))
         internal = verify_order(n)
         assert streamed.total_graphs == internal.total_graphs
         assert streamed.hypothesis_hits == internal.hypothesis_hits
@@ -417,7 +427,7 @@ class TestStreamedSource:
                 return _exact(*args)
 
             monkeypatch.setattr(harness, name, counted)
-        rep = verify_order(6, stream=iter([to_graph6(g) for g in enumerate_labeled(6)]))
+        rep = verify_order(6, stream=text_stream([to_graph6(g) for g in enumerate_labeled(6)]))
         assert rep.hypothesis_hits == {2: 3168, 3: 1758, 4: 76, 5: 1}
         assert seen == {"_chromatic_lanes": 5498, "nordhaus_gaddum": 0}
 
@@ -429,26 +439,26 @@ class TestStreamedSource:
 
     def test_malformed_lines_reported_and_skipped(self):
         lines = ["Dhc", "", "not graph6 \x01", "Dhc", "C~", "Dhc"]
-        rep = verify_order(5, stream=iter(lines))
+        rep = verify_order(5, stream=text_stream(lines))
         assert rep.total_graphs == 3
         assert [line_no for line_no, _ in rep.errors] == [3, 5]
         assert "order" in rep.errors[1][1]
 
     def test_blank_lines_are_not_errors(self):
-        rep = verify_order(5, stream=iter(["", "   ", "\n"]))
+        rep = verify_order(5, stream=text_stream(["", "   ", "\n"]))
         assert rep.total_graphs == 0
         assert rep.errors == []
 
     def test_stream_counts_extremal(self):
         g6 = to_graph6(build_extremal(2, 5))
-        rep = verify_order(5, stream=iter([g6]))
+        rep = verify_order(5, stream=text_stream([g6]))
         assert rep.hypothesis_hits == {2: 1, 3: 0, 4: 0}
         assert rep.extremal == 1
         assert rep.hamiltonian == 0
 
     def test_order_nine_stream(self):
         lines = [to_graph6(build_extremal(2, 9)), to_graph6(complete_graph(9)), "Dhc"]
-        rep = verify_order(9, (2, 2), stream=iter(lines))
+        rep = verify_order(9, (2, 2), stream=text_stream(lines))
         assert rep.total_graphs == 2
         assert rep.hypothesis_hits == {2: 2}
         assert (rep.hamiltonian, rep.extremal) == (1, 1)
@@ -479,7 +489,7 @@ class TestStreamedSource:
                 return _exact(*args, **kwargs)
 
             monkeypatch.setattr(harness, name, counted, raising=False)
-        rep = verify_order(8, (2, 7), stream=iter(graph8_lines()))
+        rep = verify_order(8, (2, 7), stream=text_stream(graph8_lines()))
         assert rep.hits_total == 843
         assert calls == {
             "nordhaus_gaddum": 0,
@@ -493,7 +503,7 @@ class TestStreamedSource:
 
 @pytest.mark.parametrize("population, replays", [
     (lambda: verify_order(6), 90),
-    (lambda: verify_order(8, (2, 7), stream=iter(graph8_lines())), 2),
+    (lambda: verify_order(8, (2, 7), stream=text_stream(graph8_lines())), 2),
 ], ids=["order-6", "graph8"])
 def test_certify_replays_call_no_exponential_solver(monkeypatch, population, replays):
     # every non-Hamiltonian hit of these populations is extremal for its
@@ -540,10 +550,10 @@ def mask_pipeline(n, k_range, lines, cuts=()):
 
 
 def run_both_paths(n, k_range, lines, cuts=()):
-    """The stream, one graph at a time, and the mask pipeline on the same
+    """The lines as a text stream, and the mask pipeline on the same
     graphs, each with its extremal certificates."""
     with extremal_certificates() as streamed_calls:
-        streamed = verify_order(n, k_range, stream=iter(lines))
+        streamed = verify_order(n, k_range, stream=text_stream(lines))
     with extremal_certificates() as vector_calls:
         vector = mask_pipeline(n, k_range, lines, cuts)
     return streamed, vector, (streamed_calls, vector_calls)
@@ -592,6 +602,8 @@ class TestStreamAgainstMaskPipeline:
         bad = ["not graph6 \x01", "C~", "G?", "Dhc", "G" + "~" * 6]
         for text in (bad + ["", "   ", "\n"]) * 4:
             lines.insert(rng.randrange(len(lines) + 1), text)
+        # the lines that the text stream of them holds: "\n" is two
+        lines = "\n".join(lines).split("\n")
         streamed, vector, calls = run_both_paths(8, (2, 7), lines)
         assert report_fingerprint(streamed) == report_fingerprint(vector)
         assert calls[0] == calls[1]
@@ -1018,24 +1030,25 @@ class TestStreamBlocks:
     def stream(n, lines, block, monkeypatch):
         monkeypatch.setattr(harness, "_STREAM_BLOCK", block)
         with extremal_certificates() as calls:
-            rep = verify_order(n, (2, n - 1), stream=iter(lines))
+            rep = verify_order(n, (2, n - 1), stream=text_stream(lines))
         return rep, calls
 
     @pytest.mark.parametrize("form", ["file", "crlf-lines", "header-on-line-one"])
     def test_every_path_yields_the_file_rows(self, form):
         # a block is rows of each line's w bytes and a newline, whichever
         # path read it: graph8.g6 as a file takes the grid path, its lines
-        # with CRLF endings the line path, and with a header on line 1 a
-        # text stream's first chunk, the header cut off, the grid path;
-        # each joins back to the file's bytes
+        # with CRLF endings in a text stream that keeps them the line
+        # path, and with a header on line 1 a text stream's first chunk,
+        # the header cut off, the grid path; each joins back to the file's
+        # bytes
         raw = GRAPH8.read_bytes()
         report = VerificationReport()
         if form == "file":
             with GRAPH8.open(encoding="ascii") as handle:
                 blocks = list(harness._stream_blocks(report, 8, handle))
         elif form == "crlf-lines":
-            lines = [line + "\r\n" for line in raw.decode("ascii").split("\n")[:-1]]
-            blocks = list(harness._stream_blocks(report, 8, iter(lines)))
+            stream = text_stream(raw.decode("ascii").split("\n")[:-1], "\r\n")
+            blocks = list(harness._stream_blocks(report, 8, stream))
         else:
             text = ">>graph6<<" + raw.decode("ascii")
             blocks = list(harness._stream_blocks(report, 8, io.StringIO(text)))
@@ -1110,7 +1123,7 @@ class TestStreamBlocks:
         for block in (2, 4096):
             monkeypatch.setattr(harness, "_STREAM_BLOCK", block)
             with extremal_certificates() as calls:
-                rep = verify_order(n, window, stream=iter(lines))
+                rep = verify_order(n, window, stream=text_stream(lines))
             assert rep.total_graphs == len(graphs)
             assert rep.hypothesis_hits == hits
             assert (rep.hamiltonian, rep.extremal) == (
@@ -1220,12 +1233,19 @@ BAD_LINES = {
 }
 
 
-def text_stream(lines, ending):
-    """lines as a text file: each ended by ending, or, for None, every
-    one but the last by a newline."""
-    if ending is None:
-        return io.StringIO("\n".join(lines))
-    return io.StringIO("".join(line + ending for line in lines))
+def chunks_of(lines, block):
+    """The line indices of each chunk that a text stream of lines, each
+    ended by a newline, is read in: block * (w + 1) characters, w the
+    width of an order-8 line, completed to the line end."""
+    size = block * (graph6.graph6_width(8) + 1)
+    chunks, chunk, read = [], [], 0
+    for i, line in enumerate(lines):
+        chunk.append(i)
+        read += len(line) + 1
+        if read >= size:
+            chunks.append(chunk)
+            chunk, read = [], 0
+    return chunks + [chunk] if chunk else chunks
 
 
 class TestStreamFastPath:
@@ -1238,10 +1258,10 @@ class TestStreamFastPath:
     def run(
         monkeypatch, lines, block, fallback_only=False, line_path_only=False, line_blocks=None,
     ):
-        """verify_order(8) on a list of lines, as an iterable, or on a text
-        stream: the report, the extremal certify calls and the numbered
-        lines of each per-line decode.  fallback_only fails every block
-        check, line_path_only the grid check of a text stream's chunks;
+        """verify_order(8) on a list of lines, as a text stream of them, or
+        on a text stream: the report, the extremal certify calls and the
+        numbered lines of each per-line decode.  fallback_only fails every
+        block check, line_path_only the grid check of the chunks;
         line_blocks, if given, gathers the line number before each block
         that takes the line path."""
         monkeypatch.setattr(harness, "_STREAM_BLOCK", block)
@@ -1265,7 +1285,7 @@ class TestStreamFastPath:
             monkeypatch.setattr(harness, "valid_block", lambda n, data: False)
         if line_path_only:
             monkeypatch.setattr(harness, "_grid_block", lambda n, text: None)
-        stream = iter(lines) if isinstance(lines, list) else lines
+        stream = text_stream(lines) if isinstance(lines, list) else lines
         with extremal_certificates() as calls:
             rep = verify_order(8, (2, 7), stream=stream)
         monkeypatch.undo()
@@ -1290,9 +1310,10 @@ class TestStreamFastPath:
         if case == "header":
             assert rep.errors == [] and rep.total_graphs == 18 and decoded == []
         else:
-            assert [line_no for line_no, _ in rep.errors] == list(range(8, 8 + len(lines) - 18))
-            # only the blocks that hold a bad line are decoded line by line
-            assert len(decoded) == len({i // block for i in range(7, 7 + len(lines) - 18)})
+            bad = range(7, 7 + len(lines) - 18)
+            assert [line_no for line_no, _ in rep.errors] == [i + 1 for i in bad]
+            # only the chunks that hold a bad line are decoded line by line
+            assert len(decoded) == sum(any(i in bad for i in chunk) for chunk in chunks_of(lines, block))
         forced, forced_calls, _ = self.run(monkeypatch, lines, block, fallback_only=True)
         assert (forced.errors, report_fingerprint(forced), forced_calls) == (
             rep.errors, report_fingerprint(rep), calls,
@@ -1305,38 +1326,19 @@ class TestStreamFastPath:
         assert decoded == [] and rep.errors == []
         self.assert_matches_per_line(lines, rep, calls)
         forced, forced_calls, decoded = self.run(monkeypatch, lines, block, fallback_only=True)
-        # a block counts lines, blank ones included; one of blank lines
-        # alone is not decoded
-        assert len(decoded) == len({i // block for i, text in enumerate(lines) if text.strip()})
+        # a chunk counts characters, blank lines included; one of blank
+        # lines alone is not decoded
+        assert len(decoded) == sum(
+            any(lines[i].strip() for i in chunk) for chunk in chunks_of(lines, block)
+        )
         assert report_fingerprint(forced) == report_fingerprint(rep) and forced_calls == calls
-
-    @pytest.mark.parametrize("block", [1, 5, 4096])
-    def test_line_holding_a_newline_is_one_bad_line(self, monkeypatch, block):
-        # an item of an iterable that holds a newline is one bad line, as
-        # the per-line decode finds it, though its two halves would pass
-        # the grid checks as two rows
-        lines = fast_path_lines()
-        lines[7] = lines[7] + "\n" + lines[7]
-        rep, calls, _ = self.run(monkeypatch, lines, block)
-        self.assert_matches_per_line(lines, rep, calls)
-        assert [line_no for line_no, _ in rep.errors] == [8]
-
-    def test_header_on_line_one_keeps_the_fast_path(self, monkeypatch):
-        # the usual place for a header: graph8.g6 reads the same with it,
-        # field for field, and no block is decoded line by line
-        lines = graph8_lines()
-        plain, plain_calls, _ = self.run(monkeypatch, lines, 4096)
-        rep, calls, decoded = self.run(monkeypatch, [">>graph6<<" + lines[0]] + lines[1:], 4096)
-        assert decoded == []
-        assert rep == plain
-        assert rep.total_graphs == 12346 and calls == plain_calls
 
     @pytest.mark.parametrize("block", [5, 4096])
     def test_header_on_line_one_of_a_file_keeps_the_grid_path(self, monkeypatch, block):
-        # graph8.g6 as a text stream with a header on line 1 reads as the
-        # file without it, field for field: the header is cut off the
-        # first chunk before its grid check, so no chunk takes the line
-        # path and no line is decoded alone
+        # graph8.g6 as a text stream with a header on line 1, the usual
+        # place for one, reads as the file without it, field for field:
+        # the header is cut off the first chunk before its grid check, so
+        # no chunk takes the line path and no line is decoded alone
         with GRAPH8.open(encoding="ascii") as handle:
             plain, plain_calls, _ = self.run(monkeypatch, handle, block)
         line_blocks = []
@@ -1354,44 +1356,34 @@ class TestStreamFastPath:
     def test_random_byte_edits_match_per_line_decode(self, picks, edits, block):
         lines = graph8_lines()
         lines = edited([lines[i] for i in picks], edits)
-        # the same lines as a text stream read in chunks, against the lines
-        # that iterating it yields: an edit that puts a newline inside a
-        # line splits it there, and no other character does
+        # the lines as a text stream read in chunks, against the per-line
+        # decode of the lines that iterating it yields: an edit that puts a
+        # newline inside a line splits it there, and no other character does
         text = "\n".join(lines) + "\n"
         old_block = harness._STREAM_BLOCK
         harness._STREAM_BLOCK = block
         try:
             with extremal_certificates() as calls:
-                rep = verify_order(8, (2, 7), stream=iter(lines))
-            with extremal_certificates() as chunked_calls:
-                chunked = verify_order(8, (2, 7), stream=io.StringIO(text))
-            with extremal_certificates() as iterated_calls:
-                iterated = verify_order(8, (2, 7), stream=iter(list(io.StringIO(text))))
+                rep = verify_order(8, (2, 7), stream=io.StringIO(text))
         finally:
             harness._STREAM_BLOCK = old_block
-        self.assert_matches_per_line(lines, rep, calls)
-        assert chunked.errors == iterated.errors
-        assert report_fingerprint(chunked) == report_fingerprint(iterated)
-        assert chunked_calls == iterated_calls
+        self.assert_matches_per_line(list(io.StringIO(text)), rep, calls)
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n", None], ids=["lf", "crlf", "no-final-newline"])
     @pytest.mark.parametrize("block", [1, 5, 4096])
     @pytest.mark.parametrize("case", sorted(BAD_LINES))
     def test_text_stream_matches_the_lines(self, monkeypatch, case, block, ending):
-        # the lines as a text stream, read in chunks, against the same lines
-        # as an iterable: the same errors and line numbers, totals and
-        # certify calls, with the grid path and with every chunk forced
-        # onto the line path
+        # the lines as a text stream, read in chunks, against the per-line
+        # decode of the lines that iterating the same text yields: the
+        # same errors and line numbers, totals and certify calls, with the
+        # grid path and with every chunk forced onto the line path
         lines = fast_path_lines()
         lines[7:8] = BAD_LINES[case](lines[7])
-        rep, calls, _ = self.run(monkeypatch, lines, block)
         for line_path_only in (False, True):
-            streamed, streamed_calls, _ = self.run(
+            rep, calls, _ = self.run(
                 monkeypatch, text_stream(lines, ending), block, line_path_only=line_path_only,
             )
-            assert streamed.errors == rep.errors
-            assert report_fingerprint(streamed) == report_fingerprint(rep)
-            assert streamed_calls == calls
+            self.assert_matches_per_line(list(text_stream(lines, ending)), rep, calls)
 
     @pytest.mark.parametrize("block", [1, 5, 4096])
     @pytest.mark.parametrize("edit", ["bad-line-first", "header-inside"])
@@ -1405,32 +1397,26 @@ class TestStreamFastPath:
             lines[block] = lines[block][:-1]
         else:
             lines[block + block // 2] = ">>graph6<<" + lines[block + block // 2]
-        rep, calls, _ = self.run(monkeypatch, lines, block)
         line_blocks = []
-        streamed, streamed_calls, decoded = self.run(
-            monkeypatch, text_stream(lines, "\n"), block, line_blocks=line_blocks,
-        )
+        rep, calls, decoded = self.run(monkeypatch, lines, block, line_blocks=line_blocks)
         assert line_blocks == [block]
-        assert streamed.errors == rep.errors
+        self.assert_matches_per_line(lines, rep, calls)
         if edit == "bad-line-first":
             assert [line_no for line_no, _ in rep.errors] == [block + 1] and len(decoded) == 1
         else:
             assert rep.errors == [] and decoded == []
-        assert report_fingerprint(streamed) == report_fingerprint(rep)
-        assert streamed_calls == calls
 
     @pytest.mark.parametrize("block", [5, 4096])
     def test_clean_file_takes_the_grid_path(self, monkeypatch, block):
         # graph8.g6 read as a file never reaches the strip or the per-line
-        # decode, and reads as its lines do, field for field; forcing the
-        # line path on every chunk changes nothing
-        plain, plain_calls, _ = self.run(monkeypatch, graph8_lines(), 4096)
+        # decode, and reads as the per-line decode of its lines; forcing
+        # the line path on every chunk changes nothing, field for field
         line_blocks = []
         with GRAPH8.open(encoding="ascii") as handle:
             rep, calls, decoded = self.run(monkeypatch, handle, block, line_blocks=line_blocks)
         assert line_blocks == [] and decoded == []
-        assert rep == plain and calls == plain_calls
+        self.assert_matches_per_line(graph8_lines(), rep, calls)
         with GRAPH8.open(encoding="ascii") as handle:
             forced, forced_calls, _ = self.run(monkeypatch, handle, block, line_path_only=True)
-        assert forced == plain
-        assert forced_calls == plain_calls and rep.total_graphs == 12346
+        assert forced == rep
+        assert forced_calls == calls and rep.total_graphs == 12346
