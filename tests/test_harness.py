@@ -1333,6 +1333,20 @@ class TestStreamFastPath:
         )
         assert report_fingerprint(forced) == report_fingerprint(rep) and forced_calls == calls
 
+    def test_header_on_line_one_keeps_the_fast_path(self, monkeypatch):
+        # the usual place for a header: the lines of graph8.g6 as a text
+        # stream read the same with it, field for field, and no chunk is
+        # decoded line by line
+        lines = graph8_lines()
+        plain, plain_calls, _ = self.run(monkeypatch, lines, 4096)
+        line_blocks = []
+        rep, calls, decoded = self.run(
+            monkeypatch, [">>graph6<<" + lines[0]] + lines[1:], 4096, line_blocks=line_blocks,
+        )
+        assert line_blocks == [] and decoded == []
+        assert rep == plain
+        assert rep.total_graphs == 12346 and calls == plain_calls
+
     @pytest.mark.parametrize("block", [5, 4096])
     def test_header_on_line_one_of_a_file_keeps_the_grid_path(self, monkeypatch, block):
         # graph8.g6 as a text stream with a header on line 1, the usual
