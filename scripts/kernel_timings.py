@@ -35,6 +35,8 @@ the parts of the internal sweep, each timed by wrapping its functions:
     neighbourhoods  _settle_neighbourhood: the lookups, lemma 1 and the
                     tally of each neighbourhood of vertex n - 1, its
                     replays included
+    lane walk       _lane_indices: the lanes of each lane set that
+                    lemma 1 and the tally replay, walked from the top
     replays         _replay: the certify replays of the non-Hamiltonian
                     hits
 
@@ -64,7 +66,6 @@ import resource
 import statistics
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,6 +86,7 @@ SWEEP_PARTS = {
     "kappa table": ("_kappa_table",),
     "ham table": ("_hamiltonian_table",),
     "neighbourhoods": ("_settle_neighbourhood",),
+    "lane walk": ("_lane_indices",),
     "replays": ("_replay",),
 }
 STREAM_PARTS = {
@@ -172,28 +174,25 @@ def part_times(call, table):
     PART_CALLS warm calls; a generator's time is that of its steps."""
     spent = {}
 
-    @contextmanager
-    def clocked(part):
+    def clocked(part, run, *args):
+        # kept to a plain call: a wrapper's cost lands in the part that
+        # encloses it, and the sweep makes hundreds of lane walks at n = 7
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         started = time.perf_counter()
         try:
-            yield
+            return run(*args)
         finally:
-            spent[part][0] += time.perf_counter() - started
-            spent[part][1] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            row = spent[part]
+            row[0] += time.perf_counter() - started
+            row[1] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
     def timed(run, part):
         def wrapped(*args):
-            with clocked(part):
-                return run(*args)
+            return clocked(part, run, *args)
 
         def stepped(*args):
             items = run(*args)
-            while True:
-                with clocked(part):
-                    item = next(items, stepped)
-                if item is stepped:
-                    return
+            while (item := clocked(part, next, items, stepped)) is not stepped:
                 yield item
         return stepped if inspect.isgeneratorfunction(run) else wrapped
 

@@ -69,9 +69,9 @@ lane that exact chi and the bound on chi of the complement leave open,
 which only a faulty table leaves, in lane order, and _tally, so the
 replays run in mask order.  At n = 7 that is 64 neighbourhoods of 2^15
 lanes, a 4 KiB int each, where the whole population is 2^21 lanes, and
-the tables take about 4 ms (2-core host, scripts/kernel_timings.py
---sweep).  No candidate is gathered and no lane set is built per
-candidate, so the sweep needs no numpy.
+the tables take 4-6 ms of an 11-14 ms call (2-core host,
+scripts/kernel_timings.py --sweep).  No candidate is gathered and no
+lane set is built per candidate, so the sweep needs no numpy.
 
 The streamed source reads a text stream, a block of lines at a time.  A
 block has one form from the read to the replay: rows of w + 1 bytes,
@@ -653,15 +653,20 @@ def _path_ends(adj, start, lanes):
 
 
 def _lane_indices(lanes):
-    """The lanes of a lane set, ascending, in one pass over its binary
-    digits from the end; graphs.iter_bits costs a pass per lane, 3.8
-    against 0.3 ms for 245 lanes among 225,800."""
-    bits = format(lanes, "b")
-    top = len(bits) - 1
-    i = bits.rfind("1")
-    while i >= 0:
-        yield top - i
-        i = bits.rfind("1", 0, i)
+    """The lanes of a lane set as an ascending list, walked from the top:
+    each step reads the top lane off bit_length and clears it, which
+    shortens the int, where graphs.iter_bits copies the whole int at each
+    lane.  The walk costs a step per lane, and formatting the lane set in
+    binary a pass over all of it: 3-5 against 28-49 us for 5 lanes among
+    32,768, 640-820 against 800-980 us for all 4,096 of 4,096 (best of 7,
+    timeit, 2-core host)."""
+    found = []
+    while lanes:
+        top = lanes.bit_length() - 1
+        found.append(top)
+        lanes ^= 1 << top
+    found.reverse()
+    return found
 
 
 # The largest order whose stream candidates the lane kernels settle; above
@@ -728,9 +733,12 @@ def _tally(report, n, ks, kappa_at_least, chi_at_least, hamiltonian, graph):
     sources.  kappa_at_least[k] and chi_at_least[n - k] are lane sets, the
     hits for k are the lanes in both; hamiltonian(lanes) returns the
     Hamiltonian lanes among the given ones, and graph(i) builds the graph
-    of lane i for the certify replay of each non-Hamiltonian hit, in lane
-    order.  The Hamiltonian (lane, k) hits are all hits less the replayed
-    ones."""
+    of lane i for the certify replay of each non-Hamiltonian hit.  The
+    replays are gathered per k, a walk of k's hits among the
+    non-Hamiltonian lanes (_lane_indices) adding k to each lane's ks, and
+    then run in lane order, each lane with its ks in ks order, so no lane
+    set is read per replay.  The Hamiltonian (lane, k) hits are all hits
+    less the replayed ones."""
     hits = {k: kappa_at_least[k] & chi_at_least[n - k] for k in ks}
     every_hit = 0
     hamiltonian_hits = 0
@@ -741,12 +749,15 @@ def _tally(report, n, ks, kappa_at_least, chi_at_least, hamiltonian, graph):
         every_hit |= lanes
     if not every_hit:
         return
-    ham = hamiltonian(every_hit)
+    missed = every_hit ^ (every_hit & hamiltonian(every_hit))
     # rare path: replay the non-Hamiltonian hits through the certifier
-    for i in _lane_indices(every_hit ^ (every_hit & ham)):
-        graph_hits = [k for k, lanes in hits.items() if lanes >> i & 1]
-        hamiltonian_hits -= len(graph_hits)
-        _replay(report, graph(i), graph_hits)
+    replays = {}
+    for k, lanes in hits.items():
+        for i in _lane_indices(lanes & missed):
+            replays.setdefault(i, []).append(k)
+            hamiltonian_hits -= 1
+    for i in sorted(replays):
+        _replay(report, graph(i), replays[i])
     report.hamiltonian += hamiltonian_hits
 
 

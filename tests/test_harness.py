@@ -1,5 +1,6 @@
 """Verification harness: population tallies, sharding, streamed input."""
 
+import hashlib
 import io
 import random
 from pathlib import Path
@@ -20,6 +21,7 @@ from hamcert.graphs import (
     enumerate_labeled,
     from_edge_mask,
     is_connected,
+    iter_bits,
     min_degree,
     path_graph,
     star_graph,
@@ -354,6 +356,48 @@ class TestSweepBlocks:
             rep = verify_order(n, shards=shards)
             assert pairs == expected
             assert rep.lemma1_violations == sum(mask.bit_count() % 3 == 0 for mask in expected)
+
+    @staticmethod
+    def sweep_replays(monkeypatch, n):
+        """(graph6, ks) of each certify replay of verify_order(n), in the
+        order the sweep runs them."""
+        replays = []
+        replay = harness._replay
+
+        def recorded(report, g, ks):
+            replays.append((to_graph6(g), list(ks)))
+            replay(report, g, ks)
+
+        monkeypatch.setattr(harness, "_replay", recorded)
+        verify_order(n)
+        return replays
+
+    def test_order_seven_replays_in_mask_order(self, monkeypatch):
+        # the 245 replays, each mask once with its ks ascending, pinned by
+        # the digest of the list as "graph6 k,k,...\n" lines
+        replays = self.sweep_replays(monkeypatch, 7)
+        assert len(replays) == 245
+        masks = [decode_graph6(g6)[1] for g6, _ in replays]
+        assert all(a < b for a, b in zip(masks, masks[1:]))
+        assert all(ks == sorted(set(ks)) and ks for _, ks in replays)
+        text = "".join(f"{g6} {','.join(map(str, ks))}\n" for g6, ks in replays)
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+            "9d46a7ecf4bfa8e6e179f9d46f6c9acf58e6565a25c7a10892fc3b020bc09c66"
+        )
+
+    def test_order_five_replays_match_the_solvers(self, monkeypatch):
+        # every labeled graph in mask order, judged by the single-graph
+        # solvers: each non-Hamiltonian graph with the ks it hits
+        n = 5
+        expected = []
+        for mask in range(1 << n * (n - 1) // 2):
+            g = from_edge_mask(n, mask)
+            kappa, chi = vertex_connectivity(g), chromatic_number(g)[0]
+            ks = [k for k in range(2, n) if kappa >= k and chi >= n - k]
+            if ks and find_hamiltonian_cycle(g) is None:
+                expected.append((to_graph6(g), ks))
+        assert len(expected) == 10
+        assert self.sweep_replays(monkeypatch, n) == expected
 
     def test_order_seven_builds_its_tables_once(self, monkeypatch):
         # one build of the tables, on lane sets no wider than the 2^15
@@ -989,6 +1033,21 @@ class TestLaneKernels:
         assert list(harness._lane_indices(1 << 225_799)) == [225_799]
         dense = harness._lanes(i % 7 != 3 for i in range(225_800))
         assert list(harness._lane_indices(dense)) == [i for i in range(225_800) if i % 7 != 3]
+
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 4096, 32_768, 1 << 16])
+    def test_lane_indices_match_iter_bits(self, width):
+        # seeded lane sets of each width: empty, bit 0, the top bit, about
+        # five lanes, about half and full
+        rng = random.Random(width)
+        top = 1 << width - 1
+        cases = [
+            0, 1, top,
+            sum(1 << i for i in rng.sample(range(width), min(5, width))),
+            rng.getrandbits(width) | top,
+            (1 << width) - 1,
+        ]
+        for lanes in cases:
+            assert harness._lane_indices(lanes) == list(iter_bits(lanes))
 
 
 def graph6_lanes(graphs):
