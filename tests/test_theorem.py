@@ -1,5 +1,6 @@
 """Extremal family, certification, and proof trace tests."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -23,7 +24,7 @@ from hamcert.invariants import (
     vertex_connectivity,
 )
 from hamcert import cycles, theorem
-from hamcert.cycles import find_hamiltonian_cycle, longest_cycle
+from hamcert.cycles import Cycle, find_hamiltonian_cycle, longest_cycle
 from hamcert.theorem import (
     Certificate,
     ExtremalPartition,
@@ -491,6 +492,69 @@ def test_trace_absorb_steps_on_a_short_cycle(monkeypatch, n, tail):
     monkeypatch.setattr(theorem, "longest_cycle", one_short)
     lines = format_trace(trace_proof(build_extremal(2, n), 2)).splitlines()
     assert lines[-3:] == tail + ["conclusion inconsistent"]
+
+
+def _forced(value=None):
+    """A stand-in for a solver or predicate that returns value whatever its
+    arguments, or raises ValueError when value is None."""
+    def stand_in(*args):
+        if value is None:
+            raise ValueError("forced")
+        return value
+
+    return stand_in
+
+
+def _two_long_segments(c, fan, k):
+    return dataclasses.replace(cycles.segments(c, fan, k), big_segment_indices=frozenset({1, 2}))
+
+
+# (graph, k, the name that stands in, its stand-in, the step that fails,
+# the sha256 of the trace text)
+_FAILED_STEPS = [
+    (complete_graph(6), 3, "longest_cycle", _forced(Cycle((0, 1, 2))), "order-bound",
+     "ae5207cbd6e9af65c8c1435ec85b21dac2ce2d71fca5666a5f57770d06381cec"),
+    (build_extremal(2, 7), 2, "menger_fan", _forced(), "fan",
+     "ac906f29e06fee05e62d45515d669a7da3824241da4c83f6f3f098e88e11984e"),
+    (build_extremal(2, 7), 2, "is_independent_set", _forced(False), "independent-successors",
+     "4d266f4d21ba07bd85d5085df0fa9e244952206c34a191e077af8bbcf2a793e3"),
+    (build_extremal(2, 7), 2, "max_clique", _forced(1), "equality-chain",
+     "40144d0e72cb11711ad397a064f8cb7f5cd1554c94038168a5262821676bf945"),
+    (build_extremal(2, 7), 2, "is_clique", _forced(False), "off-set-complete",
+     "b3095d91174348d91c3c2a671ccdb2e9b067fdddb2fca5af8d03983fe089418d"),
+    (build_extremal(2, 7), 2, "segments", _forced(), "segments",
+     "126a35a48a042cf3d783585c4b2a96608ba38ce7e976b24edbb185a712526eb6"),
+    (build_extremal(2, 5), 2, "extend_predecessor_chord", _forced(Cycle((0, 1, 2))),
+     "case0-extensions-absent",
+     "cb755912ccd199c25d2163cb4a0ca2223c1d1927a17fa389b56bd5a76e97bb7f"),
+    (build_extremal(2, 7), 2, "extend_predecessor_chord", _forced(Cycle((0, 1, 2))),
+     "case1-extensions-absent",
+     "19e00c51147852575c6695bb75a58a292d6a9de7a57260c85aab06ba4aabe56a"),
+    (build_extremal(2, 5), 2, "recognize_extremal", lambda g: None, "case0-structure",
+     "14dc4e25e90c9bb8281db7c6a28f3fcee1f2a934938165db01599366289d060f"),
+    (build_extremal(2, 7), 2, "recognize_extremal", lambda g: None, "case1-structure",
+     "d20f3d0b0f0e9035a6eb2845a185f7063074de3abeadd55a9e5bf59767df9b60"),
+    (build_extremal(2, 8), 2, "extend_case1_rotation", _forced(Cycle((0, 1, 2))),
+     "case1-propagate",
+     "5ad0ccff81a30d247bb5859e7e56a7357728591ff73055060fbede6cf458458f"),
+    (build_extremal(2, 7), 2, "segments", _two_long_segments, "case2-chord",
+     "512503fda72edd9b58580fc3ebff1889d2c3d1bdbde80f9ab944213906360c1e"),
+]
+
+
+@pytest.mark.parametrize(
+    "g, k, name, stand_in, step, digest", _FAILED_STEPS, ids=[case[4] for case in _FAILED_STEPS]
+)
+def test_trace_ends_at_each_failed_step(monkeypatch, g, k, name, stand_in, step, digest):
+    # one name in theorem's namespace stands in so that one step fails;
+    # the trace ends with that step's FAIL and the conclusion, and its
+    # text is pinned as it was printed before any trace rewrite
+    monkeypatch.setattr(theorem, name, stand_in)
+    text = format_trace(trace_proof(g, k))
+    lines = text.splitlines()
+    assert lines[-2].split()[2:4] == [step, "FAIL"]
+    assert lines[-1] == "conclusion inconsistent"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
