@@ -35,12 +35,17 @@ the parts of the internal sweep, each timed by wrapping its functions:
     neighbourhoods  _settle_neighbourhood: the lookups, lemma 1 and the
                     tally of each neighbourhood of vertex n - 1, its
                     replays included
-    lane walk       _lane_indices: the lanes of each lane set that
-                    lemma 1 and the tally replay, walked from the top
+    lane walk       iter_bits, in harness's namespace: the lanes of each
+                    lane set that lemma 1 and the tally replay, walked
+                    from the top
     replays         _replay: the certify replays of the non-Hamiltonian
                     hits
 
 and the whole call.  Each is the median of 25 calls after a warm-up one.
+The lane walk and the replays run inside the neighbourhoods, so their
+times are also counted there, and so is the cost of wrapping them: the
+sweep makes hundreds of lane walks, about 1 ms of the neighbourhoods'
+time at n = 7.  The header's note says so.
 
 With --stream it prints the same for a warm verify_order(n, stream=...)
 call on a graph6 file, tests/data/graph8.g6 and n = 8 by default, the
@@ -48,7 +53,8 @@ file opened as `verify --stream FILE` opens it:
 
     read            _stream_blocks: the chunk reads, the grid checks and
                     any line-by-line path
-    lanes           pair_lanes, for the cheap stages and for _settle_block
+    lanes           pair_lanes, for the cheap stages and for _settle_block,
+                    whose share is also counted in settle
     cheap           _cheap_stages on every block of lines
     settle          _settle_block: the exact stages on the candidates,
                     their lanes included
@@ -74,7 +80,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from hamcert import harness  # noqa: E402
 from hamcert.cycles import find_hamiltonian_cycle  # noqa: E402
-from hamcert.graphs import from_edge_mask  # noqa: E402
+from hamcert.graphs import from_edge_mask, iter_bits  # noqa: E402
 from hamcert.invariants import chromatic_number, vertex_connectivity  # noqa: E402
 from tests.oracles import oracle_edge_lanes, oracle_kappa_lanes  # noqa: E402
 
@@ -86,7 +92,7 @@ SWEEP_PARTS = {
     "kappa table": ("_kappa_table",),
     "ham table": ("_hamiltonian_table",),
     "neighbourhoods": ("_settle_neighbourhood",),
-    "lane walk": ("_lane_indices",),
+    "lane walk": ("iter_bits",),
     "replays": ("_replay",),
 }
 STREAM_PARTS = {
@@ -115,7 +121,7 @@ def candidates(n, count):
             report, n, ks, oracle_edge_lanes(n, masks), every,
             lambda i: from_edge_mask(n, masks[i]),
         )
-        found += [masks[i] for i in harness._lane_indices(cand)]
+        found += [masks[i] for i in iter_bits(cand)]
     return found[:count]
 
 
@@ -149,7 +155,7 @@ def timings(n, masks, solver_repeats):
             ),
         ),
         "ham": (
-            best_ms(lambda: harness._hamiltonian_lanes(adj, n, every)),
+            best_ms(lambda: harness._hamiltonian_lanes(adj, every)),
             best_ms(lambda: [find_hamiltonian_cycle(g) for g in graphs], solver_repeats),
         ),
     }
@@ -215,9 +221,12 @@ def part_times(call, table):
     return rows
 
 
-def print_parts(n, rows) -> None:
+def print_parts(n, rows, nested) -> None:
+    """A header, whose note names the parts that run inside another
+    (nested), then one row per part."""
     width = max(map(len, rows))
-    print(f"{'n':>3} {'part':<{width}} {'ms':>8} {'faults':>8}   (one call, median of {PART_CALLS})")
+    print(f"{'n':>3} {'part':<{width}} {'ms':>8} {'faults':>8}   "
+          f"(one call, median of {PART_CALLS}; {nested})")
     for part, row in rows.items():
         ms = 1000 * statistics.median(x for x, _ in row)
         print(f"{n:>3} {part:<{width}} {ms:>8.2f} {statistics.median(f for _, f in row):>8.0f}")
@@ -226,7 +235,10 @@ def print_parts(n, rows) -> None:
 def sweep(n=7) -> None:
     """Print the ms and minor faults of each part of a warm verify_order(n)
     call and of the whole call, medians of PART_CALLS calls."""
-    print_parts(n, part_times(lambda: harness.verify_order(n), SWEEP_PARTS))
+    print_parts(
+        n, part_times(lambda: harness.verify_order(n), SWEEP_PARTS),
+        "lane walk and replays run inside neighbourhoods",
+    )
 
 
 def stream(path=GRAPH8, n=8) -> None:
@@ -237,7 +249,7 @@ def stream(path=GRAPH8, n=8) -> None:
         with open(path, encoding="ascii", errors="surrogateescape") as handle:
             harness.verify_order(n, stream=handle)
 
-    print_parts(n, part_times(call, STREAM_PARTS))
+    print_parts(n, part_times(call, STREAM_PARTS), "settle's lanes run inside settle")
 
 
 def main(orders, caps=False) -> None:

@@ -291,7 +291,7 @@ def longest_cycle(g: Graph) -> Cycle:
     # the least start s holds the lexicographically least cycle, and no
     # cycle beats best
     s, ends, rows = lead
-    path = _least_cycle(g, s, ends, list(iter_bits(rows)), best)
+    path = _least_cycle(g, s, ends, iter_bits(rows), best)
     return Cycle(tuple(_checked(g, path, best)))
 
 

@@ -116,7 +116,13 @@ from hamcert.graph6 import (
     to_graph6,
     valid_block,
 )
-from hamcert.graphs import MAX_ENUMERATION_ORDER, from_edge_mask, triangle_pairs, without_bit
+from hamcert.graphs import (
+    MAX_ENUMERATION_ORDER,
+    from_edge_mask,
+    iter_bits,
+    triangle_pairs,
+    without_bit,
+)
 from hamcert.invariants import chromatic_number, nordhaus_gaddum, vertex_connectivity
 from hamcert.cycles import find_hamiltonian_cycle
 from hamcert.theorem import certify
@@ -480,7 +486,7 @@ def _cheap_stages(report, n, ks, adj, every, graph):
 def _lemma1_replays(report, lanes, graph):
     """The exact Nordhaus-Gaddum pair of graph(i) for each of the given
     lanes, in lane order, whose lemma 1 violations go to report."""
-    for i in _lane_indices(lanes):
+    for i in iter_bits(lanes):
         if nordhaus_gaddum(graph(i))[2] < 0:
             report.lemma1_violations += 1
 
@@ -616,7 +622,7 @@ def _neighbour_rows(adj, size, low=0, members=0, rows=None):
             yield from _neighbour_rows(adj, size - 1, w + 1, members | 1 << w, grown)
 
 
-def _hamiltonian_lanes(adj, n, lanes):
+def _hamiltonian_lanes(adj, lanes):
     """The Hamiltonian graphs among the given lanes, n >= 3: a cycle
     closes a spanning path from vertex 0 (_path_ends) at one of 0's
     neighbours."""
@@ -650,23 +656,6 @@ def _path_ends(adj, start, lanes):
                 ends[v] = at_v
         table.append(ends)
     return table[-1]
-
-
-def _lane_indices(lanes):
-    """The lanes of a lane set as an ascending list, walked from the top:
-    each step reads the top lane off bit_length and clears it, which
-    shortens the int, where graphs.iter_bits copies the whole int at each
-    lane.  The walk costs a step per lane, and formatting the lane set in
-    binary a pass over all of it: 3-5 against 28-49 us for 5 lanes among
-    32,768, 640-820 against 800-980 us for all 4,096 of 4,096 (best of 7,
-    timeit, 2-core host)."""
-    found = []
-    while lanes:
-        top = lanes.bit_length() - 1
-        found.append(top)
-        lanes ^= 1 << top
-    found.reverse()
-    return found
 
 
 # The largest order whose stream candidates the lane kernels settle; above
@@ -703,7 +692,7 @@ def _exact_stages(report, n, ks, adj, every, graph) -> None:
         kappa_at_least = _kappa_lanes(adj, n, ks[-1], every)
 
         def hamiltonian(lanes):
-            return _hamiltonian_lanes(adj, n, lanes)
+            return _hamiltonian_lanes(adj, lanes)
 
     else:
         graphs = [graph(i) for i in range(every.bit_length())]
@@ -735,7 +724,7 @@ def _tally(report, n, ks, kappa_at_least, chi_at_least, hamiltonian, graph):
     Hamiltonian lanes among the given ones, and graph(i) builds the graph
     of lane i for the certify replay of each non-Hamiltonian hit.  The
     replays are gathered per k, a walk of k's hits among the
-    non-Hamiltonian lanes (_lane_indices) adding k to each lane's ks, and
+    non-Hamiltonian lanes (iter_bits) adding k to each lane's ks, and
     then run in lane order, each lane with its ks in ks order, so no lane
     set is read per replay.  The Hamiltonian (lane, k) hits are all hits
     less the replayed ones."""
@@ -753,7 +742,7 @@ def _tally(report, n, ks, kappa_at_least, chi_at_least, hamiltonian, graph):
     # rare path: replay the non-Hamiltonian hits through the certifier
     replays = {}
     for k, lanes in hits.items():
-        for i in _lane_indices(lanes & missed):
+        for i in iter_bits(lanes & missed):
             replays.setdefault(i, []).append(k)
             hamiltonian_hits -= 1
     for i in sorted(replays):
@@ -904,7 +893,7 @@ def _stream_candidates(report, n, ks, data):
         report, n, ks, _lane_adjacency(n, pair_lanes(n, data)), (1 << rows) - 1,
         lambda i: _line_graph(n, data, i),
     )
-    return b"".join([data[i * size:(i + 1) * size] for i in _lane_indices(cand)])
+    return b"".join([data[i * size:(i + 1) * size] for i in iter_bits(cand)])
 
 
 def _settle_block(report, n, ks, block) -> None:

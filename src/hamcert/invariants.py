@@ -276,7 +276,7 @@ def vertex_connectivity(g: Graph, *, stop_below: int | None = None) -> int:
     pairs: list[tuple[int, int]] = []
     for u in iter_bits(full & ~g.adj[v0] & ~(1 << v0)):
         pairs.append((v0, u))
-    neighbors = list(iter_bits(g.adj[v0]))
+    neighbors = iter_bits(g.adj[v0])
     for i, a in enumerate(neighbors):
         for b in neighbors[i + 1:]:
             if not g.has_edge(a, b):

@@ -398,56 +398,73 @@ def _cycle_str(c: Cycle) -> str:
     return ",".join(str(v) for v in c.vertices)
 
 
+class _Inconsistent(Exception):
+    """A checked trace step failed, which ends the trace.  Not a
+    ValueError, so no handler of a solver's refusal can catch it."""
+
+
 def trace_proof(g: Graph, k: int) -> ProofTrace:
     """Replay the argument on g with every claim checked exactly.
 
     A Hamiltonian graph yields the single short-circuit step.  Otherwise
-    the trace walks the contradiction argument: order bound, longest
-    cycle, fan, independent successor set, the forced equality chain,
-    completeness off the successor set, segment decomposition, and the
-    per-case closing argument.  Any failed assertion terminates the
-    trace with conclusion "inconsistent"; on graphs actually satisfying
-    the hypothesis that never happens, and the conclusion names the
-    extremal shape.
+    the trace walks the contradiction argument (_trace_steps): order
+    bound, longest cycle, fan, independent successor set, the forced
+    equality chain, completeness off the successor set, segment
+    decomposition, and the per-case closing argument.  Each claim is a
+    step: record appends it, and check appends it and, when it fails,
+    ends the trace with conclusion "inconsistent".  On graphs actually
+    satisfying the hypothesis that never happens, and the conclusion
+    names the extremal shape.
     """
     if g.n > MAX_LONGEST_CYCLE_ORDER:
         raise ValueError(
             "trace needs the exact longest cycle; order above "
             f"{MAX_LONGEST_CYCLE_ORDER} is refused rather than approximated"
         )
-    hyp = _require_hypothesis(g, k)
-    n = g.n
+    chi = _require_hypothesis(g, k).chi
     steps: list[TraceStep] = []
 
-    def add(name: str, description: str, passed: bool, witness: str = "") -> bool:
+    def record(name: str, description: str, passed: bool, witness: str = "") -> None:
         steps.append(TraceStep(len(steps) + 1, name, description, bool(passed), witness))
-        return bool(passed)
 
-    def done(conclusion: str) -> ProofTrace:
-        return ProofTrace(tuple(steps), conclusion)
+    def check(name: str, description: str, passed: bool, witness: str = "") -> None:
+        record(name, description, passed, witness)
+        if not passed:
+            raise _Inconsistent
 
+    try:
+        conclusion = _trace_steps(g, k, chi, record, check)
+    except _Inconsistent:
+        conclusion = "inconsistent"
+    return ProofTrace(tuple(steps), conclusion)
+
+
+def _trace_steps(g, k, chi, record, check) -> str:
+    """The steps of trace_proof on g, whose exact chromatic number is chi;
+    returns the conclusion unless a check ends the trace first.  A check
+    of a claim that is False on its branch (a solver's refusal, a longer
+    cycle that must not exist) records that step and ends the trace."""
+    n = g.n
     # the exact longest cycle answers Hamiltonicity too, from one path
     # table: on a Hamiltonian graph it is the lexicographically least
     # Hamiltonian cycle, which find_hamiltonian_cycle also returns
     c0 = longest_cycle(g)
     if len(c0) == n:
-        add("hamiltonian", "graph is Hamiltonian; nothing to prove", True, _cycle_str(c0))
-        return done("hamiltonian")
+        record("hamiltonian", "graph is Hamiltonian; nothing to prove", True, _cycle_str(c0))
+        return "hamiltonian"
 
     # (1) a non-Hamiltonian graph here cannot be this small: minimum
     # degree at least k >= n/2 would force a Hamiltonian cycle
-    if not add("order-bound", f"n = {n} >= 2k+1 = {2 * k + 1}", n >= 2 * k + 1):
-        return done("inconsistent")
+    check("order-bound", f"n = {n} >= 2k+1 = {2 * k + 1}", n >= 2 * k + 1)
 
     # (2) the longest cycle and the lowest off-cycle vertex
     off0 = [v for v in range(n) if v not in c0]
-    if not add(
+    check(
         "longest-cycle",
         f"longest cycle has {len(c0)} < n vertices, off-cycle vertex exists",
         len(c0) < n and bool(off0),
         f"cycle={_cycle_str(c0)}",
-    ):
-        return done("inconsistent")
+    )
     x0 = off0[0]
 
     # (3) fan from x0: at least k internally disjoint paths to the cycle;
@@ -456,65 +473,57 @@ def trace_proof(g: Graph, k: int) -> ProofTrace:
     try:
         fan0 = menger_fan(g, x0, c0, k)
     except ValueError as err:
-        add("fan", f"fan of {k} disjoint paths from {x0}", False, str(err))
-        return done("inconsistent")
+        check("fan", f"fan of {k} disjoint paths from {x0}", False, str(err))
     u1 = fan0.attachments[0]
     c = c0.rotated(u1)
     if c.predecessor(u1) < c.successor(u1):
         c = c.reversed_()
     fan = menger_fan(g, x0, c, k)
     s = len(fan.paths)
-    add(
+    check(
         "fan",
         f"fan from x0={x0} with s={s} >= k={k} paths, attachments in cycle order",
         s >= k,
         "paths=" + ";".join(",".join(str(v) for v in p) for p in fan.paths),
     )
-    if s < k:
-        return done("inconsistent")
 
     # (4) the hub plus all attachment successors form an independent set
     t_mask = successors_set(c, fan)
-    if not add(
+    check(
         "independent-successors",
         "x0 and the attachment successors are pairwise non-adjacent",
         is_independent_set(g, t_mask),
         f"set={_fmt_set(t_mask)}",
-    ):
-        return done("inconsistent")
+    )
 
     # (5) the counting chain pins every invariant exactly
-    chi = hyp.chi
     gc = complement(g)
     alpha = omega_c = max_clique(gc).bit_count()  # alpha(g) is omega(complement)
     chi_c = chromatic_number(gc)[0]
-    if not add(
+    check(
         "equality-chain",
         f"chi = n-k = {n - k}, alpha = omega(complement) = chi(complement) = k+1 = {k + 1}",
         chi == n - k and alpha == k + 1 and omega_c == k + 1 and chi_c == k + 1,
         f"chi={chi} alpha={alpha} omega_c={omega_c} chi_c={chi_c}",
-    ):
-        return done("inconsistent")
+    )
 
     # (6) everything off the (k+1)-element successor set is complete
     s_mask = (1 << x0) | mask_of(c.successor(u) for u in fan.attachments[:k])
     rest_mask = g.vertex_mask ^ s_mask
-    if not add(
+    check(
         "off-set-complete",
         "the n-k-1 vertices outside {x0, u_i^+} induce a complete graph",
         is_clique(g, rest_mask),
         f"set={_fmt_set(rest_mask)}",
-    ):
-        return done("inconsistent")
+    )
 
     # (7) segment decomposition over the first k attachments
     try:
         decomp = segments(c, fan, k)
     except ValueError as err:
-        add("segments", "segment decomposition of the cycle", False, str(err))
-        return done("inconsistent")
+        check("segments", "segment decomposition of the cycle", False, str(err))
     big = sorted(decomp.big_segment_indices)
-    add(
+    record(
         "segments",
         f"{k} segments, {len(big)} of length >= 2; case {min(len(big), 2)}",
         True,
@@ -523,38 +532,37 @@ def trace_proof(g: Graph, k: int) -> ProofTrace:
 
     off_rest = [v for v in off0 if v != x0]
     if len(big) < 2 and off_rest:
-        _trace_absorb(g, c, fan, x0, off_rest, add, f"case{len(big)}")
-        return done("inconsistent")
+        # a second off-cycle vertex: the absorb step fails and ends the trace
+        _trace_absorb(g, c, fan, x0, off_rest, record, check, f"case{len(big)}")
     if len(big) == 0:
-        return _trace_case0(g, k, c, fan, add, done)
+        return _trace_case0(g, k, c, fan, check)
     if len(big) == 1:
-        return _trace_case1(g, k, c, fan, decomp, big[0], x0, add, done)
+        return _trace_case1(g, k, c, fan, decomp, big[0], x0, check)
     # two or more long segments: the chord between their terminal
     # predecessors is forced by completeness, so a longer cycle exists,
     # contradicting the longest cycle; reaching here means inconsistency
     out = extend_predecessor_chord(g, c, fan)
     if out is not None:
-        add(
+        check(
             "case2-chord",
             "forced predecessor chord yields a longer cycle, contradicting maximality",
             False,
             f"longer={_cycle_str(out)}",
         )
-    else:
-        add(
-            "case2-chord",
-            "completeness guarantees the predecessor chord, but no extension fired",
-            False,
-        )
-    return done("inconsistent")
+    check(
+        "case2-chord",
+        "completeness guarantees the predecessor chord, but no extension fired",
+        False,
+    )
 
 
-def _trace_absorb(g, c, fan, x0, off_rest, add, case):
+def _trace_absorb(g, c, fan, x0, off_rest, record, check, case):
     """With two or more off-cycle vertices the off-cycle part is
     complete, so x0 reaches the cycle through a neighbor z and the
-    absorb rule must fire: a longer cycle, which cannot exist."""
+    absorb rule must fire: a longer cycle, which cannot exist.  The
+    absorb step fails either way and ends the trace."""
     off_mask = (1 << x0) | mask_of(off_rest)
-    add(
+    record(
         f"{case}-offcycle-complete",
         "vertices off the cycle induce a complete graph",
         is_clique(g, off_mask),
@@ -563,183 +571,149 @@ def _trace_absorb(g, c, fan, x0, off_rest, add, case):
     z = off_rest[0]
     out = extend_offcycle(g, c, fan, z)
     if out is not None:
-        add(
+        check(
             f"{case}-absorb",
             "absorbing z produced a longer cycle, contradicting maximality",
             False,
             f"z={z} longer={_cycle_str(out)}",
         )
-    else:
-        add(
-            f"{case}-absorb",
-            "the guaranteed absorb extension did not materialize",
-            False,
-            f"z={z}",
-        )
+    check(f"{case}-absorb", "the guaranteed absorb extension did not materialize", False, f"z={z}")
 
 
-def _trace_structure(g, k, add, case, description) -> bool:
-    """The closing step of both cases: g is recognized as extremal."""
+def _trace_close(g, k, check, case, longer, description, conclusion) -> str:
+    """The closing steps of cases 0 and 1: no extension rule fires on the
+    longest cycle (longer is the witness of one that did, empty if none
+    did), and g is recognized as extremal for k, the structure step
+    described by description.  Returns conclusion."""
+    check(
+        f"{case}-extensions-absent",
+        "no extension rule fires on the longest cycle",
+        not longer,
+        longer,
+    )
     found = recognize_extremal(g)
     okay = found is not None and found[0] == k
-    add(
+    check(
         f"{case}-structure",
         description,
         okay,
-        "" if not okay else f"a={_fmt_set(found[1].a)} b={_fmt_set(found[1].b)} c={_fmt_set(found[1].c_part)}",
+        "" if not okay else (
+            f"a={_fmt_set(found[1].a)} b={_fmt_set(found[1].b)} c={_fmt_set(found[1].c_part)}"
+        ),
     )
-    return okay
+    return conclusion
 
 
-def _trace_case0(g, k, c, fan, add, done):
+def _trace_case0(g, k, c, fan, check) -> str:
     n = g.n
-    if not add(
+    check(
         "case0-order",
         f"cycle covers 2k vertices and only x0 is off, so n = 2k+1 = {2 * k + 1}",
         len(c) == 2 * k and n == 2 * k + 1,
         f"|C|={len(c)}",
-    ):
-        return done("inconsistent")
+    )
 
     # the k attachments must be universal: each has degree n-1
     att = fan.attachments[:k]
-    universal_ok = all(g.degree(u) == n - 1 for u in att)
-    if not add(
+    check(
         "case0-saturation",
         "every attachment is adjacent to all other vertices",
-        universal_ok,
+        all(g.degree(u) == n - 1 for u in att),
         "degrees=" + ",".join(str(g.degree(u)) for u in att),
-    ):
-        return done("inconsistent")
+    )
 
     # no extension applies to the maximal cycle
     chord = extend_predecessor_chord(g, c, fan)
-    if not add(
-        "case0-extensions-absent",
-        "no extension rule fires on the longest cycle",
-        chord is None,
-        "" if chord is None else f"longer={_cycle_str(chord)}",
-    ):
-        return done("inconsistent")
-
-    okay = _trace_structure(g, k, add, "case0", "graph is the k-join of an independent (k+1)-set")
-    return done("extremal (n = 2k+1)" if okay else "inconsistent")
+    return _trace_close(
+        g, k, check, "case0", "" if chord is None else f"longer={_cycle_str(chord)}",
+        "graph is the k-join of an independent (k+1)-set", "extremal (n = 2k+1)",
+    )
 
 
-def _trace_case1(g, k, c, fan, decomp, big_index, x0, add, done):
+def _trace_case1(g, k, c, fan, decomp, big_index, x0, check) -> str:
     n = g.n
     seg = decomp.segments[big_index - 1]
     ys = seg[:-1]
     r = len(ys)
-    if not add(
+    check(
         "case1-order",
         f"one long segment with r = {r} interior vertices, so n = 2k+1+r >= 2k+2",
         r >= 1 and n == 2 * k + 1 + r,
         f"segment={','.join(str(v) for v in seg)}",
-    ):
-        return done("inconsistent")
+    )
 
     # attachments and successors relative to the long segment being first
-    att = fan.attachments[: k]
+    att = fan.attachments[:k]
     rot = big_index - 1
     att_rot = att[rot:] + att[:rot]
-    u1 = att_rot[0]
-    u1_succ = c.successor(u1)
+    u1_succ = c.successor(att_rot[0])
     other_succ = [c.successor(u) for u in att_rot[1:]]
 
     # descending chain over the segment interior: at each position the
     # two rewiring edges must be absent (else a longer cycle) and the
     # fallback edge to the first successor forced (else an independent
-    # set of size k+2)
+    # set of size k+2); the rotation rule's inputs are 1-based positions
+    # within the segment, and it checks position j+1's backward neighbor j
     for j in range(r, 0, -1):
         y_j = ys[j - 1]
-        hub_edge = g.has_edge(x0, y_j)
-        far_edges = [w for w in other_succ if g.has_edge(w, y_j)]
+        rewired = g.has_edge(x0, y_j) or any(g.has_edge(w, y_j) for w in other_succ)
         forced = g.has_edge(u1_succ, y_j)
-        if j == r:
-            rule_fired = None
-        else:
-            # rule inputs are 1-based positions within the segment; the
-            # rotation rule checks position j+1's backward neighbor j
-            rule_fired = extend_case1_rotation(g, c, fan, j + 1)
-        passed = (not hub_edge) and (not far_edges) and forced and rule_fired is None
+        rule_fired = None if j == r else extend_case1_rotation(g, c, fan, j + 1)
         witness = f"y_{j}={y_j} forced_edge={u1_succ}-{y_j}"
         if rule_fired is not None:
             witness += f" longer={_cycle_str(rule_fired)}"
         if not forced:
             bad = (1 << x0) | mask_of(other_succ) | (1 << y_j) | (1 << u1_succ)
             witness += f" independent_k_plus_2={_fmt_set(bad)}"
-        if not add(
+        check(
             "case1-propagate",
             f"position {j}: no rewiring edge, successor edge forced",
-            passed,
+            not rewired and forced and rule_fired is None,
             witness,
-        ):
-            return done("inconsistent")
+        )
 
     # hub successor must reach every attachment, else an explicit proper
     # coloring with n-k-1 colors exists, contradicting chi = n-k
     missing = [u for u in att if not g.has_edge(u1_succ, u)]
     if missing:
-        coloring = _case1_contradiction_coloring(g, c, fan, x0, u1_succ, ys, att)
-        ok_coloring = coloring is not None
-        add(
+        coloring = _case1_contradiction_coloring(g, k, x0, u1_succ, other_succ, ys[0], missing[0])
+        check(
             "case1-hub-clique",
             "the first successor misses an attachment; the explicit small "
             "coloring certifies the contradiction",
             False,
-            f"missing={missing} coloring_valid={ok_coloring}",
+            f"missing={missing} coloring_valid={coloring is not None}",
         )
-        return done("inconsistent")
-    add(
+    check(
         "case1-hub-clique",
         "the first successor is adjacent to every attachment",
         True,
         f"u1_succ={u1_succ}",
     )
 
-    chord = extend_predecessor_chord(g, c, fan)
-    rotations = []
-    for y_index in range(1, r + 1):
-        out = extend_case1_rotation(g, c, fan, y_index)
-        if out is not None:
-            rotations.append(out)
-    if not add(
-        "case1-extensions-absent",
-        "no extension rule fires on the longest cycle",
-        chord is None and not rotations,
-        "" if chord is None and not rotations else "longer cycle found",
-    ):
-        return done("inconsistent")
-
-    okay = _trace_structure(
-        g, k, add, "case1", "graph is the extremal join shape with a nontrivial clique part"
+    fired = extend_predecessor_chord(g, c, fan) is not None or any(
+        extend_case1_rotation(g, c, fan, y_index) is not None for y_index in range(1, r + 1)
     )
-    return done("extremal (n >= 2k+2)" if okay else "inconsistent")
+    return _trace_close(
+        g, k, check, "case1", "longer cycle found" if fired else "",
+        "graph is the extremal join shape with a nontrivial clique part", "extremal (n >= 2k+2)",
+    )
 
 
-def _case1_contradiction_coloring(g, c, fan, x0, u1_succ, ys, att):
-    """The explicit coloring used when the first successor misses an
-    attachment: distinct colors off the successor set, the first
-    successor reuses a missed attachment's color, the hub and the other
-    successors reuse the first interior vertex's color.  Returns the
-    assignment when it is proper with n-k-1 colors, else None."""
+def _case1_contradiction_coloring(g, k, x0, u1_succ, other_succ, y1, missed):
+    """The explicit coloring used when the first successor u1_succ misses
+    the attachment missed, on case 1's rotated view: distinct colors off
+    the successor set, u1_succ reuses missed's color, and the hub x0 and
+    the other successors other_succ reuse the color of y1, the first
+    interior vertex of the long segment.  Returns the assignment when it
+    is proper with n-k-1 colors, else None."""
     n = g.n
-    k = len(att)
-    missing = [u for u in att if not g.has_edge(u1_succ, u)]
-    if not missing or not ys:
-        return None
-    succ_set = [c.successor(u) for u in att]
-    others = [v for v in range(n) if v != x0 and v != u1_succ and v not in succ_set[1:]]
-    # assign: each remaining vertex its own color
-    color = {}
-    for i, v in enumerate(others):
-        color[v] = i
-    color[u1_succ] = color[missing[0]]
-    for v in [x0] + succ_set[1:]:
-        color[v] = color[ys[0]]
+    shared = [x0, *other_succ]
+    own = [v for v in range(n) if v != u1_succ and v not in shared]
+    color = {v: i for i, v in enumerate(own)}
+    color[u1_succ] = color[missed]
+    color.update(dict.fromkeys(shared, color[y1]))
     assignment = tuple(color[v] for v in range(n))
-    used = len(set(assignment))
-    if used == n - k - 1 and is_proper_coloring(g, assignment):
+    if len(set(assignment)) == n - k - 1 and is_proper_coloring(g, assignment):
         return assignment
     return None

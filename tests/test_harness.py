@@ -266,7 +266,7 @@ class TestSweepBlocks:
             assert chi[nb] == harness._chromatic_lanes(adj, n, n, every), nb
             if n >= 3:
                 assert kappa[nb] == harness._kappa_lanes(adj, n, n - 1, every), nb
-                assert ham[nb] == harness._hamiltonian_lanes(adj, n, every), nb
+                assert ham[nb] == harness._hamiltonian_lanes(adj, every), nb
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_parent_complement_lanes_bound_chi_of_the_complements(self, m):
@@ -584,7 +584,7 @@ def mask_pipeline(n, k_range, lines, cuts=()):
             report, n, ks, oracle_edge_lanes(n, part.tolist()), (1 << part.size) - 1,
             lambda i: from_edge_mask(n, int(part[i])),
         )
-        found += [int(part[i]) for i in harness._lane_indices(cand)]
+        found += [int(part[i]) for i in iter_bits(cand)]
     if found:
         harness._exact_stages(
             report, n, ks, oracle_edge_lanes(n, found), (1 << len(found)) - 1,
@@ -838,12 +838,12 @@ class TestBatchedKernels:
         # sources, so it is held to the checked solver on every input
         n, masks = self.labeled_or_graph8(source)
         adj = oracle_edge_lanes(n, masks.tolist())
-        ham = harness._hamiltonian_lanes(adj, n, (1 << masks.size) - 1)
+        ham = harness._hamiltonian_lanes(adj, (1 << masks.size) - 1)
         expected = [find_hamiltonian_cycle(from_edge_mask(n, int(m))) is not None for m in masks]
         assert lane_list(ham, masks.size) == expected
         # only the given lanes are decided
         some = int("10" * masks.size, 2) & ((1 << masks.size) - 1)
-        assert harness._hamiltonian_lanes(adj, n, some) == ham & some
+        assert harness._hamiltonian_lanes(adj, some) == ham & some
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
     def test_clique_alpha_matches_solvers(self, n):
@@ -1026,18 +1026,20 @@ class TestLaneKernels:
         assert report.hamiltonian == 3
 
     def test_lane_indices(self):
-        assert list(harness._lane_indices(0)) == []
-        assert list(harness._lane_indices(1)) == [0]
-        assert list(harness._lane_indices(0b1011001)) == [0, 3, 4, 6]
-        assert list(harness._lane_indices(1 << 5000 | 2)) == [1, 5000]
-        assert list(harness._lane_indices(1 << 225_799)) == [225_799]
+        # graphs.iter_bits is the one set-bit walk, over lane sets as wide
+        # as 225,800 lanes
+        assert iter_bits(0) == []
+        assert iter_bits(1) == [0]
+        assert iter_bits(0b1011001) == [0, 3, 4, 6]
+        assert iter_bits(1 << 5000 | 2) == [1, 5000]
+        assert iter_bits(1 << 225_799) == [225_799]
         dense = harness._lanes(i % 7 != 3 for i in range(225_800))
-        assert list(harness._lane_indices(dense)) == [i for i in range(225_800) if i % 7 != 3]
+        assert iter_bits(dense) == [i for i in range(225_800) if i % 7 != 3]
 
     @pytest.mark.parametrize("width", [1, 63, 64, 65, 4096, 32_768, 1 << 16])
     def test_lane_indices_match_iter_bits(self, width):
         # seeded lane sets of each width: empty, bit 0, the top bit, about
-        # five lanes, about half and full
+        # five lanes, about half and full, against a test of each bit
         rng = random.Random(width)
         top = 1 << width - 1
         cases = [
@@ -1047,7 +1049,7 @@ class TestLaneKernels:
             (1 << width) - 1,
         ]
         for lanes in cases:
-            assert harness._lane_indices(lanes) == list(iter_bits(lanes))
+            assert iter_bits(lanes) == [i for i in range(width) if lanes >> i & 1]
 
 
 def graph6_lanes(graphs):

@@ -557,6 +557,36 @@ def test_trace_ends_at_each_failed_step(monkeypatch, g, k, name, stand_in, step,
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_case1_contradiction_coloring_on_the_rotated_view(monkeypatch):
+    # on an extremal graph less one edge from the first successor u1+ to
+    # another attachment, case 1 must find u1+ missing that attachment and
+    # an explicit proper (n - k - 1)-coloring, whichever segment is long;
+    # the hypothesis (chi >= n - k) no longer holds, so the edge is taken
+    # out only once the trace enters case 1
+    case1 = theorem._trace_case1
+    rotated = []
+
+    def less_one_edge(g, k, c, fan, decomp, big_index, *rest):
+        u1 = fan.attachments[big_index - 1]
+        u = next(u for u in fan.attachments[:k] if u != u1)
+        pair = {c.successor(u1), u}
+        h = with_edges(g.n, [e for e in g.edges() if set(e) != pair])
+        assert chromatic_number(h)[0] == g.n - k - 1
+        rotated.append(big_index != 1)
+        return case1(h, k, c, fan, decomp, big_index, *rest)
+
+    monkeypatch.setattr(theorem, "_trace_case1", less_one_edge)
+    rng = random.Random(0)
+    for k in (2, 3):
+        for n in range(2 * k + 2, 2 * k + 6):
+            for _ in range(4):
+                g = relabeled(build_extremal(k, n), rng)
+                lines = format_trace(trace_proof(g, k)).splitlines()
+                assert lines[-2].split()[2:4] == ["case1-hub-clique", "FAIL"]
+                assert lines[-2].endswith("coloring_valid=True"), lines[-2]
+    assert any(rotated) and not all(rotated)
+
+
 @pytest.mark.parametrize(
     "g, k",
     [
