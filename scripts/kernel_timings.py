@@ -27,6 +27,8 @@ the parts of the internal sweep, each timed by wrapping its functions:
 
     chi table       _chromatic_table: the exact chi table on the
                     order-(n - 1) parents
+    cover levels    _cover_levels: Lawler's cover levels that the chi
+                    table reads, each level timed as it is computed
     complement bound
                     _first_fit_lanes: first fit on the parents'
                     complements, the bound on chi of the complement
@@ -42,10 +44,11 @@ the parts of the internal sweep, each timed by wrapping its functions:
                     hits
 
 and the whole call.  Each is the median of 25 calls after a warm-up one.
-The lane walk and the replays run inside the neighbourhoods, so their
-times are also counted there, and so is the cost of wrapping them: the
-sweep makes hundreds of lane walks, about 1 ms of the neighbourhoods'
-time at n = 7.  The header's note says so.
+The cover levels run inside the chi table, and the lane walk and the
+replays inside the neighbourhoods, so their times are also counted
+there, and so is the cost of wrapping them: the sweep makes hundreds of
+lane walks, about 1 ms of the neighbourhoods' time at n = 7.  The
+header's note says so.
 
 With --stream it prints the same for a warm verify_order(n, stream=...)
 call on a graph6 file, tests/data/graph8.g6 and n = 8 by default, the
@@ -88,6 +91,7 @@ BLOCK = 4096
 DENSITY = 0.8
 SWEEP_PARTS = {
     "chi table": ("_chromatic_table",),
+    "cover levels": ("_cover_levels",),
     "complement bound": ("_first_fit_lanes",),
     "kappa table": ("_kappa_table",),
     "ham table": ("_hamiltonian_table",),
@@ -237,7 +241,7 @@ def sweep(n=7) -> None:
     call and of the whole call, medians of PART_CALLS calls."""
     print_parts(
         n, part_times(lambda: harness.verify_order(n), SWEEP_PARTS),
-        "lane walk and replays run inside neighbourhoods",
+        "cover levels run inside chi table, lane walk and replays inside neighbourhoods",
     )
 
 

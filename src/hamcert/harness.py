@@ -48,18 +48,22 @@ from tables built once a sweep on the 2^Q parent lanes (_sweep_tables),
 whose lane set of pair t is bit t of the lane index, a periodic pattern
 built by doubling (_range_lanes, from graphs.without_bit).  Each table
 is indexed by a vertex set Y of P and filled by one subset-OR transform
-over its 2^(n - 1) entries (_subset_or):
+(_subset_or), over the sets at which it is read; an entry that a count
+of vertices already fixes is not computed:
 
 - chi: G is c-colorable exactly when some c-coloring of P has a class
-  that misses nb (_chromatic_table, on Lawler's cover levels of every
-  vertex set of P).  Chi of G's complement is bounded as the stream
-  bounds it, by first fit on the complements (_first_fit_lanes), here of
-  the parents: G's complement is P's complement plus v adjacent to the
-  vertices outside nb, so v adds a color only when they are at least
-  first fit's colors, and lemma 1 is left open on no lane;
+  that misses nb, and when |nb| < c exactly when P is c-colorable
+  (_chromatic_table, on Lawler's cover levels of P, each level t on the
+  vertex sets of more than t vertices).  Chi of G's complement is
+  bounded as the stream bounds it, by first fit on the complements
+  (_first_fit_lanes), here of the parents: G's complement is P's
+  complement plus v adjacent to the vertices outside nb, so v adds a
+  color only when they are at least first fit's colors, and lemma 1 is
+  left open on no lane;
 - kappa >= k: exactly when no set of at most k - 2 vertices separates P
   and no nonempty K outside nb has at most k - 1 outside neighbours in
-  P (_kappa_table, on the K-set counter of every K);
+  P (_kappa_table, on the K-set counter of each K of at most
+  max(m / 2, m - k) vertices, m = n - 1, at the lowest k);
 - Hamiltonicity: exactly when P has a Hamiltonian path with both ends in
   nb (_hamiltonian_table, on the path fill from each start).
 
@@ -69,7 +73,7 @@ lane that exact chi and the bound on chi of the complement leave open,
 which only a faulty table leaves, in lane order, and _tally, so the
 replays run in mask order.  At n = 7 that is 64 neighbourhoods of 2^15
 lanes, a 4 KiB int each, where the whole population is 2^21 lanes, and
-the tables take 4-6 ms of an 11-14 ms call (2-core host,
+the tables take 3.5-5.7 ms of a 10-16 ms call (2-core host,
 scripts/kernel_timings.py --sweep).  No candidate is gathered and no
 lane set is built per candidate, so the sweep needs no numpy.
 
@@ -222,20 +226,31 @@ def _chromatic_table(adj, m, every):
     I.  That is: I is an independent set outside Y, and c - 1 independent
     sets cover V - I.  So the c-colorable lanes of Y are E_c[V - Y], E_c
     the subset-OR transform (_subset_or) of indep[I] & cover_{c-1}[V - I]
-    over the 2^m sets I.  cover_t is level t of Lawler's cover recursion
-    (_cover_levels) over every vertex set of P, cover_0 the empty set
-    alone; chi >= s is the complement of E_{s-1}."""
+    over the sets I.  cover_t is level t of Lawler's cover recursion
+    (_cover_levels) over the vertex sets of P, cover_0 the empty set
+    alone; chi >= s is the complement of E_{s-1}.
+
+    When |Y| < c, P + v is c-colorable exactly when P is: v's fewer than
+    c neighbours leave a color of any c-coloring of P free for v.  So
+    those rows share one lane set, chi(P) >= c + 1, the complement of
+    cover_c[V], and E_c is read only at V - Y with |Y| >= c: it is
+    transformed over the sets of at most m - c vertices, whose subsets I
+    have at most m - c too."""
     full = (1 << m) - 1
     indep = _independent_lanes(adj, every)
     levels = _cover_levels(indep, [(i, x) for i, x in enumerate(indep) if i and x], every)
     at_least = [[every, every] for _ in range(full + 1)]
     cover = [every] + [0] * full
-    for c in range(1, m + 1):
-        colorable = _subset_or([indep[i] & cover[full ^ i] for i in range(full + 1)])
+    for c, above in zip(range(1, m + 1), levels):
+        top = m - c
+        colorable = _subset_or(
+            [indep[i] & cover[full ^ i] if i.bit_count() <= top else 0 for i in range(full + 1)],
+            top,
+        )
+        shared = every ^ above[full]
         for y, row in enumerate(at_least):
-            row.append(every ^ colorable[full ^ y])
-        if c < m:
-            cover = next(levels)
+            row.append(every ^ colorable[full ^ y] if y.bit_count() >= c else shared)
+        cover = above
     return at_least
 
 
@@ -250,23 +265,38 @@ def _kappa_table(adj, m, ks, every):
     (b) v is not in T, so some component K of P + v - T misses v, and
     then K is a nonempty set of P outside Y whose outside neighbours
     N(K) lie in T.  Conversely such a K with |N(K)| <= k - 1 is cut off
-    from v by N(K).  A set S separates P exactly when S holds N(K) for a
-    nonempty K with K | N(K) != V: a component of P - S is such a K, and
-    N(K) separates K from the rest.  So (a) fails in the lanes where some
-    K has fewer than min(k - 1, m - |K|) outside neighbours, one lane set
-    per k, and (b) in B_k[V - Y], B_k the subset-OR transform of the
-    lanes where K has at most k - 1.  Both read the K-set counter
-    (_k_set_counts) of every nonempty K."""
+    from v by N(K).  So (b) holds in B_k[V - Y], B_k the subset-OR
+    transform of the lanes where K has at most k - 1 outside neighbours;
+    it is read only at V - Y with |Y| >= k, so it is transformed over the
+    sets of at most m - k vertices, which only need the K of at most
+    m - k.
+
+    (a) holds exactly when some K of s <= m / 2 vertices has at most
+    min(k - 2, m - 2s) outside neighbours, one lane set per k.  Such an
+    N(K) leaves the m - s - |N(K)| >= s vertices outside K and N(K) apart
+    from K.  Conversely, K the smallest component that a separator S of
+    at most k - 2 vertices leaves has N(K) inside S and s <= (m - |S|) / 2,
+    also when S is empty and P splits in two halves.
+
+    Both read the K-set counter (_k_set_counts) of each K of up to
+    max(m / 2, m - min(ks)) vertices, s of them, saturating at
+    min(max(ks), m - s): (a) reads it at min(k - 1, m - 2s + 1) <= m - s
+    and (b) at k <= m - s."""
     full = (1 << m) - 1
+    half = m // 2
     joined = dict.fromkeys(ks, every)
     cut_off = {k: [0] * (full + 1) for k in ks}
-    for members, count in _k_set_counts(adj, m, lambda size: ks[-1], every):
+    for members, count in _k_set_counts(
+        adj, max(half, m - ks[0]), lambda size: min(ks[-1], m - size), every,
+    ):
         size = members.bit_count()
         for k in ks:
-            joined[k] &= count[min(k - 1, m - size)]
-            cut_off[k][members] = every ^ count[k]
+            if size <= half:
+                joined[k] &= count[min(k - 1, m - 2 * size + 1)]
+            if size <= m - k:
+                cut_off[k][members] = every ^ count[k]
     for k in ks:
-        _subset_or(cut_off[k])
+        _subset_or(cut_off[k], m - k)
     return [
         {k: joined[k] ^ (joined[k] & cut_off[k][full ^ y]) if k <= y.bit_count() else 0 for k in ks}
         for y in range(full + 1)
@@ -286,15 +316,18 @@ def _hamiltonian_table(adj, m, every):
         for b, lanes in _path_ends(adj, a, every).items():
             if b > a:
                 ham[1 << a | 1 << b] = lanes
-    return _subset_or(ham)
+    return _subset_or(ham, m)
 
 
-def _subset_or(table):
+def _subset_or(table, size):
     """table[Y] becomes the OR of table[X] over every X inside Y, in
-    place, one pass per vertex (Yates' zeta transform); returns table."""
+    place, for the Y of at most size vertices, one pass per vertex (Yates'
+    zeta transform); returns table.  A pass ORs into Y only entries of its
+    subsets, so the entries of larger sets are neither read nor changed."""
+    small = [y for y in range(len(table)) if y.bit_count() <= size]
     bit = 1
     while bit < len(table):
-        for y in range(len(table)):
+        for y in small:
             if y & bit:
                 table[y] |= table[y ^ bit]
         bit <<= 1
@@ -544,21 +577,27 @@ def _cover_levels(indep, sets, every):
     """The levels t = 1, 2, ... of Lawler's cover recursion, each a table
     whose entry X is the lanes in which t independent sets cover X: level
     1 is indep, and level t the OR, over the independent I inside X that
-    hold X's lowest vertex, of indep[I] & cover[X - I] a level below, the
-    empty set covered at every level.  sets lists (I, indep[I]) for the I
-    whose supersets X = I | Y are kept, Y inside free, the vertices above
-    I's lowest one and outside I; a level is computed when it is asked
-    for."""
+    hold X's lowest vertex, of indep[I] & cover[X - I] a level below.
+    sets lists (I, indep[I]) for the I whose supersets X = I | Y are kept,
+    Y inside free, the vertices above I's lowest one and outside I; a
+    level is computed when it is asked for.  Level t is computed only for
+    the X of more than t vertices: t independent sets, singletons or
+    empty, cover a smaller X, so its entry is every."""
     full = len(indep) - 1
     sets = [(i, at_i, full ^ (i | ((i & -i) - 1))) for i, at_i in sets]
+    sizes = [x.bit_count() for x in range(full + 1)]
     cover = indep
+    t = 1
     while True:
         yield cover
-        level = [every] + [0] * full
+        t += 1
+        level = [every if size <= t else 0 for size in sizes]
         for i, at_i, free in sets:
             y = free
             while True:
-                level[i | y] |= at_i & cover[y]
+                x = i | y
+                if sizes[x] > t:
+                    level[x] |= at_i & cover[y]
                 if not y:
                     break
                 y = (y - 1) & free

@@ -27,6 +27,7 @@ from hamcert.graphs import (
     mask_of,
 )
 from hamcert.invariants import (
+    PathSystem,
     chromatic_number,
     is_proper_coloring,
     max_clique,
@@ -478,7 +479,11 @@ def _trace_steps(g, k, chi, record, check) -> str:
     c = c0.rotated(u1)
     if c.predecessor(u1) < c.successor(u1):
         c = c.reversed_()
-    fan = menger_fan(g, x0, c, k)
+    # the flow reads the cycle's vertex set alone, and u1, the lowest
+    # attachment, is c's first vertex: the fan on c is fan0's paths in c's
+    # order
+    paths = tuple(sorted(fan0.paths, key=lambda p: c.position(p[-1])))
+    fan = PathSystem(x0, paths, tuple(p[-1] for p in paths))
     s = len(fan.paths)
     check(
         "fan",

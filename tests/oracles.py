@@ -6,9 +6,13 @@ found by plain backtracking over vertices in label order, first-fit
 bounds by their definition, cliques and independent sets by full subset
 sweeps, connectivity by deleting every candidate cut set (also in lanes,
 oracle_kappa_lanes), cycles by permutation search, lane sets by slicing
-one string of every mask.  Keep it that way.  The one exception is
+one string of every mask.  Keep it that way.  The exceptions are
 oracle_path_ends, the reference for the bit-sliced path table: the same
-subset DP, filled one row at a time.  oracle_certify is the certifier's
+subset DP, filled one row at a time; and oracle_chromatic_table and
+oracle_kappa_table, the references for the sweep's tables: the same
+formulas, each table entry computed in full on every vertex set, the
+subset-OR by its definition (oracle_subset_or) and the cover levels
+written out plainly.  oracle_certify is the certifier's
 former full path, built from the package's own exact solvers, the
 reference for its shape-first path, and oracle_extremal_problems the
 partition check invariant by invariant, the reference for its rows-first
@@ -19,7 +23,9 @@ numpy array of edge masks.
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations
+from operator import or_
 
 import numpy as np
 
@@ -213,6 +219,78 @@ def oracle_kappa_lanes(adj, n, k_cap, every):
                 separated |= every ^ reach[u]
         at_least.append(at_least[-1] & (every ^ separated))
     return at_least
+
+
+def oracle_subset_or(table):
+    """A new list whose entry Y is the OR of table[X] over every X inside
+    Y, by its definition."""
+    return [
+        functools.reduce(or_, (table[x] for x in range(y + 1) if x & y == x))
+        for y in range(len(table))
+    ]
+
+
+def oracle_chromatic_table(adj, m, every):
+    """The reference chi table of the sweep: at_least[Y][s], s = 0 ..
+    m + 1, the lanes of every in which P + v, v adjacent to the vertex
+    set Y of the order-m graph P, has chi >= s.  P + v is c-colorable
+    where some independent I outside Y leaves V - I covered by c - 1
+    independent sets: E_c[V - Y], E_c the subset-OR of indep[I] &
+    cover_{c-1}[V - I] over every I, cover_t[X] the OR over the I inside
+    X holding X's lowest vertex of indep[I] & cover_{t-1}[X - I], and
+    cover_0 the empty set alone; every level and every entry is computed."""
+    full = (1 << m) - 1
+    indep = []
+    for x in range(full + 1):
+        lanes = every
+        for u, v in combinations([u for u in range(m) if x >> u & 1], 2):
+            lanes &= every ^ adj[u][v]
+        indep.append(lanes)
+    cover = [every] + [0] * full
+    at_least = [[every, every] for _ in range(full + 1)]
+    for _ in range(m):
+        colorable = oracle_subset_or([indep[i] & cover[full ^ i] for i in range(full + 1)])
+        for y, row in enumerate(at_least):
+            row.append(every ^ colorable[full ^ y])
+        level = [every] + [0] * full
+        for x in range(1, full + 1):
+            low = x & -x
+            for i in range(full + 1):
+                if i & x == i and i & low:
+                    level[x] |= indep[i] & cover[x ^ i]
+        cover = level
+    return at_least
+
+
+def oracle_kappa_table(adj, m, ks, every):
+    """The reference kappa table of the sweep: at_least[Y][k], k in ks,
+    the lanes of every in which P + v, v adjacent to the vertex set Y of
+    the order-m graph P, has kappa >= k, 0 where k > |Y|.  From the
+    outside neighbours of every nonempty K, counted in full: P has no
+    separator of at most k - 2 vertices where every K has at least
+    min(k - 1, m - |K|), and v is cut off from a K outside Y where K has
+    at most k - 1, the subset-OR of those lanes read at V - Y."""
+    full = (1 << m) - 1
+    joined = dict.fromkeys(ks, every)
+    cut_off = {k: [0] * (full + 1) for k in ks}
+    for members in range(1, full + 1):
+        count = [every] + [0] * m  # count[d]: at least d outside neighbours
+        for u in range(m):
+            if not members >> u & 1:
+                lanes = 0
+                for w in range(m):
+                    if members >> w & 1:
+                        lanes |= adj[u][w]
+                for d in range(m, 0, -1):
+                    count[d] |= count[d - 1] & lanes
+        for k in ks:
+            joined[k] &= count[min(k - 1, m - members.bit_count())]
+            cut_off[k][members] = every ^ count[k]
+    cut_off = {k: oracle_subset_or(table) for k, table in cut_off.items()}
+    return [
+        {k: joined[k] & (every ^ cut_off[k][full ^ y]) if k <= y.bit_count() else 0 for k in ks}
+        for y in range(full + 1)
+    ]
 
 
 def oracle_hamiltonian_cycle(g: Graph) -> tuple[int, ...] | None:

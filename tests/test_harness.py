@@ -42,11 +42,14 @@ from tests.conftest import (
 )
 from tests.oracles import (
     oracle_chromatic,
+    oracle_chromatic_table,
     oracle_edge_lanes,
     oracle_first_fit_coloring,
     oracle_first_fit_colors,
     oracle_hamiltonian_cycle,
     oracle_kappa_lanes,
+    oracle_kappa_table,
+    oracle_subset_or,
     oracle_mask_clique_alpha,
     oracle_vertex_connectivity,
 )
@@ -268,6 +271,26 @@ class TestSweepBlocks:
                 assert kappa[nb] == harness._kappa_lanes(adj, n, n - 1, every), nb
                 assert ham[nb] == harness._hamiltonian_lanes(adj, every), nb
 
+    @pytest.mark.parametrize("m", range(7))
+    def test_tables_match_their_full_formulas(self, m):
+        # the chi and kappa tables, computed only where they are read and
+        # not fixed by a count, against their formulas computed on every
+        # vertex set (oracle_chromatic_table, oracle_kappa_table): on the
+        # lanes of every order-m parent and on seeded subsets of them,
+        # kappa at every k window
+        whole = harness._range_lanes(m)
+        width = 1 << (m * (m - 1) // 2)
+        rng = random.Random(m)
+        for every in [(1 << width) - 1] + [rng.getrandbits(width) for _ in range(3)]:
+            adj = [[x & every for x in row] for row in whole]
+            assert harness._chromatic_table(adj, m, every) == oracle_chromatic_table(adj, m, every)
+            for lo in range(2, m + 1):
+                for hi in range(lo, m + 1):
+                    ks = range(lo, hi + 1)
+                    assert harness._kappa_table(adj, m, ks, every) == oracle_kappa_table(
+                        adj, m, ks, every
+                    ), ks
+
     @pytest.mark.parametrize("m", range(1, 7))
     def test_parent_complement_lanes_bound_chi_of_the_complements(self, m):
         # chi_c is first fit on the complements of the parents' lanes, and
@@ -406,6 +429,14 @@ class TestSweepBlocks:
         # stream's per-candidate stages runs, and no exact Nordhaus-Gaddum
         # pair
         widths = {"_count_lanes": [], "_subset_or": [], "_path_ends": []}
+        subset_or = harness._subset_or
+        sizes = []
+
+        def sized(table, size):
+            sizes.append(size)
+            return subset_or(table, size)
+
+        monkeypatch.setattr(harness, "_subset_or", sized)
 
         def widest(args):
             # the ints among the arguments and in their lists
@@ -432,12 +463,15 @@ class TestSweepBlocks:
             "_settle_neighbourhood": 64, "_cheap_stages": 0, "_exact_stages": 0, "_chromatic_lanes": 0, "_kappa_lanes": 0,
             "_hamiltonian_lanes": 0, "nordhaus_gaddum": 0,
         }
-        # one counter per nonempty parent vertex set; the chi table at
-        # c = 1 .. 6, the kappa tables at k = 2 .. 6 and the path pairs,
-        # each transformed once; a fill from each start but the last
+        # one counter per parent vertex set K of 1 .. max(6 / 2, 6 - 2)
+        # vertices, 6 + 15 + 20 + 15; the chi table at c = 1 .. 6 over the
+        # sets of at most 6 - c vertices, the kappa tables at k = 2 .. 6
+        # over those of at most 6 - k, and the path pairs over all, each
+        # transformed once; a fill from each start but the last
         assert {name: len(seen) for name, seen in widths.items()} == {
-            "_count_lanes": 63, "_subset_or": 6 + 5 + 1, "_path_ends": 5,
+            "_count_lanes": 56, "_subset_or": 6 + 5 + 1, "_path_ends": 5,
         }
+        assert sizes == [5, 4, 3, 2, 1, 0] + [4, 3, 2, 1, 0] + [6]
         assert max(max(seen) for seen in widths.values()) == 1 << 15
 
 
@@ -903,6 +937,18 @@ class TestLaneKernels:
         for cap in range(n + 1):
             at_least = harness._kappa_lanes(adj, n, cap, every)
             assert at_least == oracle_levels(adj, n, cap, every), cap
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_subset_or_reaches_the_sets_of_at_most_its_size(self, m):
+        # each Y of at most size vertices becomes the OR over its subsets,
+        # and every larger set keeps its entry
+        rng = random.Random(m)
+        table = [rng.getrandbits(8) for _ in range(1 << m)]
+        whole = oracle_subset_or(table)
+        for size in range(m + 1):
+            assert harness._subset_or(list(table), size) == [
+                whole[y] if y.bit_count() <= size else table[y] for y in range(1 << m)
+            ], size
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_first_fit_leaves_lemma1_open_on_no_graph(self, n):

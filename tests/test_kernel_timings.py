@@ -43,12 +43,14 @@ def test_kernel_timings_sweep_prints_its_parts(capsys):
     assert [row[:2] for row in rows] == [
         ("5", part)
         for part in (
-            "chi table", "complement bound", "kappa table", "ham table", "neighbourhoods",
-            "lane walk", "replays", "call",
+            "chi table", "cover levels", "complement bound", "kappa table", "ham table",
+            "neighbourhoods", "lane walk", "replays", "call",
         )
     ]
     assert all(float(row[2]) > 0 and int(row[3]) >= 0 for row in rows)
     assert float(rows[-1][2]) >= max(float(row[2]) for row in rows[:-1])
+    # the cover levels run inside the chi table, in every call
+    assert float(rows[1][2]) <= float(rows[0][2])
 
 
 def test_kernel_timings_stream_prints_its_parts(capsys):

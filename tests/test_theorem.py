@@ -611,6 +611,25 @@ def test_trace_fills_the_path_table_from_zero_once(monkeypatch, g, k):
     assert starts.count(0) == 1
 
 
+def test_trace_builds_one_fan_per_non_hamiltonian_trace(monkeypatch):
+    # the fan on the rotated cycle is the first fan's paths in its order,
+    # so each trace past the Hamiltonian short cut builds one fan, and a
+    # Hamiltonian one none: the extremal grid up to n = 14, canonical and
+    # relabeled, and K_6
+    rng = random.Random(14)
+    calls = count_calls(monkeypatch, theorem, ["menger_fan"])
+    traces = 0
+    for k in range(2, 6):
+        for n in range(2 * k + 1, 15):
+            g = build_extremal(k, n)
+            for h in (g, relabeled(g, rng)):
+                assert trace_proof(h, k).conclusion.startswith("extremal")
+                traces += 1
+                assert calls["menger_fan"] == traces
+    assert trace_proof(complete_graph(6), 3).conclusion == "hamiltonian"
+    assert calls["menger_fan"] == traces == 56
+
+
 def test_certify_and_trace_payloads_golden():
     # frozen before both cycle solvers read one path table: certificate
     # and trace text over the extremal grid up to n = 16, canonical and
