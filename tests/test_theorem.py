@@ -29,6 +29,7 @@ from hamcert.theorem import (
     Certificate,
     ExtremalPartition,
     HypothesisError,
+    HypothesisReport,
     build_extremal,
     certify,
     check_hypothesis,
@@ -469,6 +470,12 @@ def test_trace_refuses_large_orders(monkeypatch):
     assert calls == {"vertex_connectivity": 0, "chromatic_number": 0}
 
 
+def _one_short(g):
+    """The longest cycle of g less its top vertex, one vertex short of g's
+    own on the extremal graphs."""
+    return longest_cycle(with_edges(g.n - 1, [(u, v) for u, v in g.edges() if v < g.n - 1]))
+
+
 @pytest.mark.parametrize(
     "n, tail",
     [
@@ -486,10 +493,7 @@ def test_trace_refuses_large_orders(monkeypatch):
 def test_trace_absorb_steps_on_a_short_cycle(monkeypatch, n, tail):
     # handed a cycle one vertex short of the longest, the trace finds two
     # vertices off it and ends in the absorb step of its case
-    def one_short(g):
-        return longest_cycle(with_edges(g.n - 1, [(u, v) for u, v in g.edges() if v < g.n - 1]))
-
-    monkeypatch.setattr(theorem, "longest_cycle", one_short)
+    monkeypatch.setattr(theorem, "longest_cycle", _one_short)
     lines = format_trace(trace_proof(build_extremal(2, n), 2)).splitlines()
     assert lines[-3:] == tail + ["conclusion inconsistent"]
 
@@ -505,51 +509,86 @@ def _forced(value=None):
     return stand_in
 
 
-def _two_long_segments(c, fan, k):
-    return dataclasses.replace(cycles.segments(c, fan, k), big_segment_indices=frozenset({1, 2}))
+def _with_long_segments(*indices):
+    """A stand-in for segments whose decomposition has the long segments
+    indices, whatever their sizes."""
+    def stand_in(c, fan, k):
+        decomp = cycles.segments(c, fan, k)
+        return dataclasses.replace(decomp, big_segment_indices=frozenset(indices))
+
+    return stand_in
 
 
-# (graph, k, the name that stands in, its stand-in, the step that fails,
-# the sha256 of the trace text)
+def _failed(g, k, stand_ins, step, digest, id=None):
+    """A case of test_trace_ends_at_each_failed_step, named by its step
+    unless id tells apart two cases that end at one step."""
+    return pytest.param(g, k, stand_ins, step, digest, id=id or step)
+
+
+# build_extremal(3, 7) less the edge from the join vertex 0 to the
+# independent vertex 4: connectivity 2, so the hypothesis stands in, and
+# vertex 0, an attachment, is not universal
+_SATURATION_GAP = with_edges(7, [e for e in build_extremal(3, 7).edges() if e != (0, 4)])
+
+# (graph, k, the names that stand in and their stand-ins, the step that
+# fails, the sha256 of the trace text)
 _FAILED_STEPS = [
-    (complete_graph(6), 3, "longest_cycle", _forced(Cycle((0, 1, 2))), "order-bound",
-     "ae5207cbd6e9af65c8c1435ec85b21dac2ce2d71fca5666a5f57770d06381cec"),
-    (build_extremal(2, 7), 2, "menger_fan", _forced(), "fan",
-     "ac906f29e06fee05e62d45515d669a7da3824241da4c83f6f3f098e88e11984e"),
-    (build_extremal(2, 7), 2, "is_independent_set", _forced(False), "independent-successors",
-     "4d266f4d21ba07bd85d5085df0fa9e244952206c34a191e077af8bbcf2a793e3"),
-    (build_extremal(2, 7), 2, "max_clique", _forced(1), "equality-chain",
-     "40144d0e72cb11711ad397a064f8cb7f5cd1554c94038168a5262821676bf945"),
-    (build_extremal(2, 7), 2, "is_clique", _forced(False), "off-set-complete",
-     "b3095d91174348d91c3c2a671ccdb2e9b067fdddb2fca5af8d03983fe089418d"),
-    (build_extremal(2, 7), 2, "segments", _forced(), "segments",
-     "126a35a48a042cf3d783585c4b2a96608ba38ce7e976b24edbb185a712526eb6"),
-    (build_extremal(2, 5), 2, "extend_predecessor_chord", _forced(Cycle((0, 1, 2))),
-     "case0-extensions-absent",
-     "cb755912ccd199c25d2163cb4a0ca2223c1d1927a17fa389b56bd5a76e97bb7f"),
-    (build_extremal(2, 7), 2, "extend_predecessor_chord", _forced(Cycle((0, 1, 2))),
-     "case1-extensions-absent",
-     "19e00c51147852575c6695bb75a58a292d6a9de7a57260c85aab06ba4aabe56a"),
-    (build_extremal(2, 5), 2, "recognize_extremal", lambda g: None, "case0-structure",
-     "14dc4e25e90c9bb8281db7c6a28f3fcee1f2a934938165db01599366289d060f"),
-    (build_extremal(2, 7), 2, "recognize_extremal", lambda g: None, "case1-structure",
-     "d20f3d0b0f0e9035a6eb2845a185f7063074de3abeadd55a9e5bf59767df9b60"),
-    (build_extremal(2, 8), 2, "extend_case1_rotation", _forced(Cycle((0, 1, 2))),
-     "case1-propagate",
-     "5ad0ccff81a30d247bb5859e7e56a7357728591ff73055060fbede6cf458458f"),
-    (build_extremal(2, 7), 2, "segments", _two_long_segments, "case2-chord",
-     "512503fda72edd9b58580fc3ebff1889d2c3d1bdbde80f9ab944213906360c1e"),
+    _failed(complete_graph(6), 3, {"longest_cycle": _forced(Cycle((0, 1, 2)))}, "order-bound",
+            "ae5207cbd6e9af65c8c1435ec85b21dac2ce2d71fca5666a5f57770d06381cec"),
+    _failed(build_extremal(2, 7), 2, {"menger_fan": _forced()}, "fan",
+            "ac906f29e06fee05e62d45515d669a7da3824241da4c83f6f3f098e88e11984e"),
+    _failed(build_extremal(2, 7), 2, {"is_independent_set": _forced(False)},
+            "independent-successors",
+            "4d266f4d21ba07bd85d5085df0fa9e244952206c34a191e077af8bbcf2a793e3"),
+    _failed(build_extremal(2, 7), 2, {"max_clique": _forced(1)}, "equality-chain",
+            "40144d0e72cb11711ad397a064f8cb7f5cd1554c94038168a5262821676bf945"),
+    _failed(build_extremal(2, 7), 2, {"is_clique": _forced(False)}, "off-set-complete",
+            "b3095d91174348d91c3c2a671ccdb2e9b067fdddb2fca5af8d03983fe089418d"),
+    _failed(build_extremal(2, 7), 2, {"segments": _forced()}, "segments",
+            "126a35a48a042cf3d783585c4b2a96608ba38ce7e976b24edbb185a712526eb6"),
+    _failed(build_extremal(2, 7), 2, {"segments": _with_long_segments()}, "case0-order",
+            "bcd3a200e78c5593c9b2945c98cf20198d16e818cf3ca2abab9d50978b606203"),
+    _failed(_SATURATION_GAP, 3,
+            {"_require_hypothesis": _forced(HypothesisReport(7, 3, 2, 4, True, True, True))},
+            "case0-saturation",
+            "ec5dc6720b583fc75ecb20529171af225767767186050c1a06c6ddc87abdc81d"),
+    _failed(build_extremal(2, 6), 2, {"longest_cycle": _one_short}, "case0-absorb",
+            "59ee81513f7f1fb73dd7249b76d1d15d7ff8c08afdbbee1e2cbd2bb39752cbb7"),
+    _failed(build_extremal(2, 5), 2, {"extend_predecessor_chord": _forced(Cycle((0, 1, 2)))},
+            "case0-extensions-absent",
+            "cb755912ccd199c25d2163cb4a0ca2223c1d1927a17fa389b56bd5a76e97bb7f"),
+    _failed(build_extremal(2, 5), 2, {"recognize_extremal": lambda g: None}, "case0-structure",
+            "14dc4e25e90c9bb8281db7c6a28f3fcee1f2a934938165db01599366289d060f"),
+    _failed(build_extremal(2, 5), 2, {"segments": _with_long_segments(1)}, "case1-order",
+            "a5299df8488060aa4e7b203f24abb130b2aaac52918abe95d1a90b820e3c35af"),
+    _failed(build_extremal(2, 7), 2, {"longest_cycle": _one_short}, "case1-absorb",
+            "65519ea66ee457269d6457e5c4da3f966148e75698ce8d0244ebcfbcb712493a"),
+    _failed(build_extremal(2, 8), 2, {"extend_case1_rotation": _forced(Cycle((0, 1, 2)))},
+            "case1-propagate",
+            "5ad0ccff81a30d247bb5859e7e56a7357728591ff73055060fbede6cf458458f"),
+    _failed(build_extremal(2, 7), 2, {"extend_predecessor_chord": _forced(Cycle((0, 1, 2)))},
+            "case1-extensions-absent",
+            "19e00c51147852575c6695bb75a58a292d6a9de7a57260c85aab06ba4aabe56a"),
+    _failed(build_extremal(2, 7), 2, {"recognize_extremal": lambda g: None}, "case1-structure",
+            "d20f3d0b0f0e9035a6eb2845a185f7063074de3abeadd55a9e5bf59767df9b60"),
+    _failed(build_extremal(2, 7), 2, {"segments": _with_long_segments(1, 2)}, "case2-chord",
+            "512503fda72edd9b58580fc3ebff1889d2c3d1bdbde80f9ab944213906360c1e"),
+    _failed(build_extremal(2, 7), 2,
+            {"segments": _with_long_segments(1, 2),
+             "extend_predecessor_chord": _forced(Cycle((0, 1, 2)))},
+            "case2-chord",
+            "41f03a97b960c3353a876132dc90bdc71ad5f3bbb1731403f70760bc73dcdf6e",
+            id="case2-chord-fired"),
 ]
 
 
-@pytest.mark.parametrize(
-    "g, k, name, stand_in, step, digest", _FAILED_STEPS, ids=[case[4] for case in _FAILED_STEPS]
-)
-def test_trace_ends_at_each_failed_step(monkeypatch, g, k, name, stand_in, step, digest):
-    # one name in theorem's namespace stands in so that one step fails;
-    # the trace ends with that step's FAIL and the conclusion, and its
-    # text is pinned as it was printed before any trace rewrite
-    monkeypatch.setattr(theorem, name, stand_in)
+@pytest.mark.parametrize("g, k, stand_ins, step, digest", _FAILED_STEPS)
+def test_trace_ends_at_each_failed_step(monkeypatch, g, k, stand_ins, step, digest):
+    # names in theorem's namespace stand in so that one step fails; the
+    # trace ends with that step's FAIL and the conclusion, and its text is
+    # pinned as it was printed before any trace rewrite
+    for name, stand_in in stand_ins.items():
+        monkeypatch.setattr(theorem, name, stand_in)
     text = format_trace(trace_proof(g, k))
     lines = text.splitlines()
     assert lines[-2].split()[2:4] == [step, "FAIL"]
