@@ -62,11 +62,27 @@ file opened as `verify --stream FILE` opens it:
     settle          _settle_block: the exact stages on the candidates,
                     their lanes included
 
+With --trace it prints the same for trace_proof over the extremal grid
+build_extremal(k, n') for k = 2..5 and n' = 2k+1..n, n = 16 by default,
+each canonical and under one seeded relabeling, the parts timed by
+wrapping the names that theorem calls:
+
+    longest cycle   longest_cycle, which also answers Hamiltonicity
+    fan             menger_fan
+    solvers         vertex_connectivity, chromatic_number and max_clique:
+                    kappa and chi of the hypothesis, and omega and chi of
+                    the complement in the equality chain
+    segments        segments: the one decomposition of each trace
+    extension rules extend_offcycle, extend_predecessor_chord and
+                    extend_case1_rotation
+    structure       recognize_extremal
+
 Run from the repository root:
     python3 scripts/kernel_timings.py [--caps] [n ...]
 (default orders 8 10 12 13), or
     python3 scripts/kernel_timings.py --sweep [n]
     python3 scripts/kernel_timings.py --stream [FILE] [n]
+    python3 scripts/kernel_timings.py --trace [n]
 """
 
 import inspect
@@ -81,10 +97,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # hamcert lives under src/; the reference lane builders under tests/
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from hamcert import harness  # noqa: E402
+from hamcert import harness, theorem  # noqa: E402
 from hamcert.cycles import find_hamiltonian_cycle  # noqa: E402
 from hamcert.graphs import from_edge_mask, iter_bits  # noqa: E402
 from hamcert.invariants import chromatic_number, vertex_connectivity  # noqa: E402
+from tests.conftest import relabeled  # noqa: E402
 from tests.oracles import oracle_edge_lanes, oracle_kappa_lanes  # noqa: E402
 
 BLOCK = 4096
@@ -104,6 +121,14 @@ STREAM_PARTS = {
     "lanes": ("pair_lanes",),
     "cheap": ("_cheap_stages",),
     "settle": ("_settle_block",),
+}
+TRACE_PARTS = {
+    "longest cycle": ("longest_cycle",),
+    "fan": ("menger_fan",),
+    "solvers": ("vertex_connectivity", "chromatic_number", "max_clique"),
+    "segments": ("segments",),
+    "extension rules": ("extend_offcycle", "extend_predecessor_chord", "extend_case1_rotation"),
+    "structure": ("recognize_extremal",),
 }
 PART_CALLS = 25
 GRAPH8 = ROOT / "tests" / "data" / "graph8.g6"
@@ -178,10 +203,11 @@ def kappa_by_cap(n, masks):
     }
 
 
-def part_times(call, table):
-    """{part: [(s, minor faults), ...]} of each part of table, its harness
-    functions timed by wrapping them, and of the whole call, over
-    PART_CALLS warm calls; a generator's time is that of its steps."""
+def part_times(module, call, table):
+    """{part: [(s, minor faults), ...]} of each part of table, the
+    functions of module that it names timed by wrapping them, and of the
+    whole call, over PART_CALLS warm calls; a generator's time is that of
+    its steps."""
     spent = {}
 
     def clocked(part, run, *args):
@@ -206,10 +232,10 @@ def part_times(call, table):
                 yield item
         return stepped if inspect.isgeneratorfunction(run) else wrapped
 
-    originals = {name: getattr(harness, name) for names in table.values() for name in names}
+    originals = {name: getattr(module, name) for names in table.values() for name in names}
     for part, names in table.items():
         for name in names:
-            setattr(harness, name, timed(originals[name], part))
+            setattr(module, name, timed(originals[name], part))
     rows = {part: [] for part in [*table, "call"]}
     try:
         whole = timed(call, "call")
@@ -221,7 +247,7 @@ def part_times(call, table):
                     row.append(spent[part])
     finally:
         for name, run in originals.items():
-            setattr(harness, name, run)
+            setattr(module, name, run)
     return rows
 
 
@@ -240,7 +266,7 @@ def sweep(n=7) -> None:
     """Print the ms and minor faults of each part of a warm verify_order(n)
     call and of the whole call, medians of PART_CALLS calls."""
     print_parts(
-        n, part_times(lambda: harness.verify_order(n), SWEEP_PARTS),
+        n, part_times(harness, lambda: harness.verify_order(n), SWEEP_PARTS),
         "cover levels run inside chi table, lane walk and replays inside neighbourhoods",
     )
 
@@ -253,7 +279,25 @@ def stream(path=GRAPH8, n=8) -> None:
         with open(path, encoding="ascii", errors="surrogateescape") as handle:
             harness.verify_order(n, stream=handle)
 
-    print_parts(n, part_times(call, STREAM_PARTS), "settle's lanes run inside settle")
+    print_parts(n, part_times(harness, call, STREAM_PARTS), "settle's lanes run inside settle")
+
+
+def trace(n=16) -> None:
+    """Print the ms and minor faults of each part of trace_proof over the
+    extremal grid up to order n, canonical and relabeled, and of the whole
+    grid, medians of PART_CALLS passes."""
+    rng = random.Random(n)
+    grid = []
+    for k in range(2, 6):
+        for m in range(2 * k + 1, n + 1):
+            g = theorem.build_extremal(k, m)
+            grid += [(k, g), (k, relabeled(g, rng))]
+
+    def call():
+        for k, g in grid:
+            theorem.trace_proof(g, k)
+
+    print_parts(n, part_times(theorem, call, TRACE_PARTS), "the parts do not nest")
 
 
 def main(orders, caps=False) -> None:
@@ -279,6 +323,8 @@ if __name__ == "__main__":
     orders = [int(a) for a in args if a.isdigit()]
     if "--sweep" in args:
         sweep(*orders[:1])
+    elif "--trace" in args:
+        trace(*orders[:1])
     elif "--stream" in args:
         files = [a for a in args if not a.isdigit() and not a.startswith("--")]
         stream(*files[:1] or [GRAPH8], *orders[:1])

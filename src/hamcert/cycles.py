@@ -1,10 +1,14 @@
 """Oriented cycles, exact cycle solvers, and longer-cycle extension rules.
 
-The extension rules each take a cycle plus a fan of disjoint paths and
-try one specific rewiring that, when its enabling chord exists, yields a
-strictly longer cycle.  Every candidate is validated against the host
-graph before being returned, so the rules are safe on arbitrary inputs:
-a returned cycle is always real and always longer.
+The extension rules each try one specific rewiring of a cycle through a
+fan of disjoint paths from an off-cycle hub that, when its enabling
+chord exists, yields a strictly longer cycle.  extend_offcycle takes the
+cycle and the fan; the chord and rotation rules take the one
+SegmentDecomposition that the proof trace builds, which carries the
+cycle, the hub and the fan paths with the segments between the
+attachments.  Every candidate is validated against the host graph before
+being returned, so the rules are safe on arbitrary inputs: a returned
+cycle is always real and always longer.
 """
 
 from __future__ import annotations
@@ -310,15 +314,21 @@ def successors_set(c: Cycle, fan: PathSystem) -> int:
 
 @dataclass(frozen=True)
 class SegmentDecomposition:
-    """Arcs between consecutive attachment successors.
+    """A cycle cut along the k attachments of a fan from the hub, the one
+    object the case analysis of the proof works on.
 
-    segments[i-1] is the arc from the double successor of attachment i
-    to attachment i+1 inclusive (indices 1-based with wraparound), so
-    the segments cover the cycle minus the attachment successors.
-    big_segment_indices holds the 1-based indices of segments with at
-    least 2 vertices; its size drives the case analysis.
+    paths[i-1] is the fan path from the hub to attachments[i-1], and
+    successors[i-1] that attachment's cycle successor.  segments[i-1] is
+    the arc from the double successor of attachment i to attachment i+1
+    inclusive (indices 1-based with wraparound), so the segments cover
+    the cycle minus the attachment successors.  big_segment_indices
+    holds the 1-based indices of segments with at least 2 vertices; its
+    size drives the case analysis.
     """
 
+    cycle: Cycle
+    hub: int
+    paths: tuple[tuple[int, ...], ...]
     attachments: tuple[int, ...]
     successors: tuple[int, ...]
     segments: tuple[tuple[int, ...], ...]
@@ -350,7 +360,22 @@ def segments(c: Cycle, fan: PathSystem, k: int) -> SegmentDecomposition:
         start = c.successor(succ[i])
         segs.append(c.arc(start, att[(i + 1) % k]))
     big = frozenset(i + 1 for i in range(k) if len(segs[i]) >= 2)
-    return SegmentDecomposition(att, succ, tuple(segs), big)
+    return SegmentDecomposition(c, fan.hub, fan.paths[:k], att, succ, tuple(segs), big)
+
+
+def long_segment_first(d: SegmentDecomposition) -> SegmentDecomposition:
+    """d renumbered so that its one long segment is segment 1: attachment
+    1 is then the long segment's opening attachment, u_1, and segment 1
+    runs y_1 .. y_r and then attachment 2.  The view of a view is equal
+    to it.  Raises unless exactly one segment is long."""
+    big = sorted(d.big_segment_indices)
+    if len(big) != 1:
+        raise ValueError(f"exactly one long segment required, found {len(big)}")
+    rot = big[0] - 1
+    paths, att, succ, segs = (
+        t[rot:] + t[:rot] for t in (d.paths, d.attachments, d.successors, d.segments)
+    )
+    return SegmentDecomposition(d.cycle, d.hub, paths, att, succ, segs, frozenset({1}))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +431,7 @@ def extend_offcycle(g: Graph, c: Cycle, fan: PathSystem, z: int):
     return None
 
 
-def extend_predecessor_chord(g: Graph, c: Cycle, fan: PathSystem):
+def extend_predecessor_chord(g: Graph, d: SegmentDecomposition):
     """Use a chord between the interior predecessors of two attachment
     terminals (both segments must have length >= 2).
 
@@ -415,27 +440,23 @@ def extend_predecessor_chord(g: Graph, c: Cycle, fan: PathSystem):
     the other entry attachment, and exits along its fan path, gaining
     the hub.
     """
-    k = len(fan.attachments)
-    try:
-        decomp = segments(c, fan, k)
-    except ValueError:
-        return None
-    big = sorted(decomp.big_segment_indices)
+    c = d.cycle
+    k = len(d.attachments)
+    big = sorted(d.big_segment_indices)
     for a in range(len(big)):
         for b in range(a + 1, len(big)):
-            i, j = big[a], big[b]  # 1-based segment indices
-            term_i = fan.attachments[i % k]
-            term_j = fan.attachments[j % k]
+            i, j = big[a] % k, big[b] % k  # terminals of the 1-based segments
+            term_i, term_j = d.attachments[i], d.attachments[j]
             p_i = c.predecessor(term_i)
             p_j = c.predecessor(term_j)
             if not g.has_edge(p_i, p_j):
                 continue
             candidate = (
-                [fan.hub]
-                + _interior(fan.paths[i % k])
+                [d.hub]
+                + _interior(d.paths[i])
                 + list(c.arc(term_i, p_j))
                 + list(c.arc(p_i, term_j, backward=True))
-                + list(reversed(_interior(fan.paths[j % k])))
+                + list(reversed(_interior(d.paths[j])))
             )
             found = _accept(g, c, candidate)
             if found is not None:
@@ -443,63 +464,55 @@ def extend_predecessor_chord(g: Graph, c: Cycle, fan: PathSystem):
     return None
 
 
-def extend_case1_rotation(g: Graph, c: Cycle, fan: PathSystem, y_index: int):
+def extend_case1_rotation(g: Graph, d: SegmentDecomposition, y_index: int):
     """Rewirings available when exactly one segment is long.
 
-    With the long segment written y_1 .. y_r followed by its terminal
-    attachment, and y_0 standing for the first attachment's successor,
-    position j = y_index needs the edge from y_j back to that successor;
-    then either (a) a hub edge to y_{j-1} or (b) an edge from another
-    attachment's successor to y_{j-1} yields a longer cycle.  Raises
-    unless exactly one segment is long and 1 <= y_index <= r.
+    On d's long_segment_first view, with the long segment written
+    y_1 .. y_r followed by its terminal attachment, and y_0 standing for
+    the first attachment's successor, position j = y_index needs the
+    edge from y_j back to that successor; then either (a) a hub edge to
+    y_{j-1} or (b) an edge from another attachment's successor to
+    y_{j-1} yields a longer cycle.  Raises unless exactly one segment is
+    long and 1 <= y_index <= r.
     """
-    k = len(fan.attachments)
-    decomp = segments(c, fan, k)
-    big = sorted(decomp.big_segment_indices)
-    if len(big) != 1:
-        raise ValueError(f"exactly one long segment required, found {len(big)}")
-    rot = big[0] - 1
-    att = fan.attachments[rot:] + fan.attachments[:rot]
-    paths = fan.paths[rot:] + fan.paths[:rot]
-    seg = decomp.segments[rot]
-    ys = seg[:-1]
+    v = long_segment_first(d)
+    c = v.cycle
+    ys = v.segments[0][:-1]
     r = len(ys)
     if not (1 <= y_index <= r):
         raise ValueError(f"y index must be in 1..{r}, got {y_index}")
-    u1 = att[0]
-    u1_succ = c.successor(u1)
+    u1, u1_succ = v.attachments[0], v.successors[0]
     y_j = ys[y_index - 1]
     y_prev = ys[y_index - 2] if y_index >= 2 else u1_succ
-    hub = fan.hub
-    if g.has_edge(u1_succ, y_j):
-        # (a) hub drops onto y_{j-1}, sweeps back to the first successor,
-        # jumps to y_j, and takes the long way home through path 1
-        if g.has_edge(hub, y_prev):
-            candidate = (
-                [hub]
-                + list(c.arc(y_prev, u1_succ, backward=True))
-                + list(c.arc(y_j, u1))
-                + list(reversed(_interior(paths[0])))
-            )
-            found = _accept(g, c, candidate)
-            if found is not None:
-                return found
-        # (b) enter along path l, run back to y_j, jump to the first
-        # successor, forward to y_{j-1}, jump to successor l, close via path 1
-        for l in range(2, k + 1):
-            u_l = att[l - 1]
-            u_l_succ = c.successor(u_l)
-            if not g.has_edge(u_l_succ, y_prev):
-                continue
-            candidate = (
-                [hub]
-                + _interior(paths[l - 1])
-                + list(c.arc(u_l, y_j, backward=True))
-                + list(c.arc(u1_succ, y_prev))
-                + list(c.arc(u_l_succ, u1))
-                + list(reversed(_interior(paths[0])))
-            )
-            found = _accept(g, c, candidate)
-            if found is not None:
-                return found
+    if not g.has_edge(u1_succ, y_j):
+        return None
+    home = list(reversed(_interior(v.paths[0])))
+    # (a) hub drops onto y_{j-1}, sweeps back to the first successor,
+    # jumps to y_j, and takes the long way home through path 1
+    if g.has_edge(v.hub, y_prev):
+        candidate = (
+            [v.hub]
+            + list(c.arc(y_prev, u1_succ, backward=True))
+            + list(c.arc(y_j, u1))
+            + home
+        )
+        found = _accept(g, c, candidate)
+        if found is not None:
+            return found
+    # (b) enter along path l, run back to y_j, jump to the first
+    # successor, forward to y_{j-1}, jump to successor l, close via path 1
+    for u_l, u_l_succ, path in zip(v.attachments[1:], v.successors[1:], v.paths[1:]):
+        if not g.has_edge(u_l_succ, y_prev):
+            continue
+        candidate = (
+            [v.hub]
+            + _interior(path)
+            + list(c.arc(u_l, y_j, backward=True))
+            + list(c.arc(u1_succ, y_prev))
+            + list(c.arc(u_l_succ, u1))
+            + home
+        )
+        found = _accept(g, c, candidate)
+        if found is not None:
+            return found
     return None

@@ -41,6 +41,7 @@ from hamcert.cycles import (
     extend_predecessor_chord,
     find_hamiltonian_cycle,
     is_valid_cycle,
+    long_segment_first,
     longest_cycle,
     segments,
     successors_set,
@@ -444,7 +445,15 @@ def _trace_steps(g, k, chi, record, check) -> str:
     """The steps of trace_proof on g, whose exact chromatic number is chi;
     returns the conclusion unless a check ends the trace first.  A check
     of a claim that is False on its branch (a solver's refusal, a longer
-    cycle that must not exist) records that step and ends the trace."""
+    cycle that must not exist) records that step and ends the trace.
+
+    Past step 5 the fan has exactly s = k paths: step 4 finds x0 and the
+    s attachment successors, s + 1 distinct vertices, pairwise
+    non-adjacent, so alpha >= s + 1; step 5 finds alpha = k + 1, so
+    s <= k; and step 3 found s >= k.  So step 6's set is step 4's, and
+    step 7's decomposition along k attachments is along all of them: the
+    one SegmentDecomposition that the case steps and the extension rules
+    read."""
     n = g.n
     # the exact longest cycle answers Hamiltonicity too, from one path
     # table: on a Hamiltonian graph it is the lexicographically least
@@ -513,8 +522,7 @@ def _trace_steps(g, k, chi, record, check) -> str:
     )
 
     # (6) everything off the (k+1)-element successor set is complete
-    s_mask = (1 << x0) | mask_of(c.successor(u) for u in fan.attachments[:k])
-    rest_mask = g.vertex_mask ^ s_mask
+    rest_mask = g.vertex_mask ^ t_mask
     check(
         "off-set-complete",
         "the n-k-1 vertices outside {x0, u_i^+} induce a complete graph",
@@ -522,31 +530,30 @@ def _trace_steps(g, k, chi, record, check) -> str:
         f"set={_fmt_set(rest_mask)}",
     )
 
-    # (7) segment decomposition over the first k attachments
+    # (7) segment decomposition along the k attachments
     try:
         decomp = segments(c, fan, k)
     except ValueError as err:
         check("segments", "segment decomposition of the cycle", False, str(err))
-    big = sorted(decomp.big_segment_indices)
+    big = len(decomp.big_segment_indices)
     record(
         "segments",
-        f"{k} segments, {len(big)} of length >= 2; case {min(len(big), 2)}",
+        f"{k} segments, {big} of length >= 2; case {min(big, 2)}",
         True,
         "sizes=" + ",".join(str(len(t)) for t in decomp.segments),
     )
 
-    off_rest = [v for v in off0 if v != x0]
-    if len(big) < 2 and off_rest:
+    if big < 2 and off0[1:]:
         # a second off-cycle vertex: the absorb step fails and ends the trace
-        _trace_absorb(g, c, fan, x0, off_rest, record, check, f"case{len(big)}")
-    if len(big) == 0:
-        return _trace_case0(g, k, c, fan, check)
-    if len(big) == 1:
-        return _trace_case1(g, k, c, fan, decomp, big[0], x0, check)
+        _trace_absorb(g, c, fan, off0[1:], record, check, f"case{big}")
+    if big == 0:
+        return _trace_case0(g, k, decomp, check)
+    if big == 1:
+        return _trace_case1(g, k, decomp, check)
     # two or more long segments: the chord between their terminal
     # predecessors is forced by completeness, so a longer cycle exists,
     # contradicting the longest cycle; reaching here means inconsistency
-    out = extend_predecessor_chord(g, c, fan)
+    out = extend_predecessor_chord(g, decomp)
     if out is not None:
         check(
             "case2-chord",
@@ -561,12 +568,12 @@ def _trace_steps(g, k, chi, record, check) -> str:
     )
 
 
-def _trace_absorb(g, c, fan, x0, off_rest, record, check, case):
-    """With two or more off-cycle vertices the off-cycle part is
-    complete, so x0 reaches the cycle through a neighbor z and the
-    absorb rule must fire: a longer cycle, which cannot exist.  The
-    absorb step fails either way and ends the trace."""
-    off_mask = (1 << x0) | mask_of(off_rest)
+def _trace_absorb(g, c, fan, off_rest, record, check, case):
+    """With two or more off-cycle vertices, the hub and off_rest, the
+    off-cycle part is complete, so the hub reaches the cycle through a
+    neighbor z and the absorb rule must fire: a longer cycle, which
+    cannot exist.  The absorb step fails either way and ends the trace."""
+    off_mask = (1 << fan.hub) | mask_of(off_rest)
     record(
         f"{case}-offcycle-complete",
         "vertices off the cycle induce a complete graph",
@@ -609,8 +616,9 @@ def _trace_close(g, k, check, case, longer, description, conclusion) -> str:
     return conclusion
 
 
-def _trace_case0(g, k, c, fan, check) -> str:
+def _trace_case0(g, k, decomp, check) -> str:
     n = g.n
+    c = decomp.cycle
     check(
         "case0-order",
         f"cycle covers 2k vertices and only x0 is off, so n = 2k+1 = {2 * k + 1}",
@@ -619,7 +627,7 @@ def _trace_case0(g, k, c, fan, check) -> str:
     )
 
     # the k attachments must be universal: each has degree n-1
-    att = fan.attachments[:k]
+    att = decomp.attachments
     check(
         "case0-saturation",
         "every attachment is adjacent to all other vertices",
@@ -628,16 +636,18 @@ def _trace_case0(g, k, c, fan, check) -> str:
     )
 
     # no extension applies to the maximal cycle
-    chord = extend_predecessor_chord(g, c, fan)
+    chord = extend_predecessor_chord(g, decomp)
     return _trace_close(
         g, k, check, "case0", "" if chord is None else f"longer={_cycle_str(chord)}",
         "graph is the k-join of an independent (k+1)-set", "extremal (n = 2k+1)",
     )
 
 
-def _trace_case1(g, k, c, fan, decomp, big_index, x0, check) -> str:
+def _trace_case1(g, k, decomp, check) -> str:
     n = g.n
-    seg = decomp.segments[big_index - 1]
+    # attachments and successors relative to the long segment being first
+    view = long_segment_first(decomp)
+    seg = view.segments[0]
     ys = seg[:-1]
     r = len(ys)
     check(
@@ -646,13 +656,8 @@ def _trace_case1(g, k, c, fan, decomp, big_index, x0, check) -> str:
         r >= 1 and n == 2 * k + 1 + r,
         f"segment={','.join(str(v) for v in seg)}",
     )
-
-    # attachments and successors relative to the long segment being first
-    att = fan.attachments[:k]
-    rot = big_index - 1
-    att_rot = att[rot:] + att[:rot]
-    u1_succ = c.successor(att_rot[0])
-    other_succ = [c.successor(u) for u in att_rot[1:]]
+    x0 = view.hub
+    u1_succ, *other_succ = view.successors
 
     # descending chain over the segment interior: at each position the
     # two rewiring edges must be absent (else a longer cycle) and the
@@ -663,12 +668,12 @@ def _trace_case1(g, k, c, fan, decomp, big_index, x0, check) -> str:
         y_j = ys[j - 1]
         rewired = g.has_edge(x0, y_j) or any(g.has_edge(w, y_j) for w in other_succ)
         forced = g.has_edge(u1_succ, y_j)
-        rule_fired = None if j == r else extend_case1_rotation(g, c, fan, j + 1)
+        rule_fired = None if j == r else extend_case1_rotation(g, view, j + 1)
         witness = f"y_{j}={y_j} forced_edge={u1_succ}-{y_j}"
         if rule_fired is not None:
             witness += f" longer={_cycle_str(rule_fired)}"
         if not forced:
-            bad = (1 << x0) | mask_of(other_succ) | (1 << y_j) | (1 << u1_succ)
+            bad = (1 << x0) | mask_of(view.successors) | (1 << y_j)
             witness += f" independent_k_plus_2={_fmt_set(bad)}"
         check(
             "case1-propagate",
@@ -679,9 +684,9 @@ def _trace_case1(g, k, c, fan, decomp, big_index, x0, check) -> str:
 
     # hub successor must reach every attachment, else an explicit proper
     # coloring with n-k-1 colors exists, contradicting chi = n-k
-    missing = [u for u in att if not g.has_edge(u1_succ, u)]
+    missing = [u for u in decomp.attachments if not g.has_edge(u1_succ, u)]
     if missing:
-        coloring = _case1_contradiction_coloring(g, k, x0, u1_succ, other_succ, ys[0], missing[0])
+        coloring = _case1_contradiction_coloring(g, k, view, missing[0])
         check(
             "case1-hub-clique",
             "the first successor misses an attachment; the explicit small "
@@ -696,8 +701,11 @@ def _trace_case1(g, k, c, fan, decomp, big_index, x0, check) -> str:
         f"u1_succ={u1_succ}",
     )
 
-    fired = extend_predecessor_chord(g, c, fan) is not None or any(
-        extend_case1_rotation(g, c, fan, y_index) is not None for y_index in range(1, r + 1)
+    # the propagation ran the rotation rule at y_2 .. y_r, and a firing
+    # there ended the trace: y_1 is left
+    fired = (
+        extend_predecessor_chord(g, decomp) is not None
+        or extend_case1_rotation(g, view, 1) is not None
     )
     return _trace_close(
         g, k, check, "case1", "longer cycle found" if fired else "",
@@ -705,19 +713,20 @@ def _trace_case1(g, k, c, fan, decomp, big_index, x0, check) -> str:
     )
 
 
-def _case1_contradiction_coloring(g, k, x0, u1_succ, other_succ, y1, missed):
+def _case1_contradiction_coloring(g, k, view, missed):
     """The explicit coloring used when the first successor u1_succ misses
-    the attachment missed, on case 1's rotated view: distinct colors off
-    the successor set, u1_succ reuses missed's color, and the hub x0 and
-    the other successors other_succ reuse the color of y1, the first
+    the attachment missed, on case 1's long_segment_first view: distinct
+    colors off the successor set, u1_succ reuses missed's color, and the
+    hub and the other successors reuse the color of y_1, the first
     interior vertex of the long segment.  Returns the assignment when it
     is proper with n-k-1 colors, else None."""
     n = g.n
-    shared = [x0, *other_succ]
+    u1_succ, *other_succ = view.successors
+    shared = [view.hub, *other_succ]
     own = [v for v in range(n) if v != u1_succ and v not in shared]
     color = {v: i for i, v in enumerate(own)}
     color[u1_succ] = color[missed]
-    color.update(dict.fromkeys(shared, color[y1]))
+    color.update(dict.fromkeys(shared, color[view.segments[0][0]]))
     assignment = tuple(color[v] for v in range(n))
     if len(set(assignment)) == n - k - 1 and is_proper_coloring(g, assignment):
         return assignment

@@ -17,6 +17,10 @@ former full path, built from the package's own exact solvers, the
 reference for its shape-first path, and oracle_extremal_problems the
 partition check invariant by invariant, the reference for its rows-first
 acceptance.
+oracle_extend_predecessor_chord and oracle_extend_case1_rotation are the
+extension rules as they were when each built its own segment
+decomposition from (c, fan), the references for the rules that read the
+proof trace's decomposition.
 The oracle_mask_* functions take a whole population at once, as a uint32
 numpy array of edge masks.
 """
@@ -30,9 +34,10 @@ from operator import or_
 import numpy as np
 
 from hamcert import theorem
-from hamcert.cycles import find_hamiltonian_cycle
+from hamcert.cycles import Cycle, _accept, _interior, find_hamiltonian_cycle, segments
 from hamcert.graph6 import to_graph6
 from hamcert.graphs import Graph, triangle_pairs
+from hamcert.invariants import PathSystem
 
 
 def oracle_is_colorable(g: Graph, t: int) -> bool:
@@ -419,3 +424,102 @@ def oracle_extremal_problems(g: Graph, k: int, part: theorem.ExtremalPartition) 
         if [u for u in range(n) if g.has_edge(v, u)] != others:
             problems.append(f"clique vertex {v} has neighbors outside clique+join")
     return problems
+
+
+def oracle_extend_predecessor_chord(g: Graph, c: Cycle, fan: PathSystem):
+    """Use a chord between the interior predecessors of two attachment
+    terminals (both segments must have length >= 2).
+
+    The rewired cycle enters along one fan path, runs forward to the
+    first predecessor's far side, crosses the chord, runs backward to
+    the other entry attachment, and exits along its fan path, gaining
+    the hub.
+    """
+    k = len(fan.attachments)
+    try:
+        decomp = segments(c, fan, k)
+    except ValueError:
+        return None
+    big = sorted(decomp.big_segment_indices)
+    for a in range(len(big)):
+        for b in range(a + 1, len(big)):
+            i, j = big[a], big[b]  # 1-based segment indices
+            term_i = fan.attachments[i % k]
+            term_j = fan.attachments[j % k]
+            p_i = c.predecessor(term_i)
+            p_j = c.predecessor(term_j)
+            if not g.has_edge(p_i, p_j):
+                continue
+            candidate = (
+                [fan.hub]
+                + _interior(fan.paths[i % k])
+                + list(c.arc(term_i, p_j))
+                + list(c.arc(p_i, term_j, backward=True))
+                + list(reversed(_interior(fan.paths[j % k])))
+            )
+            found = _accept(g, c, candidate)
+            if found is not None:
+                return found
+    return None
+
+
+def oracle_extend_case1_rotation(g: Graph, c: Cycle, fan: PathSystem, y_index: int):
+    """Rewirings available when exactly one segment is long.
+
+    With the long segment written y_1 .. y_r followed by its terminal
+    attachment, and y_0 standing for the first attachment's successor,
+    position j = y_index needs the edge from y_j back to that successor;
+    then either (a) a hub edge to y_{j-1} or (b) an edge from another
+    attachment's successor to y_{j-1} yields a longer cycle.  Raises
+    unless exactly one segment is long and 1 <= y_index <= r.
+    """
+    k = len(fan.attachments)
+    decomp = segments(c, fan, k)
+    big = sorted(decomp.big_segment_indices)
+    if len(big) != 1:
+        raise ValueError(f"exactly one long segment required, found {len(big)}")
+    rot = big[0] - 1
+    att = fan.attachments[rot:] + fan.attachments[:rot]
+    paths = fan.paths[rot:] + fan.paths[:rot]
+    seg = decomp.segments[rot]
+    ys = seg[:-1]
+    r = len(ys)
+    if not (1 <= y_index <= r):
+        raise ValueError(f"y index must be in 1..{r}, got {y_index}")
+    u1 = att[0]
+    u1_succ = c.successor(u1)
+    y_j = ys[y_index - 1]
+    y_prev = ys[y_index - 2] if y_index >= 2 else u1_succ
+    hub = fan.hub
+    if g.has_edge(u1_succ, y_j):
+        # (a) hub drops onto y_{j-1}, sweeps back to the first successor,
+        # jumps to y_j, and takes the long way home through path 1
+        if g.has_edge(hub, y_prev):
+            candidate = (
+                [hub]
+                + list(c.arc(y_prev, u1_succ, backward=True))
+                + list(c.arc(y_j, u1))
+                + list(reversed(_interior(paths[0])))
+            )
+            found = _accept(g, c, candidate)
+            if found is not None:
+                return found
+        # (b) enter along path l, run back to y_j, jump to the first
+        # successor, forward to y_{j-1}, jump to successor l, close via path 1
+        for l in range(2, k + 1):
+            u_l = att[l - 1]
+            u_l_succ = c.successor(u_l)
+            if not g.has_edge(u_l_succ, y_prev):
+                continue
+            candidate = (
+                [hub]
+                + _interior(paths[l - 1])
+                + list(c.arc(u_l, y_j, backward=True))
+                + list(c.arc(u1_succ, y_prev))
+                + list(c.arc(u_l_succ, u1))
+                + list(reversed(_interior(paths[0])))
+            )
+            found = _accept(g, c, candidate)
+            if found is not None:
+                return found
+    return None

@@ -50,6 +50,8 @@ from tests.conftest import extremal_certificates, random_graph, record_verdict
 from tests.oracles import (
     oracle_chromatic,
     oracle_edge_lanes,
+    oracle_extend_case1_rotation,
+    oracle_extend_predecessor_chord,
     oracle_hamiltonian_cycle,
     oracle_independence_number,
     oracle_mask_clique_alpha,
@@ -411,6 +413,9 @@ def _random_rule_config(rng):
 
 
 def test_criterion_7_extension_rule_safety():
+    # a rule output that is not a longer valid cycle is a violation, and so
+    # is a chord or rotation output, at every y index, that differs from
+    # the rule's as it was when it built its own decomposition from (c, fan)
     rng = random.Random(718281828)
     configs = 0
     violations = []
@@ -433,15 +438,22 @@ def test_criterion_7_extension_rule_safety():
         ]
         if off:
             check("offcycle", g, c, extend_offcycle(g, c, fan, rng.choice(off)))
-        check("chord", g, c, extend_predecessor_chord(g, c, fan))
         try:
             decomp = segments(c, fan, len(fan.attachments))
         except ValueError:
             decomp = None
+        chord = None if decomp is None else extend_predecessor_chord(g, decomp)
+        if chord != oracle_extend_predecessor_chord(g, c, fan):
+            violations.append(("chord oracle", g.adj, c.vertices, chord))
+        check("chord", g, c, chord)
         if decomp is not None and len(decomp.big_segment_indices) == 1:
             seg = decomp.segments[min(decomp.big_segment_indices) - 1]
             y_index = rng.randint(1, len(seg) - 1)
-            check("rotation", g, c, extend_case1_rotation(g, c, fan, y_index))
+            check("rotation", g, c, extend_case1_rotation(g, decomp, y_index))
+            for y in range(1, len(seg)):
+                out = extend_case1_rotation(g, decomp, y)
+                if out != oracle_extend_case1_rotation(g, c, fan, y):
+                    violations.append(("rotation oracle", g.adj, c.vertices, out))
 
     ok = configs >= 10000 and not violations and all(v > 0 for v in fired.values())
     record_verdict(

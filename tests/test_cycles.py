@@ -39,13 +39,20 @@ from hamcert.cycles import (
     extend_predecessor_chord,
     find_hamiltonian_cycle,
     is_valid_cycle,
+    long_segment_first,
     longest_cycle,
     segments,
     successors_set,
 )
 from hamcert.theorem import build_extremal
 from tests.conftest import graphs_st, random_graph, relabeled
-from tests.oracles import oracle_hamiltonian_cycle, oracle_longest_cycle_length, oracle_path_ends
+from tests.oracles import (
+    oracle_extend_case1_rotation,
+    oracle_extend_predecessor_chord,
+    oracle_hamiltonian_cycle,
+    oracle_longest_cycle_length,
+    oracle_path_ends,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +553,31 @@ def test_segments_errors():
         segments(c, fan, 1)
 
 
+def test_segments_carry_the_cycle_hub_and_paths():
+    c = Cycle((0, 1, 2, 3, 4, 5))
+    fan = PathSystem(7, ((7, 6, 0), (7, 3), (7, 5)), (0, 3, 5))
+    d = segments(c, fan, 2)
+    assert (d.cycle, d.hub, d.paths) == (c, 7, ((7, 6, 0), (7, 3)))
+
+
+def test_long_segment_first_numbers_the_long_segment_first():
+    # segment 2 of three is long: attachments, successors, paths and
+    # segments all turn by one, and the view is its own view
+    c = Cycle(tuple(range(8)))
+    fan = PathSystem(8, ((8, 0), (8, 2), (8, 6)), (0, 2, 6))
+    d = segments(c, fan, 3)
+    assert d.segments == ((2,), (4, 5, 6), (0,)) and d.big_segment_indices == frozenset({2})
+    view = long_segment_first(d)
+    assert view.attachments == (2, 6, 0) and view.successors == (3, 7, 1)
+    assert view.paths == ((8, 2), (8, 6), (8, 0))
+    assert view.segments == ((4, 5, 6), (0,), (2,)) and view.big_segment_indices == frozenset({1})
+    assert (view.cycle, view.hub) == (c, 8)
+    assert long_segment_first(view) == view
+    case0 = segments(Cycle((0, 1, 2, 3)), PathSystem(4, ((4, 0), (4, 2)), (0, 2)), 2)
+    with pytest.raises(ValueError, match="one long segment"):
+        long_segment_first(case0)
+
+
 @given(graphs_st(5, 7))
 @settings(max_examples=100, deadline=None)
 def test_segment_sizes_partition_cycle(g):
@@ -613,9 +645,15 @@ def _chord_witness():
     return g, Cycle((0, 1, 2, 3, 4, 5, 6)), PathSystem(7, ((7, 0), (7, 3)), (0, 3))
 
 
+def _decomposed(c, fan):
+    """The decomposition along every attachment of fan, as the proof trace
+    builds it."""
+    return segments(c, fan, len(fan.attachments))
+
+
 def test_extend_predecessor_chord_witness():
     g, c, fan = _chord_witness()
-    out = extend_predecessor_chord(g, c, fan)
+    out = extend_predecessor_chord(g, _decomposed(c, fan))
     assert out.vertices == (7, 3, 4, 5, 6, 2, 1, 0)
     assert is_valid_cycle(g, out)
     assert len(out) == 8
@@ -627,14 +665,14 @@ def test_extend_predecessor_chord_absent_without_chord():
     )
     c = Cycle((0, 1, 2, 3, 4, 5, 6))
     fan = PathSystem(7, ((7, 0), (7, 3)), (0, 3))
-    assert extend_predecessor_chord(g, c, fan) is None
+    assert extend_predecessor_chord(g, _decomposed(c, fan)) is None
 
 
 def test_extend_predecessor_chord_absent_on_case0_shape():
     ex25 = with_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
     c = longest_cycle(ex25)
     fan = menger_fan(ex25, 4, c, 2)
-    assert extend_predecessor_chord(ex25, c, fan) is None
+    assert extend_predecessor_chord(ex25, _decomposed(c, fan)) is None
 
 
 def _rotation_base():
@@ -645,7 +683,7 @@ def _rotation_base():
 def test_extend_case1_rotation_hub_variant():
     edges, c, fan = _rotation_base()
     g = with_edges(7, edges + [(1, 3), (6, 2)])
-    out = extend_case1_rotation(g, c, fan, 2)
+    out = extend_case1_rotation(g, _decomposed(c, fan), 2)
     assert out.vertices == (6, 2, 1, 3, 4, 5, 0)
     assert is_valid_cycle(g, out) and len(out) == 7
 
@@ -653,7 +691,7 @@ def test_extend_case1_rotation_hub_variant():
 def test_extend_case1_rotation_far_attachment_variant():
     edges, c, fan = _rotation_base()
     g = with_edges(7, edges + [(1, 3), (2, 5)])
-    out = extend_case1_rotation(g, c, fan, 2)
+    out = extend_case1_rotation(g, _decomposed(c, fan), 2)
     assert out.vertices == (6, 4, 3, 1, 2, 5, 0)
     assert is_valid_cycle(g, out) and len(out) == 7
 
@@ -661,24 +699,26 @@ def test_extend_case1_rotation_far_attachment_variant():
 def test_extend_case1_rotation_absent_without_edges():
     edges, c, fan = _rotation_base()
     g = with_edges(7, edges)
-    assert extend_case1_rotation(g, c, fan, 1) is None
-    assert extend_case1_rotation(g, c, fan, 2) is None
+    assert extend_case1_rotation(g, _decomposed(c, fan), 1) is None
+    assert extend_case1_rotation(g, _decomposed(c, fan), 2) is None
 
 
 def test_extend_case1_rotation_rejects_bad_shape():
     edges, c, fan = _rotation_base()
     g = with_edges(7, edges + [(1, 3), (6, 2)])
     with pytest.raises(ValueError, match="y index"):
-        extend_case1_rotation(g, c, fan, 3)
+        extend_case1_rotation(g, _decomposed(c, fan), 3)
     chord_g, chord_c, chord_fan = _chord_witness()
     with pytest.raises(ValueError, match="one long segment"):
-        extend_case1_rotation(chord_g, chord_c, chord_fan, 1)
+        extend_case1_rotation(chord_g, _decomposed(chord_c, chord_fan), 1)
 
 
 @given(graphs_st(5, 8), st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
 def test_extension_rules_never_return_invalid(g, rng):
-    """Whatever the input, a non-absent rule output is valid and longer."""
+    """Whatever the input, a non-absent rule output is valid and longer,
+    and the rules that read the decomposition return what they returned
+    when each built its own from (c, fan)."""
     if g.n > 7:
         return
     try:
@@ -699,18 +739,20 @@ def test_extension_rules_never_return_invalid(g, rng):
         out = extend_offcycle(g, c, fan, z)
         if out is not None:
             assert is_valid_cycle(g, out) and len(out) > len(c)
-    out = extend_predecessor_chord(g, c, fan)
+    try:
+        d = _decomposed(c, fan)
+    except ValueError:
+        assert oracle_extend_predecessor_chord(g, c, fan) is None
+        return
+    out = extend_predecessor_chord(g, d)
+    assert out == oracle_extend_predecessor_chord(g, c, fan)
     if out is not None:
         assert is_valid_cycle(g, out) and len(out) > len(c)
-    k = len(fan.attachments)
-    try:
-        d = segments(c, fan, k)
-    except ValueError:
-        return
     if len(d.big_segment_indices) == 1:
         big = next(iter(d.big_segment_indices))
         r = len(d.segments[big - 1]) - 1
         for y_index in range(1, r + 1):
-            out = extend_case1_rotation(g, c, fan, y_index)
+            out = extend_case1_rotation(g, d, y_index)
+            assert out == oracle_extend_case1_rotation(g, c, fan, y_index)
             if out is not None:
                 assert is_valid_cycle(g, out) and len(out) > len(c)

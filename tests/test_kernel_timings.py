@@ -1,12 +1,13 @@
 """Smoke test of scripts/kernel_timings.py, the timing table that the
-_LANE_KERNEL_MAX_ORDER comment in harness.py cites.  The script calls
-private harness kernels and the reference lane builders, so it runs here
-on a few order-8 candidates to keep it runnable as they change."""
+_LANE_KERNEL_MAX_ORDER comment in harness.py cites, and its part timings
+of the sweep, the stream and the proof trace.  The script calls private
+harness kernels and the reference lane builders, so it runs here on a few
+order-8 candidates to keep it runnable as they change."""
 
 import importlib.util
 from pathlib import Path
 
-from hamcert import harness
+from hamcert import harness, theorem
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "kernel_timings.py"
 
@@ -71,3 +72,27 @@ def test_kernel_timings_stream_prints_its_parts(capsys):
     ]
     assert all(len(row) == 4 and float(row[2]) > 0 and int(row[3]) >= 0 for row in rows[1:])
     assert float(rows[-1][2]) >= max(float(row[2]) for row in rows[1:-1])
+
+
+def test_kernel_timings_trace_prints_its_parts(capsys):
+    # the parts of trace_proof over the extremal grid up to n = 8, each
+    # timed by wrapping names in theorem's namespace, which are restored
+    # afterwards
+    spec = importlib.util.spec_from_file_location("kernel_timings", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    names = [name for names in script.TRACE_PARTS.values() for name in names]
+    before = [getattr(theorem, name) for name in names]
+    script.trace(8)
+    assert [getattr(theorem, name) for name in names] == before
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:4] == ["n", "part", "ms", "faults"]
+    rows = [(row[0], " ".join(row[1:-2]), *row[-2:]) for row in map(str.split, lines[1:])]
+    assert [row[:2] for row in rows] == [
+        ("8", part)
+        for part in (
+            "longest cycle", "fan", "solvers", "segments", "extension rules", "structure", "call",
+        )
+    ]
+    assert all(float(row[2]) > 0 and int(row[3]) >= 0 for row in rows)
+    assert float(rows[-1][2]) >= max(float(row[2]) for row in rows[:-1])

@@ -605,14 +605,14 @@ def test_case1_contradiction_coloring_on_the_rotated_view(monkeypatch):
     case1 = theorem._trace_case1
     rotated = []
 
-    def less_one_edge(g, k, c, fan, decomp, big_index, *rest):
-        u1 = fan.attachments[big_index - 1]
-        u = next(u for u in fan.attachments[:k] if u != u1)
-        pair = {c.successor(u1), u}
+    def less_one_edge(g, k, decomp, check):
+        view = cycles.long_segment_first(decomp)
+        u = next(u for u in decomp.attachments if u != view.attachments[0])
+        pair = {view.successors[0], u}
         h = with_edges(g.n, [e for e in g.edges() if set(e) != pair])
         assert chromatic_number(h)[0] == g.n - k - 1
-        rotated.append(big_index != 1)
-        return case1(h, k, c, fan, decomp, big_index, *rest)
+        rotated.append(decomp.big_segment_indices != {1})
+        return case1(h, k, decomp, check)
 
     monkeypatch.setattr(theorem, "_trace_case1", less_one_edge)
     rng = random.Random(0)
@@ -667,6 +667,35 @@ def test_trace_builds_one_fan_per_non_hamiltonian_trace(monkeypatch):
                 assert calls["menger_fan"] == traces
     assert trace_proof(complete_graph(6), 3).conclusion == "hamiltonian"
     assert calls["menger_fan"] == traces == 56
+
+
+def test_trace_decomposes_once_and_rotates_once_per_interior_vertex(monkeypatch):
+    # the extension rules read the trace's own decomposition, so each
+    # trace past the Hamiltonian short cut calls segments once, in cycles
+    # or theorem; a case-1 trace calls the rotation rule at y_r .. y_2 in
+    # its propagation and at y_1 in its extensions-absent step, r times;
+    # over the cells of the trace-grid benchmark, canonical, and relabeled
+    # up to n = 11
+    rng = random.Random(46)
+    decomposed = count_calls(monkeypatch, cycles, ["segments"])
+    monkeypatch.setattr(theorem, "segments", cycles.segments)
+    rotations = count_calls(monkeypatch, theorem, ["extend_case1_rotation"])
+
+    def counts():
+        return decomposed["segments"], rotations["extend_case1_rotation"]
+
+    traces = interior = 0
+    cells = [(2, n) for n in range(5, 17)]
+    cells += [(k, n) for k in (3, 4, 5) for n in range(2 * k + 1, 15)]
+    for k, n in cells:
+        g = build_extremal(k, n)
+        for h in (g, relabeled(g, rng)) if n <= 11 else (g,):
+            assert trace_proof(h, k).conclusion.startswith("extremal")
+            traces += 1
+            interior += max(n - 2 * k - 1, 0)
+            assert counts() == (traces, interior)
+    assert trace_proof(complete_graph(6), 3).conclusion == "hamiltonian"
+    assert counts() == (46, 149)
 
 
 def test_certify_and_trace_payloads_golden():
