@@ -40,15 +40,17 @@ the parts of the internal sweep, each timed by wrapping its functions:
     lane walk       iter_bits, in harness's namespace: the lanes of each
                     lane set that lemma 1 and the tally replay, walked
                     from the top
+    replay graphs   from_edge_mask, in harness's namespace: the Graph of
+                    each replayed mask
     replays         _replay: the certify replays of the non-Hamiltonian
                     hits
 
 and the whole call.  Each is the median of 25 calls after a warm-up one.
-The cover levels run inside the chi table, and the lane walk and the
-replays inside the neighbourhoods, so their times are also counted
-there, and so is the cost of wrapping them: the sweep makes hundreds of
-lane walks, about 1 ms of the neighbourhoods' time at n = 7.  The
-header's note says so.
+The cover levels run inside the chi table, and the lane walk, the
+replay graphs and the replays inside the neighbourhoods, so their times
+are also counted there, and so is the cost of wrapping them: the sweep
+makes hundreds of lane walks, about 1 ms of the neighbourhoods' time at
+n = 7.  The header's note says so.
 
 With --stream it prints the same for a warm verify_order(n, stream=...)
 call on a graph6 file, tests/data/graph8.g6 and n = 8 by default, the
@@ -114,6 +116,7 @@ SWEEP_PARTS = {
     "ham table": ("_hamiltonian_table",),
     "neighbourhoods": ("_settle_neighbourhood",),
     "lane walk": ("iter_bits",),
+    "replay graphs": ("from_edge_mask",),
     "replays": ("_replay",),
 }
 STREAM_PARTS = {
@@ -259,7 +262,7 @@ def print_parts(n, rows, nested) -> None:
           f"(one call, median of {PART_CALLS}; {nested})")
     for part, row in rows.items():
         ms = 1000 * statistics.median(x for x, _ in row)
-        print(f"{n:>3} {part:<{width}} {ms:>8.2f} {statistics.median(f for _, f in row):>8.0f}")
+        print(f"{n:>3} {part:<{width}} {ms:>8.3f} {statistics.median(f for _, f in row):>8.0f}")
 
 
 def sweep(n=7) -> None:
@@ -267,7 +270,8 @@ def sweep(n=7) -> None:
     call and of the whole call, medians of PART_CALLS calls."""
     print_parts(
         n, part_times(harness, lambda: harness.verify_order(n), SWEEP_PARTS),
-        "cover levels run inside chi table, lane walk and replays inside neighbourhoods",
+        "cover levels run inside chi table; lane walk, replay graphs and replays inside "
+        "neighbourhoods",
     )
 
 

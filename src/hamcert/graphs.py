@@ -9,7 +9,6 @@ return new values; nothing mutates a built Graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable, Iterator
 
 # Hard ceiling on vertex count; everything here is meant for desk-scale
@@ -127,23 +126,19 @@ def with_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def from_edge_mask(n: int, mask: int) -> Graph:
-    """Build a graph from an edge bitmask in ``triangle_pairs`` order."""
-    pairs = _pair_table(n)
+    """Build a graph from an edge bitmask in ``triangle_pairs`` order,
+    a column at a time: column j, the j bits from j(j - 1)/2, is the row
+    of vertex j below j, and each of its bits i puts j into row i."""
     rows = [0] * n
-    m = mask
-    while m:
-        low = m & -m
-        u, v = pairs[low.bit_length() - 1]
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        m ^= low
+    for j in range(1, n):
+        column = mask >> (j * (j - 1) // 2) & ((1 << j) - 1)
+        rows[j] = column
+        bit = 1 << j
+        while column:
+            low = column & -column
+            rows[low.bit_length() - 1] |= bit
+            column ^= low
     return Graph(n, tuple(rows))
-
-
-@cache
-def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
-    """triangle_pairs(n), built once per order."""
-    return tuple(triangle_pairs(n))
 
 
 # ---------------------------------------------------------------------------

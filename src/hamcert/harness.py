@@ -65,7 +65,8 @@ of vertices already fixes is not computed:
   P (_kappa_table, on the K-set counter of each K of at most
   max(m / 2, m - k) vertices, m = n - 1, at the lowest k);
 - Hamiltonicity: exactly when P has a Hamiltonian path with both ends in
-  nb (_hamiltonian_table, on the path fill from each start).
+  nb (_hamiltonian_table, on one path fill from vertex 0, whose rows are
+  joined at each split of the other vertices in two).
 
 Then each nb, in ascending order, costs a lookup per lane set, read
 whole (_settle_neighbourhood): the exact Nordhaus-Gaddum pair of each
@@ -73,7 +74,7 @@ lane that exact chi and the bound on chi of the complement leave open,
 which only a faulty table leaves, in lane order, and _tally, so the
 replays run in mask order.  At n = 7 that is 64 neighbourhoods of 2^15
 lanes, a 4 KiB int each, where the whole population is 2^21 lanes, and
-the tables take 3.5-5.7 ms of a 10-16 ms call (2-core host,
+the tables take 2.5-2.6 ms of an 8.2-8.7 ms call (2-core host,
 scripts/kernel_timings.py --sweep).  No candidate is gathered and no
 lane set is built per candidate, so the sweep needs no numpy.
 
@@ -309,13 +310,20 @@ def _hamiltonian_table(adj, m, every):
     m >= 2.  A Hamiltonian cycle of P + v is v between the two ends of a
     Hamiltonian path of P, both in Y, and every such path closes to one.
     So ham is the subset-OR transform of the lanes with a Hamiltonian path
-    from a to b, at {a, b}: the full row of the path fill (_path_ends)
-    from each start a, read at its ends b > a."""
+    from a to b, at {a, b}, all read off one path fill from vertex 0
+    (_path_ends): such a path, cut at vertex 0, is two paths from 0, to a
+    and to b, over complementary sets S and S' of the other vertices, with
+    a = 0 when S is empty.  So the entry {a, b} is the OR, over the
+    unordered splits {S, S'}, of rows[S][a] & rows[S'][b]; a split is
+    taken once, with the top vertex in S'."""
     ham = [0] * (1 << m)
-    for a in range(m - 1):
-        for b, lanes in _path_ends(adj, a, every).items():
-            if b > a:
-                ham[1 << a | 1 << b] = lanes
+    rows = _path_ends(adj, every)
+    others = len(rows) - 1
+    for s in range(len(rows) // 2):
+        row_t = rows[others ^ s]
+        for a, at_a in rows[s].items():
+            for b, at_b in row_t.items():
+                ham[1 << a | 1 << b] |= at_a & at_b
     return _subset_or(ham, m)
 
 
@@ -582,26 +590,31 @@ def _cover_levels(indep, sets, every):
     Y inside free, the vertices above I's lowest one and outside I; a
     level is computed when it is asked for.  Level t is computed only for
     the X of more than t vertices: t independent sets, singletons or
-    empty, cover a smaller X, so its entry is every."""
+    empty, cover a smaller X, so its entry is every.  The pairs (I, X)
+    are bucketed by |X| once, after level 1, so that level t walks only
+    the buckets above t."""
+    yield indep
     full = len(indep) - 1
-    sets = [(i, at_i, full ^ (i | ((i & -i) - 1))) for i, at_i in sets]
     sizes = [x.bit_count() for x in range(full + 1)]
+    by_size = [[] for _ in range(full.bit_length() + 1)]
+    for i, at_i in sets:
+        free = full ^ (i | ((i & -i) - 1))
+        y = free
+        while True:
+            by_size[sizes[i | y]].append((i | y, at_i, y))
+            if not y:
+                break
+            y = (y - 1) & free
     cover = indep
     t = 1
     while True:
-        yield cover
         t += 1
         level = [every if size <= t else 0 for size in sizes]
-        for i, at_i, free in sets:
-            y = free
-            while True:
-                x = i | y
-                if sizes[x] > t:
-                    level[x] |= at_i & cover[y]
-                if not y:
-                    break
-                y = (y - 1) & free
+        for bucket in by_size[t + 1:]:
+            for x, at_i, y in bucket:
+                level[x] |= at_i & cover[y]
         cover = level
+        yield cover
 
 
 def _kappa_lanes(adj, n, k_cap, every):
@@ -663,30 +676,29 @@ def _neighbour_rows(adj, size, low=0, members=0, rows=None):
 
 def _hamiltonian_lanes(adj, lanes):
     """The Hamiltonian graphs among the given lanes, n >= 3: a cycle
-    closes a spanning path from vertex 0 (_path_ends) at one of 0's
-    neighbours."""
+    closes a spanning path from vertex 0, the last row of _path_ends, at
+    one of 0's neighbours."""
     closed = 0
-    for v, at_v in _path_ends(adj, 0, lanes).items():
+    for v, at_v in _path_ends(adj, lanes)[-1].items():
         closed |= at_v & adj[v][0]
     return closed
 
 
-def _path_ends(adj, start, lanes):
-    """{v: the lanes in which some path from start spans every vertex and
-    ends at v}, among the given lanes: the subset DP of cycles._path_ends,
-    filled a row at a time with one lane set per (row, end).  Row r maps
-    each end v to the lanes in which some path from start spans exactly
-    start and the vertices of r, bit b of r standing for the b-th vertex
-    other than start."""
-    others = [v for v in range(len(adj)) if v != start]
-    table = [{start: lanes}]
-    for r in range(1, 1 << len(others)):
+def _path_ends(adj, lanes):
+    """The rows of the path fill from vertex 0 among the given lanes: the
+    subset DP of cycles._path_ends, filled a row at a time with one lane
+    set per (row, end).  Row r maps each end v to the lanes in which some
+    path from 0 spans exactly 0 and the vertices of r, bit b of r standing
+    for vertex b + 1; an end that no lane reaches is left out.  Row 0 is
+    {0: lanes}, and the last row holds the spanning paths."""
+    table = [{0: lanes}]
+    for r in range(1, 1 << (len(adj) - 1)):
         ends = {}
         rest = r
         while rest:
             vb = rest & -rest
             rest ^= vb
-            v = others[vb.bit_length() - 1]
+            v = vb.bit_length()
             row = adj[v]
             at_v = 0
             for u, at_u in table[r ^ vb].items():
@@ -694,7 +706,7 @@ def _path_ends(adj, start, lanes):
             if at_v:
                 ends[v] = at_v
         table.append(ends)
-    return table[-1]
+    return table
 
 
 # The largest order whose stream candidates the lane kernels settle; above
@@ -715,7 +727,8 @@ def _path_ends(adj, start, lanes):
 # The kernels win from about 5 candidates at n = 8 and 45 at n = 12, and
 # lose at most their fixed cost on a short block.  The path table doubles
 # with the order: a full block adds 5 MB peak at n = 12, 13 MB at 13 and
-# 31 MB at 14; the chi tables peak at 2.7 MB at n = 12 and 5.3 MB at 13.
+# 31 MB at 14; the chi tables, their cover pairs bucketed by size
+# (_cover_levels), peak at 6.6 MB at n = 12 and 15.5 MB at 13.
 _LANE_KERNEL_MAX_ORDER = 12
 
 
@@ -778,6 +791,9 @@ def _tally(report, n, ks, kappa_at_least, chi_at_least, hamiltonian, graph):
     if not every_hit:
         return
     missed = every_hit ^ (every_hit & hamiltonian(every_hit))
+    if not missed:
+        report.hamiltonian += hamiltonian_hits
+        return
     # rare path: replay the non-Hamiltonian hits through the certifier
     replays = {}
     for k, lanes in hits.items():

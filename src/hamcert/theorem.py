@@ -100,9 +100,9 @@ def validate_extremal_partition(g: Graph, k: int, part: ExtremalPartition) -> li
         a.bit_count() == k == b.bit_count()
         and c_part.bit_count() == n - 2 * k >= 1
         and a | b | c_part == full
-        and g.adj == tuple(
+        and g.adj == tuple([
             a if b >> v & 1 else (full if a >> v & 1 else a | c_part) ^ 1 << v for v in range(n)
-        )
+        ])
     ):
         return []
     problems = []
@@ -137,19 +137,22 @@ def recognize_extremal(g: Graph):
     """(k, partition) when g is exactly the exceptional shape, else None.
 
     Recognition is by rows, not isomorphism search: the join part A is
-    precisely the universal vertices, the independent part the vertices
-    whose row is A, the clique part the rest.  At n = 2k+1 the one clique
-    vertex has the row A too, and any split of the other vertices into
-    k + 1 works; the highest is taken as the one-vertex clique part for
-    determinism.  The partition check then holds every row to its class."""
+    precisely the universal vertices, each row with its own bit being V,
+    the independent part the vertices whose row is A, the clique part the
+    rest.  At n = 2k+1 the one clique vertex has the row A too, and any
+    split of the other vertices into k + 1 works; the highest is taken as
+    the one-vertex clique part for determinism.  The partition check then
+    holds every row to its class."""
     n = g.n
     if n < 5:
         return None
     full = g.vertex_mask
     a = 0
-    for v, row in enumerate(g.adj):
-        if row == full ^ 1 << v:
-            a |= 1 << v
+    bit = 1
+    for row in g.adj:
+        if row | bit == full:
+            a |= bit
+        bit <<= 1
     k = a.bit_count()
     if k < 2 or n < 2 * k + 1:
         return None

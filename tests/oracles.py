@@ -8,15 +8,17 @@ sweeps, connectivity by deleting every candidate cut set (also in lanes,
 oracle_kappa_lanes), cycles by permutation search, lane sets by slicing
 one string of every mask.  Keep it that way.  The exceptions are
 oracle_path_ends, the reference for the bit-sliced path table: the same
-subset DP, filled one row at a time; and oracle_chromatic_table and
+subset DP, filled one row at a time; oracle_chromatic_table and
 oracle_kappa_table, the references for the sweep's tables: the same
 formulas, each table entry computed in full on every vertex set, the
 subset-OR by its definition (oracle_subset_or) and the cover levels
-written out plainly.  oracle_certify is the certifier's
-former full path, built from the package's own exact solvers, the
-reference for its shape-first path, and oracle_extremal_problems the
-partition check invariant by invariant, the reference for its rows-first
-acceptance.
+written out plainly; and oracle_hamiltonian_table, the sweep's
+Hamiltonicity table from a path fill from each start in lanes, each
+spanning path's ends ORed into every set that holds them.
+oracle_certify is the certifier's former full path, built from the
+package's own exact solvers, the reference for its shape-first path, and
+oracle_extremal_problems the partition check invariant by invariant, the
+reference for its rows-first acceptance.
 oracle_extend_predecessor_chord and oracle_extend_case1_rotation are the
 extension rules as they were when each built its own segment
 decomposition from (c, fan), the references for the rules that read the
@@ -296,6 +298,35 @@ def oracle_kappa_table(adj, m, ks, every):
         {k: joined[k] & (every ^ cut_off[k][full ^ y]) if k <= y.bit_count() else 0 for k in ks}
         for y in range(full + 1)
     ]
+
+
+def oracle_hamiltonian_table(adj, m, every):
+    """The reference Hamiltonicity table of the sweep: ham[Y], the lanes
+    of every in which P + v, v adjacent to the vertex set Y of the
+    order-m graph P, m >= 2, is Hamiltonian, that is in which P has a
+    Hamiltonian path with both ends in Y.  reach[(S, v)] is the lanes in
+    which some path from a spans exactly S and ends at v, filled for each
+    start a over the sets S that hold a in ascending order; the spanning
+    paths from a to each b > a are ORed into every Y holding a and b."""
+    full = (1 << m) - 1
+    ham = [0] * (full + 1)
+    for a in range(m):
+        reach = {(1 << a, a): every}
+        for s in range(full + 1):
+            if not s >> a & 1:
+                continue
+            for v in range(m):
+                if v == a or not s >> v & 1:
+                    continue
+                lanes = 0
+                for u in range(m):
+                    lanes |= reach.get((s ^ 1 << v, u), 0) & adj[u][v]
+                reach[(s, v)] = lanes
+        for b in range(a + 1, m):
+            for y in range(full + 1):
+                if y >> a & 1 and y >> b & 1:
+                    ham[y] |= reach[(full, b)]
+    return ham
 
 
 def oracle_hamiltonian_cycle(g: Graph) -> tuple[int, ...] | None:

@@ -71,6 +71,21 @@ def test_edge_mask_round_trip():
     assert from_edge_mask(4, g.edge_mask()) == g
     # mask bit order: (0,1) is bit 0, (1,2) is bit 2, (0,3) is bit 3
     assert g.edge_mask() == 0b01101
+    # the column-by-column decode against the graph of the mask's set
+    # bits, on the empty and full masks and seeded ones at several
+    # densities, up to the vertex limit
+    rng = random.Random(128)
+    for n in [*range(25), 62, MAX_VERTICES]:
+        pairs = triangle_pairs(n)
+        top = (1 << len(pairs)) - 1
+        masks = [0, top, rng.getrandbits(len(pairs))]
+        masks += [top & rng.getrandbits(len(pairs)) & rng.getrandbits(len(pairs)) for _ in range(3)]
+        masks += [top ^ (top & rng.getrandbits(len(pairs)) & rng.getrandbits(len(pairs)))]
+        for mask in masks:
+            edges = [pair for t, pair in enumerate(pairs) if mask >> t & 1]
+            g = from_edge_mask(n, mask)
+            assert g == with_edges(n, edges), (n, mask)
+            assert g.edge_mask() == mask
 
 
 def test_edge_mask_matches_one_test_per_pair():

@@ -47,6 +47,7 @@ from tests.oracles import (
     oracle_first_fit_coloring,
     oracle_first_fit_colors,
     oracle_hamiltonian_cycle,
+    oracle_hamiltonian_table,
     oracle_kappa_lanes,
     oracle_kappa_table,
     oracle_subset_or,
@@ -275,15 +276,21 @@ class TestSweepBlocks:
     def test_tables_match_their_full_formulas(self, m):
         # the chi and kappa tables, computed only where they are read and
         # not fixed by a count, against their formulas computed on every
-        # vertex set (oracle_chromatic_table, oracle_kappa_table): on the
-        # lanes of every order-m parent and on seeded subsets of them,
-        # kappa at every k window
+        # vertex set (oracle_chromatic_table, oracle_kappa_table), and the
+        # Hamiltonicity table, joined from one path fill, against a fill
+        # from each start (oracle_hamiltonian_table): on the lanes of every
+        # order-m parent and on seeded subsets of them, kappa at every k
+        # window
         whole = harness._range_lanes(m)
         width = 1 << (m * (m - 1) // 2)
         rng = random.Random(m)
         for every in [(1 << width) - 1] + [rng.getrandbits(width) for _ in range(3)]:
             adj = [[x & every for x in row] for row in whole]
             assert harness._chromatic_table(adj, m, every) == oracle_chromatic_table(adj, m, every)
+            if m >= 2:
+                assert harness._hamiltonian_table(adj, m, every) == oracle_hamiltonian_table(
+                    adj, m, every
+                )
             for lo in range(2, m + 1):
                 for hi in range(lo, m + 1):
                     ks = range(lo, hi + 1)
@@ -467,9 +474,9 @@ class TestSweepBlocks:
         # vertices, 6 + 15 + 20 + 15; the chi table at c = 1 .. 6 over the
         # sets of at most 6 - c vertices, the kappa tables at k = 2 .. 6
         # over those of at most 6 - k, and the path pairs over all, each
-        # transformed once; a fill from each start but the last
+        # transformed once; one path fill, from vertex 0
         assert {name: len(seen) for name, seen in widths.items()} == {
-            "_count_lanes": 56, "_subset_or": 6 + 5 + 1, "_path_ends": 5,
+            "_count_lanes": 56, "_subset_or": 6 + 5 + 1, "_path_ends": 1,
         }
         assert sizes == [5, 4, 3, 2, 1, 0] + [4, 3, 2, 1, 0] + [6]
         assert max(max(seen) for seen in widths.values()) == 1 << 15

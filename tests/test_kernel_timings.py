@@ -45,7 +45,7 @@ def test_kernel_timings_sweep_prints_its_parts(capsys):
         ("5", part)
         for part in (
             "chi table", "cover levels", "complement bound", "kappa table", "ham table",
-            "neighbourhoods", "lane walk", "replays", "call",
+            "neighbourhoods", "lane walk", "replay graphs", "replays", "call",
         )
     ]
     assert all(float(row[2]) > 0 and int(row[3]) >= 0 for row in rows)
