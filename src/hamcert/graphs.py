@@ -128,7 +128,15 @@ def with_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def from_edge_mask(n: int, mask: int) -> Graph:
     """Build a graph from an edge bitmask in ``triangle_pairs`` order,
     a column at a time: column j, the j bits from j(j - 1)/2, is the row
-    of vertex j below j, and each of its bits i puts j into row i."""
+    of vertex j below j, and each of its bits i puts j into row i.
+
+    The order is checked as ``with_edges`` checks it, and a mask with a
+    bit at or above n(n - 1)/2, a pair that n vertices do not have, or a
+    negative one, raises ValueError."""
+    _check_order(n)
+    pairs = n * (n - 1) // 2
+    if mask >> pairs:
+        raise ValueError(f"edge mask has a bit at or above bit {pairs}, the pairs of {n} vertices")
     rows = [0] * n
     for j in range(1, n):
         column = mask >> (j * (j - 1) // 2) & ((1 << j) - 1)

@@ -69,14 +69,17 @@ of vertices already fixes is not computed:
   joined at each split of the other vertices in two).
 
 Then each nb, in ascending order, costs a lookup per lane set, read
-whole (_settle_neighbourhood): the exact Nordhaus-Gaddum pair of each
-lane that exact chi and the bound on chi of the complement leave open,
-which only a faulty table leaves, in lane order, and _tally, so the
-replays run in mask order.  At n = 7 that is 64 neighbourhoods of 2^15
-lanes, a 4 KiB int each, where the whole population is 2^21 lanes, and
-the tables take 2.5-2.6 ms of an 8.2-8.7 ms call (2-core host,
-scripts/kernel_timings.py --sweep).  No candidate is gathered and no
-lane set is built per candidate, so the sweep needs no numpy.
+whole (_settle_neighbourhood): lemma 1 against the bound's row for
+|nb|, then the exact Nordhaus-Gaddum pair of each lane that exact chi
+and the bound on chi of the complement leave open, which only a faulty
+table leaves, in lane order, and _tally, so the replays run in mask
+order.  At n = 7 that is 64 neighbourhoods of 2^15 lanes, a 4 KiB int
+each, where the whole population is 2^21 lanes.  Of a 7.0-7.2 ms call
+the tables take 2.3-2.4 ms and the neighbourhoods 4.4 ms: lemma 1
+0.3 ms, the tally 1.0 ms, the 245 replayed graphs 0.9 ms and their
+certify replays 1.0 ms (2-core host, scripts/kernel_timings.py --sweep,
+whose wrappers add to the parts they time).  No candidate is gathered
+and no lane set is built per candidate, so the sweep needs no numpy.
 
 The streamed source reads a text stream, a block of lines at a time.  A
 block has one form from the read to the replay: rows of w + 1 bytes,
@@ -201,17 +204,25 @@ def _sweep_tables(n, ks):
     the order-m parents P, m = n - 1, Q = m(m - 1) / 2: lane p is edge
     mask p on vertices 0 .. m - 1, and v = m is adjacent to the set nb.
     Returns (chi, chi_c, kappa, ham): chi[nb][s], s = 0 .. n, the lanes
-    with chi(G) >= s; chi_c[s], s = 0 .. n, the lanes with ff(P^c) >= s,
-    ff(P^c) the colors of first fit in vertex order on P's complement
-    (_first_fit_lanes), as the stream bounds chi of the complement;
-    kappa[nb][k], k in ks, the lanes with kappa(G) >= k; ham[nb] the
-    Hamiltonian G.  Lemma 1 and the tally read them with one lookup per
-    lane set (_settle_neighbourhood)."""
+    with chi(G) >= s; chi_c[o][t], t = 0 .. n, the lanes with ub_c >= t
+    for every nb of o = m - |nb| vertices, ub_c a bound on chi of G's
+    complement; kappa[nb][k], k in ks, the lanes with kappa(G) >= k;
+    ham[nb] the Hamiltonian G.  Lemma 1 and the tally read them with one
+    lookup per lane set (_settle_neighbourhood).
+
+    ub_c is ff(P^c) + [o >= ff(P^c)], ff(P^c) the colors of first fit in
+    vertex order on P's complement (_first_fit_lanes), as the stream
+    bounds chi of the complement: G's complement is P^c plus v adjacent
+    to the o vertices outside nb, and v takes a color of P^c's first-fit
+    coloring free of them when they are fewer than ff(P^c).  So ub_c >= t
+    is ff(P^c) >= t - 1 where o >= t - 1 >= 0, else ff(P^c) >= t, one
+    row per o."""
     m = n - 1
     adj = _range_lanes(m)
     every = (1 << (1 << (m * (m - 1) // 2))) - 1
     chi = _chromatic_table(adj, m, every)
-    chi_c = [every] + _first_fit_lanes(_complement_lanes(adj, every), every)[1]
+    ff = _first_fit_lanes(_complement_lanes(adj, every), every)[1]
+    chi_c = [[ff[t - (0 < t <= o + 1)] for t in range(n + 1)] for o in range(n)]
     kappa = _kappa_table(adj, m, ks, every) if ks else []
     ham = _hamiltonian_table(adj, m, every) if ks else []
     return chi, chi_c, kappa, ham
@@ -347,31 +358,25 @@ def _settle_neighbourhood(report, n, ks, tables, nb):
     (n - 2) / 2, from the _sweep_tables: the whole run of nb's 2^Q lanes p,
     its lane sets read as they are.
 
-    Lemma 1 reads the exact chi(G) against a bound on chi of G's
-    complement, ub_c = ff(P^c) + [m - |nb| >= ff(P^c)], m = n - 1: G's
-    complement is P^c plus v adjacent to the m - |nb| vertices outside nb,
-    and v takes a color of P^c's first-fit coloring free of them when they
-    are fewer than ff(P^c).  So ub_c >= t is chi_c[t - 1] where m - |nb|
-    >= t - 1, else chi_c[t].  No lane is left open (_coloring_open):
-    likewise chi(G) <= chi(P) + [|nb| >= chi(P)], and chi(P) <= ff(P),
-    while ff(P) + ff(P^c) <= m + 1 by the greedy proof in _coloring_open,
-    so chi(G) + ub_c >= n + 2 needs both indicators, |nb| >= chi(P) and
-    m - |nb| >= ff(P^c); then chi(P) + ff(P^c) <= m and the sum is at most
-    n + 1.  Only a faulty table sends a lane to the exact Nordhaus-Gaddum
-    pair, in lane order.  Then _tally, whose replays run in lane order
-    too, so a sweep of the neighbourhoods in ascending order settles its
-    masks in mask order."""
+    Lemma 1 reads the exact chi(G) against the bound ub_c on chi of G's
+    complement, the row of nb's outside count m - |nb|, m = n - 1
+    (_sweep_tables).  No lane is left open (_coloring_open): likewise
+    chi(G) <= chi(P) + [|nb| >= chi(P)], and chi(P) <= ff(P), while ff(P)
+    + ff(P^c) <= m + 1 by the greedy proof in _coloring_open, so chi(G) +
+    ub_c >= n + 2 needs both indicators, |nb| >= chi(P) and m - |nb| >=
+    ff(P^c); then chi(P) + ff(P^c) <= m and the sum is at most n + 1.
+    Only a faulty table sends a lane to the exact Nordhaus-Gaddum pair, in
+    lane order.  Then _tally, whose replays run in lane order too, so a
+    sweep of the neighbourhoods in ascending order settles its masks in
+    mask order."""
     chi, chi_c, kappa, ham = tables
     base = nb << ((n - 1) * (n - 2) // 2)
-    outside = n - 1 - nb.bit_count()
-    bound_c = [chi_c[t - (t <= outside + 1)] for t in range(1, n + 1)]
-
-    def graph(i):
-        return from_edge_mask(n, base | i)
-
-    _lemma1_replays(report, _coloring_open(n, chi[nb][1:], bound_c), graph)
+    suspects = _coloring_open(n, chi[nb], chi_c[n - 1 - nb.bit_count()])
+    if suspects:
+        _lemma1_replays(report, suspects, lambda i: from_edge_mask(n, base | i))
     if ks:
-        _tally(report, n, ks, kappa[nb], chi[nb], lambda lanes: lanes & ham[nb], graph)
+        for i, graph_hits in _tally(report, n, ks, kappa[nb], chi[nb], ham[nb].__and__):
+            _replay(report, from_edge_mask(n, base | i), graph_hits)
 
 
 def _range_lanes(n):
@@ -416,16 +421,16 @@ def _complement_lanes(adj, every):
 
 
 def _first_fit_lanes(adj, every):
-    """(classes, more) of first-fit greedy coloring in vertex order on the
-    lanes of every.  more[c], c = 0 .. n, is the lanes in which first fit
-    uses more than c colors.  First fit uses colors 0, 1, ... without
-    gaps, so the bound ub >= t is more[t - 1] and ub == a is
-    more[a - 1] ^ more[a]; more[n] is empty.  classes[c] holds (u, lanes)
-    for the lanes in which u took color c: v takes color c in the lanes
-    where every color below c is taken by an earlier neighbour and c is
-    not, adj[v][u] being the lanes with the edge uv."""
+    """(classes, at_least) of first-fit greedy coloring in vertex order on
+    the lanes of every.  at_least[t], t = 0 .. n + 1, is the lanes in
+    which first fit uses at least t colors, the bound ub >= t.  First fit
+    uses colors 0, 1, ... without gaps, so ub == a is at_least[a] ^
+    at_least[a + 1]; at_least[n + 1] is empty.  classes[c] holds (u,
+    lanes) for the lanes in which u took color c: v takes color c in the
+    lanes where every color below c is taken by an earlier neighbour and c
+    is not, adj[v][u] being the lanes with the edge uv."""
     classes: list[list[tuple[int, int]]] = []
-    more = [0] * (len(adj) + 1)
+    at_least = [every] + [0] * (len(adj) + 1)
     for v, row in enumerate(adj):
         blocked = every
         for c, members in enumerate(classes):
@@ -435,14 +440,14 @@ def _first_fit_lanes(adj, every):
             free = blocked ^ (blocked & taken)
             if free:
                 members.append((v, free))
-                more[c] |= free
+                at_least[c + 1] |= free
             blocked &= taken
             if not blocked:
                 break
         if blocked:
-            more[len(classes)] = blocked
             classes.append([(v, blocked)])
-    return classes, more
+            at_least[len(classes)] = blocked
+    return classes, at_least
 
 
 def _count_lanes(sets, cap, every):
@@ -470,15 +475,15 @@ def _degree_lanes(adj, cap, every):
     return at_least
 
 
-def _coloring_open(n, more, more_c):
+def _coloring_open(n, at_least, at_least_c):
     """The lanes whose bounds ub and ub_c on chi and chi_c leave
-    chi + chi_c <= n + 1 open, more[c] and more_c[c] the lanes in which
-    each bound exceeds c.  ub_c comes from first fit on the complement in
-    both sources: of the graph in the stream, and of its parent, plus a
-    color for v where needed, in the sweep (_settle_neighbourhood); ub is
-    first fit's in the stream and the exact chi in the sweep.  That is
-    ub + ub_c >= n + 2, which is ub >= a and ub_c >= n + 2 - a for
-    a = ub.
+    chi + chi_c <= n + 1 open, at_least[t] and at_least_c[t], t = 0 .. n,
+    the lanes in which each bound is at least t.  ub_c comes from first
+    fit on the complement in both sources: of the graph in the stream,
+    and of its parent, plus a color for v where needed, in the sweep
+    (_sweep_tables); ub is first fit's in the stream and the exact chi in
+    the sweep.  That is ub + ub_c >= n + 2, which is ub >= a and ub_c >=
+    n + 2 - a for a = ub.
 
     First fit in one vertex order on G and its complement never leaves
     a lane open, by the greedy proof of the Nordhaus-Gaddum bound.  Let
@@ -489,15 +494,15 @@ def _coloring_open(n, more, more_c):
     becomes at most i + 2.  From 1 + 1 on one vertex, ub + ub_c <= n + 1."""
     suspects = 0
     for a in range(2, n + 1):
-        suspects |= more[a - 1] & more_c[n + 1 - a]
+        suspects |= at_least[a] & at_least_c[n + 2 - a]
     return suspects
 
 
-def _may_hit(n, k_max, degree, more):
+def _may_hit(n, k_max, degree, at_least):
     """The candidate rule: a hit for some k <= k_max needs kappa >= k >= 2
     and chi >= n - k, and kappa <= delta and chi <= ub, so it needs delta
     >= d and ub >= n - d for some d in 2 .. k_max (take d = min(delta,
-    k_max)).  degree is _degree_lanes up to k_max, more the graph's
+    k_max)).  degree is _degree_lanes up to k_max, at_least the graph's
     first-fit bound from _first_fit_lanes.
 
     A first-fit bound also rejects every disconnected graph: each
@@ -506,7 +511,7 @@ def _may_hit(n, k_max, degree, more):
     ub <= n - delta - 1."""
     hit = 0
     for d in range(2, k_max + 1):
-        hit |= degree[d] & more[n - d - 1]
+        hit |= degree[d] & at_least[n - d]
     return hit
 
 
@@ -518,10 +523,10 @@ def _cheap_stages(report, n, ks, adj, every, graph):
     lanes and the graph's bound.  Returns the candidate lanes.  First
     fit leaves no graph open (_coloring_open), so only a faulty first-fit
     kernel sends a lane to the exact pair here."""
-    _, more = _first_fit_lanes(adj, every)
-    _, more_c = _first_fit_lanes(_complement_lanes(adj, every), every)
-    _lemma1_replays(report, _coloring_open(n, more, more_c), graph)
-    return _may_hit(n, ks[-1], _degree_lanes(adj, ks[-1], every), more) if ks else 0
+    _, ub = _first_fit_lanes(adj, every)
+    _, ub_c = _first_fit_lanes(_complement_lanes(adj, every), every)
+    _lemma1_replays(report, _coloring_open(n, ub, ub_c), graph)
+    return _may_hit(n, ks[-1], _degree_lanes(adj, ks[-1], every), ub) if ks else 0
 
 
 def _lemma1_replays(report, lanes, graph):
@@ -766,43 +771,45 @@ def _exact_stages(report, n, ks, adj, every, graph) -> None:
             )
 
         graph = graphs.__getitem__
-    _tally(report, n, ks, kappa_at_least, chi_at_least, hamiltonian, graph)
+    for i, graph_hits in _tally(report, n, ks, kappa_at_least, chi_at_least, hamiltonian):
+        _replay(report, graph(i), graph_hits)
 
 
-def _tally(report, n, ks, kappa_at_least, chi_at_least, hamiltonian, graph):
-    """Count and settle the hypothesis hits of a batch of lanes, for both
-    sources.  kappa_at_least[k] and chi_at_least[n - k] are lane sets, the
-    hits for k are the lanes in both; hamiltonian(lanes) returns the
-    Hamiltonian lanes among the given ones, and graph(i) builds the graph
-    of lane i for the certify replay of each non-Hamiltonian hit.  The
-    replays are gathered per k, a walk of k's hits among the
-    non-Hamiltonian lanes (iter_bits) adding k to each lane's ks, and
-    then run in lane order, each lane with its ks in ks order, so no lane
-    set is read per replay.  The Hamiltonian (lane, k) hits are all hits
-    less the replayed ones."""
-    hits = {k: kappa_at_least[k] & chi_at_least[n - k] for k in ks}
+def _tally(report, n, ks, kappa_at_least, chi_at_least, hamiltonian):
+    """Count the hypothesis hits of a batch of lanes, for both sources, and
+    return the certify replays of the non-Hamiltonian ones, as (lane, ks)
+    in lane order, for the caller to run (_replay).  kappa_at_least[k] and
+    chi_at_least[n - k] are lane sets, the hits for k are the lanes in
+    both; hamiltonian(lanes) returns the Hamiltonian lanes among the given
+    ones.  Only the k with hits are counted and walked: a walk of k's hits
+    among the non-Hamiltonian lanes (iter_bits) adds k to each lane's ks,
+    so no lane set is read per replay.  The Hamiltonian (lane, k) hits are
+    all hits less the replayed ones."""
+    found = []
     every_hit = 0
     hamiltonian_hits = 0
-    for k, lanes in hits.items():
-        count = lanes.bit_count()
-        report.hypothesis_hits[k] += count
-        hamiltonian_hits += count
-        every_hit |= lanes
+    for k in ks:
+        lanes = kappa_at_least[k] & chi_at_least[n - k]
+        if lanes:
+            count = lanes.bit_count()
+            report.hypothesis_hits[k] += count
+            hamiltonian_hits += count
+            every_hit |= lanes
+            found.append((k, lanes))
     if not every_hit:
-        return
-    missed = every_hit ^ (every_hit & hamiltonian(every_hit))
+        return ()
+    missed = every_hit ^ hamiltonian(every_hit)
     if not missed:
         report.hamiltonian += hamiltonian_hits
-        return
-    # rare path: replay the non-Hamiltonian hits through the certifier
+        return ()
+    # rare path: the non-Hamiltonian hits, each to be replayed through the certifier
     replays = {}
-    for k, lanes in hits.items():
+    for k, lanes in found:
         for i in iter_bits(lanes & missed):
             replays.setdefault(i, []).append(k)
             hamiltonian_hits -= 1
-    for i in sorted(replays):
-        _replay(report, graph(i), replays[i])
     report.hamiltonian += hamiltonian_hits
+    return sorted(replays.items())
 
 
 def _replay(report, g, graph_hits) -> None:

@@ -91,8 +91,9 @@ def validate_extremal_partition(g: Graph, k: int, part: ExtremalPartition) -> li
     A valid partition is accepted by its class sizes and rows alone: sizes
     k, k and n - 2k >= 1 over classes that cover V partition it, and then
     a join row is V - v, an independent row is the join part and a clique
-    row is the join and clique parts less v.  Only a partition that fails
-    is checked again, invariant by invariant, for its problems."""
+    row is the join and clique parts less v, read row by row up to the
+    first that does not fit.  Only a partition that fails is checked
+    again, invariant by invariant, for its problems."""
     n = g.n
     a, b, c_part = part.a, part.b, part.c_part
     full = g.vertex_mask
@@ -100,11 +101,15 @@ def validate_extremal_partition(g: Graph, k: int, part: ExtremalPartition) -> li
         a.bit_count() == k == b.bit_count()
         and c_part.bit_count() == n - 2 * k >= 1
         and a | b | c_part == full
-        and g.adj == tuple([
-            a if b >> v & 1 else (full if a >> v & 1 else a | c_part) ^ 1 << v for v in range(n)
-        ])
     ):
-        return []
+        clique = a | c_part
+        bit = 1
+        for row in g.adj:
+            if row != (a if b & bit else (full if a & bit else clique) ^ bit):
+                break
+            bit <<= 1
+        else:
+            return []
     problems = []
     if a.bit_count() != k:
         problems.append(f"join part has {a.bit_count()} vertices, expected {k}")
@@ -136,22 +141,31 @@ def validate_extremal_partition(g: Graph, k: int, part: ExtremalPartition) -> li
 def recognize_extremal(g: Graph):
     """(k, partition) when g is exactly the exceptional shape, else None.
 
-    Recognition is by rows, not isomorphism search: the join part A is
-    precisely the universal vertices, each row with its own bit being V,
-    the independent part the vertices whose row is A, the clique part the
-    rest.  At n = 2k+1 the one clique vertex has the row A too, and any
-    split of the other vertices into k + 1 works; the highest is taken as
-    the one-vertex clique part for determinism.  The partition check then
-    holds every row to its class."""
+    Recognition is by rows, not isomorphism search, in one pass over
+    them: the join part A is precisely the universal vertices, each row
+    with its own bit being V.  The independent part is the vertices whose
+    row is A, and the clique part C the rest, whose rows are A | C less
+    their own bit.  So the first row that is not universal tells them
+    apart: if it is A, the independent part is the vertices with that
+    row, and else its vertex is in C, and the independent part is V less
+    that row and its own bit.  At n = 2k+1 the one clique vertex has the
+    row A too, and any split of the other vertices into k + 1 works; the
+    highest is taken as the one-vertex clique part for determinism.  The
+    partition check then holds every row to its class."""
     n = g.n
     if n < 5:
         return None
     full = g.vertex_mask
-    a = 0
+    a = same = 0
+    first = first_bit = -1  # the first row that is not universal, and its vertex
     bit = 1
     for row in g.adj:
         if row | bit == full:
             a |= bit
+        elif row == first:
+            same |= bit
+        elif first < 0:
+            first, first_bit, same = row, bit, bit
         bit <<= 1
     k = a.bit_count()
     if k < 2 or n < 2 * k + 1:
@@ -159,13 +173,12 @@ def recognize_extremal(g: Graph):
     rest = full ^ a
     if n == 2 * k + 1:
         top = 1 << (rest.bit_length() - 1)
-        part = ExtremalPartition(a, rest ^ top, top)
+        b = rest ^ top
+    elif first == a:
+        b = same
     else:
-        b = 0
-        for v, row in enumerate(g.adj):
-            if row == a:
-                b |= 1 << v
-        part = ExtremalPartition(a, b, rest ^ b)
+        b = full ^ (first | first_bit)
+    part = ExtremalPartition(a, b, rest ^ b)
     if validate_extremal_partition(g, k, part):
         return None
     return k, part

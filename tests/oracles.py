@@ -18,7 +18,9 @@ spanning path's ends ORed into every set that holds them.
 oracle_certify is the certifier's former full path, built from the
 package's own exact solvers, the reference for its shape-first path, and
 oracle_extremal_problems the partition check invariant by invariant, the
-reference for its rows-first acceptance.
+reference for its rows-first acceptance, and oracle_recognize_extremal
+the extremal recognizer as it was before its one pass over the rows,
+its partition checked by oracle_extremal_problems.
 oracle_extend_predecessor_chord and oracle_extend_case1_rotation are the
 extension rules as they were when each built its own segment
 decomposition from (c, fan), the references for the rules that read the
@@ -418,6 +420,46 @@ def oracle_certify(g: Graph, k: int) -> theorem.Certificate:
             f"chi={rep.chi} is neither Hamiltonian nor extremal"
         ),
     )
+
+
+def oracle_recognize_extremal(g: Graph):
+    """(k, partition) when g is exactly the exceptional shape, else None:
+    recognize_extremal as it was before it read each row once, a pass for
+    the join part and one for the independent part, with the partition
+    held to oracle_extremal_problems.
+
+    Recognition is by rows, not isomorphism search: the join part A is
+    precisely the universal vertices, each row with its own bit being V,
+    the independent part the vertices whose row is A, the clique part the
+    rest.  At n = 2k+1 the one clique vertex has the row A too, and any
+    split of the other vertices into k + 1 works; the highest is taken as
+    the one-vertex clique part for determinism."""
+    n = g.n
+    if n < 5:
+        return None
+    full = g.vertex_mask
+    a = 0
+    bit = 1
+    for row in g.adj:
+        if row | bit == full:
+            a |= bit
+        bit <<= 1
+    k = a.bit_count()
+    if k < 2 or n < 2 * k + 1:
+        return None
+    rest = full ^ a
+    if n == 2 * k + 1:
+        top = 1 << (rest.bit_length() - 1)
+        part = theorem.ExtremalPartition(a, rest ^ top, top)
+    else:
+        b = 0
+        for v, row in enumerate(g.adj):
+            if row == a:
+                b |= 1 << v
+        part = theorem.ExtremalPartition(a, b, rest ^ b)
+    if oracle_extremal_problems(g, k, part):
+        return None
+    return k, part
 
 
 def oracle_extremal_problems(g: Graph, k: int, part: theorem.ExtremalPartition) -> list[str]:

@@ -88,6 +88,25 @@ def test_edge_mask_round_trip():
             assert g.edge_mask() == mask
 
 
+@pytest.mark.parametrize(
+    ("n", "mask"),
+    [(-1, 0), (MAX_VERTICES + 1, 0), (200, 0), (3, 1 << 10), (3, 1 << 3), (0, 1), (1, 1), (4, -1)],
+    ids=["negative order", "one above the limit", "far above the limit", "stray high bit",
+         "first bit beyond the pairs", "a bit at order 0", "a bit at order 1", "negative mask"],
+)
+def test_edge_mask_rejects_what_with_edges_rejects(n, mask):
+    # an order that with_edges refuses, or a bit at or above n(n - 1)/2,
+    # which names no pair of n vertices; the highest pair itself is fine
+    with pytest.raises(ValueError):
+        from_edge_mask(n, mask)
+    if 0 <= n <= MAX_VERTICES:
+        top = 1 << (n * (n - 1) // 2)
+        assert from_edge_mask(n, top - 1) == complete_graph(n)
+    else:
+        with pytest.raises(ValueError):
+            with_edges(n, [])
+
+
 def test_edge_mask_matches_one_test_per_pair():
     # the mask built a column of adj[j] at a time against the definition,
     # one bit per pair in triangle_pairs order, on every labeled graph of

@@ -242,13 +242,13 @@ class TestSweepBlocks:
 
     @staticmethod
     def coloring_bounds(monkeypatch, n):
-        # the (more, more_c) that the sweep hands _coloring_open for each
-        # nb, in ascending order, one shard, with what it returns
+        # the (at_least, at_least_c) that the sweep hands _coloring_open
+        # for each nb, in ascending order, one shard, with what it returns
         exact_open = harness._coloring_open
         seen = []
 
-        def recorded(n, more, more_c):
-            seen.append((more, more_c, exact_open(n, more, more_c)))
+        def recorded(n, at_least, at_least_c):
+            seen.append((at_least, at_least_c, exact_open(n, at_least, at_least_c)))
             return seen[-1][2]
 
         monkeypatch.setattr(harness, "_coloring_open", recorded)
@@ -300,31 +300,44 @@ class TestSweepBlocks:
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_parent_complement_lanes_bound_chi_of_the_complements(self, m):
-        # chi_c is first fit on the complements of the parents' lanes, and
-        # at each s it holds the lanes with chi >= s of the chromatic
-        # kernel on them, first fit never using fewer colors than chi; m =
-        # 1, 2 give the widths 1 and 2
+        # chi_c is one row per outside count o = 0 .. m, from first fit on
+        # the complements of the parents' lanes: at each lane, ff(P^c) + [o
+        # >= ff(P^c)] of the lane's first-fit count; and first fit at each
+        # s holds the lanes with chi >= s of the chromatic kernel on them,
+        # never using fewer colors than chi; m = 1, 2 give the widths 1
+        # and 2
         _, chi_c, _, _ = harness._sweep_tables(m + 1, range(2, m + 1))
-        every = (1 << (1 << (m * (m - 1) // 2))) - 1
+        width = 1 << (m * (m - 1) // 2)
+        every = (1 << width) - 1
         complements = harness._complement_lanes(harness._range_lanes(m), every)
-        assert chi_c == [every] + harness._first_fit_lanes(complements, every)[1]
-        assert len(chi_c) == m + 2 and chi_c[-1] == 0
+        ff = harness._first_fit_lanes(complements, every)[1]
+        assert len(ff) == m + 2 and ff[0] == every and ff[-1] == 0
+        assert len(chi_c) == m + 1 and all(len(row) == m + 2 for row in chi_c)
+        for p in range(width):
+            x = sum(lanes >> p & 1 for lanes in ff[1:])
+            assert [sum(lanes >> p & 1 for lanes in row[1:]) for row in chi_c] == [
+                x + (o >= x) for o in range(m + 1)
+            ]
+            assert all(row[0] >> p & 1 for row in chi_c)
         chi = harness._chromatic_lanes(complements, m, m, every)
-        assert all(x & lanes == x for x, lanes in zip(chi, chi_c))
+        assert all(x & lanes == x for x, lanes in zip(chi, ff))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_complement_bound_covers_chi_of_the_complement(self, monkeypatch, n):
         # every labeled graph of the order, lane p of its nb: the bound's
-        # lane sets give ub_c of its scalar definition, at least chi of
-        # the complement, and the lane sets of chi its exact chi
+        # lane sets, at t = 1 .. n, give ub_c of its scalar definition, at
+        # least chi of the complement, and the lane sets of chi its exact
+        # chi; both hold every lane at t = 0
         seen = self.coloring_bounds(monkeypatch, n)
         q = (n - 1) * (n - 2) // 2
         for g in enumerate_labeled(n):
             nb, p = g.edge_mask() >> q, g.edge_mask() & ((1 << q) - 1)
-            more, more_c, _ = seen[nb]
-            ub_c = sum(lanes >> p & 1 for lanes in more_c)
+            at_least, at_least_c, _ = seen[nb]
+            assert len(at_least) == len(at_least_c) == n + 1
+            assert at_least[0] >> p & 1 and at_least_c[0] >> p & 1
+            ub_c = sum(lanes >> p & 1 for lanes in at_least_c[1:])
             assert ub_c == self.complement_bound(g) >= chromatic_number(complement(g))[0]
-            assert sum(lanes >> p & 1 for lanes in more) == chromatic_number(g)[0]
+            assert sum(lanes >> p & 1 for lanes in at_least[1:]) == chromatic_number(g)[0]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_complement_bound_leaves_lemma1_open_on_no_lane(self, monkeypatch, n):
@@ -332,7 +345,8 @@ class TestSweepBlocks:
         seen = self.coloring_bounds(monkeypatch, n)
         assert all(not suspects for _, _, suspects in seen)
         assert any(
-            more[a - 1] & more_c[n - a] for more, more_c, _ in seen for a in range(1, n + 1)
+            at_least[a] & at_least_c[n + 1 - a]
+            for at_least, at_least_c, _ in seen for a in range(1, n + 1)
         )
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -362,11 +376,13 @@ class TestSweepBlocks:
         # flags counted
         exact_open = harness._coloring_open
 
-        def wide_open(n, more, more_c):
-            # more[c] is the lanes with chi > c, c = 0 .. n - 1
+        def wide_open(n, at_least, at_least_c):
+            # at_least[t] is the lanes with chi >= t, t = 0 .. n
             if n < 3:
-                return exact_open(n, more, more_c)
-            return exact_open(n, more, more_c) | (more[1] & more_c[1] ^ more[2] & more_c[2])
+                return exact_open(n, at_least, at_least_c)
+            return exact_open(n, at_least, at_least_c) | (
+                at_least[2] & at_least_c[2] ^ at_least[3] & at_least_c[3]
+            )
 
         pairs = []
 
@@ -734,7 +750,7 @@ class TestStreamAgainstMaskPipeline:
 
         def loose(adj, every):
             n = len(adj)
-            return [[(v, every)] for v in range(n)], [every] * n + [0]
+            return [[(v, every)] for v in range(n)], [every] * (n + 1) + [0]
 
         monkeypatch.setattr(harness, "_first_fit_lanes", loose)
         monkeypatch.setattr(harness, "nordhaus_gaddum", flagged)
@@ -835,20 +851,21 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("source", ["1", "2", "3", "4", "5", "graph8", "graph8-complements"])
     def test_greedy_bound_matches_first_fit(self, source):
         # the lane first-fit kernel against the per-graph reference: ub >=
-        # t is more[t - 1] and ub == a is more[a - 1] ^ more[a], and the
-        # members of class c are the lanes in which each vertex took c, as
-        # each first-fit step reads them; the complements
+        # t is at_least[t] and ub == a is at_least[a] ^ at_least[a + 1],
+        # and the members of class c are the lanes in which each vertex
+        # took c, as each first-fit step reads them; the complements
         # of the graph8.g6 classes hold K8, which needs all eight colors
         n, masks = self.labeled_or_graph8(source)
         adj = oracle_edge_lanes(n, masks.tolist())
         graphs = [from_edge_mask(n, int(m)) for m in masks]
         every = (1 << masks.size) - 1
-        classes, more = harness._first_fit_lanes(adj, every)
+        classes, at_least = harness._first_fit_lanes(adj, every)
         ub = [oracle_first_fit_colors(g) for g in graphs]
-        assert len(more) == n + 1 and more[0] == every and more[n] == 0
+        assert len(at_least) == n + 2 and at_least[0] == at_least[1] == every
+        assert at_least[n + 1] == 0
         for a in range(1, n + 1):
-            assert lane_list(more[a - 1], masks.size) == [x >= a for x in ub]
-            assert lane_list(more[a - 1] ^ more[a], masks.size) == [x == a for x in ub]
+            assert lane_list(at_least[a], masks.size) == [x >= a for x in ub]
+            assert lane_list(at_least[a] ^ at_least[a + 1], masks.size) == [x == a for x in ub]
         coloring = [oracle_first_fit_coloring(g) for g in graphs]
         assert len(classes) == max(ub)
         for c, members in enumerate(classes):
@@ -964,10 +981,10 @@ class TestLaneKernels:
         # Nordhaus-Gaddum pair, while some graph reaches n + 1
         every = (1 << (1 << (n * (n - 1) // 2))) - 1
         adj = harness._range_lanes(n)
-        _, more = harness._first_fit_lanes(adj, every)
-        _, more_c = harness._first_fit_lanes(harness._complement_lanes(adj, every), every)
-        assert harness._coloring_open(n, more, more_c) == 0
-        assert any(more[a - 1] & more_c[n - a] for a in range(1, n + 1))
+        _, at_least = harness._first_fit_lanes(adj, every)
+        _, at_least_c = harness._first_fit_lanes(harness._complement_lanes(adj, every), every)
+        assert harness._coloring_open(n, at_least, at_least_c) == 0
+        assert any(at_least[a] & at_least_c[n + 1 - a] for a in range(1, n + 1))
 
     @pytest.mark.parametrize("n", [6, 8, 9, 10, 11, 12])
     def test_kappa_on_separator_shapes_and_seeded_blocks(self, n):
@@ -1058,23 +1075,22 @@ class TestLaneKernels:
         # first fit leaves the inequality open on none of these graphs, so
         # the rule is also run on every pair of bounds, one lane each
         pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
-        more, more_c = ([harness._lanes(p[side] > c for p in pairs) for c in range(n + 1)]
-                        for side in (0, 1))
-        assert lane_list(harness._coloring_open(n, more, more_c), len(pairs)) == [
+        at_least, at_least_c = (
+            [harness._lanes(p[side] >= t for p in pairs) for t in range(n + 2)] for side in (0, 1)
+        )
+        assert lane_list(harness._coloring_open(n, at_least, at_least_c), len(pairs)) == [
             a + b > n + 1 for a, b in pairs
         ]
 
-    def test_tally_replays_each_lane_with_every_k_it_hits(self, monkeypatch):
+    def test_tally_replays_each_lane_with_every_k_it_hits(self):
         # no graph of the populations hits two k without a Hamiltonian
         # cycle, so five lanes stand in: lanes 0 and 1 are Hamiltonian,
         # and lanes 2, 3 and 4 replay, in lane order, with the k they hit
-        replays = []
-        monkeypatch.setattr(harness, "_replay", lambda report, g, ks: replays.append((g, ks)))
         report = VerificationReport(hypothesis_hits={2: 0, 3: 0, 4: 0})
         kappa = {2: 0b11111, 3: 0b10110, 4: 0b00100}
         chi = {5: 0b01111, 4: 0b11110, 3: 0b10101}
-        harness._tally(report, 7, [2, 3, 4], kappa, chi, lambda lanes: lanes & 0b00011, int)
-        assert replays == [(2, [2, 3, 4]), (3, [2]), (4, [3])]
+        replays = harness._tally(report, 7, [2, 3, 4], kappa, chi, lambda lanes: lanes & 0b00011)
+        assert list(replays) == [(2, [2, 3, 4]), (3, [2]), (4, [3])]
         assert report.hypothesis_hits == {2: 4, 3: 3, 4: 1}
         assert report.hamiltonian == 3
 

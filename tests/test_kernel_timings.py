@@ -45,13 +45,16 @@ def test_kernel_timings_sweep_prints_its_parts(capsys):
         ("5", part)
         for part in (
             "chi table", "cover levels", "complement bound", "kappa table", "ham table",
-            "neighbourhoods", "lane walk", "replay graphs", "replays", "call",
+            "neighbourhoods", "lemma 1", "tally", "lane walk", "replay graphs", "replays",
+            "call",
         )
     ]
     assert all(float(row[2]) > 0 and int(row[3]) >= 0 for row in rows)
     assert float(rows[-1][2]) >= max(float(row[2]) for row in rows[:-1])
-    # the cover levels run inside the chi table, in every call
+    # the cover levels run inside the chi table, and lemma 1 and the tally
+    # inside the neighbourhoods, in every call
     assert float(rows[1][2]) <= float(rows[0][2])
+    assert float(rows[6][2]) + float(rows[7][2]) <= float(rows[5][2])
 
 
 def test_kernel_timings_stream_prints_its_parts(capsys):

@@ -47,6 +47,7 @@ from tests.oracles import (
     oracle_chromatic,
     oracle_extremal_problems,
     oracle_independence_number,
+    oracle_recognize_extremal,
     oracle_vertex_connectivity,
 )
 
@@ -135,6 +136,36 @@ def test_recognize_is_label_free():
     assert validate_extremal_partition(shuffled, 3, part) == []
     # join part follows the permutation
     assert part.a == sum(1 << perm[v] for v in (0, 1, 2))
+
+
+def _one_pair_flipped(g):
+    """g with each of its vertex pairs toggled in turn, one graph each."""
+    edges = set(g.edges())
+    for pair in ((u, v) for v in range(g.n) for u in range(v)):
+        yield with_edges(g.n, sorted(edges ^ {pair}))
+
+
+def test_recognize_matches_the_two_pass_oracle():
+    # the one-pass recognizer against the former two-pass one, whose
+    # partition the invariant-by-invariant check holds: every labeled graph
+    # of order 5 and 6, and the extremal grid k = 2..5, n <= 13, canonical
+    # and under 3 seeded relabelings, each also with one pair flipped; the
+    # same (k, partition) or None everywhere, so the n = 2k + 1 tie rule
+    # (the highest vertex the clique part) is pinned too
+    graphs = [g for n in (5, 6) for g in enumerate_labeled(n)]
+    rng = random.Random(13)
+    grid = [build_extremal(k, n) for k in range(2, 6) for n in range(2 * k + 1, 14)]
+    grid += [relabeled(g, rng) for g in grid for _ in range(3)]
+    graphs += grid + [h for g in grid for h in _one_pair_flipped(g)]
+    found = 0
+    for g in graphs:
+        got = recognize_extremal(g)
+        assert got == oracle_recognize_extremal(g), g.adj
+        found += got is not None
+    # the 100 labeled ones of orders 5 and 6 and the 96 grid graphs; no
+    # flipped pair keeps the shape
+    assert len(grid) == 96 and found == 100 + 96
+    assert all(recognize_extremal(g) is not None for g in grid)
 
 
 def test_validate_partition_flags_tampering():
