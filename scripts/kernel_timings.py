@@ -50,13 +50,18 @@ the parts of the internal sweep, each timed by wrapping its functions:
                     hits
 
 and the whole call.  Each is the median of 25 calls after a warm-up one.
+Then, as "replay path", the graphs that the call replays, gathered once
+with their ks, are decoded (from_edge_mask) and certified (certify) again
+in a plain loop with no wrapper, and it prints the us per replayed graph
+of the decode, of certify and of both, each the median of 25 loops.
 The cover levels run inside the chi table; lemma 1, the tally, the lane
 walk, the replay graphs and the replays inside the neighbourhoods, and
 the tally's lane walks inside the tally, so their times are also counted
 there, and so is the cost of wrapping them: at n = 7 the sweep makes
 about 720 wrapped calls in its neighbourhoods, most of them replays,
 their graphs and lane walks, and the wrapped call takes 7.0-7.2 ms
-against 5.2 ms unwrapped (2-core host).  The header's note says so.
+against 5.2 ms unwrapped (2-core host).  The header's note says so; the
+replay path rows carry no such cost.
 
 With --stream it prints the same for a warm verify_order(n, stream=...)
 call on a graph6 file, tests/data/graph8.g6 and n = 8 by default, the
@@ -273,14 +278,70 @@ def print_parts(n, rows, nested) -> None:
         print(f"{n:>3} {part:<{width}} {ms:>8.3f} {statistics.median(f for _, f in row):>8.0f}")
 
 
+def replayed_graphs(n):
+    """[(edge mask, ks), ...] of each graph that verify_order(n) replays
+    through the certifier, in replay order."""
+    replayed = []
+    replay = harness._replay
+
+    def gathered(report, g, graph_hits):
+        replayed.append((g.edge_mask(), list(graph_hits)))
+        return replay(report, g, graph_hits)
+
+    harness._replay = gathered
+    try:
+        harness.verify_order(n)
+    finally:
+        harness._replay = replay
+    return replayed
+
+
+def replay_path_us(n):
+    """(graphs replayed, {step: us per replayed graph}) of the replay path
+    of verify_order(n) in a plain loop: the decode, certify and both,
+    medians of PART_CALLS loops."""
+    replayed = replayed_graphs(n)
+    decode, certify = harness.from_edge_mask, harness.certify
+    graphs = [(decode(n, mask), ks) for mask, ks in replayed]
+
+    def both():
+        for mask, ks in replayed:
+            g = decode(n, mask)
+            for k in ks:
+                certify(g, k)
+
+    steps = {
+        "decode": lambda: [decode(n, mask) for mask, _ in replayed],
+        "certify": lambda: [certify(g, k) for g, ks in graphs for k in ks],
+        "both": both,
+    }
+    per = 1e6 / max(len(replayed), 1)
+    out = {}
+    for step, run in steps.items():
+        run()
+        times = []
+        for _ in range(PART_CALLS):
+            started = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - started)
+        out[step] = per * statistics.median(times)
+    return len(replayed), out
+
+
 def sweep(n=7) -> None:
     """Print the ms and minor faults of each part of a warm verify_order(n)
-    call and of the whole call, medians of PART_CALLS calls."""
+    call and of the whole call, medians of PART_CALLS calls, then the us
+    per replayed graph of its replay path, unwrapped."""
     print_parts(
         n, part_times(harness, lambda: harness.verify_order(n), SWEEP_PARTS),
         "cover levels run inside chi table; lemma 1, tally, lane walk, replay graphs and "
         "replays inside neighbourhoods; the tally's lane walks inside tally",
     )
+    count, steps = replay_path_us(n)
+    print(f"{'n':>3} {'replay path':<11} {'us':>8}   "
+          f"(per replayed graph, {count} of them, plain loop, median of {PART_CALLS})")
+    for step, us in steps.items():
+        print(f"{n:>3} {step:<11} {us:>8.3f}")
 
 
 def stream(path=GRAPH8, n=8) -> None:

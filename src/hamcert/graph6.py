@@ -11,14 +11,16 @@ rows of w + 1 bytes: each line's w bytes and a newline, as a text
 stream holds them.  valid_block checks the whole block and pair_lanes
 reads each pair's bit of every line as one int, bit i for line i, by an
 8 x 8 bit transpose of each payload column with no str or digit string
-made.
+made.  The transpose's swaps come from graphs.transpose_swaps, the one
+bit-matrix transpose of the package, which from_edge_mask runs at every
+order.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from hamcert.graphs import Graph, from_edge_mask
+from hamcert.graphs import Graph, from_edge_mask, transpose_swaps
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -76,7 +78,7 @@ def decode_graph6(text: str) -> tuple[int, int]:
 # The delta swaps of an 8 x 8 bit transpose of a little-endian 64-bit word,
 # row i in byte i: (shift, mask of the bits that trade places with the bits
 # shift above them).
-TRANSPOSE_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+TRANSPOSE_SWAPS = transpose_swaps(8)
 _GRAPH6_BYTES = bytes(range(_LO, _HI + 1))
 
 

@@ -9,6 +9,7 @@ return new values; nothing mutates a built Graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 # Hard ceiling on vertex count; everything here is meant for desk-scale
@@ -61,6 +62,25 @@ def without_bit(t: int, m: int) -> int:
         pattern |= pattern << width
         width <<= 1
     return pattern
+
+
+@lru_cache(maxsize=8)
+def transpose_swaps(w: int) -> tuple[tuple[int, int], ...]:
+    """The delta swaps that transpose a w x w bit matrix, w a power of
+    two, held in a w * w-bit int with row r in bits r * w .. r * w + w - 1
+    (Warren, Hacker's Delight, 7-3): (shift, mask of the bits that trade
+    places with the bits shift above them), one per s = 1, 2, .. w / 2.
+    Swap s trades the entry (r, c) with (r + s, c - s) wherever bit s is
+    clear in r and set in c, which moves the bit s(w - 1) places.  The
+    swaps act on different bits of the row and column indices, so they
+    commute and may run in any order."""
+    m = w.bit_length() - 1
+    swaps = []
+    for t in range(m):
+        s = 1 << t
+        rows = sum(1 << r * w for r in range(w) if not r & s)
+        swaps.append((s * (w - 1), (without_bit(t, m) << s) * rows))
+    return tuple(swaps)
 
 
 @dataclass(frozen=True)
@@ -125,10 +145,25 @@ def with_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
+@lru_cache(maxsize=MAX_VERTICES + 1)
+def _decode_plan(n: int):
+    """For from_edge_mask at order n: the field width w, the least power
+    of two >= max(8, n); each column j >= 1 as (its first bit j(j - 1)/2
+    in the mask, its j-bit mask, its field's first bit j * w); and the
+    swaps of a w x w transpose."""
+    w = max(8, 1 << (n - 1).bit_length())
+    columns = tuple((j * (j - 1) // 2, (1 << j) - 1, j * w) for j in range(1, n))
+    return w, columns, transpose_swaps(w)
+
+
 def from_edge_mask(n: int, mask: int) -> Graph:
-    """Build a graph from an edge bitmask in ``triangle_pairs`` order,
-    a column at a time: column j, the j bits from j(j - 1)/2, is the row
-    of vertex j below j, and each of its bits i puts j into row i.
+    """Build a graph from an edge bitmask in ``triangle_pairs`` order by
+    one bit-matrix transpose: column j, the j bits from j(j - 1)/2, is
+    the row of vertex j below j, and goes into field j of a w * w-bit
+    int, a w x w bit matrix with a row per field (_decode_plan).  Its
+    transpose (transpose_swaps) holds each row above the diagonal, so the
+    OR of the two holds the whole rows, which are then read off field by
+    field, at w = 8 as the bytes of the int.
 
     The order is checked as ``with_edges`` checks it, and a mask with a
     bit at or above n(n - 1)/2, a pair that n vertices do not have, or a
@@ -137,16 +172,19 @@ def from_edge_mask(n: int, mask: int) -> Graph:
     pairs = n * (n - 1) // 2
     if mask >> pairs:
         raise ValueError(f"edge mask has a bit at or above bit {pairs}, the pairs of {n} vertices")
-    rows = [0] * n
-    for j in range(1, n):
-        column = mask >> (j * (j - 1) // 2) & ((1 << j) - 1)
-        rows[j] = column
-        bit = 1 << j
-        while column:
-            low = column & -column
-            rows[low.bit_length() - 1] |= bit
-            column ^= low
-    return Graph(n, tuple(rows))
+    w, columns, swaps = _decode_plan(n)
+    lower = 0
+    for start, low, at in columns:
+        lower |= (mask >> start & low) << at
+    upper = lower
+    for shift, swap in swaps:
+        t = ((upper >> shift) ^ upper) & swap
+        upper ^= t ^ (t << shift)
+    rows = lower | upper
+    if w == 8:
+        return Graph(n, tuple(rows.to_bytes(8, "little")[:n]))
+    field = (1 << w) - 1
+    return Graph(n, tuple([rows >> v * w & field for v in range(n)]))
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +259,16 @@ def join(g: Graph, h: Graph) -> Graph:
 # predicates and small measures
 
 
+def _check_vertex_set(g: Graph, vertices: int) -> None:
+    """ValueError for a vertex set that is negative or has a bit at or
+    above g.n, a vertex that g does not have."""
+    if vertices >> g.n:
+        raise ValueError(f"vertex set {vertices:#x} is not a set of the {g.n} vertices")
+
+
 def is_clique(g: Graph, vertices: int) -> bool:
     """True when every two vertices of the set are adjacent."""
+    _check_vertex_set(g, vertices)
     for v in iter_bits(vertices):
         rest = vertices & ~((1 << (v + 1)) - 1)
         if rest & ~g.adj[v]:
@@ -232,6 +278,7 @@ def is_clique(g: Graph, vertices: int) -> bool:
 
 def is_independent_set(g: Graph, vertices: int) -> bool:
     """True when no two vertices of the set are adjacent."""
+    _check_vertex_set(g, vertices)
     for v in iter_bits(vertices):
         if g.adj[v] & vertices:
             return False
@@ -249,6 +296,7 @@ def is_connected(g: Graph, vertices: int | None = None) -> bool:
     subgraph: a search inside it from its lowest vertex reaches all of
     it.  The empty set counts as connected."""
     vs = g.vertex_mask if vertices is None else vertices
+    _check_vertex_set(g, vs)
     seen = frontier = vs & -vs
     while frontier:
         nxt = 0

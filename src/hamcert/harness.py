@@ -74,11 +74,12 @@ whole (_settle_neighbourhood): lemma 1 against the bound's row for
 and the bound on chi of the complement leave open, which only a faulty
 table leaves, in lane order, and _tally, so the replays run in mask
 order.  At n = 7 that is 64 neighbourhoods of 2^15 lanes, a 4 KiB int
-each, where the whole population is 2^21 lanes.  Of a 7.0-7.2 ms call
-the tables take 2.3-2.4 ms and the neighbourhoods 4.4 ms: lemma 1
-0.3 ms, the tally 1.0 ms, the 245 replayed graphs 0.9 ms and their
-certify replays 1.0 ms (2-core host, scripts/kernel_timings.py --sweep,
-whose wrappers add to the parts they time).  No candidate is gathered
+each, where the whole population is 2^21 lanes.  Of a 6.3 ms call the
+tables take 1.9 ms and the neighbourhoods 4.0 ms: lemma 1 0.3 ms, the
+tally 1.0 ms, the 245 replayed graphs 0.7 ms and their certify replays
+0.85 ms (2-core host, scripts/kernel_timings.py --sweep, whose wrappers
+add to the parts they time); in its plain loop a replay decodes in
+2.5 us and certifies in 2.9 us.  No candidate is gathered
 and no lane set is built per candidate, so the sweep needs no numpy.
 
 The streamed source reads a text stream, a block of lines at a time.  A
@@ -113,6 +114,7 @@ shard count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from hamcert.graph6 import (
     GRAPH6_HEADER,
@@ -342,15 +344,26 @@ def _subset_or(table, size):
     """table[Y] becomes the OR of table[X] over every X inside Y, in
     place, for the Y of at most size vertices, one pass per vertex (Yates'
     zeta transform); returns table.  A pass ORs into Y only entries of its
-    subsets, so the entries of larger sets are neither read nor changed."""
-    small = [y for y in range(len(table)) if y.bit_count() <= size]
-    bit = 1
-    while bit < len(table):
-        for y in small:
-            if y & bit:
-                table[y] |= table[y ^ bit]
-        bit <<= 1
+    subsets, so the entries of larger sets are neither read nor changed.
+    The passes' index pairs are built once per table length and size
+    (_subset_or_pairs)."""
+    for y, x in _subset_or_pairs(len(table), size):
+        table[y] |= table[x]
     return table
+
+
+@lru_cache(maxsize=64)
+def _subset_or_pairs(length, size):
+    """The (Y, Y - bit) index pairs of _subset_or's passes over a table of
+    length entries, in pass order, bit = 1, 2, 4, .. below length: each Y
+    of at most size vertices that holds the bit."""
+    small = [y for y in range(length) if y.bit_count() <= size]
+    pairs = []
+    bit = 1
+    while bit < length:
+        pairs += [(y, y ^ bit) for y in small if y & bit]
+        bit <<= 1
+    return tuple(pairs)
 
 
 def _settle_neighbourhood(report, n, ks, tables, nb):

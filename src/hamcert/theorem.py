@@ -12,6 +12,7 @@ exact solvers and reporting the first failure rather than crashing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from hamcert.graph6 import parse_graph6, to_graph6
 from hamcert.graphs import (
@@ -61,13 +62,18 @@ class HypothesisError(ValueError):
 # the extremal family
 
 
-@dataclass(frozen=True)
-class ExtremalPartition:
+class ExtremalPartition(NamedTuple):
     """Vertex classes of the exceptional graph, as bitmasks.
 
     a: the k universal vertices (a clique joined to everything)
     b: the independent k-set whose neighborhood is exactly a
     c_part: the (n-2k)-clique whose outside neighborhood is exactly a
+
+    A NamedTuple, as Certificate is: certify builds one per extremal
+    replay of the sweep, and a tuple is built in one call where a frozen
+    dataclass sets each field through object.__setattr__.  Its fields
+    cannot be assigned, and it compares and hashes as the tuple of its
+    fields.
     """
 
     a: int
@@ -250,8 +256,7 @@ def _require_hypothesis(g: Graph, k: int) -> HypothesisReport:
 # certificates
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Outcome of certify: exactly one payload per kind.
 
     kind "hamiltonian": cycle covers every vertex.

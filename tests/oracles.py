@@ -24,7 +24,9 @@ its partition checked by oracle_extremal_problems.
 oracle_extend_predecessor_chord and oracle_extend_case1_rotation are the
 extension rules as they were when each built its own segment
 decomposition from (c, fan), the references for the rules that read the
-proof trace's decomposition.
+proof trace's decomposition.  oracle_from_edge_mask is the edge-mask
+decode as it was before the bit-matrix transpose, a column and then an
+edge at a time, the reference for the transpose.
 The oracle_mask_* functions take a whole population at once, as a uint32
 numpy array of edge masks.
 """
@@ -119,6 +121,22 @@ def oracle_independence_number(g: Graph) -> int:
         if best == size:
             break
     return best
+
+
+def oracle_from_edge_mask(n: int, mask: int) -> Graph:
+    """The graph of an edge mask in triangle_pairs order, a column at a
+    time: column j, the j bits from j(j - 1)/2, is the row of vertex j
+    below j, and each of its bits i puts j into row i."""
+    rows = [0] * n
+    for j in range(1, n):
+        column = mask >> (j * (j - 1) // 2) & ((1 << j) - 1)
+        rows[j] = column
+        bit = 1 << j
+        while column:
+            low = column & -column
+            rows[low.bit_length() - 1] |= bit
+            column ^= low
+    return Graph(n, tuple(rows))
 
 
 def oracle_mask_rows(masks, n):

@@ -1,5 +1,6 @@
 """graph6 codec: byte-exact vectors, strict error handling, round trips."""
 
+import hashlib
 import random
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from hamcert.graphs import (
     from_edge_mask,
     path_graph,
     petersen_graph,
+    transpose_swaps,
 )
 from tests.conftest import byte_edits_st, edited, graphs_st
 
@@ -256,3 +258,22 @@ def test_pair_lanes_need_every_swap_of_the_transpose(monkeypatch):
         kept = swaps[:left_out] + swaps[left_out + 1:]
         monkeypatch.setattr(graph6, "_transpose_constants", lambda rows, kept=kept: (low, kept))
         assert pair_lanes(8, grid) != expected, left_out
+
+
+def test_pair_lanes_swaps_are_the_shared_builders_at_width_8():
+    # the 8 x 8 swaps that pair_lanes ran as literals, as a set: the
+    # builder's order may differ, since the swaps commute
+    old = {(7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)}
+    assert set(transpose_swaps(8)) == set(graph6.TRANSPOSE_SWAPS) == old
+
+
+def test_pair_lanes_of_graph8_blocks_are_pinned():
+    # graph8.g6 in blocks of 4,096 lines and the 58 left over, as the
+    # stream reads it: the sha256 of the lane lists' reprs, taken when
+    # the swaps were literals
+    data = GRAPH8.read_bytes()
+    row = graph6_width(8) + 1
+    digest = hashlib.sha256()
+    for at in range(0, len(data), 4096 * row):
+        digest.update(repr(pair_lanes(8, data[at:at + 4096 * row])).encode())
+    assert digest.hexdigest() == "e546ec2bd8f1ed0af08af69ca415e978c37ab29c6b50feeb5cb2d36f7506efab"

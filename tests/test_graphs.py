@@ -24,11 +24,13 @@ from hamcert.graphs import (
     path_graph,
     petersen_graph,
     star_graph,
+    transpose_swaps,
     triangle_pairs,
     with_edges,
     without_bit,
 )
 from tests.conftest import graphs_st, random_graph
+from tests.oracles import oracle_from_edge_mask
 
 
 def test_with_edges_basic():
@@ -71,7 +73,7 @@ def test_edge_mask_round_trip():
     assert from_edge_mask(4, g.edge_mask()) == g
     # mask bit order: (0,1) is bit 0, (1,2) is bit 2, (0,3) is bit 3
     assert g.edge_mask() == 0b01101
-    # the column-by-column decode against the graph of the mask's set
+    # the transpose decode against the graph of the mask's set
     # bits, on the empty and full masks and seeded ones at several
     # densities, up to the vertex limit
     rng = random.Random(128)
@@ -86,6 +88,37 @@ def test_edge_mask_round_trip():
             g = from_edge_mask(n, mask)
             assert g == with_edges(n, edges), (n, mask)
             assert g.edge_mask() == mask
+
+
+def test_edge_mask_decode_matches_the_per_edge_oracle():
+    # the transpose decode against the former per-edge decode: every mask
+    # of order <= 5, and seeded masks at n = 0..24 and about each
+    # boundary of the field width w, the least power of two >= max(8, n)
+    for n in range(6):
+        for mask in range(1 << n * (n - 1) // 2):
+            assert from_edge_mask(n, mask) == oracle_from_edge_mask(n, mask), (n, mask)
+    rng = random.Random(33)
+    for n in [*range(25), 31, 32, 33, 63, 64, 65, 127, 128]:
+        pairs = n * (n - 1) // 2
+        top = (1 << pairs) - 1
+        for mask in [0, top, *(rng.getrandbits(pairs) for _ in range(6))]:
+            assert from_edge_mask(n, mask) == oracle_from_edge_mask(n, mask), (n, mask)
+
+
+@pytest.mark.parametrize("w", [8, 16, 32, 64, 128])
+def test_transpose_swaps_transpose_a_bit_matrix(w):
+    # row r of the matrix in bits r * w .. r * w + w - 1: after the swaps,
+    # in any order, bit (r, c) holds what bit (c, r) held
+    rng = random.Random(w)
+    swaps = transpose_swaps(w)
+    assert len(swaps) == w.bit_length() - 1
+    x = rng.getrandbits(w * w)
+    for order in (swaps, swaps[::-1]):
+        y = x
+        for shift, swap in order:
+            t = ((y >> shift) ^ y) & swap
+            y ^= t ^ (t << shift)
+        assert all(y >> (r * w + c) & 1 == x >> (c * w + r) & 1 for r in range(w) for c in range(w))
 
 
 @pytest.mark.parametrize(
@@ -168,6 +201,22 @@ def test_is_connected_on_vertex_sets():
         for g in enumerate_labeled(n):
             for s in range(1 << n):
                 assert is_connected(g, s) == is_connected(induced(g, s)), (g.adj, s)
+
+
+@pytest.mark.parametrize("predicate", [is_clique, is_independent_set, is_connected])
+@pytest.mark.parametrize(
+    "vertices", [-1, -(1 << 5), 1 << 5, 0b11111 | 1 << 40],
+    ids=["minus one", "negative high bits", "the bit at n", "a far bit"],
+)
+def test_vertex_set_predicates_reject_vertices_the_graph_lacks(predicate, vertices):
+    # a negative set, or one with a bit at or above n, names a vertex that
+    # g does not have: each predicate raises ValueError, where the clique
+    # and independence tests never returned on a negative set (the bit
+    # walk of a negative int never ends) and a high bit indexed past adj
+    g = path_graph(5)
+    with pytest.raises(ValueError):
+        predicate(g, vertices)
+    assert predicate(g, 0) and predicate(g, 1 << 4)
 
 
 def test_join_counts():

@@ -29,7 +29,8 @@ def test_kernel_timings_prints_both_tables_on_a_small_block(monkeypatch, capsys)
 
 def test_kernel_timings_sweep_prints_its_parts(capsys):
     # the parts of a warm verify_order(5) call, each timed by wrapping
-    # harness functions, which are restored afterwards
+    # harness functions, which are restored afterwards, and its replay
+    # path timed in a plain loop
     spec = importlib.util.spec_from_file_location("kernel_timings", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
@@ -39,6 +40,8 @@ def test_kernel_timings_sweep_prints_its_parts(capsys):
     assert [getattr(harness, name) for name in names] == before
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split()[:4] == ["n", "part", "ms", "faults"]
+    # the parts, then the replay path's header and its three steps
+    lines, path = lines[:-4], lines[-4:]
     # (n, part, ms, faults), a part's name being the words between
     rows = [(row[0], " ".join(row[1:-2]), *row[-2:]) for row in map(str.split, lines[1:])]
     assert [row[:2] for row in rows] == [
@@ -49,6 +52,12 @@ def test_kernel_timings_sweep_prints_its_parts(capsys):
             "call",
         )
     ]
+    # (n, step, us per replayed graph), unwrapped, of every graph replayed
+    assert path[0].split()[:4] == ["n", "replay", "path", "us"]
+    steps = [row.split() for row in path[1:]]
+    assert [row[:2] for row in steps] == [["5", "decode"], ["5", "certify"], ["5", "both"]]
+    assert all(len(row) == 3 and float(row[2]) > 0 for row in steps)
+    assert int(path[0].split("(per replayed graph, ")[1].split()[0]) > 0
     assert all(float(row[2]) > 0 and int(row[3]) >= 0 for row in rows)
     assert float(rows[-1][2]) >= max(float(row[2]) for row in rows[:-1])
     # the cover levels run inside the chi table, and lemma 1 and the tally

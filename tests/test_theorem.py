@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import random
 
 import pytest
@@ -361,6 +362,55 @@ def test_certificate_serialization_round_trip():
         assert g2 == g
         assert cert2 == cert
         assert validate_certificate(g2, cert2) == []
+
+
+def test_extremal_certificates_round_trip_on_the_grid():
+    # k = 2..5, n <= 13: the parsed text gives back the graph and the
+    # certificate, equal record for record
+    for k in range(2, 6):
+        for n in range(2 * k + 1, 14):
+            g = build_extremal(k, n)
+            cert = certify(g, k)
+            assert cert.kind == "extremal"
+            assert parse_certificate(format_certificate(g, cert)) == (g, cert), (k, n)
+
+
+def test_certificate_records_keep_their_contract():
+    # the field order and defaults, equality and hash by value, the repr
+    # and read-only fields, as the frozen dataclasses had them
+    def signature(record):
+        return [(p.name, p.default) for p in inspect.signature(record).parameters.values()]
+
+    empty = inspect.Parameter.empty
+    assert signature(ExtremalPartition) == [("a", empty), ("b", empty), ("c_part", empty)]
+    assert signature(Certificate) == [
+        ("kind", empty), ("cycle", None), ("k", None), ("partition", None), ("report", None),
+    ]
+    part = ExtremalPartition(a=3, b=12, c_part=112)
+    cert = certify(build_extremal(2, 7), 2)
+    assert cert == Certificate("extremal", None, 2, ExtremalPartition(3, 12, 112), None)
+    assert hash(cert) == hash(Certificate(kind="extremal", k=2, partition=part))
+    assert hash(part) == hash((3, 12, 112))
+    assert hash(cert) == hash(("extremal", None, 2, part, None))
+    assert part != ExtremalPartition(3, 12, 113)
+    assert cert != Certificate(kind="extremal", k=3, partition=part)
+    assert repr(part) == "ExtremalPartition(a=3, b=12, c_part=112)"
+    assert repr(cert) == (
+        "Certificate(kind='extremal', cycle=None, k=2, "
+        "partition=ExtremalPartition(a=3, b=12, c_part=112), report=None)"
+    )
+    assert repr(Certificate(kind="hamiltonian", cycle=Cycle((0, 1, 2)))) == (
+        "Certificate(kind='hamiltonian', cycle=Cycle(vertices=(0, 1, 2)), k=None, "
+        "partition=None, report=None)"
+    )
+    assert repr(Certificate(kind="counterexample", k=3, report="x")) == (
+        "Certificate(kind='counterexample', cycle=None, k=3, partition=None, report='x')"
+    )
+    fields = {part: ("a", "b", "c_part"), cert: ("kind", "cycle", "k", "partition", "report")}
+    for record, names in fields.items():
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
 
 def test_counterexample_certificate_serialization():
