@@ -90,12 +90,28 @@ wrapping the names that theorem calls:
                     extend_case1_rotation
     structure       recognize_extremal
 
+With --solvers it prints the same for find_hamiltonian_cycle at each
+order n, 13..20 by default, over four graphs: a seeded G(n, p) with a
+planted Hamiltonian cycle for p = 0.25, 0.45 and 0.7, and a seeded
+relabeling of build_extremal(3, n), the parts timed by wrapping the
+names that cycles calls:
+
+    certificate     _scattered: the scattering certificate
+    fill            _path_ends: the path table from vertex 0
+    walk            _least_cycle: the walk back to the least cycle
+
+and after each order's parts, how many of its graphs the certificate
+settled, so that no table was filled for them.  The parts do not nest;
+the whole call also holds the wrappers' own cost, about 2 us a part
+call.
+
 Run from the repository root:
     python3 scripts/kernel_timings.py [--caps] [n ...]
 (default orders 8 10 12 13), or
     python3 scripts/kernel_timings.py --sweep [n]
     python3 scripts/kernel_timings.py --stream [FILE] [n]
     python3 scripts/kernel_timings.py --trace [n]
+    python3 scripts/kernel_timings.py --solvers [n ...]
 """
 
 import inspect
@@ -110,11 +126,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # hamcert lives under src/; the reference lane builders under tests/
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from hamcert import harness, theorem  # noqa: E402
+from hamcert import cycles, harness, theorem  # noqa: E402
 from hamcert.cycles import find_hamiltonian_cycle  # noqa: E402
-from hamcert.graphs import from_edge_mask, iter_bits  # noqa: E402
+from hamcert.graphs import from_edge_mask, iter_bits, with_edges  # noqa: E402
 from hamcert.invariants import chromatic_number, vertex_connectivity  # noqa: E402
-from tests.conftest import relabeled  # noqa: E402
+from tests.conftest import random_graph, relabeled  # noqa: E402
 from tests.oracles import oracle_edge_lanes, oracle_kappa_lanes  # noqa: E402
 
 BLOCK = 4096
@@ -146,6 +162,12 @@ TRACE_PARTS = {
     "extension rules": ("extend_offcycle", "extend_predecessor_chord", "extend_case1_rotation"),
     "structure": ("recognize_extremal",),
 }
+SOLVER_PARTS = {
+    "certificate": ("_scattered",),
+    "fill": ("_path_ends",),
+    "walk": ("_least_cycle",),
+}
+SOLVER_DENSITIES = (0.25, 0.45, 0.7)
 PART_CALLS = 25
 GRAPH8 = ROOT / "tests" / "data" / "graph8.g6"
 
@@ -373,6 +395,37 @@ def trace(n=16) -> None:
     print_parts(n, part_times(theorem, call, TRACE_PARTS), "the parts do not nest")
 
 
+def solver_graphs(n):
+    """A G(n, p) with a planted Hamiltonian cycle for each p of
+    SOLVER_DENSITIES, then a relabeled build_extremal(3, n), seeded by n."""
+    rng = random.Random(n)
+    graphs = []
+    for p in SOLVER_DENSITIES:
+        order = list(range(n))
+        rng.shuffle(order)
+        planted = zip(order, order[1:] + order[:1])
+        graphs.append(with_edges(n, [*random_graph(n, p, rng).edges(), *planted]))
+    return graphs + [relabeled(theorem.build_extremal(3, n), rng)]
+
+
+def solvers(orders) -> None:
+    """Print, for each order n, the ms and minor faults of each part of
+    find_hamiltonian_cycle over solver_graphs(n) and of the whole pass,
+    medians of PART_CALLS passes, then how many of the graphs the
+    certificate settled."""
+    for n in orders:
+        graphs = solver_graphs(n)
+
+        def call():
+            for g in graphs:
+                cycles.find_hamiltonian_cycle(g)
+
+        print_parts(n, part_times(cycles, call, SOLVER_PARTS),
+                    f"{len(graphs)} graphs; the parts do not nest")
+        settled = sum(map(cycles._scattered, graphs))
+        print(f"{n:>3} settled {settled} of {len(graphs)} graphs by the certificate", flush=True)
+
+
 def main(orders, caps=False) -> None:
     if caps:
         print(f"{'n':>3} {'cap':>4} {'kernel':>9} {'cut sets':>9}   (ms, block)")
@@ -398,6 +451,8 @@ if __name__ == "__main__":
         sweep(*orders[:1])
     elif "--trace" in args:
         trace(*orders[:1])
+    elif "--solvers" in args:
+        solvers(orders or range(13, 21))
     elif "--stream" in args:
         files = [a for a in args if not a.isdigit() and not a.startswith("--")]
         stream(*files[:1] or [GRAPH8], *orders[:1])

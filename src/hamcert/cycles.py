@@ -155,15 +155,15 @@ def _path_ends(g: Graph, s: int) -> list[int]:
 
 
 def _hamiltonian_backtrack(g: Graph):
-    """Fallback for large orders: DFS with degree and reachability pruning.
+    """Fallback for large orders: DFS with cut-vertex and reachability
+    pruning.
 
-    A Hamiltonian cycle needs every degree >= 2 and no cut vertex, that
-    is g - v connected for every v.  A path from 0 to cur extends only
-    while the unvisited vertices, cur and 0 induce a connected graph.
+    A Hamiltonian cycle needs no cut vertex, that is g - v connected for
+    every v, which also rules out a vertex of degree below 2 once n >= 3.
+    A path from 0 to cur extends only while the unvisited vertices, cur
+    and 0 induce a connected graph.
     """
     n = g.n
-    if any(row.bit_count() < 2 for row in g.adj):
-        return None
     full = g.vertex_mask
     if not all(is_connected(g, full ^ 1 << v) for v in range(n)):
         return None
@@ -198,12 +198,33 @@ def _hamiltonian_backtrack(g: Graph):
     return None
 
 
+def _scattered(g: Graph) -> bool:
+    """Whether g - S, S the neighbourhood of a vertex of least degree, is
+    seen to have more than |S| components, so that g is not Hamiltonian:
+    a Hamiltonian cycle less S falls into at most |S| paths, and each
+    component holds one of them (g is not 1-tough; Chvatal, "Tough graphs
+    and Hamiltonian circuits", Discrete Math. 5, 1973).
+
+    Each vertex whose row lies inside S is a component on its own, the
+    vertex of least degree among them; no vertex of S is one, since each
+    neighbours that vertex.  Any vertex outside S left over lies in one
+    more component.  S is empty only at a vertex of degree 0, which no
+    cycle passes through.  On the extremal graph K_k + (K_k^c u
+    K_{n - 2k}) S is the join part, whose deletion leaves the k + 1
+    components of the paper's obstruction."""
+    s = min(g.adj, key=int.bit_count)
+    out = ~s
+    lone = [row & out for row in g.adj].count(0)
+    return lone + (lone < g.n - s.bit_count()) > s.bit_count()
+
+
 def find_hamiltonian_cycle(g: Graph):
     """A Hamiltonian cycle in canonical form, or None; the absence answer
-    is exact (exhaustive subset DP, not a timeout)."""
+    is exact, by the scattering certificate (_scattered) or by the
+    exhaustive path fill or backtracking search, never a timeout."""
     if g.n < 3:
         raise ValueError("Hamiltonian cycles need at least 3 vertices")
-    if any(row == 0 for row in g.adj):
+    if _scattered(g):
         return None
     if g.n > MAX_HAMILTONIAN_DP_ORDER:
         seq = _hamiltonian_backtrack(g)

@@ -103,7 +103,11 @@ line order, and a Graph is built only for a certify replay.
 The exact kernels' tables and vertex-set enumeration double with each
 order, so above _LANE_KERNEL_MAX_ORDER the single-graph coloring,
 connectivity and Hamiltonian-cycle solvers fill the same lane sets for
-the tally.
+the tally.  The Hamiltonian-cycle solver answers a candidate from its
+scattering certificate where that fires (deleting the neighbourhood S
+of a vertex of least degree leaves more than |S| components, as the
+join part of an extremal graph does), and fills its path table only
+where it does not.
 
 The sweep may be split into shards, each a range of neighbourhoods nb
 and so of whole runs of masks; partial reports merge associatively and

@@ -103,6 +103,59 @@ def count_calls(monkeypatch, module, names) -> dict[str, int]:
     return calls
 
 
+def lane_difference(got, want, at=()) -> str | None:
+    """None when two lane tables are equal, else where they first differ:
+    the index path into their lists, tuples and dicts, and for lane sets
+    the lowest lane whose bit differs, with that bit on each side.  A
+    failed == on lane sets of thousands of lanes prints no diff, only
+    "Exceeds the limit (4300 digits) for integer string conversion", so
+    lane tables are compared through this."""
+    where = f"index {list(at)}: " if at else ""
+    if isinstance(got, int) and isinstance(want, int):
+        diff = got ^ want
+        if not diff:
+            return None
+        lane = (diff & -diff).bit_length() - 1
+        return f"{where}lane {lane} is {got >> lane & 1}, want {want >> lane & 1}"
+    if type(got) is not type(want):
+        return f"{where}a {type(got).__name__}, want a {type(want).__name__}"
+    if isinstance(got, dict):
+        if got.keys() != want.keys():
+            return f"{where}keys {sorted(got)}, want {sorted(want)}"
+        pairs = [(key, got[key], want[key]) for key in got]
+    elif isinstance(got, (list, tuple)):
+        if len(got) != len(want):
+            return f"{where}length {len(got)}, want {len(want)}"
+        pairs = list(zip(range(len(got)), got, want))
+    else:
+        return None if got == want else f"{where}{got!r}, want {want!r}"
+    for key, a, b in pairs:
+        if (found := lane_difference(a, b, (*at, key))) is not None:
+            return found
+    return None
+
+
+def assert_same_lanes(got, want, *context) -> None:
+    """Fail naming the first differing index and lane (lane_difference)
+    and the context, unless the two lane tables are equal."""
+    __tracebackhide__ = True
+    where = lane_difference(got, want)
+    assert where is None, (*context, where)
+
+
+def build_sharpness(k: int, n: int) -> Graph:
+    """K_k + (K_{k+1}^c u K_{n-2k-1}), n >= 2k + 2: the join part 0..k-1,
+    the independent part k..2k and the clique part 2k+1..n-1.  It has
+    kappa = k and chi = n - k - 1, and deleting the join part leaves k + 2
+    components, so it is not Hamiltonian: chi >= n - k cannot be lowered
+    by one at any k or n."""
+    if not (k >= 2 and n >= 2 * k + 2):
+        raise ValueError("the sharpness family needs k >= 2 and n >= 2k + 2")
+    join = [(u, v) for v in range(n) for u in range(min(v, k))]
+    clique = [(u, v) for v in range(2 * k + 1, n) for u in range(2 * k + 1, v)]
+    return with_edges(n, join + clique)
+
+
 def relabeled(g: Graph, rng: random.Random) -> Graph:
     """Copy of g under a random vertex permutation."""
     perm = list(range(g.n))

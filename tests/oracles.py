@@ -5,8 +5,9 @@ shares no algorithmic ideas with the package under test: colorings are
 found by plain backtracking over vertices in label order, first-fit
 bounds by their definition, cliques and independent sets by full subset
 sweeps, connectivity by deleting every candidate cut set (also in lanes,
-oracle_kappa_lanes), cycles by permutation search, lane sets by slicing
-one string of every mask.  Keep it that way.  The exceptions are
+oracle_kappa_lanes), components by a plain search, cycles by
+permutation search, lane sets by slicing one string of every mask.
+Keep it that way.  The exceptions are
 oracle_path_ends, the reference for the bit-sliced path table: the same
 subset DP, filled one row at a time; oracle_chromatic_table and
 oracle_kappa_table, the references for the sweep's tables: the same
@@ -195,6 +196,28 @@ def _connected_after_removal(g: Graph, removed: frozenset[int]) -> bool:
                 seen.add(u)
                 stack.append(u)
     return len(seen) == len(left)
+
+
+def oracle_component_sizes(g: Graph, removed: frozenset[int]) -> list[int]:
+    """The vertex counts of the components of g less the removed vertices,
+    each found by a search from its least vertex, in that order."""
+    left = [v for v in range(g.n) if v not in removed]
+    seen: set[int] = set()
+    sizes = []
+    for root in left:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack, size = [root], 0
+        while stack:
+            v = stack.pop()
+            size += 1
+            for u in left:
+                if u not in seen and g.adj[v] >> u & 1:
+                    seen.add(u)
+                    stack.append(u)
+        sizes.append(size)
+    return sizes
 
 
 def oracle_vertex_connectivity(g: Graph) -> int:

@@ -45,8 +45,9 @@ from hamcert.cycles import (
     successors_set,
 )
 from hamcert.theorem import build_extremal
-from tests.conftest import graphs_st, random_graph, relabeled
+from tests.conftest import build_sharpness, graphs_st, random_graph, relabeled
 from tests.oracles import (
+    oracle_component_sizes,
     oracle_extend_case1_rotation,
     oracle_extend_predecessor_chord,
     oracle_hamiltonian_cycle,
@@ -186,6 +187,65 @@ def test_backtracker_agrees_with_the_path_table():
             assert seq is None, g.adj
         else:
             assert seq is not None and len(seq) == g.n and is_valid_cycle(g, seq), g.adj
+
+
+def _table_finds_cycle(g):
+    """Whether the path table from 0 closes a Hamiltonian cycle, read as
+    find_hamiltonian_cycle reads it, without the certificate."""
+    seq = cycles._least_cycle(g, 0, cycles._path_ends(g, 0), [(1 << (g.n - 1)) - 1], g.n)
+    return len(seq) == g.n
+
+
+def test_scattering_certificate_agrees_with_component_search():
+    # every labeled graph of order 3..6 and every class of graph8.g6: the
+    # certificate fires exactly when the lone components of G - S, S the
+    # neighbourhood of the first vertex of least degree, plus one for any
+    # larger component, outnumber S, counted by a plain search; whenever
+    # it fires G - S has more than |S| components, and the path table
+    # finds no Hamiltonian cycle
+    graph8 = Path(__file__).parent / "data" / "graph8.g6"
+    small = (g for n in range(3, 7) for g in enumerate_labeled(n))
+    classes = map(parse_graph6, graph8.read_text(encoding="ascii").split())
+    fired = 0
+    for g in (*small, *classes):
+        v = min(range(g.n), key=g.degree)
+        s = frozenset(u for u in range(g.n) if g.has_edge(v, u))
+        sizes = oracle_component_sizes(g, s)
+        settles = sizes.count(1) + (max(sizes) > 1) > len(s)
+        assert cycles._scattered(g) == settles, g.adj
+        if settles:
+            assert len(sizes) > len(s) and not _table_finds_cycle(g), g.adj
+            fired += 1
+    # 22,584 of the 23,557 non-Hamiltonian labeled graphs of order 3..6,
+    # and 5,468 of the 6,150 non-Hamiltonian classes of order 8
+    assert fired == 22584 + 5468
+
+
+def test_scattering_certificate_keeps_the_four_cycle():
+    # C4 less the two neighbours of 0 is two lone vertices, no more
+    # components than neighbours, and no vertex left over
+    assert not cycles._scattered(cycle_graph(4))
+    assert find_hamiltonian_cycle(cycle_graph(4)).vertices == (0, 1, 2, 3)
+
+
+def test_scattering_certificate_settles_the_extremal_and_sharpness_families(monkeypatch):
+    # build_extremal(k, n), k = 2..7, n <= 20, whose join part leaves k + 1
+    # components, and the sharpness family, k = 2..5, n = 2k+2..16, whose
+    # join part leaves k + 2, each canonical and relabeled:
+    # find_hamiltonian_cycle answers None before it fills a path table
+    def no_fill(g, s):
+        raise AssertionError("the path table was filled")
+
+    monkeypatch.setattr(cycles, "_path_ends", no_fill)
+    rng = random.Random(35)
+    cells = [(build_extremal, k, n) for k in range(2, 8) for n in range(2 * k + 1, 21)]
+    cells += [(build_sharpness, k, n) for k in range(2, 6) for n in range(2 * k + 2, 17)]
+    assert len(cells) == 66 + 32
+    for build, k, n in cells:
+        g = build(k, n)
+        for h in (g, relabeled(g, rng)):
+            assert cycles._scattered(h), (build.__name__, k, n)
+            assert find_hamiltonian_cycle(h) is None, (build.__name__, k, n)
 
 
 def test_petersen_not_hamiltonian():

@@ -38,7 +38,15 @@ from hamcert.cycles import find_hamiltonian_cycle
 from hamcert.theorem import build_extremal, certify
 
 from tests.conftest import (
-    byte_edits_st, count_calls, edited, extremal_certificates, random_graph, relabeled, text_stream,
+    assert_same_lanes,
+    byte_edits_st,
+    count_calls,
+    edited,
+    extremal_certificates,
+    lane_difference,
+    random_graph,
+    relabeled,
+    text_stream,
 )
 from tests.oracles import (
     oracle_chromatic,
@@ -267,10 +275,10 @@ class TestSweepBlocks:
         whole = harness._range_lanes(n)
         for nb in range(1 << (n - 1)):
             adj = [[x >> (nb * width) & every for x in row] for row in whole]
-            assert chi[nb] == harness._chromatic_lanes(adj, n, n, every), nb
+            assert_same_lanes(chi[nb], harness._chromatic_lanes(adj, n, n, every), "chi", nb)
             if n >= 3:
-                assert kappa[nb] == harness._kappa_lanes(adj, n, n - 1, every), nb
-                assert ham[nb] == harness._hamiltonian_lanes(adj, every), nb
+                assert_same_lanes(kappa[nb], harness._kappa_lanes(adj, n, n - 1, every), "kappa", nb)
+                assert_same_lanes(ham[nb], harness._hamiltonian_lanes(adj, every), "ham", nb)
 
     @pytest.mark.parametrize("m", range(7))
     def test_tables_match_their_full_formulas(self, m):
@@ -286,17 +294,24 @@ class TestSweepBlocks:
         rng = random.Random(m)
         for every in [(1 << width) - 1] + [rng.getrandbits(width) for _ in range(3)]:
             adj = [[x & every for x in row] for row in whole]
-            assert harness._chromatic_table(adj, m, every) == oracle_chromatic_table(adj, m, every)
+            assert_same_lanes(
+                harness._chromatic_table(adj, m, every), oracle_chromatic_table(adj, m, every), "chi"
+            )
             if m >= 2:
-                assert harness._hamiltonian_table(adj, m, every) == oracle_hamiltonian_table(
-                    adj, m, every
+                assert_same_lanes(
+                    harness._hamiltonian_table(adj, m, every),
+                    oracle_hamiltonian_table(adj, m, every),
+                    "ham",
                 )
             for lo in range(2, m + 1):
                 for hi in range(lo, m + 1):
                     ks = range(lo, hi + 1)
-                    assert harness._kappa_table(adj, m, ks, every) == oracle_kappa_table(
-                        adj, m, ks, every
-                    ), ks
+                    assert_same_lanes(
+                        harness._kappa_table(adj, m, ks, every),
+                        oracle_kappa_table(adj, m, ks, every),
+                        "kappa",
+                        ks,
+                    )
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_parent_complement_lanes_bound_chi_of_the_complements(self, m):
@@ -807,7 +822,7 @@ class TestBatchedKernels:
             block = masks[start:start + 300]
             at_least = harness._chromatic_lanes(oracle_edge_lanes(7, block.tolist()), 7, 7, (1 << block.size) - 1)
             parts = [p | lanes << start for p, lanes in zip(parts, at_least)]
-        assert parts == whole
+        assert_same_lanes(parts, whole)
 
     def test_chromatic_numbers_with_trivial_bounds(self):
         # every s from 0 to n, at every s_max, on every labeled graph of
@@ -821,7 +836,7 @@ class TestBatchedKernels:
         # every graph8.g6 class, or its complement, in both lane builders
         masks = self.graph8_masks(complement)
         whole = assert_chromatic_lanes(8, masks, (5, 6, 8), oracle_edge_lanes(8, masks.tolist()))
-        assert whole == assert_chromatic_lanes(8, masks, (8,))
+        assert_same_lanes(whole, assert_chromatic_lanes(8, masks, (8,)))
 
     @pytest.mark.parametrize("n", [9, 10, 11, 12])
     def test_chromatic_numbers_exact_above_order_eight(self, n):
@@ -832,7 +847,7 @@ class TestBatchedKernels:
         whole = assert_chromatic_lanes(n, masks, (n - 3, n - 2, n))
         for i in range(0, len(masks), 16):
             alone = harness._chromatic_lanes(oracle_edge_lanes(n, [masks[i]]), n, n, 1)
-            assert alone == [lanes >> i & 1 for lanes in whole]
+            assert_same_lanes(alone, [lanes >> i & 1 for lanes in whole], i)
         assert harness._LANE_KERNEL_MAX_ORDER == 12
 
     @staticmethod
@@ -901,7 +916,7 @@ class TestBatchedKernels:
         assert lane_list(ham, masks.size) == expected
         # only the given lanes are decided
         some = int("10" * masks.size, 2) & ((1 << masks.size) - 1)
-        assert harness._hamiltonian_lanes(adj, some) == ham & some
+        assert_same_lanes(harness._hamiltonian_lanes(adj, some), ham & some)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
     def test_clique_alpha_matches_solvers(self, n):
@@ -924,7 +939,7 @@ def assert_kappa_lanes(n, adj, kappa):
     every = (1 << len(kappa)) - 1
     for cap in range(n + 1):
         at_least = harness._kappa_lanes(adj, n, cap, every)
-        assert at_least == oracle_levels(adj, n, cap, every), cap
+        assert_same_lanes(at_least, oracle_levels(adj, n, cap, every), "cap", cap)
         assert list(at_least) == list(range(2, min(cap, n - 1) + 1))
         for k, lanes in at_least.items():
             assert lane_list(lanes, len(kappa)) == [min(x, cap) >= k for x in kappa], (cap, k)
@@ -939,6 +954,22 @@ def oracle_levels(adj, n, cap, every):
 def lane_list(lanes, count):
     """The truth of each of the first count lanes of a lane set."""
     return [bit == "1" for bit in format(lanes, f"0{count}b")[::-1]][:count]
+
+
+def test_lane_difference_names_the_first_index_and_lane():
+    # the comparison behind every lane-table assertion here: equal tables
+    # give None, and a difference is named by its index path and lowest lane
+    wide = (1 << 20_000) - 1
+    table = [[0, wide], {2: wide, 3: 5}]
+    assert lane_difference(table, [[0, wide], {2: wide, 3: 5}]) is None
+    assert lane_difference(table, [[0, wide ^ 1 << 9_000], {2: 0, 3: 5}]) == (
+        "index [0, 1]: lane 9000 is 1, want 0"
+    )
+    assert lane_difference(table, [[0, wide], {2: wide, 3: 7}]) == "index [1, 3]: lane 1 is 0, want 1"
+    assert lane_difference(table, [[0, wide], {2: wide}]) == "index [1]: keys [2, 3], want [2]"
+    assert lane_difference(table, [[0], {2: wide, 3: 5}]) == "index [0]: length 2, want 1"
+    assert lane_difference(table, ([0, wide], {2: wide, 3: 5})) == "a list, want a tuple"
+    assert lane_difference(4, 6) == "lane 1 is 0, want 1"
 
 
 class TestLaneKernels:
@@ -960,7 +991,7 @@ class TestLaneKernels:
         adj = harness._range_lanes(n)
         for cap in range(n + 1):
             at_least = harness._kappa_lanes(adj, n, cap, every)
-            assert at_least == oracle_levels(adj, n, cap, every), cap
+            assert_same_lanes(at_least, oracle_levels(adj, n, cap, every), "cap", cap)
 
     @pytest.mark.parametrize("m", range(5))
     def test_subset_or_reaches_the_sets_of_at_most_its_size(self, m):
@@ -970,9 +1001,12 @@ class TestLaneKernels:
         table = [rng.getrandbits(8) for _ in range(1 << m)]
         whole = oracle_subset_or(table)
         for size in range(m + 1):
-            assert harness._subset_or(list(table), size) == [
-                whole[y] if y.bit_count() <= size else table[y] for y in range(1 << m)
-            ], size
+            assert_same_lanes(
+                harness._subset_or(list(table), size),
+                [whole[y] if y.bit_count() <= size else table[y] for y in range(1 << m)],
+                "size",
+                size,
+            )
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_first_fit_leaves_lemma1_open_on_no_graph(self, n):
@@ -1038,14 +1072,14 @@ class TestLaneKernels:
             n, masks = TestBatchedKernels.labeled_or_graph8(source)
             graphs = [from_edge_mask(n, int(m)) for m in masks]
             adj = oracle_edge_lanes(n, masks.tolist())
-            assert adj == graph6_lanes(graphs)
+            assert_same_lanes(adj, graph6_lanes(graphs), source)
             if source != "graph8":
-                assert adj == harness._range_lanes(n)
+                assert_same_lanes(adj, harness._range_lanes(n), source)
             assert len(adj) == n and all(len(row) == n for row in adj)
             for u in range(n):
                 for v in range(n):
                     assert lane_list(adj[u][v], masks.size) == [g.has_edge(u, v) for g in graphs]
-            assert oracle_edge_lanes(n, masks[-1:].tolist()) == graph6_lanes(graphs[-1:])
+            assert_same_lanes(oracle_edge_lanes(n, masks[-1:].tolist()), graph6_lanes(graphs[-1:]))
         assert harness._lanes([]) == 0
         assert harness._lanes([True, False, True, False]) == 0b101
 
@@ -1059,7 +1093,9 @@ class TestLaneKernels:
         every = (1 << masks.size) - 1
         adj = oracle_edge_lanes(n, masks.tolist())
         comp = harness._complement_lanes(adj, every)
-        assert comp == oracle_edge_lanes(n, (masks ^ np.uint32((1 << (n * (n - 1) // 2)) - 1)).tolist())
+        assert_same_lanes(
+            comp, oracle_edge_lanes(n, (masks ^ np.uint32((1 << (n * (n - 1) // 2)) - 1)).tolist())
+        )
         delta = [min_degree(g) for g in graphs]
         for cap in range(n):
             at_least = harness._degree_lanes(adj, cap, every)
@@ -1142,14 +1178,14 @@ class TestLaneBuilders:
     def test_graph6_lanes_match_reference(self, source):
         n, masks = TestBatchedKernels.labeled_or_graph8(source)
         graphs = [from_edge_mask(n, int(m)) for m in masks]
-        assert graph6_lanes(graphs) == oracle_edge_lanes(n, masks.tolist())
-        assert graph6_lanes(graphs[-1:]) == oracle_edge_lanes(n, masks[-1:].tolist())
+        assert_same_lanes(graph6_lanes(graphs), oracle_edge_lanes(n, masks.tolist()))
+        assert_same_lanes(graph6_lanes(graphs[-1:]), oracle_edge_lanes(n, masks[-1:].tolist()))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_range_lanes_match_the_mask_builder(self, n):
         # every mask of the order, lane i being mask i
         masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
-        assert harness._range_lanes(n) == oracle_edge_lanes(n, masks.tolist())
+        assert_same_lanes(harness._range_lanes(n), oracle_edge_lanes(n, masks.tolist()))
 
 
 class TestStreamBlocks:

@@ -1,13 +1,14 @@
 """Smoke test of scripts/kernel_timings.py, the timing table that the
 _LANE_KERNEL_MAX_ORDER comment in harness.py cites, and its part timings
-of the sweep, the stream and the proof trace.  The script calls private
-harness kernels and the reference lane builders, so it runs here on a few
-order-8 candidates to keep it runnable as they change."""
+of the sweep, the stream, the proof trace and the Hamiltonian solver.
+The script calls private harness kernels and the reference lane
+builders, so it runs here on a few order-8 candidates to keep it
+runnable as they change."""
 
 import importlib.util
 from pathlib import Path
 
-from hamcert import harness, theorem
+from hamcert import cycles, harness, theorem
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "kernel_timings.py"
 
@@ -108,3 +109,30 @@ def test_kernel_timings_trace_prints_its_parts(capsys):
     ]
     assert all(float(row[2]) > 0 and int(row[3]) >= 0 for row in rows)
     assert float(rows[-1][2]) >= max(float(row[2]) for row in rows[:-1])
+
+
+def test_kernel_timings_solvers_prints_its_parts(capsys):
+    # the parts of find_hamiltonian_cycle over three planted G(n, p) and a
+    # relabeled build_extremal(3, n), each timed by wrapping names in
+    # cycles' namespace, which are restored afterwards; the certificate
+    # settles the extremal graph alone
+    spec = importlib.util.spec_from_file_location("kernel_timings", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    names = [name for names in script.SOLVER_PARTS.values() for name in names]
+    before = [getattr(cycles, name) for name in names]
+    script.solvers([11, 12])
+    assert [getattr(cycles, name) for name in names] == before
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 * 6
+    for n, block in zip(("11", "12"), (lines[:6], lines[6:])):
+        assert block[0].split()[:4] == ["n", "part", "ms", "faults"]
+        rows = [row.split() for row in block[1:5]]
+        assert [row[:2] for row in rows] == [
+            [n, part] for part in ("certificate", "fill", "walk", "call")
+        ]
+        # each part to 3 decimals, above 0
+        assert all(len(row) == 4 and len(row[2].split(".")[1]) == 3 for row in rows)
+        assert all(float(row[2]) > 0 and int(row[3]) >= 0 for row in rows)
+        assert float(rows[-1][2]) >= max(float(row[2]) for row in rows[:-1])
+        assert block[5].split() == [n, "settled", "1", "of", "4", "graphs", "by", "the", "certificate"]
