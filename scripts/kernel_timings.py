@@ -101,9 +101,13 @@ names that cycles calls:
     walk            _least_cycle: the walk back to the least cycle
 
 and after each order's parts, how many of its graphs the certificate
-settled, so that no table was filled for them.  The parts do not nest;
-the whole call also holds the wrappers' own cost, about 2 us a part
-call.
+settled, so that no table was filled for them, and the process's peak
+RSS so far (ru_maxrss, in MB of 2^20 bytes, as bench/run.py reads it).
+The parts do not nest; the whole call also holds the wrappers' own
+cost, about 2 us a part call.  No benchmark workload goes past n = 20,
+so `--solvers 21 22 23 24` is the frontier run: it times the largest
+tables of the path fill, up to MAX_HAMILTONIAN_DP_ORDER, and their
+peak RSS, the orders listed ascending so that each peak is its own.
 
 Run from the repository root:
     python3 scripts/kernel_timings.py [--caps] [n ...]
@@ -112,6 +116,7 @@ Run from the repository root:
     python3 scripts/kernel_timings.py --stream [FILE] [n]
     python3 scripts/kernel_timings.py --trace [n]
     python3 scripts/kernel_timings.py --solvers [n ...]
+    python3 scripts/kernel_timings.py --solvers 21 22 23 24   (frontier)
 """
 
 import inspect
@@ -412,7 +417,7 @@ def solvers(orders) -> None:
     """Print, for each order n, the ms and minor faults of each part of
     find_hamiltonian_cycle over solver_graphs(n) and of the whole pass,
     medians of PART_CALLS passes, then how many of the graphs the
-    certificate settled."""
+    certificate settled and the process's peak RSS so far."""
     for n in orders:
         graphs = solver_graphs(n)
 
@@ -423,7 +428,9 @@ def solvers(orders) -> None:
         print_parts(n, part_times(cycles, call, SOLVER_PARTS),
                     f"{len(graphs)} graphs; the parts do not nest")
         settled = sum(map(cycles._scattered, graphs))
-        print(f"{n:>3} settled {settled} of {len(graphs)} graphs by the certificate", flush=True)
+        print(f"{n:>3} settled {settled} of {len(graphs)} graphs by the certificate")
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"{n:>3} peak RSS {peak:.1f} MB of the process so far", flush=True)
 
 
 def main(orders, caps=False) -> None:

@@ -14,9 +14,9 @@ cycle is always real and always longer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from hamcert.graphs import Graph, is_connected, iter_bits, mask_of, without_bit
+from hamcert.graphs import Graph, is_connected, iter_bits, without_bit
 from hamcert.invariants import PathSystem
 
 # Exact longest-cycle search is refused above this order; the state space
@@ -24,10 +24,18 @@ from hamcert.invariants import PathSystem
 MAX_LONGEST_CYCLE_ORDER = 16
 
 # Hamiltonian search reads the path table up to this order; beyond it
-# backtracking takes over.  At n = 24 the fill holds 23 bit slices and 23
-# lack masks of 2^23 bits each (46 MiB), adds about 60 MB of peak RSS and
-# takes 0.41-0.50 s (2-core x86 host).
+# backtracking takes over.  At n = 24 the fill holds 128 blocks of 23
+# slices of 2^16 bits, a high vertex's slice 0 in the blocks without it
+# (about 21 MiB), adds about 21 MB of peak RSS and takes 65-80 ms a call
+# (2-core x86 host), where whole slices of 2^23 bits took 0.40 s and
+# 62 MB.
 MAX_HAMILTONIAN_DP_ORDER = 24
+
+# The path table is filled in blocks of 2^_PATH_BLOCK rows, 8 KiB ints
+# that stay in cache.  Of the widths 14..17, 15 and 16 filled within 5 %
+# of each other at every n = 17..24, and 14 and 17 were slower from
+# n = 18 on (2-core x86 host); 16 makes half as many blocks as 15.
+_PATH_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -53,10 +61,6 @@ class Cycle:
 
     def __contains__(self, v: int) -> bool:
         return v in self._pos
-
-    @property
-    def vertex_set(self) -> int:
-        return mask_of(self.vertices)
 
     def position(self, v: int) -> int:
         try:
@@ -118,40 +122,71 @@ def canonical_cycle(vertices) -> Cycle:
 # Hamiltonian cycle
 
 
-def _path_ends(g: Graph, s: int) -> list[int]:
-    """The path table from s, bit-sliced: bit r of ends[b] is set when
-    vertex s + 1 + b ends a path from s that spans exactly
-    (1 << s) | (r << (s + 1)), for the m = n - s - 1 vertices above s.
+@lru_cache(maxsize=_PATH_BLOCK + 1)
+def _lacks(w: int) -> tuple[int, ...]:
+    """The lack masks of a block of 2^w rows: bit r of the b-th is set for
+    each row r < 2^w without bit b.  Built once per width, w <= _PATH_BLOCK,
+    the only state the fill keeps between calls."""
+    return tuple(without_bit(b, w) for b in range(w))
+
+
+def _path_ends(g: Graph, s: int) -> list[list[int]]:
+    """The path table from s, bit-sliced in blocks of 2^w rows, where
+    w = min(m, _PATH_BLOCK) for the m = n - s - 1 vertices above s: bit r
+    of blocks[t][b] is set when vertex s + 1 + b ends a path from s that
+    spans exactly (1 << s) | (row << (s + 1)), row = t << w | r.
 
     This is the Bellman / Held-Karp subset DP; both exact cycle solvers
-    read their answers from it.  A vertex's slice takes its neighbours'
-    slices from the rows that lack its bit to the rows that have it, a
-    shift by 1 << b under the mask lacks[b].  The updates run in place,
-    and repeat until none of them changes anything; each adds only true
-    endpoints, and that fixpoint is the table.  A vertex is read again
-    only once one of its neighbours has grown.
+    read their answers from it.  Block t holds the rows whose vertices
+    above w are the set t, and the blocks are filled in ascending t.  A
+    high vertex w + h of t ends a path there when one of its neighbours
+    ends a path on the same low rows of block t ^ 1 << h, which is
+    finished, so its slice is one OR of that block's slices.  A low
+    vertex b takes its neighbours' slices of the same block from the
+    rows that lack its bit to the rows that have it, a shift by 1 << b
+    under the mask _lacks(w)[b].  These updates run in place, and repeat
+    until none of them changes anything; each adds only true endpoints,
+    and that fixpoint is the block.  A low vertex is read again only
+    once one of its low neighbours has grown.  At m <= _PATH_BLOCK the
+    table is one block.
     """
     m = g.n - s - 1
+    w = min(m, _PATH_BLOCK)
     adj = [row >> (s + 1) for row in g.adj]
     nbrs = [[c for c in range(m) if adj[s + 1 + b] >> c & 1] for b in range(m)]
-    ends = [(adj[s] >> b & 1) << (1 << b) for b in range(m)]  # the paths s, s + 1 + b
-    lacks = [without_bit(b, m) for b in range(m)]
-    # a vertex is stale when a neighbour has grown since it last read them
-    stale = [bool(cs) for cs in nbrs]
-    while any(stale):
-        for b, cs in enumerate(nbrs):
-            if not stale[b]:
-                continue
-            stale[b] = False
-            new = 0
-            for c in cs:
-                new |= ends[c]
-            new = ends[b] | (new & lacks[b]) << (1 << b)
-            if new != ends[b]:
-                ends[b] = new
+    reads = nbrs[:w]
+    low_nbrs = [[c for c in cs if c < w] for cs in reads]
+    lacks = _lacks(w)
+    blocks = []
+    for t in range(1 << (m - w)):
+        ends = [0] * m
+        if not t:  # the paths s, s + 1 + b
+            ends[:w] = [(adj[s] >> b & 1) << (1 << b) for b in range(w)]
+        for h in iter_bits(t):
+            done = blocks[t ^ 1 << h]
+            # the path s, s + 1 + w + h is row 0 of block 1 << h
+            new = adj[s] >> (w + h) & 1 if t == 1 << h else 0
+            for c in nbrs[w + h]:
+                new |= done[c]
+            ends[w + h] = new
+        # a low vertex is stale when a neighbour has grown since it last
+        # read them; the high slices of the block are final
+        stale = [bool(cs) for cs in reads]
+        while any(stale):
+            for b, cs in enumerate(reads):
+                if not stale[b]:
+                    continue
+                stale[b] = False
+                new = 0
                 for c in cs:
-                    stale[c] = True
-    return ends
+                    new |= ends[c]
+                new = ends[b] | (new & lacks[b]) << (1 << b)
+                if new != ends[b]:
+                    ends[b] = new
+                    for c in low_nbrs[b]:
+                        stale[c] = True
+        blocks.append(ends)
+    return blocks
 
 
 def _hamiltonian_backtrack(g: Graph):
@@ -244,19 +279,26 @@ def _least_cycle(g: Graph, s: int, ends, frames, length: int) -> list[int]:
     that path is a cycle on the walk's vertices and F's, which cannot have
     more than length, so every hit is a real completion and the walk never
     backtracks.  It stops short only where no F is completed at all, at
-    once; the caller checks the length."""
+    once; the caller checks the length.
+
+    Each step reads the rows F has left from the block of the lowest of
+    them, so they must share one block of the table: the Hamiltonian walk
+    has one frame, and longest_cycle's tables are one block.  A step
+    shifts one 8 KiB block, so the Hamiltonian walk takes 0.1-0.3 ms at
+    n = 20..24 (2-core x86 host), where the shift of whole slices took
+    0.6 ms at n = 20 and 4.5 ms at n = 24."""
+    w = _PATH_BLOCK
     path, used = [s], 0
     while len(path) < length:
         # the rows the kept sets have left, as offsets from the lowest, so
-        # that a slice is cut to the rows from there on before the AND: the
-        # Hamiltonian walk's one row lies near the top, and an AND of whole
-        # slices made that walk 2x slower at n = 20 and 4x at n = 22
+        # that a slice is cut to the rows from there on before the AND
         rows = [f & ~used for f in frames]
         low = min(rows)
         left = 0
         for r in rows:
             left |= 1 << (r - low)
-        b = next((b for b in iter_bits(g.adj[path[-1]] >> (s + 1)) if ends[b] >> low & left), None)
+        block, low = ends[low >> w], low & (1 << w) - 1
+        b = next((b for b in iter_bits(g.adj[path[-1]] >> (s + 1)) if block[b] >> low & left), None)
         if b is None:
             break
         path.append(s + 1 + b)
@@ -283,6 +325,12 @@ def longest_cycle(g: Graph) -> Cycle:
     """The lexicographically least maximum-length cycle (after rotation
     and reflection normalization).  Exact; refuses orders above
     MAX_LONGEST_CYCLE_ORDER and raises on acyclic graphs.
+
+    It reads each start's path table as one block, which holds at every
+    order up to _PATH_BLOCK + 1, and raises RuntimeError on a table of
+    more blocks rather than read its first block alone.  Raising the
+    order limit (ROADMAP item 8) needs a closing set built across the
+    blocks and a walk over kept rows in more than one block.
     """
     n = g.n
     if n > MAX_LONGEST_CYCLE_ORDER:
@@ -303,9 +351,11 @@ def longest_cycle(g: Graph) -> Cycle:
         if n - s <= best:
             break
         ends = _path_ends(g, s)
+        if len(ends) > 1:
+            raise RuntimeError(f"the path table from {s} has {len(ends)} blocks, not one")
         closing = 0
         for b in iter_bits(g.adj[s] >> (s + 1)):
-            closing |= ends[b]
+            closing |= ends[0][b]
         for size in range(n - s - 1, best - 1, -1):
             if rows := closing & layers[size]:
                 best, lead = size + 1, (s, ends, rows)

@@ -18,6 +18,7 @@ from hamcert.graphs import (
     complete_graph,
     from_edge_mask,
     is_clique,
+    mask_of,
     triangle_pairs,
     with_edges,
 )
@@ -325,7 +326,7 @@ def test_criterion_5_off_cycle_completeness():
             g = from_edge_mask(n, int(smasks[i]))
             c = longest_cycle(g)
             assert len(c) == int(circ[i])
-            off = g.vertex_mask ^ c.vertex_set
+            off = g.vertex_mask ^ mask_of(c.vertices)
             assert is_clique(g, off)
             cross_checked += 1
     ok = not violations

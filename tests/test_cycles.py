@@ -252,22 +252,34 @@ def test_petersen_not_hamiltonian():
     assert find_hamiltonian_cycle(petersen_graph()) is None
 
 
-def _assert_fill_matches_oracle(g, s):
-    """The slices of the path table from s, each bit held to the row-by-row
-    reference: bit r of slice b is bit s + 1 + b of its row r."""
+def _oracle_slices(g, s):
+    """The row-by-row reference table from s, bit-sliced whole: bit r of
+    slices[b] is bit s + 1 + b of row r."""
     table = oracle_path_ends(g, s)
+    return [
+        int("".join("1" if row >> (s + 1 + b) & 1 else "0" for row in reversed(table)), 2)
+        for b in range(g.n - s - 1)
+    ]
+
+
+def _assert_fill_matches_oracle(g, s, slices=None):
+    """The blocks of the path table from s, held to the reference slices
+    (_oracle_slices(g, s) unless given) cut at the width
+    cycles._PATH_BLOCK, bit r of blocks[t][b] to bit t << w | r of
+    slices[b]: as many blocks of as many slices, each bit the same, and
+    no bit past a block's rows."""
+    slices = _oracle_slices(g, s) if slices is None else slices
+    w = min(len(slices), cycles._PATH_BLOCK)
+    cut = (1 << (1 << w)) - 1
+    want = [[slice_ >> (t << w) & cut for slice_ in slices] for t in range(1 << (len(slices) - w))]
     ends = cycles._path_ends(g, s)
-    assert len(ends) == g.n - s - 1, (g.adj, s)
-    for b, slice_ in enumerate(ends):
-        bits = format(slice_, "b")[::-1].ljust(len(table), "0")
-        want = "".join("1" if row >> (s + 1 + b) & 1 else "0" for row in table)
-        assert bits == want, (g.adj, s, b)
+    assert ends == want, (g.adj, s, cycles._PATH_BLOCK)
     return ends
 
 
 def test_path_table_fills_agree():
     # differential: the bit-sliced fill gives the row-by-row table, bit for
-    # bit, at every start
+    # bit, at every start; from 0 at n = 18 the table is two blocks
     rng = random.Random(13)
     graphs = [random_graph(n, p, rng) for n in range(3, 17) for p in (0.25, 0.45, 0.7)]
     graphs.append(with_edges(12, [(u, v) for u, v in complete_graph(12).edges() if 5 not in (u, v)]))
@@ -285,8 +297,8 @@ def test_bit_fill_reaches_descending_paths(n):
     # must keep going until a round adds nothing
     path = with_edges(n, [(0, n - 1)] + [(v, v - 1) for v in range(n - 1, 1, -1)])
     ends = _assert_fill_matches_oracle(path, 0)
-    full = (1 << (n - 1)) - 1
-    assert [slice_ >> full & 1 for slice_ in ends] == [1] + [0] * (n - 2)
+    full = (1 << min(n - 1, cycles._PATH_BLOCK)) - 1  # the last row of the last block
+    assert [slice_ >> full & 1 for slice_ in ends[-1]] == [1] + [0] * (n - 2)
     assert find_hamiltonian_cycle(path) is None
     closed = with_edges(n, list(path.edges()) + [(0, 1)])
     _assert_fill_matches_oracle(closed, 0)
@@ -297,9 +309,56 @@ def test_bit_fill_start_without_neighbour():
     # a start with no neighbour above it: no path leaves it, so every
     # slice is empty
     isolated = disjoint_union(edgeless_graph(1), complete_graph(11))
-    assert _assert_fill_matches_oracle(isolated, 0) == [0] * 11
+    assert _assert_fill_matches_oracle(isolated, 0) == [[0] * 11]
     pendant = with_edges(13, [(0, 1)] + [(u, v) for u, v in complete_graph(13).edges() if u > 1])
-    assert _assert_fill_matches_oracle(pendant, 1) == [0] * 11
+    assert _assert_fill_matches_oracle(pendant, 1) == [[0] * 11]
+
+
+def _graph8_classes():
+    graph8 = Path(__file__).parent / "data" / "graph8.g6"
+    return list(map(parse_graph6, graph8.read_text(encoding="ascii").split()))
+
+
+def test_path_table_blocks_at_narrow_widths(monkeypatch):
+    # blocks of 2, 4 and 8 rows, so that high vertices read finished
+    # blocks from order 3 on: every labeled graph of order 1..5 at every
+    # start, and every class of graph8.g6 from vertex 0
+    cases = [(g, s) for n in range(1, 6) for g in enumerate_labeled(n) for s in range(n)]
+    cases += [(g, 0) for g in _graph8_classes()]
+    for g, s in cases:
+        slices = _oracle_slices(g, s)
+        for width in (1, 2, 3):
+            monkeypatch.setattr(cycles, "_PATH_BLOCK", width)
+            _assert_fill_matches_oracle(g, s, slices)
+
+
+def test_narrow_blocks_give_the_same_cycles(monkeypatch):
+    # the walk reads the full row from the last of 32 blocks of 4 rows as
+    # it does from one block of 128: the same cycle, or None, on every
+    # class of graph8.g6
+    classes = _graph8_classes()
+    wide = [find_hamiltonian_cycle(g) for g in classes]
+    monkeypatch.setattr(cycles, "_PATH_BLOCK", 2)
+    assert [find_hamiltonian_cycle(g) for g in classes] == wide
+    assert sum(c is not None for c in wide) == len(classes) - 6150
+
+
+def test_path_table_blocks_at_the_real_width():
+    # from 0 at n = 18 and 19 the table is 2 and 4 blocks of 2^16 rows
+    assert cycles._PATH_BLOCK == 16
+    rng = random.Random(1819)
+    for n in (18, 18, 19, 19):
+        ends = _assert_fill_matches_oracle(random_graph(n, 0.3, rng), 0)
+        assert len(ends) == 1 << (n - 17)
+
+
+def test_longest_cycle_refuses_a_table_of_blocks(monkeypatch):
+    # longest_cycle reads one block per start; a table of more blocks
+    # raises rather than answer from the first block alone
+    monkeypatch.setattr(cycles, "_PATH_BLOCK", 2)
+    with pytest.raises(RuntimeError, match="blocks, not one"):
+        longest_cycle(complete_graph(5))
+    assert longest_cycle(complete_graph(3)).vertices == (0, 1, 2)
 
 
 def _cycle_text(c):
@@ -368,10 +427,10 @@ def test_hamiltonian_golden_outputs():
 
 
 def _spanning_rows_only(g, s):
-    """A wrong path table from s, whose only paths span every vertex: a
-    walk back from the full row runs into a dead end."""
+    """A wrong path table from s, one block whose only paths span every
+    vertex: a walk back from the full row runs into a dead end."""
     m = g.n - 1 - s
-    return [1 << (1 << m) - 1] * m
+    return [[1 << (1 << m) - 1] * m]
 
 
 @pytest.mark.parametrize(
@@ -396,7 +455,7 @@ def test_solver_output_checked_under_python_O():
 from hamcert import cycles
 from hamcert.graphs import cycle_graph
 assert not __debug__
-cycles._path_ends = lambda g, s: [1 << (1 << (g.n - 1 - s)) - 1] * (g.n - 1 - s)
+cycles._path_ends = lambda g, s: [[1 << (1 << (g.n - 1 - s)) - 1] * (g.n - 1 - s)]
 for solver in (cycles.find_hamiltonian_cycle, cycles.longest_cycle):
     try:
         solver(cycle_graph(14))

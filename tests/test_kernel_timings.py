@@ -115,7 +115,8 @@ def test_kernel_timings_solvers_prints_its_parts(capsys):
     # the parts of find_hamiltonian_cycle over three planted G(n, p) and a
     # relabeled build_extremal(3, n), each timed by wrapping names in
     # cycles' namespace, which are restored afterwards; the certificate
-    # settles the extremal graph alone
+    # settles the extremal graph alone; then the process's peak RSS, which
+    # never falls
     spec = importlib.util.spec_from_file_location("kernel_timings", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
@@ -124,8 +125,9 @@ def test_kernel_timings_solvers_prints_its_parts(capsys):
     script.solvers([11, 12])
     assert [getattr(cycles, name) for name in names] == before
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2 * 6
-    for n, block in zip(("11", "12"), (lines[:6], lines[6:])):
+    assert len(lines) == 2 * 7
+    peaks = []
+    for n, block in zip(("11", "12"), (lines[:7], lines[7:])):
         assert block[0].split()[:4] == ["n", "part", "ms", "faults"]
         rows = [row.split() for row in block[1:5]]
         assert [row[:2] for row in rows] == [
@@ -136,3 +138,9 @@ def test_kernel_timings_solvers_prints_its_parts(capsys):
         assert all(float(row[2]) > 0 and int(row[3]) >= 0 for row in rows)
         assert float(rows[-1][2]) >= max(float(row[2]) for row in rows[:-1])
         assert block[5].split() == [n, "settled", "1", "of", "4", "graphs", "by", "the", "certificate"]
+        peak = block[6].split()
+        assert peak[:3] == [n, "peak", "RSS"]
+        assert peak[4:] == ["MB", "of", "the", "process", "so", "far"]
+        assert len(peak[3].split(".")[1]) == 1
+        peaks.append(float(peak[3]))
+    assert 0 < peaks[0] <= peaks[1]
